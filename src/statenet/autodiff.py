@@ -1,12 +1,14 @@
 """Reverse-mode differentiation of rollout losses.
 
 The computation shape is fixed by the topology, so instead of a general
-expression graph the tape is simply the state trajectory of a forward
-window: ``states[0]`` is the entry state and ``states[t]`` the state after
-step t. The backward sweep re-derives the few intermediates it needs
-(drive, pre-threshold membrane, pre-clip plastic weights) from the stored
-states with exactly the forward expressions, so recorded and replayed
-values are bitwise identical by construction.
+expression graph the tape is simply the state trajectory that
+``engine.rollout`` records: ``states[0]`` is the entry state and
+``states[t]`` the state after step t; a truncated window's tape is a slice
+of the episode's one trajectory. The backward sweep re-derives the few
+intermediates it needs (drive, pre-threshold membrane, pre-clip plastic
+weights) from the stored states with the engine's gather and the
+``dynamics`` / ``plasticity`` kernels, so recorded and replayed values are
+bitwise identical by construction.
 
 Differentiation conventions (they define what "the gradient" means here):
 
@@ -29,12 +31,15 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import RolloutState, fresh_state, full_weights, step
+from .dynamics import lif_membrane_pre, lif_surrogate_grad
+from .engine import (RolloutState, fresh_state, full_weights, gather, rollout,
+                     spikes_of)
 from .params import ParameterSet
+from .plasticity import hebbian_update, stdp_update
 from .topology import NetworkTopology
 
 
@@ -115,22 +120,21 @@ class Tape:
     ys: np.ndarray
     mask: np.ndarray
     loss_tag: str
-    loss: float
 
     def __len__(self) -> int:
         return len(self.states) - 1
 
     def verify_replay(self) -> None:
         """Re-run the window and compare every state bitwise."""
-        state = self.states[0]
-        for t in range(len(self)):
-            _, state = step(state, self.xs[t], self.topology, self.params)
-            rec = self.states[t + 1]
+        replay: list[RolloutState] = []
+        rollout(self.states[0], self.xs, self.topology, self.params, states=replay)
+        for t in range(1, len(replay)):
+            state, rec = replay[t], self.states[t]
             same = (np.array_equal(state.s, rec.s)
                     and np.array_equal(state.v_last, rec.v_last)
                     and np.array_equal(state.plastic.weights, rec.plastic.weights))
             if not same:
-                raise TapeReplayError(f"tape replay diverged at step {t + 1}")
+                raise TapeReplayError(f"tape replay diverged at step {t}")
 
 
 @dataclass
@@ -156,6 +160,17 @@ def _norm_mask(mask, T: int, n_out: int) -> np.ndarray:
     return mask
 
 
+def outputs_loss(loss_tag: str, outs: np.ndarray, ys, mask) -> float:
+    """Masked loss of a rollout's outputs against their targets, summed one
+    step at a time in step order."""
+    ys = np.asarray(ys, dtype=np.float64)
+    mask = _norm_mask(mask, len(outs), outs.shape[1])
+    loss = 0.0
+    for t in range(len(outs)):
+        loss += step_loss(loss_tag, outs[t], ys[t], mask[t])
+    return loss
+
+
 def forward_taped(state0: RolloutState, xs, ys, mask,
                   topology: NetworkTopology, params: ParameterSet,
                   loss_tag: str) -> tuple[float, Tape, RolloutState]:
@@ -170,17 +185,13 @@ def forward_taped(state0: RolloutState, xs, ys, mask,
     if len(ys) != T:
         raise ValueError(f"window lengths differ: {T} stimuli, {len(ys)} targets")
     mask = _norm_mask(mask, T, topology.n_outputs)
-    states = [state0]
-    loss = 0.0
-    state = state0
-    for t in range(T):
-        res, state = step(state, xs[t], topology, params)
-        states.append(state)
-        loss += step_loss(loss_tag, res.y, ys[t], mask[t])
+    states: list[RolloutState] = []
+    outs, state = rollout(state0, xs, topology, params, states=states)
+    loss = outputs_loss(loss_tag, outs, ys, mask)
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss in window of length {T}")
     tape = Tape(topology=topology, params=params, states=states,
-                xs=xs, ys=ys, mask=mask, loss_tag=loss_tag, loss=loss)
+                xs=xs, ys=ys, mask=mask, loss_tag=loss_tag)
     return loss, tape, state
 
 
@@ -248,29 +259,25 @@ def backward(tape: Tape, upstream: StateGradient | None = None,
         # contribution to gv must land before the neuron backward reads gv
         if len(heb):
             e_prev_h = st_prev.plastic.weights[topo.hebbian_pos]
-            pre_post = v_prev[src_h] * v_t[dst_h]
-            raw = retention * e_prev_h + learn_rate * pre_post
-            gate = (np.abs(raw) < meta.clip_bound).astype(np.float64)
-            gh = ge[topo.hebbian_pos] * gate
-            g[params.registry["learn_rate"]] += gh * pre_post
+            pre = v_prev[src_h]
+            post = v_t[dst_h]
+            _, raw = hebbian_update(e_prev_h, pre, post, learn_rate, retention,
+                                    meta.clip_bound)
+            gh = ge[topo.hebbian_pos] * (np.abs(raw) < meta.clip_bound)
+            g[params.registry["learn_rate"]] += gh * (pre * post)
             g[params.registry["retention_raw"]] += np.sum(gh * e_prev_h) * sig_prime
             ge_prev[topo.hebbian_pos] = gh * retention
-            np.add.at(gv, dst_h, gh * learn_rate * v_prev[src_h])
-            np.add.at(gv_prev, src_h, gh * learn_rate * v_t[dst_h])
+            np.add.at(gv, dst_h, gh * learn_rate * pre)
+            np.add.at(gv_prev, src_h, gh * learn_rate * post)
         if len(sd):
             # increment is non-differentiable; only the additive carry and
             # its clip gate pass gradient
-            spikes = np.zeros(n)
-            spikes[lif] = v_t[lif]
-            if len(topo.lif_input_ids):
-                spikes[topo.lif_input_ids] = v_t[topo.lif_input_ids]
-            tp = meta.trace_decay * st_prev.plastic.trace_pre[topo.edge_src[sd]]
-            tq = meta.trace_decay * st_prev.plastic.trace_post[topo.edge_dst[sd]]
-            delta = (meta.potentiation * tp * spikes[topo.edge_dst[sd]]
-                     - meta.depression * tq * spikes[topo.edge_src[sd]])
-            raw_sd = st_prev.plastic.weights[topo.stdp_pos] + delta
-            gate = (np.abs(raw_sd) < meta.clip_bound).astype(np.float64)
-            ge_prev[topo.stdp_pos] = ge[topo.stdp_pos] * gate
+            _, raw_sd, _, _ = stdp_update(
+                st_prev.plastic.weights[topo.stdp_pos], topo.edge_src[sd],
+                topo.edge_dst[sd], spikes_of(topo, v_t), st_prev.plastic.trace_pre,
+                st_prev.plastic.trace_post, meta)
+            ge_prev[topo.stdp_pos] = ge[topo.stdp_pos] * (np.abs(raw_sd)
+                                                          < meta.clip_bound)
 
         # neuron backward
         gu = np.zeros(n)
@@ -282,12 +289,9 @@ def backward(tape: Tape, upstream: StateGradient | None = None,
             gu[rate] = gz
             gs_prev[rate] = gz * self_coeff
         if len(lif):
-            sp = s_prev[lif]
-            u = np.zeros(n)
-            np.add.at(u, topo.edge_dst, w_full_prev * v_prev[topo.edge_src])
-            pre = sp + topo.lif_dt * (-(sp - topo.lif_rest) + u[lif])
-            surr = topo.lif_sharpness / (
-                1.0 + topo.lif_sharpness * np.abs(pre - topo.lif_threshold)) ** 2
+            u = gather(topo, w_full_prev, v_prev)
+            membrane = lif_membrane_pre(u[lif], s_prev[lif], topo.lif_params)
+            surr = lif_surrogate_grad(membrane, topo.lif_params)
             spk = v_t[lif]
             gp = gv[lif] * surr + gs[lif] * (1.0 - spk)
             gu[lif] = gp * topo.lif_dt
@@ -315,15 +319,8 @@ def backward(tape: Tape, upstream: StateGradient | None = None,
 def episode_loss(topology: NetworkTopology, params: ParameterSet, xs, ys, mask,
                  loss_tag: str) -> float:
     """Plain (untaped) episode loss from a fresh episode-start state."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    mask = _norm_mask(mask, len(xs), topology.n_outputs)
-    state = fresh_state(topology, params)
-    loss = 0.0
-    for t in range(len(xs)):
-        res, state = step(state, xs[t], topology, params)
-        loss += step_loss(loss_tag, res.y, ys[t], mask[t])
-    return loss
+    outs, _ = rollout(fresh_state(topology, params), xs, topology, params)
+    return outputs_loss(loss_tag, outs, ys, mask)
 
 
 def episode_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
@@ -349,35 +346,23 @@ def tbptt_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
     """
     if not (1 <= k1 <= k2):
         raise ValueError(f"invalid window config k1={k1}, k2={k2}")
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    T = len(xs)
-    mask = _norm_mask(mask, T, topology.n_outputs)
+    total_loss, full, _ = forward_taped(fresh_state(topology, params), xs, ys,
+                                        mask, topology, params, loss_tag)
+    T = len(full)
     grad = np.zeros(params.count)
-    if T == 0:
-        return 0.0, grad
-
-    states = [fresh_state(topology, params)]
-    total_loss = 0.0
     last_flushed = 0
-    for t in range(1, T + 1):
-        res, state = step(states[-1], xs[t - 1], topology, params)
-        states.append(state)
-        total_loss += step_loss(loss_tag, res.y, ys[t - 1], mask[t - 1])
-        if t % k1 == 0 or t == T:
-            depth = min(k2, t)
-            t0 = t - depth
-            win_mask = mask[t0:t].copy()
-            # rows already flushed carry no fresh loss
-            for i in range(t0, last_flushed):
-                win_mask[i - t0] = 0.0
-            _, tape, _ = forward_taped(states[t0], xs[t0:t], ys[t0:t], win_mask,
-                                       topology, params, loss_tag)
-            g, entry = backward(tape)
-            grad += g
-            if t0 == 0 and topology.n_plastic:
-                grad[params.registry["w0"]][topology.plastic_idx] += entry.e
-            last_flushed = t
+    for t in [*range(k1, T, k1), T]:
+        t0 = t - min(k2, t)
+        win_mask = full.mask[t0:t].copy()
+        # rows already flushed carry no fresh loss
+        win_mask[:last_flushed - t0] = 0.0
+        tape = replace(full, states=full.states[t0:t + 1], xs=full.xs[t0:t],
+                       ys=full.ys[t0:t], mask=win_mask)
+        g, entry = backward(tape)
+        grad += g
+        if t0 == 0 and topology.n_plastic:
+            grad[params.registry["w0"]][topology.plastic_idx] += entry.e
+        last_flushed = t
     return total_loss, params.apply_freeze(grad)
 
 

@@ -26,9 +26,9 @@ from .datasets import (DatasetError, PavlovConfig, PongDataConfig, gen_pavlov,
 from .pong import PongConfig
 from .topology import (FORMAT_TAG, TopologyError, build_random, load_topology,
                        save_topology)
-from .training import (CheckpointError, DivergenceError, TrainConfig,
-                       eval_pavlov_acquisition, eval_pong_closed_loop,
-                       load_checkpoint, train)
+from .training import (CheckpointError, CheckpointMismatch, DivergenceError,
+                       TrainConfig, eval_pavlov_acquisition,
+                       eval_pong_closed_loop, load_params, train)
 from .verify import SUITES
 
 
@@ -269,6 +269,8 @@ def train_cmd(topology_path, dataset_path, eval_path, out_dir, config_path,
         _, metrics = train(topology, dataset, config, eval_dataset=eval_dataset,
                            run_dir=out_dir, resume=resume_path,
                            resume_force=force)
+    except CheckpointMismatch as exc:
+        _fail(2, f"{exc} (use --force)")
     except CheckpointError as exc:
         _fail(2, str(exc))
     except DivergenceError as exc:
@@ -293,26 +295,12 @@ def eval_group():
 def _load_ckpt(checkpoint, topology_path, force):
     try:
         topology = load_topology(topology_path)
+        params, _ = load_params(checkpoint, topology, force=force)
     except OSError as exc:
         _fail(3, str(exc))
-    except TopologyError as exc:
-        _fail(2, str(exc))
-    if not force:
-        try:
-            with open(checkpoint, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            _fail(3, str(exc))
-        except json.JSONDecodeError as exc:
-            _fail(2, str(exc))
-        if doc.get("topology_hash") != topology.content_hash():
-            _fail(2, "checkpoint topology hash mismatch (use --force)")
-    try:
-        params, _, _ = load_checkpoint(checkpoint, topology, TrainConfig(),
-                                       force=True)
-    except OSError as exc:
-        _fail(3, str(exc))
-    except (CheckpointError, ValueError) as exc:
+    except CheckpointMismatch as exc:
+        _fail(2, f"{exc} (use --force)")
+    except (TopologyError, CheckpointError, ValueError) as exc:
         _fail(2, str(exc))
     return topology, params
 

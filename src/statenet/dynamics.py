@@ -1,4 +1,6 @@
-"""Per-neuron state update and output functions.
+"""Per-neuron state update and output kernels, the one implementation of
+the cell equations: ``engine.step`` runs them over a step's rate and lif
+neurons, ``autodiff.backward`` reads its membrane and surrogate from them.
 
 Two cell types share the same contract (drive, previous state) -> (output,
 new state):
@@ -8,9 +10,12 @@ new state):
          pre = s_prev + dt * (-(s_prev - rest) + drive);
          spike = [pre >= threshold]; hard reset to ``reset`` on spike.
 
-All functions are pure and accept scalars or numpy arrays elementwise.
+All functions are pure and accept scalars or numpy arrays elementwise;
+``params`` holds one neuron's parameters or arrays aligned with the
+topology's rate / lif ids (``ParameterSet``, ``NetworkTopology.lif_params``).
 The spike nonlinearity is not differentiable; training uses the
-fast-sigmoid surrogate in ``lif_surrogate_grad``.
+fast-sigmoid surrogate in ``lif_surrogate_grad``. The engine passes
+``check=False`` and checks each whole step once, naming step and neuron.
 """
 
 from __future__ import annotations
@@ -24,28 +29,32 @@ class NumericsError(FloatingPointError):
     """Non-finite value produced or consumed by a neuron update."""
 
 
-def rate_step(drive, s_prev, params: RateParams):
-    """One rate-neuron update. Returns (output, new state); they are equal."""
+def _finite(where: str, drive, s_prev):
     drive = np.asarray(drive, dtype=np.float64)
     s_prev = np.asarray(s_prev, dtype=np.float64)
     if not (np.all(np.isfinite(drive)) and np.all(np.isfinite(s_prev))):
-        raise NumericsError("rate_step: non-finite drive or state")
+        raise NumericsError(f"{where}: non-finite drive or state")
+    return drive, s_prev
+
+
+def rate_step(drive, s_prev, params: RateParams, check: bool = True):
+    """One rate-neuron update. Returns (output, new state); they are equal."""
+    if check:
+        drive, s_prev = _finite("rate_step", drive, s_prev)
     s_new = np.tanh(drive + params.self_coeff * s_prev + params.bias)
     return s_new, s_new
 
 
-def lif_step(drive, s_prev, params: LifParams):
+def lif_step(drive, s_prev, params: LifParams, check: bool = True):
     """One leaky integrate-and-fire update. Returns (spike, new membrane).
 
     With zero drive the membrane decays geometrically toward ``rest`` with
     factor (1 - dt) per step. A spike forces the membrane to ``reset``
     regardless of drive magnitude.
     """
-    drive = np.asarray(drive, dtype=np.float64)
-    s_prev = np.asarray(s_prev, dtype=np.float64)
-    if not (np.all(np.isfinite(drive)) and np.all(np.isfinite(s_prev))):
-        raise NumericsError("lif_step: non-finite drive or membrane")
-    pre = s_prev + params.dt * (-(s_prev - params.rest) + drive)
+    if check:
+        drive, s_prev = _finite("lif_step", drive, s_prev)
+    pre = lif_membrane_pre(drive, s_prev, params)
     spike = (pre >= params.threshold).astype(np.float64)
     s_new = np.where(spike > 0.0, params.reset, pre)
     if spike.ndim == 0:

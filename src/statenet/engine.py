@@ -8,6 +8,10 @@ Order of operations inside one step:
 3. update every neuron (rate / lif) to get this step's outputs and states,
 4. update plastic edge weights from the activity just produced.
 
+Steps 3 and 4 call the ``dynamics`` and ``plasticity`` kernels that the
+backward sweep shares. ``rollout`` is the one loop over steps; it also
+records the state trajectory a backward sweep reads.
+
 The one-step delay on every edge makes arbitrary cycles well defined
 without fixed-point iteration; the shortest input-to-output path of k
 neurons first influences the output at step k.
@@ -28,9 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NumericsError
+from .dynamics import NumericsError, lif_step, rate_step
 from .params import ParameterSet
-from .plasticity import PlasticEdgeState, reset_plastic_state
+from .plasticity import (PlasticEdgeState, hebbian_update, reset_plastic_state,
+                         stdp_update)
 from .topology import NetworkTopology
 
 
@@ -103,6 +108,22 @@ def full_weights(topology: NetworkTopology, params: ParameterSet,
     return w
 
 
+def gather(topology: NetworkTopology, w: np.ndarray,
+           v_last: np.ndarray) -> np.ndarray:
+    """Per-neuron drive from previous-step outputs, in edge order."""
+    u = np.zeros(topology.n)
+    np.add.at(u, topology.edge_dst, w * v_last[topology.edge_src])
+    return u
+
+
+def spikes_of(topology: NetworkTopology, v: np.ndarray) -> np.ndarray:
+    """Outputs of lif neurons (inputs included), zero elsewhere."""
+    spikes = np.zeros(topology.n)
+    spikes[topology.lif_ids] = v[topology.lif_ids]
+    spikes[topology.lif_input_ids] = v[topology.lif_input_ids]
+    return spikes
+
+
 def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
          params: ParameterSet) -> tuple[StepResult, RolloutState]:
     """Advance the network one step. Returns (result, next state)."""
@@ -116,59 +137,38 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
 
     v = np.zeros(topology.n)
     v[topology.input_ids] = x
-
-    # gather from previous outputs through pre-update weights
-    w = full_weights(topology, params, state.plastic)
-    prod = w * state.v_last[topology.edge_src]
-    u = np.zeros(topology.n)
-    np.add.at(u, topology.edge_dst, prod)
+    u = gather(topology, full_weights(topology, params, state.plastic),
+               state.v_last)
 
     s_new = state.s.copy()
     rate = topology.rate_ids
     if len(rate):
-        z = u[rate] + params.self_coeff * state.s[rate] + params.bias
-        sr = np.tanh(z)
-        v[rate] = sr
-        s_new[rate] = sr
+        v[rate], s_new[rate] = rate_step(u[rate], state.s[rate], params,
+                                         check=False)
     lif = topology.lif_ids
     if len(lif):
-        s_prev = state.s[lif]
-        pre = s_prev + topology.lif_dt * (-(s_prev - topology.lif_rest) + u[lif])
-        spike = (pre >= topology.lif_threshold).astype(np.float64)
-        v[lif] = spike
-        s_new[lif] = np.where(spike > 0.0, topology.lif_reset, pre)
+        v[lif], s_new[lif] = lif_step(u[lif], state.s[lif], topology.lif_params,
+                                      check=False)
 
     if not np.isfinite(v).all() or not np.isfinite(s_new).all():
         bad = int(np.flatnonzero(~(np.isfinite(v) & np.isfinite(s_new)))[0])
         raise NumericsError(f"non-finite value at t={t}, neuron {bad}")
 
-    spikes_full = np.zeros(topology.n)
-    if len(lif):
-        spikes_full[lif] = v[lif]
-    if len(topology.lif_input_ids):
-        spikes_full[topology.lif_input_ids] = v[topology.lif_input_ids]
-
     new_plastic = state.plastic.copy()
     meta = params.meta
     heb = topology.hebbian_idx
     if len(heb):
-        e_prev = state.plastic.weights[topology.hebbian_pos]
-        raw = (params.retention * e_prev
-               + params.learn_rate * (state.v_last[topology.edge_src[heb]]
-                                      * v[topology.edge_dst[heb]]))  # lr per edge
-        new_plastic.weights[topology.hebbian_pos] = np.clip(
-            raw, -meta.clip_bound, meta.clip_bound)
+        new_plastic.weights[topology.hebbian_pos], _ = hebbian_update(
+            state.plastic.weights[topology.hebbian_pos],
+            state.v_last[topology.edge_src[heb]], v[topology.edge_dst[heb]],
+            params.learn_rate, params.retention, meta.clip_bound)
     sd = topology.stdp_idx
     if len(sd):
-        tp = meta.trace_decay * state.plastic.trace_pre[topology.edge_src[sd]]
-        tq = meta.trace_decay * state.plastic.trace_post[topology.edge_dst[sd]]
-        delta = (meta.potentiation * tp * spikes_full[topology.edge_dst[sd]]
-                 - meta.depression * tq * spikes_full[topology.edge_src[sd]])
-        new_plastic.weights[topology.stdp_pos] = np.clip(
-            state.plastic.weights[topology.stdp_pos] + delta,
-            -meta.clip_bound, meta.clip_bound)
-        new_plastic.trace_pre = meta.trace_decay * state.plastic.trace_pre + spikes_full
-        new_plastic.trace_post = meta.trace_decay * state.plastic.trace_post + spikes_full
+        (new_plastic.weights[topology.stdp_pos], _, new_plastic.trace_pre,
+         new_plastic.trace_post) = stdp_update(
+            state.plastic.weights[topology.stdp_pos], topology.edge_src[sd],
+            topology.edge_dst[sd], spikes_of(topology, v),
+            state.plastic.trace_pre, state.plastic.trace_post, meta)
 
     result = StepResult(y=v[topology.output_ids].copy(), probe=v)
     next_state = RolloutState(s=s_new, v_last=v, plastic=new_plastic, t=t)
@@ -176,16 +176,22 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
 
 
 def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
-            params: ParameterSet,
-            probe: ProbeWriter | None = None) -> tuple[np.ndarray, RolloutState]:
+            params: ParameterSet, probe: ProbeWriter | None = None,
+            states: list[RolloutState] | None = None,
+            ) -> tuple[np.ndarray, RolloutState]:
     """Fold ``step`` over a stimulus sequence. Returns (T x n_out outputs,
-    final state)."""
+    final state). ``states``, when given, receives the entry state and the
+    state after every step."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.zeros((len(xs), topology.n_outputs))
     state = state0
+    if states is not None:
+        states.append(state)
     for t in range(len(xs)):
         res, state = step(state, xs[t], topology, params)
         ys[t] = res.y
+        if states is not None:
+            states.append(state)
         if probe is not None:
             probe.record(state.t, state.s, res.probe, topology,
                          full_weights(topology, params, state.plastic))

@@ -1,5 +1,8 @@
 """Within-rollout modulation of edge weights from neuronal activity.
 
+The one implementation of the rules and the weight clip: ``engine.step``
+applies them, ``autodiff.backward`` reads their pre-clip values.
+
 Two rules:
 
 * hebbian (differentiable fast weights):
@@ -95,7 +98,7 @@ def reset_plastic_state(topology: NetworkTopology, w0: np.ndarray) -> PlasticEdg
     )
 
 
-def hebbian_update(e_prev, out_pre_prev, out_post, learn_rate: float,
+def hebbian_update(e_prev, out_pre_prev, out_post, learn_rate,
                    retention: float, clip_bound: float):
     """Elementwise fast-weight update over hebbian edges.
 
@@ -103,24 +106,22 @@ def hebbian_update(e_prev, out_pre_prev, out_post, learn_rate: float,
     (clipped weights, pre-clip values); the pre-clip values gate the
     straight-through backward pass.
     """
-    raw = retention * np.asarray(e_prev) + learn_rate * (
-        np.asarray(out_pre_prev) * np.asarray(out_post))
+    raw = retention * e_prev + learn_rate * (out_pre_prev * out_post)
     return np.clip(raw, -clip_bound, clip_bound), raw
 
 
-def stdp_update(e_prev, spikes_pre, spikes_post, trace_pre, trace_post,
+def stdp_update(e_prev, src, dst, spikes, trace_pre, trace_post,
                 meta: PlasticityMeta):
     """Trace-based spike-timing update for one step over stdp edges.
 
-    ``trace_pre``/``trace_post`` carry the source/target eligibility traces
-    from the previous step (per edge endpoint). The weight change reads the
-    decayed traces, the current spikes are added afterwards. Returns
-    (new weights, new trace_pre, new trace_post).
+    ``src``/``dst`` are the edges' endpoint neuron ids; ``spikes`` and the
+    traces carried from the previous step are per neuron. The weight change
+    reads the decayed traces, the current spikes are added afterwards.
+    Returns (clipped weights, pre-clip values, new trace_pre, new trace_post).
     """
-    tp = meta.trace_decay * np.asarray(trace_pre)
-    tq = meta.trace_decay * np.asarray(trace_post)
-    spikes_pre = np.asarray(spikes_pre)
-    spikes_post = np.asarray(spikes_post)
-    delta = meta.potentiation * tp * spikes_post - meta.depression * tq * spikes_pre
-    e_new = np.clip(np.asarray(e_prev) + delta, -meta.clip_bound, meta.clip_bound)
-    return e_new, tp + spikes_pre, tq + spikes_post
+    tp = meta.trace_decay * trace_pre
+    tq = meta.trace_decay * trace_post
+    raw = e_prev + (meta.potentiation * tp[src] * spikes[dst]
+                    - meta.depression * tq[dst] * spikes[src])
+    e_new = np.clip(raw, -meta.clip_bound, meta.clip_bound)
+    return e_new, raw, tp + spikes, tq + spikes

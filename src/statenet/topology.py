@@ -148,6 +148,10 @@ class NetworkTopology:
                     self.hebbian_pos, self.stdp_pos, self.lif_threshold, self.lif_reset,
                     self.lif_rest, self.lif_dt, self.lif_sharpness):
             arr.setflags(write=False)
+        # the same vectors in the shape the dynamics kernels read
+        self.lif_params = LifParams(threshold=self.lif_threshold, reset=self.lif_reset,
+                                    rest=self.lif_rest, dt=self.lif_dt,
+                                    sharpness=self.lif_sharpness)
 
     @property
     def n_inputs(self) -> int:

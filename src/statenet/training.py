@@ -22,9 +22,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import episode_loss, tbptt_gradients
+from .autodiff import outputs_loss, tbptt_gradients
 from .datasets import Dataset
-from .engine import fresh_state, step
+from .engine import fresh_state, rollout, step
 from .params import ParameterSet
 from .plasticity import PlasticityMeta
 from .pong import PongConfig, PongEnv, action_from_index
@@ -41,6 +41,10 @@ class DivergenceError(RuntimeError):
 
 class CheckpointError(ValueError):
     """Checkpoint unreadable or inconsistent with the current run."""
+
+
+class CheckpointMismatch(CheckpointError):
+    """Checkpoint of another topology or config; ``force`` overrides it."""
 
 
 @dataclass(frozen=True)
@@ -190,9 +194,10 @@ def save_checkpoint(path: str, params: ParameterSet, optimizer, epoch: int,
         fh.write("\n")
 
 
-def load_checkpoint(path: str, topology: NetworkTopology, config: TrainConfig,
-                    force: bool = False):
-    """Returns (params, optimizer, next_epoch)."""
+def load_params(path: str, topology: NetworkTopology,
+                force: bool = False) -> tuple[ParameterSet, dict]:
+    """Returns (params, checkpoint document); refuses a checkpoint of
+    another topology unless ``force``."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -200,19 +205,23 @@ def load_checkpoint(path: str, topology: NetworkTopology, config: TrainConfig,
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     if doc.get("format") != CHECKPOINT_TAG:
         raise CheckpointError("not a checkpoint file")
-    if not force:
-        if doc["topology_hash"] != topology.content_hash():
-            raise CheckpointError("checkpoint topology hash mismatch "
-                                  "(pass force to override)")
-        if doc["config_hash"] != config_hash(config):
-            raise CheckpointError("checkpoint config hash mismatch "
-                                  "(pass force to override)")
+    if not force and doc.get("topology_hash") != topology.content_hash():
+        raise CheckpointMismatch("checkpoint topology hash mismatch")
     meta = PlasticityMeta(**doc["meta"])
     base = ParameterSet.from_topology(topology, meta)
     params = base.with_flat(np.array(doc["params"]))
     params.frozen = set(doc.get("frozen", []))
     if doc["registry"] != {k: [v.start, v.stop] for k, v in params.registry.items()}:
         raise CheckpointError("checkpoint parameter registry mismatch")
+    return params, doc
+
+
+def load_checkpoint(path: str, topology: NetworkTopology, config: TrainConfig,
+                    force: bool = False):
+    """Returns (params, optimizer, next_epoch)."""
+    params, doc = load_params(path, topology, force)
+    if not force and doc["config_hash"] != config_hash(config):
+        raise CheckpointMismatch("checkpoint config hash mismatch")
     optimizer = make_optimizer(config)
     if doc["optimizer"]["kind"] != optimizer.kind:
         raise CheckpointError("checkpoint optimizer kind mismatch")
@@ -380,14 +389,14 @@ def _evaluate(topology, params, config, eval_dataset, pong_config):
     eval_loss = float("nan")
     task_metric = float("nan")
     if eval_dataset is not None and len(eval_dataset):
+        outputs = _predict(params, topology, eval_dataset)
         total = 0.0
-        for ep in eval_dataset.episodes:
-            total += episode_loss(topology, params, ep.x, ep.y, ep.mask,
-                                  config.loss_tag)
+        for outs, ep in zip(outputs, eval_dataset.episodes):
+            total += outputs_loss(config.loss_tag, outs, ep.y, ep.mask)
         eval_loss = total / len(eval_dataset)
         if config.task == "pavlov":
-            task_metric, _ = eval_pavlov_acquisition(params, topology, eval_dataset,
-                                                     loss_tag=config.loss_tag)
+            task_metric, _ = _acquisition_from_predictions(outputs, eval_dataset,
+                                                           config.loss_tag)
     if config.task == "pong":
         result = eval_pong_closed_loop(params, topology,
                                        pong_config or PongConfig(),
@@ -432,17 +441,17 @@ def eval_pavlov_acquisition(params: ParameterSet, topology: NetworkTopology,
                             dataset: Dataset, loss_tag: str = "bce"):
     """Fraction of episodes whose thresholded test-stage predictions match
     the ground truth at every test step. Returns (accuracy, breakdown)."""
+    return _acquisition_from_predictions(_predict(params, topology, dataset),
+                                         dataset, loss_tag)
+
+
+def _predict(params: ParameterSet, topology: NetworkTopology,
+             dataset: Dataset) -> list[np.ndarray]:
+    """Each episode's outputs, rolled out from a fresh episode-start state."""
     if dataset.n_inputs != topology.n_inputs or dataset.n_outputs != topology.n_outputs:
         raise ValueError("dataset dims do not match topology")
-    predictions = []
-    for ep in dataset.episodes:
-        state = fresh_state(topology, params)
-        ys = np.zeros((ep.length, topology.n_outputs))
-        for t in range(ep.length):
-            res, state = step(state, ep.x[t], topology, params)
-            ys[t] = res.y
-        predictions.append(ys)
-    return _acquisition_from_predictions(predictions, dataset, loss_tag)
+    return [rollout(fresh_state(topology, params), ep.x, topology, params)[0]
+            for ep in dataset.episodes]
 
 
 def run_pong_policy(policy, env_config: PongConfig, n_rollouts: int,

@@ -139,32 +139,27 @@ def run_plasticity_signs(tol: float = 1e-12):
     lines = []
     passed = True
 
-    # step 1: source spikes; step 2: target spikes
-    e = np.array([0.0])
-    tp, tq = np.array([0.0]), np.array([0.0])
-    e, tp, tq = stdp_update(e, np.array([1.0]), np.array([0.0]), tp, tq, meta)
-    e2, _, _ = stdp_update(e, np.array([0.0]), np.array([1.0]), tp, tq, meta)
-    want = meta.potentiation * meta.trace_decay
-    ok = abs(float(e2[0]) - want) <= tol and e2[0] > 0
-    passed &= ok
-    lines.append(f"{'PASS' if ok else 'FAIL'} source-before-target: "
-                 f"delta {float(e2[0])!r} vs {want!r}")
-
-    # step 1: target spikes; step 2: source spikes
-    e = np.array([0.0])
-    tp, tq = np.array([0.0]), np.array([0.0])
-    e, tp, tq = stdp_update(e, np.array([0.0]), np.array([1.0]), tp, tq, meta)
-    e2, _, _ = stdp_update(e, np.array([1.0]), np.array([0.0]), tp, tq, meta)
-    want = -meta.depression * meta.trace_decay
-    ok = abs(float(e2[0]) - want) <= tol and e2[0] < 0
-    passed &= ok
-    lines.append(f"{'PASS' if ok else 'FAIL'} target-before-source: "
-                 f"delta {float(e2[0])!r} vs {want!r}")
+    # one stdp edge from neuron 0 (source) to neuron 1 (target)
+    src, dst = np.array([0]), np.array([1])
+    for name, first, second, want in (
+            ("source-before-target", [1.0, 0.0], [0.0, 1.0],
+             meta.potentiation * meta.trace_decay),
+            ("target-before-source", [0.0, 1.0], [1.0, 0.0],
+             -meta.depression * meta.trace_decay)):
+        tp = tq = np.zeros(2)
+        w = np.zeros(1)
+        for spikes in (first, second):
+            w, _, tp, tq = stdp_update(w, src, dst, np.array(spikes), tp, tq, meta)
+        delta = float(w[0])
+        ok = abs(delta - want) <= tol and np.sign(delta) == np.sign(want)
+        passed &= ok
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: "
+                     f"delta {delta!r} vs {want!r}")
 
     # no activity: weights hold, traces decay
-    e = np.array([0.25])
-    tp, tq = np.array([0.5]), np.array([0.5])
-    e2, tp2, tq2 = stdp_update(e, np.array([0.0]), np.array([0.0]), tp, tq, meta)
+    tr = np.array([0.5, 0.5])
+    e2, _, tp2, _ = stdp_update(np.array([0.25]), src, dst, np.zeros(2), tr, tr,
+                                meta)
     ok = float(e2[0]) == 0.25 and float(tp2[0]) == 0.5 * meta.trace_decay
     passed &= ok
     lines.append(f"{'PASS' if ok else 'FAIL'} no-spike hold and trace decay")

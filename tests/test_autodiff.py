@@ -352,6 +352,30 @@ def test_tbptt_conditioning_episode_both_configs_finite():
     assert rel.size == 0 or rel.max() < 1e-4
 
 
+@pytest.mark.parametrize("k1,k2", [(1, 1), (2, 3), (8, 16), (None, None)])
+def test_tbptt_runs_one_forward_step_per_step(monkeypatch, k1, k2):
+    # windows are slices of the one recorded trajectory: however they
+    # overlap, every step is computed exactly once
+    from statenet import autodiff, engine, training
+    topo = build_random(4, 0.6, seed=31, model="rate", n_inputs=1, n_outputs=1,
+                        plastic_rule="hebbian")
+    params = jitter(ParameterSet.from_topology(topo), 32)
+    T = 21
+    xs, ys = random_sequence(33, T, 1, 1)
+    calls = []
+    original = engine.step
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (engine, autodiff, training):
+        if getattr(module, "step", None) is original:
+            monkeypatch.setattr(module, "step", counting)
+    tbptt_gradients(topo, params, xs, ys, None, "bce", k1 or T, k2 or T)
+    assert len(calls) == T
+
+
 def test_invalid_window_config_rejected():
     topo = build_random(2, 1.0, seed=1, model="rate", n_inputs=1, n_outputs=1)
     params = ParameterSet.from_topology(topo)

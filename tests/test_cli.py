@@ -179,6 +179,22 @@ def test_eval_acquisition_prints_metric(runner, tmp_path):
     assert "acquisition_accuracy=" in result.output
 
 
+def test_eval_accepts_sgd_checkpoint(runner, tmp_path):
+    # evaluation needs the parameters only, whatever optimizer trained them
+    topo_path, data_path = _make_training_inputs(runner, tmp_path)
+    run_dir = str(tmp_path / "run")
+    assert runner.invoke(main, ["train", "--topology", topo_path,
+                                "--dataset", data_path, "--out-dir", run_dir,
+                                "--epochs", "1", "--batch", "3",
+                                "--optimizer", "sgd"]).exit_code == 0
+    result = runner.invoke(main, ["eval", "acquisition", "--checkpoint",
+                                  os.path.join(run_dir, "final.ckpt"),
+                                  "--topology", topo_path,
+                                  "--dataset", data_path])
+    assert result.exit_code == 0, result.output
+    assert "acquisition_accuracy=" in result.output
+
+
 def test_eval_checkpoint_topology_mismatch_exits_2(runner, tmp_path):
     topo_path, data_path = _make_training_inputs(runner, tmp_path)
     run_dir = str(tmp_path / "run")
@@ -195,6 +211,26 @@ def test_eval_checkpoint_topology_mismatch_exits_2(runner, tmp_path):
                                   "--dataset", data_path])
     assert result.exit_code == 2
     assert "hash mismatch" in result.output
+
+
+def test_checkpoint_hash_mismatch_names_force_flag(runner, tmp_path):
+    topo_path, data_path = _make_training_inputs(runner, tmp_path)
+    run_dir = str(tmp_path / "run")
+    ckpt = os.path.join(run_dir, "final.ckpt")
+    train_args = ["train", "--topology", topo_path, "--dataset", data_path,
+                  "--out-dir", run_dir, "--epochs", "1", "--batch", "3"]
+    assert runner.invoke(main, train_args).exit_code == 0
+    other = str(tmp_path / "other.json")
+    assert runner.invoke(main, ["topo", "random", "--hidden", "5",
+                                "--inputs", "2", "--outputs", "1",
+                                "--out", other]).exit_code == 0
+    result = runner.invoke(main, ["eval", "acquisition", "--checkpoint", ckpt,
+                                  "--topology", other, "--dataset", data_path])
+    assert result.exit_code == 2
+    assert "checkpoint topology hash mismatch (use --force)" in result.output
+    result = runner.invoke(main, train_args + ["--lr", "0.5", "--resume", ckpt])
+    assert result.exit_code == 2
+    assert "checkpoint config hash mismatch (use --force)" in result.output
 
 
 def test_eval_pong_prints_metrics(runner, tmp_path):

@@ -170,6 +170,43 @@ def test_reciprocal_lif_pair_oscillates_with_constant_period():
     assert not np.array_equal(spikes[1], spikes[2])
 
 
+def stdp_pair():
+    """Input lif neuron 0 drives output lif neuron 1 over one stdp edge
+    strong enough to make a single input spike fire the target next step."""
+    neurons = [NeuronSpec(0, "input", "lif", LifParams()),
+               NeuronSpec(1, "output", "lif", LifParams())]
+    return NetworkTopology(neurons, [EdgeSpec(0, 1, 2.5, True, "stdp")])
+
+
+def weight_changes(topo, params, state, xs):
+    """(output spikes, stdp weight change) of each engine step."""
+    out = []
+    for x in xs:
+        before = state.plastic.weights[0]
+        res, state = step(state, np.array([x]), topo, params)
+        out.append((res.y[0], state.plastic.weights[0] - before))
+    return out
+
+
+def test_stdp_sign_laws_through_engine():
+    topo = stdp_pair()
+    params = ParameterSet.from_topology(topo)
+    meta = params.meta
+
+    # source spikes at step 1, the target answers at step 2
+    (y1, d1), (y2, d2) = weight_changes(topo, params, fresh_state(topo, params),
+                                        [1.0, 0.0])
+    assert (y1, y2) == (0.0, 1.0) and d1 == 0.0
+    assert abs(d2 - meta.potentiation * meta.trace_decay) <= 1e-12
+
+    # mirrored: a charged target fires at step 1, the source spikes at step 2
+    state = fresh_state(topo, params)
+    state.s[1] = 2.0
+    (y1, d1), (y2, d2) = weight_changes(topo, params, state, [0.0, 1.0])
+    assert (y1, y2) == (1.0, 0.0) and d1 == 0.0
+    assert abs(d2 + meta.depression * meta.trace_decay) <= 1e-12
+
+
 def test_dimension_mismatch_raises():
     topo = chain_topology([1.0])
     params = ParameterSet.from_topology(topo)

@@ -44,32 +44,51 @@ def test_hebbian_commutes_with_edge_permutation(seed, n):
     assert np.array_equal(direct[perm], permuted)
 
 
+# one stdp edge from neuron 0 (source) to neuron 1 (target)
+SRC, DST = np.array([0]), np.array([1])
+
+
+def stdp_steps(e, spike_rows, meta):
+    """Weights after feeding per-neuron spike rows through stdp_update from
+    zero traces."""
+    tp = tq = np.zeros(2)
+    for spikes in spike_rows:
+        e, _, tp, tq = stdp_update(e, SRC, DST, np.array(spikes), tp, tq, meta)
+    return e
+
+
 def test_stdp_source_before_target_potentiates():
     meta = PlasticityMeta()
-    e, tp, tq = np.zeros(1), np.zeros(1), np.zeros(1)
-    e, tp, tq = stdp_update(e, np.array([1.0]), np.array([0.0]), tp, tq, meta)
+    e = stdp_steps(np.zeros(1), [[1.0, 0.0]], meta)
     assert e[0] == 0.0
-    e2, _, _ = stdp_update(e, np.array([0.0]), np.array([1.0]), tp, tq, meta)
+    e2 = stdp_steps(np.zeros(1), [[1.0, 0.0], [0.0, 1.0]], meta)
     assert e2[0] == pytest.approx(meta.potentiation * meta.trace_decay, abs=1e-12)
     assert e2[0] > 0
 
 
 def test_stdp_target_before_source_depresses():
     meta = PlasticityMeta()
-    e, tp, tq = np.zeros(1), np.zeros(1), np.zeros(1)
-    e, tp, tq = stdp_update(e, np.array([0.0]), np.array([1.0]), tp, tq, meta)
-    e2, _, _ = stdp_update(e, np.array([1.0]), np.array([0.0]), tp, tq, meta)
+    e2 = stdp_steps(np.zeros(1), [[0.0, 1.0], [1.0, 0.0]], meta)
     assert e2[0] == pytest.approx(-meta.depression * meta.trace_decay, abs=1e-12)
     assert e2[0] < 0
+
+
+def test_stdp_returns_pre_clip_values():
+    meta = PlasticityMeta(clip_bound=0.01)
+    tr = np.array([1.0, 1.0])
+    e, raw, _, _ = stdp_update(np.zeros(1), SRC, DST, np.array([0.0, 1.0]), tr,
+                               tr, meta)
+    assert raw[0] == pytest.approx(meta.potentiation * meta.trace_decay, abs=1e-15)
+    assert e[0] == meta.clip_bound
 
 
 def test_stdp_no_activity_holds_weights_and_decays_traces():
     meta = PlasticityMeta()
     e = np.array([0.25])
-    tp, tq = np.array([0.8]), np.array([0.4])
-    zero = np.zeros(1)
+    tp, tq = np.array([0.8, 0.0]), np.array([0.0, 0.4])
+    zero = np.zeros(2)
     for _ in range(10):
-        e2, tp, tq = stdp_update(e, zero, zero, tp, tq, meta)
+        e2, _, tp, tq = stdp_update(e, SRC, DST, zero, tp, tq, meta)
         assert np.array_equal(e2, e)
     assert tp[0] == pytest.approx(0.8 * meta.trace_decay ** 10, abs=1e-15)
 
@@ -80,16 +99,16 @@ def test_stdp_sign_properties_over_random_isolated_pairs():
     for _ in range(50):
         n = int(rng.integers(1, 6))
         e = rng.uniform(-1, 1, n)
-        tp = np.zeros(n)
-        tq = np.zeros(n)
+        # edge k runs from neuron k to neuron n + k
+        src, dst = np.arange(n), np.arange(n, 2 * n)
+        tp = tq = np.zeros(2 * n)
         which = rng.integers(0, n)
         first_pre = bool(rng.integers(0, 2))
-        s_pre = np.zeros(n); s_post = np.zeros(n)
-        (s_pre if first_pre else s_post)[which] = 1.0
-        e1, tp, tq = stdp_update(e, s_pre, s_post, tp, tq, meta)
-        s_pre2 = np.zeros(n); s_post2 = np.zeros(n)
-        (s_post2 if first_pre else s_pre2)[which] = 1.0
-        e2, _, _ = stdp_update(e1, s_pre2, s_post2, tp, tq, meta)
+        first, second = np.zeros(2 * n), np.zeros(2 * n)
+        first[src[which] if first_pre else dst[which]] = 1.0
+        second[dst[which] if first_pre else src[which]] = 1.0
+        e1, _, tp, tq = stdp_update(e, src, dst, first, tp, tq, meta)
+        e2, _, _, _ = stdp_update(e1, src, dst, second, tp, tq, meta)
         delta = e2[which] - e[which]
         if first_pre:
             assert delta > 0
@@ -99,11 +118,11 @@ def test_stdp_sign_properties_over_random_isolated_pairs():
 
 def test_trace_bound():
     meta = PlasticityMeta()
-    tp = np.zeros(1); tq = np.zeros(1)
+    tp = tq = np.zeros(2)
     e = np.zeros(1)
-    ones = np.ones(1)
+    ones = np.ones(2)
     for _ in range(500):
-        e, tp, tq = stdp_update(e, ones, ones, tp, tq, meta)
+        e, _, tp, tq = stdp_update(e, SRC, DST, ones, tp, tq, meta)
         assert tp[0] <= 1.0 / (1.0 - meta.trace_decay) + 1e-9
         assert tp[0] >= 0.0
 
