@@ -145,11 +145,6 @@ class StateGradient:
     v: np.ndarray
     e: np.ndarray
 
-    @classmethod
-    def zeros(cls, topology: NetworkTopology) -> "StateGradient":
-        return cls(np.zeros(topology.n), np.zeros(topology.n),
-                   np.zeros(topology.n_plastic))
-
 
 def _norm_mask(mask, T: int, n_out: int) -> np.ndarray:
     if mask is None:
@@ -195,8 +190,8 @@ def forward_taped(state0: RolloutState, xs, ys, mask,
     return loss, tape, state
 
 
-def backward(tape: Tape, upstream: StateGradient | None = None,
-             verify: bool = False) -> tuple[np.ndarray, StateGradient]:
+def backward(tape: Tape, upstream: StateGradient | None = None
+             ) -> tuple[np.ndarray, StateGradient]:
     """Reverse sweep over a taped window.
 
     Returns (gradient w.r.t. the flat parameter vector, gradient w.r.t.
@@ -205,8 +200,6 @@ def backward(tape: Tape, upstream: StateGradient | None = None,
     at an episode boundary the caller folds it into the ``w0`` gradient
     (plastic weights are reset to ``w0`` there).
     """
-    if verify:
-        tape.verify_replay()
     topo = tape.topology
     params = tape.params
     meta = params.meta

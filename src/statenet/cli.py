@@ -3,69 +3,118 @@
 Subcommands: ``gen`` (datasets), ``train``, ``eval``, ``verify`` (the
 invariant suites), ``topo`` (build / validate / inspect networks).
 
-Exit codes: 0 success, 2 usage or configuration error, 3 I/O error,
-4 numeric divergence. Options may come from a JSON config file
-(``--config``); explicit flags win. ``train`` echoes its fully resolved
-configuration into the run directory.
+Exit codes: 0 success, 2 usage error or malformed configuration,
+topology, dataset or checkpoint, 3 I/O error, 4 numeric divergence; one
+table (``EXIT_CODES``) decides them for every subcommand. Options may come
+from a JSON config file (``--config``); explicit flags win. ``train``
+echoes its fully resolved configuration into the run directory.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import os
 import sys
+import types
+import typing
 
 import click
-import numpy as np
 
 from . import __version__
 from .datasets import FORMAT_TAG as DATASET_FORMAT_TAG
-from .datasets import (DatasetError, PavlovConfig, PongDataConfig, gen_pavlov,
-                       gen_pong, load_dataset, save_dataset)
+from .datasets import (PavlovConfig, PongDataConfig, gen_pavlov, gen_pong,
+                       load_dataset, save_dataset)
 from .pong import PongConfig
-from .topology import (FORMAT_TAG, TopologyError, build_random, load_topology,
-                       save_topology)
-from .training import (CheckpointError, CheckpointMismatch, DivergenceError,
-                       TrainConfig, eval_pavlov_acquisition,
-                       eval_pong_closed_loop, load_params, train)
+from .topology import FORMAT_TAG, build_random, load_topology, save_topology
+from .training import (CheckpointMismatch, DivergenceError, TrainConfig,
+                       eval_pavlov_acquisition, eval_pong_closed_loop,
+                       load_params, train, write_json_atomic)
 from .verify import SUITES
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+# Which failure exits with which code (its most specific listed class
+# decides), and a hint appended to its message. Any other exception is a
+# bug and keeps its traceback.
+EXIT_CODES = {
+    OSError: (3, ""),
+    DivergenceError: (4, ""),
+    CheckpointMismatch: (2, " (use --force)"),
+    ValueError: (2, ""),
+}
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
+class _ExitCodeGroup(click.Group):
+    """The top command group: applies ``EXIT_CODES`` once, around whichever
+    subcommand runs."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(EXIT_CODES) as exc:
+            code, hint = next(EXIT_CODES[kind] for kind in type(exc).__mro__
+                              if kind in EXIT_CODES)
+            click.echo(f"error: {exc}{hint}", err=True)
+            sys.exit(code)
+
+
+def _config(cls, path: str | None, flags: dict):
+    """A validated ``cls``: dataclass defaults < config file < flags."""
+    doc = {}
+    if path:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        _fail(3, f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
-        _fail(2, f"malformed config: {exc}")
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"malformed config {path}: {exc}") from exc
+    config = _merge(cls, doc, flags)
+    config.validate()
+    return config
+
+
+def _merge(cls, doc, flags: dict):
+    """Layer ``doc`` and the non-None ``flags`` over the defaults of config
+    dataclass ``cls``; a nested config dataclass merges the same way."""
     if not isinstance(doc, dict):
-        _fail(2, "config file must hold a JSON object")
-    return doc
+        raise ValueError(f"{cls.__name__} config must be a JSON object")
+    fields = typing.get_type_hints(cls)
+    for key in doc:
+        if key not in fields:
+            raise ValueError(f"unknown config key {key!r}")
+    values = {}
+    for name, hint in fields.items():
+        if dataclasses.is_dataclass(hint):
+            values[name] = _merge(hint, doc.get(name, {}), flags.get(name, {}))
+        elif flags.get(name) is not None:
+            values[name] = flags[name]
+        elif name in doc:
+            if not _fits(doc[name], hint):
+                raise ValueError(f"config key {name!r} must be "
+                                 f"{inspect.formatannotation(hint)}, "
+                                 f"got {doc[name]!r}")
+            values[name] = (tuple(doc[name]) if isinstance(doc[name], list)
+                            else doc[name])
+    return cls(**values)
 
 
-def _resolve(flags: dict, file_cfg: dict, defaults) -> dict:
-    """Merge layer by layer: dataclass defaults < config file < flags."""
-    out = dataclasses.asdict(defaults)
-    for k, v in file_cfg.items():
-        if k not in out:
-            _fail(2, f"unknown config key {k!r}")
-        out[k] = tuple(v) if isinstance(out[k], tuple) else v
-    for k, v in flags.items():
-        if v is not None:
-            out[k] = v
-    return out
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the type a config field is annotated with
+    (a bool is not a number, an int is a float)."""
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        items = typing.get_args(hint)
+        if items[-1:] == (Ellipsis,) and isinstance(value, list):
+            items = items[:1] * len(value)
+        return (isinstance(value, list) and len(value) == len(items)
+                and all(map(_fits, value, items)))
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
-@click.group()
+@click.group(cls=_ExitCodeGroup)
 @click.version_option(__version__, message=(
     f"statenet {__version__} (topology {FORMAT_TAG}, "
     f"episodes {DATASET_FORMAT_TAG})"))
@@ -95,15 +144,7 @@ def gen():
 @click.option("--out", required=True, type=str)
 def gen_pavlov_cmd(config_path, out, **flags):
     """Conditioning episodes (food / ring stimuli, salivation response)."""
-    merged = _resolve(flags, _load_config_file(config_path), PavlovConfig())
-    try:
-        cfg = PavlovConfig(**{k: tuple(v) if isinstance(v, list) else v
-                              for k, v in merged.items()})
-        cfg.validate()
-        dataset = gen_pavlov(cfg)
-    except (ValueError, TypeError) as exc:
-        _fail(2, str(exc))
-    _write_dataset(dataset, out)
+    _write_dataset(gen_pavlov(_config(PavlovConfig, config_path, flags)), out)
 
 
 @gen.command("pong")
@@ -118,31 +159,13 @@ def gen_pavlov_cmd(config_path, out, **flags):
 @click.option("--out", required=True, type=str)
 def gen_pong_cmd(config_path, out, episodes, seed, expert_noise_p, **env_flags):
     """Imitation episodes recorded from the scripted paddle expert."""
-    file_cfg = _load_config_file(config_path)
-    base = PongDataConfig()
-    env = dataclasses.asdict(base.env)
-    env.update({k: v for k, v in file_cfg.get("env", {}).items()})
-    env.update({k: v for k, v in env_flags.items() if v is not None})
-    try:
-        cfg = PongDataConfig(
-            episodes=episodes if episodes is not None
-            else file_cfg.get("episodes", base.episodes),
-            seed=seed if seed is not None else file_cfg.get("seed", base.seed),
-            env=PongConfig(**env),
-            expert_noise_p=expert_noise_p if expert_noise_p is not None
-            else file_cfg.get("expert_noise_p", base.expert_noise_p))
-        cfg.validate()
-        dataset = gen_pong(cfg)
-    except (ValueError, TypeError) as exc:
-        _fail(2, str(exc))
-    _write_dataset(dataset, out)
+    flags = {"episodes": episodes, "seed": seed,
+             "expert_noise_p": expert_noise_p, "env": env_flags}
+    _write_dataset(gen_pong(_config(PongDataConfig, config_path, flags)), out)
 
 
 def _write_dataset(dataset, out):
-    try:
-        save_dataset(dataset, out)
-    except OSError as exc:
-        _fail(3, f"cannot write {out}: {exc}")
+    save_dataset(dataset, out)
     lengths = [ep.length for ep in dataset.episodes]
     click.echo(f"wrote {len(dataset)} episodes to {out} "
                f"(dims {dataset.n_inputs}x{dataset.n_outputs}, "
@@ -170,15 +193,9 @@ def topo():
 @click.option("--out", required=True, type=str)
 def topo_random(hidden, density, seed, model, inputs, outputs, plastic, out):
     """Random network: inputs fan out, hidden wired at the given density."""
-    try:
-        topology = build_random(hidden, density, seed, model, n_inputs=inputs,
-                                n_outputs=outputs, plastic_rule=plastic)
-    except (ValueError, TopologyError) as exc:
-        _fail(2, str(exc))
-    try:
-        save_topology(topology, out)
-    except OSError as exc:
-        _fail(3, f"cannot write {out}: {exc}")
+    topology = build_random(hidden, density, seed, model, n_inputs=inputs,
+                            n_outputs=outputs, plastic_rule=plastic)
+    save_topology(topology, out)
     click.echo(f"wrote {topology.n} neurons, {topology.n_edges} edges to {out}")
 
 
@@ -186,12 +203,7 @@ def topo_random(hidden, density, seed, model, inputs, outputs, plastic, out):
 @click.argument("path")
 def topo_validate(path):
     """Validate a topology file; exit 2 on fatal findings."""
-    try:
-        topology = load_topology(path)
-    except OSError as exc:
-        _fail(3, str(exc))
-    except TopologyError as exc:
-        _fail(2, str(exc))
+    topology = load_topology(path)
     report = topology.validate()
     for w in report.warnings:
         click.echo(f"warning: {w}")
@@ -203,12 +215,7 @@ def topo_validate(path):
 @click.argument("path")
 def topo_show(path):
     """Print a topology summary."""
-    try:
-        topology = load_topology(path)
-    except OSError as exc:
-        _fail(3, str(exc))
-    except TopologyError as exc:
-        _fail(2, str(exc))
+    topology = load_topology(path)
     click.echo(f"neurons: {topology.n} (inputs {topology.n_inputs}, "
                f"hidden {len(topology.hidden_ids)}, outputs {topology.n_outputs})")
     click.echo(f"edges: {topology.n_edges} ({topology.n_plastic} plastic)")
@@ -242,39 +249,17 @@ def topo_show(path):
 def train_cmd(topology_path, dataset_path, eval_path, out_dir, config_path,
               resume_path, force, **flags):
     """Optimize a network on a dataset; writes metrics and checkpoints."""
-    merged = _resolve(flags, _load_config_file(config_path), TrainConfig())
-    try:
-        config = TrainConfig(**merged)
-        config.validate()
-    except (ValueError, TypeError) as exc:
-        _fail(2, str(exc))
-    try:
-        topology = load_topology(topology_path)
-        dataset = load_dataset(dataset_path)
-        eval_dataset = load_dataset(eval_path) if eval_path else None
-    except OSError as exc:
-        _fail(3, str(exc))
-    except (TopologyError, DatasetError) as exc:
-        _fail(2, str(exc))
-    if (dataset.n_inputs != topology.n_inputs
-            or dataset.n_outputs != topology.n_outputs):
-        _fail(2, f"dataset dims {dataset.n_inputs}x{dataset.n_outputs} do not "
-              f"match topology {topology.n_inputs}x{topology.n_outputs}")
+    config = _config(TrainConfig, config_path, flags)
+    topology = load_topology(topology_path)
+    dataset = load_dataset(dataset_path)
+    eval_dataset = load_dataset(eval_path) if eval_path else None
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "train.json"), "w", encoding="utf-8") as fh:
-        json.dump({"config": dataclasses.asdict(config),
-                   "topology": topology_path, "dataset": dataset_path,
-                   "eval_dataset": eval_path}, fh, indent=1)
-    try:
-        _, metrics = train(topology, dataset, config, eval_dataset=eval_dataset,
-                           run_dir=out_dir, resume=resume_path,
-                           resume_force=force)
-    except CheckpointMismatch as exc:
-        _fail(2, f"{exc} (use --force)")
-    except CheckpointError as exc:
-        _fail(2, str(exc))
-    except DivergenceError as exc:
-        _fail(4, str(exc))
+    write_json_atomic(os.path.join(out_dir, "train.json"),
+                      {"config": dataclasses.asdict(config),
+                       "topology": topology_path, "dataset": dataset_path,
+                       "eval_dataset": eval_path}, indent=1)
+    _, metrics = train(topology, dataset, config, eval_dataset=eval_dataset,
+                       run_dir=out_dir, resume=resume_path, resume_force=force)
     if metrics:
         last = metrics[-1]
         click.echo(f"done: epoch={last.epoch} train_loss={last.train_loss:.6f} "
@@ -292,19 +277,6 @@ def eval_group():
     """Evaluate a checkpoint."""
 
 
-def _load_ckpt(checkpoint, topology_path, force):
-    try:
-        topology = load_topology(topology_path)
-        params, _ = load_params(checkpoint, topology, force=force)
-    except OSError as exc:
-        _fail(3, str(exc))
-    except CheckpointMismatch as exc:
-        _fail(2, f"{exc} (use --force)")
-    except (TopologyError, CheckpointError, ValueError) as exc:
-        _fail(2, str(exc))
-    return topology, params
-
-
 @eval_group.command("acquisition")
 @click.option("--checkpoint", required=True, type=str)
 @click.option("--topology", "topology_path", required=True, type=str)
@@ -314,18 +286,11 @@ def _load_ckpt(checkpoint, topology_path, force):
 @click.option("--force", is_flag=True, default=False)
 def eval_acquisition(checkpoint, topology_path, dataset_path, loss_tag, force):
     """Test-stage exact-match accuracy on conditioning episodes."""
-    topology, params = _load_ckpt(checkpoint, topology_path, force)
-    try:
-        dataset = load_dataset(dataset_path)
-    except OSError as exc:
-        _fail(3, str(exc))
-    except DatasetError as exc:
-        _fail(2, str(exc))
-    try:
-        accuracy, rows = eval_pavlov_acquisition(params, topology, dataset,
-                                                 loss_tag=loss_tag)
-    except ValueError as exc:
-        _fail(2, str(exc))
+    topology = load_topology(topology_path)
+    params, _ = load_params(checkpoint, topology, force=force)
+    accuracy, rows = eval_pavlov_acquisition(params, topology,
+                                             load_dataset(dataset_path),
+                                             loss_tag=loss_tag)
     n_wrong = sum(1 for r in rows if not r["correct"])
     click.echo(f"acquisition_accuracy={accuracy!r}")
     click.echo(f"episodes={len(rows)} incorrect={n_wrong}")
@@ -339,12 +304,10 @@ def eval_acquisition(checkpoint, topology_path, dataset_path, loss_tag, force):
 @click.option("--force", is_flag=True, default=False)
 def eval_pong(checkpoint, topology_path, rollouts, seed, force):
     """Closed-loop hit rate of the cloned policy vs a random baseline."""
-    topology, params = _load_ckpt(checkpoint, topology_path, force)
-    try:
-        result = eval_pong_closed_loop(params, topology, PongConfig(),
-                                       n_rollouts=rollouts, seed=seed)
-    except ValueError as exc:
-        _fail(2, str(exc))
+    topology = load_topology(topology_path)
+    params, _ = load_params(checkpoint, topology, force=force)
+    result = eval_pong_closed_loop(params, topology, PongConfig(),
+                                   n_rollouts=rollouts, seed=seed)
     click.echo(f"hit_rate={result['hit_rate']!r}")
     click.echo(f"baseline_random={result['baseline_random']!r}")
     click.echo(f"mean_episode_length={result['mean_episode_length']!r}")

@@ -315,32 +315,37 @@ def load_dataset(path: str) -> Dataset:
         raise DatasetError("empty dataset file")
     try:
         manifest = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"line 1: malformed manifest: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_TAG:
-        raise DatasetError(f"line 1: missing or unsupported format tag "
-                           f"(expected {FORMAT_TAG!r})")
+        if manifest.get("format") != FORMAT_TAG:
+            raise DatasetError(f"line 1: missing or unsupported format tag "
+                               f"(expected {FORMAT_TAG!r})")
+        declared = int(manifest["episodes"])
+        n_in = int(manifest["dims"]["inputs"])
+        n_out = int(manifest["dims"]["outputs"])
+    except DatasetError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DatasetError(f"line 1: malformed manifest: "
+                           f"{type(exc).__name__}: {exc}") from exc
     body = [ln for ln in lines[1:] if ln.strip()]
-    declared = int(manifest.get("episodes", -1))
     if declared != len(body):
         raise DatasetError(f"manifest declares {declared} episodes, "
                            f"file has {len(body)}")
-    dims = manifest.get("dims", {})
-    n_in, n_out = int(dims.get("inputs", 0)), int(dims.get("outputs", 0))
     episodes = []
     for lineno, ln in enumerate(body, start=2):
         try:
             rec = json.loads(ln)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"line {lineno}: malformed episode: {exc}") from exc
-        unknown = set(rec) - {"x", "y", "mask", "meta"}
+            unknown = set(rec) - {"x", "y", "mask", "meta"}
+            x = np.array(rec["x"], dtype=np.float64)
+            y = np.array(rec["y"], dtype=np.float64)
+            mask = None
+            if "mask" in rec:
+                mask = np.array(rec["mask"], dtype=np.float64)
+            meta = dict(rec.get("meta", {}))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise DatasetError(f"line {lineno}: malformed episode: "
+                               f"{type(exc).__name__}: {exc}") from exc
         if unknown:
             raise DatasetError(f"line {lineno}: unknown keys {sorted(unknown)}")
-        x = np.array(rec["x"], dtype=np.float64)
-        y = np.array(rec["y"], dtype=np.float64)
-        mask = None
-        if "mask" in rec:
-            mask = np.array(rec["mask"], dtype=np.float64)
         if x.ndim != 2 or y.ndim != 2 or x.shape[1] != n_in or y.shape[1] != n_out:
             raise DatasetError(f"line {lineno}: episode dims inconsistent "
                                f"with manifest {n_in}x{n_out}")
@@ -348,5 +353,5 @@ def load_dataset(path: str) -> Dataset:
             raise DatasetError(f"line {lineno}: sequence lengths disagree")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise DatasetError(f"line {lineno}: non-finite values")
-        episodes.append(Episode(x=x, y=y, mask=mask, meta=rec.get("meta", {})))
+        episodes.append(Episode(x=x, y=y, mask=mask, meta=meta))
     return Dataset(episodes=episodes, manifest=manifest)

@@ -314,33 +314,42 @@ def from_document(doc: dict) -> NetworkTopology:
     if doc.get("format") != FORMAT_TAG:
         raise TopologyError(f"missing or unsupported format tag "
                             f"(expected {FORMAT_TAG!r}, got {doc.get('format')!r})")
-    neurons = []
-    for rec in doc.get("neurons", []):
-        unknown = set(rec) - {"id", "role", "model", "params"}
-        if unknown:
-            raise TopologyError(f"neuron record: unknown keys {sorted(unknown)}")
-        try:
-            nid = int(rec["id"])
-            model = str(rec["model"])
-            neurons.append(NeuronSpec(
-                id=nid, role=str(rec["role"]), model=model,
-                params=_params_from_doc(model, rec.get("params", {}),
-                                        f"neuron {rec.get('id')}")))
-        except KeyError as exc:
-            raise TopologyError(f"neuron record missing key {exc}") from exc
-    edges = []
-    for rec in doc.get("edges", []):
-        unknown = set(rec) - {"src", "dst", "w0", "plastic", "rule"}
-        if unknown:
-            raise TopologyError(f"edge record: unknown keys {sorted(unknown)}")
-        try:
-            edges.append(EdgeSpec(src=int(rec["src"]), dst=int(rec["dst"]),
-                                  w0=float(rec["w0"]),
-                                  plastic=bool(rec.get("plastic", False)),
-                                  rule=str(rec.get("rule", "none"))))
-        except KeyError as exc:
-            raise TopologyError(f"edge record missing key {exc}") from exc
-    return NetworkTopology(neurons, edges)
+    return NetworkTopology(_records(doc, "neuron", _neuron_from_doc),
+                           _records(doc, "edge", _edge_from_doc))
+
+
+def _records(doc: dict, kind: str, decode) -> list:
+    """Decode the document's list of ``kind`` records; a malformed record
+    raises a TopologyError that names it."""
+    out = []
+    try:
+        for rec in doc.get(kind + "s", []):
+            out.append(decode(rec))
+    except TopologyError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise TopologyError(f"{kind} record {len(out)}: "
+                            f"{type(exc).__name__}: {exc}") from exc
+    return out
+
+
+def _neuron_from_doc(rec: dict) -> NeuronSpec:
+    unknown = set(rec) - {"id", "role", "model", "params"}
+    if unknown:
+        raise TopologyError(f"neuron record: unknown keys {sorted(unknown)}")
+    model = str(rec["model"])
+    return NeuronSpec(id=int(rec["id"]), role=str(rec["role"]), model=model,
+                      params=_params_from_doc(model, rec.get("params", {}),
+                                              f"neuron {rec['id']}"))
+
+
+def _edge_from_doc(rec: dict) -> EdgeSpec:
+    unknown = set(rec) - {"src", "dst", "w0", "plastic", "rule"}
+    if unknown:
+        raise TopologyError(f"edge record: unknown keys {sorted(unknown)}")
+    return EdgeSpec(src=int(rec["src"]), dst=int(rec["dst"]), w0=float(rec["w0"]),
+                    plastic=bool(rec.get("plastic", False)),
+                    rule=str(rec.get("rule", "none")))
 
 
 def save_topology(topology: NetworkTopology, path: str) -> None:
@@ -353,14 +362,6 @@ def load_topology(path: str) -> NetworkTopology:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise TopologyError(f"malformed topology document: {exc}") from exc
-    return from_document(doc)
-
-
-def loads_topology(text: str) -> NetworkTopology:
-    try:
-        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TopologyError(f"malformed topology document: {exc}") from exc
     return from_document(doc)

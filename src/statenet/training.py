@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import outputs_loss, tbptt_gradients
-from .datasets import Dataset
+from .datasets import Dataset, DatasetError
 from .engine import fresh_state, rollout, step
 from .params import ParameterSet
 from .plasticity import PlasticityMeta
@@ -149,8 +149,8 @@ class Adam:
 
     def load_state(self, state: dict) -> None:
         self.count = int(state["count"])
-        self.m = None if state["m"] is None else np.array(state["m"])
-        self.v = None if state["v"] is None else np.array(state["v"])
+        self.m = None if state["m"] is None else np.asarray(state["m"], float)
+        self.v = None if state["v"] is None else np.asarray(state["v"], float)
 
 
 def make_optimizer(config: TrainConfig):
@@ -175,6 +175,17 @@ def config_hash(config: TrainConfig) -> str:
         json.dumps(asdict(config), sort_keys=True).encode()).hexdigest()[:16]
 
 
+def write_json_atomic(path: str, doc, indent: int | None = None) -> None:
+    """Write ``doc`` as JSON to a temporary file beside ``path``, then rename
+    it over ``path``: a process killed mid-write leaves the previous file,
+    never a truncated one."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=indent)
+        fh.write("\n")
+    os.replace(tmp, path)
+
+
 def save_checkpoint(path: str, params: ParameterSet, optimizer, epoch: int,
                     config: TrainConfig, topology: NetworkTopology) -> None:
     doc = {
@@ -189,9 +200,7 @@ def save_checkpoint(path: str, params: ParameterSet, optimizer, epoch: int,
         "config_hash": config_hash(config),
         "topology_hash": topology.content_hash(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_json_atomic(path, doc)
 
 
 def load_params(path: str, topology: NetworkTopology,
@@ -201,18 +210,22 @@ def load_params(path: str, topology: NetworkTopology,
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"malformed checkpoint: {exc}") from exc
-    if doc.get("format") != CHECKPOINT_TAG:
-        raise CheckpointError("not a checkpoint file")
-    if not force and doc.get("topology_hash") != topology.content_hash():
-        raise CheckpointMismatch("checkpoint topology hash mismatch")
-    meta = PlasticityMeta(**doc["meta"])
-    base = ParameterSet.from_topology(topology, meta)
-    params = base.with_flat(np.array(doc["params"]))
-    params.frozen = set(doc.get("frozen", []))
-    if doc["registry"] != {k: [v.start, v.stop] for k, v in params.registry.items()}:
-        raise CheckpointError("checkpoint parameter registry mismatch")
+        if doc.get("format") != CHECKPOINT_TAG:
+            raise CheckpointError("not a checkpoint file")
+        if not force and doc.get("topology_hash") != topology.content_hash():
+            raise CheckpointMismatch("checkpoint topology hash mismatch")
+        meta = PlasticityMeta(**{k: float(v) for k, v in doc["meta"].items()})
+        base = ParameterSet.from_topology(topology, meta)
+        params = base.with_flat(np.array(doc["params"], dtype=np.float64))
+        params.frozen = set(doc.get("frozen", []))
+        if doc["registry"] != {k: [v.start, v.stop]
+                               for k, v in params.registry.items()}:
+            raise CheckpointError("checkpoint parameter registry mismatch")
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(
+            f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
     return params, doc
 
 
@@ -220,13 +233,20 @@ def load_checkpoint(path: str, topology: NetworkTopology, config: TrainConfig,
                     force: bool = False):
     """Returns (params, optimizer, next_epoch)."""
     params, doc = load_params(path, topology, force)
-    if not force and doc["config_hash"] != config_hash(config):
-        raise CheckpointMismatch("checkpoint config hash mismatch")
-    optimizer = make_optimizer(config)
-    if doc["optimizer"]["kind"] != optimizer.kind:
-        raise CheckpointError("checkpoint optimizer kind mismatch")
-    optimizer.load_state(doc["optimizer"])
-    return params, optimizer, int(doc["epoch"]) + 1
+    try:
+        if not force and doc["config_hash"] != config_hash(config):
+            raise CheckpointMismatch("checkpoint config hash mismatch")
+        optimizer = make_optimizer(config)
+        if doc["optimizer"]["kind"] != optimizer.kind:
+            raise CheckpointError("checkpoint optimizer kind mismatch")
+        optimizer.load_state(doc["optimizer"])
+        next_epoch = int(doc["epoch"]) + 1
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(
+            f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
+    return params, optimizer, next_epoch
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +290,9 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
           ) -> tuple[ParameterSet, list[MetricsRow]]:
     """Optimize parameters on a dataset. Returns (params, metrics history)."""
     config.validate()
-    if dataset.n_inputs != topology.n_inputs or dataset.n_outputs != topology.n_outputs:
-        raise ValueError(
-            f"dataset dims {dataset.n_inputs}x{dataset.n_outputs} do not match "
-            f"topology {topology.n_inputs}x{topology.n_outputs}")
+    check_dims(dataset, topology)
+    if eval_dataset is not None:
+        check_dims(eval_dataset, topology)
     if run_dir:
         os.makedirs(run_dir, exist_ok=True)
 
@@ -287,9 +306,15 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
         start_epoch = 1
 
     metrics_path = os.path.join(run_dir, "metrics.csv") if run_dir else None
-    if metrics_path and start_epoch == 1:
+    if metrics_path:
+        # a resumed run keeps the rows of the epochs its checkpoint covers
+        rows = [METRICS_HEADER]
+        if start_epoch > 1 and os.path.exists(metrics_path):
+            with open(metrics_path, encoding="utf-8") as fh:
+                rows += [ln for ln in fh.read().splitlines()[1:]
+                         if int(ln.split(",", 1)[0]) < start_epoch]
         with open(metrics_path, "w", encoding="utf-8") as fh:
-            fh.write(METRICS_HEADER + "\n")
+            fh.write("\n".join(rows) + "\n")
 
     pool = None
     if config.workers > 1:
@@ -422,10 +447,11 @@ def _acquisition_from_predictions(predictions, dataset: Dataset,
     rows = []
     correct = 0
     for idx, (pred, ep) in enumerate(zip(predictions, dataset.episodes)):
-        stages = ep.meta.get("stages")
-        if stages is None or "test" not in stages:
-            raise ValueError(f"episode {idx} has no test-stage annotation")
-        lo, hi = stages["test"]
+        try:
+            lo, hi = (int(bound) for bound in ep.meta["stages"]["test"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"episode {idx} has no test-stage annotation") from exc
         want = ep.y[lo:hi, 0]
         got = output_threshold(np.asarray(pred)[lo:hi, 0], loss_tag)
         ok = bool(np.array_equal(got, want))
@@ -448,10 +474,18 @@ def eval_pavlov_acquisition(params: ParameterSet, topology: NetworkTopology,
 def _predict(params: ParameterSet, topology: NetworkTopology,
              dataset: Dataset) -> list[np.ndarray]:
     """Each episode's outputs, rolled out from a fresh episode-start state."""
-    if dataset.n_inputs != topology.n_inputs or dataset.n_outputs != topology.n_outputs:
-        raise ValueError("dataset dims do not match topology")
+    check_dims(dataset, topology)
     return [rollout(fresh_state(topology, params), ep.x, topology, params)[0]
             for ep in dataset.episodes]
+
+
+def check_dims(dataset: Dataset, topology: NetworkTopology) -> None:
+    """Refuse a dataset whose channels do not fit the network's terminals."""
+    if (dataset.n_inputs, dataset.n_outputs) != (topology.n_inputs,
+                                                 topology.n_outputs):
+        raise DatasetError(
+            f"dataset dims {dataset.n_inputs}x{dataset.n_outputs} do not match "
+            f"topology {topology.n_inputs}x{topology.n_outputs}")
 
 
 def run_pong_policy(policy, env_config: PongConfig, n_rollouts: int,

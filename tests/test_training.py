@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 
@@ -141,6 +142,48 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     for m in metrics_full:
         if m.epoch > 3:
             assert tail_by_epoch[m.epoch].train_loss == m.train_loss
+
+
+def test_resume_in_place_keeps_one_metrics_row_per_epoch(tmp_path):
+    topo, ds = small_setup(episodes=8)
+    cfg = TrainConfig(epochs=4, batch_size=4, seed=3, eval_stride=1,
+                      checkpoint_stride=2)
+    run_dir = str(tmp_path / "run")
+
+    def rows():
+        with open(os.path.join(run_dir, "metrics.csv")) as fh:
+            return [r[:-1] for r in csv.reader(fh)]  # drop wall_time
+
+    train(topo, ds, cfg, eval_dataset=ds, run_dir=run_dir)
+    uninterrupted = rows()
+    train(topo, ds, cfg, eval_dataset=ds, run_dir=run_dir,
+          resume=os.path.join(run_dir, "epoch0002.ckpt"))
+    assert rows() == uninterrupted
+
+
+def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path,
+                                                           monkeypatch):
+    topo, _ = small_setup()
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=5)
+    params = ParameterSet.from_topology(topo)
+    path = str(tmp_path / "c.ckpt")
+    save_checkpoint(path, params, Adam(0.01), 1, cfg, topo)
+    with open(path, "rb") as fh:
+        before = fh.read()
+
+    def dump_partway(doc, fh, **kwargs):
+        fh.write(json.dumps(doc)[:50])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_partway)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, params.with_flat(params.flat + 1.0), Adam(0.01),
+                        2, cfg, topo)
+    monkeypatch.undo()
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    back, _, next_epoch = load_checkpoint(path, topo, cfg)
+    assert np.array_equal(back.flat, params.flat) and next_epoch == 2
 
 
 def test_training_is_deterministic_modulo_wall_time(tmp_path):
