@@ -13,12 +13,8 @@ echoes its fully resolved configuration into the run directory.
 from __future__ import annotations
 
 import dataclasses
-import inspect
-import json
 import os
 import sys
-import types
-import typing
 
 import click
 
@@ -26,11 +22,12 @@ from . import __version__
 from .datasets import FORMAT_TAG as DATASET_FORMAT_TAG
 from .datasets import (PavlovConfig, PongDataConfig, gen_pavlov, gen_pong,
                        load_dataset, save_dataset)
+from .jsonio import decode, read_json, write_json
 from .pong import PongConfig
 from .topology import FORMAT_TAG, build_random, load_topology, save_topology
 from .training import (CheckpointMismatch, DivergenceError, TrainConfig,
                        eval_pavlov_acquisition, eval_pong_closed_loop,
-                       load_params, train, write_json_atomic)
+                       load_params, train)
 from .verify import SUITES
 
 
@@ -61,57 +58,9 @@ class _ExitCodeGroup(click.Group):
 
 def _config(cls, path: str | None, flags: dict):
     """A validated ``cls``: dataclass defaults < config file < flags."""
-    doc = {}
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"malformed config {path}: {exc}") from exc
-    config = _merge(cls, doc, flags)
+    config = decode(cls, read_json(path) if path else {}, **flags)
     config.validate()
     return config
-
-
-def _merge(cls, doc, flags: dict):
-    """Layer ``doc`` and the non-None ``flags`` over the defaults of config
-    dataclass ``cls``; a nested config dataclass merges the same way."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{cls.__name__} config must be a JSON object")
-    fields = typing.get_type_hints(cls)
-    for key in doc:
-        if key not in fields:
-            raise ValueError(f"unknown config key {key!r}")
-    values = {}
-    for name, hint in fields.items():
-        if dataclasses.is_dataclass(hint):
-            values[name] = _merge(hint, doc.get(name, {}), flags.get(name, {}))
-        elif flags.get(name) is not None:
-            values[name] = flags[name]
-        elif name in doc:
-            if not _fits(doc[name], hint):
-                raise ValueError(f"config key {name!r} must be "
-                                 f"{inspect.formatannotation(hint)}, "
-                                 f"got {doc[name]!r}")
-            values[name] = (tuple(doc[name]) if isinstance(doc[name], list)
-                            else doc[name])
-    return cls(**values)
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value has the type a config field is annotated with
-    (a bool is not a number, an int is a float)."""
-    if typing.get_origin(hint) is types.UnionType:
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is tuple:
-        items = typing.get_args(hint)
-        if items[-1:] == (Ellipsis,) and isinstance(value, list):
-            items = items[:1] * len(value)
-        return (isinstance(value, list) and len(value) == len(items)
-                and all(map(_fits, value, items)))
-    if isinstance(value, bool) and hint is not bool:
-        return False
-    return isinstance(value, (int, float) if hint is float else hint)
 
 
 @click.group(cls=_ExitCodeGroup)
@@ -254,10 +203,10 @@ def train_cmd(topology_path, dataset_path, eval_path, out_dir, config_path,
     dataset = load_dataset(dataset_path)
     eval_dataset = load_dataset(eval_path) if eval_path else None
     os.makedirs(out_dir, exist_ok=True)
-    write_json_atomic(os.path.join(out_dir, "train.json"),
-                      {"config": dataclasses.asdict(config),
-                       "topology": topology_path, "dataset": dataset_path,
-                       "eval_dataset": eval_path}, indent=1)
+    write_json(os.path.join(out_dir, "train.json"),
+               {"config": dataclasses.asdict(config),
+                "topology": topology_path, "dataset": dataset_path,
+                "eval_dataset": eval_path}, indent=1)
     _, metrics = train(topology, dataset, config, eval_dataset=eval_dataset,
                        run_dir=out_dir, resume=resume_path, resume_force=force)
     if metrics:

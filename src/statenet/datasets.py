@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .jsonio import atomic_write
 from .pong import PongConfig, PongEnv, action_onehot
 from .rng import Rng, derive_seed
 
@@ -281,9 +282,7 @@ def gen_pong(config: PongDataConfig) -> Dataset:
         "seed": config.seed,
         "dims": {"inputs": 5, "outputs": 3},
         "episodes": config.episodes,
-        "params": {"episodes": config.episodes, "seed": config.seed,
-                   "env": asdict(config.env),
-                   "expert_noise_p": config.expert_noise_p},
+        "params": asdict(config),
     }
     return Dataset(episodes=episodes, manifest=manifest)
 
@@ -302,7 +301,7 @@ def _episode_record(ep: Episode) -> dict:
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(dataset.manifest) + "\n")
         for ep in dataset.episodes:
             fh.write(json.dumps(_episode_record(ep)) + "\n")

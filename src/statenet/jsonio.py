@@ -1,0 +1,106 @@
+"""How every statenet file is read into typed values and written:
+``decode`` turns a JSON object into a dataclass (topology records, cell
+params, checkpoint meta, ``--config`` files); ``atomic_write`` writes
+``<path>.tmp`` and renames it over ``path``, so a killed process leaves
+the previous file, never a truncated one (no fsync: not power-loss safe).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import functools
+import inspect
+import json
+import os
+import typing
+
+_NO = object()  # a value that does not fit its field's type
+
+
+@functools.cache
+def _fields(cls) -> dict:
+    """Field name -> (annotated type, whether it is a nested dataclass)."""
+    return {name: (hint, dataclasses.is_dataclass(hint))
+            for name, hint in typing.get_type_hints(cls).items()}
+
+
+def decode(cls, doc, **given):
+    """A ``cls`` from the JSON object ``doc``: unknown keys are refused, each
+    value needs its field's type (a bool is not a number; an int for a float
+    is stored as a float), missing keys keep their defaults. Non-None
+    ``given`` values win unchecked (for a nested dataclass: a dict)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {doc!r}")
+    fields = _fields(cls)
+    if not doc.keys() <= fields.keys():
+        raise ValueError(f"{cls.__name__} has unknown keys "
+                         f"{sorted(doc.keys() - fields)}")
+    values = {}
+    for name, (hint, nested) in fields.items():
+        if nested:
+            values[name] = decode(hint, doc.get(name, {}), **given.get(name, {}))
+        elif given.get(name) is not None:
+            values[name] = given[name]
+        elif name in doc:  # most values have exactly their field's type
+            value = doc[name]
+            values[name] = value if type(value) is hint else _convert(value, hint)
+            if values[name] is _NO:
+                raise ValueError(f"{cls.__name__} key {name!r} must be "
+                                 f"{inspect.formatannotation(hint)}, "
+                                 f"got {doc[name]!r}")
+    return cls(**values)
+
+
+def _convert(value, hint):
+    """``value`` stored as type ``hint``, or ``_NO`` if it does not fit."""
+    if type(hint) is type:
+        if isinstance(value, bool) and hint is not bool:
+            return _NO
+        if hint is float:
+            return float(value) if isinstance(value, (int, float)) else _NO
+        return value if isinstance(value, hint) else _NO
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            return _NO
+        items = typing.get_args(hint)
+        if items[-1:] == (Ellipsis,):
+            items = items[:1] * len(value)
+        out = tuple(map(_convert, value, items))
+        return out if len(out) == len(value) == len(items) and _NO not in out else _NO
+    for member in typing.get_args(hint):  # a union
+        out = _convert(value, member)
+        if out is not _NO:
+            return out
+    return _NO
+
+
+def read_json(path: str, error=ValueError):
+    """The JSON document in ``path``; malformed JSON raises ``error``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"malformed JSON in {path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def atomic_write(path: str):
+    """A text file handle whose content replaces ``path`` when the block
+    exits; if it raises, ``path`` is left as it was and no temporary stays."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_json(path: str, doc, indent: int | None = None) -> None:
+    """Replace ``path`` with ``doc`` as one JSON document and a newline."""
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, indent=indent)
+        fh.write("\n")

@@ -14,11 +14,13 @@ mandatory ``format: "snn-topology/1"``.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .jsonio import decode, read_json, write_json
 from .rng import Rng
 
 FORMAT_TAG = "snn-topology/1"
@@ -141,13 +143,9 @@ class NetworkTopology:
         self.lif_dt = np.array([p.dt for p in lp], dtype=np.float64)
         self.lif_sharpness = np.array([p.sharpness for p in lp], dtype=np.float64)
 
-        for arr in (self.input_ids, self.output_ids, self.hidden_ids, self.rate_ids,
-                    self.lif_ids, self.lif_input_ids, self.edge_src, self.edge_dst,
-                    self.w0,
-                    self.hebbian_idx, self.stdp_idx, self.plastic_idx, self.static_idx,
-                    self.hebbian_pos, self.stdp_pos, self.lif_threshold, self.lif_reset,
-                    self.lif_rest, self.lif_dt, self.lif_sharpness):
-            arr.setflags(write=False)
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
         # the same vectors in the shape the dynamics kernels read
         self.lif_params = LifParams(threshold=self.lif_threshold, reset=self.lif_reset,
                                     rest=self.lif_rest, dt=self.lif_dt,
@@ -207,6 +205,10 @@ def validate_parts(neurons: list[NeuronSpec], edges: list[EdgeSpec]) -> Validati
                     errors.append(f"neuron {nr.id}: lif dt must be in (0, 1]")
                 if not p.sharpness > 0.0:
                     errors.append(f"neuron {nr.id}: lif sharpness must be positive")
+        if isinstance(nr.params, (RateParams, LifParams)):
+            errors += [f"neuron {nr.id}: {name} must be finite"
+                       for name, value in vars(nr.params).items()
+                       if isinstance(value, float) and not math.isfinite(value)]
     if not any(nr.role == "input" for nr in neurons):
         errors.append("network has no input neuron")
     if not any(nr.role == "output" for nr in neurons):
@@ -225,6 +227,8 @@ def validate_parts(neurons: list[NeuronSpec], edges: list[EdgeSpec]) -> Validati
         if (e.src, e.dst) in seen:
             errors.append(f"edge ({e.src}->{e.dst}): duplicate edge")
         seen.add((e.src, e.dst))
+        if isinstance(e.w0, float) and not math.isfinite(e.w0):
+            errors.append(f"edge ({e.src}->{e.dst}): w0 must be finite")
         if e.rule not in RULES:
             errors.append(f"edge ({e.src}->{e.dst}): unknown rule {e.rule!r}")
         if e.plastic and e.rule == "none":
@@ -264,44 +268,12 @@ def validate_parts(neurons: list[NeuronSpec], edges: list[EdgeSpec]) -> Validati
 # serialization
 
 
-def _params_to_doc(nr: NeuronSpec) -> dict:
-    if nr.model == "rate":
-        p = nr.params
-        return {"self_coeff": p.self_coeff, "bias": p.bias, "activation": p.activation}
-    p = nr.params
-    return {"threshold": p.threshold, "reset": p.reset, "rest": p.rest,
-            "dt": p.dt, "sharpness": p.sharpness}
-
-
-def _params_from_doc(model: str, doc: dict, where: str) -> RateParams | LifParams:
-    if not isinstance(doc, dict):
-        raise TopologyError(f"{where}: params must be an object")
-    if model == "rate":
-        allowed = {"self_coeff", "bias", "activation"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise TopologyError(f"{where}: unknown param keys {sorted(unknown)}")
-        return RateParams(self_coeff=float(doc.get("self_coeff", 0.0)),
-                          bias=float(doc.get("bias", 0.0)),
-                          activation=str(doc.get("activation", "tanh")))
-    allowed = {"threshold", "reset", "rest", "dt", "sharpness"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise TopologyError(f"{where}: unknown param keys {sorted(unknown)}")
-    return LifParams(threshold=float(doc.get("threshold", 1.0)),
-                     reset=float(doc.get("reset", 0.0)),
-                     rest=float(doc.get("rest", 0.0)),
-                     dt=float(doc.get("dt", 0.5)),
-                     sharpness=float(doc.get("sharpness", 10.0)))
-
-
 def to_document(topology: NetworkTopology) -> dict:
     return {
         "format": FORMAT_TAG,
-        "neurons": [{"id": nr.id, "role": nr.role, "model": nr.model,
-                     "params": _params_to_doc(nr)} for nr in topology.neurons],
-        "edges": [{"src": e.src, "dst": e.dst, "w0": e.w0,
-                   "plastic": e.plastic, "rule": e.rule} for e in topology.edges],
+        "neurons": [{**vars(nr), "params": dict(vars(nr.params))}
+                    for nr in topology.neurons],
+        "edges": [dict(vars(e)) for e in topology.edges],
     }
 
 
@@ -314,57 +286,35 @@ def from_document(doc: dict) -> NetworkTopology:
     if doc.get("format") != FORMAT_TAG:
         raise TopologyError(f"missing or unsupported format tag "
                             f"(expected {FORMAT_TAG!r}, got {doc.get('format')!r})")
-    return NetworkTopology(_records(doc, "neuron", _neuron_from_doc),
-                           _records(doc, "edge", _edge_from_doc))
+    return NetworkTopology(_records(doc, "neuron", _neuron),
+                           _records(doc, "edge", lambda rec: decode(EdgeSpec, rec)))
 
 
-def _records(doc: dict, kind: str, decode) -> list:
+def _records(doc: dict, kind: str, decode_record) -> list:
     """Decode the document's list of ``kind`` records; a malformed record
     raises a TopologyError that names it."""
     out = []
     try:
         for rec in doc.get(kind + "s", []):
-            out.append(decode(rec))
-    except TopologyError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise TopologyError(f"{kind} record {len(out)}: "
-                            f"{type(exc).__name__}: {exc}") from exc
+            out.append(decode_record(rec))
+    except (TypeError, ValueError) as exc:
+        raise TopologyError(f"{kind} record {len(out)}: {exc}") from exc
     return out
 
 
-def _neuron_from_doc(rec: dict) -> NeuronSpec:
-    unknown = set(rec) - {"id", "role", "model", "params"}
-    if unknown:
-        raise TopologyError(f"neuron record: unknown keys {sorted(unknown)}")
-    model = str(rec["model"])
-    return NeuronSpec(id=int(rec["id"]), role=str(rec["role"]), model=model,
-                      params=_params_from_doc(model, rec.get("params", {}),
-                                              f"neuron {rec['id']}"))
-
-
-def _edge_from_doc(rec: dict) -> EdgeSpec:
-    unknown = set(rec) - {"src", "dst", "w0", "plastic", "rule"}
-    if unknown:
-        raise TopologyError(f"edge record: unknown keys {sorted(unknown)}")
-    return EdgeSpec(src=int(rec["src"]), dst=int(rec["dst"]), w0=float(rec["w0"]),
-                    plastic=bool(rec.get("plastic", False)),
-                    rule=str(rec.get("rule", "none")))
+def _neuron(rec) -> NeuronSpec:
+    # params decode by model below: rate, else lif (validation names a bad model)
+    spec = decode(NeuronSpec, rec, params=LifParams())
+    cls = RateParams if spec.model == "rate" else LifParams
+    return replace(spec, params=decode(cls, rec.get("params", {})))
 
 
 def save_topology(topology: NetworkTopology, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_document(topology), fh, indent=1)
-        fh.write("\n")
+    write_json(path, to_document(topology), indent=1)
 
 
 def load_topology(path: str) -> NetworkTopology:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise TopologyError(f"malformed topology document: {exc}") from exc
-    return from_document(doc)
+    return from_document(read_json(path, TopologyError))
 
 
 # ---------------------------------------------------------------------------

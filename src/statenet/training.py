@@ -25,6 +25,7 @@ import numpy as np
 from .autodiff import outputs_loss, tbptt_gradients
 from .datasets import Dataset, DatasetError
 from .engine import fresh_state, rollout, step
+from .jsonio import atomic_write, decode, read_json, write_json
 from .params import ParameterSet
 from .plasticity import PlasticityMeta
 from .pong import PongConfig, PongEnv, action_from_index
@@ -114,7 +115,7 @@ class Sgd:
     def state_dict(self) -> dict:
         return {"kind": self.kind}
 
-    def load_state(self, state: dict) -> None:
+    def load_state(self, state: dict, size: int) -> None:
         pass
 
 
@@ -147,10 +148,16 @@ class Adam:
                 "m": None if self.m is None else self.m.tolist(),
                 "v": None if self.v is None else self.v.tolist()}
 
-    def load_state(self, state: dict) -> None:
+    def load_state(self, state: dict, size: int) -> None:
+        """Restore ``state_dict()`` of a run with ``size`` parameters."""
         self.count = int(state["count"])
-        self.m = None if state["m"] is None else np.asarray(state["m"], float)
-        self.v = None if state["v"] is None else np.asarray(state["v"], float)
+        moments = state["m"], state["v"]
+        if moments != (None, None) and not all(
+                isinstance(x, list) and len(x) == size
+                and all(type(e) in (int, float) for e in x) for x in moments):
+            raise CheckpointError(f"adam moments must both be null or both be "
+                                  f"lists of {size} numbers")
+        self.m, self.v = (None if x is None else np.array(x, float) for x in moments)
 
 
 def make_optimizer(config: TrainConfig):
@@ -175,17 +182,6 @@ def config_hash(config: TrainConfig) -> str:
         json.dumps(asdict(config), sort_keys=True).encode()).hexdigest()[:16]
 
 
-def write_json_atomic(path: str, doc, indent: int | None = None) -> None:
-    """Write ``doc`` as JSON to a temporary file beside ``path``, then rename
-    it over ``path``: a process killed mid-write leaves the previous file,
-    never a truncated one."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=indent)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
 def save_checkpoint(path: str, params: ParameterSet, optimizer, epoch: int,
                     config: TrainConfig, topology: NetworkTopology) -> None:
     doc = {
@@ -200,7 +196,7 @@ def save_checkpoint(path: str, params: ParameterSet, optimizer, epoch: int,
         "config_hash": config_hash(config),
         "topology_hash": topology.content_hash(),
     }
-    write_json_atomic(path, doc)
+    write_json(path, doc)
 
 
 def load_params(path: str, topology: NetworkTopology,
@@ -208,13 +204,12 @@ def load_params(path: str, topology: NetworkTopology,
     """Returns (params, checkpoint document); refuses a checkpoint of
     another topology unless ``force``."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(path, CheckpointError)
         if doc.get("format") != CHECKPOINT_TAG:
             raise CheckpointError("not a checkpoint file")
         if not force and doc.get("topology_hash") != topology.content_hash():
             raise CheckpointMismatch("checkpoint topology hash mismatch")
-        meta = PlasticityMeta(**{k: float(v) for k, v in doc["meta"].items()})
+        meta = decode(PlasticityMeta, doc["meta"])
         base = ParameterSet.from_topology(topology, meta)
         params = base.with_flat(np.array(doc["params"], dtype=np.float64))
         params.frozen = set(doc.get("frozen", []))
@@ -239,7 +234,7 @@ def load_checkpoint(path: str, topology: NetworkTopology, config: TrainConfig,
         optimizer = make_optimizer(config)
         if doc["optimizer"]["kind"] != optimizer.kind:
             raise CheckpointError("checkpoint optimizer kind mismatch")
-        optimizer.load_state(doc["optimizer"])
+        optimizer.load_state(doc["optimizer"], params.count)
         next_epoch = int(doc["epoch"]) + 1
     except CheckpointError:
         raise
@@ -313,7 +308,7 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
             with open(metrics_path, encoding="utf-8") as fh:
                 rows += [ln for ln in fh.read().splitlines()[1:]
                          if int(ln.split(",", 1)[0]) < start_epoch]
-        with open(metrics_path, "w", encoding="utf-8") as fh:
+        with atomic_write(metrics_path) as fh:
             fh.write("\n".join(rows) + "\n")
 
     pool = None

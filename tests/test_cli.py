@@ -1,13 +1,22 @@
+import dataclasses
+import glob
 import hashlib
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import statenet
 from statenet.cli import main
-from statenet.datasets import load_dataset
+from statenet.datasets import PavlovConfig, gen_pavlov, load_dataset, save_dataset
+from statenet.topology import build_random, save_topology
+from statenet.training import TrainConfig, train
 
 PAPER_X = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0]]
 PAPER_Y = [[1.0], [0.0], [1.0], [1.0], [1.0]]
@@ -265,3 +274,65 @@ def test_verify_plasticity_signs_via_cli(runner):
 def test_verify_unknown_suite_is_usage_error(runner):
     result = runner.invoke(main, ["verify", "nonsense"])
     assert result.exit_code == 2
+
+
+def test_int_spelled_config_float_resumes_under_flag(runner, tmp_path):
+    topo_path, data_path = _make_training_inputs(runner, tmp_path)
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"learning_rate": 1, "epochs": 2, "batch_size": 4,
+                   "checkpoint_stride": 1}, fh)
+    run_dir = str(tmp_path / "run")
+    args = ["train", "--topology", topo_path, "--dataset", data_path,
+            "--out-dir", run_dir, "--config", cfg_path]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    # the file's int 1 and the flag's float 1.0 give one config hash
+    result = runner.invoke(main, args + [
+        "--lr", "1", "--resume", os.path.join(run_dir, "epoch0001.ckpt")])
+    assert result.exit_code == 0, result.output
+
+
+def _metrics_but_wall_time(run_dir):
+    with open(os.path.join(run_dir, "metrics.csv")) as fh:
+        return [ln.rsplit(",", 1)[0] for ln in fh.read().splitlines()]
+
+
+def _final_params(run_dir):
+    with open(os.path.join(run_dir, "final.ckpt")) as fh:
+        return json.load(fh)["params"]
+
+
+def test_run_killed_mid_training_resumes_exactly(tmp_path):
+    topology = build_random(4, 0.7, seed=2, model="rate", n_inputs=2,
+                            n_outputs=1, plastic_rule="hebbian", direct_io=True)
+    dataset = gen_pavlov(PavlovConfig(episodes=8, seed=1))
+    config = TrainConfig(epochs=60, batch_size=4, seed=3, checkpoint_stride=1)
+    topo_path, data_path = str(tmp_path / "net.json"), str(tmp_path / "d.jsonl")
+    save_topology(topology, topo_path)
+    save_dataset(dataset, data_path)
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(dataclasses.asdict(config), fh)
+    whole, killed = str(tmp_path / "whole"), str(tmp_path / "killed")
+    train(topology, dataset, config, run_dir=whole)
+
+    command = [sys.executable, "-m", "statenet.cli", "train", "--topology",
+               topo_path, "--dataset", data_path, "--out-dir", killed,
+               "--config", cfg_path]
+    src = os.path.dirname(os.path.dirname(statenet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(command, env=env)
+    deadline = time.monotonic() + 15
+    while (not os.path.exists(os.path.join(killed, "epoch0003.ckpt"))
+           and proc.poll() is None and time.monotonic() < deadline):
+        time.sleep(0.005)
+    assert proc.poll() is None, "the run ended before it could be killed"
+    proc.send_signal(signal.SIGKILL)
+    assert proc.wait() == -signal.SIGKILL
+    newest = max(glob.glob(os.path.join(killed, "epoch*.ckpt")))
+    subprocess.run(command + ["--resume", newest], env=env, check=True,
+                   timeout=15, capture_output=True)
+    assert _metrics_but_wall_time(killed) == _metrics_but_wall_time(whole)
+    assert _final_params(killed) == _final_params(whole)

@@ -147,6 +147,20 @@ PROBES = {
         "--config", write_json(t / "cfg.json", {"init_len": 5})],
     "train-eval-dataset-dims": lambda f, t: train_args(f, t) + [
         "--eval-dataset", f["pong"]],
+    "topology-w0-nan": lambda f, t: ["topo", "validate", _topology(
+        f, t, lambda d: d["edges"][0].update(w0="nan"))],
+    "topology-plastic-string": lambda f, t: ["topo", "validate", _topology(
+        f, t, lambda d: next(e for e in d["edges"] if e["plastic"]).update(
+            plastic="false"))],
+    "topology-bias-string": lambda f, t: ["topo", "validate", _topology(
+        f, t, lambda d: d["neurons"][-1]["params"].update(bias="1e3"))],
+    "topology-id-float": lambda f, t: ["topo", "validate", _topology(
+        f, t, lambda d: d["neurons"][0].update(id=0.0))],
+    "topology-w0-nan-literal": lambda f, t: ["topo", "validate", _topology(
+        f, t, lambda d: d["edges"][0].update(w0=float("nan")))],
+    "resume-checkpoint-moment-scalar": lambda f, t: resume_args(
+        f, t, _checkpoint(f, t, lambda d: {
+            **d, "optimizer": {**d["optimizer"], "m": 5}})),
 }
 
 

@@ -1,0 +1,67 @@
+import os
+from dataclasses import dataclass, field
+
+import pytest
+
+from statenet.jsonio import atomic_write, decode
+
+
+@dataclass(frozen=True)
+class Inner:
+    size: int = 1
+
+
+@dataclass(frozen=True)
+class Outer:
+    rate: float = 0.5
+    flag: bool = False
+    span: tuple[int, int] = (1, 2)
+    weights: tuple[float, ...] = (1.0,)
+    depth: int | None = None
+    inner: Inner = field(default_factory=Inner)
+
+
+def test_int_for_float_is_stored_as_float():
+    out = decode(Outer, {"rate": 1, "weights": [6, 0, 1]})
+    assert type(out.rate) is float and out.rate == 1.0
+    assert out.weights == (6.0, 0.0, 1.0)
+    assert all(type(w) is float for w in out.weights)
+
+
+@pytest.mark.parametrize("doc", [
+    {"rate": True}, {"rate": "1e3"}, {"flag": "false"}, {"flag": 0},
+    {"span": [1, 2, 3]}, {"span": 5}, {"span": [1, 2.0]}, {"depth": 2.0},
+    {"inner": {"size": True}}, {"weights": [1, "a"]},
+])
+def test_value_of_another_type_is_refused(doc):
+    with pytest.raises(ValueError, match="must be"):
+        decode(Outer, doc)
+
+
+def test_unknown_keys_refused_at_any_depth():
+    with pytest.raises(ValueError, match=r"unknown keys \['colour'\]"):
+        decode(Outer, {"colour": 1})
+    with pytest.raises(ValueError, match="Inner has unknown keys"):
+        decode(Outer, {"inner": {"colour": 1}})
+
+
+def test_defaults_then_document_then_given():
+    assert decode(Outer, {}) == Outer()
+    out = decode(Outer, {"depth": 3, "span": [4, 5], "inner": {"size": 7}},
+                 depth=None, span=(8, 9), inner={"size": 2})
+    assert out == Outer(depth=3, span=(8, 9), inner=Inner(size=2))
+
+
+def test_atomic_write_replaces_or_keeps(tmp_path):
+    path = str(tmp_path / "f.txt")
+    with atomic_write(path) as fh:
+        fh.write("old")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write("ne")
+            raise RuntimeError("killed")
+    assert open(path).read() == "old"
+    assert os.listdir(tmp_path) == ["f.txt"]
+    with atomic_write(path) as fh:
+        fh.write("new")
+    assert open(path).read() == "new"

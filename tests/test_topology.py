@@ -8,6 +8,7 @@ from statenet.topology import (EdgeSpec, LifParams, NetworkTopology, NeuronSpec,
                                RateParams, TopologyError, build_random,
                                from_document, load_topology, save_topology,
                                to_document, validate_parts)
+from statenet.training import pavlov_recipe, pong_recipe
 
 
 def two_neuron_net():
@@ -178,6 +179,28 @@ def test_round_trip_identity(tmp_path):
     back = load_topology(path)
     assert to_document(back) == to_document(topo)
     assert back.content_hash() == topo.content_hash()
+
+
+def test_recipe_content_hashes_are_stable():
+    # checkpoints carry these hashes: a change to the document form would
+    # refuse every existing checkpoint of the two recipes
+    assert pavlov_recipe()[0].content_hash() == "2c86032bef743509"
+    assert pong_recipe()[0].content_hash() == "eb77b928382a8056"
+
+
+def test_non_finite_values_are_errors():
+    neurons = [NeuronSpec(0, "input", "rate", RateParams()),
+               NeuronSpec(1, "output", "rate",
+                          RateParams(self_coeff=float("inf")))]
+    report = validate_parts(neurons, [EdgeSpec(0, 1, float("nan"))])
+    assert "neuron 1: self_coeff must be finite" in report.errors
+    assert "edge (0->1): w0 must be finite" in report.errors
+    for bad in ({"rest": float("nan")}, {"threshold": float("inf")},
+                {"reset": -float("inf")}):
+        lif = [NeuronSpec(0, "input", "lif", LifParams()),
+               NeuronSpec(1, "output", "lif", LifParams(**bad))]
+        report = validate_parts(lif, [EdgeSpec(0, 1, 1.0)])
+        assert f"neuron 1: {next(iter(bad))} must be finite" in report.errors
 
 
 def test_malformed_document_is_parse_error(tmp_path):

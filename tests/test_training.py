@@ -6,11 +6,13 @@ import os
 import numpy as np
 import pytest
 
-from statenet.datasets import Dataset, Episode, PavlovConfig, gen_pavlov
+from statenet import datasets
+from statenet.datasets import (Dataset, Episode, PavlovConfig, gen_pavlov,
+                               save_dataset)
 from statenet.params import ParameterSet
 from statenet.pong import PongConfig
 from statenet.rng import Rng
-from statenet.topology import build_random
+from statenet.topology import build_random, save_topology
 from statenet.training import (Adam, CheckpointError, DivergenceError,
                                MetricsRow, Sgd, TrainConfig,
                                clip_global_norm, eval_pavlov_acquisition,
@@ -161,29 +163,56 @@ def test_resume_in_place_keeps_one_metrics_row_per_epoch(tmp_path):
     assert rows() == uninterrupted
 
 
-def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path,
-                                                           monkeypatch):
-    topo, _ = small_setup()
-    cfg = TrainConfig(epochs=2, batch_size=4, seed=5)
+def _dump_partway(doc, fh, **kwargs):
+    fh.write(json.dumps(doc)[:50])
+    raise OSError("disk full")
+
+
+def _episode_record_fails(ep):
+    raise OSError("disk full")
+
+
+WRITE_CFG = TrainConfig(epochs=2, batch_size=4, seed=5)
+
+
+def _writers(topo, ds):
+    """Each writer: (write version k of its file, make the next write raise
+    after part of the file went out)."""
     params = ParameterSet.from_topology(topo)
-    path = str(tmp_path / "c.ckpt")
-    save_checkpoint(path, params, Adam(0.01), 1, cfg, topo)
+    other = build_random(5, 0.7, seed=9, model="rate", n_inputs=2, n_outputs=1)
+    return {
+        "checkpoint": (lambda path, k: save_checkpoint(
+            path, params.with_flat(params.flat + k), Adam(0.01), k + 1,
+            WRITE_CFG, topo), (json, "dump", _dump_partway)),
+        "topology": (lambda path, k: save_topology([topo, other][k], path),
+                     (json, "dump", _dump_partway)),
+        "dataset": (lambda path, k: save_dataset(
+            Dataset(ds.episodes[k:], ds.manifest), path),
+            (datasets, "_episode_record", _episode_record_fails)),
+    }
+
+
+@pytest.mark.parametrize("writer", ["checkpoint", "topology", "dataset"])
+def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path,
+                                                           monkeypatch, writer):
+    topo, ds = small_setup()
+    write, failure = _writers(topo, ds)[writer]
+    path = str(tmp_path / writer)
+    write(path, 0)
     with open(path, "rb") as fh:
         before = fh.read()
 
-    def dump_partway(doc, fh, **kwargs):
-        fh.write(json.dumps(doc)[:50])
-        raise OSError("disk full")
-
-    monkeypatch.setattr(json, "dump", dump_partway)
+    monkeypatch.setattr(*failure)
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, params.with_flat(params.flat + 1.0), Adam(0.01),
-                        2, cfg, topo)
+        write(path, 1)
     monkeypatch.undo()
     with open(path, "rb") as fh:
         assert fh.read() == before
-    back, _, next_epoch = load_checkpoint(path, topo, cfg)
-    assert np.array_equal(back.flat, params.flat) and next_epoch == 2
+    assert os.listdir(tmp_path) == [writer]
+    if writer == "checkpoint":
+        back, _, next_epoch = load_checkpoint(path, topo, WRITE_CFG)
+        assert np.array_equal(back.flat, ParameterSet.from_topology(topo).flat)
+        assert next_epoch == 2
 
 
 def test_training_is_deterministic_modulo_wall_time(tmp_path):
