@@ -4,11 +4,24 @@ The computation shape is fixed by the topology, so instead of a general
 expression graph the tape is simply the state trajectory that
 ``engine.rollout`` records: ``states[0]`` is the entry state and
 ``states[t]`` the state after step t; a truncated window's tape is a slice
-of the episode's one trajectory. The backward sweep re-derives the few
+of the one recorded trajectory. The backward sweep re-derives the few
 intermediates it needs (drive, pre-threshold membrane, pre-clip plastic
 weights) from the stored states with the engine's gather and the
 ``dynamics`` / ``plasticity`` kernels, so recorded and replayed values are
 bitwise identical by construction.
+
+Like the engine, the tape and the sweep run one episode on ``(n,)``
+arrays or a batch of episodes in lockstep on ``(B, n)`` arrays, rows
+sorted by length, longest first; the single-episode calls are the batch
+of one. ``batch_gradients`` runs a batch forward up to each flush point
+and then sweeps that window over all rows at once. Window j covers, for
+row b of T_b steps, the steps (start_bj, end_bj] with
+end_bj = min(j * k1, T_b) and start_bj = end_bj - min(k2, end_bj)
+(k1 = k2 = T for the full window); a row is swept only inside its own
+interval, and only the states a later window reads are kept. Each row's
+reductions run over C-contiguous rows (numpy sums other layouts in another
+order) and its scatters use ``np.add.at`` over per-row offset indices, so
+a row's loss and gradient are bitwise those of its episode run alone.
 
 Differentiation conventions (they define what "the gradient" means here):
 
@@ -35,9 +48,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import lif_membrane_pre, lif_surrogate_grad
+from .dynamics import NumericsError, lif_membrane_pre, lif_surrogate_grad
 from .engine import (RolloutState, fresh_state, full_weights, gather, rollout,
-                     spikes_of)
+                     row_index, spikes_of)
 from .params import ParameterSet
 from .plasticity import hebbian_update, stdp_update
 from .topology import NetworkTopology
@@ -62,47 +75,53 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rowsum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, every row in the order of a 1-D ``np.sum``."""
+    return np.sum(np.ascontiguousarray(a), axis=-1)
+
+
+def _scalar(value):
+    """A Python float for one episode's value; a batch's stays an array."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def step_loss(tag: str, v_out: np.ndarray, y: np.ndarray,
-              mask_row: np.ndarray) -> float:
-    """Masked loss of one step's output vector against its target."""
+              mask_row: np.ndarray):
+    """Masked loss of one step's output vector against its target; over a
+    batch's (B x n_out) rows, one loss per row."""
     if tag == "mse":
-        return float(0.5 * np.sum(mask_row * (v_out - y) ** 2))
+        return _scalar(0.5 * _rowsum(mask_row * (v_out - y) ** 2))
     if tag == "bce":
         # logits form: max(v,0) - v*y + log(1 + exp(-|v|))
         terms = np.maximum(v_out, 0.0) - v_out * y + np.log1p(np.exp(-np.abs(v_out)))
-        return float(np.sum(mask_row * terms))
+        return _scalar(_rowsum(mask_row * terms))
     if tag == "cce":
         w = _cce_step_weight(mask_row)
-        if w == 0.0:
-            return 0.0
-        m = float(np.max(v_out))
-        lse = m + float(np.log(np.sum(np.exp(v_out - m))))
-        return w * (lse - float(np.sum(y * v_out)))
+        m = np.max(v_out, axis=-1)
+        lse = m + np.log(_rowsum(np.exp(v_out - m[..., None])))
+        return _scalar(np.where(w == 0.0, 0.0, w * (lse - _rowsum(y * v_out))))
     raise ValueError(f"unknown loss tag {tag!r}")
 
 
 def step_loss_grad(tag: str, v_out: np.ndarray, y: np.ndarray,
                    mask_row: np.ndarray) -> np.ndarray:
-    """d(step loss)/d(output vector)."""
+    """d(step loss)/d(output vector), row by row over a batch."""
     if tag == "mse":
         return mask_row * (v_out - y)
     if tag == "bce":
         return mask_row * (_sigmoid(v_out) - y)
     if tag == "cce":
-        w = _cce_step_weight(mask_row)
-        if w == 0.0:
-            return np.zeros_like(v_out)
-        m = np.max(v_out)
-        ex = np.exp(v_out - m)
-        return w * (ex / np.sum(ex) - y)
+        w = _cce_step_weight(mask_row)[..., None]
+        ex = np.exp(v_out - np.max(v_out, axis=-1, keepdims=True))
+        return np.where(w == 0.0, 0.0, w * (ex / _rowsum(ex)[..., None] - y))
     raise ValueError(f"unknown loss tag {tag!r}")
 
 
-def _cce_step_weight(mask_row: np.ndarray) -> float:
+def _cce_step_weight(mask_row: np.ndarray) -> np.ndarray:
     # cross-entropy couples all outputs of a step; the mask must not split them
-    if not (np.all(mask_row == mask_row[0])):
+    if not np.all(mask_row == mask_row[..., :1]):
         raise ValueError("cce mask must be constant within a step")
-    return float(mask_row[0])
+    return mask_row[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +130,13 @@ def _cce_step_weight(mask_row: np.ndarray) -> float:
 
 @dataclass
 class Tape:
-    """Recorded forward window: entry state at index 0, one state per step."""
+    """Recorded forward window: entry state at index 0, one state per step.
+
+    A batch tape holds one row per episode, rows sorted by length; the
+    states hold at least the rows a sweep reads. ``spans`` (two
+    non-increasing arrays, one entry per row) limits row b's sweep to the
+    window steps (start[b], end[b]]; without it every row spans the window.
+    """
 
     topology: NetworkTopology
     params: ParameterSet
@@ -120,12 +145,18 @@ class Tape:
     ys: np.ndarray
     mask: np.ndarray
     loss_tag: str
+    spans: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
-        return len(self.states) - 1
+        """The steps a backward sweep covers, summed over rows."""
+        if self.spans is not None:
+            start, end = self.spans
+            return int(np.sum(end - start))
+        return (len(self.states) - 1) * (len(self.xs) if self.xs.ndim == 3 else 1)
 
     def verify_replay(self) -> None:
-        """Re-run the window and compare every state bitwise."""
+        """Re-run the window and compare every state bitwise (for tapes
+        whose rows all run the whole window, as ``forward_taped`` records)."""
         replay: list[RolloutState] = []
         rollout(self.states[0], self.xs, self.topology, self.params, states=replay)
         for t in range(1, len(replay)):
@@ -146,24 +177,36 @@ class StateGradient:
     e: np.ndarray
 
 
-def _norm_mask(mask, T: int, n_out: int) -> np.ndarray:
+def _window(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Stimuli and targets as arrays, refused unless their steps match."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if ys.shape[:-1] != xs.shape[:-1]:
+        raise ValueError(f"window lengths differ: stimuli {xs.shape[:-1]}, "
+                         f"targets {ys.shape[:-1]}")
+    return xs, ys
+
+
+def _norm_mask(mask, shape: tuple) -> np.ndarray:
     if mask is None:
-        return np.ones((T, n_out))
+        return np.ones(shape)
     mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != (T, n_out):
-        raise ValueError(f"mask shape {mask.shape} != ({T}, {n_out})")
+    if mask.shape != shape:
+        raise ValueError(f"mask shape {mask.shape} != {shape}")
     return mask
 
 
-def outputs_loss(loss_tag: str, outs: np.ndarray, ys, mask) -> float:
+def outputs_loss(loss_tag: str, outs: np.ndarray, ys, mask):
     """Masked loss of a rollout's outputs against their targets, summed one
-    step at a time in step order."""
+    step at a time in step order; a batch's ((B x T x n_out) arrays, zero
+    mask past a row's end) one loss per row."""
     ys = np.asarray(ys, dtype=np.float64)
-    mask = _norm_mask(mask, len(outs), outs.shape[1])
-    loss = 0.0
-    for t in range(len(outs)):
-        loss += step_loss(loss_tag, outs[t], ys[t], mask[t])
-    return loss
+    mask = _norm_mask(mask, outs.shape)
+    loss = np.zeros(outs.shape[:-2])
+    for t in range(outs.shape[-2]):
+        loss = loss + step_loss(loss_tag, outs[..., t, :], ys[..., t, :],
+                                mask[..., t, :])
+    return _scalar(loss)
 
 
 def forward_taped(state0: RolloutState, xs, ys, mask,
@@ -172,19 +215,17 @@ def forward_taped(state0: RolloutState, xs, ys, mask,
     """Run a window forward, recording the state trajectory.
 
     Returns (masked window loss, tape, exit state). The exit state is the
-    carry for the next window.
+    carry for the next window. A batch of equal-length windows gives one
+    loss per row.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    T = len(xs)
-    if len(ys) != T:
-        raise ValueError(f"window lengths differ: {T} stimuli, {len(ys)} targets")
-    mask = _norm_mask(mask, T, topology.n_outputs)
+    xs, ys = _window(xs, ys)
+    mask = _norm_mask(mask, xs.shape[:-1] + (topology.n_outputs,))
     states: list[RolloutState] = []
     outs, state = rollout(state0, xs, topology, params, states=states)
     loss = outputs_loss(loss_tag, outs, ys, mask)
-    if not np.isfinite(loss):
-        raise FloatingPointError(f"non-finite loss in window of length {T}")
+    if not np.all(np.isfinite(loss)):
+        raise FloatingPointError(f"non-finite loss in window of length "
+                                 f"{xs.shape[-2]}")
     tape = Tape(topology=topology, params=params, states=states,
                 xs=xs, ys=ys, mask=mask, loss_tag=loss_tag)
     return loss, tape, state
@@ -195,113 +236,162 @@ def backward(tape: Tape, upstream: StateGradient | None = None
     """Reverse sweep over a taped window.
 
     Returns (gradient w.r.t. the flat parameter vector, gradient w.r.t.
-    the window's entry state). The entry-state ``e`` component is the
-    adjoint of the plastic weights at window start; when the window starts
-    at an episode boundary the caller folds it into the ``w0`` gradient
-    (plastic weights are reset to ``w0`` there).
+    the window's entry state); a batch tape gives one gradient row per
+    episode and each row's adjoint at the start of its own span. The
+    entry-state ``e`` component is the adjoint of the plastic weights at
+    window start; when the window starts at an episode boundary the caller
+    folds it into the ``w0`` gradient (plastic weights are reset to ``w0``
+    there).
     """
+    if tape.xs.ndim == 3:
+        return _sweep(tape, upstream)
+    one = replace(tape, states=[st.rows(None) for st in tape.states],
+                  xs=tape.xs[None], ys=tape.ys[None], mask=tape.mask[None])
+    if upstream is not None:
+        upstream = StateGradient(upstream.s[None], upstream.v[None],
+                                 upstream.e[None])
+    g, entry = _sweep(one, upstream)
+    return g[0], StateGradient(s=entry.s[0], v=entry.v[0], e=entry.e[0])
+
+
+def _sweep(tape: Tape, upstream: StateGradient | None
+           ) -> tuple[np.ndarray, StateGradient]:
+    """``backward`` over a batch tape."""
     topo = tape.topology
     params = tape.params
     meta = params.meta
     n = topo.n
-    K = len(tape)
-
-    g = np.zeros(params.count)
-    w0_sl = params.registry["w0"]
-    sc_sl = params.registry["self_coeff"]
-    b_sl = params.registry["bias"]
-
-    retention = params.retention
-    learn_rate = params.learn_rate
-    if params.has("retention_raw"):
-        sig_prime = retention * (1.0 - retention)
+    K = len(tape.states) - 1
+    B = len(tape.xs)
+    start, end = tape.spans or (np.zeros(B, np.intp), np.full(B, K))
+    if np.any(np.diff(start) > 0) or np.any(np.diff(end) > 0):
+        raise ValueError("tape rows must be sorted by length, longest first")
+    # rows first[t] .. last[t] - 1 are swept at step t
+    steps = np.arange(K + 1)
+    first = np.count_nonzero(start[:, None] >= steps, axis=0)
+    last = np.count_nonzero(end[:, None] >= steps, axis=0)
 
     if upstream is None:
-        gs = np.zeros(n)
-        gv = np.zeros(n)
-        ge = np.zeros(topo.n_plastic)
+        gs = np.zeros((B, n))
+        gv = np.zeros((B, n))
+        ge = np.zeros((B, topo.n_plastic))
     else:
         gs = upstream.s.copy()
         gv = upstream.v.copy()
         ge = upstream.e.copy()
 
+    # gradient segments, one row per episode
     rate = topo.rate_ids
     lif = topo.lif_ids
     heb = topo.hebbian_idx
     sd = topo.stdp_idx
+    static = topo.static_idx
+    g_w0 = np.zeros((B, len(static)))
+    g_sc = np.zeros((B, len(rate)))
+    g_b = np.zeros((B, len(rate)))
+    g_lr = np.zeros((B, len(heb)))
+    g_ret = np.zeros(B)
+
+    retention = params.retention
+    learn_rate = params.learn_rate
+    self_coeff = params.self_coeff
+    sig_prime = retention * (1.0 - retention)
+    clip = meta.clip_bound
+    out = topo.output_ids
     src_h = topo.edge_src[heb]
     dst_h = topo.edge_dst[heb]
-    self_coeff = params.self_coeff
+    # scatter indices into a (rows, n) block, row by row
+    at_dst_h = row_index(dst_h, n, B)
+    at_src_h = row_index(src_h, n, B)
+    at_src = row_index(topo.edge_src, n, B)
 
     for t in range(K, 0, -1):
-        st_prev = tape.states[t - 1]
-        st = tape.states[t]
-        v_t = st.v_last
+        a, b = first[t], last[t]
+        if a == b:
+            continue
+        m = b - a
+        st_prev = tape.states[t - 1].rows(slice(a, b))
+        v_t = tape.states[t].v_last[a:b]
         v_prev = st_prev.v_last
         s_prev = st_prev.s
         w_full_prev = full_weights(topo, params, st_prev.plastic)
+        gs_t, gv_t, ge_t = gs[a:b], gv[a:b], ge[a:b]
 
         # loss term at this step
-        gv[topo.output_ids] += step_loss_grad(
-            tape.loss_tag, v_t[topo.output_ids], tape.ys[t - 1], tape.mask[t - 1])
+        gv_t[:, out] += step_loss_grad(tape.loss_tag, v_t.take(out, 1),
+                                       tape.ys[a:b, t - 1], tape.mask[a:b, t - 1])
 
-        gv_prev = np.zeros(n)
-        ge_prev = np.zeros(topo.n_plastic)
+        gv_prev = np.zeros((m, n))
+        ge_prev = np.zeros((m, topo.n_plastic))
 
         # plasticity backward first: it consumed this step's outputs, so its
         # contribution to gv must land before the neuron backward reads gv
         if len(heb):
-            e_prev_h = st_prev.plastic.weights[topo.hebbian_pos]
-            pre = v_prev[src_h]
-            post = v_t[dst_h]
+            e_prev_h = st_prev.plastic.weights.take(topo.hebbian_pos, 1)
+            pre = v_prev.take(src_h, 1)
+            post = v_t.take(dst_h, 1)
             _, raw = hebbian_update(e_prev_h, pre, post, learn_rate, retention,
-                                    meta.clip_bound)
-            gh = ge[topo.hebbian_pos] * (np.abs(raw) < meta.clip_bound)
-            g[params.registry["learn_rate"]] += gh * (pre * post)
-            g[params.registry["retention_raw"]] += np.sum(gh * e_prev_h) * sig_prime
-            ge_prev[topo.hebbian_pos] = gh * retention
-            np.add.at(gv, dst_h, gh * learn_rate * pre)
-            np.add.at(gv_prev, src_h, gh * learn_rate * post)
+                                    clip)
+            gh = ge_t.take(topo.hebbian_pos, 1) * (np.abs(raw) < clip)
+            g_lr[a:b] += gh * (pre * post)
+            g_ret[a:b] += _rowsum(gh * e_prev_h) * sig_prime
+            ge_prev[:, topo.hebbian_pos] = gh * retention
+            np.add.at(gv_t.reshape(-1), at_dst_h[:m * len(heb)],
+                      (gh * learn_rate * pre).ravel())
+            np.add.at(gv_prev.reshape(-1), at_src_h[:m * len(heb)],
+                      (gh * learn_rate * post).ravel())
         if len(sd):
             # increment is non-differentiable; only the additive carry and
             # its clip gate pass gradient
             _, raw_sd, _, _ = stdp_update(
-                st_prev.plastic.weights[topo.stdp_pos], topo.edge_src[sd],
+                st_prev.plastic.weights.take(topo.stdp_pos, 1), topo.edge_src[sd],
                 topo.edge_dst[sd], spikes_of(topo, v_t), st_prev.plastic.trace_pre,
                 st_prev.plastic.trace_post, meta)
-            ge_prev[topo.stdp_pos] = ge[topo.stdp_pos] * (np.abs(raw_sd)
-                                                          < meta.clip_bound)
+            ge_prev[:, topo.stdp_pos] = (ge_t.take(topo.stdp_pos, 1)
+                                         * (np.abs(raw_sd) < clip))
 
         # neuron backward
-        gu = np.zeros(n)
-        gs_prev = np.zeros(n)
+        gu = np.zeros((m, n))
+        gs_prev = np.zeros((m, n))
         if len(rate):
-            gz = (gs[rate] + gv[rate]) * (1.0 - v_t[rate] ** 2)
-            g[sc_sl] += gz * s_prev[rate]
-            g[b_sl] += gz
-            gu[rate] = gz
-            gs_prev[rate] = gz * self_coeff
+            gz = ((gs_t.take(rate, 1) + gv_t.take(rate, 1))
+                  * (1.0 - v_t.take(rate, 1) ** 2))
+            g_sc[a:b] += gz * s_prev.take(rate, 1)
+            g_b[a:b] += gz
+            gu[:, rate] = gz
+            gs_prev[:, rate] = gz * self_coeff
         if len(lif):
             u = gather(topo, w_full_prev, v_prev)
-            membrane = lif_membrane_pre(u[lif], s_prev[lif], topo.lif_params)
+            membrane = lif_membrane_pre(u.take(lif, 1), s_prev.take(lif, 1),
+                                        topo.lif_params)
             surr = lif_surrogate_grad(membrane, topo.lif_params)
-            spk = v_t[lif]
-            gp = gv[lif] * surr + gs[lif] * (1.0 - spk)
-            gu[lif] = gp * topo.lif_dt
-            gs_prev[lif] = gp * (1.0 - topo.lif_dt)
+            spk = v_t.take(lif, 1)
+            gp = gv_t.take(lif, 1) * surr + gs_t.take(lif, 1) * (1.0 - spk)
+            gu[:, lif] = gp * topo.lif_dt
+            gs_prev[:, lif] = gp * (1.0 - topo.lif_dt)
 
         # gather backward: u[dst] = sum_e w_e * v_prev[src_e]
-        contrib = gu[topo.edge_dst] * v_prev[topo.edge_src]
-        if len(topo.static_idx):
-            g[w0_sl][topo.static_idx] += contrib[topo.static_idx]
+        gu_e = gu.take(topo.edge_dst, 1)
+        contrib = gu_e * v_prev.take(topo.edge_src, 1)
+        if len(static):
+            g_w0[a:b] += contrib.take(static, 1)
         if topo.n_plastic:
-            ge_prev += contrib[topo.plastic_idx]
-        np.add.at(gv_prev, topo.edge_src, gu[topo.edge_dst] * w_full_prev)
+            ge_prev += contrib.take(topo.plastic_idx, 1)
+        np.add.at(gv_prev.reshape(-1), at_src[:m * topo.n_edges],
+                  (gu_e * w_full_prev).ravel())
 
-        gs = gs_prev
-        gv = gv_prev
-        ge = ge_prev
+        gs[a:b] = gs_prev
+        gv[a:b] = gv_prev
+        ge[a:b] = ge_prev
 
+    g = np.zeros((B, params.count))
+    reg = params.registry
+    g[:, reg["w0"].start + static] = g_w0
+    g[:, reg["self_coeff"]] = g_sc
+    g[:, reg["bias"]] = g_b
+    if len(heb):
+        g[:, reg["learn_rate"]] = g_lr
+        g[:, reg["retention_raw"].start] = g_ret
     return g, StateGradient(s=gs, v=gv, e=ge)
 
 
@@ -319,44 +409,91 @@ def episode_loss(topology: NetworkTopology, params: ParameterSet, xs, ys, mask,
 def episode_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
                       mask, loss_tag: str) -> tuple[float, np.ndarray]:
     """Full-window backpropagation over one episode from its start."""
-    state0 = fresh_state(topology, params)
-    loss, tape, _ = forward_taped(state0, xs, ys, mask, topology, params, loss_tag)
-    g, entry = backward(tape)
-    if topology.n_plastic:
-        g[params.registry["w0"]][topology.plastic_idx] += entry.e
-    return loss, params.apply_freeze(g)
+    T = max(1, len(xs))
+    return tbptt_gradients(topology, params, xs, ys, mask, loss_tag, T, T)
 
 
 def tbptt_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
                     mask, loss_tag: str, k1: int, k2: int) -> tuple[float, np.ndarray]:
-    """Truncated backpropagation through time.
+    """Truncated backpropagation through time over one episode.
 
     Windows flush every ``k1`` steps (and at the sequence end), each
     unrolling at most ``k2`` steps back; state carries across flushes but
     gradient does not. Loss derivatives are injected only at not-yet-
     flushed steps, so with ``k2 >= T`` the result equals full
-    backpropagation regardless of ``k1``.
+    backpropagation regardless of ``k1``. The batch of one of
+    ``batch_gradients``.
     """
+    xs, ys = _window(xs, ys)
+    mask = _norm_mask(mask, (len(xs), topology.n_outputs))
+    losses, grads = batch_gradients(topology, params, xs[None], ys[None],
+                                    mask[None], [len(xs)], loss_tag, k1, k2)
+    return losses[0], grads[0]
+
+
+def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
+                    mask, lengths, loss_tag: str, k1: int | None = None,
+                    k2: int | None = None) -> tuple[list[float], np.ndarray]:
+    """Losses and gradients of a batch of episodes run in lockstep.
+
+    ``xs`` (B x T x n_in), ``ys`` and ``mask`` (B x T x n_out) hold the
+    episodes zero-padded to the longest, rows sorted by ``lengths``,
+    longest first. Windows as in ``tbptt_gradients``; ``k1 = None`` is the
+    full window. Returns (B losses, B x P gradient rows); row b is bitwise
+    the result of ``tbptt_gradients`` on episode b alone.
+    """
+    xs, ys = _window(xs, ys)
+    mask = _norm_mask(mask, ys.shape)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    B, T = xs.shape[:2]
+    if k1 is None:
+        k1 = k2 = max(1, T)
     if not (1 <= k1 <= k2):
         raise ValueError(f"invalid window config k1={k1}, k2={k2}")
-    total_loss, full, _ = forward_taped(fresh_state(topology, params), xs, ys,
-                                        mask, topology, params, loss_tag)
-    T = len(full)
-    grad = np.zeros(params.count)
-    last_flushed = 0
-    for t in [*range(k1, T, k1), T]:
-        t0 = t - min(k2, t)
-        win_mask = full.mask[t0:t].copy()
-        # rows already flushed carry no fresh loss
-        win_mask[:last_flushed - t0] = 0.0
-        tape = replace(full, states=full.states[t0:t + 1], xs=full.xs[t0:t],
-                       ys=full.ys[t0:t], mask=win_mask)
-        g, entry = backward(tape)
-        grad += g
-        if t0 == 0 and topology.n_plastic:
-            grad[params.registry["w0"]][topology.plastic_idx] += entry.e
-        last_flushed = t
-    return total_loss, params.apply_freeze(grad)
+    w0_plastic = params.registry["w0"].start + topology.plastic_idx
+    grads = np.zeros((B, params.count))
+    outs = np.zeros(ys.shape)
+    state = fresh_state(topology, params, batch=B)
+    kept = [state]           # the states after steps kept_from, kept_from + 1, ...
+    kept_from = 0
+    flushed = 0
+    for flush in [*range(k1, T, k1), T]:
+        chunk: list[RolloutState] = []
+        outs[:, flushed:flush], state = rollout(
+            state, xs[:, flushed:flush], topology, params, states=chunk,
+            lengths=np.clip(lengths - flushed, 0, flush - flushed))
+        kept += chunk[1:]
+        rows = int(np.count_nonzero(lengths > flushed))  # rows with fresh steps
+        if rows:
+            stop = np.minimum(flush, lengths[:rows])
+            begin = stop - np.minimum(k2, stop)
+            t0 = int(begin[-1])
+            win_mask = mask[:rows, t0:flush].copy()
+            # steps already flushed carry no fresh loss
+            win_mask[:, :flushed - t0] = 0.0
+            tape = Tape(topology=topology, params=params,
+                        states=kept[t0 - kept_from:flush - kept_from + 1],
+                        xs=xs[:rows, t0:flush], ys=ys[:rows, t0:flush],
+                        mask=win_mask, loss_tag=loss_tag,
+                        spans=(begin - t0, stop - t0))
+            g, entry = backward(tape)
+            grads[:rows] += g
+            if topology.n_plastic:
+                # plastic weights reset to w0 at the episode start
+                at_start = np.flatnonzero(begin == 0)
+                grads[np.ix_(at_start, w0_plastic)] += entry.e[at_start]
+        flushed = flush
+        # later windows read no state from before step flush + 1 - k2
+        drop = flush + 1 - k2 - kept_from
+        if drop > 0:
+            del kept[:drop]
+            kept_from += drop
+    losses = outputs_loss(loss_tag, outs, ys, mask)
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if len(bad):
+        raise NumericsError(f"non-finite loss in an episode of length "
+                            f"{lengths[bad[0]]}", row=int(bad[0]))
+    return losses.tolist(), params.apply_freeze(grads)
 
 
 def fd_gradient(topology: NetworkTopology, params: ParameterSet, xs, ys, mask,

@@ -317,9 +317,9 @@ def load_dataset(path: str) -> Dataset:
         if manifest.get("format") != FORMAT_TAG:
             raise DatasetError(f"line 1: missing or unsupported format tag "
                                f"(expected {FORMAT_TAG!r})")
-        declared = int(manifest["episodes"])
-        n_in = int(manifest["dims"]["inputs"])
-        n_out = int(manifest["dims"]["outputs"])
+        declared, n_in, n_out = (_count(manifest, "episodes"),
+                                 _count(manifest["dims"], "inputs"),
+                                 _count(manifest["dims"], "outputs"))
     except DatasetError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -334,11 +334,9 @@ def load_dataset(path: str) -> Dataset:
         try:
             rec = json.loads(ln)
             unknown = set(rec) - {"x", "y", "mask", "meta"}
-            x = np.array(rec["x"], dtype=np.float64)
-            y = np.array(rec["y"], dtype=np.float64)
-            mask = None
-            if "mask" in rec:
-                mask = np.array(rec["mask"], dtype=np.float64)
+            x = _numbers(rec, "x", lineno)
+            y = _numbers(rec, "y", lineno)
+            mask = _numbers(rec, "mask", lineno) if "mask" in rec else None
             meta = dict(rec.get("meta", {}))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise DatasetError(f"line {lineno}: malformed episode: "
@@ -350,7 +348,31 @@ def load_dataset(path: str) -> Dataset:
                                f"with manifest {n_in}x{n_out}")
         if len(x) != len(y) or (mask is not None and mask.shape != y.shape):
             raise DatasetError(f"line {lineno}: sequence lengths disagree")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise DatasetError(f"line {lineno}: non-finite values")
         episodes.append(Episode(x=x, y=y, mask=mask, meta=meta))
+    # one finiteness pass over every array; on failure, find the line
+    def arrays(ep):
+        return [a.ravel() for a in (ep.x, ep.y, ep.mask) if a is not None]
+
+    if episodes and not np.isfinite(np.concatenate(
+            [a for ep in episodes for a in arrays(ep)])).all():
+        bad = next(i for i, ep in enumerate(episodes)
+                   if not np.isfinite(np.concatenate(arrays(ep))).all())
+        raise DatasetError(f"line {bad + 2}: non-finite values")
     return Dataset(episodes=episodes, manifest=manifest)
+
+
+def _count(doc: dict, key: str) -> int:
+    """A manifest count: a JSON integer (a bool is not one)."""
+    value = doc[key]
+    if type(value) is not int:
+        raise DatasetError(f"line 1: manifest {key} must be an integer, "
+                           f"got {value!r}")
+    return value
+
+
+def _numbers(rec: dict, key: str, lineno: int) -> np.ndarray:
+    """An episode array of JSON numbers (no strings, bools or nulls)."""
+    values = np.array(rec[key])
+    if values.dtype.kind not in "iuf":
+        raise DatasetError(f"line {lineno}: {key} must hold numbers only")
+    return values.astype(np.float64, copy=False)

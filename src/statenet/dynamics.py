@@ -26,7 +26,12 @@ from .topology import LifParams, RateParams
 
 
 class NumericsError(FloatingPointError):
-    """Non-finite value produced or consumed by a neuron update."""
+    """Non-finite value produced or consumed by a neuron update. ``row`` is
+    the episode's row when the update ran over a batch."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 def _finite(where: str, drive, s_prev):

@@ -1,5 +1,15 @@
 """Step-by-step network execution with synchronous one-step edge delay.
 
+Every state array has the neuron (or plastic-edge) axis last and an
+optional leading episode axis: ``step`` and ``rollout`` run one episode
+on ``(n,)`` arrays, or a batch of episodes in lockstep on ``(B, n)``
+arrays. Each row of a batch is bitwise the result of running that episode
+alone: every operation is elementwise per row, and the gather sums each
+row's edges in edge order. A batch of ragged episodes is run with its rows
+sorted by length, longest first; ``rollout``'s ``lengths`` stops each row
+at its own end, so the state after step t holds only the rows still
+running, a prefix of the batch.
+
 Order of operations inside one step:
 
 1. clamp input-neuron outputs to the external stimulus,
@@ -52,6 +62,12 @@ class RolloutState:
         return RolloutState(self.s.copy(), self.v_last.copy(),
                             self.plastic.copy(), self.t)
 
+    def rows(self, rows: slice | None) -> "RolloutState":
+        """Views of some episodes of a batch state; ``None`` views one
+        episode's state as a batch of one."""
+        return RolloutState(self.s[rows], self.v_last[rows],
+                            self.plastic.rows(rows), self.t)
+
 
 @dataclass
 class StepResult:
@@ -60,8 +76,8 @@ class StepResult:
 
 
 class ProbeWriter:
-    """Columnar per-step trace: rows ``t,kind,id,a,b`` where neuron rows
-    carry (state, output) and edge rows carry (weight, '')."""
+    """Columnar per-step trace of one episode: rows ``t,kind,id,a,b`` where
+    neuron rows carry (state, output) and edge rows carry (weight, '')."""
 
     def __init__(self, path: str, edge_stride: int = 0):
         self.fh = open(path, "w", encoding="utf-8")
@@ -70,13 +86,15 @@ class ProbeWriter:
 
     def record(self, t: int, s: np.ndarray, v: np.ndarray,
                topology: NetworkTopology, weights: np.ndarray) -> None:
-        for i in range(len(s)):
-            self.fh.write(f"{t},n,{i},{s[i]!r},{v[i]!r}\n")
+        # tolist() gives Python floats, whose repr reads back bitwise
+        rows = [f"{t},n,{i},{a!r},{b!r}\n"
+                for i, a, b in zip(range(len(s)), s.tolist(), v.tolist())]
         if self.edge_stride and t % self.edge_stride == 0:
-            for k in topology.plastic_idx:
-                e = topology.edges[k]
-                w = weights[int(k)]
-                self.fh.write(f"{t},e,{e.src}->{e.dst},{w!r},\n")
+            idx = topology.plastic_idx
+            rows += [f"{t},e,{src}->{dst},{w!r},\n" for src, dst, w in zip(
+                topology.edge_src[idx].tolist(), topology.edge_dst[idx].tolist(),
+                weights[idx].tolist())]
+        self.fh.write("".join(rows))
 
     def close(self) -> None:
         self.fh.close()
@@ -88,108 +106,173 @@ class ProbeWriter:
         self.close()
 
 
-def fresh_state(topology: NetworkTopology, params: ParameterSet) -> RolloutState:
+def fresh_state(topology: NetworkTopology, params: ParameterSet,
+                batch: int | None = None) -> RolloutState:
     """Episode-start state: rate states zero, membranes at rest, no prior
-    outputs, plastic weights at their trainable initial values."""
-    s = np.zeros(topology.n)
+    outputs, plastic weights at their trainable initial values; with
+    ``batch``, that state for each of ``batch`` episodes."""
+    shape = (topology.n,) if batch is None else (batch, topology.n)
+    s = np.zeros(shape)
     if len(topology.lif_ids):
-        s[topology.lif_ids] = topology.lif_rest
-    return RolloutState(s=s, v_last=np.zeros(topology.n),
-                        plastic=reset_plastic_state(topology, params.w0), t=0)
+        s[..., topology.lif_ids] = topology.lif_rest
+    return RolloutState(s=s, v_last=np.zeros(shape),
+                        plastic=reset_plastic_state(topology, params.w0, batch),
+                        t=0)
 
 
 def full_weights(topology: NetworkTopology, params: ParameterSet,
                  plastic: PlasticEdgeState) -> np.ndarray:
-    """Effective per-edge weight vector: trainable initials with the
-    plastic entries replaced by their current values."""
-    w = params.w0.copy()
+    """Effective per-edge weights (one row per episode of a batch):
+    trainable initials with the plastic entries replaced by their current
+    values."""
+    w = np.empty(plastic.weights.shape[:-1] + (topology.n_edges,))
+    w[...] = params.w0
     if len(topology.plastic_idx):
-        w[topology.plastic_idx] = plastic.weights
+        w.T[topology.plastic_idx] = plastic.weights.T
     return w
+
+
+def row_index(idx: np.ndarray, n: int, rows: int) -> np.ndarray:
+    """``idx`` into the flattened ``(rows, n)`` array: row b's copy offset by
+    ``b * n``, rows in order."""
+    return (np.arange(rows)[:, None] * n + idx).ravel()
 
 
 def gather(topology: NetworkTopology, w: np.ndarray,
            v_last: np.ndarray) -> np.ndarray:
-    """Per-neuron drive from previous-step outputs, in edge order."""
-    u = np.zeros(topology.n)
-    np.add.at(u, topology.edge_dst, w * v_last[topology.edge_src])
-    return u
+    """Per-neuron drive from previous-step outputs, summed in edge order
+    (bitwise ``np.add.at`` into zeros)."""
+    contrib = w * v_last.take(topology.edge_src, -1)
+    if v_last.ndim == 1:
+        return np.bincount(topology.edge_dst, contrib, minlength=topology.n)
+    rows, n = v_last.shape
+    return np.bincount(row_index(topology.edge_dst, n, rows), contrib.ravel(),
+                       minlength=rows * n).reshape(rows, n)
 
 
 def spikes_of(topology: NetworkTopology, v: np.ndarray) -> np.ndarray:
     """Outputs of lif neurons (inputs included), zero elsewhere."""
-    spikes = np.zeros(topology.n)
-    spikes[topology.lif_ids] = v[topology.lif_ids]
-    spikes[topology.lif_input_ids] = v[topology.lif_input_ids]
+    spikes = np.zeros(v.shape)
+    for ids in (topology.lif_ids, topology.lif_input_ids):
+        spikes.T[ids] = v.T[ids]
     return spikes
 
 
 def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
          params: ParameterSet) -> tuple[StepResult, RolloutState]:
-    """Advance the network one step. Returns (result, next state)."""
+    """Advance the network one step. Returns (result, next state).
+
+    A batch state takes one stimulus row per episode; a non-finite value
+    raises ``NumericsError`` naming the step, the neuron and the row."""
     t = state.t + 1
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (topology.n_inputs,):
-        raise ValueError(f"stimulus shape {x.shape} != ({topology.n_inputs},) "
-                         f"at t={t}")
+    want = state.v_last.shape[:-1] + (topology.n_inputs,)
+    if x.shape != want:
+        raise ValueError(f"stimulus shape {x.shape} != {want} at t={t}")
     if not np.isfinite(x).all():
-        raise NumericsError(f"non-finite stimulus at t={t}")
+        raise _non_finite(f"non-finite stimulus at t={t}", np.isfinite(x))
 
-    v = np.zeros(topology.n)
-    v[topology.input_ids] = x
+    # neuron-axis reads use take(), writes the transposed view: both cost
+    # about what a plain a[idx] does on one episode's (n,) arrays
+    v = np.zeros(state.v_last.shape)
+    v.T[topology.input_ids] = x.T
     u = gather(topology, full_weights(topology, params, state.plastic),
                state.v_last)
 
     s_new = state.s.copy()
     rate = topology.rate_ids
     if len(rate):
-        v[rate], s_new[rate] = rate_step(u[rate], state.s[rate], params,
-                                         check=False)
+        out, s_rate = rate_step(u.take(rate, -1),
+                                state.s.take(rate, -1), params, check=False)
+        v.T[rate] = out.T
+        s_new.T[rate] = s_rate.T
     lif = topology.lif_ids
     if len(lif):
-        v[lif], s_new[lif] = lif_step(u[lif], state.s[lif], topology.lif_params,
-                                      check=False)
+        out, s_lif = lif_step(u.take(lif, -1), state.s.take(lif, -1),
+                              topology.lif_params, check=False)
+        v.T[lif] = out.T
+        s_new.T[lif] = s_lif.T
 
-    if not np.isfinite(v).all() or not np.isfinite(s_new).all():
-        bad = int(np.flatnonzero(~(np.isfinite(v) & np.isfinite(s_new)))[0])
-        raise NumericsError(f"non-finite value at t={t}, neuron {bad}")
+    # rate outputs equal their new states and spikes are 0 or 1, so the
+    # new states are the values to check
+    finite = np.isfinite(s_new)
+    if not finite.all():
+        raise _non_finite(f"non-finite value at t={t}, neuron "
+                          f"{np.argwhere(~finite)[0][-1]}", finite)
 
-    new_plastic = state.plastic.copy()
+    # the rules replace the traces, never write into them: share them
+    new_plastic = PlasticEdgeState(state.plastic.weights.copy(),
+                                   state.plastic.trace_pre,
+                                   state.plastic.trace_post)
     meta = params.meta
     heb = topology.hebbian_idx
     if len(heb):
-        new_plastic.weights[topology.hebbian_pos], _ = hebbian_update(
-            state.plastic.weights[topology.hebbian_pos],
-            state.v_last[topology.edge_src[heb]], v[topology.edge_dst[heb]],
+        e_new, _ = hebbian_update(
+            state.plastic.weights.take(topology.hebbian_pos, -1),
+            state.v_last.take(topology.edge_src[heb], -1),
+            v.take(topology.edge_dst[heb], -1),
             params.learn_rate, params.retention, meta.clip_bound)
+        new_plastic.weights.T[topology.hebbian_pos] = e_new.T
     sd = topology.stdp_idx
     if len(sd):
-        (new_plastic.weights[topology.stdp_pos], _, new_plastic.trace_pre,
-         new_plastic.trace_post) = stdp_update(
-            state.plastic.weights[topology.stdp_pos], topology.edge_src[sd],
-            topology.edge_dst[sd], spikes_of(topology, v),
+        e_new, _, new_plastic.trace_pre, new_plastic.trace_post = stdp_update(
+            state.plastic.weights.take(topology.stdp_pos, -1),
+            topology.edge_src[sd], topology.edge_dst[sd], spikes_of(topology, v),
             state.plastic.trace_pre, state.plastic.trace_post, meta)
+        new_plastic.weights.T[topology.stdp_pos] = e_new.T
 
-    result = StepResult(y=v[topology.output_ids].copy(), probe=v)
+    result = StepResult(y=v.take(topology.output_ids, -1), probe=v)
     next_state = RolloutState(s=s_new, v_last=v, plastic=new_plastic, t=t)
     return result, next_state
+
+
+def _non_finite(message: str, ok: np.ndarray) -> NumericsError:
+    """The error for a failed finiteness check; a batch's names the first
+    row that failed it."""
+    if ok.ndim < 2:
+        return NumericsError(message)
+    return NumericsError(message, row=int(np.argwhere(~ok)[0][0]))
 
 
 def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
             params: ParameterSet, probe: ProbeWriter | None = None,
             states: list[RolloutState] | None = None,
-            ) -> tuple[np.ndarray, RolloutState]:
-    """Fold ``step`` over a stimulus sequence. Returns (T x n_out outputs,
-    final state). ``states``, when given, receives the entry state and the
-    state after every step."""
+            lengths=None) -> tuple[np.ndarray, RolloutState]:
+    """Fold ``step`` over a stimulus sequence. Returns (outputs, final
+    state). ``states``, when given, receives the entry state and the state
+    after every step.
+
+    One episode: ``xs`` is (T x n_in), the outputs (T x n_out). A batch:
+    ``state0`` holds B rows, ``xs`` is (B x T x n_in), the outputs
+    (B x T x n_out). ``lengths`` (B steps counts, non-increasing) ends row
+    b after ``lengths[b]`` steps: its later outputs stay zero, and the
+    states after step t (the final state too) hold only the rows still
+    running then. ``probe`` records one episode.
+    """
     xs = np.asarray(xs, dtype=np.float64)
-    ys = np.zeros((len(xs), topology.n_outputs))
+    ys = np.zeros(xs.shape[:-1] + (topology.n_outputs,))
+    by_step, out, rows = xs, ys, None
+    if xs.ndim == 3:
+        if probe is not None:
+            raise ValueError("a probe records one episode, not a batch")
+        by_step, out = xs.swapaxes(0, 1), ys.swapaxes(0, 1)
+        if lengths is None:
+            lengths = np.full(len(xs), len(by_step))
+        lengths = np.asarray(lengths)
+        if np.any(np.diff(lengths) > 0):
+            raise ValueError("batch rows must be sorted by length, longest first")
+        rows = np.count_nonzero(lengths[:, None] > np.arange(len(by_step)), axis=0)
     state = state0
     if states is not None:
         states.append(state)
-    for t in range(len(xs)):
-        res, state = step(state, xs[t], topology, params)
-        ys[t] = res.y
+    for t in range(len(by_step)):
+        x, y = by_step[t], out[t]
+        if rows is not None:
+            x, y = x[:rows[t]], y[:rows[t]]
+            if rows[t] < len(state.s):
+                state = state.rows(slice(rows[t]))
+        res, state = step(state, x, topology, params)
+        y[...] = res.y
         if states is not None:
             states.append(state)
         if probe is not None:

@@ -119,7 +119,8 @@ class ParameterSet:
         return mask
 
     def apply_freeze(self, gradient: np.ndarray) -> np.ndarray:
-        """Zero gradient entries of frozen segments (in place) and return it."""
+        """Zero gradient entries of frozen segments (in place, in every row
+        of a batch of gradients) and return it."""
         if self.frozen:
-            gradient[self.frozen_mask()] = 0.0
+            gradient[..., self.frozen_mask()] = 0.0
         return gradient

@@ -1,8 +1,12 @@
 """Optimization loop, checkpointing, and task evaluations.
 
-Batch gradients are the mean over the batch's episodes (summed in episode
-index order, so results do not depend on worker count), clipped by global
-norm, then applied with plain SGD or the adaptive-moments optimizer.
+Batch gradients are the mean over the batch's episodes, which run as one
+lockstep batch (``autodiff.batch_gradients``; with workers, one lockstep
+sub-batch per worker). Each episode's gradient row is bitwise independent
+of its batch partners, and the rows are summed in episode order, so
+results depend on neither batch layout nor worker count. The mean is
+clipped by global norm, then applied with plain SGD or the
+adaptive-moments optimizer.
 Everything is deterministic for a fixed (topology, dataset, config, seed):
 the per-epoch shuffle order derives from the seed and the epoch index, so
 resuming from a checkpoint continues the exact run.
@@ -16,14 +20,16 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import outputs_loss, tbptt_gradients
+from .autodiff import batch_gradients, outputs_loss
 from .datasets import Dataset, DatasetError
+from .dynamics import NumericsError
 from .engine import fresh_state, rollout, step
 from .jsonio import atomic_write, decode, read_json, write_json
 from .params import ParameterSet
@@ -34,6 +40,7 @@ from .topology import NetworkTopology
 
 CHECKPOINT_TAG = "snn-checkpoint/1"
 DIVERGENCE_LIMIT = 1e6
+PREDICT_CHUNK = 32       # episodes rolled out in lockstep by evaluations
 
 
 class DivergenceError(RuntimeError):
@@ -66,6 +73,9 @@ class TrainConfig:
     workers: int = 1
 
     def validate(self) -> None:
+        for name, value in asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.loss_tag not in ("mse", "bce", "cce"):
             raise ValueError(f"unknown loss tag {self.loss_tag!r}")
         if self.optimizer not in ("sgd", "adam", "adaptive-moments"):
@@ -248,28 +258,60 @@ def load_checkpoint(path: str, topology: NetworkTopology, config: TrainConfig,
 # gradient workers
 
 
-def _episode_gradient_task(args):
-    topology, params, episode, loss_tag, k1, k2 = args
-    T = max(1, episode.length)
-    kk1 = k1 if k1 is not None else T
-    kk2 = k2 if k2 is not None else T
-    return tbptt_gradients(topology, params, episode.x, episode.y, episode.mask,
-                           loss_tag, kk1, kk2)
+def _padded_batch(episodes: list, topology: NetworkTopology):
+    """Episodes as one lockstep batch, rows sorted by length, longest first
+    (ties in episode order), zero-padded to the longest. Returns (order,
+    xs, ys, mask, lengths); ``order[r]`` is the episode in row r."""
+    order = sorted(range(len(episodes)), key=lambda i: -episodes[i].length)
+    lengths = [episodes[i].length for i in order]
+    shape = (len(episodes), lengths[0] if lengths else 0)
+    xs = np.zeros(shape + (topology.n_inputs,))
+    ys = np.zeros(shape + (topology.n_outputs,))
+    mask = np.zeros(shape + (topology.n_outputs,))
+    for row, i in enumerate(order):
+        ep = episodes[i]
+        xs[row, :ep.length] = ep.x
+        ys[row, :ep.length] = ep.y
+        mask[row, :ep.length] = 1.0 if ep.mask is None else ep.mask
+    return order, xs, ys, mask, lengths
+
+
+def _episode_rows(topology, params, episodes, first, loss_tag, k1, k2):
+    """(losses, gradient rows) of contiguous episodes of a batch, in their
+    order, from one lockstep pass; ``first`` is the batch position of the
+    first of them, so a ``NumericsError`` names its row in the batch."""
+    order, xs, ys, mask, lengths = _padded_batch(episodes, topology)
+    try:
+        losses, grads = batch_gradients(topology, params, xs, ys, mask, lengths,
+                                        loss_tag, k1, k2)
+    except NumericsError as exc:
+        if exc.row is not None:
+            exc.row = first + order[exc.row]
+        raise
+    rows = np.argsort(order)          # episode i sits in row rows[i]
+    return [losses[r] for r in rows], grads[rows]
 
 
 def _batch_gradients(topology, params, episodes, config, pool):
-    tasks = [(topology, params, ep, config.loss_tag, config.k1, config.k2)
-             for ep in episodes]
+    """Mean loss and gradient of a batch. ``pool`` maps contiguous
+    sub-batches, one per worker."""
     if pool is None:
-        results = [_episode_gradient_task(t) for t in tasks]
+        results = [_episode_rows(topology, params, episodes, 0, config.loss_tag,
+                                 config.k1, config.k2)]
     else:
-        results = list(pool.map(_episode_gradient_task, tasks))
+        size = -(-len(episodes) // config.workers)
+        parts = [pool.submit(_episode_rows, topology, params,
+                             episodes[lo:lo + size], lo, config.loss_tag,
+                             config.k1, config.k2)
+                 for lo in range(0, len(episodes), size)]
+        results = [part.result() for part in parts]
     total_loss = 0.0
     grad = np.zeros(params.count)
-    for loss, g in results:      # fixed episode order: deterministic reduction
-        total_loss += loss
-        grad += g
-    k = float(len(results))
+    for losses, rows in results:      # episode order: deterministic reduction
+        for loss, g in zip(losses, rows):
+            total_loss += loss
+            grad += g
+    k = float(len(episodes))
     return total_loss / k, grad / k
 
 
@@ -331,6 +373,8 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
                     # parameters blew up far enough to break the forward pass
                     loss, grad = float("nan"), None
                     blame = str(exc)
+                    if getattr(exc, "row", None) is not None:
+                        blame = f"episode {order[lo + exc.row]}: {blame}"
                 else:
                     blame = f"loss {loss}"
                 if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
@@ -468,10 +512,18 @@ def eval_pavlov_acquisition(params: ParameterSet, topology: NetworkTopology,
 
 def _predict(params: ParameterSet, topology: NetworkTopology,
              dataset: Dataset) -> list[np.ndarray]:
-    """Each episode's outputs, rolled out from a fresh episode-start state."""
+    """Each episode's outputs, rolled out from a fresh episode-start state,
+    PREDICT_CHUNK episodes at a time in lockstep."""
     check_dims(dataset, topology)
-    return [rollout(fresh_state(topology, params), ep.x, topology, params)[0]
-            for ep in dataset.episodes]
+    outputs = []
+    for lo in range(0, len(dataset), PREDICT_CHUNK):
+        chunk = dataset.episodes[lo:lo + PREDICT_CHUNK]
+        order, xs, _, _, lengths = _padded_batch(chunk, topology)
+        ys, _ = rollout(fresh_state(topology, params, batch=len(chunk)), xs,
+                        topology, params, lengths=lengths)
+        rows = {i: ys[row, :lengths[row]] for row, i in enumerate(order)}
+        outputs += [rows[i] for i in range(len(chunk))]
+    return outputs
 
 
 def check_dims(dataset: Dataset, topology: NetworkTopology) -> None:

@@ -10,8 +10,8 @@ from statenet.autodiff import (Tape, TapeReplayError, StateGradient, backward,
 from statenet.engine import fresh_state
 from statenet.params import ParameterSet
 from statenet.rng import Rng
-from statenet.topology import (EdgeSpec, NetworkTopology, NeuronSpec,
-                               RateParams, build_random)
+from statenet.topology import (EdgeSpec, LifParams, NetworkTopology,
+                               NeuronSpec, RateParams, build_random)
 
 
 def jitter(params, seed, scale=0.3):
@@ -400,3 +400,81 @@ def test_fd_gradient_on_quadratic_toy():
     v = math.tanh(0.3 * 0.2)
     hand = v * (1 - v * v) * 0.2
     assert fd[w_idx] == pytest.approx(hand, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# lockstep batches
+
+
+def random_episodes(seed, count, n_in, n_out, loss_tag):
+    """Episodes of 1..20 steps with random stimuli, targets and masks."""
+    from statenet.datasets import Episode
+    rng = Rng(seed)
+    episodes = []
+    for _ in range(count):
+        T = rng.randrange(1, 20)
+        xs, ys = random_sequence(rng.randrange(0, 10**6), T, n_in, n_out)
+        if loss_tag == "cce":
+            ys = np.eye(n_out)[[rng.randrange(0, n_out - 1) for _ in range(T)]]
+            mask = np.repeat([[float(rng.chance(0.8))] for _ in range(T)],
+                             n_out, axis=1)
+        else:
+            mask = np.array([[float(rng.chance(0.8)) for _ in range(n_out)]
+                             for _ in range(T)])
+        episodes.append(Episode(x=xs, y=ys, mask=mask))
+    return episodes
+
+
+BATCH_NETS = {
+    "rate-hebbian-bce": (dict(model="rate", n_inputs=2, n_outputs=1,
+                              plastic_rule="hebbian"), "bce"),
+    "rate-hebbian-cce": (dict(model="rate", n_inputs=3, n_outputs=3,
+                              plastic_rule="hebbian"), "cce"),
+    "lif-stdp-mse": (dict(model="lif", n_inputs=2, n_outputs=1,
+                          plastic_rule="stdp",
+                          lif_params=LifParams(threshold=0.15)), "mse"),
+}
+
+
+@pytest.mark.parametrize("net", sorted(BATCH_NETS))
+@pytest.mark.parametrize("k1,k2", [(None, None), (1, 1), (2, 3), (8, 16)])
+def test_episode_row_independent_of_batch(net, k1, k2):
+    # an episode's loss and gradient row are bitwise the same alone and in
+    # lockstep batches of any size, whatever its partners
+    from statenet.training import _episode_rows
+    kwargs, tag = BATCH_NETS[net]
+    topo = build_random(8, 0.5, seed=41, direct_io=True, **kwargs)
+    params = jitter(ParameterSet.from_topology(topo), 42)
+    episodes = random_episodes(43, 40, topo.n_inputs, topo.n_outputs, tag)
+    alone = [tbptt_gradients(topo, params, ep.x, ep.y, ep.mask, tag,
+                             k1 or ep.length, k2 or ep.length)
+             for ep in episodes]
+    rng = Rng(44)
+    for size in (1, 3, 32):
+        order = list(range(len(episodes)))
+        rng.shuffle(order)
+        for lo in range(0, len(order), size):
+            ids = order[lo:lo + size]
+            losses, rows = _episode_rows(topo, params, [episodes[i] for i in ids],
+                                         0, tag, k1, k2)
+            for i, loss, row in zip(ids, losses, rows):
+                assert type(loss) is float and loss == alone[i][0]
+                assert row.tobytes() == alone[i][1].tobytes()
+
+
+def test_batch_tape_replays_bitwise_and_detects_corruption():
+    topo = build_random(3, 0.8, seed=7, model="rate", n_inputs=1, n_outputs=1,
+                        plastic_rule="hebbian")
+    params = jitter(ParameterSet.from_topology(topo), 8)
+    xs = np.stack([random_sequence(9 + b, 6, 1, 1)[0] for b in range(3)])
+    losses, tape, _ = forward_taped(fresh_state(topo, params, batch=3), xs,
+                                    np.zeros((3, 6, 1)), None, topo, params, "bce")
+    for b in range(3):
+        alone, _, _ = forward_taped(fresh_state(topo, params), xs[b],
+                                    np.zeros((6, 1)), None, topo, params, "bce")
+        assert losses[b] == alone
+    assert len(tape) == 3 * 6
+    tape.verify_replay()
+    tape.states[3].s[2, 0] += 1e-9
+    with pytest.raises(TapeReplayError):
+        tape.verify_replay()

@@ -94,9 +94,26 @@ def assert_one_error_line(result, codes=(2,)):
 
 
 def _dataset_line(files, tmp_path, lineno, **fields):
+    return _dataset_edit(files, tmp_path, lineno, lambda rec: rec.update(fields))
+
+
+def _dataset_edit(files, tmp_path, lineno, edit):
     records = read_lines(files["data"])
-    records[lineno].update(fields)
+    edit(records[lineno])
     return write_lines(tmp_path / "bad.jsonl", records)
+
+
+def _x_as_strings(rec):
+    rec["x"] = [[str(v) for v in row] for row in rec["x"]]
+
+
+def _mask_nan(rec):
+    rec["mask"] = [[float("nan")]] + [[1.0]] * (len(rec["y"]) - 1)
+
+
+def _train_config(files, tmp_path, **values):
+    return train_args(files, tmp_path) + [
+        "--config", write_json(tmp_path / "cfg.json", values)]
 
 
 def _topology(files, tmp_path, edit):
@@ -161,6 +178,18 @@ PROBES = {
     "resume-checkpoint-moment-scalar": lambda f, t: resume_args(
         f, t, _checkpoint(f, t, lambda d: {
             **d, "optimizer": {**d["optimizer"], "m": 5}})),
+    "train-config-learning-rate-nan": lambda f, t: _train_config(
+        f, t, learning_rate=float("nan")),
+    "train-config-grad-clip-infinity": lambda f, t: _train_config(
+        f, t, grad_clip=float("inf")),
+    "manifest-episodes-float": lambda f, t: train_args(
+        f, t, data=_dataset_line(f, t, 0, episodes=4.9)),
+    "manifest-dims-string": lambda f, t: train_args(
+        f, t, data=_dataset_line(f, t, 0, dims={"inputs": "2", "outputs": 1.0})),
+    "dataset-x-number-strings": lambda f, t: train_args(
+        f, t, data=_dataset_edit(f, t, 1, _x_as_strings)),
+    "dataset-mask-nan": lambda f, t: train_args(
+        f, t, data=_dataset_edit(f, t, 1, _mask_nan)),
 }
 
 

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -232,3 +233,31 @@ def test_probe_dump(tmp_path):
     assert lines[0] == "t,kind,id,a,b"
     assert sum(1 for ln in lines if ln.startswith("1,n,")) == topo.n
     assert len(lines) == 1 + 3 * topo.n  # no plastic edges in this net
+
+
+def test_probe_fields_read_back_bitwise(tmp_path):
+    topo = build_random(4, 0.8, seed=3, model="rate", n_inputs=1, n_outputs=1,
+                        plastic_rule="hebbian")
+    params = ParameterSet.from_topology(topo)
+    rng = Rng(4)
+    xs = np.array([[rng.uniform(-1, 1)] for _ in range(5)])
+    path = str(tmp_path / "probe.csv")
+    states = []
+    with ProbeWriter(path, edge_stride=1) as probe:
+        rollout(fresh_state(topo, params), xs, topo, params, probe=probe,
+                states=states)
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    plastic = {f"{topo.edge_src[k]}->{topo.edge_dst[k]}": pos
+               for pos, k in enumerate(topo.plastic_idx)}
+    for row in rows:
+        state = states[int(row["t"])]
+        if row["kind"] == "n":
+            i = int(row["id"])
+            assert float(row["a"]) == state.s[i]
+            assert float(row["b"]) == state.v_last[i]
+        else:
+            assert row["b"] == ""
+            assert float(row["a"]) == state.plastic.weights[plastic[row["id"]]]
+    assert sum(row["kind"] == "n" for row in rows) == 5 * topo.n
+    assert sum(row["kind"] == "e" for row in rows) == 5 * topo.n_plastic > 0

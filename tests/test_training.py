@@ -13,6 +13,8 @@ from statenet.params import ParameterSet
 from statenet.pong import PongConfig
 from statenet.rng import Rng
 from statenet.topology import build_random, save_topology
+from statenet.topology import (EdgeSpec, NetworkTopology, NeuronSpec,
+                               RateParams)
 from statenet.training import (Adam, CheckpointError, DivergenceError,
                                MetricsRow, Sgd, TrainConfig,
                                clip_global_norm, eval_pavlov_acquisition,
@@ -340,3 +342,59 @@ def test_recipe_shapes():
     assert len(topo.hidden_ids) == 16
     assert params.count == len(params.flat)
     cfg.validate()
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("bad,workers", [(0, 1), (2, 1), (3, 1), (2, 2)])
+def test_divergence_names_the_exploding_episode(bad, workers):
+    # both inputs drive the output, through +2 and -2: a stimulus of 1e308
+    # on both overflows the drive to inf - inf = NaN one step later
+    neurons = [NeuronSpec(0, "input", "rate", RateParams()),
+               NeuronSpec(1, "input", "rate", RateParams()),
+               NeuronSpec(2, "output", "rate", RateParams())]
+    topo = NetworkTopology(neurons, [EdgeSpec(0, 2, 2.0), EdgeSpec(1, 2, -2.0)])
+    rng = Rng(5)
+    episodes = []
+    for i in range(4):
+        # lengths differ, so the lockstep rows are not in episode order
+        x = np.array([[rng.uniform(0, 1), rng.uniform(0, 1)]
+                      for _ in range(3 + (i * 3) % 4)])
+        if i == bad:
+            x[1] = 1e308
+        episodes.append(Episode(x=x, y=np.zeros((len(x), 1))))
+    ds = Dataset(episodes, {"dims": {"inputs": 2, "outputs": 1}})
+    config = TrainConfig(loss_tag="mse", batch_size=4, epochs=1, workers=workers)
+    with pytest.raises(DivergenceError, match=(
+            rf"^episode {bad}: non-finite value at t=3, neuron 2 "
+            rf"at epoch 1, batch 0$")):
+        train(topo, ds, config)
+
+
+@pytest.mark.parametrize("k1,k2", [(None, None), (2, 3)])
+def test_benchmark_bindings(monkeypatch, k1, k2):
+    # perfbench/run.py times each batch at its one training.clip_global_norm
+    # call, and its tracer counts steps through engine.step in every module
+    # that binds it and swept steps as len() of backward's first argument
+    from statenet import autodiff, engine, training
+    assert training.step is engine.step
+    topo, ds = small_setup(episodes=10)
+    clips, swept = [], []
+    clip, sweep = training.clip_global_norm, autodiff.backward
+
+    def counting_clip(grad, bound):
+        clips.append(1)
+        return clip(grad, bound)
+
+    def counting_backward(tape, *args, **kwargs):
+        swept.append(len(tape))
+        return sweep(tape, *args, **kwargs)
+
+    monkeypatch.setattr(training, "clip_global_norm", counting_clip)
+    monkeypatch.setattr(autodiff, "backward", counting_backward)
+    train(topo, ds, TrainConfig(epochs=2, batch_size=4, k1=k1, k2=k2))
+    assert len(clips) == 2 * 3
+    lengths = [ep.length for ep in ds.episodes]
+    # each window sweeps min(k2, end) steps of its episode
+    per_epoch = sum(min(k2 or T, end) for T in lengths
+                    for end in [*range(k1 or T, T, k1 or T), T])
+    assert sum(swept) == 2 * per_epoch
