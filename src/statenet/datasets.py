@@ -337,12 +337,14 @@ def load_dataset(path: str) -> Dataset:
             x = _numbers(rec, "x", lineno)
             y = _numbers(rec, "y", lineno)
             mask = _numbers(rec, "mask", lineno) if "mask" in rec else None
-            meta = dict(rec.get("meta", {}))
+            meta = rec.get("meta", {})
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise DatasetError(f"line {lineno}: malformed episode: "
                                f"{type(exc).__name__}: {exc}") from exc
         if unknown:
             raise DatasetError(f"line {lineno}: unknown keys {sorted(unknown)}")
+        if type(meta) is not dict:
+            raise DatasetError(f"line {lineno}: meta must be a JSON object")
         if x.ndim != 2 or y.ndim != 2 or x.shape[1] != n_in or y.shape[1] != n_out:
             raise DatasetError(f"line {lineno}: episode dims inconsistent "
                                f"with manifest {n_in}x{n_out}")

@@ -8,7 +8,9 @@ alone: every operation is elementwise per row, and the gather sums each
 row's edges in edge order. A batch of ragged episodes is run with its rows
 sorted by length, longest first; ``rollout``'s ``lengths`` stops each row
 at its own end, so the state after step t holds only the rows still
-running, a prefix of the batch.
+running, a prefix of the batch. A closed loop, which learns that an
+episode has ended only by stepping it, drops the finished rows by index
+with ``RolloutState.rows``.
 
 Order of operations inside one step:
 
@@ -62,8 +64,9 @@ class RolloutState:
         return RolloutState(self.s.copy(), self.v_last.copy(),
                             self.plastic.copy(), self.t)
 
-    def rows(self, rows: slice | None) -> "RolloutState":
-        """Views of some episodes of a batch state; ``None`` views one
+    def rows(self, rows: slice | np.ndarray | None) -> "RolloutState":
+        """Some episodes of a batch state: a slice gives views, an integer
+        index array copies of those rows in its order; ``None`` views one
         episode's state as a batch of one."""
         return RolloutState(self.s[rows], self.v_last[rows],
                             self.plastic.rows(rows), self.t)

@@ -87,7 +87,8 @@ class PlasticEdgeState:
         return PlasticEdgeState(self.weights.copy(), self.trace_pre.copy(),
                                 self.trace_post.copy())
 
-    def rows(self, rows: slice | None) -> "PlasticEdgeState":
+    def rows(self, rows: slice | np.ndarray | None) -> "PlasticEdgeState":
+        """Some episodes' rows, picked as ``RolloutState.rows`` picks them."""
         return PlasticEdgeState(self.weights[rows], self.trace_pre[rows],
                                 self.trace_post[rows])
 

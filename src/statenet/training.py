@@ -88,8 +88,8 @@ class TrainConfig:
             raise ValueError(f"need 1 <= k1 <= k2, got ({self.k1}, {self.k2})")
         if self.grad_clip <= 0:
             raise ValueError("grad_clip must be positive")
-        if self.eval_stride < 1 or self.workers < 1:
-            raise ValueError("eval_stride and workers must be >= 1")
+        if self.eval_stride < 1 or self.eval_rollouts < 1 or self.workers < 1:
+            raise ValueError("eval_stride, eval_rollouts and workers must be >= 1")
 
 
 @dataclass
@@ -453,10 +453,11 @@ def _evaluate(topology, params, config, eval_dataset, pong_config):
     eval_loss = float("nan")
     task_metric = float("nan")
     if eval_dataset is not None and len(eval_dataset):
-        outputs = _predict(params, topology, eval_dataset)
+        outputs, losses = _predict(params, topology, eval_dataset,
+                                   config.loss_tag)
         total = 0.0
-        for outs, ep in zip(outputs, eval_dataset.episodes):
-            total += outputs_loss(config.loss_tag, outs, ep.y, ep.mask)
+        for loss in losses:           # episode order: deterministic reduction
+            total += loss
         eval_loss = total / len(eval_dataset)
         if config.task == "pavlov":
             task_metric, _ = _acquisition_from_predictions(outputs, eval_dataset,
@@ -506,24 +507,29 @@ def eval_pavlov_acquisition(params: ParameterSet, topology: NetworkTopology,
                             dataset: Dataset, loss_tag: str = "bce"):
     """Fraction of episodes whose thresholded test-stage predictions match
     the ground truth at every test step. Returns (accuracy, breakdown)."""
-    return _acquisition_from_predictions(_predict(params, topology, dataset),
-                                         dataset, loss_tag)
+    outputs, _ = _predict(params, topology, dataset)
+    return _acquisition_from_predictions(outputs, dataset, loss_tag)
 
 
 def _predict(params: ParameterSet, topology: NetworkTopology,
-             dataset: Dataset) -> list[np.ndarray]:
+             dataset: Dataset, loss_tag: str | None = None
+             ) -> tuple[list[np.ndarray], list[float]]:
     """Each episode's outputs, rolled out from a fresh episode-start state,
-    PREDICT_CHUNK episodes at a time in lockstep."""
+    PREDICT_CHUNK episodes at a time in lockstep, and with ``loss_tag``
+    each episode's masked loss (bitwise its ``outputs_loss``: padded steps
+    are masked out and add exactly 0.0). Both lists are in episode order."""
     check_dims(dataset, topology)
-    outputs = []
+    outputs, losses = [], []
     for lo in range(0, len(dataset), PREDICT_CHUNK):
         chunk = dataset.episodes[lo:lo + PREDICT_CHUNK]
-        order, xs, _, _, lengths = _padded_batch(chunk, topology)
-        ys, _ = rollout(fresh_state(topology, params, batch=len(chunk)), xs,
-                        topology, params, lengths=lengths)
-        rows = {i: ys[row, :lengths[row]] for row, i in enumerate(order)}
-        outputs += [rows[i] for i in range(len(chunk))]
-    return outputs
+        order, xs, ys, mask, lengths = _padded_batch(chunk, topology)
+        outs, _ = rollout(fresh_state(topology, params, batch=len(chunk)), xs,
+                          topology, params, lengths=lengths)
+        rows = np.argsort(order)      # episode i sits in row rows[i]
+        outputs += [outs[r, :lengths[r]] for r in rows]
+        if loss_tag is not None:
+            losses += outputs_loss(loss_tag, outs, ys, mask)[rows].tolist()
+    return outputs, losses
 
 
 def check_dims(dataset: Dataset, topology: NetworkTopology) -> None:
@@ -537,10 +543,9 @@ def check_dims(dataset: Dataset, topology: NetworkTopology) -> None:
 
 def run_pong_policy(policy, env_config: PongConfig, n_rollouts: int,
                     seed: int) -> dict:
-    """Closed-loop evaluation of an action policy ``(obs, reset) -> action``."""
-    hits = 0
-    approaches = 0
-    lengths = []
+    """Closed-loop evaluation of an action policy ``(obs, reset) -> action``,
+    one rollout after another."""
+    envs = []
     for r in range(n_rollouts):
         env = PongEnv(env_config, Rng(derive_seed(seed, 0xE41, r)))
         first = True
@@ -548,11 +553,17 @@ def run_pong_policy(policy, env_config: PongConfig, n_rollouts: int,
             action = policy(env.observation(), first)
             first = False
             env.step(action)
-        hits += env.hits
-        approaches += env.approaches
-        lengths.append(env.steps)
+        envs.append(env)
+    return _pong_outcome(envs)
+
+
+def _pong_outcome(envs: list[PongEnv]) -> dict:
+    """Hit rate, mean length and approaches of finished rollouts, summed in
+    rollout order."""
+    hits = sum(env.hits for env in envs)
+    approaches = sum(env.approaches for env in envs)
     return {"hit_rate": hits / max(1, approaches),
-            "mean_episode_length": float(np.mean(lengths)),
+            "mean_episode_length": float(np.mean([env.steps for env in envs])),
             "approaches": approaches}
 
 
@@ -560,19 +571,30 @@ def eval_pong_closed_loop(params: ParameterSet, topology: NetworkTopology,
                           env_config: PongConfig, n_rollouts: int = 200,
                           seed: int = 0) -> dict:
     """Run the trained network in the live environment (argmax action) and
-    measure hit rate against a uniform-random baseline."""
+    measure hit rate against a uniform-random baseline.
+
+    The rollouts run in lockstep, one row of a batch state each, and a
+    row is dropped once its environment is done. Each row is bitwise its
+    rollout run alone, so the result equals a rollout-by-rollout loop's.
+    """
     if topology.n_inputs != 5 or topology.n_outputs != 3:
         raise ValueError("pong policy needs a 5-input, 3-output network")
-
-    state_box = {}
-
-    def net_policy(obs, reset):
-        if reset:
-            state_box["state"] = fresh_state(topology, params)
-        res, state_box["state"] = step(state_box["state"], obs, topology, params)
-        return action_from_index(int(np.argmax(res.y)))
-
-    result = run_pong_policy(net_policy, env_config, n_rollouts, seed)
+    if n_rollouts < 1:
+        raise ValueError("n_rollouts must be >= 1")
+    envs = [PongEnv(env_config, Rng(derive_seed(seed, 0xE41, r)))
+            for r in range(n_rollouts)]
+    live = envs
+    state = fresh_state(topology, params, batch=n_rollouts)
+    while live:
+        res, state = step(state, [env.observation() for env in live],
+                          topology, params)
+        for env, action in zip(live, np.argmax(res.y, axis=-1).tolist()):
+            env.step(action_from_index(action))
+        keep = [row for row, env in enumerate(live) if not env.done]
+        if len(keep) < len(live):
+            state = state.rows(np.array(keep, dtype=np.intp))
+            live = [live[row] for row in keep]
+    result = _pong_outcome(envs)
 
     baseline_rng = Rng(derive_seed(seed, 0xBA5E))
 

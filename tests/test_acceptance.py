@@ -123,13 +123,16 @@ def test_criterion_6_pong_imitation():
     train_time = time.perf_counter() - t0
     assert train_time < 600.0, f"training took {train_time:.0f}s"
 
+    t0 = time.perf_counter()
     result = eval_pong_closed_loop(params, topology, PongConfig(),
                                    n_rollouts=200, seed=5)
+    eval_time = time.perf_counter() - t0
     hit, base = result["hit_rate"], result["baseline_random"]
     assert hit >= 2.0 * base, f"hit rate {hit:.3f} < 2x baseline {base:.3f}"
     assert hit >= 0.6, f"hit rate {hit:.3f} below 0.6"
     print(f"\nPASS criterion 6 (pong): hit rate {hit:.3f} vs random baseline "
-          f"{base:.3f} over 200 rollouts, trained in {train_time:.0f}s")
+          f"{base:.3f} over 200 rollouts, trained in {train_time:.0f}s, "
+          f"evaluated in {eval_time:.2f}s")
 
 
 def test_criterion_7_causality_and_bitwise_determinism(tmp_path):

@@ -27,20 +27,28 @@ FUZZ = settings(max_examples=30, deadline=None, derandomize=True,
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """Valid inputs: a hebbian net, pavlov and pong sets, a checkpoint."""
+    """Valid inputs: a hebbian net, pavlov and pong sets, a checkpoint, and
+    a 5-in/3-out pong net with its own checkpoint."""
     d = tmp_path_factory.mktemp("valid")
     net = build_random(3, 0.8, seed=1, model="rate", n_inputs=2, n_outputs=1,
                        plastic_rule="hebbian")
     data = gen_pavlov(PavlovConfig(episodes=4, seed=1))
+    pong_net = build_random(3, 0.8, seed=1, model="rate", n_inputs=5,
+                            n_outputs=3)
+    pong = gen_pong(PongDataConfig(episodes=2, seed=1,
+                                   env=PongConfig(max_steps=20)))
     paths = {"net": str(d / "net.json"), "data": str(d / "train.jsonl"),
-             "pong": str(d / "pong.jsonl"), "run": str(d / "run")}
+             "pong": str(d / "pong.jsonl"), "run": str(d / "run"),
+             "pong_net": str(d / "pong_net.json"), "pong_run": str(d / "pong_run")}
     save_topology(net, paths["net"])
     save_dataset(data, paths["data"])
-    save_dataset(gen_pong(PongDataConfig(episodes=2, seed=1,
-                                         env=PongConfig(max_steps=20))),
-                 paths["pong"])
+    save_dataset(pong, paths["pong"])
+    save_topology(pong_net, paths["pong_net"])
     train(net, data, TrainConfig(epochs=1, batch_size=2), run_dir=paths["run"])
+    train(pong_net, pong, TrainConfig(loss_tag="cce", epochs=1, batch_size=2),
+          run_dir=paths["pong_run"])
     paths["ckpt"] = os.path.join(paths["run"], "final.ckpt")
+    paths["pong_ckpt"] = os.path.join(paths["pong_run"], "final.ckpt")
     return paths
 
 
@@ -126,6 +134,15 @@ def _checkpoint(files, tmp_path, edit):
     return write_json(tmp_path / "bad.ckpt", edit(read_json(files["ckpt"])))
 
 
+def _meta_as_pairs(rec):
+    rec["meta"] = [[key, value] for key, value in rec["meta"].items()]
+
+
+def _eval_pong(files, rollouts):
+    return ["eval", "pong", "--checkpoint", files["pong_ckpt"],
+            "--topology", files["pong_net"], "--rollouts", str(rollouts)]
+
+
 def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
@@ -190,6 +207,12 @@ PROBES = {
         f, t, data=_dataset_edit(f, t, 1, _x_as_strings)),
     "dataset-mask-nan": lambda f, t: train_args(
         f, t, data=_dataset_edit(f, t, 1, _mask_nan)),
+    "dataset-meta-pairs": lambda f, t: train_args(
+        f, t, data=_dataset_edit(f, t, 1, _meta_as_pairs)),
+    "eval-pong-rollouts-zero": lambda f, t: _eval_pong(f, 0),
+    "eval-pong-rollouts-negative": lambda f, t: _eval_pong(f, -3),
+    "train-config-eval-rollouts-zero": lambda f, t: _train_config(
+        f, t, eval_rollouts=0),
 }
 
 

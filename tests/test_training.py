@@ -7,20 +7,23 @@ import numpy as np
 import pytest
 
 from statenet import datasets
-from statenet.datasets import (Dataset, Episode, PavlovConfig, gen_pavlov,
-                               save_dataset)
+from statenet.autodiff import outputs_loss
+from statenet.datasets import (Dataset, Episode, PavlovConfig, PongDataConfig,
+                               gen_pavlov, gen_pong, save_dataset)
+from statenet.engine import fresh_state, rollout, step
 from statenet.params import ParameterSet
-from statenet.pong import PongConfig
-from statenet.rng import Rng
+from statenet.pong import PongConfig, action_from_index
+from statenet.rng import Rng, derive_seed
 from statenet.topology import build_random, save_topology
-from statenet.topology import (EdgeSpec, NetworkTopology, NeuronSpec,
-                               RateParams)
-from statenet.training import (Adam, CheckpointError, DivergenceError,
-                               MetricsRow, Sgd, TrainConfig,
+from statenet.topology import (EdgeSpec, LifParams, NetworkTopology,
+                               NeuronSpec, RateParams)
+from statenet.training import (PREDICT_CHUNK, Adam, CheckpointError,
+                               DivergenceError, MetricsRow, Sgd, TrainConfig,
                                clip_global_norm, eval_pavlov_acquisition,
                                eval_pong_closed_loop, load_checkpoint,
                                run_pong_policy, save_checkpoint, train,
-                               _acquisition_from_predictions, pavlov_recipe)
+                               _acquisition_from_predictions, _evaluate,
+                               _predict, pavlov_recipe, pong_recipe)
 
 
 def small_setup(episodes=8, seed=1, plastic=True):
@@ -334,6 +337,113 @@ def test_pong_dim_mismatch_rejected():
     params = ParameterSet.from_topology(topo)
     with pytest.raises(ValueError, match="5-input"):
         eval_pong_closed_loop(params, topo, PongConfig(), n_rollouts=1)
+
+
+@pytest.mark.parametrize("n_rollouts", [0, -3])
+def test_pong_needs_at_least_one_rollout(n_rollouts):
+    topo = build_random(3, 0.5, seed=1, model="rate", n_inputs=5, n_outputs=3)
+    params = ParameterSet.from_topology(topo)
+    with pytest.raises(ValueError, match="n_rollouts must be >= 1"):
+        eval_pong_closed_loop(params, topo, PongConfig(), n_rollouts=n_rollouts)
+    with pytest.raises(ValueError, match="eval_rollouts"):
+        TrainConfig(eval_rollouts=n_rollouts).validate()
+
+
+def _pong_oracle(params, topo, env_config, n_rollouts, seed):
+    """The rollout-by-rollout evaluation that the lockstep loop replaces: a
+    fresh one-episode state per rollout, stepped through ``step``, and the
+    same random baseline. Returns (result, episode lengths)."""
+    box, lengths = {}, []
+
+    def net_policy(obs, reset):
+        if reset:
+            box["state"] = fresh_state(topo, params)
+            lengths.append(0)
+        res, box["state"] = step(box["state"], obs, topo, params)
+        lengths[-1] += 1
+        return action_from_index(int(np.argmax(res.y)))
+
+    result = run_pong_policy(net_policy, env_config, n_rollouts, seed)
+    baseline_rng = Rng(derive_seed(seed, 0xBA5E))
+    baseline = run_pong_policy(lambda obs, reset: baseline_rng.randrange(-1, 1),
+                               env_config, n_rollouts, seed)
+    result["baseline_random"] = baseline["hit_rate"]
+    return result, lengths
+
+
+@pytest.fixture(scope="module")
+def pong_nets():
+    """5-in/3-out nets: the pong recipe after one epoch, all weights zero,
+    and LIF cells with STDP that do spike on pong stimuli."""
+    data = gen_pong(PongDataConfig(episodes=32, seed=3))
+    topo, params0, config = pong_recipe()
+    trained, _ = train(topo, data, TrainConfig(loss_tag="cce", epochs=1,
+                                               k1=8, k2=16), params=params0)
+    zero_topo = build_random(4, 0.5, seed=11, model="rate", n_inputs=5,
+                             n_outputs=3)
+    zero = ParameterSet.from_topology(zero_topo)
+    zero.flat[:] = 0.0
+    lif_topo = build_random(6, 0.6, seed=5, model="lif", n_inputs=5,
+                            n_outputs=3, plastic_rule="stdp",
+                            plastic_scope="readout", direct_io=True,
+                            lif_params=LifParams(threshold=0.15))
+    lif = ParameterSet.from_topology(lif_topo)
+    _, end = rollout(fresh_state(lif_topo, lif), data.episodes[0].x, lif_topo,
+                     lif)
+    assert end.plastic.trace_pre[lif_topo.hidden_ids].any()
+    return {"trained": (topo, trained), "zero": (zero_topo, zero),
+            "lif-stdp": (lif_topo, lif)}
+
+
+@pytest.mark.parametrize("n_rollouts", [1, 7, 20])
+@pytest.mark.parametrize("net", ["trained", "zero", "lif-stdp"])
+def test_pong_lockstep_matches_rollout_by_rollout(pong_nets, net, n_rollouts):
+    topo, params = pong_nets[net]
+    for seed in (1, 2, 3):
+        want, lengths = _pong_oracle(params, topo, PongConfig(), n_rollouts,
+                                     seed)
+        got = eval_pong_closed_loop(params, topo, PongConfig(),
+                                    n_rollouts=n_rollouts, seed=seed)
+        assert got == want, (net, n_rollouts, seed)
+    if n_rollouts > 1:
+        assert len(set(lengths)) > 1, "no row was dropped before the last"
+
+
+def test_pong_lockstep_steps_once_per_step_of_the_longest_rollout(
+        monkeypatch, pong_nets):
+    # one training.step call per lockstep step, never one per rollout step
+    from statenet import engine, training
+    assert training.step is engine.step
+    topo, params = pong_nets["trained"]
+    _, lengths = _pong_oracle(params, topo, PongConfig(), 20, 4)
+    calls = []
+
+    def counting_step(*args, **kwargs):
+        calls.append(1)
+        return engine.step(*args, **kwargs)
+
+    monkeypatch.setattr(training, "step", counting_step)
+    eval_pong_closed_loop(params, topo, PongConfig(), n_rollouts=20, seed=4)
+    assert len(calls) == max(lengths) < sum(lengths)
+
+
+@pytest.mark.parametrize("loss_tag", ["mse", "bce", "cce"])
+def test_heldout_loss_is_the_per_episode_sum(loss_tag):
+    # ragged episodes over more than one lockstep chunk; pavlov's carry masks
+    if loss_tag == "cce":
+        ds = gen_pong(PongDataConfig(episodes=PREDICT_CHUNK + 5, seed=2))
+        topo = build_random(3, 0.5, seed=1, model="rate", n_inputs=5,
+                            n_outputs=3, plastic_rule="hebbian")
+    else:
+        topo, ds = small_setup(episodes=PREDICT_CHUNK + 5)
+    params = ParameterSet.from_topology(topo)
+    eval_loss, _ = _evaluate(topo, params, TrainConfig(loss_tag=loss_tag), ds,
+                             None)
+    outputs, _ = _predict(params, topo, ds)
+    total = 0.0
+    for outs, ep in zip(outputs, ds.episodes):
+        total += outputs_loss(loss_tag, outs, ep.y, ep.mask)
+    assert type(eval_loss) is float and eval_loss == total / len(ds)
 
 
 def test_recipe_shapes():
