@@ -4,18 +4,17 @@ The computation shape is fixed by the topology, so instead of a general
 expression graph the tape is simply the state trajectory that
 ``engine.rollout`` records: ``states[0]`` is the entry state and
 ``states[t]`` the state after step t; a truncated window's tape is a slice
-of the one recorded trajectory. The backward sweep re-derives the few
-intermediates it needs (drive, pre-threshold membrane, pre-clip plastic
-weights) from the stored states with the engine's gather and the
-``dynamics`` / ``plasticity`` kernels, so recorded and replayed values are
-bitwise identical by construction.
+of the one recorded trajectory. The backward sweep re-derives only the LIF
+drive and pre-threshold membrane from the stored states, with the engine's
+gather and the ``dynamics`` kernel, so they are bitwise the forward values.
+The clip gate is read off the recorded plastic weights, and each window's
+loss gradient is taken in one call before its sweep.
 
-Like the engine, the tape and the sweep run one episode on ``(n,)``
-arrays or a batch of episodes in lockstep on ``(B, n)`` arrays, rows
-sorted by length, longest first; the single-episode calls are the batch
-of one. ``batch_gradients`` runs a batch forward up to each flush point
-and then sweeps that window over all rows at once. Window j covers, for
-row b of T_b steps, the steps (start_bj, end_bj] with
+The tape and the sweep hold a batch of episodes run in lockstep on
+``(B, n)`` arrays, rows sorted by length, longest first; one episode is
+the batch of one. ``batch_gradients`` runs a batch forward up to each
+flush point and then sweeps that window over all rows at once. Window j
+covers, for row b of T_b steps, the steps (start_bj, end_bj] with
 end_bj = min(j * k1, T_b) and start_bj = end_bj - min(k2, end_bj)
 (k1 = k2 = T for the full window); a row is swept only inside its own
 interval, and only the states a later window reads are kept. Each row's
@@ -44,20 +43,15 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import NumericsError, lif_membrane_pre, lif_surrogate_grad
 from .engine import (RolloutState, fresh_state, full_weights, gather, rollout,
-                     row_index, spikes_of)
+                     row_index)
 from .params import ParameterSet
-from .plasticity import hebbian_update, stdp_update
 from .topology import NetworkTopology
-
-
-class TapeReplayError(RuntimeError):
-    """Recorded trajectory does not reproduce under re-execution."""
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +99,8 @@ def step_loss(tag: str, v_out: np.ndarray, y: np.ndarray,
 
 def step_loss_grad(tag: str, v_out: np.ndarray, y: np.ndarray,
                    mask_row: np.ndarray) -> np.ndarray:
-    """d(step loss)/d(output vector), row by row over a batch."""
+    """d(step loss)/d(output vector) over the last axis, for any leading
+    axes (a batch's rows, a window's steps)."""
     if tag == "mse":
         return mask_row * (v_out - y)
     if tag == "bce":
@@ -130,51 +125,23 @@ def _cce_step_weight(mask_row: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Tape:
-    """Recorded forward window: entry state at index 0, one state per step.
-
-    A batch tape holds one row per episode, rows sorted by length; the
-    states hold at least the rows a sweep reads. ``spans`` (two
-    non-increasing arrays, one entry per row) limits row b's sweep to the
-    window steps (start[b], end[b]]; without it every row spans the window.
+    """Recorded forward window of a batch: entry state at index 0, one state
+    per step, each holding at least the rows a sweep reads, rows sorted by
+    length. ``gy`` (rows x steps x n_out) is the loss gradient of each
+    window output; ``spans`` (two non-increasing arrays, one entry per row)
+    limits row b's sweep to the window steps (start[b], end[b]].
     """
 
     topology: NetworkTopology
     params: ParameterSet
     states: list[RolloutState]
-    xs: np.ndarray
-    ys: np.ndarray
-    mask: np.ndarray
-    loss_tag: str
-    spans: tuple[np.ndarray, np.ndarray] | None = None
+    gy: np.ndarray
+    spans: tuple[np.ndarray, np.ndarray]
 
     def __len__(self) -> int:
         """The steps a backward sweep covers, summed over rows."""
-        if self.spans is not None:
-            start, end = self.spans
-            return int(np.sum(end - start))
-        return (len(self.states) - 1) * (len(self.xs) if self.xs.ndim == 3 else 1)
-
-    def verify_replay(self) -> None:
-        """Re-run the window and compare every state bitwise (for tapes
-        whose rows all run the whole window, as ``forward_taped`` records)."""
-        replay: list[RolloutState] = []
-        rollout(self.states[0], self.xs, self.topology, self.params, states=replay)
-        for t in range(1, len(replay)):
-            state, rec = replay[t], self.states[t]
-            same = (np.array_equal(state.s, rec.s)
-                    and np.array_equal(state.v_last, rec.v_last)
-                    and np.array_equal(state.plastic.weights, rec.plastic.weights))
-            if not same:
-                raise TapeReplayError(f"tape replay diverged at step {t}")
-
-
-@dataclass
-class StateGradient:
-    """Adjoint of a rollout state (same shapes as RolloutState fields)."""
-
-    s: np.ndarray
-    v: np.ndarray
-    e: np.ndarray
+        start, end = self.spans
+        return int(np.sum(end - start))
 
 
 def _window(xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -209,61 +176,20 @@ def outputs_loss(loss_tag: str, outs: np.ndarray, ys, mask):
     return _scalar(loss)
 
 
-def forward_taped(state0: RolloutState, xs, ys, mask,
-                  topology: NetworkTopology, params: ParameterSet,
-                  loss_tag: str) -> tuple[float, Tape, RolloutState]:
-    """Run a window forward, recording the state trajectory.
-
-    Returns (masked window loss, tape, exit state). The exit state is the
-    carry for the next window. A batch of equal-length windows gives one
-    loss per row.
-    """
-    xs, ys = _window(xs, ys)
-    mask = _norm_mask(mask, xs.shape[:-1] + (topology.n_outputs,))
-    states: list[RolloutState] = []
-    outs, state = rollout(state0, xs, topology, params, states=states)
-    loss = outputs_loss(loss_tag, outs, ys, mask)
-    if not np.all(np.isfinite(loss)):
-        raise FloatingPointError(f"non-finite loss in window of length "
-                                 f"{xs.shape[-2]}")
-    tape = Tape(topology=topology, params=params, states=states,
-                xs=xs, ys=ys, mask=mask, loss_tag=loss_tag)
-    return loss, tape, state
-
-
-def backward(tape: Tape, upstream: StateGradient | None = None
-             ) -> tuple[np.ndarray, StateGradient]:
+def backward(tape: Tape) -> tuple[np.ndarray, np.ndarray]:
     """Reverse sweep over a taped window.
 
-    Returns (gradient w.r.t. the flat parameter vector, gradient w.r.t.
-    the window's entry state); a batch tape gives one gradient row per
-    episode and each row's adjoint at the start of its own span. The
-    entry-state ``e`` component is the adjoint of the plastic weights at
-    window start; when the window starts at an episode boundary the caller
-    folds it into the ``w0`` gradient (plastic weights are reset to ``w0``
-    there).
+    Returns (one gradient row per episode w.r.t. the flat parameter vector,
+    each row's adjoint of the plastic weights at the start of its span).
+    When a span starts at an episode boundary the caller folds that adjoint
+    into the ``w0`` gradient (plastic weights are reset to ``w0`` there).
     """
-    if tape.xs.ndim == 3:
-        return _sweep(tape, upstream)
-    one = replace(tape, states=[st.rows(None) for st in tape.states],
-                  xs=tape.xs[None], ys=tape.ys[None], mask=tape.mask[None])
-    if upstream is not None:
-        upstream = StateGradient(upstream.s[None], upstream.v[None],
-                                 upstream.e[None])
-    g, entry = _sweep(one, upstream)
-    return g[0], StateGradient(s=entry.s[0], v=entry.v[0], e=entry.e[0])
-
-
-def _sweep(tape: Tape, upstream: StateGradient | None
-           ) -> tuple[np.ndarray, StateGradient]:
-    """``backward`` over a batch tape."""
     topo = tape.topology
     params = tape.params
-    meta = params.meta
     n = topo.n
     K = len(tape.states) - 1
-    B = len(tape.xs)
-    start, end = tape.spans or (np.zeros(B, np.intp), np.full(B, K))
+    B = len(tape.gy)
+    start, end = tape.spans
     if np.any(np.diff(start) > 0) or np.any(np.diff(end) > 0):
         raise ValueError("tape rows must be sorted by length, longest first")
     # rows first[t] .. last[t] - 1 are swept at step t
@@ -271,14 +197,9 @@ def _sweep(tape: Tape, upstream: StateGradient | None
     first = np.count_nonzero(start[:, None] >= steps, axis=0)
     last = np.count_nonzero(end[:, None] >= steps, axis=0)
 
-    if upstream is None:
-        gs = np.zeros((B, n))
-        gv = np.zeros((B, n))
-        ge = np.zeros((B, topo.n_plastic))
-    else:
-        gs = upstream.s.copy()
-        gv = upstream.v.copy()
-        ge = upstream.e.copy()
+    gs = np.zeros((B, n))
+    gv = np.zeros((B, n))
+    ge = np.zeros((B, topo.n_plastic))
 
     # gradient segments, one row per episode
     rate = topo.rate_ids
@@ -296,7 +217,7 @@ def _sweep(tape: Tape, upstream: StateGradient | None
     learn_rate = params.learn_rate
     self_coeff = params.self_coeff
     sig_prime = retention * (1.0 - retention)
-    clip = meta.clip_bound
+    clip = params.meta.clip_bound
     out = topo.output_ids
     src_h = topo.edge_src[heb]
     dst_h = topo.edge_dst[heb]
@@ -315,14 +236,15 @@ def _sweep(tape: Tape, upstream: StateGradient | None
         v_prev = st_prev.v_last
         s_prev = st_prev.s
         w_full_prev = full_weights(topo, params, st_prev.plastic)
-        gs_t, gv_t, ge_t = gs[a:b], gv[a:b], ge[a:b]
-
-        # loss term at this step
-        gv_t[:, out] += step_loss_grad(tape.loss_tag, v_t.take(out, 1),
-                                       tape.ys[a:b, t - 1], tape.mask[a:b, t - 1])
+        gs_t, gv_t = gs[a:b], gv[a:b]
+        gv_t[:, out] += tape.gy[a:b, t - 1]
 
         gv_prev = np.zeros((m, n))
         ge_prev = np.zeros((m, topo.n_plastic))
+
+        # straight-through clip: a recorded weight strictly inside the bound
+        # is one the clip passed unchanged
+        ge_t = ge[a:b] * (np.abs(tape.states[t].plastic.weights[a:b]) < clip)
 
         # plasticity backward first: it consumed this step's outputs, so its
         # contribution to gv must land before the neuron backward reads gv
@@ -330,9 +252,7 @@ def _sweep(tape: Tape, upstream: StateGradient | None
             e_prev_h = st_prev.plastic.weights.take(topo.hebbian_pos, 1)
             pre = v_prev.take(src_h, 1)
             post = v_t.take(dst_h, 1)
-            _, raw = hebbian_update(e_prev_h, pre, post, learn_rate, retention,
-                                    clip)
-            gh = ge_t.take(topo.hebbian_pos, 1) * (np.abs(raw) < clip)
+            gh = ge_t.take(topo.hebbian_pos, 1)
             g_lr[a:b] += gh * (pre * post)
             g_ret[a:b] += _rowsum(gh * e_prev_h) * sig_prime
             ge_prev[:, topo.hebbian_pos] = gh * retention
@@ -343,12 +263,7 @@ def _sweep(tape: Tape, upstream: StateGradient | None
         if len(sd):
             # increment is non-differentiable; only the additive carry and
             # its clip gate pass gradient
-            _, raw_sd, _, _ = stdp_update(
-                st_prev.plastic.weights.take(topo.stdp_pos, 1), topo.edge_src[sd],
-                topo.edge_dst[sd], spikes_of(topo, v_t), st_prev.plastic.trace_pre,
-                st_prev.plastic.trace_post, meta)
-            ge_prev[:, topo.stdp_pos] = (ge_t.take(topo.stdp_pos, 1)
-                                         * (np.abs(raw_sd) < clip))
+            ge_prev[:, topo.stdp_pos] = ge_t.take(topo.stdp_pos, 1)
 
         # neuron backward
         gu = np.zeros((m, n))
@@ -392,7 +307,7 @@ def _sweep(tape: Tape, upstream: StateGradient | None
     if len(heb):
         g[:, reg["learn_rate"]] = g_lr
         g[:, reg["retention_raw"].start] = g_ret
-    return g, StateGradient(s=gs, v=gv, e=ge)
+    return g, ge
 
 
 # ---------------------------------------------------------------------------
@@ -471,17 +386,17 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
             win_mask = mask[:rows, t0:flush].copy()
             # steps already flushed carry no fresh loss
             win_mask[:, :flushed - t0] = 0.0
+            gy = step_loss_grad(loss_tag, outs[:rows, t0:flush],
+                                ys[:rows, t0:flush], win_mask)
             tape = Tape(topology=topology, params=params,
                         states=kept[t0 - kept_from:flush - kept_from + 1],
-                        xs=xs[:rows, t0:flush], ys=ys[:rows, t0:flush],
-                        mask=win_mask, loss_tag=loss_tag,
-                        spans=(begin - t0, stop - t0))
+                        gy=gy, spans=(begin - t0, stop - t0))
             g, entry = backward(tape)
             grads[:rows] += g
             if topology.n_plastic:
                 # plastic weights reset to w0 at the episode start
                 at_start = np.flatnonzero(begin == 0)
-                grads[np.ix_(at_start, w0_plastic)] += entry.e[at_start]
+                grads[np.ix_(at_start, w0_plastic)] += entry[at_start]
         flushed = flush
         # later windows read no state from before step flush + 1 - k2
         drop = flush + 1 - k2 - kept_from

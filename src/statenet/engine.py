@@ -210,7 +210,7 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
     meta = params.meta
     heb = topology.hebbian_idx
     if len(heb):
-        e_new, _ = hebbian_update(
+        e_new = hebbian_update(
             state.plastic.weights.take(topology.hebbian_pos, -1),
             state.v_last.take(topology.edge_src[heb], -1),
             v.take(topology.edge_dst[heb], -1),
@@ -218,7 +218,7 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
         new_plastic.weights.T[topology.hebbian_pos] = e_new.T
     sd = topology.stdp_idx
     if len(sd):
-        e_new, _, new_plastic.trace_pre, new_plastic.trace_post = stdp_update(
+        e_new, new_plastic.trace_pre, new_plastic.trace_post = stdp_update(
             state.plastic.weights.take(topology.stdp_pos, -1),
             topology.edge_src[sd], topology.edge_dst[sd], spikes_of(topology, v),
             state.plastic.trace_pre, state.plastic.trace_post, meta)

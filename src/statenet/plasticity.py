@@ -1,7 +1,8 @@
 """Within-rollout modulation of edge weights from neuronal activity.
 
 The one implementation of the rules and the weight clip: ``engine.step``
-applies them, ``autodiff.backward`` reads their pre-clip values.
+applies them, ``autodiff.backward`` reads the clip gate off the recorded
+weights (the clip maps every value at or beyond the bound to exactly it).
 
 Two rules:
 
@@ -111,12 +112,11 @@ def hebbian_update(e_prev, out_pre_prev, out_post, learn_rate,
                    retention: float, clip_bound: float):
     """Elementwise fast-weight update over hebbian edges.
 
-    Differentiable except exactly at the clip boundary. Returns
-    (clipped weights, pre-clip values); the pre-clip values gate the
-    straight-through backward pass.
+    Differentiable except exactly at the clip boundary. Returns the
+    clipped weights.
     """
     raw = retention * e_prev + learn_rate * (out_pre_prev * out_post)
-    return clip_weights(raw, clip_bound), raw
+    return clip_weights(raw, clip_bound)
 
 
 def stdp_update(e_prev, src, dst, spikes, trace_pre, trace_post,
@@ -127,13 +127,13 @@ def stdp_update(e_prev, src, dst, spikes, trace_pre, trace_post,
     traces carried from the previous step are per neuron (last axis, one
     row per episode of a batch). The weight change
     reads the decayed traces, the current spikes are added afterwards.
-    Returns (clipped weights, pre-clip values, new trace_pre, new trace_post).
+    Returns (clipped weights, new trace_pre, new trace_post).
     """
     tp = meta.trace_decay * trace_pre
     tq = meta.trace_decay * trace_post
     raw = e_prev + (meta.potentiation * tp[..., src] * spikes[..., dst]
                     - meta.depression * tq[..., dst] * spikes[..., src])
-    return clip_weights(raw, meta.clip_bound), raw, tp + spikes, tq + spikes
+    return clip_weights(raw, meta.clip_bound), tp + spikes, tq + spikes
 
 
 def clip_weights(raw, bound: float):

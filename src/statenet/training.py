@@ -160,7 +160,7 @@ class Adam:
 
     def load_state(self, state: dict, size: int) -> None:
         """Restore ``state_dict()`` of a run with ``size`` parameters."""
-        self.count = int(state["count"])
+        self.count = _step_count(state, "count")
         moments = state["m"], state["v"]
         if moments != (None, None) and not all(
                 isinstance(x, list) and len(x) == size
@@ -168,6 +168,15 @@ class Adam:
             raise CheckpointError(f"adam moments must both be null or both be "
                                   f"lists of {size} numbers")
         self.m, self.v = (None if x is None else np.array(x, float) for x in moments)
+
+
+def _step_count(doc: dict, key: str) -> int:
+    """``doc[key]``, refused unless it is a non-negative JSON integer."""
+    value = doc[key]
+    if type(value) is not int or value < 0:
+        raise CheckpointError(f"checkpoint {key} must be a non-negative "
+                              f"integer, got {value!r}")
+    return value
 
 
 def make_optimizer(config: TrainConfig):
@@ -245,7 +254,7 @@ def load_checkpoint(path: str, topology: NetworkTopology, config: TrainConfig,
         if doc["optimizer"]["kind"] != optimizer.kind:
             raise CheckpointError("checkpoint optimizer kind mismatch")
         optimizer.load_state(doc["optimizer"], params.count)
-        next_epoch = int(doc["epoch"]) + 1
+        next_epoch = _step_count(doc, "epoch") + 1
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -149,7 +149,7 @@ def run_plasticity_signs(tol: float = 1e-12):
         tp = tq = np.zeros(2)
         w = np.zeros(1)
         for spikes in (first, second):
-            w, _, tp, tq = stdp_update(w, src, dst, np.array(spikes), tp, tq, meta)
+            w, tp, tq = stdp_update(w, src, dst, np.array(spikes), tp, tq, meta)
         delta = float(w[0])
         ok = abs(delta - want) <= tol and np.sign(delta) == np.sign(want)
         passed &= ok
@@ -158,8 +158,8 @@ def run_plasticity_signs(tol: float = 1e-12):
 
     # no activity: weights hold, traces decay
     tr = np.array([0.5, 0.5])
-    e2, _, tp2, _ = stdp_update(np.array([0.25]), src, dst, np.zeros(2), tr, tr,
-                                meta)
+    e2, tp2, _ = stdp_update(np.array([0.25]), src, dst, np.zeros(2), tr, tr,
+                             meta)
     ok = float(e2[0]) == 0.25 and float(tp2[0]) == 0.5 * meta.trace_decay
     passed &= ok
     lines.append(f"{'PASS' if ok else 'FAIL'} no-spike hold and trace decay")

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from statenet.autodiff import (Tape, TapeReplayError, StateGradient, backward,
-                               episode_gradients, episode_loss, fd_gradient,
-                               forward_taped, step_loss, step_loss_grad,
+from statenet.autodiff import (batch_gradients, episode_gradients, episode_loss,
+                               fd_gradient, step_loss, step_loss_grad,
                                tbptt_gradients)
-from statenet.engine import fresh_state
+from statenet.engine import fresh_state, rollout
 from statenet.params import ParameterSet
 from statenet.rng import Rng
 from statenet.topology import (EdgeSpec, LifParams, NetworkTopology,
@@ -82,31 +81,28 @@ def test_masked_terms_drop_out():
 
 
 # ---------------------------------------------------------------------------
-# taped forward
+# episode losses
 
 
 def test_perfect_prediction_zero_loss():
     topo = build_random(2, 1.0, seed=1, model="rate", n_inputs=1, n_outputs=1)
     params = ParameterSet.from_topology(topo)
     xs = np.zeros((4, 1))
-    state0 = fresh_state(topo, params)
-    loss, tape, _ = forward_taped(state0, xs, np.zeros((4, 1)), None, topo,
-                                  params, "mse")
-    assert loss == 0.0
+    assert episode_loss(topo, params, xs, np.zeros((4, 1)), None, "mse") == 0.0
 
 
 def test_all_zero_mask_means_zero_loss_and_gradient():
+    # the plastic weights' entry adjoint is folded into the w0 gradient, so
+    # a zero gradient row also means a zero entry adjoint
     topo = build_random(3, 0.8, seed=2, model="rate", n_inputs=2, n_outputs=1,
                         plastic_rule="hebbian")
     params = jitter(ParameterSet.from_topology(topo), 5)
     xs, ys = random_sequence(3, 5, 2, 1)
-    mask = np.zeros((5, 1))
-    loss, tape, _ = forward_taped(fresh_state(topo, params), xs, ys, mask,
-                                  topo, params, "bce")
-    g, entry = backward(tape)
-    assert loss == 0.0
+    mask = np.zeros((2, 5, 1))
+    losses, g = batch_gradients(topo, params, np.stack([xs, xs]),
+                                np.stack([ys, ys]), mask, [5, 3], "bce")
+    assert losses == [0.0, 0.0]
     assert np.array_equal(g, np.zeros_like(g))
-    assert np.array_equal(entry.e, np.zeros_like(entry.e))
 
 
 def test_conditioning_episode_loss_matches_scalar_oracle():
@@ -116,39 +112,25 @@ def test_conditioning_episode_loss_matches_scalar_oracle():
     params = jitter(ParameterSet.from_topology(topo), 6)
     xs = np.array([[1., 0.], [0., 1.], [1., 1.], [1., 1.], [0., 1.]])
     ys = np.array([[1.], [0.], [1.], [1.], [1.]])
-    from statenet.engine import rollout
     outs, _ = rollout(fresh_state(topo, params), xs, topo, params)
     expected = 0.0
     for t in range(5):
         v = float(outs[t, 0]); y = float(ys[t, 0])
         expected += max(v, 0.0) - v * y + math.log1p(math.exp(-abs(v)))
-    loss, _, _ = forward_taped(fresh_state(topo, params), xs, ys, None, topo,
-                               params, "bce")
+    loss = episode_loss(topo, params, xs, ys, None, "bce")
     assert loss == pytest.approx(expected, abs=1e-12)
+    assert tbptt_gradients(topo, params, xs, ys, None, "bce", 2, 3)[0] == loss
 
 
 def test_window_length_mismatch_rejected():
     topo = build_random(2, 1.0, seed=1, model="rate", n_inputs=1, n_outputs=1)
     params = ParameterSet.from_topology(topo)
     with pytest.raises(ValueError, match="lengths differ"):
-        forward_taped(fresh_state(topo, params), np.zeros((3, 1)),
-                      np.zeros((2, 1)), None, topo, params, "mse")
-
-
-def test_tape_replay_is_bitwise_and_detects_corruption():
-    topo = build_random(3, 0.8, seed=7, model="rate", n_inputs=1, n_outputs=1,
-                        plastic_rule="hebbian")
-    params = jitter(ParameterSet.from_topology(topo), 8)
-    xs, ys = random_sequence(9, 6, 1, 1)
-    loss1, tape, _ = forward_taped(fresh_state(topo, params), xs, ys, None,
-                                   topo, params, "bce")
-    loss2, _, _ = forward_taped(fresh_state(topo, params), xs, ys, None,
-                                topo, params, "bce")
-    assert loss1 == loss2
-    tape.verify_replay()
-    tape.states[3].s[0] += 1e-9
-    with pytest.raises(TapeReplayError):
-        tape.verify_replay()
+        tbptt_gradients(topo, params, np.zeros((3, 1)), np.zeros((2, 1)), None,
+                        "mse", 1, 2)
+    with pytest.raises(ValueError, match="lengths differ"):
+        batch_gradients(topo, params, np.zeros((2, 3, 1)), np.zeros((2, 2, 1)),
+                        None, [3, 2], "mse")
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +140,8 @@ def test_tape_replay_is_bitwise_and_detects_corruption():
 def test_zero_length_window_zero_gradient():
     topo = build_random(2, 1.0, seed=1, model="rate", n_inputs=1, n_outputs=1)
     params = ParameterSet.from_topology(topo)
-    loss, tape, _ = forward_taped(fresh_state(topo, params), np.zeros((0, 1)),
-                                  np.zeros((0, 1)), None, topo, params, "mse")
-    g, _ = backward(tape)
+    loss, g = tbptt_gradients(topo, params, np.zeros((0, 1)), np.zeros((0, 1)),
+                              None, "mse", 1, 1)
     assert loss == 0.0 and np.array_equal(g, np.zeros_like(g))
 
 
@@ -209,6 +190,27 @@ def test_masked_gradients_match_finite_differences():
     _, g = episode_gradients(topo, params, xs, ys, mask, "bce")
     fd = fd_gradient(topo, params, xs, ys, mask, "bce")
     assert np.max(np.abs(g - fd)) < 1e-6 * max(1.0, np.abs(fd).max())
+
+
+def test_gradients_at_the_clip_bound_match_finite_differences():
+    # the straight-through gate is read off the recorded weights: a weight
+    # held at +-clip_bound passes no gradient to its earlier value
+    from statenet.plasticity import PlasticityMeta
+    topo = build_random(4, 0.6, seed=50, model="rate", n_inputs=2, n_outputs=2,
+                        plastic_rule="hebbian", direct_io=True)
+    meta = PlasticityMeta(clip_bound=0.1, learn_rate_init=0.3)
+    params = jitter(ParameterSet.from_topology(topo, meta), 51)
+    xs, ys = random_sequence(52, 8, 2, 2, binary=False)
+    states = []
+    rollout(fresh_state(topo, params), xs, topo, params, states=states)
+    weights = np.array([st.plastic.weights for st in states[1:]])
+    assert np.mean(np.abs(weights) == meta.clip_bound) >= 1 / 3
+    _, g = episode_gradients(topo, params, xs, ys, None, "mse")
+    fd = fd_gradient(topo, params, xs, ys, None, "mse")
+    small = np.abs(fd) < 1e-8
+    assert np.all(np.abs(g - fd)[small] < 1e-8)
+    rel = np.abs(g - fd)[~small] / np.abs(fd)[~small]
+    assert rel.max() < 1e-4
 
 
 def test_spiking_gradient_sign_at_threshold_crossings():
@@ -283,28 +285,6 @@ def test_gradient_linearity_over_mask_split():
     lf, gf = episode_gradients(topo, params, xs, ys, None, "mse")
     assert lf == pytest.approx(la + lb, abs=1e-12)
     assert np.max(np.abs(gf - (ga + gb))) < 1e-12
-
-
-def test_upstream_state_gradient_chains_windows():
-    # splitting one episode into two windows and chaining the state adjoint
-    # must reproduce the single-window gradient
-    topo = build_random(3, 0.8, seed=25, model="rate", n_inputs=1, n_outputs=1,
-                        plastic_rule="hebbian")
-    params = jitter(ParameterSet.from_topology(topo), 26)
-    xs, ys = random_sequence(27, 6, 1, 1)
-    loss_full, tape_full, _ = forward_taped(fresh_state(topo, params), xs, ys,
-                                            None, topo, params, "mse")
-    g_full, entry_full = backward(tape_full)
-
-    _, tape_a, mid = forward_taped(fresh_state(topo, params), xs[:3], ys[:3],
-                                   None, topo, params, "mse")
-    _, tape_b, _ = forward_taped(mid, xs[3:], ys[3:], None, topo, params, "mse")
-    g_b, entry_b = backward(tape_b)
-    g_a, entry_a = backward(tape_a, upstream=StateGradient(
-        s=entry_b.s, v=entry_b.v, e=entry_b.e))
-    combined = g_a + g_b
-    assert np.max(np.abs(combined - g_full)) < 1e-12
-    assert np.max(np.abs(entry_a.e - entry_full.e)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -461,20 +441,3 @@ def test_episode_row_independent_of_batch(net, k1, k2):
                 assert type(loss) is float and loss == alone[i][0]
                 assert row.tobytes() == alone[i][1].tobytes()
 
-
-def test_batch_tape_replays_bitwise_and_detects_corruption():
-    topo = build_random(3, 0.8, seed=7, model="rate", n_inputs=1, n_outputs=1,
-                        plastic_rule="hebbian")
-    params = jitter(ParameterSet.from_topology(topo), 8)
-    xs = np.stack([random_sequence(9 + b, 6, 1, 1)[0] for b in range(3)])
-    losses, tape, _ = forward_taped(fresh_state(topo, params, batch=3), xs,
-                                    np.zeros((3, 6, 1)), None, topo, params, "bce")
-    for b in range(3):
-        alone, _, _ = forward_taped(fresh_state(topo, params), xs[b],
-                                    np.zeros((6, 1)), None, topo, params, "bce")
-        assert losses[b] == alone
-    assert len(tape) == 3 * 6
-    tape.verify_replay()
-    tape.states[3].s[2, 0] += 1e-9
-    with pytest.raises(TapeReplayError):
-        tape.verify_replay()

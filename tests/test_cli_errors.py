@@ -151,6 +151,17 @@ def _short_params(doc):
     return {**doc, "params": doc["params"][:-1]}
 
 
+def _resume_with(files, tmp_path, epoch=None, count=None):
+    """Resume from the checkpoint with its epoch or adam step count set."""
+    def edit(doc):
+        if epoch is not None:
+            doc["epoch"] = epoch
+        if count is not None:
+            doc["optimizer"]["count"] = count
+        return doc
+    return resume_args(files, tmp_path, _checkpoint(files, tmp_path, edit))
+
+
 PROBES = {
     "dataset-x-string": lambda f, t: train_args(
         f, t, data=_dataset_line(f, t, 1, x="abc")),
@@ -213,6 +224,10 @@ PROBES = {
     "eval-pong-rollouts-negative": lambda f, t: _eval_pong(f, -3),
     "train-config-eval-rollouts-zero": lambda f, t: _train_config(
         f, t, eval_rollouts=0),
+    "resume-checkpoint-epoch-negative": lambda f, t: _resume_with(f, t, epoch=-3),
+    "resume-checkpoint-epoch-float": lambda f, t: _resume_with(f, t, epoch=1e300),
+    "resume-checkpoint-count-negative": lambda f, t: _resume_with(f, t, count=-1),
+    "resume-checkpoint-count-float": lambda f, t: _resume_with(f, t, count=2.7),
 }
 
 

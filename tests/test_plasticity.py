@@ -12,13 +12,13 @@ from statenet.topology import build_random
 
 def test_hebbian_zero_learning_is_pure_decay():
     e = np.array([0.4, -1.0])
-    out, raw = hebbian_update(e, np.ones(2), np.ones(2), learn_rate=0.0,
+    out = hebbian_update(e, np.ones(2), np.ones(2), learn_rate=0.0,
                               retention=0.9, clip_bound=5.0)
     assert np.allclose(out, 0.9 * e, atol=1e-15)
 
 
 def test_hebbian_known_value():
-    out, _ = hebbian_update(np.array([0.2]), np.array([1.0]), np.array([1.0]),
+    out = hebbian_update(np.array([0.2]), np.array([1.0]), np.array([1.0]),
                             learn_rate=0.1, retention=1.0, clip_bound=5.0)
     assert out[0] == pytest.approx(0.3, abs=1e-15)
 
@@ -27,8 +27,8 @@ def test_hebbian_known_value():
        st.floats(-1, 1), st.floats(-1, 1), st.floats(0, 2), st.floats(0, 1))
 def test_hebbian_respects_clip_bound(e_prev, pre, post, lr, ret):
     e = np.array(e_prev)
-    out, _ = hebbian_update(e, np.full(len(e), pre), np.full(len(e), post),
-                            learn_rate=lr, retention=ret, clip_bound=5.0)
+    out = hebbian_update(e, np.full(len(e), pre), np.full(len(e), post),
+                         learn_rate=lr, retention=ret, clip_bound=5.0)
     assert (np.abs(out) <= 5.0).all()
 
 
@@ -39,8 +39,8 @@ def test_hebbian_commutes_with_edge_permutation(seed, n):
     pre = rng.uniform(-1, 1, n)
     post = rng.uniform(-1, 1, n)
     perm = rng.permutation(n)
-    direct, _ = hebbian_update(e, pre, post, 0.3, 0.9, 5.0)
-    permuted, _ = hebbian_update(e[perm], pre[perm], post[perm], 0.3, 0.9, 5.0)
+    direct = hebbian_update(e, pre, post, 0.3, 0.9, 5.0)
+    permuted = hebbian_update(e[perm], pre[perm], post[perm], 0.3, 0.9, 5.0)
     assert np.array_equal(direct[perm], permuted)
 
 
@@ -53,7 +53,7 @@ def stdp_steps(e, spike_rows, meta):
     zero traces."""
     tp = tq = np.zeros(2)
     for spikes in spike_rows:
-        e, _, tp, tq = stdp_update(e, SRC, DST, np.array(spikes), tp, tq, meta)
+        e, tp, tq = stdp_update(e, SRC, DST, np.array(spikes), tp, tq, meta)
     return e
 
 
@@ -76,9 +76,8 @@ def test_stdp_target_before_source_depresses():
 def test_stdp_returns_pre_clip_values():
     meta = PlasticityMeta(clip_bound=0.01)
     tr = np.array([1.0, 1.0])
-    e, raw, _, _ = stdp_update(np.zeros(1), SRC, DST, np.array([0.0, 1.0]), tr,
-                               tr, meta)
-    assert raw[0] == pytest.approx(meta.potentiation * meta.trace_decay, abs=1e-15)
+    e, _, _ = stdp_update(np.zeros(1), SRC, DST, np.array([0.0, 1.0]), tr, tr,
+                          meta)
     assert e[0] == meta.clip_bound
 
 
@@ -88,7 +87,7 @@ def test_stdp_no_activity_holds_weights_and_decays_traces():
     tp, tq = np.array([0.8, 0.0]), np.array([0.0, 0.4])
     zero = np.zeros(2)
     for _ in range(10):
-        e2, _, tp, tq = stdp_update(e, SRC, DST, zero, tp, tq, meta)
+        e2, tp, tq = stdp_update(e, SRC, DST, zero, tp, tq, meta)
         assert np.array_equal(e2, e)
     assert tp[0] == pytest.approx(0.8 * meta.trace_decay ** 10, abs=1e-15)
 
@@ -107,8 +106,8 @@ def test_stdp_sign_properties_over_random_isolated_pairs():
         first, second = np.zeros(2 * n), np.zeros(2 * n)
         first[src[which] if first_pre else dst[which]] = 1.0
         second[dst[which] if first_pre else src[which]] = 1.0
-        e1, _, tp, tq = stdp_update(e, src, dst, first, tp, tq, meta)
-        e2, _, _, _ = stdp_update(e1, src, dst, second, tp, tq, meta)
+        e1, tp, tq = stdp_update(e, src, dst, first, tp, tq, meta)
+        e2, _, _ = stdp_update(e1, src, dst, second, tp, tq, meta)
         delta = e2[which] - e[which]
         if first_pre:
             assert delta > 0
@@ -122,7 +121,7 @@ def test_trace_bound():
     e = np.zeros(1)
     ones = np.ones(2)
     for _ in range(500):
-        e, _, tp, tq = stdp_update(e, SRC, DST, ones, tp, tq, meta)
+        e, tp, tq = stdp_update(e, SRC, DST, ones, tp, tq, meta)
         assert tp[0] <= 1.0 / (1.0 - meta.trace_decay) + 1e-9
         assert tp[0] >= 0.0
 
