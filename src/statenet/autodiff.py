@@ -1,14 +1,14 @@
 """Reverse-mode differentiation of rollout losses.
 
 The computation shape is fixed by the topology, so instead of a general
-expression graph the tape is simply the state trajectory that
-``engine.rollout`` records: ``states[0]`` is the entry state and
-``states[t]`` the state after step t; a truncated window's tape is a slice
-of the one recorded trajectory. The backward sweep re-derives only the LIF
-drive and pre-threshold membrane from the stored states, with the engine's
-gather and the ``dynamics`` kernel, so they are bitwise the forward values.
-The clip gate is read off the recorded plastic weights, and each window's
-loss gradient is taken in one call before its sweep.
+expression graph the tape is simply the entry state followed by the states
+``engine.rollout`` records after each step; a truncated window's tape is
+a slice of the one recorded trajectory. The backward sweep re-derives only
+the LIF drive and pre-threshold membrane from the stored states, with the
+engine's gather and the ``dynamics`` kernel, so they are bitwise the
+forward values. The clip gate is read off the recorded plastic weights,
+each window's loss gradient and each rollout's loss take one call, and the
+sweep adds the episode-start adjoint of the plastic weights into ``w0``.
 
 The tape and the sweep hold a batch of episodes run in lockstep on
 ``(B, n)`` arrays, rows sorted by length, longest first; one episode is
@@ -81,8 +81,8 @@ def _scalar(value):
 
 def step_loss(tag: str, v_out: np.ndarray, y: np.ndarray,
               mask_row: np.ndarray):
-    """Masked loss of one step's output vector against its target; over a
-    batch's (B x n_out) rows, one loss per row."""
+    """Masked loss of one step's output vector against its target; over
+    leading axes (a batch's rows, a rollout's steps), one loss per vector."""
     if tag == "mse":
         return _scalar(0.5 * _rowsum(mask_row * (v_out - y) ** 2))
     if tag == "bce":
@@ -164,25 +164,22 @@ def _norm_mask(mask, shape: tuple) -> np.ndarray:
 
 
 def outputs_loss(loss_tag: str, outs: np.ndarray, ys, mask):
-    """Masked loss of a rollout's outputs against their targets, summed one
-    step at a time in step order; a batch's ((B x T x n_out) arrays, zero
-    mask past a row's end) one loss per row."""
+    """Masked loss of a rollout's outputs against their targets, one
+    ``step_loss`` call whose step losses are added in step order; a batch's
+    ((B x T x n_out) arrays, zero mask past a row's end) one loss per row."""
     ys = np.asarray(ys, dtype=np.float64)
-    mask = _norm_mask(mask, outs.shape)
+    per_step = step_loss(loss_tag, outs, ys, _norm_mask(mask, outs.shape))
     loss = np.zeros(outs.shape[:-2])
     for t in range(outs.shape[-2]):
-        loss = loss + step_loss(loss_tag, outs[..., t, :], ys[..., t, :],
-                                mask[..., t, :])
+        loss = loss + per_step[..., t]
     return _scalar(loss)
 
 
-def backward(tape: Tape) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse sweep over a taped window.
-
-    Returns (one gradient row per episode w.r.t. the flat parameter vector,
-    each row's adjoint of the plastic weights at the start of its span).
-    When a span starts at an episode boundary the caller folds that adjoint
-    into the ``w0`` gradient (plastic weights are reset to ``w0`` there).
+def backward(tape: Tape) -> np.ndarray:
+    """Reverse sweep over a taped window: one gradient row per episode
+    w.r.t. the flat parameter vector. A row whose span starts at the
+    episode start (entry state ``t == 0``, span start 0) gets the adjoint
+    of its plastic weights there added into their ``w0`` entries.
     """
     topo = tape.topology
     params = tape.params
@@ -307,7 +304,10 @@ def backward(tape: Tape) -> tuple[np.ndarray, np.ndarray]:
     if len(heb):
         g[:, reg["learn_rate"]] = g_lr
         g[:, reg["retention_raw"].start] = g_ret
-    return g, ge
+    if tape.states[0].t == 0 and topo.n_plastic:
+        at_start = np.flatnonzero(start == 0)
+        g[np.ix_(at_start, reg["w0"].start + topo.plastic_idx)] += ge[at_start]
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +355,8 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
     episodes zero-padded to the longest, rows sorted by ``lengths``,
     longest first. Windows as in ``tbptt_gradients``; ``k1 = None`` is the
     full window. Returns (B losses, B x P gradient rows); row b is bitwise
-    the result of ``tbptt_gradients`` on episode b alone.
+    the result of ``tbptt_gradients`` on episode b alone; it sums the rows
+    of each window's ``backward``, which folds the episode-start adjoint.
     """
     xs, ys = _window(xs, ys)
     mask = _norm_mask(mask, ys.shape)
@@ -365,7 +366,6 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
         k1 = k2 = max(1, T)
     if not (1 <= k1 <= k2):
         raise ValueError(f"invalid window config k1={k1}, k2={k2}")
-    w0_plastic = params.registry["w0"].start + topology.plastic_idx
     grads = np.zeros((B, params.count))
     outs = np.zeros(ys.shape)
     state = fresh_state(topology, params, batch=B)
@@ -373,11 +373,9 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
     kept_from = 0
     flushed = 0
     for flush in [*range(k1, T, k1), T]:
-        chunk: list[RolloutState] = []
         outs[:, flushed:flush], state = rollout(
-            state, xs[:, flushed:flush], topology, params, states=chunk,
+            state, xs[:, flushed:flush], topology, params, states=kept,
             lengths=np.clip(lengths - flushed, 0, flush - flushed))
-        kept += chunk[1:]
         rows = int(np.count_nonzero(lengths > flushed))  # rows with fresh steps
         if rows:
             stop = np.minimum(flush, lengths[:rows])
@@ -391,12 +389,7 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
             tape = Tape(topology=topology, params=params,
                         states=kept[t0 - kept_from:flush - kept_from + 1],
                         gy=gy, spans=(begin - t0, stop - t0))
-            g, entry = backward(tape)
-            grads[:rows] += g
-            if topology.n_plastic:
-                # plastic weights reset to w0 at the episode start
-                at_start = np.flatnonzero(begin == 0)
-                grads[np.ix_(at_start, w0_plastic)] += entry[at_start]
+            grads[:rows] += backward(tape)
         flushed = flush
         # later windows read no state from before step flush + 1 - k2
         drop = flush + 1 - k2 - kept_from

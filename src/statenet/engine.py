@@ -21,8 +21,9 @@ Order of operations inside one step:
 4. update plastic edge weights from the activity just produced.
 
 Steps 3 and 4 call the ``dynamics`` and ``plasticity`` kernels that the
-backward sweep shares. ``rollout`` is the one loop over steps; it also
-records the state trajectory a backward sweep reads.
+backward sweep shares. ``rollout`` is the one loop over steps, and
+``states`` its one recording hook: it appends each new state to a list, the
+trajectory a backward sweep reads, or to a ``ProbeWriter``, a CSV sink.
 
 The one-step delay on every edge makes arbitrary cycles well defined
 without fixed-point iteration; the shortest input-to-output path of k
@@ -79,24 +80,30 @@ class StepResult:
 
 
 class ProbeWriter:
-    """Columnar per-step trace of one episode: rows ``t,kind,id,a,b`` where
-    neuron rows carry (state, output) and edge rows carry (weight, '')."""
+    """Columnar per-step trace of one episode, a ``rollout`` states sink:
+    rows ``t,kind,id,a,b`` where neuron rows carry (state, output) and edge
+    rows carry (weight, '')."""
 
-    def __init__(self, path: str, edge_stride: int = 0):
+    def __init__(self, path: str, topology: NetworkTopology,
+                 edge_stride: int = 0):
         self.fh = open(path, "w", encoding="utf-8")
         self.fh.write("t,kind,id,a,b\n")
+        self.topology = topology
         self.edge_stride = edge_stride
 
-    def record(self, t: int, s: np.ndarray, v: np.ndarray,
-               topology: NetworkTopology, weights: np.ndarray) -> None:
+    def append(self, state: RolloutState) -> None:
+        """Write the state after step ``state.t``; one episode's only."""
+        if state.s.ndim != 1:
+            raise ValueError("a probe records one episode, not a batch")
+        t, topology = state.t, self.topology
         # tolist() gives Python floats, whose repr reads back bitwise
-        rows = [f"{t},n,{i},{a!r},{b!r}\n"
-                for i, a, b in zip(range(len(s)), s.tolist(), v.tolist())]
+        rows = [f"{t},n,{i},{a!r},{b!r}\n" for i, (a, b) in
+                enumerate(zip(state.s.tolist(), state.v_last.tolist()))]
         if self.edge_stride and t % self.edge_stride == 0:
             idx = topology.plastic_idx
             rows += [f"{t},e,{src}->{dst},{w!r},\n" for src, dst, w in zip(
                 topology.edge_src[idx].tolist(), topology.edge_dst[idx].tolist(),
-                weights[idx].tolist())]
+                state.plastic.weights.tolist())]
         self.fh.write("".join(rows))
 
     def close(self) -> None:
@@ -238,26 +245,24 @@ def _non_finite(message: str, ok: np.ndarray) -> NumericsError:
 
 
 def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
-            params: ParameterSet, probe: ProbeWriter | None = None,
-            states: list[RolloutState] | None = None,
+            params: ParameterSet, states: list | ProbeWriter | None = None,
             lengths=None) -> tuple[np.ndarray, RolloutState]:
     """Fold ``step`` over a stimulus sequence. Returns (outputs, final
-    state). ``states``, when given, receives the entry state and the state
-    after every step.
+    state). ``states``, when given, receives the state after every step
+    through its ``append``: a list records the trajectory, a
+    ``ProbeWriter`` writes one episode's.
 
     One episode: ``xs`` is (T x n_in), the outputs (T x n_out). A batch:
     ``state0`` holds B rows, ``xs`` is (B x T x n_in), the outputs
     (B x T x n_out). ``lengths`` (B steps counts, non-increasing) ends row
     b after ``lengths[b]`` steps: its later outputs stay zero, and the
     states after step t (the final state too) hold only the rows still
-    running then. ``probe`` records one episode.
+    running then.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.zeros(xs.shape[:-1] + (topology.n_outputs,))
     by_step, out, rows = xs, ys, None
     if xs.ndim == 3:
-        if probe is not None:
-            raise ValueError("a probe records one episode, not a batch")
         by_step, out = xs.swapaxes(0, 1), ys.swapaxes(0, 1)
         if lengths is None:
             lengths = np.full(len(xs), len(by_step))
@@ -266,8 +271,6 @@ def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
             raise ValueError("batch rows must be sorted by length, longest first")
         rows = np.count_nonzero(lengths[:, None] > np.arange(len(by_step)), axis=0)
     state = state0
-    if states is not None:
-        states.append(state)
     for t in range(len(by_step)):
         x, y = by_step[t], out[t]
         if rows is not None:
@@ -278,9 +281,6 @@ def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
         y[...] = res.y
         if states is not None:
             states.append(state)
-        if probe is not None:
-            probe.record(state.t, state.s, res.probe, topology,
-                         full_weights(topology, params, state.plastic))
     return ys, state
 
 

@@ -13,6 +13,7 @@ import functools
 import inspect
 import json
 import os
+import sys
 import typing
 
 _NO = object()  # a value that does not fit its field's type
@@ -28,8 +29,9 @@ def _fields(cls) -> dict:
 def decode(cls, doc, **given):
     """A ``cls`` from the JSON object ``doc``: unknown keys are refused, each
     value needs its field's type (a bool is not a number; an int for a float
-    is stored as a float), missing keys keep their defaults. Non-None
-    ``given`` values win unchecked (for a nested dataclass: a dict)."""
+    is stored as a float; a float must be finite), missing keys keep their
+    defaults. Non-None ``given`` values win unchecked (for a nested
+    dataclass: a dict)."""
     if not isinstance(doc, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {doc!r}")
     fields = _fields(cls)
@@ -44,7 +46,8 @@ def decode(cls, doc, **given):
             values[name] = given[name]
         elif name in doc:  # most values have exactly their field's type
             value = doc[name]
-            values[name] = value if type(value) is hint else _convert(value, hint)
+            exact = type(value) is hint and hint is not float
+            values[name] = value if exact else _convert(value, hint)
             if values[name] is _NO:
                 raise ValueError(f"{cls.__name__} key {name!r} must be "
                                  f"{inspect.formatannotation(hint)}, "
@@ -57,8 +60,10 @@ def _convert(value, hint):
     if type(hint) is type:
         if isinstance(value, bool) and hint is not bool:
             return _NO
-        if hint is float:
-            return float(value) if isinstance(value, (int, float)) else _NO
+        if hint is float:  # finite: NaN and +-Infinity fail the bound
+            fits = (isinstance(value, (int, float))
+                    and abs(value) <= sys.float_info.max)
+            return float(value) if fits else _NO
         return value if isinstance(value, hint) else _NO
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, list):

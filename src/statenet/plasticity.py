@@ -62,6 +62,14 @@ class PlasticityMeta:
     def retention_raw_init(self) -> float:
         return _logit(self.retention_init)
 
+    def validate(self) -> None:
+        """Refuse a clip bound or retention the rules cannot use."""
+        if not self.clip_bound > 0:
+            raise ValueError(f"clip_bound must be > 0, got {self.clip_bound}")
+        if not 0 < self.retention_init < 1:
+            raise ValueError(f"retention_init must be in (0, 1), "
+                             f"got {self.retention_init}")
+
 
 def squash_retention(raw: float) -> float:
     if raw >= 0:

@@ -162,12 +162,27 @@ class Adam:
         """Restore ``state_dict()`` of a run with ``size`` parameters."""
         self.count = _step_count(state, "count")
         moments = state["m"], state["v"]
-        if moments != (None, None) and not all(
-                isinstance(x, list) and len(x) == size
-                and all(type(e) in (int, float) for e in x) for x in moments):
+        if moments == (None, None):
+            self.m = self.v = None
+            return
+        self.m, self.v = (_numbers(x, size) for x in moments)
+        if self.m is None or self.v is None or np.any(self.v < 0):
             raise CheckpointError(f"adam moments must both be null or both be "
-                                  f"lists of {size} numbers")
-        self.m, self.v = (None if x is None else np.array(x, float) for x in moments)
+                                  f"lists of {size} finite numbers, the "
+                                  f"second ones >= 0")
+
+
+def _numbers(value, size: int) -> np.ndarray | None:
+    """``value`` as a float array if it is a list of ``size`` finite JSON
+    numbers (not strings or booleans), else None."""
+    if not (isinstance(value, list) and len(value) == size
+            and all(type(e) in (int, float) for e in value)):
+        return None
+    try:
+        array = np.array(value, float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return array if np.isfinite(array).all() else None
 
 
 def _step_count(doc: dict, key: str) -> int:
@@ -229,9 +244,20 @@ def load_params(path: str, topology: NetworkTopology,
         if not force and doc.get("topology_hash") != topology.content_hash():
             raise CheckpointMismatch("checkpoint topology hash mismatch")
         meta = decode(PlasticityMeta, doc["meta"])
+        meta.validate()
         base = ParameterSet.from_topology(topology, meta)
-        params = base.with_flat(np.array(doc["params"], dtype=np.float64))
-        params.frozen = set(doc.get("frozen", []))
+        flat = _numbers(doc["params"], base.count)
+        if flat is None:
+            raise CheckpointError(f"checkpoint params must be a list of "
+                                  f"{base.count} finite numbers")
+        params = base.with_flat(flat)
+        frozen = doc.get("frozen", [])
+        if (not isinstance(frozen, list)
+                or not set(frozen) <= params.registry.keys()):
+            raise CheckpointError(f"checkpoint frozen must be a list of "
+                                  f"segments of {sorted(params.registry)}, "
+                                  f"got {frozen!r}")
+        params.frozen = set(frozen)
         if doc["registry"] != {k: [v.start, v.stop]
                                for k, v in params.registry.items()}:
             raise CheckpointError("checkpoint parameter registry mismatch")

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from statenet.autodiff import (batch_gradients, episode_gradients, episode_loss,
-                               fd_gradient, step_loss, step_loss_grad,
+from statenet.autodiff import (Tape, backward, batch_gradients,
+                               episode_gradients, episode_loss, fd_gradient,
+                               outputs_loss, step_loss, step_loss_grad,
                                tbptt_gradients)
 from statenet.engine import fresh_state, rollout
 from statenet.params import ParameterSet
@@ -105,6 +106,28 @@ def test_all_zero_mask_means_zero_loss_and_gradient():
     assert np.array_equal(g, np.zeros_like(g))
 
 
+@pytest.mark.parametrize("loss_tag", ["mse", "bce", "cce"])
+def test_batch_outputs_loss_is_the_step_by_step_sum(loss_tag):
+    # one step_loss call over a ragged batch adds each row's steps in step
+    # order; its zero-masked padding adds nothing
+    n_out = 3 if loss_tag == "cce" else 2
+    episodes = random_episodes(60, 9, 1, n_out, loss_tag)
+    T = max(ep.length for ep in episodes)
+    rng = Rng(61)
+    outs = np.array([[[rng.uniform(-3, 3) for _ in range(n_out)]
+                      for _ in range(T)] for _ in episodes])
+    ys = np.zeros(outs.shape)
+    mask = np.zeros(outs.shape)
+    for b, ep in enumerate(episodes):
+        ys[b, :ep.length], mask[b, :ep.length] = ep.y, ep.mask
+    losses = outputs_loss(loss_tag, outs, ys, mask)
+    for b, ep in enumerate(episodes):
+        expected = 0.0
+        for t in range(ep.length):
+            expected += step_loss(loss_tag, outs[b, t], ys[b, t], mask[b, t])
+        assert losses[b].tobytes() == np.float64(expected).tobytes()
+
+
 def test_conditioning_episode_loss_matches_scalar_oracle():
     # recompute the masked loss of the canonical five-step sequence with
     # plain python floats over the engine's outputs
@@ -143,6 +166,30 @@ def test_zero_length_window_zero_gradient():
     loss, g = tbptt_gradients(topo, params, np.zeros((0, 1)), np.zeros((0, 1)),
                               None, "mse", 1, 1)
     assert loss == 0.0 and np.array_equal(g, np.zeros_like(g))
+
+
+def test_sweep_folds_the_entry_adjoint_only_at_the_episode_start():
+    # plastic weights start at w0 only at step 0: a window entered later
+    # owes w0 nothing through them
+    topo = build_random(4, 0.8, seed=7, model="rate", n_inputs=2, n_outputs=1,
+                        plastic_rule="hebbian")
+    params = jitter(ParameterSet.from_topology(topo), 8)
+    xs = np.stack([random_sequence(s, 6, 2, 1)[0] for s in (9, 10)])
+    states = [fresh_state(topo, params, batch=2)]
+    rollout(states[0], xs, topo, params, states=states)
+    gy = np.stack([random_sequence(s, 4, 1, 1, binary=False)[1]
+                   for s in (11, 12)])
+    w0_plastic = params.registry["w0"].start + topo.plastic_idx
+
+    def sweep(first, starts):
+        return backward(Tape(topo, params, states[first:first + 5], gy,
+                             (np.array(starts), np.array([4, 4]))))
+
+    late = sweep(2, [0, 0])
+    assert np.all(late[:, w0_plastic] == 0.0) and np.any(late != 0.0)
+    early = sweep(0, [1, 0])
+    assert np.all(early[0, w0_plastic] == 0.0)
+    assert np.all(early[1, w0_plastic] != 0.0)
 
 
 def test_single_edge_gradient_matches_hand_derivative():
@@ -203,7 +250,7 @@ def test_gradients_at_the_clip_bound_match_finite_differences():
     xs, ys = random_sequence(52, 8, 2, 2, binary=False)
     states = []
     rollout(fresh_state(topo, params), xs, topo, params, states=states)
-    weights = np.array([st.plastic.weights for st in states[1:]])
+    weights = np.array([st.plastic.weights for st in states])
     assert np.mean(np.abs(weights) == meta.clip_bound) >= 1 / 3
     _, g = episode_gradients(topo, params, xs, ys, None, "mse")
     fd = fd_gradient(topo, params, xs, ys, None, "mse")

@@ -20,6 +20,7 @@ from statenet.topology import build_random, save_topology
 from statenet.training import TrainConfig, train
 
 TRAIN_FLAGS = ["--epochs", "1", "--batch", "2"]
+NAN = float("nan")
 
 FUZZ = settings(max_examples=30, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -151,6 +152,28 @@ def _short_params(doc):
     return {**doc, "params": doc["params"][:-1]}
 
 
+def _meta(**values):
+    return lambda doc: {**doc, "meta": {**doc["meta"], **values}}
+
+
+def _params(edit):
+    return lambda doc: {**doc, "params": edit(doc["params"])}
+
+
+def _moment(key, value):
+    return lambda doc: {**doc, "optimizer": {
+        **doc["optimizer"], key: [value] * len(doc["params"])}}
+
+
+def _resume_edited(files, tmp_path, edit):
+    return resume_args(files, tmp_path, _checkpoint(files, tmp_path, edit))
+
+
+def _eval_edited(files, tmp_path, edit):
+    return acquisition_args(files, tmp_path,
+                            _checkpoint(files, tmp_path, edit))
+
+
 def _resume_with(files, tmp_path, epoch=None, count=None):
     """Resume from the checkpoint with its epoch or adam step count set."""
     def edit(doc):
@@ -228,6 +251,35 @@ PROBES = {
     "resume-checkpoint-epoch-float": lambda f, t: _resume_with(f, t, epoch=1e300),
     "resume-checkpoint-count-negative": lambda f, t: _resume_with(f, t, count=-1),
     "resume-checkpoint-count-float": lambda f, t: _resume_with(f, t, count=2.7),
+    "gen-pavlov-config-weight-nan": lambda f, t: [
+        "gen", "pavlov", "--out", str(t / "d.jsonl"), "--config", write_json(
+            t / "cfg.json", {"train_len_weights": [6.0, 0.0, 0.0, NAN]})],
+    "resume-checkpoint-meta-clip-nan": lambda f, t: _resume_edited(
+        f, t, _meta(clip_bound=NAN)),
+    "eval-checkpoint-meta-clip-nan": lambda f, t: _eval_edited(
+        f, t, _meta(clip_bound=NAN)),
+    "resume-checkpoint-params-number-string": lambda f, t: _resume_edited(
+        f, t, _params(lambda p: ["0.5"] + p[1:])),
+    "resume-checkpoint-params-bool": lambda f, t: _resume_edited(
+        f, t, _params(lambda p: [True] + p[1:])),
+    "resume-checkpoint-params-nan": lambda f, t: _resume_edited(
+        f, t, _params(lambda p: [NAN] * len(p))),
+    "eval-checkpoint-params-nan": lambda f, t: _eval_edited(
+        f, t, _params(lambda p: [NAN] * len(p))),
+    "eval-checkpoint-params-int-overflow": lambda f, t: _eval_edited(
+        f, t, _params(lambda p: [10**400] + p[1:])),
+    "resume-checkpoint-moment-nan": lambda f, t: _resume_edited(
+        f, t, _moment("m", NAN)),
+    "resume-checkpoint-second-moment-negative": lambda f, t: _resume_edited(
+        f, t, _moment("v", -1.0)),
+    "resume-checkpoint-frozen-unknown": lambda f, t: _resume_edited(
+        f, t, lambda d: {**d, "frozen": ["nope"]}),
+    "resume-checkpoint-frozen-string": lambda f, t: _resume_edited(
+        f, t, lambda d: {**d, "frozen": "w0"}),
+    "resume-checkpoint-meta-retention-one": lambda f, t: _resume_edited(
+        f, t, _meta(retention_init=1.0)),
+    "resume-checkpoint-meta-clip-negative": lambda f, t: _resume_edited(
+        f, t, _meta(clip_bound=-1.0)),
 }
 
 

@@ -226,9 +226,9 @@ def test_probe_dump(tmp_path):
     topo = chain_topology([1.0])
     params = ParameterSet.from_topology(topo)
     path = str(tmp_path / "probe.csv")
-    with ProbeWriter(path, edge_stride=1) as probe:
+    with ProbeWriter(path, topo, edge_stride=1) as probe:
         rollout(fresh_state(topo, params), np.ones((3, 1)), topo, params,
-                probe=probe)
+                states=probe)
     lines = open(path).read().splitlines()
     assert lines[0] == "t,kind,id,a,b"
     assert sum(1 for ln in lines if ln.startswith("1,n,")) == topo.n
@@ -242,16 +242,18 @@ def test_probe_fields_read_back_bitwise(tmp_path):
     rng = Rng(4)
     xs = np.array([[rng.uniform(-1, 1)] for _ in range(5)])
     path = str(tmp_path / "probe.csv")
+    with ProbeWriter(path, topo, edge_stride=1) as probe:
+        rollout(fresh_state(topo, params), xs, topo, params, states=probe)
     states = []
-    with ProbeWriter(path, edge_stride=1) as probe:
-        rollout(fresh_state(topo, params), xs, topo, params, probe=probe,
-                states=states)
+    rollout(fresh_state(topo, params), xs, topo, params, states=states)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
+    assert sorted({int(row["t"]) for row in rows}) == list(range(1, 6))
     plastic = {f"{topo.edge_src[k]}->{topo.edge_dst[k]}": pos
                for pos, k in enumerate(topo.plastic_idx)}
     for row in rows:
-        state = states[int(row["t"])]
+        state = states[int(row["t"]) - 1]
+        assert state.t == int(row["t"])
         if row["kind"] == "n":
             i = int(row["id"])
             assert float(row["a"]) == state.s[i]
@@ -261,3 +263,11 @@ def test_probe_fields_read_back_bitwise(tmp_path):
             assert float(row["a"]) == state.plastic.weights[plastic[row["id"]]]
     assert sum(row["kind"] == "n" for row in rows) == 5 * topo.n
     assert sum(row["kind"] == "e" for row in rows) == 5 * topo.n_plastic > 0
+
+
+def test_probe_refuses_a_batch_state(tmp_path):
+    topo = chain_topology([1.0])
+    params = ParameterSet.from_topology(topo)
+    with ProbeWriter(str(tmp_path / "probe.csv"), topo) as probe:
+        with pytest.raises(ValueError, match="one episode"):
+            probe.append(fresh_state(topo, params, batch=2))

@@ -32,6 +32,8 @@ def test_int_for_float_is_stored_as_float():
     {"rate": True}, {"rate": "1e3"}, {"flag": "false"}, {"flag": 0},
     {"span": [1, 2, 3]}, {"span": 5}, {"span": [1, 2.0]}, {"depth": 2.0},
     {"inner": {"size": True}}, {"weights": [1, "a"]},
+    {"rate": float("nan")}, {"rate": float("inf")}, {"rate": 10**400},
+    {"weights": [1.0, -float("inf")]},
 ])
 def test_value_of_another_type_is_refused(doc):
     with pytest.raises(ValueError, match="must be"):
