@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .jsonio import atomic_write
+from .jsonio import atomic_write, count
 from .pong import PongConfig, PongEnv, action_onehot
 from .rng import Rng, derive_seed
 
@@ -317,9 +318,9 @@ def load_dataset(path: str) -> Dataset:
         if manifest.get("format") != FORMAT_TAG:
             raise DatasetError(f"line 1: missing or unsupported format tag "
                                f"(expected {FORMAT_TAG!r})")
-        declared, n_in, n_out = (_count(manifest, "episodes"),
-                                 _count(manifest["dims"], "inputs"),
-                                 _count(manifest["dims"], "outputs"))
+        declared, n_in, n_out = (count(manifest, "episodes"),
+                                 count(manifest["dims"], "inputs"),
+                                 count(manifest["dims"], "outputs"))
     except DatasetError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -338,6 +339,8 @@ def load_dataset(path: str) -> Dataset:
             y = _numbers(rec, "y", lineno)
             mask = _numbers(rec, "mask", lineno) if "mask" in rec else None
             meta = rec.get("meta", {})
+        except DatasetError:
+            raise
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise DatasetError(f"line {lineno}: malformed episode: "
                                f"{type(exc).__name__}: {exc}") from exc
@@ -363,18 +366,12 @@ def load_dataset(path: str) -> Dataset:
     return Dataset(episodes=episodes, manifest=manifest)
 
 
-def _count(doc: dict, key: str) -> int:
-    """A manifest count: a JSON integer (a bool is not one)."""
-    value = doc[key]
-    if type(value) is not int:
-        raise DatasetError(f"line 1: manifest {key} must be an integer, "
-                           f"got {value!r}")
-    return value
-
-
 def _numbers(rec: dict, key: str, lineno: int) -> np.ndarray:
     """An episode array of JSON numbers (no strings, bools or nulls)."""
     values = np.array(rec[key])
-    if values.dtype.kind not in "iuf":
+    # booleans mixed with numbers leave numpy's dtype numeric: walk the rows
+    items = chain.from_iterable(rec[key]) if values.ndim == 2 else ()
+    if (values.dtype.kind not in "iuf"
+            or not set(map(type, items)) <= {int, float}):
         raise DatasetError(f"line {lineno}: {key} must hold numbers only")
     return values.astype(np.float64, copy=False)

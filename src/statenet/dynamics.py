@@ -14,8 +14,9 @@ All functions are pure and accept scalars or numpy arrays elementwise;
 ``params`` holds one neuron's parameters or arrays aligned with the
 topology's rate / lif ids (``ParameterSet``, ``NetworkTopology.lif_params``).
 The spike nonlinearity is not differentiable; training uses the
-fast-sigmoid surrogate in ``lif_surrogate_grad``. The engine passes
-``check=False`` and checks each whole step once, naming step and neuron.
+fast-sigmoid surrogate in ``lif_surrogate_grad``. The kernels do not
+check their inputs: ``engine.step`` checks each whole step once and names
+the step, the neuron and, on a batch, the row.
 """
 
 from __future__ import annotations
@@ -34,37 +35,22 @@ class NumericsError(FloatingPointError):
         self.row = row
 
 
-def _finite(where: str, drive, s_prev):
-    drive = np.asarray(drive, dtype=np.float64)
-    s_prev = np.asarray(s_prev, dtype=np.float64)
-    if not (np.all(np.isfinite(drive)) and np.all(np.isfinite(s_prev))):
-        raise NumericsError(f"{where}: non-finite drive or state")
-    return drive, s_prev
-
-
-def rate_step(drive, s_prev, params: RateParams, check: bool = True):
+def rate_step(drive, s_prev, params: RateParams):
     """One rate-neuron update. Returns (output, new state); they are equal."""
-    if check:
-        drive, s_prev = _finite("rate_step", drive, s_prev)
     s_new = np.tanh(drive + params.self_coeff * s_prev + params.bias)
     return s_new, s_new
 
 
-def lif_step(drive, s_prev, params: LifParams, check: bool = True):
+def lif_step(drive, s_prev, params: LifParams):
     """One leaky integrate-and-fire update. Returns (spike, new membrane).
 
     With zero drive the membrane decays geometrically toward ``rest`` with
     factor (1 - dt) per step. A spike forces the membrane to ``reset``
     regardless of drive magnitude.
     """
-    if check:
-        drive, s_prev = _finite("lif_step", drive, s_prev)
     pre = lif_membrane_pre(drive, s_prev, params)
-    spike = (pre >= params.threshold).astype(np.float64)
-    s_new = np.where(spike > 0.0, params.reset, pre)
-    if spike.ndim == 0:
-        return float(spike), float(s_new)
-    return spike, s_new
+    spike = np.greater_equal(pre, params.threshold).astype(np.float64)
+    return spike, np.where(spike > 0.0, params.reset, pre)
 
 
 def lif_membrane_pre(drive, s_prev, params: LifParams):

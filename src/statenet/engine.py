@@ -61,10 +61,6 @@ class RolloutState:
     plastic: PlasticEdgeState
     t: int = 0
 
-    def copy(self) -> "RolloutState":
-        return RolloutState(self.s.copy(), self.v_last.copy(),
-                            self.plastic.copy(), self.t)
-
     def rows(self, rows: slice | np.ndarray | None) -> "RolloutState":
         """Some episodes of a batch state: a slice gives views, an integer
         index array copies of those rows in its order; ``None`` views one
@@ -192,14 +188,14 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
     s_new = state.s.copy()
     rate = topology.rate_ids
     if len(rate):
-        out, s_rate = rate_step(u.take(rate, -1),
-                                state.s.take(rate, -1), params, check=False)
+        out, s_rate = rate_step(u.take(rate, -1), state.s.take(rate, -1),
+                                params)
         v.T[rate] = out.T
         s_new.T[rate] = s_rate.T
     lif = topology.lif_ids
     if len(lif):
         out, s_lif = lif_step(u.take(lif, -1), state.s.take(lif, -1),
-                              topology.lif_params, check=False)
+                              topology.lif_params)
         v.T[lif] = out.T
         s_new.T[lif] = s_lif.T
 

@@ -1,8 +1,10 @@
 """How every statenet file is read into typed values and written:
 ``decode`` turns a JSON object into a dataclass (topology records, cell
-params, checkpoint meta, ``--config`` files); ``atomic_write`` writes
-``<path>.tmp`` and renames it over ``path``, so a killed process leaves
-the previous file, never a truncated one (no fsync: not power-loss safe).
+params, checkpoint meta, ``--config`` files); ``count`` reads a
+non-negative integer (dataset manifest counts, checkpoint epoch and adam
+step count); ``atomic_write`` writes ``<path>.tmp`` and renames it over
+``path``, so a killed process leaves the previous file, never a truncated
+one (no fsync: not power-loss safe).
 """
 
 from __future__ import annotations
@@ -49,10 +51,21 @@ def decode(cls, doc, **given):
             exact = type(value) is hint and hint is not float
             values[name] = value if exact else _convert(value, hint)
             if values[name] is _NO:
+                rule = inspect.formatannotation(hint).replace(
+                    "float", "finite float")
                 raise ValueError(f"{cls.__name__} key {name!r} must be "
-                                 f"{inspect.formatannotation(hint)}, "
-                                 f"got {doc[name]!r}")
+                                 f"{rule}, got {doc[name]!r}")
     return cls(**values)
+
+
+def count(doc: dict, key: str) -> int:
+    """``doc[key]``, refused unless it is a non-negative JSON integer (a
+    bool is not one)."""
+    value = doc[key]
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{key} must be a non-negative integer, "
+                         f"got {value!r}")
+    return value
 
 
 def _convert(value, hint):

@@ -92,10 +92,6 @@ class PlasticEdgeState:
     trace_pre: np.ndarray
     trace_post: np.ndarray
 
-    def copy(self) -> "PlasticEdgeState":
-        return PlasticEdgeState(self.weights.copy(), self.trace_pre.copy(),
-                                self.trace_post.copy())
-
     def rows(self, rows: slice | np.ndarray | None) -> "PlasticEdgeState":
         """Some episodes' rows, picked as ``RolloutState.rows`` picks them."""
         return PlasticEdgeState(self.weights[rows], self.trace_pre[rows],

@@ -325,12 +325,12 @@ def build_random(n_hidden: int, density: float, seed: int, model: str = "rate", 
                  n_inputs: int, n_outputs: int,
                  plastic_rule: str = "none",
                  plastic_scope: str = "hidden",
-                 self_loops: bool = False,
                  direct_io: bool = False,
                  lif_params: LifParams | None = None) -> NetworkTopology:
-    """Random graph: inputs fan out to every hidden, each ordered hidden
-    pair is wired with probability ``density``, hidden fans in to every
-    output. With ``n_hidden == 0`` inputs connect directly to outputs.
+    """Random graph: inputs fan out to every hidden, each ordered pair of
+    distinct hidden neurons is wired with probability ``density``, hidden
+    fans in to every output. With ``n_hidden == 0`` inputs connect directly
+    to outputs.
 
     ``direct_io`` additionally wires every input straight to every output.
     Every edge delays its signal one step, so without direct edges an
@@ -383,7 +383,7 @@ def build_random(n_hidden: int, density: float, seed: int, model: str = "rate", 
                 pairs.append((i, h, False))
         for p in hidden:
             for q in hidden:
-                if p == q and not self_loops:
+                if p == q:
                     continue
                 if rng.chance(density):
                     pairs.append((p, q, True))

@@ -5,8 +5,7 @@ lockstep batch (``autodiff.batch_gradients``; with workers, one lockstep
 sub-batch per worker). Each episode's gradient row is bitwise independent
 of its batch partners, and the rows are summed in episode order, so
 results depend on neither batch layout nor worker count. The mean is
-clipped by global norm, then applied with plain SGD or the
-adaptive-moments optimizer.
+clipped by global norm, then applied with plain SGD or Adam.
 Everything is deterministic for a fixed (topology, dataset, config, seed):
 the per-epoch shuffle order derives from the seed and the epoch index, so
 resuming from a checkpoint continues the exact run.
@@ -31,7 +30,7 @@ from .autodiff import batch_gradients, outputs_loss
 from .datasets import Dataset, DatasetError
 from .dynamics import NumericsError
 from .engine import fresh_state, rollout, step
-from .jsonio import atomic_write, decode, read_json, write_json
+from .jsonio import atomic_write, count, decode, read_json, write_json
 from .params import ParameterSet
 from .plasticity import PlasticityMeta
 from .pong import PongConfig, PongEnv, action_from_index
@@ -58,7 +57,7 @@ class CheckpointMismatch(CheckpointError):
 @dataclass(frozen=True)
 class TrainConfig:
     loss_tag: str = "bce"            # mse | bce | cce
-    optimizer: str = "adam"          # sgd | adam (adaptive moments)
+    optimizer: str = "adam"          # sgd | adam
     learning_rate: float = 3e-3
     batch_size: int = 32
     epochs: int = 30
@@ -78,7 +77,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.loss_tag not in ("mse", "bce", "cce"):
             raise ValueError(f"unknown loss tag {self.loss_tag!r}")
-        if self.optimizer not in ("sgd", "adam", "adaptive-moments"):
+        if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate < 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("learning rate, batch size, epochs must be positive")
@@ -133,11 +132,10 @@ class Adam:
     """Adaptive moments: first/second moment averages with bias correction."""
 
     kind = "adam"
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
         self.count = 0
@@ -160,7 +158,7 @@ class Adam:
 
     def load_state(self, state: dict, size: int) -> None:
         """Restore ``state_dict()`` of a run with ``size`` parameters."""
-        self.count = _step_count(state, "count")
+        self.count = count(state, "count")
         moments = state["m"], state["v"]
         if moments == (None, None):
             self.m = self.v = None
@@ -183,15 +181,6 @@ def _numbers(value, size: int) -> np.ndarray | None:
     except OverflowError:  # an integer beyond the float range
         return None
     return array if np.isfinite(array).all() else None
-
-
-def _step_count(doc: dict, key: str) -> int:
-    """``doc[key]``, refused unless it is a non-negative JSON integer."""
-    value = doc[key]
-    if type(value) is not int or value < 0:
-        raise CheckpointError(f"checkpoint {key} must be a non-negative "
-                              f"integer, got {value!r}")
-    return value
 
 
 def make_optimizer(config: TrainConfig):
@@ -280,7 +269,7 @@ def load_checkpoint(path: str, topology: NetworkTopology, config: TrainConfig,
         if doc["optimizer"]["kind"] != optimizer.kind:
             raise CheckpointError("checkpoint optimizer kind mismatch")
         optimizer.load_state(doc["optimizer"], params.count)
-        next_epoch = _step_count(doc, "epoch") + 1
+        next_epoch = count(doc, "epoch") + 1
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -454,7 +443,7 @@ def pavlov_recipe(topology_seed: int = 42):
     16 hidden at density 0.4, hebbian plasticity on the hidden block and
     on edges into the output, direct stimulus-to-output edges (the
     response must react to the previous stimulus, which is one edge away),
-    logit cross-entropy, adaptive moments at 3e-3.
+    logit cross-entropy, Adam at 3e-3.
     """
     from .topology import build_random
     topology = build_random(16, 0.4, seed=topology_seed, model="rate",

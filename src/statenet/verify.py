@@ -112,9 +112,9 @@ def run_oracle_diff(n_cases: int = 1000, seed: int = 7,
         amp = 3.0 if spiking else 1.0
         xs = np.array([[rng.uniform(-amp, amp) for _ in range(topo.n_inputs)]
                        for _ in range(T)])
-        state0 = fresh_state(topo, params)
-        fast, _ = rollout(state0.copy(), xs, topo, params)
-        slow = np.array(reference_rollout(state0.copy(), xs, topo, params))
+        fast, _ = rollout(fresh_state(topo, params), xs, topo, params)
+        slow = np.array(reference_rollout(fresh_state(topo, params), xs,
+                                          topo, params))
         if spiking:
             if not np.array_equal(fast, slow):
                 passed = False

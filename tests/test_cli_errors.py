@@ -120,6 +120,14 @@ def _mask_nan(rec):
     rec["mask"] = [[float("nan")]] + [[1.0]] * (len(rec["y"]) - 1)
 
 
+def _x_bool(rec):
+    rec["x"][0][0] = True   # numpy reads [true, 0.0] as numbers
+
+
+def _mask_bool(rec):
+    rec["mask"] = [[True]] + [[1.0]] * (len(rec["y"]) - 1)
+
+
 def _train_config(files, tmp_path, **values):
     return train_args(files, tmp_path) + [
         "--config", write_json(tmp_path / "cfg.json", values)]
@@ -280,6 +288,12 @@ PROBES = {
         f, t, _meta(retention_init=1.0)),
     "resume-checkpoint-meta-clip-negative": lambda f, t: _resume_edited(
         f, t, _meta(clip_bound=-1.0)),
+    "dataset-x-bool": lambda f, t: train_args(
+        f, t, data=_dataset_edit(f, t, 1, _x_bool)),
+    "dataset-mask-bool": lambda f, t: train_args(
+        f, t, data=_dataset_edit(f, t, 1, _mask_bool)),
+    "train-config-optimizer-alias": lambda f, t: _train_config(
+        f, t, optimizer="adaptive-moments"),
 }
 
 

@@ -229,6 +229,37 @@ def test_unknown_episode_keys_rejected(tmp_path):
         load_dataset(path)
 
 
+def write_one_episode(tmp_path, rec, n_in):
+    """A dataset file of one episode line ``rec`` with ``n_in`` inputs."""
+    path = str(tmp_path / "eps.jsonl")
+    manifest = {"format": "snn-episodes/1", "generator": "x", "seed": 0,
+                "dims": {"inputs": n_in, "outputs": 1}, "episodes": 1,
+                "params": {}}
+    with open(path, "w") as fh:
+        fh.write(json.dumps(manifest) + "\n")
+        fh.write(json.dumps(rec) + "\n")
+    return path
+
+
+def test_episode_error_names_its_line_once(tmp_path):
+    path = write_one_episode(tmp_path, {"x": "abc", "y": [[0.0]]}, 1)
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(path)
+    assert str(exc.value) == "line 2: x must hold numbers only"
+
+
+@pytest.mark.parametrize("key,rows", [
+    ("x", [[True, 0], [0.5, 1]]), ("y", [[0.0], [False]]),
+    ("mask", [[1.0], [True]]),
+])
+def test_booleans_among_numbers_refused(tmp_path, key, rows):
+    # numpy reads [True, 0] as numbers; the loader must not
+    rec = {"x": [[1.0, 0], [0.5, 1]], "y": [[0.0], [1.0]],
+           "mask": [[1.0], [0.0]], key: rows}
+    with pytest.raises(DatasetError, match=r"^line 2: \w+ must hold numbers"):
+        load_dataset(write_one_episode(tmp_path, rec, 2))
+
+
 def test_missing_format_tag_rejected(tmp_path):
     path = str(tmp_path / "eps.jsonl")
     with open(path, "w") as fh:

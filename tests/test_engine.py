@@ -222,6 +222,26 @@ def test_non_finite_stimulus_raises_with_timestamp():
         step(fresh_state(topo, params), np.array([float("nan")]), topo, params)
 
 
+def test_non_finite_lif_value_names_step_neuron_and_row():
+    # the kernels do not check their inputs; step checks the whole step
+    neurons = [NeuronSpec(i, role, "lif", LifParams())
+               for i, role in enumerate(("input", "hidden", "output"))]
+    topo = NetworkTopology(neurons, [
+        EdgeSpec(0, 1, 0.5), EdgeSpec(1, 2, 0.5, plastic=True, rule="stdp")])
+    params = ParameterSet.from_topology(topo)
+    params.segment("w0")[[e.dst for e in topo.edges].index(2)] = float("nan")
+    message = r"^non-finite value at t=1, neuron 2$"
+    with pytest.raises(NumericsError, match=message) as exc:
+        step(fresh_state(topo, params), np.zeros(1), topo, params)
+    assert exc.value.row is None
+    # a batch names the first row whose plastic weight holds the NaN
+    state = fresh_state(topo, params, batch=3)
+    state.plastic.weights[0] = 0.5
+    with pytest.raises(NumericsError, match=message) as exc:
+        step(state, np.zeros((3, 1)), topo, params)
+    assert exc.value.row == 1
+
+
 def test_probe_dump(tmp_path):
     topo = chain_topology([1.0])
     params = ParameterSet.from_topology(topo)

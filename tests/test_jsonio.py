@@ -3,7 +3,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from statenet.jsonio import atomic_write, decode
+from statenet.jsonio import atomic_write, count, decode
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,26 @@ def test_int_for_float_is_stored_as_float():
 def test_value_of_another_type_is_refused(doc):
     with pytest.raises(ValueError, match="must be"):
         decode(Outer, doc)
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"rate": float("nan")}, "key 'rate' must be finite float, got nan"),
+    ({"rate": 10**400}, "key 'rate' must be finite float, got 1000"),
+    ({"weights": [1.0, -float("inf")]},
+     "key 'weights' must be tuple[finite float, ...], got [1.0, -inf]"),
+])
+def test_message_says_a_float_must_be_finite(doc, message):
+    with pytest.raises(ValueError) as exc:
+        decode(Outer, doc)
+    assert str(exc.value).startswith("Outer " + message)
+
+
+def test_count_takes_only_non_negative_integers():
+    assert count({"n": 0}, "n") == 0 and count({"n": 7}, "n") == 7
+    for value in (-1, True, 2.0, "3", None, [1]):
+        with pytest.raises(ValueError, match=r"^n must be a non-negative "
+                           r"integer, got "):
+            count({"n": value}, "n")
 
 
 def test_unknown_keys_refused_at_any_depth():
