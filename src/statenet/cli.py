@@ -19,6 +19,7 @@ import sys
 import click
 
 from . import __version__
+from .autodiff import LOSS_TAGS
 from .datasets import FORMAT_TAG as DATASET_FORMAT_TAG
 from .datasets import (PavlovConfig, PongDataConfig, gen_pavlov, gen_pong,
                        load_dataset, save_dataset)
@@ -181,8 +182,7 @@ def topo_show(path):
 @click.option("--eval-dataset", "eval_path", type=str, default=None)
 @click.option("--out-dir", "out_dir", required=True, type=str)
 @click.option("--config", "config_path", type=str, default=None)
-@click.option("--loss", "loss_tag", type=click.Choice(["mse", "bce", "cce"]),
-              default=None)
+@click.option("--loss", "loss_tag", type=click.Choice(LOSS_TAGS), default=None)
 @click.option("--optimizer", type=click.Choice(["sgd", "adam"]), default=None)
 @click.option("--lr", "learning_rate", type=float, default=None)
 @click.option("--batch", "batch_size", type=int, default=None)

@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .jsonio import atomic_write, count
+from .jsonio import atomic_write, count, malformed, numbers
 from .pong import PongConfig, PongEnv, action_onehot
 from .rng import Rng, derive_seed
 
@@ -313,7 +312,7 @@ def load_dataset(path: str) -> Dataset:
         lines = fh.read().splitlines()
     if not lines:
         raise DatasetError("empty dataset file")
-    try:
+    with malformed(DatasetError, "line 1: malformed manifest"):
         manifest = json.loads(lines[0])
         if manifest.get("format") != FORMAT_TAG:
             raise DatasetError(f"line 1: missing or unsupported format tag "
@@ -321,57 +320,26 @@ def load_dataset(path: str) -> Dataset:
         declared, n_in, n_out = (count(manifest, "episodes"),
                                  count(manifest["dims"], "inputs"),
                                  count(manifest["dims"], "outputs"))
-    except DatasetError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise DatasetError(f"line 1: malformed manifest: "
-                           f"{type(exc).__name__}: {exc}") from exc
     body = [ln for ln in lines[1:] if ln.strip()]
     if declared != len(body):
         raise DatasetError(f"manifest declares {declared} episodes, "
                            f"file has {len(body)}")
     episodes = []
     for lineno, ln in enumerate(body, start=2):
-        try:
+        with malformed(DatasetError, f"line {lineno}: malformed episode"):
             rec = json.loads(ln)
             unknown = set(rec) - {"x", "y", "mask", "meta"}
-            x = _numbers(rec, "x", lineno)
-            y = _numbers(rec, "y", lineno)
-            mask = _numbers(rec, "mask", lineno) if "mask" in rec else None
+            x, y = numbers(rec, "x", 2), numbers(rec, "y", 2)
+            mask = numbers(rec, "mask", 2) if "mask" in rec else None
             meta = rec.get("meta", {})
-        except DatasetError:
-            raise
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise DatasetError(f"line {lineno}: malformed episode: "
-                               f"{type(exc).__name__}: {exc}") from exc
         if unknown:
             raise DatasetError(f"line {lineno}: unknown keys {sorted(unknown)}")
         if type(meta) is not dict:
             raise DatasetError(f"line {lineno}: meta must be a JSON object")
-        if x.ndim != 2 or y.ndim != 2 or x.shape[1] != n_in or y.shape[1] != n_out:
+        if x.shape[1] != n_in or y.shape[1] != n_out:
             raise DatasetError(f"line {lineno}: episode dims inconsistent "
                                f"with manifest {n_in}x{n_out}")
         if len(x) != len(y) or (mask is not None and mask.shape != y.shape):
             raise DatasetError(f"line {lineno}: sequence lengths disagree")
         episodes.append(Episode(x=x, y=y, mask=mask, meta=meta))
-    # one finiteness pass over every array; on failure, find the line
-    def arrays(ep):
-        return [a.ravel() for a in (ep.x, ep.y, ep.mask) if a is not None]
-
-    if episodes and not np.isfinite(np.concatenate(
-            [a for ep in episodes for a in arrays(ep)])).all():
-        bad = next(i for i, ep in enumerate(episodes)
-                   if not np.isfinite(np.concatenate(arrays(ep))).all())
-        raise DatasetError(f"line {bad + 2}: non-finite values")
     return Dataset(episodes=episodes, manifest=manifest)
-
-
-def _numbers(rec: dict, key: str, lineno: int) -> np.ndarray:
-    """An episode array of JSON numbers (no strings, bools or nulls)."""
-    values = np.array(rec[key])
-    # booleans mixed with numbers leave numpy's dtype numeric: walk the rows
-    items = chain.from_iterable(rec[key]) if values.ndim == 2 else ()
-    if (values.dtype.kind not in "iuf"
-            or not set(map(type, items)) <= {int, float}):
-        raise DatasetError(f"line {lineno}: {key} must hold numbers only")
-    return values.astype(np.float64, copy=False)

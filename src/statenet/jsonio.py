@@ -2,9 +2,13 @@
 ``decode`` turns a JSON object into a dataclass (topology records, cell
 params, checkpoint meta, ``--config`` files); ``count`` reads a
 non-negative integer (dataset manifest counts, checkpoint epoch and adam
-step count); ``atomic_write`` writes ``<path>.tmp`` and renames it over
-``path``, so a killed process leaves the previous file, never a truncated
-one (no fsync: not power-loss safe).
+step count); ``numbers`` reads a list or table of finite numbers as a
+float array (episode ``x``/``y``/``mask``, checkpoint params and adam
+moments); ``malformed`` turns a parse failure inside a reader into that
+reader's error class, named with where it happened; ``atomic_write``
+writes ``<path>.tmp`` and renames it over ``path``, so a killed process
+leaves the previous file, never a truncated one (no fsync: not power-loss
+safe).
 """
 
 from __future__ import annotations
@@ -14,9 +18,13 @@ import dataclasses
 import functools
 import inspect
 import json
+import math
 import os
 import sys
 import typing
+from itertools import chain
+
+import numpy as np
 
 _NO = object()  # a value that does not fit its field's type
 
@@ -66,6 +74,44 @@ def count(doc: dict, key: str) -> int:
         raise ValueError(f"{key} must be a non-negative integer, "
                          f"got {value!r}")
     return value
+
+
+def numbers(doc: dict, key: str, ndim: int) -> np.ndarray:
+    """``doc[key]`` as a float64 array of ``ndim`` (1 or 2) dimensions,
+    refused unless it is a JSON list (of equally long lists when ``ndim``
+    is 2) of finite numbers (a bool is not one; an integer must fit a
+    float)."""
+    value = doc[key]
+    rows = value if ndim == 2 else [value]
+    if not (type(value) is list and set(map(type, rows)) <= {list}
+            and len(set(map(len, rows))) <= 1):
+        table = " of equally long lists" if ndim == 2 else ""
+        raise ValueError(f"{key} must be a list{table} of numbers")
+    items = list(chain.from_iterable(rows))
+    if not set(map(type, items)) <= {int, float}:
+        raise ValueError(f"{key} must hold numbers only")
+    try:
+        finite = all(map(math.isfinite, items))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{key} must hold finite numbers only")
+    array = np.array(value, dtype=np.float64)
+    return array if array.ndim == ndim else array.reshape(0, 0)  # empty table
+
+
+@contextlib.contextmanager
+def malformed(error: type, where: str):
+    """Inside the block, an ``error`` passes through unchanged and a
+    ``KeyError``, ``TypeError``, ``ValueError`` or ``AttributeError`` (a
+    missing key, a value of the wrong type) is raised again as
+    ``error("<where>: <its type>: <its message>")``."""
+    try:
+        yield
+    except error:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise error(f"{where}: {type(exc).__name__}: {exc}") from exc
 
 
 def _convert(value, hint):

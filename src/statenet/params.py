@@ -27,8 +27,6 @@ import numpy as np
 from .plasticity import PlasticityMeta, squash_retention
 from .topology import NetworkTopology
 
-SEGMENTS = ("w0", "self_coeff", "bias", "learn_rate", "retention_raw")
-
 
 @dataclass
 class ParameterSet:

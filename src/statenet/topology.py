@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .jsonio import decode, read_json, write_json
+from .jsonio import decode, malformed, read_json, write_json
 from .rng import Rng
 
 FORMAT_TAG = "snn-topology/1"
@@ -293,12 +293,13 @@ def from_document(doc: dict) -> NetworkTopology:
 def _records(doc: dict, kind: str, decode_record) -> list:
     """Decode the document's list of ``kind`` records; a malformed record
     raises a TopologyError that names it."""
+    records = doc.get(kind + "s", [])
+    if type(records) is not list:
+        raise TopologyError(f"{kind}s must be a list of records")
     out = []
-    try:
-        for rec in doc.get(kind + "s", []):
+    for i, rec in enumerate(records):
+        with malformed(TopologyError, f"{kind} record {i}"):
             out.append(decode_record(rec))
-    except (TypeError, ValueError) as exc:
-        raise TopologyError(f"{kind} record {len(out)}: {exc}") from exc
     return out
 
 

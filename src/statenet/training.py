@@ -26,11 +26,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import batch_gradients, outputs_loss
+from .autodiff import LOSS_TAGS, batch_gradients, outputs_loss
 from .datasets import Dataset, DatasetError
 from .dynamics import NumericsError
 from .engine import fresh_state, rollout, step
-from .jsonio import atomic_write, count, decode, read_json, write_json
+from .jsonio import (atomic_write, count, decode, malformed, numbers, read_json,
+                     write_json)
 from .params import ParameterSet
 from .plasticity import PlasticityMeta
 from .pong import PongConfig, PongEnv, action_from_index
@@ -75,7 +76,7 @@ class TrainConfig:
         for name, value in asdict(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.loss_tag not in ("mse", "bce", "cce"):
+        if self.loss_tag not in LOSS_TAGS:
             raise ValueError(f"unknown loss tag {self.loss_tag!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
@@ -159,28 +160,14 @@ class Adam:
     def load_state(self, state: dict, size: int) -> None:
         """Restore ``state_dict()`` of a run with ``size`` parameters."""
         self.count = count(state, "count")
-        moments = state["m"], state["v"]
-        if moments == (None, None):
+        if (state["m"], state["v"]) == (None, None):
             self.m = self.v = None
             return
-        self.m, self.v = (_numbers(x, size) for x in moments)
-        if self.m is None or self.v is None or np.any(self.v < 0):
+        self.m, self.v = numbers(state, "m", 1), numbers(state, "v", 1)
+        if len(self.m) != size or len(self.v) != size or np.any(self.v < 0):
             raise CheckpointError(f"adam moments must both be null or both be "
                                   f"lists of {size} finite numbers, the "
                                   f"second ones >= 0")
-
-
-def _numbers(value, size: int) -> np.ndarray | None:
-    """``value`` as a float array if it is a list of ``size`` finite JSON
-    numbers (not strings or booleans), else None."""
-    if not (isinstance(value, list) and len(value) == size
-            and all(type(e) in (int, float) for e in value)):
-        return None
-    try:
-        array = np.array(value, float)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return array if np.isfinite(array).all() else None
 
 
 def make_optimizer(config: TrainConfig):
@@ -226,7 +213,7 @@ def load_params(path: str, topology: NetworkTopology,
                 force: bool = False) -> tuple[ParameterSet, dict]:
     """Returns (params, checkpoint document); refuses a checkpoint of
     another topology unless ``force``."""
-    try:
+    with malformed(CheckpointError, "malformed checkpoint"):
         doc = read_json(path, CheckpointError)
         if doc.get("format") != CHECKPOINT_TAG:
             raise CheckpointError("not a checkpoint file")
@@ -235,8 +222,8 @@ def load_params(path: str, topology: NetworkTopology,
         meta = decode(PlasticityMeta, doc["meta"])
         meta.validate()
         base = ParameterSet.from_topology(topology, meta)
-        flat = _numbers(doc["params"], base.count)
-        if flat is None:
+        flat = numbers(doc, "params", 1)
+        if len(flat) != base.count:
             raise CheckpointError(f"checkpoint params must be a list of "
                                   f"{base.count} finite numbers")
         params = base.with_flat(flat)
@@ -250,11 +237,6 @@ def load_params(path: str, topology: NetworkTopology,
         if doc["registry"] != {k: [v.start, v.stop]
                                for k, v in params.registry.items()}:
             raise CheckpointError("checkpoint parameter registry mismatch")
-    except CheckpointError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise CheckpointError(
-            f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
     return params, doc
 
 
@@ -262,7 +244,7 @@ def load_checkpoint(path: str, topology: NetworkTopology, config: TrainConfig,
                     force: bool = False):
     """Returns (params, optimizer, next_epoch)."""
     params, doc = load_params(path, topology, force)
-    try:
+    with malformed(CheckpointError, "malformed checkpoint"):
         if not force and doc["config_hash"] != config_hash(config):
             raise CheckpointMismatch("checkpoint config hash mismatch")
         optimizer = make_optimizer(config)
@@ -270,11 +252,6 @@ def load_checkpoint(path: str, topology: NetworkTopology, config: TrainConfig,
             raise CheckpointError("checkpoint optimizer kind mismatch")
         optimizer.load_state(doc["optimizer"], params.count)
         next_epoch = count(doc, "epoch") + 1
-    except CheckpointError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise CheckpointError(
-            f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
     return params, optimizer, next_epoch
 
 
@@ -351,6 +328,8 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
           ) -> tuple[ParameterSet, list[MetricsRow]]:
     """Optimize parameters on a dataset. Returns (params, metrics history)."""
     config.validate()
+    if not len(dataset):
+        raise DatasetError("the training set has no episodes")
     check_dims(dataset, topology)
     if eval_dataset is not None:
         check_dims(eval_dataset, topology)
@@ -511,11 +490,11 @@ def _acquisition_from_predictions(predictions, dataset: Dataset,
     rows = []
     correct = 0
     for idx, (pred, ep) in enumerate(zip(predictions, dataset.episodes)):
-        try:
-            lo, hi = (int(bound) for bound in ep.meta["stages"]["test"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(
-                f"episode {idx} has no test-stage annotation") from exc
+        with malformed(DatasetError, f"episode {idx} test stage"):
+            lo, hi = ep.meta["stages"]["test"]
+        if not (type(lo) is type(hi) is int and 0 <= lo < hi <= ep.length):
+            raise DatasetError(f"episode {idx} test stage must be [lo, hi] with "
+                               f"0 <= lo < hi <= {ep.length}, got [{lo!r}, {hi!r}]")
         want = ep.y[lo:hi, 0]
         got = output_threshold(np.asarray(pred)[lo:hi, 0], loss_tag)
         ok = bool(np.array_equal(got, want))

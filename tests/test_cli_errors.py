@@ -85,9 +85,9 @@ def resume_args(files, tmp_path, ckpt):
     return train_args(files, tmp_path) + ["--resume", ckpt]
 
 
-def acquisition_args(files, tmp_path, ckpt):
+def acquisition_args(files, tmp_path, ckpt, data=None):
     return ["eval", "acquisition", "--checkpoint", ckpt,
-            "--topology", files["net"], "--dataset", files["data"]]
+            "--topology", files["net"], "--dataset", data or files["data"]]
 
 
 def assert_one_error_line(result, codes=(2,)):
@@ -145,6 +145,15 @@ def _checkpoint(files, tmp_path, edit):
 
 def _meta_as_pairs(rec):
     rec["meta"] = [[key, value] for key, value in rec["meta"].items()]
+
+
+def _empty_test_stage(rec):
+    rec["meta"]["stages"]["test"] = [0, 0]
+
+
+def _no_episodes(files, tmp_path):
+    manifest = {**read_lines(files["data"])[0], "episodes": 0}
+    return write_lines(tmp_path / "empty.jsonl", [manifest])
 
 
 def _eval_pong(files, rollouts):
@@ -294,6 +303,10 @@ PROBES = {
         f, t, data=_dataset_edit(f, t, 1, _mask_bool)),
     "train-config-optimizer-alias": lambda f, t: _train_config(
         f, t, optimizer="adaptive-moments"),
+    "eval-acquisition-test-stage-empty": lambda f, t: acquisition_args(
+        f, t, f["ckpt"], data=_dataset_edit(f, t, 1, _empty_test_stage)),
+    "train-dataset-no-episodes": lambda f, t: train_args(
+        f, t, data=_no_episodes(f, t)),
 }
 
 

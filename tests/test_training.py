@@ -297,6 +297,27 @@ def test_constant_response_on_balanced_split_is_half():
     assert acc == 0.5
 
 
+BOUNDS = " must be [lo, hi] with 0 <= lo < hi <= 5, got"
+
+
+@pytest.mark.parametrize("stage,message", [
+    ([0, 0], f"{BOUNDS} [0, 0]"), ([3, 2], f"{BOUNDS} [3, 2]"),
+    ([4, 6], f"{BOUNDS} [4, 6]"), ([-1, 5], f"{BOUNDS} [-1, 5]"),
+    ([4.0, 5], f"{BOUNDS} [4.0, 5]"), ([True, 5], f"{BOUNDS} [True, 5]"),
+    ([4, 5, 5], ": ValueError: too many values to unpack (expected 2)"),
+    (None, ": TypeError: cannot unpack non-iterable NoneType object"),
+])
+def test_acquisition_refuses_an_empty_or_out_of_range_test_stage(stage,
+                                                                 message):
+    # an empty test stage would compare two empty slices and score as correct
+    ds = gen_pavlov(PavlovConfig(episodes=3, paper_exact=True))
+    ds.episodes[1].meta["stages"]["test"] = stage
+    preds = [np.where(ep.y > 0.5, 5.0, -5.0) for ep in ds.episodes]
+    with pytest.raises(ValueError) as exc:
+        _acquisition_from_predictions(preds, ds, loss_tag="bce")
+    assert str(exc.value) == "episode 1 test stage" + message
+
+
 def test_untrained_network_acquisition_smoke():
     topo, ds = small_setup(episodes=10)
     params = ParameterSet.from_topology(topo)
