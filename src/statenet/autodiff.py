@@ -6,9 +6,11 @@ expression graph the tape is simply the entry state followed by the states
 a slice of the one recorded trajectory. The backward sweep re-derives only
 the LIF drive and pre-threshold membrane from the stored states, with the
 engine's gather and the ``dynamics`` kernel, so they are bitwise the
-forward values. The clip gate is read off the recorded plastic weights,
-each window's loss gradient and each rollout's loss take one call, and the
-sweep adds the episode-start adjoint of the plastic weights into ``w0``.
+forward values. The recorded states carry every edge's weight, so the
+sweep reads each step's weights off the state before it, and the clip
+gate off the state after it. Each window's loss gradient and each
+rollout's loss take one call, and the sweep adds the episode-start
+adjoint of the plastic weights into ``w0``.
 
 The tape and the sweep hold a batch of episodes run in lockstep on
 ``(B, n)`` arrays, rows sorted by length, longest first; one episode is
@@ -48,8 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import NumericsError, lif_membrane_pre, lif_surrogate_grad
-from .engine import (RolloutState, fresh_state, full_weights, gather, rollout,
-                     row_index)
+from .engine import RolloutState, fresh_state, gather, rollout, row_index
 from .params import ParameterSet
 from .topology import NetworkTopology
 
@@ -196,13 +197,15 @@ def backward(tape: Tape) -> np.ndarray:
 
     gs = np.zeros((B, n))
     gv = np.zeros((B, n))
-    ge = np.zeros((B, topo.n_plastic))
+    # one column per edge; a static column holds only the last step's
+    # gather term, which no step reads
+    ge = np.zeros((B, topo.n_edges))
 
     # gradient segments, one row per episode
     rate = topo.rate_ids
     lif = topo.lif_ids
-    heb = topo.hebbian_idx
-    sd = topo.stdp_idx
+    heb = topo.hebbian_pos
+    sd = topo.stdp_pos
     static = topo.static_idx
     g_w0 = np.zeros((B, len(static)))
     g_sc = np.zeros((B, len(rate)))
@@ -232,12 +235,12 @@ def backward(tape: Tape) -> np.ndarray:
         v_t = tape.states[t].v_last[a:b]
         v_prev = st_prev.v_last
         s_prev = st_prev.s
-        w_full_prev = full_weights(topo, params, st_prev.plastic)
+        w_prev = st_prev.plastic.weights
         gs_t, gv_t = gs[a:b], gv[a:b]
         gv_t[:, out] += tape.gy[a:b, t - 1]
 
         gv_prev = np.zeros((m, n))
-        ge_prev = np.zeros((m, topo.n_plastic))
+        ge_prev = np.zeros((m, topo.n_edges))
 
         # straight-through clip: a recorded weight strictly inside the bound
         # is one the clip passed unchanged
@@ -246,13 +249,13 @@ def backward(tape: Tape) -> np.ndarray:
         # plasticity backward first: it consumed this step's outputs, so its
         # contribution to gv must land before the neuron backward reads gv
         if len(heb):
-            e_prev_h = st_prev.plastic.weights.take(topo.hebbian_pos, 1)
+            e_prev_h = w_prev.take(heb, 1)
             pre = v_prev.take(src_h, 1)
             post = v_t.take(dst_h, 1)
-            gh = ge_t.take(topo.hebbian_pos, 1)
+            gh = ge_t.take(heb, 1)
             g_lr[a:b] += gh * (pre * post)
             g_ret[a:b] += _rowsum(gh * e_prev_h) * sig_prime
-            ge_prev[:, topo.hebbian_pos] = gh * retention
+            ge_prev[:, heb] = gh * retention
             np.add.at(gv_t.reshape(-1), at_dst_h[:m * len(heb)],
                       (gh * learn_rate * pre).ravel())
             np.add.at(gv_prev.reshape(-1), at_src_h[:m * len(heb)],
@@ -260,7 +263,7 @@ def backward(tape: Tape) -> np.ndarray:
         if len(sd):
             # increment is non-differentiable; only the additive carry and
             # its clip gate pass gradient
-            ge_prev[:, topo.stdp_pos] = ge_t.take(topo.stdp_pos, 1)
+            ge_prev[:, sd] = ge_t.take(sd, 1)
 
         # neuron backward
         gu = np.zeros((m, n))
@@ -273,7 +276,7 @@ def backward(tape: Tape) -> np.ndarray:
             gu[:, rate] = gz
             gs_prev[:, rate] = gz * self_coeff
         if len(lif):
-            u = gather(topo, w_full_prev, v_prev)
+            u = gather(topo, w_prev, v_prev)
             membrane = lif_membrane_pre(u.take(lif, 1), s_prev.take(lif, 1),
                                         topo.lif_params)
             surr = lif_surrogate_grad(membrane, topo.lif_params)
@@ -288,9 +291,9 @@ def backward(tape: Tape) -> np.ndarray:
         if len(static):
             g_w0[a:b] += contrib.take(static, 1)
         if topo.n_plastic:
-            ge_prev += contrib.take(topo.plastic_idx, 1)
+            ge_prev += contrib
         np.add.at(gv_prev.reshape(-1), at_src[:m * topo.n_edges],
-                  (gu_e * w_full_prev).ravel())
+                  (gu_e * w_prev).ravel())
 
         gs[a:b] = gs_prev
         gv[a:b] = gv_prev
@@ -305,8 +308,8 @@ def backward(tape: Tape) -> np.ndarray:
         g[:, reg["learn_rate"]] = g_lr
         g[:, reg["retention_raw"].start] = g_ret
     if tape.states[0].t == 0 and topo.n_plastic:
-        at_start = np.flatnonzero(start == 0)
-        g[np.ix_(at_start, reg["w0"].start + topo.plastic_idx)] += ge[at_start]
+        at_start = np.ix_(np.flatnonzero(start == 0), topo.plastic_idx)
+        g[:, reg["w0"]][at_start] += ge[at_start]
     return g
 
 

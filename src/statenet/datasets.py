@@ -114,6 +114,9 @@ class PavlovConfig:
         span = self.train_len[1] - self.train_len[0] + 1
         if len(self.train_len_weights) != span:
             raise ValueError(f"train_len_weights needs {span} entries")
+        if min(self.train_len_weights) < 0 or not sum(self.train_len_weights) > 0:
+            raise ValueError(f"train_len_weights must be >= 0 with a positive "
+                             f"sum, got {list(self.train_len_weights)}")
         if self.split not in ("all", "train", "heldout"):
             raise ValueError(f"unknown split {self.split!r}")
         if self.mask_mode not in ("causal", "all"):

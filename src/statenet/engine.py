@@ -1,6 +1,6 @@
 """Step-by-step network execution with synchronous one-step edge delay.
 
-Every state array has the neuron (or plastic-edge) axis last and an
+Every state array has the neuron (or edge) axis last and an
 optional leading episode axis: ``step`` and ``rollout`` run one episode
 on ``(n,)`` arrays, or a batch of episodes in lockstep on ``(B, n)``
 arrays. Each row of a batch is bitwise the result of running that episode
@@ -16,9 +16,11 @@ Order of operations inside one step:
 
 1. clamp input-neuron outputs to the external stimulus,
 2. gather each non-input neuron's drive from *previous-step* outputs
-   through *pre-update* edge weights,
+   through *pre-update* edge weights, read straight off the state, which
+   carries every edge's current weight (static ones stay at ``w0``),
 3. update every neuron (rate / lif) to get this step's outputs and states,
-4. update plastic edge weights from the activity just produced.
+4. update plastic edge weights from the activity just produced: each rule
+   reads and writes its own edge columns.
 
 Steps 3 and 4 call the ``dynamics`` and ``plasticity`` kernels that the
 backward sweep shares. ``rollout`` is the one loop over steps, and
@@ -99,7 +101,7 @@ class ProbeWriter:
             idx = topology.plastic_idx
             rows += [f"{t},e,{src}->{dst},{w!r},\n" for src, dst, w in zip(
                 topology.edge_src[idx].tolist(), topology.edge_dst[idx].tolist(),
-                state.plastic.weights.tolist())]
+                state.plastic.weights[idx].tolist())]
         self.fh.write("".join(rows))
 
     def close(self) -> None:
@@ -115,7 +117,7 @@ class ProbeWriter:
 def fresh_state(topology: NetworkTopology, params: ParameterSet,
                 batch: int | None = None) -> RolloutState:
     """Episode-start state: rate states zero, membranes at rest, no prior
-    outputs, plastic weights at their trainable initial values; with
+    outputs, edge weights at their trainable initial values; with
     ``batch``, that state for each of ``batch`` episodes."""
     shape = (topology.n,) if batch is None else (batch, topology.n)
     s = np.zeros(shape)
@@ -124,18 +126,6 @@ def fresh_state(topology: NetworkTopology, params: ParameterSet,
     return RolloutState(s=s, v_last=np.zeros(shape),
                         plastic=reset_plastic_state(topology, params.w0, batch),
                         t=0)
-
-
-def full_weights(topology: NetworkTopology, params: ParameterSet,
-                 plastic: PlasticEdgeState) -> np.ndarray:
-    """Effective per-edge weights (one row per episode of a batch):
-    trainable initials with the plastic entries replaced by their current
-    values."""
-    w = np.empty(plastic.weights.shape[:-1] + (topology.n_edges,))
-    w[...] = params.w0
-    if len(topology.plastic_idx):
-        w.T[topology.plastic_idx] = plastic.weights.T
-    return w
 
 
 def row_index(idx: np.ndarray, n: int, rows: int) -> np.ndarray:
@@ -182,8 +172,7 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
     # about what a plain a[idx] does on one episode's (n,) arrays
     v = np.zeros(state.v_last.shape)
     v.T[topology.input_ids] = x.T
-    u = gather(topology, full_weights(topology, params, state.plastic),
-               state.v_last)
+    u = gather(topology, state.plastic.weights, state.v_last)
 
     s_new = state.s.copy()
     rate = topology.rate_ids
@@ -211,21 +200,21 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
                                    state.plastic.trace_pre,
                                    state.plastic.trace_post)
     meta = params.meta
-    heb = topology.hebbian_idx
+    heb = topology.hebbian_pos
     if len(heb):
         e_new = hebbian_update(
-            state.plastic.weights.take(topology.hebbian_pos, -1),
+            state.plastic.weights.take(heb, -1),
             state.v_last.take(topology.edge_src[heb], -1),
             v.take(topology.edge_dst[heb], -1),
             params.learn_rate, params.retention, meta.clip_bound)
-        new_plastic.weights.T[topology.hebbian_pos] = e_new.T
-    sd = topology.stdp_idx
+        new_plastic.weights.T[heb] = e_new.T
+    sd = topology.stdp_pos
     if len(sd):
         e_new, new_plastic.trace_pre, new_plastic.trace_post = stdp_update(
-            state.plastic.weights.take(topology.stdp_pos, -1),
+            state.plastic.weights.take(sd, -1),
             topology.edge_src[sd], topology.edge_dst[sd], spikes_of(topology, v),
             state.plastic.trace_pre, state.plastic.trace_post, meta)
-        new_plastic.weights.T[topology.stdp_pos] = e_new.T
+        new_plastic.weights.T[sd] = e_new.T
 
     result = StepResult(y=v.take(topology.output_ids, -1), probe=v)
     next_state = RolloutState(s=s_new, v_last=v, plastic=new_plastic, t=t)
@@ -289,18 +278,18 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
     n = topology.n
     s = [float(x) for x in state0.s]
     v_last = [float(x) for x in state0.v_last]
+    # plastic edges start from the state's weights, static ones read w0
     e_plastic = [float(x) for x in state0.plastic.weights]
     tr_pre = [float(x) for x in state0.plastic.trace_pre]
     tr_post = [float(x) for x in state0.plastic.trace_post]
     w0 = [float(x) for x in params.w0]
 
-    plastic_pos = {int(k): i for i, k in enumerate(topology.plastic_idx)}
     roles = {nr.id: nr.role for nr in topology.neurons}
     models = {nr.id: nr.model for nr in topology.neurons}
     meta = params.meta
     retention = params.retention
     lr_by_edge = {int(k): float(params.learn_rate[i])
-                  for i, k in enumerate(topology.hebbian_idx)}
+                  for i, k in enumerate(topology.hebbian_pos)}
     # rate parameter lookup by neuron id
     rate_pos = {int(i): k for k, i in enumerate(topology.rate_ids)}
     lif_pos = {int(i): k for k, i in enumerate(topology.lif_ids)}
@@ -313,7 +302,7 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
 
         u = [0.0] * n
         for k, e in enumerate(topology.edges):
-            w = e_plastic[plastic_pos[k]] if e.plastic else w0[k]
+            w = e_plastic[k] if e.plastic else w0[k]
             u[e.dst] += w * v_last[e.src]
 
         s_new = list(s)
@@ -349,19 +338,18 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
         for k, e in enumerate(topology.edges):
             if not e.plastic:
                 continue
-            pos = plastic_pos[k]
             if e.rule == "hebbian":
-                raw = retention * e_plastic[pos] + lr_by_edge[k] * (
+                raw = retention * e_plastic[k] + lr_by_edge[k] * (
                     v_last[e.src] * v[e.dst])
-                e_new[pos] = min(max(raw, -meta.clip_bound), meta.clip_bound)
+                e_new[k] = min(max(raw, -meta.clip_bound), meta.clip_bound)
             else:
                 any_stdp = True
                 tp = meta.trace_decay * tr_pre[e.src]
                 tq = meta.trace_decay * tr_post[e.dst]
                 delta = (meta.potentiation * tp * spikes[e.dst]
                          - meta.depression * tq * spikes[e.src])
-                raw = e_plastic[pos] + delta
-                e_new[pos] = min(max(raw, -meta.clip_bound), meta.clip_bound)
+                raw = e_plastic[k] + delta
+                e_new[k] = min(max(raw, -meta.clip_bound), meta.clip_bound)
         if any_stdp:
             for i in range(n):
                 tr_pre[i] = meta.trace_decay * tr_pre[i] + spikes[i]

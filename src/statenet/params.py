@@ -54,8 +54,8 @@ class ParameterSet:
         add("self_coeff", np.array(
             [topology.neurons[i].params.self_coeff for i in rate]))
         add("bias", np.array([topology.neurons[i].params.bias for i in rate]))
-        if len(topology.hebbian_idx):
-            add("learn_rate", np.full(len(topology.hebbian_idx),
+        if len(topology.hebbian_pos):
+            add("learn_rate", np.full(len(topology.hebbian_pos),
                                       meta.learn_rate_init))
             add("retention_raw", np.array([meta.retention_raw_init]))
         flat = np.concatenate(chunks) if chunks else np.zeros(0)

@@ -1,8 +1,9 @@
 """Within-rollout modulation of edge weights from neuronal activity.
 
 The one implementation of the rules and the weight clip: ``engine.step``
-applies them, ``autodiff.backward`` reads the clip gate off the recorded
-weights (the clip maps every value at or beyond the bound to exactly it).
+applies each rule to its own columns of the rollout's per-edge weights,
+``autodiff.backward`` reads the clip gate off the recorded weights (the
+clip maps every value at or beyond the bound to exactly it).
 
 Two rules:
 
@@ -80,12 +81,13 @@ def squash_retention(raw: float) -> float:
 
 @dataclass
 class PlasticEdgeState:
-    """Mutable per-rollout plastic-edge weights and eligibility traces.
+    """Mutable per-rollout edge weights and eligibility traces.
 
-    ``weights`` covers plastic edges only (indexed like
-    ``topology.plastic_idx``); static edges read straight from the
-    parameter vector. Traces are per neuron and only meaningful for
-    spiking cells. A batch has one row per episode in each array.
+    ``weights`` holds every edge's current weight in topology edge order:
+    a static edge's column stays at its ``w0``, a plastic edge's is the
+    one its rule updates (``topology.hebbian_pos`` / ``stdp_pos``). Traces
+    are per neuron and only meaningful for spiking cells. A batch has one
+    row per episode in each array.
     """
 
     weights: np.ndarray
@@ -100,13 +102,12 @@ class PlasticEdgeState:
 
 def reset_plastic_state(topology: NetworkTopology, w0: np.ndarray,
                         batch: int | None = None) -> PlasticEdgeState:
-    """Episode-boundary state: plastic weights := their initial weights,
-    traces zeroed. ``w0`` is the full per-edge initial-weight vector; with
-    ``batch``, one such row per episode."""
-    weights = np.asarray(w0, dtype=np.float64)[topology.plastic_idx]
+    """Episode-boundary state: every edge weight := its initial weight
+    (a copy of the per-edge vector ``w0``), traces zeroed; with ``batch``,
+    one such row per episode."""
     lead = () if batch is None else (batch,)
     return PlasticEdgeState(
-        weights=np.tile(weights, lead + (1,)),
+        weights=np.tile(np.asarray(w0, dtype=np.float64), lead + (1,)),
         trace_pre=np.zeros(lead + (topology.n,)),
         trace_post=np.zeros(lead + (topology.n,)),
     )

@@ -6,8 +6,10 @@ edges. Edges may be flagged plastic, in which case their weight evolves
 during a rollout under the rule named by ``rule``.
 
 Topologies are immutable after construction; the derived index arrays
-(edge endpoints, role groups, per-model parameter vectors) are what the
-execution engine consumes. Serialization uses a single JSON document with
+(edge endpoints, role groups, per-model parameter vectors, and the edge
+ids of each rule's edges, ``hebbian_pos`` / ``stdp_pos``, which select a
+rule's columns of a rollout's per-edge weights) are what the execution
+engine consumes. Serialization uses a single JSON document with
 mandatory ``format: "snn-topology/1"``.
 """
 
@@ -120,20 +122,16 @@ class NetworkTopology:
         self.edge_src = np.array([e.src for e in self.edges], dtype=np.intp)
         self.edge_dst = np.array([e.dst for e in self.edges], dtype=np.intp)
         self.w0 = np.array([e.w0 for e in self.edges], dtype=np.float64)
-        self.hebbian_idx = np.array(
+        self.hebbian_pos = np.array(
             [i for i, e in enumerate(self.edges) if e.plastic and e.rule == "hebbian"],
             dtype=np.intp)
-        self.stdp_idx = np.array(
+        self.stdp_pos = np.array(
             [i for i, e in enumerate(self.edges) if e.plastic and e.rule == "stdp"],
             dtype=np.intp)
         self.plastic_idx = np.array(
             [i for i, e in enumerate(self.edges) if e.plastic], dtype=np.intp)
         self.static_idx = np.array(
             [i for i, e in enumerate(self.edges) if not e.plastic], dtype=np.intp)
-        # positions of this topology's plastic edges inside the plastic vector
-        pos = {int(i): k for k, i in enumerate(self.plastic_idx)}
-        self.hebbian_pos = np.array([pos[int(i)] for i in self.hebbian_idx], dtype=np.intp)
-        self.stdp_pos = np.array([pos[int(i)] for i in self.stdp_idx], dtype=np.intp)
 
         # per-lif-neuron parameter vectors aligned with lif_ids
         lp = [self.neurons[i].params for i in self.lif_ids]

@@ -55,6 +55,10 @@ class CheckpointMismatch(CheckpointError):
     """Checkpoint of another topology or config; ``force`` overrides it."""
 
 
+class MetricsError(ValueError):
+    """A run's existing ``metrics.csv`` cannot be read on resume."""
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     loss_tag: str = "bce"            # mse | bce | cce
@@ -82,6 +86,9 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate < 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("learning rate, batch size, epochs must be positive")
+        if self.checkpoint_stride < 0:
+            raise ValueError(f"checkpoint_stride must be >= 0, "
+                             f"got {self.checkpoint_stride}")
         if (self.k1 is None) != (self.k2 is None):
             raise ValueError("set both k1 and k2 or neither")
         if self.k1 is not None and not 1 <= self.k1 <= self.k2:
@@ -351,8 +358,11 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
         rows = [METRICS_HEADER]
         if start_epoch > 1 and os.path.exists(metrics_path):
             with open(metrics_path, encoding="utf-8") as fh:
-                rows += [ln for ln in fh.read().splitlines()[1:]
-                         if int(ln.split(",", 1)[0]) < start_epoch]
+                lines = fh.read().splitlines()
+            for lineno, ln in enumerate(lines[1:], start=2):
+                with malformed(MetricsError, f"{metrics_path} line {lineno}"):
+                    if int(ln.split(",", 1)[0]) < start_epoch:
+                        rows.append(ln)
         with atomic_write(metrics_path) as fh:
             fh.write("\n".join(rows) + "\n")
 

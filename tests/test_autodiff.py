@@ -250,7 +250,7 @@ def test_gradients_at_the_clip_bound_match_finite_differences():
     xs, ys = random_sequence(52, 8, 2, 2, binary=False)
     states = []
     rollout(fresh_state(topo, params), xs, topo, params, states=states)
-    weights = np.array([st.plastic.weights for st in states])
+    weights = np.array([st.plastic.weights[topo.plastic_idx] for st in states])
     assert np.mean(np.abs(weights) == meta.clip_bound) >= 1 / 3
     _, g = episode_gradients(topo, params, xs, ys, None, "mse")
     fd = fd_gradient(topo, params, xs, ys, None, "mse")

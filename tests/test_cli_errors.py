@@ -307,6 +307,11 @@ PROBES = {
         f, t, f["ckpt"], data=_dataset_edit(f, t, 1, _empty_test_stage)),
     "train-dataset-no-episodes": lambda f, t: train_args(
         f, t, data=_no_episodes(f, t)),
+    "train-config-checkpoint-stride-negative": lambda f, t: _train_config(
+        f, t, checkpoint_stride=-1),
+    "gen-pavlov-config-weight-negative": lambda f, t: [
+        "gen", "pavlov", "--out", str(t / "d.jsonl"), "--config", write_json(
+            t / "cfg.json", {"train_len_weights": [6, -1, 0, 1]})],
 }
 
 
@@ -321,6 +326,20 @@ def test_eval_dataset_dims_checked_before_training(files, tmp_path):
         "--eval-dataset", files["pong"]])
     assert "do not match" in result.stderr
     assert not os.path.exists(tmp_path / "out" / "metrics.csv")
+
+
+def test_malformed_metrics_row_names_file_and_line(files, tmp_path):
+    args = train_args(files, tmp_path) + [
+        "--epochs", "2", "--config",
+        write_json(tmp_path / "cfg.json", {"checkpoint_stride": 1})]
+    assert CliRunner().invoke(main, args).exit_code == 0
+    metrics = tmp_path / "out" / "metrics.csv"
+    with open(metrics, "a") as fh:
+        fh.write("x,1,2,3,4\n")
+    result = CliRunner().invoke(main, args + [
+        "--resume", str(tmp_path / "out" / "epoch0001.ckpt")])
+    assert_one_error_line(result)
+    assert f"{metrics} line 4:" in result.stderr  # header, 2 epochs, then x
 
 
 def test_missing_file_exits_3(files, tmp_path):

@@ -117,6 +117,9 @@ def test_invalid_configs_rejected():
         PavlovConfig(train_len_weights=(1.0,)).validate()
     with pytest.raises(ValueError):
         PavlovConfig(conditioning_threshold=0).validate()
+    for weights in [(6.0, -1.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0)]:
+        with pytest.raises(ValueError, match="train_len_weights"):
+            PavlovConfig(train_len_weights=weights).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,29 @@ def test_non_finite_lif_value_names_step_neuron_and_row():
     assert exc.value.row == 1
 
 
+@pytest.mark.parametrize("rule", ["hebbian", "stdp"])
+@pytest.mark.parametrize("lengths", [None, [6, 4, 4, 1]])
+def test_static_weight_columns_stay_at_w0(rule, lengths):
+    # the state carries every edge's weight; only the plastic columns move
+    topo = build_random(4, 0.8, seed=5, model="rate" if rule == "hebbian"
+                        else "lif", n_inputs=2, n_outputs=1, plastic_rule=rule,
+                        lif_params=LifParams(threshold=0.15))
+    params = ParameterSet.from_topology(topo)
+    batch = None if lengths is None else len(lengths)
+    xs = np.random.default_rng(6).uniform(0, 1, (batch or 1, 6, 2))
+    state0 = fresh_state(topo, params, batch)
+    states = [state0]
+    rollout(state0, xs if batch else xs[0], topo, params, states=states,
+            lengths=lengths)
+    assert len(topo.static_idx) and len(topo.plastic_idx)
+    for state in states:
+        static = state.plastic.weights[..., topo.static_idx]
+        assert np.array_equal(static, np.broadcast_to(
+            params.w0[topo.static_idx], static.shape))
+    moved = states[-1].plastic.weights[..., topo.plastic_idx]
+    assert np.any(moved != params.w0[topo.plastic_idx])
+
+
 def test_probe_dump(tmp_path):
     topo = chain_topology([1.0])
     params = ParameterSet.from_topology(topo)
@@ -269,8 +292,8 @@ def test_probe_fields_read_back_bitwise(tmp_path):
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert sorted({int(row["t"]) for row in rows}) == list(range(1, 6))
-    plastic = {f"{topo.edge_src[k]}->{topo.edge_dst[k]}": pos
-               for pos, k in enumerate(topo.plastic_idx)}
+    plastic = {f"{topo.edge_src[k]}->{topo.edge_dst[k]}": k
+               for k in topo.plastic_idx}
     for row in rows:
         state = states[int(row["t"]) - 1]
         assert state.t == int(row["t"])

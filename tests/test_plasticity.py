@@ -132,7 +132,8 @@ def test_reset_uses_initial_weights_and_is_idempotent():
     params = ParameterSet.from_topology(topo)
     s1 = reset_plastic_state(topo, params.w0)
     s2 = reset_plastic_state(topo, params.w0)
-    assert np.array_equal(s1.weights, params.w0[topo.plastic_idx])
+    assert np.array_equal(s1.weights, params.w0)
+    assert not np.shares_memory(s1.weights, params.w0)
     assert np.array_equal(s1.weights, s2.weights)
     assert np.array_equal(s1.trace_pre, np.zeros(topo.n))
 

@@ -529,3 +529,23 @@ def test_benchmark_bindings(monkeypatch, k1, k2):
     per_epoch = sum(min(k2 or T, end) for T in lengths
                     for end in [*range(k1 or T, T, k1 or T), T])
     assert sum(swept) == 2 * per_epoch
+
+
+def test_benchmark_reads_the_stdp_columns(monkeypatch):
+    # perfbench/run.py's spiking probe reads the STDP weights of its
+    # lif-stdp net as state.plastic.weights[topo.stdp_pos] and expects them
+    # to move during a rollout
+    from pathlib import Path
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import workloads
+    topo, params, _ = workloads.lif_stdp_recipe()
+    stdp = [k for k, e in enumerate(topo.edges) if e.rule == "stdp"]
+    assert topo.stdp_pos.tolist() == stdp and len(stdp) < topo.n_edges
+    data = gen_pavlov(PavlovConfig(episodes=4, seed=1, split="train"))
+    moved = []
+    for ep in data.episodes:
+        start = fresh_state(topo, params)
+        _, end = rollout(start, ep.x, topo, params)
+        moved.append(np.abs(end.plastic.weights[topo.stdp_pos]
+                            - start.plastic.weights[topo.stdp_pos]).max())
+    assert max(moved) > 0.0
