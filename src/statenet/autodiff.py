@@ -9,8 +9,9 @@ engine's gather and the ``dynamics`` kernel, so they are bitwise the
 forward values. The recorded states carry every edge's weight, so the
 sweep reads each step's weights off the state before it, and the clip
 gate off the state after it. Each window's loss gradient and each
-rollout's loss take one call, and the sweep adds the episode-start
-adjoint of the plastic weights into ``w0``.
+rollout's loss take one call. The sweep keeps one adjoint per edge
+weight, a static edge being one whose rule is the identity, and adds the
+episode-start adjoint of the plastic weights into ``w0``.
 
 The tape and the sweep hold a batch of episodes run in lockstep on
 ``(B, n)`` arrays, rows sorted by length, longest first; one episode is
@@ -21,8 +22,9 @@ end_bj = min(j * k1, T_b) and start_bj = end_bj - min(k2, end_bj)
 (k1 = k2 = T for the full window); a row is swept only inside its own
 interval, and only the states a later window reads are kept. Each row's
 reductions run over C-contiguous rows (numpy sums other layouts in another
-order) and its scatters use ``np.add.at`` over per-row offset indices, so
-a row's loss and gradient are bitwise those of its episode run alone.
+order) and its scatters (``np.add.at``, or ``np.bincount`` into zeros)
+run over per-row offset indices, so a row's loss and gradient are bitwise
+those of its episode run alone.
 
 Differentiation conventions (they define what "the gradient" means here):
 
@@ -178,9 +180,11 @@ def outputs_loss(loss_tag: str, outs: np.ndarray, ys, mask):
 
 def backward(tape: Tape) -> np.ndarray:
     """Reverse sweep over a taped window: one gradient row per episode
-    w.r.t. the flat parameter vector. A row whose span starts at the
-    episode start (entry state ``t == 0``, span start 0) gets the adjoint
-    of its plastic weights there added into their ``w0`` entries.
+    w.r.t. the flat parameter vector. Each edge's weight adjoint carries
+    back through its rule (a static edge's is the identity, never clipped),
+    so a static edge's adjoint at the row's span start is its ``w0``
+    gradient; a plastic edge's is added into ``w0`` only where the span
+    starts the episode (entry state ``t == 0``, span start 0).
     """
     topo = tape.topology
     params = tape.params
@@ -197,17 +201,14 @@ def backward(tape: Tape) -> np.ndarray:
 
     gs = np.zeros((B, n))
     gv = np.zeros((B, n))
-    # one column per edge; a static column holds only the last step's
-    # gather term, which no step reads
+    # one weight adjoint per edge, static edges included
     ge = np.zeros((B, topo.n_edges))
 
     # gradient segments, one row per episode
     rate = topo.rate_ids
     lif = topo.lif_ids
     heb = topo.hebbian_pos
-    sd = topo.stdp_pos
     static = topo.static_idx
-    g_w0 = np.zeros((B, len(static)))
     g_sc = np.zeros((B, len(rate)))
     g_b = np.zeros((B, len(rate)))
     g_lr = np.zeros((B, len(heb)))
@@ -218,13 +219,19 @@ def backward(tape: Tape) -> np.ndarray:
     self_coeff = params.self_coeff
     sig_prime = retention * (1.0 - retention)
     clip = params.meta.clip_bound
+    # ge carries back through each edge's rule: a hebbian weight decays by
+    # the retention; an stdp increment is non-differentiable and a static
+    # weight never changes, so their columns pass unchanged
+    carry = np.ones(topo.n_edges)
+    carry[heb] = retention
     out = topo.output_ids
     src_h = topo.edge_src[heb]
     dst_h = topo.edge_dst[heb]
-    # scatter indices into a (rows, n) block, row by row
+    # scatter indices into a (rows, n) block, row by row; gv_prev takes the
+    # hebbian source terms, then the gather transpose
     at_dst_h = row_index(dst_h, n, B)
-    at_src_h = row_index(src_h, n, B)
-    at_src = row_index(topo.edge_src, n, B)
+    at_src = row_index(np.concatenate([src_h, topo.edge_src]), n, B)
+    n_src = len(src_h) + topo.n_edges
 
     for t in range(K, 0, -1):
         a, b = first[t], last[t]
@@ -239,31 +246,22 @@ def backward(tape: Tape) -> np.ndarray:
         gs_t, gv_t = gs[a:b], gv[a:b]
         gv_t[:, out] += tape.gy[a:b, t - 1]
 
-        gv_prev = np.zeros((m, n))
-        ge_prev = np.zeros((m, topo.n_edges))
-
         # straight-through clip: a recorded weight strictly inside the bound
-        # is one the clip passed unchanged
-        ge_t = ge[a:b] * (np.abs(tape.states[t].plastic.weights[a:b]) < clip)
+        # is one the clip passed unchanged; static weights are never clipped
+        gate = np.abs(tape.states[t].plastic.weights[a:b]) < clip
+        gate[:, static] = True
+        ge_t = ge[a:b] * gate
 
         # plasticity backward first: it consumed this step's outputs, so its
         # contribution to gv must land before the neuron backward reads gv
+        gh = ge_t.take(heb, 1)
+        pre = v_prev.take(src_h, 1)
+        post = v_t.take(dst_h, 1)
         if len(heb):
-            e_prev_h = w_prev.take(heb, 1)
-            pre = v_prev.take(src_h, 1)
-            post = v_t.take(dst_h, 1)
-            gh = ge_t.take(heb, 1)
             g_lr[a:b] += gh * (pre * post)
-            g_ret[a:b] += _rowsum(gh * e_prev_h) * sig_prime
-            ge_prev[:, heb] = gh * retention
+            g_ret[a:b] += _rowsum(gh * w_prev.take(heb, 1)) * sig_prime
             np.add.at(gv_t.reshape(-1), at_dst_h[:m * len(heb)],
                       (gh * learn_rate * pre).ravel())
-            np.add.at(gv_prev.reshape(-1), at_src_h[:m * len(heb)],
-                      (gh * learn_rate * post).ravel())
-        if len(sd):
-            # increment is non-differentiable; only the additive carry and
-            # its clip gate pass gradient
-            ge_prev[:, sd] = ge_t.take(sd, 1)
 
         # neuron backward
         gu = np.zeros((m, n))
@@ -287,27 +285,22 @@ def backward(tape: Tape) -> np.ndarray:
 
         # gather backward: u[dst] = sum_e w_e * v_prev[src_e]
         gu_e = gu.take(topo.edge_dst, 1)
-        contrib = gu_e * v_prev.take(topo.edge_src, 1)
-        if len(static):
-            g_w0[a:b] += contrib.take(static, 1)
-        if topo.n_plastic:
-            ge_prev += contrib
-        np.add.at(gv_prev.reshape(-1), at_src[:m * topo.n_edges],
-                  (gu_e * w_prev).ravel())
-
         gs[a:b] = gs_prev
-        gv[a:b] = gv_prev
-        ge[a:b] = ge_prev
+        gv[a:b] = np.bincount(
+            at_src[:m * n_src],
+            np.concatenate([gh * learn_rate * post, gu_e * w_prev], 1).ravel(),
+            minlength=m * n).reshape(m, n)
+        ge[a:b] = ge_t * carry + gu_e * v_prev.take(topo.edge_src, 1)
 
     g = np.zeros((B, params.count))
     reg = params.registry
-    g[:, reg["w0"].start + static] = g_w0
+    g[:, reg["w0"].start + static] = ge[:, static]
     g[:, reg["self_coeff"]] = g_sc
     g[:, reg["bias"]] = g_b
     if len(heb):
         g[:, reg["learn_rate"]] = g_lr
         g[:, reg["retention_raw"].start] = g_ret
-    if tape.states[0].t == 0 and topo.n_plastic:
+    if tape.states[0].t == 0:
         at_start = np.ix_(np.flatnonzero(start == 0), topo.plastic_idx)
         g[:, reg["w0"]][at_start] += ge[at_start]
     return g

@@ -26,9 +26,9 @@ from .datasets import (PavlovConfig, PongDataConfig, gen_pavlov, gen_pong,
 from .jsonio import decode, read_json, write_json
 from .pong import PongConfig
 from .topology import FORMAT_TAG, build_random, load_topology, save_topology
-from .training import (CheckpointMismatch, DivergenceError, TrainConfig,
-                       eval_pavlov_acquisition, eval_pong_closed_loop,
-                       load_params, train)
+from .training import (TASKS, CheckpointMismatch, DivergenceError,
+                       TrainConfig, eval_pavlov_acquisition,
+                       eval_pong_closed_loop, load_params, train)
 from .verify import SUITES
 
 
@@ -190,7 +190,7 @@ def topo_show(path):
 @click.option("--k1", type=int, default=None)
 @click.option("--k2", type=int, default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--task", type=click.Choice(["pavlov", "pong"]), default=None)
+@click.option("--task", type=click.Choice(TASKS), default=None)
 @click.option("--workers", type=int, default=None)
 @click.option("--resume", "resume_path", type=str, default=None)
 @click.option("--force", is_flag=True, default=False,

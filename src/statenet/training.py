@@ -59,6 +59,9 @@ class MetricsError(ValueError):
     """A run's existing ``metrics.csv`` cannot be read on resume."""
 
 
+TASKS = ("pavlov", "pong")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     loss_tag: str = "bce"            # mse | bce | cce
@@ -72,7 +75,7 @@ class TrainConfig:
     seed: int = 0
     eval_stride: int = 1
     checkpoint_stride: int = 0       # 0: only final checkpoint
-    task: str | None = None          # pavlov | pong | None (eval metric)
+    task: str | None = None          # one of TASKS | None (eval metric)
     eval_rollouts: int = 50
     workers: int = 1
 
@@ -84,8 +87,11 @@ class TrainConfig:
             raise ValueError(f"unknown loss tag {self.loss_tag!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.task is not None and self.task not in TASKS:
+            raise ValueError(f"unknown task {self.task!r}")
         if self.learning_rate < 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("learning rate, batch size, epochs must be positive")
+            raise ValueError("learning_rate and epochs must be >= 0, "
+                             "batch_size >= 1")
         if self.checkpoint_stride < 0:
             raise ValueError(f"checkpoint_stride must be >= 0, "
                              f"got {self.checkpoint_stride}")
@@ -340,6 +346,8 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
     check_dims(dataset, topology)
     if eval_dataset is not None:
         check_dims(eval_dataset, topology)
+    if config.task == "pong":
+        check_pong_net(topology)
     if run_dir:
         os.makedirs(run_dir, exist_ok=True)
 
@@ -554,6 +562,12 @@ def check_dims(dataset: Dataset, topology: NetworkTopology) -> None:
             f"topology {topology.n_inputs}x{topology.n_outputs}")
 
 
+def check_pong_net(topology: NetworkTopology) -> None:
+    """Refuse a network that cannot play pong (5 inputs, 3 actions)."""
+    if topology.n_inputs != 5 or topology.n_outputs != 3:
+        raise ValueError("pong policy needs a 5-input, 3-output network")
+
+
 def run_pong_policy(policy, env_config: PongConfig, n_rollouts: int,
                     seed: int) -> dict:
     """Closed-loop evaluation of an action policy ``(obs, reset) -> action``,
@@ -590,8 +604,7 @@ def eval_pong_closed_loop(params: ParameterSet, topology: NetworkTopology,
     row is dropped once its environment is done. Each row is bitwise its
     rollout run alone, so the result equals a rollout-by-rollout loop's.
     """
-    if topology.n_inputs != 5 or topology.n_outputs != 3:
-        raise ValueError("pong policy needs a 5-input, 3-output network")
+    check_pong_net(topology)
     if n_rollouts < 1:
         raise ValueError("n_rollouts must be >= 1")
     envs = [PongEnv(env_config, Rng(derive_seed(seed, 0xE41, r)))

@@ -170,7 +170,7 @@ def test_zero_length_window_zero_gradient():
 
 def test_sweep_folds_the_entry_adjoint_only_at_the_episode_start():
     # plastic weights start at w0 only at step 0: a window entered later
-    # owes w0 nothing through them
+    # owes w0 nothing through them; static weights are w0 at every step
     topo = build_random(4, 0.8, seed=7, model="rate", n_inputs=2, n_outputs=1,
                         plastic_rule="hebbian")
     params = jitter(ParameterSet.from_topology(topo), 8)
@@ -180,6 +180,7 @@ def test_sweep_folds_the_entry_adjoint_only_at_the_episode_start():
     gy = np.stack([random_sequence(s, 4, 1, 1, binary=False)[1]
                    for s in (11, 12)])
     w0_plastic = params.registry["w0"].start + topo.plastic_idx
+    w0_static = params.registry["w0"].start + topo.static_idx
 
     def sweep(first, starts):
         return backward(Tape(topo, params, states[first:first + 5], gy,
@@ -187,6 +188,7 @@ def test_sweep_folds_the_entry_adjoint_only_at_the_episode_start():
 
     late = sweep(2, [0, 0])
     assert np.all(late[:, w0_plastic] == 0.0) and np.any(late != 0.0)
+    assert len(w0_static) and np.all(late[:, w0_static] != 0.0)
     early = sweep(0, [1, 0])
     assert np.all(early[0, w0_plastic] == 0.0)
     assert np.all(early[1, w0_plastic] != 0.0)
@@ -241,7 +243,8 @@ def test_masked_gradients_match_finite_differences():
 
 def test_gradients_at_the_clip_bound_match_finite_differences():
     # the straight-through gate is read off the recorded weights: a weight
-    # held at +-clip_bound passes no gradient to its earlier value
+    # held at +-clip_bound passes no gradient to its earlier value, while a
+    # static weight beyond the bound is never clipped and passes it all
     from statenet.plasticity import PlasticityMeta
     topo = build_random(4, 0.6, seed=50, model="rate", n_inputs=2, n_outputs=2,
                         plastic_rule="hebbian", direct_io=True)
@@ -252,6 +255,7 @@ def test_gradients_at_the_clip_bound_match_finite_differences():
     rollout(fresh_state(topo, params), xs, topo, params, states=states)
     weights = np.array([st.plastic.weights[topo.plastic_idx] for st in states])
     assert np.mean(np.abs(weights) == meta.clip_bound) >= 1 / 3
+    assert np.any(np.abs(params.w0[topo.static_idx]) >= meta.clip_bound)
     _, g = episode_gradients(topo, params, xs, ys, None, "mse")
     fd = fd_gradient(topo, params, xs, ys, None, "mse")
     small = np.abs(fd) < 1e-8

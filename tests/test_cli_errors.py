@@ -264,6 +264,7 @@ PROBES = {
     "eval-pong-rollouts-negative": lambda f, t: _eval_pong(f, -3),
     "train-config-eval-rollouts-zero": lambda f, t: _train_config(
         f, t, eval_rollouts=0),
+    "train-config-task-unknown": lambda f, t: _train_config(f, t, task="pongg"),
     "resume-checkpoint-epoch-negative": lambda f, t: _resume_with(f, t, epoch=-3),
     "resume-checkpoint-epoch-float": lambda f, t: _resume_with(f, t, epoch=1e300),
     "resume-checkpoint-count-negative": lambda f, t: _resume_with(f, t, count=-1),
@@ -326,6 +327,18 @@ def test_eval_dataset_dims_checked_before_training(files, tmp_path):
         "--eval-dataset", files["pong"]])
     assert "do not match" in result.stderr
     assert not os.path.exists(tmp_path / "out" / "metrics.csv")
+
+
+def test_pong_net_dims_checked_before_training(files, tmp_path):
+    # the closed-loop pong metric needs a 5-input, 3-output net; the first
+    # evaluation (epoch 5) used to find out after four checkpoints
+    result = CliRunner().invoke(main, _train_config(
+        files, tmp_path, task="pong", eval_stride=5, checkpoint_stride=1)
+        + ["--epochs", "5"])
+    assert_one_error_line(result)
+    assert "5-input, 3-output" in result.stderr
+    assert not os.path.exists(tmp_path / "out" / "metrics.csv")
+    assert not list((tmp_path / "out").glob("*.ckpt"))
 
 
 def test_malformed_metrics_row_names_file_and_line(files, tmp_path):

@@ -1,0 +1,74 @@
+"""Fixed-seed digest of three short training runs.
+
+Trains ``training.pavlov_recipe``, ``training.pong_recipe`` and the
+benchmark's ``workloads.lif_stdp_recipe`` for 2 epochs on small generated
+data sets in a temporary directory, with a checkpoint every epoch, and
+prints one line per recipe: the sha256 of its ``metrics.csv`` without the
+``wall_time`` column, then of each checkpoint. A change that must keep the
+program's results bitwise leaves every line unchanged.
+
+Run from the root of a source checkout:
+
+    python3 tools/fixed_seed_digest.py
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for _path in (os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
+
+from statenet import datasets, training  # noqa: E402
+from statenet.pong import PongConfig  # noqa: E402
+
+import workloads  # noqa: E402
+
+
+def _runs():
+    """(name, recipe, training set, held-out set, closed-loop pong config)."""
+    pavlov = (datasets.gen_pavlov(datasets.PavlovConfig(
+                  episodes=96, seed=1, split="train")),
+              datasets.gen_pavlov(datasets.PavlovConfig(
+                  episodes=48, seed=2, split="heldout")))
+    pong_env = PongConfig(max_steps=60)
+    pong = datasets.gen_pong(datasets.PongDataConfig(episodes=32, seed=3,
+                                                     env=pong_env))
+    return [("pavlov", training.pavlov_recipe(), *pavlov, None),
+            ("pong", training.pong_recipe(), pong, None, pong_env),
+            ("lif-stdp", workloads.lif_stdp_recipe(), *pavlov, None)]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_lines() -> list[str]:
+    """One line per recipe: ``<name> metrics.csv=<sha> <ckpt>=<sha> ...``."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (topo, params, config), train_set, eval_set, env in _runs():
+            run_dir = os.path.join(tmp, name)
+            config = dataclasses.replace(config, epochs=2, checkpoint_stride=1,
+                                         eval_rollouts=8)
+            training.train(topo, train_set, config, eval_dataset=eval_set,
+                           run_dir=run_dir, params=params, pong_config=env)
+            with open(os.path.join(run_dir, "metrics.csv"), "rb") as fh:
+                rows = [ln.rsplit(b",", 1)[0] for ln in fh.read().splitlines()]
+            fields = ["metrics.csv=" + _sha256(b"\n".join(rows))]
+            for ckpt in sorted(f for f in os.listdir(run_dir)
+                               if f.endswith(".ckpt")):
+                with open(os.path.join(run_dir, ckpt), "rb") as fh:
+                    fields.append(f"{ckpt}={_sha256(fh.read())}")
+            lines.append(" ".join([name, *fields]))
+    return lines
+
+
+if __name__ == "__main__":
+    print("\n".join(digest_lines()))
