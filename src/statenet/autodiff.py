@@ -280,8 +280,8 @@ def backward(tape: Tape) -> np.ndarray:
             surr = lif_surrogate_grad(membrane, topo.lif_params)
             spk = v_t.take(lif, 1)
             gp = gv_t.take(lif, 1) * surr + gs_t.take(lif, 1) * (1.0 - spk)
-            gu[:, lif] = gp * topo.lif_dt
-            gs_prev[:, lif] = gp * (1.0 - topo.lif_dt)
+            gu[:, lif] = gp * topo.lif_params.dt
+            gs_prev[:, lif] = gp * (1.0 - topo.lif_params.dt)
 
         # gather backward: u[dst] = sum_e w_e * v_prev[src_e]
         gu_e = gu.take(topo.edge_dst, 1)

@@ -12,8 +12,6 @@ echoes its fully resolved configuration into the run directory.
 
 from __future__ import annotations
 
-import dataclasses
-import os
 import sys
 
 import click
@@ -23,7 +21,7 @@ from .autodiff import LOSS_TAGS
 from .datasets import FORMAT_TAG as DATASET_FORMAT_TAG
 from .datasets import (PavlovConfig, PongDataConfig, gen_pavlov, gen_pong,
                        load_dataset, save_dataset)
-from .jsonio import decode, read_json, write_json
+from .jsonio import decode, read_json
 from .pong import PongConfig
 from .topology import FORMAT_TAG, build_random, load_topology, save_topology
 from .training import (TASKS, CheckpointMismatch, DivergenceError,
@@ -191,7 +189,6 @@ def topo_show(path):
 @click.option("--k2", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--task", type=click.Choice(TASKS), default=None)
-@click.option("--workers", type=int, default=None)
 @click.option("--resume", "resume_path", type=str, default=None)
 @click.option("--force", is_flag=True, default=False,
               help="Resume even if the checkpoint hashes disagree.")
@@ -202,13 +199,11 @@ def train_cmd(topology_path, dataset_path, eval_path, out_dir, config_path,
     topology = load_topology(topology_path)
     dataset = load_dataset(dataset_path)
     eval_dataset = load_dataset(eval_path) if eval_path else None
-    os.makedirs(out_dir, exist_ok=True)
-    write_json(os.path.join(out_dir, "train.json"),
-               {"config": dataclasses.asdict(config),
-                "topology": topology_path, "dataset": dataset_path,
-                "eval_dataset": eval_path}, indent=1)
     _, metrics = train(topology, dataset, config, eval_dataset=eval_dataset,
-                       run_dir=out_dir, resume=resume_path, resume_force=force)
+                       run_dir=out_dir, resume=resume_path, resume_force=force,
+                       run_record={"topology": topology_path,
+                                   "dataset": dataset_path,
+                                   "eval_dataset": eval_path})
     if metrics:
         last = metrics[-1]
         click.echo(f"done: epoch={last.epoch} train_loss={last.train_loss:.6f} "

@@ -122,7 +122,7 @@ def fresh_state(topology: NetworkTopology, params: ParameterSet,
     shape = (topology.n,) if batch is None else (batch, topology.n)
     s = np.zeros(shape)
     if len(topology.lif_ids):
-        s[..., topology.lif_ids] = topology.lif_rest
+        s[..., topology.lif_ids] = topology.lif_params.rest
     return RolloutState(s=s, v_last=np.zeros(shape),
                         plastic=reset_plastic_state(topology, params.w0, batch),
                         t=0)
@@ -293,6 +293,7 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
     # rate parameter lookup by neuron id
     rate_pos = {int(i): k for k, i in enumerate(topology.rate_ids)}
     lif_pos = {int(i): k for k, i in enumerate(topology.lif_ids)}
+    lif = topology.lif_params
 
     outputs: list[list[float]] = []
     for row in xs:
@@ -318,12 +319,12 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
                 s_new[i] = sr
             else:
                 k = lif_pos[i]
-                dt = float(topology.lif_dt[k])
-                rest = float(topology.lif_rest[k])
+                dt = float(lif.dt[k])
+                rest = float(lif.rest[k])
                 pre = s[i] + dt * (-(s[i] - rest) + u[i])
-                if pre >= float(topology.lif_threshold[k]):
+                if pre >= float(lif.threshold[k]):
                     v[i] = 1.0
-                    s_new[i] = float(topology.lif_reset[k])
+                    s_new[i] = float(lif.reset[k])
                 else:
                     v[i] = 0.0
                     s_new[i] = pre

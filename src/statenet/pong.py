@@ -34,8 +34,9 @@ class PongConfig:
     def validate(self) -> None:
         if self.width < 8 or self.height < 8:
             raise ValueError("grid must be at least 8x8")
-        if self.paddle_len >= self.height:
-            raise ValueError("paddle must be shorter than the grid height")
+        if not 1 <= self.paddle_len < self.height:
+            raise ValueError(f"paddle length must be >= 1 and shorter than the "
+                             f"grid height, got {self.paddle_len}")
         if self.paddle_len % 2 != 1:
             raise ValueError("paddle length must be odd")
         if self.max_steps < 1:

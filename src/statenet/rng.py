@@ -22,7 +22,7 @@ def _mix(z: int) -> int:
 def derive_seed(seed: int, *keys: int) -> int:
     """Derive an independent child seed from a base seed and integer keys.
 
-    Used to give every episode / epoch / worker its own stream without
+    Used to give every episode / epoch / rollout its own stream without
     sharing generator state (splitmix-style fold of each key).
     """
     h = seed & _MASK64

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -133,21 +133,16 @@ class NetworkTopology:
         self.static_idx = np.array(
             [i for i, e in enumerate(self.edges) if not e.plastic], dtype=np.intp)
 
-        # per-lif-neuron parameter vectors aligned with lif_ids
+        # per-lif-neuron parameter vectors aligned with lif_ids, in the
+        # shape the dynamics kernels read
         lp = [self.neurons[i].params for i in self.lif_ids]
-        self.lif_threshold = np.array([p.threshold for p in lp], dtype=np.float64)
-        self.lif_reset = np.array([p.reset for p in lp], dtype=np.float64)
-        self.lif_rest = np.array([p.rest for p in lp], dtype=np.float64)
-        self.lif_dt = np.array([p.dt for p in lp], dtype=np.float64)
-        self.lif_sharpness = np.array([p.sharpness for p in lp], dtype=np.float64)
+        self.lif_params = LifParams(**{
+            f.name: np.array([getattr(p, f.name) for p in lp], dtype=np.float64)
+            for f in fields(LifParams)})
 
-        for arr in vars(self).values():
+        for arr in [*vars(self).values(), *vars(self.lif_params).values()]:
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
-        # the same vectors in the shape the dynamics kernels read
-        self.lif_params = LifParams(threshold=self.lif_threshold, reset=self.lif_reset,
-                                    rest=self.lif_rest, dt=self.lif_dt,
-                                    sharpness=self.lif_sharpness)
 
     @property
     def n_inputs(self) -> int:

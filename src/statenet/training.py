@@ -1,11 +1,11 @@
 """Optimization loop, checkpointing, and task evaluations.
 
-Batch gradients are the mean over the batch's episodes, which run as one
-lockstep batch (``autodiff.batch_gradients``; with workers, one lockstep
-sub-batch per worker). Each episode's gradient row is bitwise independent
-of its batch partners, and the rows are summed in episode order, so
-results depend on neither batch layout nor worker count. The mean is
-clipped by global norm, then applied with plain SGD or Adam.
+Batch gradients are the mean over the batch's episodes, which run in one
+process as one lockstep batch (``autodiff.batch_gradients``). Each
+episode's gradient row is bitwise independent of its batch partners, and
+the rows are summed in episode order, so results do not depend on the
+batch layout. The mean is clipped by global norm, then applied with plain
+SGD or Adam.
 Everything is deterministic for a fixed (topology, dataset, config, seed):
 the per-epoch shuffle order derives from the seed and the epoch index, so
 resuming from a checkpoint continues the exact run.
@@ -16,7 +16,6 @@ emergency checkpoint when a run directory is configured.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -77,7 +76,7 @@ class TrainConfig:
     checkpoint_stride: int = 0       # 0: only final checkpoint
     task: str | None = None          # one of TASKS | None (eval metric)
     eval_rollouts: int = 50
-    workers: int = 1
+    workers: int = 1                 # always 1; kept for config_hash
 
     def validate(self) -> None:
         for name, value in asdict(self).items():
@@ -101,8 +100,11 @@ class TrainConfig:
             raise ValueError(f"need 1 <= k1 <= k2, got ({self.k1}, {self.k2})")
         if self.grad_clip <= 0:
             raise ValueError("grad_clip must be positive")
-        if self.eval_stride < 1 or self.eval_rollouts < 1 or self.workers < 1:
-            raise ValueError("eval_stride, eval_rollouts and workers must be >= 1")
+        if self.eval_stride < 1 or self.eval_rollouts < 1:
+            raise ValueError("eval_stride and eval_rollouts must be >= 1")
+        if self.workers != 1:
+            raise ValueError(f"workers must be 1 (one process runs each "
+                             f"lockstep batch), got {self.workers}")
 
 
 @dataclass
@@ -269,7 +271,7 @@ def load_checkpoint(path: str, topology: NetworkTopology, config: TrainConfig,
 
 
 # ---------------------------------------------------------------------------
-# gradient workers
+# batch gradients
 
 
 def _padded_batch(episodes: list, topology: NetworkTopology):
@@ -290,41 +292,30 @@ def _padded_batch(episodes: list, topology: NetworkTopology):
     return order, xs, ys, mask, lengths
 
 
-def _episode_rows(topology, params, episodes, first, loss_tag, k1, k2):
-    """(losses, gradient rows) of contiguous episodes of a batch, in their
-    order, from one lockstep pass; ``first`` is the batch position of the
-    first of them, so a ``NumericsError`` names its row in the batch."""
+def _episode_rows(topology, params, episodes, loss_tag, k1, k2):
+    """(losses, gradient rows) of a batch's episodes, in their order, from
+    one lockstep pass; a ``NumericsError`` names its episode's position."""
     order, xs, ys, mask, lengths = _padded_batch(episodes, topology)
     try:
         losses, grads = batch_gradients(topology, params, xs, ys, mask, lengths,
                                         loss_tag, k1, k2)
     except NumericsError as exc:
         if exc.row is not None:
-            exc.row = first + order[exc.row]
+            exc.row = order[exc.row]
         raise
     rows = np.argsort(order)          # episode i sits in row rows[i]
     return [losses[r] for r in rows], grads[rows]
 
 
-def _batch_gradients(topology, params, episodes, config, pool):
-    """Mean loss and gradient of a batch. ``pool`` maps contiguous
-    sub-batches, one per worker."""
-    if pool is None:
-        results = [_episode_rows(topology, params, episodes, 0, config.loss_tag,
-                                 config.k1, config.k2)]
-    else:
-        size = -(-len(episodes) // config.workers)
-        parts = [pool.submit(_episode_rows, topology, params,
-                             episodes[lo:lo + size], lo, config.loss_tag,
-                             config.k1, config.k2)
-                 for lo in range(0, len(episodes), size)]
-        results = [part.result() for part in parts]
+def _batch_gradients(topology, params, episodes, config):
+    """Mean loss and gradient of a batch."""
+    losses, rows = _episode_rows(topology, params, episodes, config.loss_tag,
+                                 config.k1, config.k2)
     total_loss = 0.0
     grad = np.zeros(params.count)
-    for losses, rows in results:      # episode order: deterministic reduction
-        for loss, g in zip(losses, rows):
-            total_loss += loss
-            grad += g
+    for loss, g in zip(losses, rows):  # episode order: deterministic reduction
+        total_loss += loss
+        grad += g
     k = float(len(episodes))
     return total_loss / k, grad / k
 
@@ -338,8 +329,13 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
           resume: str | None = None, resume_force: bool = False,
           params: ParameterSet | None = None,
           pong_config: PongConfig | None = None,
+          run_record: dict | None = None,
           ) -> tuple[ParameterSet, list[MetricsRow]]:
-    """Optimize parameters on a dataset. Returns (params, metrics history)."""
+    """Optimize parameters on a dataset. Returns (params, metrics history).
+
+    Every refusal comes before the first write to ``run_dir``; then, with
+    ``run_record``, the run's resolved config and that record are written
+    to ``run_dir/train.json``."""
     config.validate()
     if not len(dataset):
         raise DatasetError("the training set has no episodes")
@@ -348,8 +344,6 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
         check_dims(eval_dataset, topology)
     if config.task == "pong":
         check_pong_net(topology)
-    if run_dir:
-        os.makedirs(run_dir, exist_ok=True)
 
     if resume:
         params, optimizer, start_epoch = load_checkpoint(resume, topology, config,
@@ -371,65 +365,61 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
                 with malformed(MetricsError, f"{metrics_path} line {lineno}"):
                     if int(ln.split(",", 1)[0]) < start_epoch:
                         rows.append(ln)
+        os.makedirs(run_dir, exist_ok=True)
+        if run_record is not None:
+            write_json(os.path.join(run_dir, "train.json"),
+                       {"config": asdict(config), **run_record}, indent=1)
         with atomic_write(metrics_path) as fh:
             fh.write("\n".join(rows) + "\n")
 
-    pool = None
-    if config.workers > 1:
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=config.workers)
     metrics: list[MetricsRow] = []
     t_start = time.perf_counter()
-    try:
-        for epoch in range(start_epoch, config.epochs + 1):
-            order = list(range(len(dataset)))
-            Rng(derive_seed(config.seed, 0x5F1E, epoch)).shuffle(order)
-            epoch_loss = 0.0
-            seen = 0
-            for lo in range(0, len(order), config.batch_size):
-                batch = [dataset.episodes[i] for i in order[lo:lo + config.batch_size]]
-                try:
-                    loss, grad = _batch_gradients(topology, params, batch, config,
-                                                  pool)
-                except FloatingPointError as exc:
-                    # parameters blew up far enough to break the forward pass
-                    loss, grad = float("nan"), None
-                    blame = str(exc)
-                    if getattr(exc, "row", None) is not None:
-                        blame = f"episode {order[lo + exc.row]}: {blame}"
-                else:
-                    blame = f"loss {loss}"
-                if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
-                    if run_dir:
-                        save_checkpoint(os.path.join(run_dir, "diverged.ckpt"),
-                                        params, optimizer, epoch, config, topology)
-                    raise DivergenceError(
-                        f"{blame} at epoch {epoch}, batch {lo // config.batch_size}")
-                grad = clip_global_norm(grad, config.grad_clip)
-                optimizer.update(params.flat, grad)
-                epoch_loss += loss * len(batch)
-                seen += len(batch)
-            train_loss = epoch_loss / max(1, seen)
+    for epoch in range(start_epoch, config.epochs + 1):
+        order = list(range(len(dataset)))
+        Rng(derive_seed(config.seed, 0x5F1E, epoch)).shuffle(order)
+        epoch_loss = 0.0
+        seen = 0
+        for lo in range(0, len(order), config.batch_size):
+            batch = [dataset.episodes[i] for i in order[lo:lo + config.batch_size]]
+            try:
+                loss, grad = _batch_gradients(topology, params, batch, config)
+            except FloatingPointError as exc:
+                # parameters blew up far enough to break the forward pass
+                loss, grad = float("nan"), None
+                blame = str(exc)
+                if getattr(exc, "row", None) is not None:
+                    blame = f"episode {order[lo + exc.row]}: {blame}"
+            else:
+                blame = f"loss {loss}"
+            if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+                if run_dir:
+                    save_checkpoint(os.path.join(run_dir, "diverged.ckpt"),
+                                    params, optimizer, epoch, config, topology)
+                raise DivergenceError(
+                    f"{blame} at epoch {epoch}, batch {lo // config.batch_size}")
+            grad = clip_global_norm(grad, config.grad_clip)
+            optimizer.update(params.flat, grad)
+            epoch_loss += loss * len(batch)
+            seen += len(batch)
+        train_loss = epoch_loss / max(1, seen)
 
-            if epoch % config.eval_stride == 0 or epoch == config.epochs:
-                eval_loss, task_metric = _evaluate(topology, params, config,
-                                                   eval_dataset, pong_config)
-                row = MetricsRow(epoch=epoch, train_loss=train_loss,
-                                 eval_loss=eval_loss, task_metric=task_metric,
-                                 wall_time=time.perf_counter() - t_start)
-                metrics.append(row)
-                if metrics_path:
-                    with open(metrics_path, "a", encoding="utf-8") as fh:
-                        fh.write(format_metrics_row(row) + "\n")
-            if (config.checkpoint_stride and run_dir
-                    and epoch % config.checkpoint_stride == 0):
-                save_checkpoint(os.path.join(run_dir, f"epoch{epoch:04d}.ckpt"),
-                                params, optimizer, epoch, config, topology)
-        if run_dir:
-            save_checkpoint(os.path.join(run_dir, "final.ckpt"), params, optimizer,
-                            config.epochs, config, topology)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        if epoch % config.eval_stride == 0 or epoch == config.epochs:
+            eval_loss, task_metric = _evaluate(topology, params, config,
+                                               eval_dataset, pong_config)
+            row = MetricsRow(epoch=epoch, train_loss=train_loss,
+                             eval_loss=eval_loss, task_metric=task_metric,
+                             wall_time=time.perf_counter() - t_start)
+            metrics.append(row)
+            if metrics_path:
+                with open(metrics_path, "a", encoding="utf-8") as fh:
+                    fh.write(format_metrics_row(row) + "\n")
+        if (config.checkpoint_stride and run_dir
+                and epoch % config.checkpoint_stride == 0):
+            save_checkpoint(os.path.join(run_dir, f"epoch{epoch:04d}.ckpt"),
+                            params, optimizer, epoch, config, topology)
+    if run_dir:
+        save_checkpoint(os.path.join(run_dir, "final.ckpt"), params, optimizer,
+                        config.epochs, config, topology)
     return params, metrics
 
 

@@ -166,7 +166,7 @@ def test_criterion_8_lif_decay_and_oscillation():
     params = ParameterSet.from_topology(topo)
     state = fresh_state(topo, params)
     state.s[1] = 0.8
-    dt = topo.lif_dt[0]
+    dt = topo.lif_params.dt[0]
     for t in range(1, 51):
         from statenet.engine import step
         _, state = step(state, np.zeros(1), topo, params)

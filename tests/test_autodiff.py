@@ -487,7 +487,7 @@ def test_episode_row_independent_of_batch(net, k1, k2):
         for lo in range(0, len(order), size):
             ids = order[lo:lo + size]
             losses, rows = _episode_rows(topo, params, [episodes[i] for i in ids],
-                                         0, tag, k1, k2)
+                                         tag, k1, k2)
             for i, loss, row in zip(ids, losses, rows):
                 assert type(loss) is float and loss == alone[i][0]
                 assert row.tobytes() == alone[i][1].tobytes()

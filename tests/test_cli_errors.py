@@ -313,6 +313,10 @@ PROBES = {
     "gen-pavlov-config-weight-negative": lambda f, t: [
         "gen", "pavlov", "--out", str(t / "d.jsonl"), "--config", write_json(
             t / "cfg.json", {"train_len_weights": [6, -1, 0, 1]})],
+    "train-config-workers-two": lambda f, t: _train_config(f, t, workers=2),
+    "gen-pong-paddle-negative": lambda f, t: [
+        "gen", "pong", "--paddle", "-1", "--episodes", "3",
+        "--out", str(t / "d.jsonl")],
 }
 
 
@@ -326,7 +330,7 @@ def test_eval_dataset_dims_checked_before_training(files, tmp_path):
     result = CliRunner().invoke(main, train_args(files, tmp_path) + [
         "--eval-dataset", files["pong"]])
     assert "do not match" in result.stderr
-    assert not os.path.exists(tmp_path / "out" / "metrics.csv")
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_pong_net_dims_checked_before_training(files, tmp_path):
@@ -337,8 +341,20 @@ def test_pong_net_dims_checked_before_training(files, tmp_path):
         + ["--epochs", "5"])
     assert_one_error_line(result)
     assert "5-input, 3-output" in result.stderr
-    assert not os.path.exists(tmp_path / "out" / "metrics.csv")
-    assert not list((tmp_path / "out").glob("*.ckpt"))
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_refused_resume_leaves_the_run_untouched(files, tmp_path):
+    # the refused run's config used to overwrite the run's train.json
+    run = tmp_path / "out"
+    args = train_args(files, tmp_path)
+    assert CliRunner().invoke(main, args + ["--lr", "0.01"]).exit_code == 0
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    result = CliRunner().invoke(main, args + [
+        "--lr", "0.5", "--epochs", "3", "--resume", str(run / "final.ckpt")])
+    assert_one_error_line(result)
+    assert "config hash mismatch" in result.stderr
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 def test_malformed_metrics_row_names_file_and_line(files, tmp_path):

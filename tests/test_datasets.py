@@ -179,6 +179,8 @@ def test_pong_invalid_grid_rejected():
         PongConfig(paddle_len=13).validate()
     with pytest.raises(ValueError):
         PongConfig(paddle_len=2).validate()
+    with pytest.raises(ValueError):
+        PongConfig(paddle_len=-1).validate()
 
 
 # ---------------------------------------------------------------------------

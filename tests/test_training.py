@@ -255,16 +255,6 @@ def test_dimension_mismatch_rejected():
         train(topo, ds, TrainConfig(epochs=1))
 
 
-def test_worker_pool_matches_serial():
-    topo, ds = small_setup(episodes=8)
-    cfg1 = TrainConfig(epochs=2, batch_size=4, seed=4, eval_stride=1)
-    cfg2 = TrainConfig(epochs=2, batch_size=4, seed=4, eval_stride=1, workers=2)
-    p1, m1 = train(topo, ds, cfg1)
-    p2, m2 = train(topo, ds, cfg2)
-    assert np.array_equal(p1.flat, p2.flat)
-    assert [m.train_loss for m in m1] == [m.train_loss for m in m2]
-
-
 # ---------------------------------------------------------------------------
 # evaluations
 
@@ -476,8 +466,8 @@ def test_recipe_shapes():
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
-@pytest.mark.parametrize("bad,workers", [(0, 1), (2, 1), (3, 1), (2, 2)])
-def test_divergence_names_the_exploding_episode(bad, workers):
+@pytest.mark.parametrize("bad", [0, 2, 3])
+def test_divergence_names_the_exploding_episode(bad):
     # both inputs drive the output, through +2 and -2: a stimulus of 1e308
     # on both overflows the drive to inf - inf = NaN one step later
     neurons = [NeuronSpec(0, "input", "rate", RateParams()),
@@ -494,7 +484,7 @@ def test_divergence_names_the_exploding_episode(bad, workers):
             x[1] = 1e308
         episodes.append(Episode(x=x, y=np.zeros((len(x), 1))))
     ds = Dataset(episodes, {"dims": {"inputs": 2, "outputs": 1}})
-    config = TrainConfig(loss_tag="mse", batch_size=4, epochs=1, workers=workers)
+    config = TrainConfig(loss_tag="mse", batch_size=4, epochs=1)
     with pytest.raises(DivergenceError, match=(
             rf"^episode {bad}: non-finite value at t=3, neuron 2 "
             rf"at epoch 1, batch 0$")):
