@@ -52,7 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import NumericsError, lif_membrane_pre, lif_surrogate_grad
-from .engine import RolloutState, fresh_state, gather, rollout, row_index
+from .engine import (RolloutState, cached_row_index, fresh_state, gather,
+                     rollout)
 from .params import ParameterSet
 from .topology import NetworkTopology
 
@@ -229,8 +230,9 @@ def backward(tape: Tape) -> np.ndarray:
     dst_h = topo.edge_dst[heb]
     # scatter indices into a (rows, n) block, row by row; gv_prev takes the
     # hebbian source terms, then the gather transpose
-    at_dst_h = row_index(dst_h, n, B)
-    at_src = row_index(np.concatenate([src_h, topo.edge_src]), n, B)
+    at_dst_h = cached_row_index(topo, "hebbian_dst", dst_h, B)
+    at_src = cached_row_index(topo, "hebbian_src+edge_src",
+                              np.concatenate([src_h, topo.edge_src]), B)
     n_src = len(src_h) + topo.n_edges
 
     for t in range(K, 0, -1):

@@ -134,6 +134,19 @@ def row_index(idx: np.ndarray, n: int, rows: int) -> np.ndarray:
     return (np.arange(rows)[:, None] * n + idx).ravel()
 
 
+def cached_row_index(topology: NetworkTopology, key: str, idx: np.ndarray,
+                     rows: int) -> np.ndarray:
+    """``row_index(idx, topology.n, rows)`` as a prefix of one read-only
+    array cached on the topology under ``key`` (one ``idx`` per key), rebuilt
+    when more rows are needed: a prefix of rows is a prefix of the offsets."""
+    cached = topology.row_index_cache.get(key)
+    if cached is None or len(cached) < rows * len(idx):
+        cached = row_index(idx, topology.n, rows)
+        cached.setflags(write=False)
+        topology.row_index_cache[key] = cached
+    return cached[:rows * len(idx)]
+
+
 def gather(topology: NetworkTopology, w: np.ndarray,
            v_last: np.ndarray) -> np.ndarray:
     """Per-neuron drive from previous-step outputs, summed in edge order
@@ -142,7 +155,8 @@ def gather(topology: NetworkTopology, w: np.ndarray,
     if v_last.ndim == 1:
         return np.bincount(topology.edge_dst, contrib, minlength=topology.n)
     rows, n = v_last.shape
-    return np.bincount(row_index(topology.edge_dst, n, rows), contrib.ravel(),
+    at_dst = cached_row_index(topology, "edge_dst", topology.edge_dst, rows)
+    return np.bincount(at_dst, contrib.ravel(),
                        minlength=rows * n).reshape(rows, n)
 
 

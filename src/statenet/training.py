@@ -39,7 +39,7 @@ from .topology import NetworkTopology
 
 CHECKPOINT_TAG = "snn-checkpoint/1"
 DIVERGENCE_LIMIT = 1e6
-PREDICT_CHUNK = 32       # episodes rolled out in lockstep by evaluations
+PREDICT_CHUNK = 64       # episodes rolled out in lockstep by evaluations
 
 
 class DivergenceError(RuntimeError):
@@ -337,11 +337,14 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
     ``run_record``, the run's resolved config and that record are written
     to ``run_dir/train.json``."""
     config.validate()
-    if not len(dataset):
-        raise DatasetError("the training set has no episodes")
+    for name, data in (("training", dataset), ("evaluation", eval_dataset)):
+        if data is not None and not len(data):
+            raise DatasetError(f"the {name} set has no episodes")
     check_dims(dataset, topology)
     if eval_dataset is not None:
         check_dims(eval_dataset, topology)
+        if config.task == "pavlov":
+            _test_stages(eval_dataset)
     if config.task == "pong":
         check_pong_net(topology)
 
@@ -463,7 +466,7 @@ def pong_recipe(topology_seed: int = 42):
 def _evaluate(topology, params, config, eval_dataset, pong_config):
     eval_loss = float("nan")
     task_metric = float("nan")
-    if eval_dataset is not None and len(eval_dataset):
+    if eval_dataset is not None:
         outputs, losses = _predict(params, topology, eval_dataset,
                                    config.loss_tag)
         total = 0.0
@@ -492,26 +495,36 @@ def output_threshold(values: np.ndarray, loss_tag: str) -> np.ndarray:
     return (values > cut).astype(np.float64)
 
 
-def _acquisition_from_predictions(predictions, dataset: Dataset,
-                                  loss_tag: str = "bce"):
-    """Per-episode test-stage exact-match accuracy plus a breakdown."""
-    rows = []
-    correct = 0
-    for idx, (pred, ep) in enumerate(zip(predictions, dataset.episodes)):
+def _test_stages(dataset: Dataset) -> list[tuple[int, int]]:
+    """Each episode's test stage as a checked ``(lo, hi)`` pair, in episode
+    order; a set without episodes has nothing to score and is refused."""
+    if not len(dataset):
+        raise DatasetError("the evaluation set has no episodes")
+    stages = []
+    for idx, ep in enumerate(dataset.episodes):
         with malformed(DatasetError, f"episode {idx} test stage"):
             lo, hi = ep.meta["stages"]["test"]
         if not (type(lo) is type(hi) is int and 0 <= lo < hi <= ep.length):
             raise DatasetError(f"episode {idx} test stage must be [lo, hi] with "
                                f"0 <= lo < hi <= {ep.length}, got [{lo!r}, {hi!r}]")
-        want = ep.y[lo:hi, 0]
-        got = output_threshold(np.asarray(pred)[lo:hi, 0], loss_tag)
-        ok = bool(np.array_equal(got, want))
+        stages.append((lo, hi))
+    return stages
+
+
+def _acquisition_from_predictions(predictions, dataset: Dataset,
+                                  loss_tag: str = "bce"):
+    """Per-episode test-stage exact-match accuracy plus a breakdown."""
+    rows = []
+    correct = 0
+    for idx, (pred, ep, (lo, hi)) in enumerate(
+            zip(predictions, dataset.episodes, _test_stages(dataset))):
+        want = ep.y[lo:hi, 0].tolist()
+        got = output_threshold(np.asarray(pred)[lo:hi, 0], loss_tag).tolist()
+        ok = got == want
         correct += ok
         rows.append({"episode": idx, "pairings": ep.meta.get("pairings"),
-                     "correct": ok,
-                     "predicted": got.tolist(), "target": want.tolist()})
-    accuracy = correct / max(1, len(dataset))
-    return accuracy, rows
+                     "correct": ok, "predicted": got, "target": want})
+    return correct / len(dataset), rows
 
 
 def eval_pavlov_acquisition(params: ParameterSet, topology: NetworkTopology,
@@ -526,20 +539,32 @@ def _predict(params: ParameterSet, topology: NetworkTopology,
              dataset: Dataset, loss_tag: str | None = None
              ) -> tuple[list[np.ndarray], list[float]]:
     """Each episode's outputs, rolled out from a fresh episode-start state,
-    PREDICT_CHUNK episodes at a time in lockstep, and with ``loss_tag``
-    each episode's masked loss (bitwise its ``outputs_loss``: padded steps
-    are masked out and add exactly 0.0). Both lists are in episode order."""
+    and with ``loss_tag`` each episode's masked loss (bitwise its
+    ``outputs_loss``: padded steps are masked out and add exactly 0.0).
+    Both lists are in episode order.
+
+    The set is sorted once by length, longest first (ties in episode
+    order), and rolled out in lockstep blocks of PREDICT_CHUNK consecutive
+    episodes of that order, so each block pads little. Each row is bitwise
+    its episode run alone."""
     check_dims(dataset, topology)
-    outputs, losses = [], []
-    for lo in range(0, len(dataset), PREDICT_CHUNK):
-        chunk = dataset.episodes[lo:lo + PREDICT_CHUNK]
-        order, xs, ys, mask, lengths = _padded_batch(chunk, topology)
-        outs, _ = rollout(fresh_state(topology, params, batch=len(chunk)), xs,
+    episodes = dataset.episodes
+    order = sorted(range(len(episodes)), key=lambda i: -episodes[i].length)
+    outputs = [None] * len(episodes)
+    losses = [None] * len(episodes) if loss_tag is not None else []
+    for lo in range(0, len(order), PREDICT_CHUNK):
+        block = order[lo:lo + PREDICT_CHUNK]
+        # already sorted, so _padded_batch keeps the rows in block order
+        _, xs, ys, mask, lengths = _padded_batch([episodes[i] for i in block],
+                                                 topology)
+        outs, _ = rollout(fresh_state(topology, params, batch=len(block)), xs,
                           topology, params, lengths=lengths)
-        rows = np.argsort(order)      # episode i sits in row rows[i]
-        outputs += [outs[r, :lengths[r]] for r in rows]
+        for row, i in enumerate(block):
+            outputs[i] = outs[row, :lengths[row]]
         if loss_tag is not None:
-            losses += outputs_loss(loss_tag, outs, ys, mask)[rows].tolist()
+            for i, loss in zip(block,
+                               outputs_loss(loss_tag, outs, ys, mask).tolist()):
+                losses[i] = loss
     return outputs, losses
 
 

@@ -156,6 +156,11 @@ def _no_episodes(files, tmp_path):
     return write_lines(tmp_path / "empty.jsonl", [manifest])
 
 
+def _pavlov_eval(files, tmp_path, eval_path):
+    return train_args(files, tmp_path) + ["--task", "pavlov",
+                                          "--eval-dataset", eval_path]
+
+
 def _eval_pong(files, rollouts):
     return ["eval", "pong", "--checkpoint", files["pong_ckpt"],
             "--topology", files["pong_net"], "--rollouts", str(rollouts)]
@@ -317,6 +322,12 @@ PROBES = {
     "gen-pong-paddle-negative": lambda f, t: [
         "gen", "pong", "--paddle", "-1", "--episodes", "3",
         "--out", str(t / "d.jsonl")],
+    "train-eval-test-stage-empty": lambda f, t: _pavlov_eval(
+        f, t, _dataset_edit(f, t, 1, _empty_test_stage)),
+    "train-eval-dataset-no-episodes": lambda f, t: _pavlov_eval(
+        f, t, _no_episodes(f, t)),
+    "eval-acquisition-no-episodes": lambda f, t: acquisition_args(
+        f, t, f["ckpt"], data=_no_episodes(f, t)),
 }
 
 
@@ -330,6 +341,17 @@ def test_eval_dataset_dims_checked_before_training(files, tmp_path):
     result = CliRunner().invoke(main, train_args(files, tmp_path) + [
         "--eval-dataset", files["pong"]])
     assert "do not match" in result.stderr
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("eval_set", [
+    lambda f, t: _dataset_edit(f, t, 1, _empty_test_stage), _no_episodes])
+def test_eval_set_checked_before_training(files, tmp_path, eval_set):
+    # a bad test stage was found by the first evaluation, after an epoch of
+    # training had written train.json; an empty set was scored as nan
+    result = CliRunner().invoke(main, _pavlov_eval(
+        files, tmp_path, eval_set(files, tmp_path)) + ["--epochs", "3"])
+    assert_one_error_line(result)
     assert not os.path.exists(tmp_path / "out")
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from statenet.dynamics import NumericsError
-from statenet.engine import (ProbeWriter, fresh_state, reference_rollout,
-                             rollout, step)
+from statenet.engine import (ProbeWriter, cached_row_index, fresh_state,
+                             reference_rollout, rollout, row_index, step)
 from statenet.params import ParameterSet
 from statenet.rng import Rng, derive_seed
 from statenet.topology import (EdgeSpec, LifParams, NetworkTopology,
@@ -263,6 +263,22 @@ def test_static_weight_columns_stay_at_w0(rule, lengths):
             params.w0[topo.static_idx], static.shape))
     moved = states[-1].plastic.weights[..., topo.plastic_idx]
     assert np.any(moved != params.w0[topo.plastic_idx])
+
+
+def test_cached_row_index_is_a_prefix_of_row_index():
+    # two topologies in turn, the cache growing with every row count, then
+    # every smaller count read back from the grown array
+    topos = [build_random(3, 0.8, seed=1, model="rate", n_inputs=2,
+                          n_outputs=1, plastic_rule="hebbian"),
+             build_random(5, 0.5, seed=2, model="lif", n_inputs=3,
+                          n_outputs=2, plastic_rule="stdp")]
+    for rows in [*range(1, 201), *range(200, 0, -7)]:
+        for topo in topos:
+            got = cached_row_index(topo, "edge_dst", topo.edge_dst, rows)
+            assert np.array_equal(got, row_index(topo.edge_dst, topo.n, rows))
+            assert not got.flags.writeable
+    for topo in topos:
+        assert len(topo.row_index_cache["edge_dst"]) == 200 * topo.n_edges
 
 
 def test_probe_dump(tmp_path):

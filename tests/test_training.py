@@ -457,6 +457,42 @@ def test_heldout_loss_is_the_per_episode_sum(loss_tag):
     assert type(eval_loss) is float and eval_loss == total / len(ds)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("model,loss_tag", [("rate", "bce"), ("lif", "mse")])
+def test_predict_rows_are_each_episode_run_alone(monkeypatch, chunk, model,
+                                                 loss_tag):
+    # 160 ragged episodes, many of one length, rolled out in sorted blocks
+    # that cross episode order; each row must be its episode alone
+    from statenet import training
+    monkeypatch.setattr(training, "PREDICT_CHUNK", chunk)
+    ds = gen_pavlov(PavlovConfig(episodes=160, seed=7))
+    lengths = [ep.length for ep in ds.episodes]
+    assert len(set(lengths)) > 3 and len(set(lengths)) < len(lengths) // 4
+    rule = "hebbian" if model == "rate" else "stdp"
+    topo = build_random(6, 0.6, seed=3, model=model, n_inputs=2, n_outputs=1,
+                        plastic_rule=rule, plastic_scope="readout",
+                        direct_io=True, lif_params=LifParams(threshold=0.15))
+    params = ParameterSet.from_topology(topo)
+    rng = np.random.default_rng(1)
+    params = params.with_flat(params.flat
+                              + 0.3 * rng.standard_normal(params.count))
+    outputs, losses = _predict(params, topo, ds, loss_tag)
+    assert len(outputs) == len(losses) == len(ds)
+    for outs, loss, ep in zip(outputs, losses, ds.episodes):
+        alone, _ = rollout(fresh_state(topo, params), ep.x, topo, params)
+        assert np.array_equal(outs, alone)
+        assert loss == outputs_loss(loss_tag, alone, ep.y, ep.mask)
+
+
+def test_predict_accepts_an_empty_set():
+    topo, ds = small_setup()
+    empty = Dataset(episodes=[], manifest=ds.manifest)
+    params = ParameterSet.from_topology(topo)
+    assert _predict(params, topo, empty, "bce") == ([], [])
+    with pytest.raises(ValueError, match="evaluation set has no episodes"):
+        eval_pavlov_acquisition(params, topo, empty)
+
+
 def test_recipe_shapes():
     topo, params, cfg = pavlov_recipe()
     assert topo.n_inputs == 2 and topo.n_outputs == 1

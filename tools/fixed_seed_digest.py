@@ -36,7 +36,7 @@ def _runs():
     pavlov = (datasets.gen_pavlov(datasets.PavlovConfig(
                   episodes=96, seed=1, split="train")),
               datasets.gen_pavlov(datasets.PavlovConfig(
-                  episodes=48, seed=2, split="heldout")))
+                  episodes=160, seed=2, split="heldout")))
     pong_env = PongConfig(max_steps=60)
     pong = datasets.gen_pong(datasets.PongDataConfig(episodes=32, seed=3,
                                                      env=pong_env))
