@@ -399,7 +399,7 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
     if len(bad):
         raise NumericsError(f"non-finite loss in an episode of length "
                             f"{lengths[bad[0]]}", row=int(bad[0]))
-    return losses.tolist(), params.apply_freeze(grads)
+    return losses.tolist(), grads
 
 
 def fd_gradient(topology: NetworkTopology, params: ParameterSet, xs, ys, mask,

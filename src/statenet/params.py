@@ -20,7 +20,7 @@ they live in the topology and in ``PlasticityMeta`` respectively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class ParameterSet:
     flat: np.ndarray
     registry: dict[str, slice]
     meta: PlasticityMeta
-    frozen: set[str] = field(default_factory=set)
 
     @classmethod
     def from_topology(cls, topology: NetworkTopology,
@@ -99,26 +98,10 @@ class ParameterSet:
 
     def copy(self) -> "ParameterSet":
         return ParameterSet(flat=self.flat.copy(), registry=dict(self.registry),
-                            meta=self.meta, frozen=set(self.frozen))
+                            meta=self.meta)
 
     def with_flat(self, flat: np.ndarray) -> "ParameterSet":
         if len(flat) != len(self.flat):
             raise ValueError("flat vector length mismatch")
         return ParameterSet(flat=np.asarray(flat, dtype=np.float64),
-                            registry=dict(self.registry), meta=self.meta,
-                            frozen=set(self.frozen))
-
-    def frozen_mask(self) -> np.ndarray:
-        """Boolean mask over the flat vector, True where updates are frozen."""
-        mask = np.zeros(len(self.flat), dtype=bool)
-        for name in self.frozen:
-            if name in self.registry:
-                mask[self.registry[name]] = True
-        return mask
-
-    def apply_freeze(self, gradient: np.ndarray) -> np.ndarray:
-        """Zero gradient entries of frozen segments (in place, in every row
-        of a batch of gradients) and return it."""
-        if self.frozen:
-            gradient[..., self.frozen_mask()] = 0.0
-        return gradient
+                            registry=dict(self.registry), meta=self.meta)

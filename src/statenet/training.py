@@ -215,9 +215,7 @@ def save_checkpoint(path: str, params: ParameterSet, optimizer, epoch: int,
         "params": params.flat.tolist(),
         "registry": {k: [v.start, v.stop] for k, v in params.registry.items()},
         "meta": asdict(params.meta),
-        "frozen": sorted(params.frozen),
         "optimizer": optimizer.state_dict(),
-        "rng": {"seed": config.seed, "epoch": epoch},
         "config_hash": config_hash(config),
         "topology_hash": topology.content_hash(),
     }
@@ -242,13 +240,10 @@ def load_params(path: str, topology: NetworkTopology,
             raise CheckpointError(f"checkpoint params must be a list of "
                                   f"{base.count} finite numbers")
         params = base.with_flat(flat)
-        frozen = doc.get("frozen", [])
-        if (not isinstance(frozen, list)
-                or not set(frozen) <= params.registry.keys()):
-            raise CheckpointError(f"checkpoint frozen must be a list of "
-                                  f"segments of {sorted(params.registry)}, "
-                                  f"got {frozen!r}")
-        params.frozen = set(frozen)
+        # earlier versions wrote "frozen": []; every segment trains
+        if doc.get("frozen", []) != []:
+            raise CheckpointError(f"checkpoint frozen must be [] (every "
+                                  f"segment trains), got {doc['frozen']!r}")
         if doc["registry"] != {k: [v.start, v.stop]
                                for k, v in params.registry.items()}:
             raise CheckpointError("checkpoint parameter registry mismatch")
@@ -341,10 +336,11 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
         if data is not None and not len(data):
             raise DatasetError(f"the {name} set has no episodes")
     check_dims(dataset, topology)
+    stages = None
     if eval_dataset is not None:
         check_dims(eval_dataset, topology)
         if config.task == "pavlov":
-            _test_stages(eval_dataset)
+            stages = _test_stages(eval_dataset)
     if config.task == "pong":
         check_pong_net(topology)
 
@@ -408,7 +404,7 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
 
         if epoch % config.eval_stride == 0 or epoch == config.epochs:
             eval_loss, task_metric = _evaluate(topology, params, config,
-                                               eval_dataset, pong_config)
+                                               eval_dataset, stages, pong_config)
             row = MetricsRow(epoch=epoch, train_loss=train_loss,
                              eval_loss=eval_loss, task_metric=task_metric,
                              wall_time=time.perf_counter() - t_start)
@@ -463,7 +459,9 @@ def pong_recipe(topology_seed: int = 42):
     return topology, params, config
 
 
-def _evaluate(topology, params, config, eval_dataset, pong_config):
+def _evaluate(topology, params, config, eval_dataset, stages, pong_config):
+    """Held-out loss and task metric; ``stages`` are the held-out set's
+    checked test stages when the task is pavlov."""
     eval_loss = float("nan")
     task_metric = float("nan")
     if eval_dataset is not None:
@@ -474,8 +472,8 @@ def _evaluate(topology, params, config, eval_dataset, pong_config):
             total += loss
         eval_loss = total / len(eval_dataset)
         if config.task == "pavlov":
-            task_metric, _ = _acquisition_from_predictions(outputs, eval_dataset,
-                                                           config.loss_tag)
+            task_metric, _ = _acquisition_from_predictions(
+                outputs, eval_dataset, stages, config.loss_tag)
     if config.task == "pong":
         result = eval_pong_closed_loop(params, topology,
                                        pong_config or PongConfig(),
@@ -511,13 +509,14 @@ def _test_stages(dataset: Dataset) -> list[tuple[int, int]]:
     return stages
 
 
-def _acquisition_from_predictions(predictions, dataset: Dataset,
+def _acquisition_from_predictions(predictions, dataset: Dataset, stages,
                                   loss_tag: str = "bce"):
-    """Per-episode test-stage exact-match accuracy plus a breakdown."""
+    """Per-episode test-stage exact-match accuracy plus a breakdown, over
+    the set's ``_test_stages``."""
     rows = []
     correct = 0
     for idx, (pred, ep, (lo, hi)) in enumerate(
-            zip(predictions, dataset.episodes, _test_stages(dataset))):
+            zip(predictions, dataset.episodes, stages)):
         want = ep.y[lo:hi, 0].tolist()
         got = output_threshold(np.asarray(pred)[lo:hi, 0], loss_tag).tolist()
         ok = got == want
@@ -531,8 +530,10 @@ def eval_pavlov_acquisition(params: ParameterSet, topology: NetworkTopology,
                             dataset: Dataset, loss_tag: str = "bce"):
     """Fraction of episodes whose thresholded test-stage predictions match
     the ground truth at every test step. Returns (accuracy, breakdown)."""
+    check_dims(dataset, topology)
+    stages = _test_stages(dataset)
     outputs, _ = _predict(params, topology, dataset)
-    return _acquisition_from_predictions(outputs, dataset, loss_tag)
+    return _acquisition_from_predictions(outputs, dataset, stages, loss_tag)
 
 
 def _predict(params: ParameterSet, topology: NetworkTopology,
@@ -546,8 +547,7 @@ def _predict(params: ParameterSet, topology: NetworkTopology,
     The set is sorted once by length, longest first (ties in episode
     order), and rolled out in lockstep blocks of PREDICT_CHUNK consecutive
     episodes of that order, so each block pads little. Each row is bitwise
-    its episode run alone."""
-    check_dims(dataset, topology)
+    its episode run alone. The caller checks the set's dims."""
     episodes = dataset.episodes
     order = sorted(range(len(episodes)), key=lambda i: -episodes[i].length)
     outputs = [None] * len(episodes)

@@ -310,20 +310,6 @@ def test_spiking_surrogate_gradient_points_downhill():
     assert total >= 10 and down / total > 0.5
 
 
-def test_frozen_segments_have_zero_gradient():
-    topo = build_random(3, 0.8, seed=15, model="rate", n_inputs=1, n_outputs=1,
-                        plastic_rule="hebbian")
-    params = jitter(ParameterSet.from_topology(topo), 16)
-    params.frozen = {"self_coeff", "learn_rate"}
-    xs, ys = random_sequence(17, 5, 1, 1)
-    _, g = episode_gradients(topo, params, xs, ys, None, "bce")
-    assert np.array_equal(g[params.registry["self_coeff"]],
-                          np.zeros_like(g[params.registry["self_coeff"]]))
-    assert np.array_equal(g[params.registry["learn_rate"]],
-                          np.zeros_like(g[params.registry["learn_rate"]]))
-    assert np.abs(g[params.registry["w0"]]).max() > 0
-
-
 def test_gradient_linearity_over_mask_split():
     topo = build_random(3, 0.8, seed=18, model="rate", n_inputs=1, n_outputs=1,
                         plastic_rule="hebbian")

@@ -295,6 +295,8 @@ PROBES = {
         f, t, _moment("m", NAN)),
     "resume-checkpoint-second-moment-negative": lambda f, t: _resume_edited(
         f, t, _moment("v", -1.0)),
+    "resume-checkpoint-frozen-segment": lambda f, t: _resume_edited(
+        f, t, lambda d: {**d, "frozen": ["w0"]}),
     "resume-checkpoint-frozen-unknown": lambda f, t: _resume_edited(
         f, t, lambda d: {**d, "frozen": ["nope"]}),
     "resume-checkpoint-frozen-string": lambda f, t: _resume_edited(

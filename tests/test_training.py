@@ -23,7 +23,8 @@ from statenet.training import (PREDICT_CHUNK, Adam, CheckpointError,
                                eval_pong_closed_loop, load_checkpoint,
                                run_pong_policy, save_checkpoint, train,
                                _acquisition_from_predictions, _evaluate,
-                               _predict, pavlov_recipe, pong_recipe)
+                               _predict, _test_stages, pavlov_recipe,
+                               pong_recipe)
 
 
 def small_setup(episodes=8, seed=1, plastic=True):
@@ -114,6 +115,18 @@ def test_checkpoint_round_trip(tmp_path):
     assert next_epoch == 3
 
 
+def test_checkpoint_holds_only_the_keys_its_reader_uses(tmp_path):
+    # a key that no reader uses would only grow every checkpoint
+    topo, _ = small_setup()
+    path = str(tmp_path / "c.ckpt")
+    save_checkpoint(path, ParameterSet.from_topology(topo), Adam(0.01), 1,
+                    TrainConfig(), topo)
+    with open(path) as fh:
+        keys = sorted(json.load(fh))
+    assert keys == ["config_hash", "epoch", "format", "meta", "optimizer",
+                    "params", "registry", "topology_hash"]
+
+
 def test_checkpoint_hash_mismatch_refused(tmp_path):
     topo, ds = small_setup()
     cfg = TrainConfig(epochs=1, batch_size=4, seed=5)
@@ -132,23 +145,29 @@ def test_checkpoint_hash_mismatch_refused(tmp_path):
     assert np.array_equal(p.flat, params.flat)
 
 
-def test_resume_reproduces_uninterrupted_run(tmp_path):
+# keys that earlier versions wrote and no reader used
+EARLIER_KEYS = {"frozen": [], "rng": {"seed": 3, "epoch": 3}}
+
+
+@pytest.mark.parametrize("extra", [{}, EARLIER_KEYS],
+                         ids=["as-written", "earlier-version"])
+def test_resume_reproduces_uninterrupted_run(tmp_path, extra):
     topo, ds = small_setup(episodes=12)
     full_cfg = TrainConfig(epochs=6, batch_size=4, seed=3, eval_stride=1,
                            checkpoint_stride=3)
     run_a = str(tmp_path / "full")
-    _, metrics_full = train(topo, ds, full_cfg, run_dir=run_a)
-    run_b = str(tmp_path / "resumed")
-    _, metrics_head = train(topo, ds, TrainConfig(epochs=3, batch_size=4,
-                                                  seed=3, eval_stride=1),
-                            run_dir=run_b)
+    params_full, metrics_full = train(topo, ds, full_cfg, run_dir=run_a)
+    with open(os.path.join(run_a, "epoch0003.ckpt")) as fh:
+        doc = {**json.load(fh), **extra}
+    ckpt = str(tmp_path / "epoch0003.ckpt")
+    with open(ckpt, "w") as fh:
+        json.dump(doc, fh)
     # continue from the saved epoch-3 state under the full config
-    _, metrics_tail = train(topo, ds, full_cfg,
-                            resume=os.path.join(run_a, "epoch0003.ckpt"))
-    tail_by_epoch = {m.epoch: m for m in metrics_tail}
-    for m in metrics_full:
-        if m.epoch > 3:
-            assert tail_by_epoch[m.epoch].train_loss == m.train_loss
+    params_tail, metrics_tail = train(topo, ds, full_cfg, resume=ckpt)
+    assert [m.epoch for m in metrics_tail] == [4, 5, 6]
+    for m, tail in zip(metrics_full[3:], metrics_tail):
+        assert tail.train_loss == m.train_loss
+    assert np.array_equal(params_tail.flat, params_full.flat)
 
 
 def test_resume_in_place_keeps_one_metrics_row_per_epoch(tmp_path):
@@ -262,7 +281,8 @@ def test_dimension_mismatch_rejected():
 def test_acquisition_oracle_predictions_score_one():
     ds = gen_pavlov(PavlovConfig(episodes=40, seed=21))
     preds = [np.where(ep.y > 0.5, 5.0, -5.0) for ep in ds.episodes]
-    acc, rows = _acquisition_from_predictions(preds, ds, loss_tag="bce")
+    acc, rows = _acquisition_from_predictions(preds, ds, _test_stages(ds),
+                                              loss_tag="bce")
     assert acc == 1.0 and all(r["correct"] for r in rows)
 
 
@@ -271,7 +291,8 @@ def test_constant_response_scores_positive_fraction():
     # test stage expects salivation
     ds = gen_pavlov(PavlovConfig(episodes=200, seed=22))
     preds = [np.full_like(ep.y, 3.0) for ep in ds.episodes]
-    acc, rows = _acquisition_from_predictions(preds, ds, loss_tag="bce")
+    acc, rows = _acquisition_from_predictions(preds, ds, _test_stages(ds),
+                                              loss_tag="bce")
     frac_acquired = np.mean([ep.meta["pairings"] >= 2 for ep in ds.episodes])
     assert acc == pytest.approx(frac_acquired)
 
@@ -283,7 +304,8 @@ def test_constant_response_on_balanced_split_is_half():
     neg = [ep for ep in base.episodes if ep.meta["pairings"] < 2][:50]
     ds = Dataset(episodes=pos + neg, manifest=base.manifest)
     preds = [np.full_like(ep.y, 3.0) for ep in ds.episodes]
-    acc, _ = _acquisition_from_predictions(preds, ds, loss_tag="bce")
+    acc, _ = _acquisition_from_predictions(preds, ds, _test_stages(ds),
+                                           loss_tag="bce")
     assert acc == 0.5
 
 
@@ -302,9 +324,8 @@ def test_acquisition_refuses_an_empty_or_out_of_range_test_stage(stage,
     # an empty test stage would compare two empty slices and score as correct
     ds = gen_pavlov(PavlovConfig(episodes=3, paper_exact=True))
     ds.episodes[1].meta["stages"]["test"] = stage
-    preds = [np.where(ep.y > 0.5, 5.0, -5.0) for ep in ds.episodes]
     with pytest.raises(ValueError) as exc:
-        _acquisition_from_predictions(preds, ds, loss_tag="bce")
+        _test_stages(ds)
     assert str(exc.value) == "episode 1 test stage" + message
 
 
@@ -448,8 +469,9 @@ def test_heldout_loss_is_the_per_episode_sum(loss_tag):
     else:
         topo, ds = small_setup(episodes=PREDICT_CHUNK + 5)
     params = ParameterSet.from_topology(topo)
+    # no task, so no test stage is scored
     eval_loss, _ = _evaluate(topo, params, TrainConfig(loss_tag=loss_tag), ds,
-                             None)
+                             None, None)
     outputs, _ = _predict(params, topo, ds)
     total = 0.0
     for outs, ep in zip(outputs, ds.episodes):
