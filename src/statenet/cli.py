@@ -21,6 +21,7 @@ from .autodiff import LOSS_TAGS
 from .datasets import FORMAT_TAG as DATASET_FORMAT_TAG
 from .datasets import (PavlovConfig, PongDataConfig, gen_pavlov, gen_pong,
                        load_dataset, save_dataset)
+from .dynamics import NumericsError
 from .jsonio import decode, read_json
 from .pong import PongConfig
 from .topology import FORMAT_TAG, build_random, load_topology, save_topology
@@ -36,6 +37,7 @@ from .verify import SUITES
 EXIT_CODES = {
     OSError: (3, ""),
     DivergenceError: (4, ""),
+    NumericsError: (4, ""),
     CheckpointMismatch: (2, " (use --force)"),
     ValueError: (2, ""),
 }

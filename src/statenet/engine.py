@@ -20,7 +20,9 @@ Order of operations inside one step:
    carries every edge's current weight (static ones stay at ``w0``),
 3. update every neuron (rate / lif) to get this step's outputs and states,
 4. update plastic edge weights from the activity just produced: each rule
-   reads and writes its own edge columns.
+   reads and writes its own edge columns, and stdp reads this step's
+   outputs as spikes and the one per-neuron trace at each edge's two
+   endpoints (both lif cells, whose outputs are their spikes).
 
 Steps 3 and 4 call the ``dynamics`` and ``plasticity`` kernels that the
 backward sweep shares. ``rollout`` is the one loop over steps, and
@@ -160,14 +162,6 @@ def gather(topology: NetworkTopology, w: np.ndarray,
                        minlength=rows * n).reshape(rows, n)
 
 
-def spikes_of(topology: NetworkTopology, v: np.ndarray) -> np.ndarray:
-    """Outputs of lif neurons (inputs included), zero elsewhere."""
-    spikes = np.zeros(v.shape)
-    for ids in (topology.lif_ids, topology.lif_input_ids):
-        spikes.T[ids] = v.T[ids]
-    return spikes
-
-
 def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
          params: ParameterSet) -> tuple[StepResult, RolloutState]:
     """Advance the network one step. Returns (result, next state).
@@ -209,10 +203,9 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
         raise _non_finite(f"non-finite value at t={t}, neuron "
                           f"{np.argwhere(~finite)[0][-1]}", finite)
 
-    # the rules replace the traces, never write into them: share them
+    # the rules replace the trace, never write into it: share it
     new_plastic = PlasticEdgeState(state.plastic.weights.copy(),
-                                   state.plastic.trace_pre,
-                                   state.plastic.trace_post)
+                                   state.plastic.trace)
     meta = params.meta
     heb = topology.hebbian_pos
     if len(heb):
@@ -224,10 +217,9 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
         new_plastic.weights.T[heb] = e_new.T
     sd = topology.stdp_pos
     if len(sd):
-        e_new, new_plastic.trace_pre, new_plastic.trace_post = stdp_update(
-            state.plastic.weights.take(sd, -1),
-            topology.edge_src[sd], topology.edge_dst[sd], spikes_of(topology, v),
-            state.plastic.trace_pre, state.plastic.trace_post, meta)
+        e_new, new_plastic.trace = stdp_update(
+            state.plastic.weights.take(sd, -1), topology.edge_src[sd],
+            topology.edge_dst[sd], v, state.plastic.trace, meta)
         new_plastic.weights.T[sd] = e_new.T
 
     result = StepResult(y=v.take(topology.output_ids, -1), probe=v)
@@ -294,8 +286,9 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
     v_last = [float(x) for x in state0.v_last]
     # plastic edges start from the state's weights, static ones read w0
     e_plastic = [float(x) for x in state0.plastic.weights]
-    tr_pre = [float(x) for x in state0.plastic.trace_pre]
-    tr_post = [float(x) for x in state0.plastic.trace_post]
+    # the oracle keeps a pre and a post trace; both start from the one trace
+    tr_pre = [float(x) for x in state0.plastic.trace]
+    tr_post = list(tr_pre)
     w0 = [float(x) for x in params.w0]
 
     roles = {nr.id: nr.role for nr in topology.neurons}

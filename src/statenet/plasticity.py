@@ -15,11 +15,12 @@ Two rules:
   engine's one-step edge delay — so the rule reinforces actual causal
   contribution.
 
-* stdp (spiking, trace-based): per step the per-neuron eligibility traces
-  first decay by ``trace_decay``, the weight change is read from the
-  decayed traces, and only then are the current spikes added:
-      delta = potentiation * trace_pre_decayed[src] * spike[dst]
-            - depression  * trace_post_decayed[dst] * spike[src]
+* stdp (spiking, trace-based): per step the per-neuron eligibility trace
+  first decays by ``trace_decay``, the weight change is read from the
+  decayed trace at the edge's source and at its target, and only then are
+  the current spikes added:
+      delta = potentiation * trace_decayed[src] * spike[dst]
+            - depression  * trace_decayed[dst] * spike[src]
   so an isolated source spike one step before a target spike changes the
   weight by exactly potentiation * trace_decay, and the mirrored order by
   -depression * trace_decay.
@@ -64,12 +65,21 @@ class PlasticityMeta:
         return _logit(self.retention_init)
 
     def validate(self) -> None:
-        """Refuse a clip bound or retention the rules cannot use."""
+        """Refuse a value the rules cannot use: the stdp sign laws need
+        non-negative magnitudes, the trace bound 1 / (1 - trace_decay) a
+        decay in [0, 1)."""
         if not self.clip_bound > 0:
             raise ValueError(f"clip_bound must be > 0, got {self.clip_bound}")
         if not 0 < self.retention_init < 1:
             raise ValueError(f"retention_init must be in (0, 1), "
                              f"got {self.retention_init}")
+        if not 0 <= self.trace_decay < 1:
+            raise ValueError(f"trace_decay must be in [0, 1), "
+                             f"got {self.trace_decay}")
+        for name in ("potentiation", "depression"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, "
+                                 f"got {getattr(self, name)}")
 
 
 def squash_retention(raw: float) -> float:
@@ -81,35 +91,34 @@ def squash_retention(raw: float) -> float:
 
 @dataclass
 class PlasticEdgeState:
-    """Mutable per-rollout edge weights and eligibility traces.
+    """Mutable per-rollout edge weights and the spike trace.
 
     ``weights`` holds every edge's current weight in topology edge order:
     a static edge's column stays at its ``w0``, a plastic edge's is the
-    one its rule updates (``topology.hebbian_pos`` / ``stdp_pos``). Traces
-    are per neuron and only meaningful for spiking cells. A batch has one
-    row per episode in each array.
+    one its rule updates (``topology.hebbian_pos`` / ``stdp_pos``).
+    ``trace`` is per neuron: stdp reads it at an edge's source and at its
+    target, both lif cells; a non-lif neuron's column accumulates its
+    outputs but is never read. A batch has one row per episode in each
+    array.
     """
 
     weights: np.ndarray
-    trace_pre: np.ndarray
-    trace_post: np.ndarray
+    trace: np.ndarray
 
     def rows(self, rows: slice | np.ndarray | None) -> "PlasticEdgeState":
         """Some episodes' rows, picked as ``RolloutState.rows`` picks them."""
-        return PlasticEdgeState(self.weights[rows], self.trace_pre[rows],
-                                self.trace_post[rows])
+        return PlasticEdgeState(self.weights[rows], self.trace[rows])
 
 
 def reset_plastic_state(topology: NetworkTopology, w0: np.ndarray,
                         batch: int | None = None) -> PlasticEdgeState:
     """Episode-boundary state: every edge weight := its initial weight
-    (a copy of the per-edge vector ``w0``), traces zeroed; with ``batch``,
+    (a copy of the per-edge vector ``w0``), trace zeroed; with ``batch``,
     one such row per episode."""
     lead = () if batch is None else (batch,)
     return PlasticEdgeState(
         weights=np.tile(np.asarray(w0, dtype=np.float64), lead + (1,)),
-        trace_pre=np.zeros(lead + (topology.n,)),
-        trace_post=np.zeros(lead + (topology.n,)),
+        trace=np.zeros(lead + (topology.n,)),
     )
 
 
@@ -124,21 +133,19 @@ def hebbian_update(e_prev, out_pre_prev, out_post, learn_rate,
     return clip_weights(raw, clip_bound)
 
 
-def stdp_update(e_prev, src, dst, spikes, trace_pre, trace_post,
-                meta: PlasticityMeta):
+def stdp_update(e_prev, src, dst, spikes, trace, meta: PlasticityMeta):
     """Trace-based spike-timing update for one step over stdp edges.
 
     ``src``/``dst`` are the edges' endpoint neuron ids; ``spikes`` and the
-    traces carried from the previous step are per neuron (last axis, one
-    row per episode of a batch). The weight change
-    reads the decayed traces, the current spikes are added afterwards.
-    Returns (clipped weights, new trace_pre, new trace_post).
+    trace carried from the previous step are per neuron (last axis, one
+    row per episode of a batch). The weight change reads the decayed trace
+    at both endpoints, the current spikes are added afterwards. Returns
+    (clipped weights, new trace).
     """
-    tp = meta.trace_decay * trace_pre
-    tq = meta.trace_decay * trace_post
-    raw = e_prev + (meta.potentiation * tp[..., src] * spikes[..., dst]
-                    - meta.depression * tq[..., dst] * spikes[..., src])
-    return clip_weights(raw, meta.clip_bound), tp + spikes, tq + spikes
+    decayed = meta.trace_decay * trace
+    raw = e_prev + (meta.potentiation * decayed[..., src] * spikes[..., dst]
+                    - meta.depression * decayed[..., dst] * spikes[..., src])
+    return clip_weights(raw, meta.clip_bound), decayed + spikes
 
 
 def clip_weights(raw, bound: float):

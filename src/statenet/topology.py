@@ -114,9 +114,6 @@ class NetworkTopology:
         self.lif_ids = np.array(
             [nr.id for nr in self.neurons if nr.model == "lif" and nr.role != "input"],
             dtype=np.intp)
-        self.lif_input_ids = np.array(
-            [nr.id for nr in self.neurons if nr.model == "lif" and nr.role == "input"],
-            dtype=np.intp)
 
         self.n_edges = len(self.edges)
         self.edge_src = np.array([e.src for e in self.edges], dtype=np.intp)

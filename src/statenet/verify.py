@@ -146,21 +146,19 @@ def run_plasticity_signs(tol: float = 1e-12):
              meta.potentiation * meta.trace_decay),
             ("target-before-source", [0.0, 1.0], [1.0, 0.0],
              -meta.depression * meta.trace_decay)):
-        tp = tq = np.zeros(2)
-        w = np.zeros(1)
+        trace, w = np.zeros(2), np.zeros(1)
         for spikes in (first, second):
-            w, tp, tq = stdp_update(w, src, dst, np.array(spikes), tp, tq, meta)
+            w, trace = stdp_update(w, src, dst, np.array(spikes), trace, meta)
         delta = float(w[0])
         ok = abs(delta - want) <= tol and np.sign(delta) == np.sign(want)
         passed &= ok
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: "
                      f"delta {delta!r} vs {want!r}")
 
-    # no activity: weights hold, traces decay
-    tr = np.array([0.5, 0.5])
-    e2, tp2, _ = stdp_update(np.array([0.25]), src, dst, np.zeros(2), tr, tr,
-                             meta)
-    ok = float(e2[0]) == 0.25 and float(tp2[0]) == 0.5 * meta.trace_decay
+    # no activity: weights hold, the trace decays
+    e2, tr2 = stdp_update(np.array([0.25]), src, dst, np.zeros(2),
+                          np.array([0.5, 0.5]), meta)
+    ok = float(e2[0]) == 0.25 and float(tr2[0]) == 0.5 * meta.trace_decay
     passed &= ok
     lines.append(f"{'PASS' if ok else 'FAIL'} no-spike hold and trace decay")
     return passed, lines

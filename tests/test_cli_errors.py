@@ -1,7 +1,7 @@
 """The CLI's error boundary: a malformed topology, dataset, checkpoint or
-config file ends with exit 2 (3 when a file cannot be read or written) and
-one ``error:`` line on stderr, never a traceback; a genuine bug still
-raises."""
+config file ends with exit 2 (3 when a file cannot be read or written, 4
+when the numbers diverge) and one ``error:`` line on stderr, never a
+traceback; a genuine bug still raises."""
 
 import json
 import os
@@ -16,7 +16,7 @@ from statenet.cli import main
 from statenet.datasets import (PavlovConfig, PongDataConfig, gen_pavlov,
                                gen_pong, save_dataset)
 from statenet.pong import PongConfig
-from statenet.topology import build_random, save_topology
+from statenet.topology import LifParams, build_random, save_topology
 from statenet.training import TrainConfig, train
 
 TRAIN_FLAGS = ["--epochs", "1", "--batch", "2"]
@@ -305,6 +305,18 @@ PROBES = {
         f, t, _meta(retention_init=1.0)),
     "resume-checkpoint-meta-clip-negative": lambda f, t: _resume_edited(
         f, t, _meta(clip_bound=-1.0)),
+    "resume-checkpoint-meta-trace-decay-huge": lambda f, t: _resume_edited(
+        f, t, _meta(trace_decay=1e300)),
+    "eval-checkpoint-meta-trace-decay-huge": lambda f, t: _eval_edited(
+        f, t, _meta(trace_decay=1e300)),
+    "resume-checkpoint-meta-trace-decay-negative": lambda f, t: _resume_edited(
+        f, t, _meta(trace_decay=-3.0)),
+    "eval-checkpoint-meta-trace-decay-one": lambda f, t: _eval_edited(
+        f, t, _meta(trace_decay=1.0)),
+    "resume-checkpoint-meta-potentiation-negative": lambda f, t: _resume_edited(
+        f, t, _meta(potentiation=-0.05)),
+    "eval-checkpoint-meta-depression-negative": lambda f, t: _eval_edited(
+        f, t, _meta(depression=-0.05)),
     "dataset-x-bool": lambda f, t: train_args(
         f, t, data=_dataset_edit(f, t, 1, _x_bool)),
     "dataset-mask-bool": lambda f, t: train_args(
@@ -393,6 +405,46 @@ def test_malformed_metrics_row_names_file_and_line(files, tmp_path):
         "--resume", str(tmp_path / "out" / "epoch0001.ckpt")])
     assert_one_error_line(result)
     assert f"{metrics} line 4:" in result.stderr  # header, 2 epochs, then x
+
+
+@pytest.fixture(scope="module")
+def overflowing(tmp_path_factory):
+    """A lif net whose input cells are stdp sources, its checkpoint, and
+    held-out pavlov episodes whose stimuli are scaled by 1e308: the spike
+    trace of an input overflows, and ``inf * 0`` turns a weight into nan."""
+    d = tmp_path_factory.mktemp("overflow")
+    net = build_random(16, 0.4, seed=42, model="lif", n_inputs=2, n_outputs=1,
+                       plastic_rule="stdp", plastic_scope="readout",
+                       direct_io=True, lif_params=LifParams(threshold=0.15))
+    data = gen_pavlov(PavlovConfig(episodes=4, seed=1, split="train"))
+    held = gen_pavlov(PavlovConfig(episodes=4, seed=2, split="heldout"))
+    for ep in held.episodes:
+        ep.x[...] *= 1e308
+    paths = {"net": str(d / "net.json"), "data": str(d / "train.jsonl"),
+             "held": str(d / "held.jsonl"), "run": str(d / "run")}
+    save_topology(net, paths["net"])
+    save_dataset(data, paths["data"])
+    save_dataset(held, paths["held"])
+    train(net, data, TrainConfig(loss_tag="mse", epochs=1, batch_size=2),
+          run_dir=paths["run"])
+    paths["ckpt"] = os.path.join(paths["run"], "final.ckpt")
+    return paths
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the overflow
+def test_numeric_divergence_in_evaluation_exits_4(overflowing):
+    result = CliRunner().invoke(main, acquisition_args(
+        overflowing, None, overflowing["ckpt"], data=overflowing["held"]))
+    assert_one_error_line(result, codes=(4,))
+    assert "non-finite value" in result.stderr
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the overflow
+def test_numeric_divergence_in_held_out_loss_exits_4(overflowing, tmp_path):
+    result = CliRunner().invoke(main, train_args(overflowing, tmp_path) + [
+        "--loss", "mse", "--eval-dataset", overflowing["held"]])
+    assert_one_error_line(result, codes=(4,))
+    assert "non-finite value" in result.stderr
 
 
 def test_missing_file_exits_3(files, tmp_path):

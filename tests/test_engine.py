@@ -208,6 +208,63 @@ def test_stdp_sign_laws_through_engine():
     assert abs(d2 + meta.depression * meta.trace_decay) <= 1e-12
 
 
+def mixed_stdp_net():
+    """Rate input, hidden and output cells beside lif cells joined by stdp
+    edges, a lif input among the stdp sources, and hebbian and static edges
+    across the two kinds; outputs: rate neuron 5, lif neuron 6."""
+    lif = LifParams(threshold=0.3)
+    neurons = [NeuronSpec(0, "input", "rate", RateParams()),
+               NeuronSpec(1, "input", "lif", lif),
+               NeuronSpec(2, "hidden", "rate", RateParams(self_coeff=0.3)),
+               NeuronSpec(3, "hidden", "lif", lif),
+               NeuronSpec(4, "hidden", "lif", lif),
+               NeuronSpec(5, "output", "rate", RateParams(bias=0.1)),
+               NeuronSpec(6, "output", "lif", lif)]
+    edges = [EdgeSpec(0, 2, 0.9), EdgeSpec(0, 3, 0.8), EdgeSpec(2, 3, 0.6),
+             EdgeSpec(2, 2, 0.5), EdgeSpec(3, 5, 0.6),
+             EdgeSpec(2, 5, 0.7, True, "hebbian"),
+             EdgeSpec(5, 2, -0.4, True, "hebbian"),
+             *(EdgeSpec(a, b, w, True, "stdp") for a, b, w in [
+                 (1, 3, 1.2), (1, 4, 0.9), (3, 4, 1.1), (4, 3, -0.6),
+                 (3, 6, 1.3), (4, 6, 0.9)])]
+    return NetworkTopology(neurons, edges)
+
+
+def test_mixed_rate_and_stdp_net_matches_oracle_and_runs_rows_alone():
+    # stdp reads the step's outputs as spikes: the rate columns of the one
+    # trace fill up, but no stdp edge reads them
+    topo = mixed_stdp_net()
+    params = ParameterSet.from_topology(topo)
+    rng = np.random.default_rng(17)
+    rows, steps = 64, 40
+    xs = rng.uniform(0.0, 1.5, (rows, steps, 2)) * (rng.random((rows, steps, 2))
+                                                   < 0.5)
+    lengths = np.sort(rng.integers(steps // 2, steps + 1, rows))[::-1]
+    states = []
+    ys, _ = rollout(fresh_state(topo, params, rows), xs, topo, params,
+                    states=states, lengths=lengths)
+    rate_out, lif_out = 0, 1                   # output ids 5 (rate), 6 (lif)
+    for b in range(rows):
+        n = lengths[b]
+        alone, end = rollout(fresh_state(topo, params), xs[b, :n], topo, params)
+        assert np.array_equal(ys[b, :n], alone) and not ys[b, n:].any()
+        last = states[n - 1]
+        assert np.array_equal(last.plastic.weights[b], end.plastic.weights)
+        assert np.array_equal(last.plastic.trace[b], end.plastic.trace)
+        assert np.array_equal(last.v_last[b], end.v_last)
+        if b % 4 == 0:
+            slow = np.array(reference_rollout(fresh_state(topo, params),
+                                              xs[b, :n], topo, params))
+            assert np.array_equal(alone[:, lif_out], slow[:, lif_out])
+            assert np.max(np.abs(alone[:, rate_out] - slow[:, rate_out])) \
+                <= 1e-12
+    end = states[lengths[-1] - 1]
+    assert end.plastic.trace[:, topo.rate_ids].any()
+    assert ys[:, :, lif_out].any()
+    moved = end.plastic.weights[:, topo.stdp_pos]
+    assert np.any(moved != params.w0[topo.stdp_pos])
+
+
 def test_dimension_mismatch_raises():
     topo = chain_topology([1.0])
     params = ParameterSet.from_topology(topo)

@@ -14,8 +14,9 @@ PERFBENCH = Path(__file__).parents[1] / "perfbench"
 TINY_RUNS = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-import run, workloads
-run.import_program()
+import run
+run.import_program()   # puts src/ on the path, which workloads imports
+import workloads
 for name in workloads.FULL:
     result, _ = run.run_benchmark(name, 1, 1.0, False, tiny=True)
     print(json.dumps({"name": name, "correct": result["correct"],

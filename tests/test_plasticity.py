@@ -50,10 +50,10 @@ SRC, DST = np.array([0]), np.array([1])
 
 def stdp_steps(e, spike_rows, meta):
     """Weights after feeding per-neuron spike rows through stdp_update from
-    zero traces."""
-    tp = tq = np.zeros(2)
+    a zero trace."""
+    trace = np.zeros(2)
     for spikes in spike_rows:
-        e, tp, tq = stdp_update(e, SRC, DST, np.array(spikes), tp, tq, meta)
+        e, trace = stdp_update(e, SRC, DST, np.array(spikes), trace, meta)
     return e
 
 
@@ -75,21 +75,20 @@ def test_stdp_target_before_source_depresses():
 
 def test_stdp_returns_pre_clip_values():
     meta = PlasticityMeta(clip_bound=0.01)
-    tr = np.array([1.0, 1.0])
-    e, _, _ = stdp_update(np.zeros(1), SRC, DST, np.array([0.0, 1.0]), tr, tr,
-                          meta)
+    e, _ = stdp_update(np.zeros(1), SRC, DST, np.array([0.0, 1.0]),
+                       np.array([1.0, 1.0]), meta)
     assert e[0] == meta.clip_bound
 
 
 def test_stdp_no_activity_holds_weights_and_decays_traces():
     meta = PlasticityMeta()
     e = np.array([0.25])
-    tp, tq = np.array([0.8, 0.0]), np.array([0.0, 0.4])
+    trace = np.array([0.8, 0.4])
     zero = np.zeros(2)
     for _ in range(10):
-        e2, tp, tq = stdp_update(e, SRC, DST, zero, tp, tq, meta)
+        e2, trace = stdp_update(e, SRC, DST, zero, trace, meta)
         assert np.array_equal(e2, e)
-    assert tp[0] == pytest.approx(0.8 * meta.trace_decay ** 10, abs=1e-15)
+    assert trace[0] == pytest.approx(0.8 * meta.trace_decay ** 10, abs=1e-15)
 
 
 def test_stdp_sign_properties_over_random_isolated_pairs():
@@ -100,14 +99,14 @@ def test_stdp_sign_properties_over_random_isolated_pairs():
         e = rng.uniform(-1, 1, n)
         # edge k runs from neuron k to neuron n + k
         src, dst = np.arange(n), np.arange(n, 2 * n)
-        tp = tq = np.zeros(2 * n)
+        trace = np.zeros(2 * n)
         which = rng.integers(0, n)
         first_pre = bool(rng.integers(0, 2))
         first, second = np.zeros(2 * n), np.zeros(2 * n)
         first[src[which] if first_pre else dst[which]] = 1.0
         second[dst[which] if first_pre else src[which]] = 1.0
-        e1, tp, tq = stdp_update(e, src, dst, first, tp, tq, meta)
-        e2, _, _ = stdp_update(e1, src, dst, second, tp, tq, meta)
+        e1, trace = stdp_update(e, src, dst, first, trace, meta)
+        e2, _ = stdp_update(e1, src, dst, second, trace, meta)
         delta = e2[which] - e[which]
         if first_pre:
             assert delta > 0
@@ -117,13 +116,13 @@ def test_stdp_sign_properties_over_random_isolated_pairs():
 
 def test_trace_bound():
     meta = PlasticityMeta()
-    tp = tq = np.zeros(2)
+    trace = np.zeros(2)
     e = np.zeros(1)
     ones = np.ones(2)
     for _ in range(500):
-        e, tp, tq = stdp_update(e, SRC, DST, ones, tp, tq, meta)
-        assert tp[0] <= 1.0 / (1.0 - meta.trace_decay) + 1e-9
-        assert tp[0] >= 0.0
+        e, trace = stdp_update(e, SRC, DST, ones, trace, meta)
+        assert trace[0] <= 1.0 / (1.0 - meta.trace_decay) + 1e-9
+        assert trace[0] >= 0.0
 
 
 def test_reset_uses_initial_weights_and_is_idempotent():
@@ -135,7 +134,7 @@ def test_reset_uses_initial_weights_and_is_idempotent():
     assert np.array_equal(s1.weights, params.w0)
     assert not np.shares_memory(s1.weights, params.w0)
     assert np.array_equal(s1.weights, s2.weights)
-    assert np.array_equal(s1.trace_pre, np.zeros(topo.n))
+    assert np.array_equal(s1.trace, np.zeros(topo.n))
 
 
 def test_reset_after_rollout_equals_single_reset():

@@ -422,7 +422,7 @@ def pong_nets():
     lif = ParameterSet.from_topology(lif_topo)
     _, end = rollout(fresh_state(lif_topo, lif), data.episodes[0].x, lif_topo,
                      lif)
-    assert end.plastic.trace_pre[lif_topo.hidden_ids].any()
+    assert end.plastic.trace[lif_topo.hidden_ids].any()
     return {"trained": (topo, trained), "zero": (zero_topo, zero),
             "lif-stdp": (lif_topo, lif)}
 
