@@ -15,6 +15,7 @@ from __future__ import annotations
 import sys
 
 import click
+import numpy as np
 
 from . import __version__
 from .autodiff import LOSS_TAGS
@@ -45,11 +46,13 @@ EXIT_CODES = {
 
 class _ExitCodeGroup(click.Group):
     """The top command group: applies ``EXIT_CODES`` once, around whichever
-    subcommand runs."""
+    subcommand runs. numpy's overflow warnings are silenced: the engine's
+    finiteness checks raise ``NumericsError``, which ends in one line."""
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return super().invoke(ctx)
         except tuple(EXIT_CODES) as exc:
             code, hint = next(EXIT_CODES[kind] for kind in type(exc).__mro__
                               if kind in EXIT_CODES)

@@ -323,12 +323,12 @@ def load_dataset(path: str) -> Dataset:
         declared, n_in, n_out = (count(manifest, "episodes"),
                                  count(manifest["dims"], "inputs"),
                                  count(manifest["dims"], "outputs"))
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(n, ln) for n, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if declared != len(body):
         raise DatasetError(f"manifest declares {declared} episodes, "
                            f"file has {len(body)}")
     episodes = []
-    for lineno, ln in enumerate(body, start=2):
+    for lineno, ln in body:
         with malformed(DatasetError, f"line {lineno}: malformed episode"):
             rec = json.loads(ln)
             unknown = set(rec) - {"x", "y", "mask", "meta"}

@@ -65,10 +65,9 @@ class RolloutState:
     plastic: PlasticEdgeState
     t: int = 0
 
-    def rows(self, rows: slice | np.ndarray | None) -> "RolloutState":
+    def rows(self, rows: slice | np.ndarray) -> "RolloutState":
         """Some episodes of a batch state: a slice gives views, an integer
-        index array copies of those rows in its order; ``None`` views one
-        episode's state as a batch of one."""
+        index array copies of those rows in its order."""
         return RolloutState(self.s[rows], self.v_last[rows],
                             self.plastic.rows(rows), self.t)
 

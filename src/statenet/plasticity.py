@@ -105,7 +105,7 @@ class PlasticEdgeState:
     weights: np.ndarray
     trace: np.ndarray
 
-    def rows(self, rows: slice | np.ndarray | None) -> "PlasticEdgeState":
+    def rows(self, rows: slice | np.ndarray) -> "PlasticEdgeState":
         """Some episodes' rows, picked as ``RolloutState.rows`` picks them."""
         return PlasticEdgeState(self.weights[rows], self.trace[rows])
 

@@ -1,6 +1,8 @@
 """Optimization loop, checkpointing, and task evaluations.
 
-Batch gradients are the mean over the batch's episodes, which run in one
+Training batches and held-out sets run through one lockstep driver
+(``_lockstep``), which also names the episode of a non-finite value.
+Batch gradients are the mean over the batch's episodes, run in one
 process as one lockstep batch (``autodiff.batch_gradients``). Each
 episode's gradient row is bitwise independent of its batch partners, and
 the rows are summed in episode order, so results do not depend on the
@@ -269,49 +271,51 @@ def load_checkpoint(path: str, topology: NetworkTopology, config: TrainConfig,
 # batch gradients
 
 
-def _padded_batch(episodes: list, topology: NetworkTopology):
-    """Episodes as one lockstep batch, rows sorted by length, longest first
-    (ties in episode order), zero-padded to the longest. Returns (order,
-    xs, ys, mask, lengths); ``order[r]`` is the episode in row r."""
-    order = sorted(range(len(episodes)), key=lambda i: -episodes[i].length)
-    lengths = [episodes[i].length for i in order]
-    shape = (len(episodes), lengths[0] if lengths else 0)
-    xs = np.zeros(shape + (topology.n_inputs,))
-    ys = np.zeros(shape + (topology.n_outputs,))
-    mask = np.zeros(shape + (topology.n_outputs,))
-    for row, i in enumerate(order):
-        ep = episodes[i]
-        xs[row, :ep.length] = ep.x
-        ys[row, :ep.length] = ep.y
-        mask[row, :ep.length] = 1.0 if ep.mask is None else ep.mask
-    return order, xs, ys, mask, lengths
+def _lockstep(topology: NetworkTopology, episodes: list, ids, block: int, run):
+    """One result per id of ``ids``, in ``ids`` order, of the episodes
+    ``episodes[i]`` run as lockstep batches: the ids sorted once by length,
+    longest first (ties in ``ids`` order), in blocks of ``block``, each
+    zero-padded to its longest episode and passed to ``run(xs, ys, mask,
+    lengths)``, which returns one result per row. A row's ``NumericsError``
+    is re-raised as ``episode <id>: <message>`` with ``row = id``: the one
+    place a batch row becomes an episode."""
+    order = sorted(range(len(ids)), key=lambda k: -episodes[ids[k]].length)
+    results = [None] * len(ids)
+    for lo in range(0, len(order), block):
+        ks = order[lo:lo + block]
+        eps = [episodes[ids[k]] for k in ks]
+        shape = (len(eps), eps[0].length)
+        xs = np.zeros(shape + (topology.n_inputs,))
+        ys = np.zeros(shape + (topology.n_outputs,))
+        mask = np.zeros(shape + (topology.n_outputs,))
+        for row, ep in enumerate(eps):
+            xs[row, :ep.length] = ep.x
+            ys[row, :ep.length] = ep.y
+            mask[row, :ep.length] = 1.0 if ep.mask is None else ep.mask
+        try:
+            out = run(xs, ys, mask, [ep.length for ep in eps])
+        except NumericsError as exc:
+            if exc.row is None:
+                raise
+            i = ids[ks[exc.row]]
+            raise NumericsError(f"episode {i}: {exc}", row=i) from exc
+        for k, res in zip(ks, out):
+            results[k] = res
+    return results
 
 
-def _episode_rows(topology, params, episodes, loss_tag, k1, k2):
-    """(losses, gradient rows) of a batch's episodes, in their order, from
-    one lockstep pass; a ``NumericsError`` names its episode's position."""
-    order, xs, ys, mask, lengths = _padded_batch(episodes, topology)
-    try:
-        losses, grads = batch_gradients(topology, params, xs, ys, mask, lengths,
-                                        loss_tag, k1, k2)
-    except NumericsError as exc:
-        if exc.row is not None:
-            exc.row = order[exc.row]
-        raise
-    rows = np.argsort(order)          # episode i sits in row rows[i]
-    return [losses[r] for r in rows], grads[rows]
+def _batch_gradients(topology, params, episodes, ids, config):
+    """Mean loss and gradient of the batch ``episodes[i]``, ``i`` in ``ids``."""
+    def run(xs, ys, mask, lengths):
+        return zip(*batch_gradients(topology, params, xs, ys, mask, lengths,
+                                    config.loss_tag, config.k1, config.k2))
 
-
-def _batch_gradients(topology, params, episodes, config):
-    """Mean loss and gradient of a batch."""
-    losses, rows = _episode_rows(topology, params, episodes, config.loss_tag,
-                                 config.k1, config.k2)
     total_loss = 0.0
     grad = np.zeros(params.count)
-    for loss, g in zip(losses, rows):  # episode order: deterministic reduction
-        total_loss += loss
+    for loss, g in _lockstep(topology, episodes, ids, len(ids), run):
+        total_loss += loss              # in ids order: deterministic
         grad += g
-    k = float(len(episodes))
+    k = float(len(ids))
     return total_loss / k, grad / k
 
 
@@ -379,17 +383,14 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
         epoch_loss = 0.0
         seen = 0
         for lo in range(0, len(order), config.batch_size):
-            batch = [dataset.episodes[i] for i in order[lo:lo + config.batch_size]]
+            ids = order[lo:lo + config.batch_size]
             try:
-                loss, grad = _batch_gradients(topology, params, batch, config)
+                loss, grad = _batch_gradients(topology, params, dataset.episodes,
+                                              ids, config)
+                blame = f"loss {loss}"
             except FloatingPointError as exc:
                 # parameters blew up far enough to break the forward pass
-                loss, grad = float("nan"), None
-                blame = str(exc)
-                if getattr(exc, "row", None) is not None:
-                    blame = f"episode {order[lo + exc.row]}: {blame}"
-            else:
-                blame = f"loss {loss}"
+                loss, blame = float("nan"), str(exc)
             if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
                 if run_dir:
                     save_checkpoint(os.path.join(run_dir, "diverged.ckpt"),
@@ -398,8 +399,8 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
                     f"{blame} at epoch {epoch}, batch {lo // config.batch_size}")
             grad = clip_global_norm(grad, config.grad_clip)
             optimizer.update(params.flat, grad)
-            epoch_loss += loss * len(batch)
-            seen += len(batch)
+            epoch_loss += loss * len(ids)
+            seen += len(ids)
         train_loss = epoch_loss / max(1, seen)
 
         if epoch % config.eval_stride == 0 or epoch == config.epochs:
@@ -544,28 +545,22 @@ def _predict(params: ParameterSet, topology: NetworkTopology,
     ``outputs_loss``: padded steps are masked out and add exactly 0.0).
     Both lists are in episode order.
 
-    The set is sorted once by length, longest first (ties in episode
-    order), and rolled out in lockstep blocks of PREDICT_CHUNK consecutive
-    episodes of that order, so each block pads little. Each row is bitwise
-    its episode run alone. The caller checks the set's dims."""
-    episodes = dataset.episodes
-    order = sorted(range(len(episodes)), key=lambda i: -episodes[i].length)
-    outputs = [None] * len(episodes)
-    losses = [None] * len(episodes) if loss_tag is not None else []
-    for lo in range(0, len(order), PREDICT_CHUNK):
-        block = order[lo:lo + PREDICT_CHUNK]
-        # already sorted, so _padded_batch keeps the rows in block order
-        _, xs, ys, mask, lengths = _padded_batch([episodes[i] for i in block],
-                                                 topology)
-        outs, _ = rollout(fresh_state(topology, params, batch=len(block)), xs,
-                          topology, params, lengths=lengths)
-        for row, i in enumerate(block):
-            outputs[i] = outs[row, :lengths[row]]
-        if loss_tag is not None:
-            for i, loss in zip(block,
-                               outputs_loss(loss_tag, outs, ys, mask).tolist()):
-                losses[i] = loss
-    return outputs, losses
+    The set runs through ``_lockstep`` in blocks of PREDICT_CHUNK episodes,
+    so each block pads little, and a non-finite value names its episode.
+    Each row is bitwise its episode run alone. The caller checks the set's
+    dims."""
+    def run(xs, ys, mask, lengths):
+        outs, _ = rollout(fresh_state(topology, params, batch=len(lengths)),
+                          xs, topology, params, lengths=lengths)
+        losses = ([None] * len(lengths) if loss_tag is None
+                  else outputs_loss(loss_tag, outs, ys, mask).tolist())
+        return [(outs[row, :n], loss)
+                for row, (n, loss) in enumerate(zip(lengths, losses))]
+
+    results = _lockstep(topology, dataset.episodes, range(len(dataset)),
+                        PREDICT_CHUNK, run)
+    return ([outs for outs, _ in results],
+            [loss for _, loss in results] if loss_tag is not None else [])
 
 
 def check_dims(dataset: Dataset, topology: NetworkTopology) -> None:

@@ -458,7 +458,7 @@ BATCH_NETS = {
 def test_episode_row_independent_of_batch(net, k1, k2):
     # an episode's loss and gradient row are bitwise the same alone and in
     # lockstep batches of any size, whatever its partners
-    from statenet.training import _episode_rows
+    from statenet.training import _lockstep
     kwargs, tag = BATCH_NETS[net]
     topo = build_random(8, 0.5, seed=41, direct_io=True, **kwargs)
     params = jitter(ParameterSet.from_topology(topo), 42)
@@ -466,15 +466,19 @@ def test_episode_row_independent_of_batch(net, k1, k2):
     alone = [tbptt_gradients(topo, params, ep.x, ep.y, ep.mask, tag,
                              k1 or ep.length, k2 or ep.length)
              for ep in episodes]
+
+    def run(xs, ys, mask, lengths):
+        return zip(*batch_gradients(topo, params, xs, ys, mask, lengths, tag,
+                                    k1, k2))
+
     rng = Rng(44)
     for size in (1, 3, 32):
         order = list(range(len(episodes)))
         rng.shuffle(order)
         for lo in range(0, len(order), size):
             ids = order[lo:lo + size]
-            losses, rows = _episode_rows(topo, params, [episodes[i] for i in ids],
-                                         tag, k1, k2)
-            for i, loss, row in zip(ids, losses, rows):
+            for i, (loss, row) in zip(ids, _lockstep(topo, episodes, ids, size,
+                                                     run)):
                 assert type(loss) is float and loss == alone[i][0]
                 assert row.tobytes() == alone[i][1].tobytes()
 

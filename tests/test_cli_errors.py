@@ -5,7 +5,9 @@ traceback; a genuine bug still raises."""
 
 import json
 import os
+import re
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
@@ -14,10 +16,13 @@ from hypothesis import strategies as st
 from statenet import cli
 from statenet.cli import main
 from statenet.datasets import (PavlovConfig, PongDataConfig, gen_pavlov,
-                               gen_pong, save_dataset)
+                               gen_pong, load_dataset, save_dataset)
+from statenet.dynamics import NumericsError
+from statenet.engine import fresh_state, rollout
 from statenet.pong import PongConfig
-from statenet.topology import LifParams, build_random, save_topology
-from statenet.training import TrainConfig, train
+from statenet.topology import (LifParams, build_random, load_topology,
+                               save_topology)
+from statenet.training import TrainConfig, load_params, train
 
 TRAIN_FLAGS = ["--epochs", "1", "--batch", "2"]
 NAN = float("nan")
@@ -410,16 +415,17 @@ def test_malformed_metrics_row_names_file_and_line(files, tmp_path):
 @pytest.fixture(scope="module")
 def overflowing(tmp_path_factory):
     """A lif net whose input cells are stdp sources, its checkpoint, and
-    held-out pavlov episodes whose stimuli are scaled by 1e308: the spike
-    trace of an input overflows, and ``inf * 0`` turns a weight into nan."""
+    held-out pavlov episodes, the first of whose stimuli are scaled by
+    1e308: the spike trace of an input overflows, and ``inf * 0`` turns a
+    weight into nan. The episodes are 7, 7, 8 and 8 steps long, so the
+    first one sits in the third lockstep row."""
     d = tmp_path_factory.mktemp("overflow")
     net = build_random(16, 0.4, seed=42, model="lif", n_inputs=2, n_outputs=1,
                        plastic_rule="stdp", plastic_scope="readout",
                        direct_io=True, lif_params=LifParams(threshold=0.15))
     data = gen_pavlov(PavlovConfig(episodes=4, seed=1, split="train"))
     held = gen_pavlov(PavlovConfig(episodes=4, seed=2, split="heldout"))
-    for ep in held.episodes:
-        ep.x[...] *= 1e308
+    held.episodes[0].x[...] *= 1e308
     paths = {"net": str(d / "net.json"), "data": str(d / "train.jsonl"),
              "held": str(d / "held.jsonl"), "run": str(d / "run")}
     save_topology(net, paths["net"])
@@ -431,20 +437,36 @@ def overflowing(tmp_path_factory):
     return paths
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the overflow
+def assert_names_an_episode_that_diverges_alone(result, files):
+    """The one error line names a held-out episode, and that episode run
+    alone under the checkpoint's parameters raises too."""
+    named = re.match(r"^error: episode (\d+): non-finite value", result.stderr)
+    assert named, result.stderr
+    net = load_topology(files["net"])
+    params, _ = load_params(files["ckpt"], net)
+    ep = load_dataset(files["held"]).episodes[int(named[1])]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericsError):
+        rollout(fresh_state(net, params), ep.x, net, params)
+
+
+# the CLI silences numpy's overflow warnings: its one error line says it
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numeric_divergence_in_evaluation_exits_4(overflowing):
     result = CliRunner().invoke(main, acquisition_args(
         overflowing, None, overflowing["ckpt"], data=overflowing["held"]))
     assert_one_error_line(result, codes=(4,))
-    assert "non-finite value" in result.stderr
+    assert_names_an_episode_that_diverges_alone(result, overflowing)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the overflow
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numeric_divergence_in_held_out_loss_exits_4(overflowing, tmp_path):
+    # the run trains as the fixture's did (same data and config), so its
+    # parameters at the held-out pass are the fixture's checkpoint
     result = CliRunner().invoke(main, train_args(overflowing, tmp_path) + [
         "--loss", "mse", "--eval-dataset", overflowing["held"]])
     assert_one_error_line(result, codes=(4,))
-    assert "non-finite value" in result.stderr
+    assert_names_an_episode_that_diverges_alone(result, overflowing)
 
 
 def test_missing_file_exits_3(files, tmp_path):

@@ -252,6 +252,16 @@ def test_episode_error_names_its_line_once(tmp_path):
         load_dataset(path)
     assert str(exc.value) == ("line 2: malformed episode: ValueError: "
                               "x must be a list of equally long lists of numbers")
+    # blank lines count: the bad episode sits on file line 4
+    lines = open(path).read().splitlines()
+    manifest = dict(json.loads(lines[0]), episodes=2)
+    with open(path, "w") as fh:
+        fh.write("\n".join([json.dumps(manifest), "",
+                            json.dumps({"x": [[0.5]], "y": [[0.0]]}),
+                            json.dumps({"y": [[0.0]]})]) + "\n")
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(path)
+    assert str(exc.value) == "line 4: malformed episode: KeyError: 'x'"
 
 
 @pytest.mark.parametrize("key,rows", [
