@@ -12,10 +12,12 @@ Stage lengths are drawn per episode. Because every edge carries a one-step
 delay, a response can only depend on the stimulus history *before* its own
 step; the stage-length law below keeps every testing-stage target decidable
 from that history: episodes with the minimal initial stage always receive
-at least K pairings, and all other episodes receive fewer than K pairings
-more often than not. Without such a law the first testing step of an
+exactly K pairings (up to K = 4), and all other episodes receive one or
+four pairings at odds 6:1. Without such a law the first testing step of an
 under-threshold episode is indistinguishable from one more training step,
-and no causal model can label both correctly.
+and no causal model can label both correctly. The law is fixed in code:
+``PavlovConfig`` sets only the count, seed, K, noise, split and the
+canonical-episode switch, so no configuration can break that guarantee.
 
 Input noise flips stimulus bits; targets are always computed from the
 clean stimuli.
@@ -78,103 +80,60 @@ class Dataset:
 # conditioning generator
 
 
+# The stage-length law. Each stimulus is presented 1..3 times in the
+# initial stage and the testing stage lasts 1..3 steps, all uniform. The
+# held-out split is the episodes whose testing stage has the middle length:
+# the training split keeps the shorter and longer testing stages, so every
+# held-out step position is interpolation while the (initial, training,
+# testing) length combination itself never occurs in training.
+HELDOUT_TEST_LEN = 2
+
+
 @dataclass(frozen=True)
 class PavlovConfig:
     episodes: int = 1000
     seed: int = 0
-    init_len: tuple[int, int] = (1, 3)      # per-stimulus presentation counts
-    init_long_p: float = 0.6                # chance of the longer count (2-point ranges)
-    train_len: tuple[int, int] = (1, 4)     # paired presentations m
-    test_len: tuple[int, int] = (1, 3)
     conditioning_threshold: int = 2         # K: test S=1 iff m >= K
     noise_p: float = 0.02
-    # mass over m = 1..4: under-threshold episodes dominate, and the gap in
-    # the emitted counts keeps single input-bit flips from crossing the
-    # category border
-    train_len_weights: tuple[float, ...] = (6.0, 0.0, 0.0, 1.0)
-    # "causal" masks the loss on initial-stage steps beyond the second:
-    # their targets depend on the same-step stimulus, which a one-step-
-    # delayed network cannot observe, so they are undefined for training
-    mask_mode: str = "causal"               # causal | all
     split: str = "all"                      # all | train | heldout
     paper_exact: bool = False
 
     def validate(self) -> None:
-        for name, (lo, hi) in (("init_len", self.init_len),
-                               ("train_len", self.train_len),
-                               ("test_len", self.test_len)):
-            if not (1 <= lo <= hi):
-                raise ValueError(f"{name} range invalid: ({lo}, {hi})")
         if self.conditioning_threshold < 1:
             raise ValueError("conditioning threshold must be >= 1")
         if not 0.0 <= self.noise_p < 0.5:
             raise ValueError("noise_p must be in [0, 0.5)")
-        if not 0.0 <= self.init_long_p <= 1.0:
-            raise ValueError("init_long_p must be in [0, 1]")
-        span = self.train_len[1] - self.train_len[0] + 1
-        if len(self.train_len_weights) != span:
-            raise ValueError(f"train_len_weights needs {span} entries")
-        if min(self.train_len_weights) < 0 or not sum(self.train_len_weights) > 0:
-            raise ValueError(f"train_len_weights must be >= 0 with a positive "
-                             f"sum, got {list(self.train_len_weights)}")
         if self.split not in ("all", "train", "heldout"):
             raise ValueError(f"unknown split {self.split!r}")
-        if self.mask_mode not in ("causal", "all"):
-            raise ValueError(f"unknown mask mode {self.mask_mode!r}")
         if self.episodes < 1:
             raise ValueError("need at least one episode")
 
 
-def _init_count(rng: Rng, cfg: PavlovConfig) -> int:
-    lo, hi = cfg.init_len
-    if lo == hi:
-        return lo
-    if hi == lo + 1:
-        return hi if rng.chance(cfg.init_long_p) else lo
-    return rng.randrange(lo, hi)
-
-
-def _pavlov_lengths(rng: Rng, cfg: PavlovConfig) -> tuple[int, int, int, int]:
-    n_food = _init_count(rng, cfg)
-    n_ring = _init_count(rng, cfg)
-    k = cfg.conditioning_threshold
-    lo, hi = cfg.train_len
-    minimal_init = (n_food, n_ring) == (cfg.init_len[0], cfg.init_len[0])
-    if minimal_init and hi >= k:
+def _pavlov_lengths(rng: Rng, k: int) -> tuple[int, int, int, int]:
+    n_food, n_ring = rng.randrange(1, 3), rng.randrange(1, 3)
+    if (n_food, n_ring) == (1, 1) and k <= 4:
         # minimal-init episodes acquire with exactly K pairings: the shortest
         # stimulus prefix stays unambiguous for a causal (one-step-delayed)
         # predictor, which is what keeps the canonical five-step episode
-        # predictable at every step
-        m = max(lo, k)
+        # predictable at every step (above K = 4 no episode acquires)
+        m = k
     else:
-        m = lo + rng.choice_weighted(list(cfg.train_len_weights))
-    test_len = rng.randrange(*cfg.test_len)
-    return n_food, n_ring, m, test_len
-
-
-def _pavlov_heldout(cfg: PavlovConfig, lengths: tuple[int, int, int, int]) -> bool:
-    # held-out episodes use the middle testing-stage length: the training
-    # split keeps the shorter and longer testing stages, so every held-out
-    # step position is interpolation while the (initial, training, testing)
-    # length combination itself never occurs in training
-    _, _, _, test_len = lengths
-    mid = min(cfg.test_len[0] + 1, cfg.test_len[1])
-    return test_len == mid
+        # m is 1 or 4 at odds 6:1: under-threshold episodes dominate, and
+        # the gap keeps single input-bit flips from crossing the category
+        # border
+        m = 1 if rng.uniform(0.0, 7.0) < 6.0 else 4
+    return n_food, n_ring, m, rng.randrange(1, 3)
 
 
 def _pavlov_episode(rng: Rng, cfg: PavlovConfig) -> Episode:
     if cfg.paper_exact:
         n_food, n_ring, m, test_len = 1, 1, 2, 1
     else:
-        lengths = _pavlov_lengths(rng, cfg)
-        if cfg.split != "all":
-            attempts = 0
-            while _pavlov_heldout(cfg, lengths) != (cfg.split == "heldout"):
-                lengths = _pavlov_lengths(rng, cfg)
-                attempts += 1
-                if attempts > 10_000:
-                    raise DatasetError(f"cannot draw a {cfg.split!r} episode "
-                                       "under this configuration")
+        k = cfg.conditioning_threshold
+        lengths = _pavlov_lengths(rng, k)
+        while (cfg.split != "all" and (lengths[3] == HELDOUT_TEST_LEN)
+               != (cfg.split == "heldout")):
+            lengths = _pavlov_lengths(rng, k)
         n_food, n_ring, m, test_len = lengths
 
     xs: list[tuple[float, float]] = []
@@ -206,10 +165,11 @@ def _pavlov_episode(rng: Rng, cfg: PavlovConfig) -> Episode:
                 if rng.chance(cfg.noise_p):
                     x[t, c] = 1.0 - x[t, c]
     y = np.array(ys).reshape(-1, 1)
-    mask = None
-    if cfg.mask_mode == "causal":
-        mask = np.ones_like(y)
-        mask[2:init_end] = 0.0
+    # initial-stage steps beyond the second carry no loss: their targets
+    # depend on the same-step stimulus, which a one-step-delayed network
+    # cannot observe
+    mask = np.ones_like(y)
+    mask[2:init_end] = 0.0
     meta = {
         "stages": {"init": [0, init_end], "train": [init_end, init_end + m],
                    "test": [init_end + m, len(xs)]},
@@ -232,8 +192,7 @@ def gen_pavlov(config: PavlovConfig) -> Dataset:
         "seed": config.seed,
         "dims": {"inputs": 2, "outputs": 1},
         "episodes": config.episodes,
-        # canonical JSON form so saved and in-memory manifests are identical
-        "params": json.loads(json.dumps(asdict(config))),
+        "params": asdict(config),
     }
     return Dataset(episodes=episodes, manifest=manifest)
 

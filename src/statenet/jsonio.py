@@ -1,6 +1,7 @@
 """How every statenet file is read into typed values and written:
 ``decode`` turns a JSON object into a dataclass (topology records, cell
-params, checkpoint meta, ``--config`` files); ``count`` reads a
+params, checkpoint meta, ``--config`` files) whose fields are plain types,
+unions of them or nested dataclasses, never tuples; ``count`` reads a
 non-negative integer (dataset manifest counts, checkpoint epoch and adam
 step count); ``numbers`` reads a list or table of finite numbers as a
 float array (episode ``x``/``y``/``mask``, checkpoint params and adam
@@ -124,14 +125,9 @@ def _convert(value, hint):
                     and abs(value) <= sys.float_info.max)
             return float(value) if fits else _NO
         return value if isinstance(value, hint) else _NO
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            return _NO
-        items = typing.get_args(hint)
-        if items[-1:] == (Ellipsis,):
-            items = items[:1] * len(value)
-        out = tuple(map(_convert, value, items))
-        return out if len(out) == len(value) == len(items) and _NO not in out else _NO
+    # any other hint is read as a union of its type arguments, so a
+    # ``tuple[int, int]`` would be read as ``int | int``: no decoded
+    # dataclass may have a tuple field
     for member in typing.get_args(hint):  # a union
         out = _convert(value, member)
         if out is not _NO:

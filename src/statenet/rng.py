@@ -1,10 +1,11 @@
 """Seedable, platform-independent random number generation.
 
 Everything stochastic in this package (graph wiring, dataset generation,
-epoch shuffling, expert noise) draws from the splitmix64 generator below.
-Floating-point draws are produced by an explicit integer-to-unit-interval
-mapping (top 53 bits scaled by 2**-53), so identical seeds give bitwise
-identical streams on every platform.
+epoch shuffling, expert noise) draws from the splitmix64 generator below:
+uniform floats, unbiased integers, coin flips and shuffles. Floating-point
+draws are produced by an explicit integer-to-unit-interval mapping (top 53
+bits scaled by 2**-53), so identical seeds give bitwise identical streams
+on every platform.
 """
 
 from __future__ import annotations
@@ -64,19 +65,6 @@ class Rng:
 
     def chance(self, p: float) -> bool:
         return self.uniform() < p
-
-    def choice_weighted(self, weights: list[float]) -> int:
-        """Index drawn proportionally to nonnegative weights."""
-        total = float(sum(weights))
-        if total <= 0:
-            raise ValueError("weights must have positive sum")
-        x = self.uniform(0.0, total)
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if x < acc:
-                return i
-        return len(weights) - 1
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates."""

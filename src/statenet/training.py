@@ -327,14 +327,15 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
           eval_dataset: Dataset | None = None, run_dir: str | None = None,
           resume: str | None = None, resume_force: bool = False,
           params: ParameterSet | None = None,
-          pong_config: PongConfig | None = None,
           run_record: dict | None = None,
           ) -> tuple[ParameterSet, list[MetricsRow]]:
     """Optimize parameters on a dataset. Returns (params, metrics history).
 
-    Every refusal comes before the first write to ``run_dir``; then, with
-    ``run_record``, the run's resolved config and that record are written
-    to ``run_dir/train.json``."""
+    The closed-loop pong evaluation plays in the environment the training
+    set was recorded in (its manifest ``params.env``). Every refusal comes
+    before the first write to ``run_dir``; then, with ``run_record``, the
+    run's resolved config and that record are written to
+    ``run_dir/train.json``."""
     config.validate()
     for name, data in (("training", dataset), ("evaluation", eval_dataset)):
         if data is not None and not len(data):
@@ -345,8 +346,10 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
         check_dims(eval_dataset, topology)
         if config.task == "pavlov":
             stages = _test_stages(eval_dataset)
+    env = None
     if config.task == "pong":
         check_pong_net(topology)
+        env = _recorded_env(dataset)
 
     if resume:
         params, optimizer, start_epoch = load_checkpoint(resume, topology, config,
@@ -405,7 +408,7 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
 
         if epoch % config.eval_stride == 0 or epoch == config.epochs:
             eval_loss, task_metric = _evaluate(topology, params, config,
-                                               eval_dataset, stages, pong_config)
+                                               eval_dataset, stages, env)
             row = MetricsRow(epoch=epoch, train_loss=train_loss,
                              eval_loss=eval_loss, task_metric=task_metric,
                              wall_time=time.perf_counter() - t_start)
@@ -460,9 +463,10 @@ def pong_recipe(topology_seed: int = 42):
     return topology, params, config
 
 
-def _evaluate(topology, params, config, eval_dataset, stages, pong_config):
+def _evaluate(topology, params, config, eval_dataset, stages, env):
     """Held-out loss and task metric; ``stages`` are the held-out set's
-    checked test stages when the task is pavlov."""
+    checked test stages when the task is pavlov, ``env`` the closed-loop
+    environment when it is pong."""
     eval_loss = float("nan")
     task_metric = float("nan")
     if eval_dataset is not None:
@@ -476,8 +480,7 @@ def _evaluate(topology, params, config, eval_dataset, stages, pong_config):
             task_metric, _ = _acquisition_from_predictions(
                 outputs, eval_dataset, stages, config.loss_tag)
     if config.task == "pong":
-        result = eval_pong_closed_loop(params, topology,
-                                       pong_config or PongConfig(),
+        result = eval_pong_closed_loop(params, topology, env,
                                        n_rollouts=config.eval_rollouts,
                                        seed=config.seed)
         task_metric = result["hit_rate"]
@@ -576,6 +579,16 @@ def check_pong_net(topology: NetworkTopology) -> None:
     """Refuse a network that cannot play pong (5 inputs, 3 actions)."""
     if topology.n_inputs != 5 or topology.n_outputs != 3:
         raise ValueError("pong policy needs a 5-input, 3-output network")
+
+
+def _recorded_env(dataset: Dataset) -> PongConfig:
+    """The environment a pong set was recorded in: its manifest
+    ``params.env``, the default environment when absent."""
+    with malformed(DatasetError, "training set manifest params.env"):
+        recorded = dataset.manifest.get("params", {}).get("env", {})
+        env = decode(PongConfig, recorded)
+        env.validate()
+    return env
 
 
 def run_pong_policy(policy, env_config: PongConfig, n_rollouts: int,

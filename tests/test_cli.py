@@ -15,8 +15,10 @@ from click.testing import CliRunner
 import statenet
 from statenet.cli import main
 from statenet.datasets import PavlovConfig, gen_pavlov, load_dataset, save_dataset
-from statenet.topology import build_random, save_topology
-from statenet.training import TrainConfig, train
+from statenet.pong import PongConfig
+from statenet.topology import build_random, load_topology, save_topology
+from statenet.training import (TrainConfig, eval_pong_closed_loop, load_params,
+                               train)
 
 PAPER_X = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0]]
 PAPER_Y = [[1.0], [0.0], [1.0], [1.0], [1.0]]
@@ -263,6 +265,34 @@ def test_eval_pong_prints_metrics(runner, tmp_path):
     assert result.exit_code == 0, result.output
     assert "hit_rate=" in result.output
     assert "baseline_random=" in result.output
+
+
+def test_train_pong_plays_in_the_recorded_env(runner, tmp_path):
+    # the closed-loop metric of train --task pong used to play the default
+    # 12x12, 150-step env, whatever env the training set was recorded in
+    topo_path = str(tmp_path / "net.json")
+    data_path = str(tmp_path / "pong.jsonl")
+    run_dir = str(tmp_path / "run")
+    assert runner.invoke(main, ["topo", "random", "--hidden", "3",
+                                "--inputs", "5", "--outputs", "3",
+                                "--out", topo_path]).exit_code == 0
+    assert runner.invoke(main, ["gen", "pong", "--episodes", "4",
+                                "--width", "16", "--max-steps", "40",
+                                "--seed", "1", "--out", data_path]).exit_code == 0
+    result = runner.invoke(main, ["train", "--topology", topo_path,
+                                  "--dataset", data_path, "--out-dir", run_dir,
+                                  "--epochs", "1", "--batch", "4", "--loss",
+                                  "cce", "--task", "pong"])
+    assert result.exit_code == 0, result.output
+    task_metric = float(result.output.rsplit("task_metric=", 1)[1])
+    topology = load_topology(topo_path)
+    params, _ = load_params(os.path.join(run_dir, "final.ckpt"), topology)
+    played = {env: eval_pong_closed_loop(
+        params, topology, env, n_rollouts=TrainConfig().eval_rollouts,
+        seed=0)["hit_rate"] for env in (PongConfig(width=16, max_steps=40),
+                                        PongConfig())}
+    assert task_metric == played[PongConfig(width=16, max_steps=40)]
+    assert task_metric != played[PongConfig()]
 
 
 def test_verify_plasticity_signs_via_cli(runner):

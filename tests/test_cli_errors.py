@@ -156,6 +156,15 @@ def _empty_test_stage(rec):
     rec["meta"]["stages"]["test"] = [0, 0]
 
 
+def _train_pong_env(files, tmp_path, env):
+    """train --task pong on the pong set with manifest ``params.env`` set."""
+    records = read_lines(files["pong"])
+    records[0]["params"]["env"] = env
+    return ["train", "--topology", files["pong_net"], "--dataset",
+            write_lines(tmp_path / "bad.jsonl", records), "--out-dir",
+            str(tmp_path / "out"), "--task", "pong", "--loss", "cce"] + TRAIN_FLAGS
+
+
 def _no_episodes(files, tmp_path):
     manifest = {**read_lines(files["data"])[0], "episodes": 0}
     return write_lines(tmp_path / "empty.jsonl", [manifest])
@@ -347,6 +356,8 @@ PROBES = {
         f, t, _no_episodes(f, t)),
     "eval-acquisition-no-episodes": lambda f, t: acquisition_args(
         f, t, f["ckpt"], data=_no_episodes(f, t)),
+    "train-pong-env-malformed": lambda f, t: _train_pong_env(
+        f, t, {"width": 4}),
 }
 
 
@@ -565,11 +576,8 @@ VALID_CONFIGS = {
               "grad_clip": 1.0, "seed": 0, "eval_stride": 1,
               "checkpoint_stride": 0, "task": "pavlov", "eval_rollouts": 2,
               "workers": 1},
-    "pavlov": {"episodes": 3, "seed": 0, "init_len": [1, 3],
-               "init_long_p": 0.6, "train_len": [1, 4], "test_len": [1, 3],
-               "conditioning_threshold": 2, "noise_p": 0.02,
-               "train_len_weights": [6.0, 0.0, 0.0, 1.0],
-               "mask_mode": "causal", "split": "all", "paper_exact": False},
+    "pavlov": {"episodes": 3, "seed": 0, "conditioning_threshold": 2,
+               "noise_p": 0.02, "split": "all", "paper_exact": False},
     "pong": {"episodes": 2, "seed": 0, "expert_noise_p": 0.1,
              "env": {"width": 12, "height": 12, "paddle_len": 3,
                      "max_steps": 20}},

@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from statenet.datasets import (DatasetError, Episode, PavlovConfig,
-                               PongDataConfig, gen_pavlov, gen_pong,
-                               load_dataset, save_dataset)
+from statenet.datasets import (HELDOUT_TEST_LEN, DatasetError, Episode,
+                               PavlovConfig, PongDataConfig, gen_pavlov,
+                               gen_pong, load_dataset, save_dataset)
 from statenet.pong import PongConfig, PongEnv, action_onehot
 from statenet.rng import Rng, derive_seed
 
@@ -80,12 +80,10 @@ def test_causal_mask_covers_late_initial_steps():
         assert np.all(ep.mask[:2] == 1.0)
         assert np.all(ep.mask[2:i1] == 0.0)
         assert np.all(ep.mask[i1:] == 1.0)
-    ds2 = gen_pavlov(PavlovConfig(episodes=5, seed=11, mask_mode="all"))
-    assert all(ep.mask is None for ep in ds2.episodes)
 
 
 def test_split_partitions_length_combinations():
-    mid = 2  # middle testing-stage length under the default (1, 3) range
+    mid = HELDOUT_TEST_LEN
     train = gen_pavlov(PavlovConfig(episodes=400, seed=2, split="train"))
     held = gen_pavlov(PavlovConfig(episodes=400, seed=3, split="heldout"))
     train_combos = {(ep.meta["n_food"], ep.meta["n_ring"], ep.meta["pairings"],
@@ -110,16 +108,59 @@ def test_distinct_seeds_give_distinct_datasets():
 
 def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
-        PavlovConfig(init_len=(0, 2)).validate()
-    with pytest.raises(ValueError):
         PavlovConfig(noise_p=0.7).validate()
     with pytest.raises(ValueError):
-        PavlovConfig(train_len_weights=(1.0,)).validate()
-    with pytest.raises(ValueError):
         PavlovConfig(conditioning_threshold=0).validate()
-    for weights in [(6.0, -1.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0)]:
-        with pytest.raises(ValueError, match="train_len_weights"):
-            PavlovConfig(train_len_weights=weights).validate()
+
+
+# sha256 of the episode lines (the file without its manifest line) of small
+# sets covering every branch of both generators; any change to what they
+# draw or emit changes one of these
+EPISODE_LINES_SHA256 = {
+    "pavlov-all":
+        "709228cead729b903b89b7e306bd5263f8f89c67f86d01efb510682367cfd4e4",
+    "pavlov-train":
+        "b2ec898f20164aa91a528684e9fe7a84daa2f45918f127e019f3a25af987ed10",
+    "pavlov-heldout":
+        "f4002c6284021caf4ba0d22a59b40b6de102521692cc8973e68dc96e3650c4de",
+    "pavlov-noiseless":
+        "d5428a45b248dfb25b37a40447a24444538d8bd04959212a6a3a0a9fd979c293",
+    "pavlov-k3":
+        "e22e064b5beca8e63de5c182e700cfd521bf4305ce0b180fed4edda7f2e97842",
+    "pavlov-k5":
+        "f0e82f22590d5e5e6b6569aef243248d7aef8aef205bfea1e63fbd84e327afb3",
+    "pavlov-paper-exact":
+        "2cc6cef17409eb2419b1ca02c284bfb37d687d8f30875f8cb9cf636d15c896b0",
+    "pong":
+        "fb02a3d95ec1e315a665dde3f1e7ab3f6bbbaf23907135399c24e02a7a65db11",
+}
+
+
+def test_generated_episode_lines_are_pinned(tmp_path):
+    sets = {
+        "pavlov-all": gen_pavlov(PavlovConfig(episodes=60, seed=1)),
+        "pavlov-train": gen_pavlov(PavlovConfig(episodes=60, seed=2,
+                                                split="train")),
+        "pavlov-heldout": gen_pavlov(PavlovConfig(episodes=60, seed=3,
+                                                  split="heldout")),
+        "pavlov-noiseless": gen_pavlov(PavlovConfig(episodes=60, seed=4,
+                                                    noise_p=0.0)),
+        "pavlov-k3": gen_pavlov(PavlovConfig(episodes=60, seed=5,
+                                             conditioning_threshold=3)),
+        "pavlov-k5": gen_pavlov(PavlovConfig(episodes=60, seed=6,
+                                             conditioning_threshold=5)),
+        "pavlov-paper-exact": gen_pavlov(PavlovConfig(episodes=2, seed=7,
+                                                      paper_exact=True)),
+        "pong": gen_pong(PongDataConfig(episodes=4, seed=8)),
+    }
+    digests = {}
+    for name, ds in sets.items():
+        path = str(tmp_path / f"{name}.jsonl")
+        save_dataset(ds, path)
+        with open(path, "rb") as fh:
+            _, episode_lines = fh.read().split(b"\n", 1)
+        digests[name] = hashlib.sha256(episode_lines).hexdigest()
+    assert digests == EPISODE_LINES_SHA256
 
 
 # ---------------------------------------------------------------------------

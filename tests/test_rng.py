@@ -52,10 +52,3 @@ def test_shuffle_is_permutation(items, seed):
     out = list(items)
     Rng(seed).shuffle(out)
     assert sorted(out) == sorted(items)
-
-
-def test_choice_weighted_respects_zero_mass():
-    rng = Rng(8)
-    draws = {rng.choice_weighted([1.0, 0.0, 3.0]) for _ in range(500)}
-    assert 1 not in draws
-    assert draws <= {0, 2}

@@ -32,17 +32,16 @@ import workloads  # noqa: E402
 
 
 def _runs():
-    """(name, recipe, training set, held-out set, closed-loop pong config)."""
+    """(name, recipe, training set, held-out set)."""
     pavlov = (datasets.gen_pavlov(datasets.PavlovConfig(
                   episodes=96, seed=1, split="train")),
               datasets.gen_pavlov(datasets.PavlovConfig(
                   episodes=160, seed=2, split="heldout")))
-    pong_env = PongConfig(max_steps=60)
-    pong = datasets.gen_pong(datasets.PongDataConfig(episodes=32, seed=3,
-                                                     env=pong_env))
-    return [("pavlov", training.pavlov_recipe(), *pavlov, None),
-            ("pong", training.pong_recipe(), pong, None, pong_env),
-            ("lif-stdp", workloads.lif_stdp_recipe(), *pavlov, None)]
+    pong = datasets.gen_pong(datasets.PongDataConfig(
+        episodes=32, seed=3, env=PongConfig(max_steps=60)))
+    return [("pavlov", training.pavlov_recipe(), *pavlov),
+            ("pong", training.pong_recipe(), pong, None),
+            ("lif-stdp", workloads.lif_stdp_recipe(), *pavlov)]
 
 
 def _sha256(data: bytes) -> str:
@@ -53,12 +52,12 @@ def digest_lines() -> list[str]:
     """One line per recipe: ``<name> metrics.csv=<sha> <ckpt>=<sha> ...``."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (topo, params, config), train_set, eval_set, env in _runs():
+        for name, (topo, params, config), train_set, eval_set in _runs():
             run_dir = os.path.join(tmp, name)
             config = dataclasses.replace(config, epochs=2, checkpoint_stride=1,
                                          eval_rollouts=8)
             training.train(topo, train_set, config, eval_dataset=eval_set,
-                           run_dir=run_dir, params=params, pong_config=env)
+                           run_dir=run_dir, params=params)
             with open(os.path.join(run_dir, "metrics.csv"), "rb") as fh:
                 rows = [ln.rsplit(b",", 1)[0] for ln in fh.read().splitlines()]
             fields = ["metrics.csv=" + _sha256(b"\n".join(rows))]
