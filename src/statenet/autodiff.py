@@ -15,16 +15,20 @@ episode-start adjoint of the plastic weights into ``w0``.
 
 The tape and the sweep hold a batch of episodes run in lockstep on
 ``(B, n)`` arrays, rows sorted by length, longest first; one episode is
-the batch of one. ``batch_gradients`` runs a batch forward up to each
-flush point and then sweeps that window over all rows at once. Window j
-covers, for row b of T_b steps, the steps (start_bj, end_bj] with
-end_bj = min(j * k1, T_b) and start_bj = end_bj - min(k2, end_bj)
-(k1 = k2 = T for the full window); a row is swept only inside its own
-interval, and only the states a later window reads are kept. Each row's
-reductions run over C-contiguous rows (numpy sums other layouts in another
-order) and its scatters (``np.add.at``, or ``np.bincount`` into zeros)
-run over per-row offset indices, so a row's loss and gradient are bitwise
-those of its episode run alone.
+the batch of one. Window j covers, for row b of T_b steps, the steps
+(start_bj, end_bj] with end_bj = min(j * k1, T_b) and
+start_bj = end_bj - min(k2, end_bj) (k1 = k2 = T for the full window); a
+row is swept only inside its own interval. ``batch_gradients`` runs a
+batch forward up to each flush point and queues that window. Windows are
+independent given the recorded states, each starting from a zero adjoint,
+so the queue is swept as the rows of one stacked tape in window-local
+time, up to ``engine.LOCKSTEP_ROWS`` rows; a window alone, of any size,
+is swept on a slice of the recorded states, with no copy. Only the states
+a queued or later window reads are kept. Each row's reductions run over
+C-contiguous rows (numpy sums other layouts in another order) and its
+scatters (``np.add.at``, or ``np.bincount`` into zeros) run over per-row
+offset indices, so a row's loss and gradient are bitwise those of its
+episode run alone, whatever it is stacked with.
 
 Differentiation conventions (they define what "the gradient" means here):
 
@@ -48,13 +52,15 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import NumericsError, lif_membrane_pre, lif_surrogate_grad
-from .engine import (RolloutState, cached_row_index, fresh_state, gather,
-                     rollout)
+from .engine import (LOCKSTEP_ROWS, RolloutState, cached_row_index,
+                     fresh_state, gather, rollout)
 from .params import ParameterSet
+from .plasticity import PlasticEdgeState
 from .topology import NetworkTopology
 
 
@@ -131,9 +137,13 @@ def _cce_step_weight(mask_row: np.ndarray) -> np.ndarray:
 class Tape:
     """Recorded forward window of a batch: entry state at index 0, one state
     per step, each holding at least the rows a sweep reads, rows sorted by
-    length. ``gy`` (rows x steps x n_out) is the loss gradient of each
+    span. ``gy`` (rows x steps x n_out) is the loss gradient of each
     window output; ``spans`` (two non-increasing arrays, one entry per row)
     limits row b's sweep to the window steps (start[b], end[b]].
+    ``episode_start`` flags the rows whose span starts at their episode's
+    step 0; by default, those with span start 0 on a tape that enters at
+    ``t == 0``. A stacked tape (several windows' rows in window-local time)
+    sets it, since its states hold no one step.
     """
 
     topology: NetworkTopology
@@ -141,6 +151,11 @@ class Tape:
     states: list[RolloutState]
     gy: np.ndarray
     spans: tuple[np.ndarray, np.ndarray]
+    episode_start: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.episode_start is None:
+            self.episode_start = (self.spans[0] == 0) & (self.states[0].t == 0)
 
     def __len__(self) -> int:
         """The steps a backward sweep covers, summed over rows."""
@@ -184,8 +199,8 @@ def backward(tape: Tape) -> np.ndarray:
     w.r.t. the flat parameter vector. Each edge's weight adjoint carries
     back through its rule (a static edge's is the identity, never clipped),
     so a static edge's adjoint at the row's span start is its ``w0``
-    gradient; a plastic edge's is added into ``w0`` only where the span
-    starts the episode (entry state ``t == 0``, span start 0).
+    gradient; a plastic edge's is added into ``w0`` only in the rows that
+    ``tape.episode_start`` flags.
     """
     topo = tape.topology
     params = tape.params
@@ -240,11 +255,11 @@ def backward(tape: Tape) -> np.ndarray:
         if a == b:
             continue
         m = b - a
-        st_prev = tape.states[t - 1].rows(slice(a, b))
+        prev = tape.states[t - 1]
         v_t = tape.states[t].v_last[a:b]
-        v_prev = st_prev.v_last
-        s_prev = st_prev.s
-        w_prev = st_prev.plastic.weights
+        v_prev = prev.v_last[a:b]
+        s_prev = prev.s[a:b]
+        w_prev = prev.plastic.weights[a:b]
         gs_t, gv_t = gs[a:b], gv[a:b]
         gv_t[:, out] += tape.gy[a:b, t - 1]
 
@@ -302,9 +317,8 @@ def backward(tape: Tape) -> np.ndarray:
     if len(heb):
         g[:, reg["learn_rate"]] = g_lr
         g[:, reg["retention_raw"].start] = g_ret
-    if tape.states[0].t == 0:
-        at_start = np.ix_(np.flatnonzero(start == 0), topo.plastic_idx)
-        g[:, reg["w0"]][at_start] += ge[at_start]
+    at_start = np.ix_(np.flatnonzero(tape.episode_start), topo.plastic_idx)
+    g[:, reg["w0"]][at_start] += ge[at_start]
     return g
 
 
@@ -351,15 +365,26 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
 
     ``xs`` (B x T x n_in), ``ys`` and ``mask`` (B x T x n_out) hold the
     episodes zero-padded to the longest, rows sorted by ``lengths``,
-    longest first. Windows as in ``tbptt_gradients``; ``k1 = None`` is the
-    full window. Returns (B losses, B x P gradient rows); row b is bitwise
-    the result of ``tbptt_gradients`` on episode b alone; it sums the rows
-    of each window's ``backward``, which folds the episode-start adjoint.
+    longest first. Windows as in ``tbptt_gradients``; ``k1 = k2 = None``
+    is the full window. Returns (B losses, B x P gradient rows); row b is
+    bitwise the result of ``tbptt_gradients`` on episode b alone; it sums
+    the rows of each window's sweep in window order.
+
+    Each window is queued after its forward pass; the queue is swept as one
+    stacked tape (``_sweep``) when the next window would take it past
+    ``engine.LOCKSTEP_ROWS`` rows, and after the last flush. Only the states
+    that a queued or later window reads are kept.
     """
     xs, ys = _window(xs, ys)
     mask = _norm_mask(mask, ys.shape)
-    lengths = np.asarray(lengths, dtype=np.intp)
     B, T = xs.shape[:2]
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.shape != (B,):
+        raise ValueError(f"lengths shape {lengths.shape} != ({B},)")
+    if np.any((lengths < 0) | (lengths > T)):
+        raise ValueError(f"lengths must lie in [0, {T}], got {lengths.tolist()}")
+    if (k1 is None) != (k2 is None):
+        raise ValueError("set both k1 and k2 or neither")
     if k1 is None:
         k1 = k2 = max(1, T)
     if not (1 <= k1 <= k2):
@@ -369,6 +394,7 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
     state = fresh_state(topology, params, batch=B)
     kept = [state]           # the states after steps kept_from, kept_from + 1, ...
     kept_from = 0
+    queue: list[_Window] = []
     flushed = 0
     for flush in [*range(k1, T, k1), T]:
         outs[:, flushed:flush], state = rollout(
@@ -378,28 +404,110 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
         if rows:
             stop = np.minimum(flush, lengths[:rows])
             begin = stop - np.minimum(k2, stop)
-            t0 = int(begin[-1])
-            win_mask = mask[:rows, t0:flush].copy()
+            t0, top = int(begin[-1]), int(stop[0])
+            win_mask = mask[:rows, t0:top].copy()
             # steps already flushed carry no fresh loss
             win_mask[:, :flushed - t0] = 0.0
-            gy = step_loss_grad(loss_tag, outs[:rows, t0:flush],
-                                ys[:rows, t0:flush], win_mask)
-            tape = Tape(topology=topology, params=params,
-                        states=kept[t0 - kept_from:flush - kept_from + 1],
-                        gy=gy, spans=(begin - t0, stop - t0))
-            grads[:rows] += backward(tape)
+            queue.append(_Window(t0, begin - t0, stop - t0, step_loss_grad(
+                loss_tag, outs[:rows, t0:top], ys[:rows, t0:top], win_mask)))
         flushed = flush
-        # later windows read no state from before step flush + 1 - k2
-        drop = flush + 1 - k2 - kept_from
+        queued = sum(len(w.end) for w in queue)
+        if queued + np.count_nonzero(lengths > flush) > LOCKSTEP_ROWS:
+            _sweep(topology, params, queue, kept, kept_from, grads)
+            queue = []
+        # the queue reads no state from before its first window's entry,
+        # later windows none from before step flush + 1 - k2
+        drop = (queue[0].t0 if queue else flush + 1 - k2) - kept_from
         if drop > 0:
             del kept[:drop]
             kept_from += drop
+    if queue:
+        _sweep(topology, params, queue, kept, kept_from, grads)
     losses = outputs_loss(loss_tag, outs, ys, mask)
     bad = np.flatnonzero(~np.isfinite(losses))
     if len(bad):
         raise NumericsError(f"non-finite loss in an episode of length "
                             f"{lengths[bad[0]]}", row=int(bad[0]))
     return losses.tolist(), grads
+
+
+class _Window(NamedTuple):
+    """A forward-run window of a batch's first ``len(end)`` rows, waiting
+    for its sweep: it enters at step ``t0``; row b's span is the window
+    steps (start[b], end[b]]; ``gy`` is its loss gradient."""
+
+    t0: int
+    start: np.ndarray
+    end: np.ndarray
+    gy: np.ndarray
+
+
+def _sweep(topology: NetworkTopology, params: ParameterSet,
+           windows: list[_Window], kept: list, kept_from: int,
+           grads: np.ndarray) -> None:
+    """Sweep queued windows in one ``backward`` call and add each window's
+    gradient rows into ``grads`` in window order. ``kept[i]`` is the
+    recorded state after step ``kept_from + i``. A window alone is swept on
+    a slice of the kept states; several are stacked by ``_stacked_tape``."""
+    if len(windows) == 1:
+        (t0, start, end, gy), = windows
+        at = t0 - kept_from
+        grads[:len(end)] += backward(Tape(
+            topology, params, kept[at:at + gy.shape[1] + 1], gy, (start, end)))
+        return
+    tape, rows = _stacked_tape(topology, params, windows, kept, kept_from)
+    g = backward(tape)
+    for w, at in zip(windows, rows):
+        grads[:len(w.end)] += g[at]
+
+
+def _stacked_tape(topology: NetworkTopology, params: ParameterSet,
+                  windows: list[_Window], kept: list, kept_from: int
+                  ) -> tuple[Tape, list[np.ndarray]]:
+    """One tape over the rows of several windows in window-local time (step
+    i of a window is step t0 + i), rows sorted by span end, then span
+    start, both descending; a span of at most k2 steps starts at
+    max(0, end - k2), so the two stay non-increasing together. Each state
+    copies from the kept states only what the sweep reads of the rows live
+    at its step: outputs, cell states and weights. Also returns each
+    window's rows of the tape, in its row order."""
+    start = np.concatenate([w.start for w in windows])
+    end = np.concatenate([w.end for w in windows])
+    order = np.lexsort((-start, -end))
+    sizes = [len(w.end) for w in windows]
+    where = np.empty(len(order), dtype=np.intp)
+    where[order] = np.arange(len(order))
+    rows = np.split(where, np.cumsum(sizes)[:-1])
+    K = max(w.gy.shape[1] for w in windows)
+    steps = np.arange(K + 1)
+    # the rows live at local step i: a prefix of the tape, and of each window
+    live = np.count_nonzero(end[:, None] >= steps, axis=0).tolist()
+    # the tape as runs (window, its first row, rows) of consecutive rows
+    window_of = np.repeat(np.arange(len(windows)), sizes)[order]
+    row_of = np.concatenate([np.arange(n) for n in sizes])[order]
+    first = np.flatnonzero((np.diff(window_of, prepend=-1) != 0)
+                           | (np.diff(row_of, prepend=-1) != 1))
+    runs = list(zip(window_of[first].tolist(), row_of[first].tolist(),
+                    np.diff(first, append=len(order)).tolist()))
+    states = []
+    for i in steps:
+        parts, left = [], live[i]
+        for w, r, n in runs:
+            if left == 0:
+                break
+            n = min(n, left)
+            left -= n
+            st = kept[windows[w].t0 + i - kept_from]
+            parts.append((st.s[r:r + n], st.v_last[r:r + n],
+                          st.plastic.weights[r:r + n]))
+        s, v, weights = (np.concatenate(field) for field in zip(*parts))
+        states.append(RolloutState(s, v, PlasticEdgeState(weights, None), int(i)))
+    gy = np.concatenate([np.pad(w.gy, ((0, 0), (0, K - w.gy.shape[1]), (0, 0)))
+                         for w in windows])
+    entry = np.concatenate([(w.start == 0) & (w.t0 == 0) for w in windows])
+    tape = Tape(topology, params, states, gy[order], (start[order], end[order]),
+                episode_start=entry[order])
+    return tape, rows
 
 
 def fd_gradient(topology: NetworkTopology, params: ParameterSet, xs, ys, mask,

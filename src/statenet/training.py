@@ -31,6 +31,8 @@ from .autodiff import LOSS_TAGS, batch_gradients, outputs_loss
 from .datasets import Dataset, DatasetError
 from .dynamics import NumericsError
 from .engine import fresh_state, rollout, step
+# episodes rolled out in lockstep by evaluations
+from .engine import LOCKSTEP_ROWS as PREDICT_CHUNK
 from .jsonio import (atomic_write, count, decode, malformed, numbers, read_json,
                      write_json)
 from .params import ParameterSet
@@ -41,7 +43,6 @@ from .topology import NetworkTopology
 
 CHECKPOINT_TAG = "snn-checkpoint/1"
 DIVERGENCE_LIMIT = 1e6
-PREDICT_CHUNK = 64       # episodes rolled out in lockstep by evaluations
 
 
 class DivergenceError(RuntimeError):

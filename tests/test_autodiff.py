@@ -482,3 +482,128 @@ def test_episode_row_independent_of_batch(net, k1, k2):
                 assert type(loss) is float and loss == alone[i][0]
                 assert row.tobytes() == alone[i][1].tobytes()
 
+
+
+def test_lengths_must_name_every_row():
+    topo = build_random(2, 1.0, seed=1, model="rate", n_inputs=1, n_outputs=1)
+    params = ParameterSet.from_topology(topo)
+    xs = np.zeros((2, 5, 1))
+    with pytest.raises(ValueError, match=r"lengths shape \(1,\) != \(2,\)"):
+        batch_gradients(topo, params, xs, np.zeros((2, 5, 1)), None, [5],
+                        "mse")
+
+
+def test_lengths_past_the_array_rejected():
+    topo = build_random(2, 1.0, seed=1, model="rate", n_inputs=1, n_outputs=1)
+    params = ParameterSet.from_topology(topo)
+    with pytest.raises(ValueError, match=r"lengths must lie in \[0, 5\]"):
+        batch_gradients(topo, params, np.zeros((1, 5, 1)), np.zeros((1, 5, 1)),
+                        None, [7], "mse")
+
+
+def test_k1_without_k2_rejected():
+    topo = build_random(2, 1.0, seed=1, model="rate", n_inputs=1, n_outputs=1)
+    params = ParameterSet.from_topology(topo)
+    xs, ys = np.zeros((1, 5, 1)), np.zeros((1, 5, 1))
+    for k1, k2 in ((2, None), (None, 3)):
+        with pytest.raises(ValueError, match="set both k1 and k2 or neither"):
+            batch_gradients(topo, params, xs, ys, None, [5], "mse", k1, k2)
+
+
+def window_by_window(topo, params, xs, ys, mask, lengths, tag, k1, k2):
+    """Oracle of ``batch_gradients``' gradients: one recorded trajectory,
+    each window swept alone on slices of it, the rows summed in window
+    order."""
+    lengths = np.asarray(lengths)
+    B, T = xs.shape[:2]
+    states = [fresh_state(topo, params, batch=B)]
+    outs, _ = rollout(states[0], xs, topo, params, states=states,
+                      lengths=lengths)
+    grads = np.zeros((B, params.count))
+    flushed = 0
+    for flush in [*range(k1, T, k1), T]:
+        rows = int(np.count_nonzero(lengths > flushed))
+        if rows:
+            stop = np.minimum(flush, lengths[:rows])
+            begin = stop - np.minimum(k2, stop)
+            t0 = int(begin[-1])
+            fresh = mask[:rows, t0:flush].copy()
+            fresh[:, :flushed - t0] = 0.0
+            gy = step_loss_grad(tag, outs[:rows, t0:flush], ys[:rows, t0:flush],
+                                fresh)
+            grads[:rows] += backward(Tape(topo, params,
+                                          states[t0:flush + 1], gy,
+                                          (begin - t0, stop - t0)))
+        flushed = flush
+    return grads
+
+
+@pytest.mark.parametrize("net", sorted(BATCH_NETS))
+@pytest.mark.parametrize("k1,k2", [(1, 1), (2, 3), (3, 7), (8, 16)])
+def test_stacked_sweep_matches_window_by_window(net, k1, k2):
+    # windows queued together are swept as rows of one stacked tape; each
+    # window's rows are bitwise its own sweep's, added in window order
+    from statenet.training import _lockstep
+    kwargs, tag = BATCH_NETS[net]
+    topo = build_random(8, 0.5, seed=41, direct_io=True, **kwargs)
+    params = jitter(ParameterSet.from_topology(topo), 42)
+    episodes = random_episodes(45, 82, topo.n_inputs, topo.n_outputs, tag)
+
+    def run(xs, ys, mask, lengths):
+        _, got = batch_gradients(topo, params, xs, ys, mask, lengths, tag,
+                                 k1, k2)
+        want = window_by_window(topo, params, xs, ys, mask, lengths, tag,
+                                k1, k2)
+        assert got.tobytes() == want.tobytes()
+        # zero steps past the longest row change no window
+        pad = ((0, 0), (0, 3), (0, 0))
+        _, padded = batch_gradients(topo, params, np.pad(xs, pad),
+                                    np.pad(ys, pad), np.pad(mask, pad),
+                                    lengths, tag, k1, k2)
+        assert padded.tobytes() == got.tobytes()
+        return lengths
+
+    # ragged blocks of 12 (many windows per sweep) and one of 70 rows
+    _lockstep(topo, episodes, range(12), 12, run)
+    _lockstep(topo, episodes, range(12, 82), 70, run)
+
+
+def test_stacked_tapes_hold_at_most_64_rows(monkeypatch):
+    # a sweep stacks windows up to engine.LOCKSTEP_ROWS rows; only a window
+    # alone may hold more; stacking changes no swept step
+    from statenet import autodiff
+    from statenet.engine import LOCKSTEP_ROWS
+    from statenet.training import _lockstep
+    assert LOCKSTEP_ROWS == 64
+    kwargs, tag = BATCH_NETS["rate-hebbian-bce"]
+    topo = build_random(8, 0.5, seed=41, direct_io=True, **kwargs)
+    params = ParameterSet.from_topology(topo)
+    episodes = random_episodes(46, 100, topo.n_inputs, topo.n_outputs, tag)
+    windows, tapes = [], []
+    sweep, backward_ = autodiff._sweep, autodiff.backward
+
+    def counting_sweep(topology, params, queue, *args):
+        windows.append(len(queue))
+        return sweep(topology, params, queue, *args)
+
+    def counting_backward(tape):
+        tapes.append((len(tape.gy), len(tape)))
+        return backward_(tape)
+
+    monkeypatch.setattr(autodiff, "_sweep", counting_sweep)
+    monkeypatch.setattr(autodiff, "backward", counting_backward)
+
+    def run(xs, ys, mask, lengths):
+        batch_gradients(topo, params, xs, ys, mask, lengths, tag, 3, 7)
+        return lengths
+
+    for size in (12, 32, 100):
+        _lockstep(topo, episodes, range(100), size, run)
+    assert len(windows) == len(tapes)
+    assert all(rows <= 64 or count == 1
+               for count, (rows, _) in zip(windows, tapes))
+    assert max(windows) > 1 and max(rows for rows, _ in tapes) > 64
+    # each window sweeps min(k2, end) steps of its episode
+    per_pass = sum(min(7, end) for ep in episodes
+                   for end in [*range(3, ep.length, 3), ep.length])
+    assert sum(swept for _, swept in tapes) == 3 * per_pass

@@ -16,7 +16,8 @@ def test_two_digests_in_one_process_agree(monkeypatch):
     second = fixed_seed_digest.digest_lines()
     assert time.perf_counter() - began < 5.0
     assert first == second
-    assert [line.split()[0] for line in first] == ["pavlov", "pong", "lif-stdp"]
+    assert [line.split()[0] for line in first] == ["pavlov", "pong", "lif-stdp",
+                                                 "pong-3-7"]
     for line in first:
         files = [field.split("=")[0] for field in line.split()[1:]]
         assert files == ["metrics.csv", "epoch0001.ckpt", "epoch0002.ckpt",

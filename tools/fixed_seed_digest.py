@@ -3,9 +3,12 @@
 Trains ``training.pavlov_recipe``, ``training.pong_recipe`` and the
 benchmark's ``workloads.lif_stdp_recipe`` for 2 epochs on small generated
 data sets in a temporary directory, with a checkpoint every epoch, and
-prints one line per recipe: the sha256 of its ``metrics.csv`` without the
+prints one line per run: the sha256 of its ``metrics.csv`` without the
 ``wall_time`` column, then of each checkpoint. A change that must keep the
-program's results bitwise leaves every line unchanged.
+program's results bitwise leaves every line unchanged. The ``pong-3-7``
+run trains the pong recipe with k1=3, k2=7 in batches of 12: each step
+lies in three windows, and the sweeps stack windows across ragged row
+ends.
 
 Run from the root of a source checkout:
 
@@ -39,9 +42,12 @@ def _runs():
                   episodes=160, seed=2, split="heldout")))
     pong = datasets.gen_pong(datasets.PongDataConfig(
         episodes=32, seed=3, env=PongConfig(max_steps=60)))
+    topo, params, config = training.pong_recipe()
+    short_windows = dataclasses.replace(config, k1=3, k2=7, batch_size=12)
     return [("pavlov", training.pavlov_recipe(), *pavlov),
             ("pong", training.pong_recipe(), pong, None),
-            ("lif-stdp", workloads.lif_stdp_recipe(), *pavlov)]
+            ("lif-stdp", workloads.lif_stdp_recipe(), *pavlov),
+            ("pong-3-7", (topo, params, short_windows), pong, None)]
 
 
 def _sha256(data: bytes) -> str:
@@ -49,7 +55,7 @@ def _sha256(data: bytes) -> str:
 
 
 def digest_lines() -> list[str]:
-    """One line per recipe: ``<name> metrics.csv=<sha> <ckpt>=<sha> ...``."""
+    """One line per run: ``<name> metrics.csv=<sha> <ckpt>=<sha> ...``."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, (topo, params, config), train_set, eval_set in _runs():
