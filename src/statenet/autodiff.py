@@ -173,21 +173,28 @@ def _window(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _norm_mask(mask, shape: tuple) -> np.ndarray:
+def _norm_mask(mask, shape: tuple, lengths=None) -> np.ndarray:
+    """``mask`` as an array of ``shape``; ``None`` scores every step, or
+    with ``lengths`` (a batch's) every step up to each row's length."""
     if mask is None:
-        return np.ones(shape)
+        if lengths is None:
+            return np.ones(shape)
+        live = np.arange(shape[1]) < np.asarray(lengths)[:, None]
+        return np.broadcast_to(live[..., None], shape).astype(np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != shape:
         raise ValueError(f"mask shape {mask.shape} != {shape}")
     return mask
 
 
-def outputs_loss(loss_tag: str, outs: np.ndarray, ys, mask):
+def outputs_loss(loss_tag: str, outs: np.ndarray, ys, mask, lengths=None):
     """Masked loss of a rollout's outputs against their targets, one
     ``step_loss`` call whose step losses are added in step order; a batch's
-    ((B x T x n_out) arrays, zero mask past a row's end) one loss per row."""
+    ((B x T x n_out) arrays, zero mask past a row's end, or no mask and each
+    row's ``lengths``) one loss per row."""
     ys = np.asarray(ys, dtype=np.float64)
-    per_step = step_loss(loss_tag, outs, ys, _norm_mask(mask, outs.shape))
+    per_step = step_loss(loss_tag, outs, ys,
+                         _norm_mask(mask, outs.shape, lengths))
     loss = np.zeros(outs.shape[:-2])
     for t in range(outs.shape[-2]):
         loss = loss + per_step[..., t]
@@ -365,8 +372,9 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
 
     ``xs`` (B x T x n_in), ``ys`` and ``mask`` (B x T x n_out) hold the
     episodes zero-padded to the longest, rows sorted by ``lengths``,
-    longest first. Windows as in ``tbptt_gradients``; ``k1 = k2 = None``
-    is the full window. Returns (B losses, B x P gradient rows); row b is
+    longest first; ``mask=None`` scores each row's steps up to its length.
+    Windows as in ``tbptt_gradients``; ``k1 = k2 = None`` is the full
+    window. Returns (B losses, B x P gradient rows); row b is
     bitwise the result of ``tbptt_gradients`` on episode b alone; it sums
     the rows of each window's sweep in window order.
 
@@ -376,13 +384,13 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
     that a queued or later window reads are kept.
     """
     xs, ys = _window(xs, ys)
-    mask = _norm_mask(mask, ys.shape)
     B, T = xs.shape[:2]
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.shape != (B,):
         raise ValueError(f"lengths shape {lengths.shape} != ({B},)")
     if np.any((lengths < 0) | (lengths > T)):
         raise ValueError(f"lengths must lie in [0, {T}], got {lengths.tolist()}")
+    mask = _norm_mask(mask, ys.shape, lengths)
     if (k1 is None) != (k2 is None):
         raise ValueError("set both k1 and k2 or neither")
     if k1 is None:

@@ -55,10 +55,9 @@ from .plasticity import (PlasticEdgeState, hebbian_update, reset_plastic_state,
                          stdp_update)
 from .topology import NetworkTopology
 
-# rows run in one lockstep block: a held-out block's episodes, a stacked
-# sweep's window rows. A (64, n_edges) temporary of the pong recipe is
-# 118 KB, under glibc's default 128 KiB mmap threshold, and the states a
-# stacked sweep keeps and copies grow with its rows
+# window rows a stacked sweep may hold. The states it keeps and copies grow
+# with its rows: a cap of 128 raised a pong-recipe epoch's peak RSS by about
+# 5 MB and made it no faster (README, "Lockstep batches")
 LOCKSTEP_ROWS = 64
 
 

@@ -31,8 +31,6 @@ from .autodiff import LOSS_TAGS, batch_gradients, outputs_loss
 from .datasets import Dataset, DatasetError
 from .dynamics import NumericsError
 from .engine import fresh_state, rollout, step
-# episodes rolled out in lockstep by evaluations
-from .engine import LOCKSTEP_ROWS as PREDICT_CHUNK
 from .jsonio import (atomic_write, count, decode, malformed, numbers, read_json,
                      write_json)
 from .params import ParameterSet
@@ -43,6 +41,9 @@ from .topology import NetworkTopology
 
 CHECKPOINT_TAG = "snn-checkpoint/1"
 DIVERGENCE_LIMIT = 1e6
+# episodes per held-out lockstep block: the smallest block within 3 % of the
+# fastest held-out pass (README, "Lockstep batches")
+PREDICT_CHUNK = 128
 
 
 class DivergenceError(RuntimeError):
@@ -272,48 +273,66 @@ def load_checkpoint(path: str, topology: NetworkTopology, config: TrainConfig,
 # batch gradients
 
 
-def _lockstep(topology: NetworkTopology, episodes: list, ids, block: int, run):
+def _lockstep(episodes: list, ids, block: int, run):
     """One result per id of ``ids``, in ``ids`` order, of the episodes
     ``episodes[i]`` run as lockstep batches: the ids sorted once by length,
     longest first (ties in ``ids`` order), in blocks of ``block``, each
-    zero-padded to its longest episode and passed to ``run(xs, ys, mask,
-    lengths)``, which returns one result per row. A row's ``NumericsError``
-    is re-raised as ``episode <id>: <message>`` with ``row = id``: the one
+    zero-padded to its longest episode and passed to ``run(rows, xs, ys,
+    mask, lengths)`` with ``rows`` its ids in row order, which returns one
+    result per row. ``mask`` is None when no episode of the block has one:
+    each row is then scored up to its length. A row's ``NumericsError`` is
+    re-raised as ``episode <id>: <message>`` with ``row = id``: the one
     place a batch row becomes an episode."""
-    order = sorted(range(len(ids)), key=lambda k: -episodes[ids[k]].length)
+    lengths = [episodes[i].length for i in ids]
+    order = sorted(range(len(ids)), key=lengths.__getitem__, reverse=True)
     results = [None] * len(ids)
     for lo in range(0, len(order), block):
         ks = order[lo:lo + block]
-        eps = [episodes[ids[k]] for k in ks]
-        shape = (len(eps), eps[0].length)
-        xs = np.zeros(shape + (topology.n_inputs,))
-        ys = np.zeros(shape + (topology.n_outputs,))
-        mask = np.zeros(shape + (topology.n_outputs,))
-        for row, ep in enumerate(eps):
-            xs[row, :ep.length] = ep.x
-            ys[row, :ep.length] = ep.y
-            mask[row, :ep.length] = 1.0 if ep.mask is None else ep.mask
+        rows = [ids[k] for k in ks]
+        eps = [episodes[i] for i in rows]
+        block_lengths = [lengths[k] for k in ks]
+        # the steps of each row up to its length, in row-major order: the
+        # episodes' arrays concatenated fill them in place
+        live = np.arange(block_lengths[0]) < np.array(block_lengths)[:, None]
+        at = np.flatnonzero(live)
+        xs = _padded(live.shape, at, [ep.x for ep in eps])
+        ys = _padded(live.shape, at, [ep.y for ep in eps])
+        mask = None
+        if any(ep.mask is not None for ep in eps):
+            mask = _padded(live.shape, at, [
+                np.ones_like(ep.y) if ep.mask is None else ep.mask
+                for ep in eps])
         try:
-            out = run(xs, ys, mask, [ep.length for ep in eps])
+            out = run(rows, xs, ys, mask, block_lengths)
         except NumericsError as exc:
             if exc.row is None:
                 raise
-            i = ids[ks[exc.row]]
+            i = rows[exc.row]
             raise NumericsError(f"episode {i}: {exc}", row=i) from exc
         for k, res in zip(ks, out):
             results[k] = res
     return results
 
 
+def _padded(shape: tuple, at: np.ndarray, arrays: list) -> np.ndarray:
+    """``arrays`` (one per row) zero-padded into one ``shape + (channels,)``
+    array: their steps, concatenated, go to the flat (row, step) offsets
+    ``at``."""
+    out = np.zeros(shape + arrays[0].shape[1:])
+    flat = out.reshape(shape[0] * shape[1], out.shape[-1])
+    flat[at] = np.concatenate(arrays)
+    return out
+
+
 def _batch_gradients(topology, params, episodes, ids, config):
     """Mean loss and gradient of the batch ``episodes[i]``, ``i`` in ``ids``."""
-    def run(xs, ys, mask, lengths):
+    def run(rows, xs, ys, mask, lengths):
         return zip(*batch_gradients(topology, params, xs, ys, mask, lengths,
                                     config.loss_tag, config.k1, config.k2))
 
     total_loss = 0.0
     grad = np.zeros(params.count)
-    for loss, g in _lockstep(topology, episodes, ids, len(ids), run):
+    for loss, g in _lockstep(episodes, ids, len(ids), run):
         total_loss += loss              # in ids order: deterministic
         grad += g
     k = float(len(ids))
@@ -471,20 +490,17 @@ def _evaluate(topology, params, config, eval_dataset, stages, env):
     eval_loss = float("nan")
     task_metric = float("nan")
     if eval_dataset is not None:
-        outputs, losses = _predict(params, topology, eval_dataset,
-                                   config.loss_tag)
+        scores, losses = _predict(params, topology, eval_dataset,
+                                  config.loss_tag, stages, config.loss_tag)
         total = 0.0
         for loss in losses:           # episode order: deterministic reduction
             total += loss
         eval_loss = total / len(eval_dataset)
-        if config.task == "pavlov":
-            task_metric, _ = _acquisition_from_predictions(
-                outputs, eval_dataset, stages, config.loss_tag)
+        if stages is not None:
+            task_metric, _ = _acquisition(scores, eval_dataset)
     if config.task == "pong":
-        result = eval_pong_closed_loop(params, topology, env,
-                                       n_rollouts=config.eval_rollouts,
-                                       seed=config.seed)
-        task_metric = result["hit_rate"]
+        task_metric = _play_pong(params, topology, env, config.eval_rollouts,
+                                 config.seed)["hit_rate"]
     return eval_loss, task_metric
 
 
@@ -498,37 +514,56 @@ def output_threshold(values: np.ndarray, loss_tag: str) -> np.ndarray:
     return (values > cut).astype(np.float64)
 
 
-def _test_stages(dataset: Dataset) -> list[tuple[int, int]]:
-    """Each episode's test stage as a checked ``(lo, hi)`` pair, in episode
-    order; a set without episodes has nothing to score and is refused."""
+def _test_stages(dataset: Dataset) -> np.ndarray:
+    """Each episode's test stage as a checked ``(lo, hi)`` row of an
+    (episodes x 2) array, in episode order; a set without episodes has
+    nothing to score and is refused."""
     if not len(dataset):
         raise DatasetError("the evaluation set has no episodes")
     stages = []
     for idx, ep in enumerate(dataset.episodes):
-        with malformed(DatasetError, f"episode {idx} test stage"):
+        try:
             lo, hi = ep.meta["stages"]["test"]
+        except Exception:
+            # ``malformed`` names the episode on the error path only (a
+            # context per episode costs more than the check itself); what
+            # it does not read as malformed passes through unchanged
+            with malformed(DatasetError, f"episode {idx} test stage"):
+                raise
         if not (type(lo) is type(hi) is int and 0 <= lo < hi <= ep.length):
             raise DatasetError(f"episode {idx} test stage must be [lo, hi] with "
                                f"0 <= lo < hi <= {ep.length}, got [{lo!r}, {hi!r}]")
-        stages.append((lo, hi))
-    return stages
+        stages += lo, hi
+    return np.fromiter(stages, np.intp, len(stages)).reshape(-1, 2)
 
 
-def _acquisition_from_predictions(predictions, dataset: Dataset, stages,
-                                  loss_tag: str = "bce"):
-    """Per-episode test-stage exact-match accuracy plus a breakdown, over
-    the set's ``_test_stages``."""
-    rows = []
-    correct = 0
-    for idx, (pred, ep, (lo, hi)) in enumerate(
-            zip(predictions, dataset.episodes, stages)):
-        want = ep.y[lo:hi, 0].tolist()
-        got = output_threshold(np.asarray(pred)[lo:hi, 0], loss_tag).tolist()
-        ok = got == want
-        correct += ok
-        rows.append({"episode": idx, "pairings": ep.meta.get("pairings"),
-                     "correct": ok, "predicted": got, "target": want})
-    return correct / len(dataset), rows
+def _score_block(outs: np.ndarray, ys: np.ndarray, stages: np.ndarray,
+                 loss_tag: str) -> list[tuple[bool, list, list]]:
+    """Each row's test-stage score ``(correct, predicted, target)`` in a
+    padded (rows x steps x n_out) block: the thresholded first output and
+    its target over the row's stage ``stages[row] = (lo, hi)``, correct when
+    the two agree at every step of it."""
+    got = output_threshold(outs[..., 0], loss_tag)
+    want = ys[..., 0]
+    steps = np.arange(outs.shape[1])
+    in_stage = (steps >= stages[:, :1]) & (steps < stages[:, 1:])
+    correct = ~np.any((got != want) & in_stage, axis=1)
+    # the stage steps of all rows, in row order: row b's are the entries
+    # ends[b - 1] (0 for the first row) to ends[b]
+    ends = np.cumsum(stages[:, 1] - stages[:, 0]).tolist()
+    got, want = got[in_stage].tolist(), want[in_stage].tolist()
+    return [(ok, got[lo:hi], want[lo:hi])
+            for ok, lo, hi in zip(correct.tolist(), [0, *ends], ends)]
+
+
+def _acquisition(scores: list, dataset: Dataset):
+    """Test-stage exact-match accuracy of each episode's ``_score_block``
+    score, in episode order, plus a breakdown row per episode."""
+    rows = [{"episode": idx, "pairings": ep.meta.get("pairings"),
+             "correct": ok, "predicted": got, "target": want}
+            for idx, (ep, (ok, got, want)) in enumerate(zip(dataset.episodes,
+                                                            scores))]
+    return sum(ok for ok, _, _ in scores) / len(dataset), rows
 
 
 def eval_pavlov_acquisition(params: ParameterSet, topology: NetworkTopology,
@@ -537,33 +572,38 @@ def eval_pavlov_acquisition(params: ParameterSet, topology: NetworkTopology,
     the ground truth at every test step. Returns (accuracy, breakdown)."""
     check_dims(dataset, topology)
     stages = _test_stages(dataset)
-    outputs, _ = _predict(params, topology, dataset)
-    return _acquisition_from_predictions(outputs, dataset, stages, loss_tag)
+    scores, _ = _predict(params, topology, dataset, stages=stages,
+                         cut_tag=loss_tag)
+    return _acquisition(scores, dataset)
 
 
 def _predict(params: ParameterSet, topology: NetworkTopology,
-             dataset: Dataset, loss_tag: str | None = None
-             ) -> tuple[list[np.ndarray], list[float]]:
+             dataset: Dataset, loss_tag: str | None = None,
+             stages: np.ndarray | None = None, cut_tag: str = "bce"
+             ) -> tuple[list, list[float]]:
     """Each episode's outputs, rolled out from a fresh episode-start state,
-    and with ``loss_tag`` each episode's masked loss (bitwise its
-    ``outputs_loss``: padded steps are masked out and add exactly 0.0).
-    Both lists are in episode order.
+    or with ``stages`` (the set's ``_test_stages``) its ``_score_block``
+    score, outputs thresholded as ``cut_tag`` predictions; and with
+    ``loss_tag`` each episode's masked loss (bitwise its ``outputs_loss``:
+    padded steps are masked out and add exactly 0.0). Both lists are in
+    episode order.
 
     The set runs through ``_lockstep`` in blocks of PREDICT_CHUNK episodes,
-    so each block pads little, and a non-finite value names its episode.
-    Each row is bitwise its episode run alone. The caller checks the set's
-    dims."""
-    def run(xs, ys, mask, lengths):
+    so each block pads little, and a non-finite value names its episode;
+    each block is scored in one pass. Each row is bitwise its episode run
+    alone. The caller checks the set's dims."""
+    def run(rows, xs, ys, mask, lengths):
         outs, _ = rollout(fresh_state(topology, params, batch=len(lengths)),
                           xs, topology, params, lengths=lengths)
-        losses = ([None] * len(lengths) if loss_tag is None
-                  else outputs_loss(loss_tag, outs, ys, mask).tolist())
-        return [(outs[row, :n], loss)
-                for row, (n, loss) in enumerate(zip(lengths, losses))]
+        losses = ([None] * len(lengths) if loss_tag is None else
+                  outputs_loss(loss_tag, outs, ys, mask, lengths).tolist())
+        if stages is None:
+            return zip([outs[row, :n] for row, n in enumerate(lengths)], losses)
+        return zip(_score_block(outs, ys, stages[rows], cut_tag), losses)
 
-    results = _lockstep(topology, dataset.episodes, range(len(dataset)),
-                        PREDICT_CHUNK, run)
-    return ([outs for outs, _ in results],
+    results = _lockstep(dataset.episodes, range(len(dataset)), PREDICT_CHUNK,
+                        run)
+    return ([first for first, _ in results],
             [loss for _, loss in results] if loss_tag is not None else [])
 
 
@@ -622,7 +662,22 @@ def eval_pong_closed_loop(params: ParameterSet, topology: NetworkTopology,
                           env_config: PongConfig, n_rollouts: int = 200,
                           seed: int = 0) -> dict:
     """Run the trained network in the live environment (argmax action) and
-    measure hit rate against a uniform-random baseline.
+    measure hit rate against a uniform-random baseline."""
+    result = _play_pong(params, topology, env_config, n_rollouts, seed)
+    baseline_rng = Rng(derive_seed(seed, 0xBA5E))
+
+    def random_policy(obs, reset):
+        return baseline_rng.randrange(-1, 1)
+
+    baseline = run_pong_policy(random_policy, env_config, n_rollouts, seed)
+    result["baseline_random"] = baseline["hit_rate"]
+    return result
+
+
+def _play_pong(params: ParameterSet, topology: NetworkTopology,
+               env_config: PongConfig, n_rollouts: int, seed: int) -> dict:
+    """The network's closed-loop outcome (argmax action), without a
+    baseline.
 
     The rollouts run in lockstep, one row of a batch state each, and a
     row is dropped once its environment is done. Each row is bitwise its
@@ -644,13 +699,4 @@ def eval_pong_closed_loop(params: ParameterSet, topology: NetworkTopology,
         if len(keep) < len(live):
             state = state.rows(np.array(keep, dtype=np.intp))
             live = [live[row] for row in keep]
-    result = _pong_outcome(envs)
-
-    baseline_rng = Rng(derive_seed(seed, 0xBA5E))
-
-    def random_policy(obs, reset):
-        return baseline_rng.randrange(-1, 1)
-
-    baseline = run_pong_policy(random_policy, env_config, n_rollouts, seed)
-    result["baseline_random"] = baseline["hit_rate"]
-    return result
+    return _pong_outcome(envs)

@@ -467,7 +467,7 @@ def test_episode_row_independent_of_batch(net, k1, k2):
                              k1 or ep.length, k2 or ep.length)
              for ep in episodes]
 
-    def run(xs, ys, mask, lengths):
+    def run(rows, xs, ys, mask, lengths):
         return zip(*batch_gradients(topo, params, xs, ys, mask, lengths, tag,
                                     k1, k2))
 
@@ -477,8 +477,7 @@ def test_episode_row_independent_of_batch(net, k1, k2):
         rng.shuffle(order)
         for lo in range(0, len(order), size):
             ids = order[lo:lo + size]
-            for i, (loss, row) in zip(ids, _lockstep(topo, episodes, ids, size,
-                                                     run)):
+            for i, (loss, row) in zip(ids, _lockstep(episodes, ids, size, run)):
                 assert type(loss) is float and loss == alone[i][0]
                 assert row.tobytes() == alone[i][1].tobytes()
 
@@ -508,6 +507,29 @@ def test_k1_without_k2_rejected():
     for k1, k2 in ((2, None), (None, 3)):
         with pytest.raises(ValueError, match="set both k1 and k2 or neither"):
             batch_gradients(topo, params, xs, ys, None, [5], "mse", k1, k2)
+
+
+def test_no_mask_scores_each_row_up_to_its_length():
+    # mask=None scores every step up to each row's length and none of its
+    # padding, so each row is bitwise its episode run alone; the pavlov
+    # recipe with lengths [3, 2] on 5-step arrays once scored padded steps
+    from statenet.training import pavlov_recipe
+    topo, params, _ = pavlov_recipe()
+    lengths = [3, 2]
+    xs, ys = np.zeros((2, 5, 2)), np.zeros((2, 5, 1))
+    for b, n in enumerate(lengths):
+        xs[b, :n], ys[b, :n] = random_sequence(50 + b, n, 2, 1)
+    for k1, k2 in ((None, None), (1, 2)):
+        losses, grads = batch_gradients(topo, params, xs, ys, None, lengths,
+                                        "bce", k1, k2)
+        for b, n in enumerate(lengths):
+            loss, grad = tbptt_gradients(topo, params, xs[b, :n], ys[b, :n],
+                                         None, "bce", k1 or n, k2 or n)
+            assert losses[b] == loss
+            assert grads[b].tobytes() == grad.tobytes()
+    outs, _ = rollout(fresh_state(topo, params, batch=2), xs, topo, params,
+                      lengths=lengths)
+    assert outputs_loss("bce", outs, ys, None, lengths).tolist() == losses
 
 
 def window_by_window(topo, params, xs, ys, mask, lengths, tag, k1, k2):
@@ -549,7 +571,7 @@ def test_stacked_sweep_matches_window_by_window(net, k1, k2):
     params = jitter(ParameterSet.from_topology(topo), 42)
     episodes = random_episodes(45, 82, topo.n_inputs, topo.n_outputs, tag)
 
-    def run(xs, ys, mask, lengths):
+    def run(rows, xs, ys, mask, lengths):
         _, got = batch_gradients(topo, params, xs, ys, mask, lengths, tag,
                                  k1, k2)
         want = window_by_window(topo, params, xs, ys, mask, lengths, tag,
@@ -564,8 +586,8 @@ def test_stacked_sweep_matches_window_by_window(net, k1, k2):
         return lengths
 
     # ragged blocks of 12 (many windows per sweep) and one of 70 rows
-    _lockstep(topo, episodes, range(12), 12, run)
-    _lockstep(topo, episodes, range(12, 82), 70, run)
+    _lockstep(episodes, range(12), 12, run)
+    _lockstep(episodes, range(12, 82), 70, run)
 
 
 def test_stacked_tapes_hold_at_most_64_rows(monkeypatch):
@@ -593,12 +615,12 @@ def test_stacked_tapes_hold_at_most_64_rows(monkeypatch):
     monkeypatch.setattr(autodiff, "_sweep", counting_sweep)
     monkeypatch.setattr(autodiff, "backward", counting_backward)
 
-    def run(xs, ys, mask, lengths):
+    def run(rows, xs, ys, mask, lengths):
         batch_gradients(topo, params, xs, ys, mask, lengths, tag, 3, 7)
         return lengths
 
     for size in (12, 32, 100):
-        _lockstep(topo, episodes, range(100), size, run)
+        _lockstep(episodes, range(100), size, run)
     assert len(windows) == len(tapes)
     assert all(rows <= 64 or count == 1
                for count, (rows, _) in zip(windows, tapes))

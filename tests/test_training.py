@@ -22,8 +22,8 @@ from statenet.training import (PREDICT_CHUNK, Adam, CheckpointError,
                                clip_global_norm, eval_pavlov_acquisition,
                                eval_pong_closed_loop, load_checkpoint,
                                run_pong_policy, save_checkpoint, train,
-                               _acquisition_from_predictions, _evaluate,
-                               _predict, _test_stages, pavlov_recipe,
+                               _acquisition, _evaluate, _predict,
+                               _score_block, _test_stages, pavlov_recipe,
                                pong_recipe)
 
 
@@ -278,11 +278,18 @@ def test_dimension_mismatch_rejected():
 # evaluations
 
 
+def _acquisition_from_predictions(preds, ds):
+    """Acquisition of hand-made predictions, one episode per scored block."""
+    stages = _test_stages(ds)
+    scores = [_score_block(pred[None], ep.y[None], stages[i:i + 1], "bce")[0]
+              for i, (pred, ep) in enumerate(zip(preds, ds.episodes))]
+    return _acquisition(scores, ds)
+
+
 def test_acquisition_oracle_predictions_score_one():
     ds = gen_pavlov(PavlovConfig(episodes=40, seed=21))
     preds = [np.where(ep.y > 0.5, 5.0, -5.0) for ep in ds.episodes]
-    acc, rows = _acquisition_from_predictions(preds, ds, _test_stages(ds),
-                                              loss_tag="bce")
+    acc, rows = _acquisition_from_predictions(preds, ds)
     assert acc == 1.0 and all(r["correct"] for r in rows)
 
 
@@ -291,8 +298,7 @@ def test_constant_response_scores_positive_fraction():
     # test stage expects salivation
     ds = gen_pavlov(PavlovConfig(episodes=200, seed=22))
     preds = [np.full_like(ep.y, 3.0) for ep in ds.episodes]
-    acc, rows = _acquisition_from_predictions(preds, ds, _test_stages(ds),
-                                              loss_tag="bce")
+    acc, rows = _acquisition_from_predictions(preds, ds)
     frac_acquired = np.mean([ep.meta["pairings"] >= 2 for ep in ds.episodes])
     assert acc == pytest.approx(frac_acquired)
 
@@ -304,8 +310,7 @@ def test_constant_response_on_balanced_split_is_half():
     neg = [ep for ep in base.episodes if ep.meta["pairings"] < 2][:50]
     ds = Dataset(episodes=pos + neg, manifest=base.manifest)
     preds = [np.full_like(ep.y, 3.0) for ep in ds.episodes]
-    acc, _ = _acquisition_from_predictions(preds, ds, _test_stages(ds),
-                                           loss_tag="bce")
+    acc, _ = _acquisition_from_predictions(preds, ds)
     assert acc == 0.5
 
 
@@ -459,6 +464,34 @@ def test_pong_lockstep_steps_once_per_step_of_the_longest_rollout(
     assert len(calls) == max(lengths) < sum(lengths)
 
 
+def test_pong_training_plays_no_random_baseline(monkeypatch, tmp_path):
+    # only eval_pong_closed_loop, whose callers print it, plays the random
+    # baseline; a training run's task metric is the net's hit rate alone
+    from statenet import training
+    data = gen_pong(PongDataConfig(episodes=8, seed=3,
+                                   env=PongConfig(max_steps=40)))
+    topo, params, config = pong_recipe()
+    config = TrainConfig(loss_tag="cce", epochs=2, batch_size=4, k1=8, k2=16,
+                         task="pong", eval_rollouts=6, seed=5)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("training played the random baseline")
+
+    monkeypatch.setattr(training, "run_pong_policy", refused)
+    trained, history = train(topo, data, config, params=params.copy(),
+                             run_dir=str(tmp_path))
+    monkeypatch.undo()
+    want = eval_pong_closed_loop(trained, topo, PongConfig(max_steps=40),
+                                 n_rollouts=6, seed=5)
+    assert "baseline_random" in want
+    assert history[-1].task_metric == want["hit_rate"]
+    with open(tmp_path / "metrics.csv", encoding="utf-8") as fh:
+        rows = [ln.rsplit(",", 1)[0] for ln in fh.read().splitlines()]
+    assert rows[0] == "epoch,train_loss,eval_loss,task_metric"
+    assert rows[2] == (f"2,{history[-1].train_loss!r},nan,"
+                       f"{want['hit_rate']!r}")
+
+
 @pytest.mark.parametrize("loss_tag", ["mse", "bce", "cce"])
 def test_heldout_loss_is_the_per_episode_sum(loss_tag):
     # ragged episodes over more than one lockstep chunk; pavlov's carry masks
@@ -479,12 +512,13 @@ def test_heldout_loss_is_the_per_episode_sum(loss_tag):
     assert type(eval_loss) is float and eval_loss == total / len(ds)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("chunk", sorted({1, 7, 64, PREDICT_CHUNK}))
 @pytest.mark.parametrize("model,loss_tag", [("rate", "bce"), ("lif", "mse")])
 def test_predict_rows_are_each_episode_run_alone(monkeypatch, chunk, model,
                                                  loss_tag):
-    # 160 ragged episodes, many of one length, rolled out in sorted blocks
-    # that cross episode order; each row must be its episode alone
+    # 160 ragged episodes, many of one length, rolled out and scored in
+    # sorted blocks that cross episode order; each row must be its episode
+    # alone, and each breakdown row its lone rollout thresholded
     from statenet import training
     monkeypatch.setattr(training, "PREDICT_CHUNK", chunk)
     ds = gen_pavlov(PavlovConfig(episodes=160, seed=7))
@@ -499,11 +533,23 @@ def test_predict_rows_are_each_episode_run_alone(monkeypatch, chunk, model,
     params = params.with_flat(params.flat
                               + 0.3 * rng.standard_normal(params.count))
     outputs, losses = _predict(params, topo, ds, loss_tag)
-    assert len(outputs) == len(losses) == len(ds)
-    for outs, loss, ep in zip(outputs, losses, ds.episodes):
+    accuracy, rows = eval_pavlov_acquisition(params, topo, ds, loss_tag)
+    assert len(outputs) == len(losses) == len(rows) == len(ds)
+    cut = 0.0 if loss_tag == "bce" else 0.5
+    want_rows = []
+    for idx, (outs, loss, ep) in enumerate(zip(outputs, losses, ds.episodes)):
         alone, _ = rollout(fresh_state(topo, params), ep.x, topo, params)
         assert np.array_equal(outs, alone)
         assert loss == outputs_loss(loss_tag, alone, ep.y, ep.mask)
+        lo, hi = ep.meta["stages"]["test"]
+        predicted = [1.0 if v > cut else 0.0 for v in alone[lo:hi, 0]]
+        target = ep.y[lo:hi, 0].tolist()
+        want_rows.append({"episode": idx, "pairings": ep.meta["pairings"],
+                          "correct": predicted == target,
+                          "predicted": predicted, "target": target})
+    assert rows == want_rows
+    assert accuracy == sum(r["correct"] for r in want_rows) / len(ds)
+    assert 0 < accuracy < 1
 
 
 def test_predict_accepts_an_empty_set():

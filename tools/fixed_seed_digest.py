@@ -4,11 +4,13 @@ Trains ``training.pavlov_recipe``, ``training.pong_recipe`` and the
 benchmark's ``workloads.lif_stdp_recipe`` for 2 epochs on small generated
 data sets in a temporary directory, with a checkpoint every epoch, and
 prints one line per run: the sha256 of its ``metrics.csv`` without the
-``wall_time`` column, then of each checkpoint. A change that must keep the
-program's results bitwise leaves every line unchanged. The ``pong-3-7``
-run trains the pong recipe with k1=3, k2=7 in batches of 12: each step
-lies in three windows, and the sweeps stack windows across ragged row
-ends.
+``wall_time`` column, then of each checkpoint, and for a run with a
+held-out set the sha256 of the held-out breakdown rows that
+``eval_pavlov_acquisition`` gives for the trained parameters. A change
+that must keep the program's results bitwise leaves every line unchanged.
+The ``pong-3-7`` run trains the pong recipe with k1=3, k2=7 in batches
+of 12: each step lies in three windows, and the sweeps stack windows
+across ragged row ends.
 
 Run from the root of a source checkout:
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -55,15 +58,17 @@ def _sha256(data: bytes) -> str:
 
 
 def digest_lines() -> list[str]:
-    """One line per run: ``<name> metrics.csv=<sha> <ckpt>=<sha> ...``."""
+    """One line per run: ``<name> metrics.csv=<sha> <ckpt>=<sha> ...``,
+    then ``acquisition=<sha>`` for a run with a held-out set."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, (topo, params, config), train_set, eval_set in _runs():
             run_dir = os.path.join(tmp, name)
             config = dataclasses.replace(config, epochs=2, checkpoint_stride=1,
                                          eval_rollouts=8)
-            training.train(topo, train_set, config, eval_dataset=eval_set,
-                           run_dir=run_dir, params=params)
+            trained, _ = training.train(topo, train_set, config,
+                                        eval_dataset=eval_set, run_dir=run_dir,
+                                        params=params)
             with open(os.path.join(run_dir, "metrics.csv"), "rb") as fh:
                 rows = [ln.rsplit(b",", 1)[0] for ln in fh.read().splitlines()]
             fields = ["metrics.csv=" + _sha256(b"\n".join(rows))]
@@ -71,6 +76,11 @@ def digest_lines() -> list[str]:
                                if f.endswith(".ckpt")):
                 with open(os.path.join(run_dir, ckpt), "rb") as fh:
                     fields.append(f"{ckpt}={_sha256(fh.read())}")
+            if eval_set is not None:
+                _, rows = training.eval_pavlov_acquisition(
+                    trained, topo, eval_set, config.loss_tag)
+                fields.append("acquisition="
+                              + _sha256(json.dumps(rows).encode()))
             lines.append(" ".join([name, *fields]))
     return lines
 
