@@ -14,9 +14,10 @@ weight, a static edge being one whose rule is the identity, and adds the
 episode-start adjoint of the plastic weights into ``w0``.
 
 The tape and the sweep hold a batch of episodes run in lockstep on
-``(B, n)`` arrays, rows sorted by length, longest first; one episode is
-the batch of one. Window j covers, for row b of T_b steps, the steps
-(start_bj, end_bj] with end_bj = min(j * k1, T_b) and
+``(n, B)`` arrays, neuron (or edge) axis first and one column per
+episode, the batch's rows (episodes) sorted by length, longest first;
+one episode is the batch of one. Window j covers, for row b of T_b
+steps, the steps (start_bj, end_bj] with end_bj = min(j * k1, T_b) and
 start_bj = end_bj - min(k2, end_bj) (k1 = k2 = T for the full window); a
 row is swept only inside its own interval. ``batch_gradients`` runs a
 batch forward up to each flush point and queues that window. Windows are
@@ -25,10 +26,13 @@ so the queue is swept as the rows of one stacked tape in window-local
 time, up to ``engine.LOCKSTEP_ROWS`` rows; a window alone, of any size,
 is swept on a slice of the recorded states, with no copy. Only the states
 a queued or later window reads are kept. Each row's reductions run over
-C-contiguous rows (numpy sums other layouts in another order) and its
-scatters (``np.add.at``, or ``np.bincount`` into zeros) run over per-row
-offset indices, so a row's loss and gradient are bitwise those of its
-episode run alone, whatever it is stacked with.
+C-contiguous copies of its values (numpy sums other layouts in another
+order) and its scatters (``np.add.at``, or ``np.bincount`` into zeros)
+run over flat offsets ``idx * rows + column``, which add each bin's terms
+in edge order, so a row's loss and gradient are bitwise those of its
+episode run alone, whatever it is stacked with. The sweep keeps the
+adjoints and gradient sums of the rows it sweeps at a step in one
+contiguous block, so its updates never run over strided columns.
 
 Differentiation conventions (they define what "the gradient" means here):
 
@@ -57,8 +61,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import NumericsError, lif_membrane_pre, lif_surrogate_grad
-from .engine import (LOCKSTEP_ROWS, RolloutState, cached_row_index,
-                     fresh_state, gather, rollout)
+from .engine import (LOCKSTEP_ROWS, RolloutState, fresh_state, gather,
+                     rollout, scatter_index)
 from .params import ParameterSet
 from .plasticity import PlasticEdgeState
 from .topology import NetworkTopology
@@ -136,10 +140,10 @@ def _cce_step_weight(mask_row: np.ndarray) -> np.ndarray:
 @dataclass
 class Tape:
     """Recorded forward window of a batch: entry state at index 0, one state
-    per step, each holding at least the rows a sweep reads, rows sorted by
-    span. ``gy`` (rows x steps x n_out) is the loss gradient of each
-    window output; ``spans`` (two non-increasing arrays, one entry per row)
-    limits row b's sweep to the window steps (start[b], end[b]].
+    per step, each holding at least the rows (state columns) a sweep reads,
+    rows sorted by span. ``gy`` (rows x steps x n_out) is the loss gradient
+    of each window output; ``spans`` (two non-increasing arrays, one entry
+    per row) limits row b's sweep to the window steps (start[b], end[b]].
     ``episode_start`` flags the rows whose span starts at their episode's
     step 0; by default, those with span start 0 on a tape that enters at
     ``t == 0``. A stacked tape (several windows' rows in window-local time)
@@ -222,110 +226,128 @@ def backward(tape: Tape) -> np.ndarray:
     first = np.count_nonzero(start[:, None] >= steps, axis=0)
     last = np.count_nonzero(end[:, None] >= steps, axis=0)
 
-    gs = np.zeros((B, n))
-    gv = np.zeros((B, n))
-    # one weight adjoint per edge, static edges included
-    ge = np.zeros((B, topo.n_edges))
-
-    # gradient segments, one row per episode
     rate = topo.rate_ids
     lif = topo.lif_ids
     heb = topo.hebbian_pos
     static = topo.static_idx
-    g_sc = np.zeros((B, len(rate)))
-    g_b = np.zeros((B, len(rate)))
-    g_lr = np.zeros((B, len(heb)))
-    g_ret = np.zeros(B)
-
+    E, R, H = topo.n_edges, len(rate), len(heb)
     retention = params.retention
-    learn_rate = params.learn_rate
-    self_coeff = params.self_coeff
+    learn_rate = params.learn_rate[:, None]
+    self_coeff = params.self_coeff[:, None]
+    dt = topo.lif_params.dt[:, None]
     sig_prime = retention * (1.0 - retention)
-    clip = params.meta.clip_bound
+    # straight-through clip: a recorded weight strictly inside the bound is
+    # one the clip passed unchanged; static weights are never clipped
+    bound = np.full((E, 1), params.meta.clip_bound)
+    bound[static] = np.inf
     # ge carries back through each edge's rule: a hebbian weight decays by
     # the retention; an stdp increment is non-differentiable and a static
-    # weight never changes, so their columns pass unchanged
-    carry = np.ones(topo.n_edges)
+    # weight never changes, so theirs pass unchanged
+    carry = np.ones((E, 1))
     carry[heb] = retention
     out = topo.output_ids
     src_h = topo.edge_src[heb]
     dst_h = topo.edge_dst[heb]
-    # scatter indices into a (rows, n) block, row by row; gv_prev takes the
-    # hebbian source terms, then the gather transpose
-    at_dst_h = cached_row_index(topo, "hebbian_dst", dst_h, B)
-    at_src = cached_row_index(topo, "hebbian_src+edge_src",
-                              np.concatenate([src_h, topo.edge_src]), B)
-    n_src = len(src_h) + topo.n_edges
+    # gv_prev takes the hebbian source terms, then the gather transpose, in
+    # one bincount over the rows of one buffer
+    at_src = np.concatenate([src_h, topo.edge_src])
+    terms = np.empty(len(at_src) * B)
+    # the two scatters' flat offsets, per number of rows swept at a step
+    offsets = {}
+
+    # The rows swept at a step, [lo, hi), are the columns of one contiguous
+    # block: each one's weight adjoint (one per edge, static edges included)
+    # and gradient sums, then its state and output adjoints. A row joins it,
+    # zero, at its span's end and leaves it, its sums copied out, once its
+    # span's start is passed; rows only leave at the front and join at the
+    # back, so none of the updates below runs over strided columns.
+    part = np.cumsum([0, E, R, R, H, 1, n, n]).tolist()   # block rows
+    kept = part[5]
+    sums = np.zeros((kept, B))
+    block = np.zeros((part[-1], 0))
+    lo = hi = 0
 
     for t in range(K, 0, -1):
         a, b = first[t], last[t]
         if a == b:
             continue
         m = b - a
+        if (a, b) != (lo, hi):
+            left = min(a, hi)
+            sums[:, lo:left] = block[:kept, :left - lo]
+            joined = np.zeros((part[-1], m))
+            if hi > a:
+                joined[:, :hi - a] = block[:, a - lo:]
+            block, lo, hi = joined, a, b
+            ge, g_sc, g_b, g_lr, g_ret, gs, gv = (
+                block[i:j] for i, j in zip(part, part[1:]))
+        if m not in offsets:
+            offsets[m] = scatter_index(dst_h, m), scatter_index(at_src, m)
+        at_dst_h, at_src_m = offsets[m]
         prev = tape.states[t - 1]
-        v_t = tape.states[t].v_last[a:b]
-        v_prev = prev.v_last[a:b]
-        s_prev = prev.s[a:b]
-        w_prev = prev.plastic.weights[a:b]
-        gs_t, gv_t = gs[a:b], gv[a:b]
-        gv_t[:, out] += tape.gy[a:b, t - 1]
-
-        # straight-through clip: a recorded weight strictly inside the bound
-        # is one the clip passed unchanged; static weights are never clipped
-        gate = np.abs(tape.states[t].plastic.weights[a:b]) < clip
-        gate[:, static] = True
-        ge_t = ge[a:b] * gate
+        v_t = tape.states[t].v_last[:, a:b]
+        v_prev = prev.v_last[:, a:b]
+        s_prev = prev.s[:, a:b]
+        w_prev = prev.plastic.weights[:, a:b]
+        gv[out] += tape.gy[a:b, t - 1].T
+        ge *= np.abs(tape.states[t].plastic.weights[:, a:b]) < bound
 
         # plasticity backward first: it consumed this step's outputs, so its
         # contribution to gv must land before the neuron backward reads gv
-        gh = ge_t.take(heb, 1)
-        pre = v_prev.take(src_h, 1)
-        post = v_t.take(dst_h, 1)
-        if len(heb):
-            g_lr[a:b] += gh * (pre * post)
-            g_ret[a:b] += _rowsum(gh * w_prev.take(heb, 1)) * sig_prime
-            np.add.at(gv_t.reshape(-1), at_dst_h[:m * len(heb)],
-                      (gh * learn_rate * pre).ravel())
+        gh = ge.take(heb, 0)
+        gh_lr = gh * learn_rate
+        pre = v_prev.take(src_h, 0)
+        post = v_t.take(dst_h, 0)
+        if H:
+            g_lr += gh * (pre * post)
+            g_ret[0] += _rowsum((gh * w_prev.take(heb, 0)).T) * sig_prime
+            np.add.at(gv.reshape(-1), at_dst_h, (gh_lr * pre).ravel())
 
         # neuron backward
-        gu = np.zeros((m, n))
-        gs_prev = np.zeros((m, n))
-        if len(rate):
-            gz = ((gs_t.take(rate, 1) + gv_t.take(rate, 1))
-                  * (1.0 - v_t.take(rate, 1) ** 2))
-            g_sc[a:b] += gz * s_prev.take(rate, 1)
-            g_b[a:b] += gz
-            gu[:, rate] = gz
-            gs_prev[:, rate] = gz * self_coeff
+        gu = np.zeros((n, m))
+        gs_prev = np.zeros((n, m))
+        if R:
+            gz = ((gs.take(rate, 0) + gv.take(rate, 0))
+                  * (1.0 - v_t.take(rate, 0) ** 2))
+            g_sc += gz * s_prev.take(rate, 0)
+            g_b += gz
+            gu[rate] = gz
+            gs_prev[rate] = gz * self_coeff
         if len(lif):
             u = gather(topo, w_prev, v_prev)
-            membrane = lif_membrane_pre(u.take(lif, 1), s_prev.take(lif, 1),
+            membrane = lif_membrane_pre(u.take(lif, 0), s_prev.take(lif, 0),
                                         topo.lif_params)
             surr = lif_surrogate_grad(membrane, topo.lif_params)
-            spk = v_t.take(lif, 1)
-            gp = gv_t.take(lif, 1) * surr + gs_t.take(lif, 1) * (1.0 - spk)
-            gu[:, lif] = gp * topo.lif_params.dt
-            gs_prev[:, lif] = gp * (1.0 - topo.lif_params.dt)
+            spk = v_t.take(lif, 0)
+            gp = gv.take(lif, 0) * surr + gs.take(lif, 0) * (1.0 - spk)
+            gu[lif] = gp * dt
+            gs_prev[lif] = gp * (1.0 - dt)
 
         # gather backward: u[dst] = sum_e w_e * v_prev[src_e]
-        gu_e = gu.take(topo.edge_dst, 1)
-        gs[a:b] = gs_prev
-        gv[a:b] = np.bincount(
-            at_src[:m * n_src],
-            np.concatenate([gh * learn_rate * post, gu_e * w_prev], 1).ravel(),
-            minlength=m * n).reshape(m, n)
-        ge[a:b] = ge_t * carry + gu_e * v_prev.take(topo.edge_src, 1)
+        gu_e = gu.take(topo.edge_dst, 0)
+        gs[...] = gs_prev
+        step_terms = terms[:len(at_src) * m].reshape(len(at_src), m)
+        np.multiply(gh_lr, post, out=step_terms[:H])
+        np.multiply(gu_e, w_prev, out=step_terms[H:])
+        gv[...] = np.bincount(at_src_m, step_terms.ravel(),
+                              minlength=n * m).reshape(n, m)
+        ge *= carry
+        ge += gu_e * v_prev.take(topo.edge_src, 0)
+    sums[:, lo:hi] = block[:kept]
+    ge, g_sc, g_b, g_lr, g_ret = (sums[i:j]
+                                  for i, j in zip(part, part[1:6]))
 
     g = np.zeros((B, params.count))
     reg = params.registry
-    g[:, reg["w0"].start + static] = ge[:, static]
-    g[:, reg["self_coeff"]] = g_sc
-    g[:, reg["bias"]] = g_b
+    g[:, reg["w0"].start + static] = ge[static].T
+    g[:, reg["self_coeff"]] = g_sc.T
+    g[:, reg["bias"]] = g_b.T
     if len(heb):
-        g[:, reg["learn_rate"]] = g_lr
-        g[:, reg["retention_raw"].start] = g_ret
-    at_start = np.ix_(np.flatnonzero(tape.episode_start), topo.plastic_idx)
-    g[:, reg["w0"]][at_start] += ge[at_start]
+        g[:, reg["learn_rate"]] = g_lr.T
+        g[:, reg["retention_raw"].start] = g_ret[0]
+    rows = np.flatnonzero(tape.episode_start)
+    g[np.ix_(rows, reg["w0"].start + topo.plastic_idx)] += \
+        ge[np.ix_(topo.plastic_idx, rows)].T
     return g
 
 
@@ -506,9 +528,10 @@ def _stacked_tape(topology: NetworkTopology, params: ParameterSet,
             n = min(n, left)
             left -= n
             st = kept[windows[w].t0 + i - kept_from]
-            parts.append((st.s[r:r + n], st.v_last[r:r + n],
-                          st.plastic.weights[r:r + n]))
-        s, v, weights = (np.concatenate(field) for field in zip(*parts))
+            parts.append((st.s[:, r:r + n], st.v_last[:, r:r + n],
+                          st.plastic.weights[:, r:r + n]))
+        s, v, weights = (np.concatenate(field, axis=1)
+                         for field in zip(*parts))
         states.append(RolloutState(s, v, PlasticEdgeState(weights, None), int(i)))
     gy = np.concatenate([np.pad(w.gy, ((0, 0), (0, K - w.gy.shape[1]), (0, 0)))
                          for w in windows])

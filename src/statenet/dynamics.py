@@ -13,6 +13,9 @@ new state):
 All functions are pure and accept scalars or numpy arrays elementwise;
 ``params`` holds one neuron's parameters or arrays aligned with the
 topology's rate / lif ids (``ParameterSet``, ``NetworkTopology.lif_params``).
+Arrays have the neuron axis first and an optional trailing episode axis:
+one episode's values are ``(k,)``, a batch's ``(k, B)``, against which
+the per-neuron parameters broadcast as ``(k, 1)`` columns (``columns``).
 The spike nonlinearity is not differentiable; training uses the
 fast-sigmoid surrogate in ``lif_surrogate_grad``. The kernels do not
 check their inputs: ``engine.step`` checks each whole step once and names
@@ -35,9 +38,19 @@ class NumericsError(FloatingPointError):
         self.row = row
 
 
+def columns(p, like):
+    """``p``, one value per neuron (or edge), against ``like``: as it is
+    against one episode's ``(k,)`` values, a ``(k, 1)`` column against a
+    batch's ``(k, B)``."""
+    if getattr(like, "ndim", 0) == 2 and getattr(p, "ndim", 0) == 1:
+        return p[:, None]
+    return p
+
+
 def rate_step(drive, s_prev, params: RateParams):
     """One rate-neuron update. Returns (output, new state); they are equal."""
-    s_new = np.tanh(drive + params.self_coeff * s_prev + params.bias)
+    s_new = np.tanh(drive + columns(params.self_coeff, s_prev) * s_prev
+                    + columns(params.bias, s_prev))
     return s_new, s_new
 
 
@@ -49,13 +62,15 @@ def lif_step(drive, s_prev, params: LifParams):
     regardless of drive magnitude.
     """
     pre = lif_membrane_pre(drive, s_prev, params)
-    spike = np.greater_equal(pre, params.threshold).astype(np.float64)
-    return spike, np.where(spike > 0.0, params.reset, pre)
+    threshold = columns(params.threshold, pre)
+    spike = np.greater_equal(pre, threshold).astype(np.float64)
+    return spike, np.where(spike > 0.0, columns(params.reset, pre), pre)
 
 
 def lif_membrane_pre(drive, s_prev, params: LifParams):
     """Pre-threshold membrane value (the quantity the surrogate is taken at)."""
-    return s_prev + params.dt * (-(s_prev - params.rest) + drive)
+    return s_prev + columns(params.dt, s_prev) * (
+        -(s_prev - columns(params.rest, s_prev)) + drive)
 
 
 def lif_surrogate_grad(membrane_pre, params: LifParams):
@@ -65,5 +80,6 @@ def lif_surrogate_grad(membrane_pre, params: LifParams):
     even around the threshold, maximal (= beta) exactly at it.
     """
     membrane_pre = np.asarray(membrane_pre, dtype=np.float64)
-    beta = params.sharpness
-    return beta / (1.0 + beta * np.abs(membrane_pre - params.threshold)) ** 2
+    beta = columns(params.sharpness, membrane_pre)
+    return beta / (1.0 + beta * np.abs(
+        membrane_pre - columns(params.threshold, membrane_pre))) ** 2

@@ -1,16 +1,19 @@
 """Step-by-step network execution with synchronous one-step edge delay.
 
-Every state array has the neuron (or edge) axis last and an
-optional leading episode axis: ``step`` and ``rollout`` run one episode
-on ``(n,)`` arrays, or a batch of episodes in lockstep on ``(B, n)``
-arrays. Each row of a batch is bitwise the result of running that episode
-alone: every operation is elementwise per row, and the gather sums each
-row's edges in edge order. A batch of ragged episodes is run with its rows
-sorted by length, longest first; ``rollout``'s ``lengths`` stops each row
-at its own end, so the state after step t holds only the rows still
-running, a prefix of the batch. A closed loop, which learns that an
-episode has ended only by stepping it, drops the finished rows by index
-with ``RolloutState.rows``.
+Every state array has the neuron (or edge) axis first and an optional
+trailing episode axis: ``step`` runs one episode on ``(n,)`` arrays, or a
+batch of episodes in lockstep on ``(n, B)`` arrays (one column per
+episode), so that every neuron and edge read is a ``take`` of whole rows
+and per-neuron parameters broadcast as ``(k, 1)`` columns. ``rollout``
+keeps its ``(B, T, ·)`` stimuli and outputs. Each column of a batch is
+bitwise the result of running that episode alone: every operation is
+elementwise, and the gather sums each column's edges in edge order. A
+batch of ragged episodes is run with its columns sorted by length,
+longest first; ``rollout``'s ``lengths`` stops each one at its own end,
+so the state after step t holds only the episodes still running, the
+leading columns of the batch. A closed loop, which learns that an
+episode has ended only by stepping it, drops the finished episodes by
+index with ``RolloutState.rows``.
 
 Order of operations inside one step:
 
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NumericsError, lif_step, rate_step
+from .dynamics import NumericsError, columns, lif_step, rate_step
 from .params import ParameterSet
 from .plasticity import (PlasticEdgeState, hebbian_update, reset_plastic_state,
                          stdp_update)
@@ -72,8 +75,8 @@ class RolloutState:
 
     def rows(self, rows: slice | np.ndarray) -> "RolloutState":
         """Some episodes of a batch state: a slice gives views, an integer
-        index array copies of those rows in its order."""
-        return RolloutState(self.s[rows], self.v_last[rows],
+        index array copies of those episodes in its order."""
+        return RolloutState(self.s[:, rows], self.v_last[:, rows],
                             self.plastic.rows(rows), self.t)
 
 
@@ -125,87 +128,74 @@ def fresh_state(topology: NetworkTopology, params: ParameterSet,
     """Episode-start state: rate states zero, membranes at rest, no prior
     outputs, edge weights at their trainable initial values; with
     ``batch``, that state for each of ``batch`` episodes."""
-    shape = (topology.n,) if batch is None else (batch, topology.n)
+    shape = (topology.n,) if batch is None else (topology.n, batch)
     s = np.zeros(shape)
     if len(topology.lif_ids):
-        s[..., topology.lif_ids] = topology.lif_params.rest
+        s[topology.lif_ids] = columns(topology.lif_params.rest, s)
     return RolloutState(s=s, v_last=np.zeros(shape),
                         plastic=reset_plastic_state(topology, params.w0, batch),
                         t=0)
 
 
-def row_index(idx: np.ndarray, n: int, rows: int) -> np.ndarray:
-    """``idx`` into the flattened ``(rows, n)`` array: row b's copy offset by
-    ``b * n``, rows in order."""
-    return (np.arange(rows)[:, None] * n + idx).ravel()
-
-
-def cached_row_index(topology: NetworkTopology, key: str, idx: np.ndarray,
-                     rows: int) -> np.ndarray:
-    """``row_index(idx, topology.n, rows)`` as a prefix of one read-only
-    array cached on the topology under ``key`` (one ``idx`` per key), rebuilt
-    when more rows are needed: a prefix of rows is a prefix of the offsets."""
-    cached = topology.row_index_cache.get(key)
-    if cached is None or len(cached) < rows * len(idx):
-        cached = row_index(idx, topology.n, rows)
-        cached.setflags(write=False)
-        topology.row_index_cache[key] = cached
-    return cached[:rows * len(idx)]
+def scatter_index(idx: np.ndarray, cols: int) -> np.ndarray:
+    """Flat offsets that send row k of a (len(idx), cols) array to row
+    ``idx[k]`` of an (n, cols) one: ``np.bincount`` over them adds each
+    bin's terms in the order of ``idx``."""
+    return (idx[:, None] * cols + np.arange(cols)).ravel()
 
 
 def gather(topology: NetworkTopology, w: np.ndarray,
            v_last: np.ndarray) -> np.ndarray:
     """Per-neuron drive from previous-step outputs, summed in edge order
     (bitwise ``np.add.at`` into zeros)."""
-    contrib = w * v_last.take(topology.edge_src, -1)
+    contrib = v_last.take(topology.edge_src, 0)
+    contrib *= w
     if v_last.ndim == 1:
         return np.bincount(topology.edge_dst, contrib, minlength=topology.n)
-    rows, n = v_last.shape
-    at_dst = cached_row_index(topology, "edge_dst", topology.edge_dst, rows)
-    return np.bincount(at_dst, contrib.ravel(),
-                       minlength=rows * n).reshape(rows, n)
+    n, cols = v_last.shape
+    return np.bincount(scatter_index(topology.edge_dst, cols), contrib.ravel(),
+                       minlength=n * cols).reshape(n, cols)
 
 
 def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
          params: ParameterSet) -> tuple[StepResult, RolloutState]:
     """Advance the network one step. Returns (result, next state).
 
-    A batch state takes one stimulus row per episode; a non-finite value
-    raises ``NumericsError`` naming the step, the neuron and the row."""
+    A batch state takes one stimulus column per episode, ``(n_in, B)``; a
+    non-finite value raises ``NumericsError`` naming the step, the neuron
+    and the episode's column (``row``)."""
     t = state.t + 1
     x = np.asarray(x, dtype=np.float64)
-    want = state.v_last.shape[:-1] + (topology.n_inputs,)
+    want = (topology.n_inputs,) + state.v_last.shape[1:]
     if x.shape != want:
         raise ValueError(f"stimulus shape {x.shape} != {want} at t={t}")
     if not np.isfinite(x).all():
         raise _non_finite(f"non-finite stimulus at t={t}", np.isfinite(x))
 
-    # neuron-axis reads use take(), writes the transposed view: both cost
-    # about what a plain a[idx] does on one episode's (n,) arrays
     v = np.zeros(state.v_last.shape)
-    v.T[topology.input_ids] = x.T
+    v[topology.input_ids] = x
     u = gather(topology, state.plastic.weights, state.v_last)
 
     s_new = state.s.copy()
     rate = topology.rate_ids
     if len(rate):
-        out, s_rate = rate_step(u.take(rate, -1), state.s.take(rate, -1),
+        out, s_rate = rate_step(u.take(rate, 0), state.s.take(rate, 0),
                                 params)
-        v.T[rate] = out.T
-        s_new.T[rate] = s_rate.T
+        v[rate] = out
+        s_new[rate] = s_rate
     lif = topology.lif_ids
     if len(lif):
-        out, s_lif = lif_step(u.take(lif, -1), state.s.take(lif, -1),
+        out, s_lif = lif_step(u.take(lif, 0), state.s.take(lif, 0),
                               topology.lif_params)
-        v.T[lif] = out.T
-        s_new.T[lif] = s_lif.T
+        v[lif] = out
+        s_new[lif] = s_lif
 
     # rate outputs equal their new states and spikes are 0 or 1, so the
     # new states are the values to check
     finite = np.isfinite(s_new)
     if not finite.all():
         raise _non_finite(f"non-finite value at t={t}, neuron "
-                          f"{np.argwhere(~finite)[0][-1]}", finite)
+                          f"{np.argwhere(~finite.T)[0][-1]}", finite)
 
     # the rules replace the trace, never write into it: share it
     new_plastic = PlasticEdgeState(state.plastic.weights.copy(),
@@ -213,30 +203,28 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
     meta = params.meta
     heb = topology.hebbian_pos
     if len(heb):
-        e_new = hebbian_update(
-            state.plastic.weights.take(heb, -1),
-            state.v_last.take(topology.edge_src[heb], -1),
-            v.take(topology.edge_dst[heb], -1),
+        new_plastic.weights[heb] = hebbian_update(
+            state.plastic.weights.take(heb, 0),
+            state.v_last.take(topology.edge_src[heb], 0),
+            v.take(topology.edge_dst[heb], 0),
             params.learn_rate, params.retention, meta.clip_bound)
-        new_plastic.weights.T[heb] = e_new.T
     sd = topology.stdp_pos
     if len(sd):
-        e_new, new_plastic.trace = stdp_update(
-            state.plastic.weights.take(sd, -1), topology.edge_src[sd],
+        new_plastic.weights[sd], new_plastic.trace = stdp_update(
+            state.plastic.weights.take(sd, 0), topology.edge_src[sd],
             topology.edge_dst[sd], v, state.plastic.trace, meta)
-        new_plastic.weights.T[sd] = e_new.T
 
-    result = StepResult(y=v.take(topology.output_ids, -1), probe=v)
+    result = StepResult(y=v.take(topology.output_ids, 0), probe=v)
     next_state = RolloutState(s=s_new, v_last=v, plastic=new_plastic, t=t)
     return result, next_state
 
 
 def _non_finite(message: str, ok: np.ndarray) -> NumericsError:
     """The error for a failed finiteness check; a batch's names the first
-    row that failed it."""
+    episode (column) that failed it."""
     if ok.ndim < 2:
         return NumericsError(message)
-    return NumericsError(message, row=int(np.argwhere(~ok)[0][0]))
+    return NumericsError(message, row=int(np.argwhere(~ok.T)[0][0]))
 
 
 def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
@@ -248,17 +236,18 @@ def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
     ``ProbeWriter`` writes one episode's.
 
     One episode: ``xs`` is (T x n_in), the outputs (T x n_out). A batch:
-    ``state0`` holds B rows, ``xs`` is (B x T x n_in), the outputs
-    (B x T x n_out). ``lengths`` (B steps counts, non-increasing) ends row
-    b after ``lengths[b]`` steps: its later outputs stay zero, and the
-    states after step t (the final state too) hold only the rows still
-    running then.
+    ``state0`` holds B episodes (columns), ``xs`` is (B x T x n_in), the
+    outputs (B x T x n_out). ``lengths`` (B steps counts, non-increasing)
+    ends row b after ``lengths[b]`` steps: its later outputs stay zero, and
+    the states after step t (the final state too) hold only the leading
+    columns still running then.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.zeros(xs.shape[:-1] + (topology.n_outputs,))
     by_step, out, rows = xs, ys, None
     if xs.ndim == 3:
-        by_step, out = xs.swapaxes(0, 1), ys.swapaxes(0, 1)
+        # (T, channels, B) views: each step's stimuli and outputs by column
+        by_step, out = xs.transpose(1, 2, 0), ys.transpose(1, 2, 0)
         if lengths is None:
             lengths = np.full(len(xs), len(by_step))
         lengths = np.asarray(lengths)
@@ -269,8 +258,8 @@ def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
     for t in range(len(by_step)):
         x, y = by_step[t], out[t]
         if rows is not None:
-            x, y = x[:rows[t]], y[:rows[t]]
-            if rows[t] < len(state.s):
+            x, y = x[:, :rows[t]], y[:, :rows[t]]
+            if rows[t] < state.s.shape[1]:
                 state = state.rows(slice(rows[t]))
         res, state = step(state, x, topology, params)
         y[...] = res.y

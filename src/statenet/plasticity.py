@@ -1,9 +1,11 @@
 """Within-rollout modulation of edge weights from neuronal activity.
 
 The one implementation of the rules and the weight clip: ``engine.step``
-applies each rule to its own columns of the rollout's per-edge weights,
+applies each rule to its own edges of the rollout's per-edge weights,
 ``autodiff.backward`` reads the clip gate off the recorded weights (the
-clip maps every value at or beyond the bound to exactly it).
+clip maps every value at or beyond the bound to exactly it). Arrays have
+the edge (or neuron) axis first and an optional trailing episode axis,
+against which per-edge parameters broadcast as ``(k, 1)`` columns.
 
 Two rules:
 
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import columns
 from .topology import NetworkTopology
 
 
@@ -94,32 +97,33 @@ class PlasticEdgeState:
     """Mutable per-rollout edge weights and the spike trace.
 
     ``weights`` holds every edge's current weight in topology edge order:
-    a static edge's column stays at its ``w0``, a plastic edge's is the
+    a static edge's entry stays at its ``w0``, a plastic edge's is the
     one its rule updates (``topology.hebbian_pos`` / ``stdp_pos``).
     ``trace`` is per neuron: stdp reads it at an edge's source and at its
-    target, both lif cells; a non-lif neuron's column accumulates its
-    outputs but is never read. A batch has one row per episode in each
-    array.
+    target, both lif cells; a non-lif neuron's entry accumulates its
+    outputs but is never read. A batch adds a trailing episode axis to
+    each array: ``(n_edges, B)`` weights, an ``(n, B)`` trace.
     """
 
     weights: np.ndarray
     trace: np.ndarray
 
     def rows(self, rows: slice | np.ndarray) -> "PlasticEdgeState":
-        """Some episodes' rows, picked as ``RolloutState.rows`` picks them."""
-        return PlasticEdgeState(self.weights[rows], self.trace[rows])
+        """Some episodes' columns, picked as ``RolloutState.rows`` picks
+        them."""
+        return PlasticEdgeState(self.weights[:, rows], self.trace[:, rows])
 
 
 def reset_plastic_state(topology: NetworkTopology, w0: np.ndarray,
                         batch: int | None = None) -> PlasticEdgeState:
     """Episode-boundary state: every edge weight := its initial weight
     (a copy of the per-edge vector ``w0``), trace zeroed; with ``batch``,
-    one such row per episode."""
-    lead = () if batch is None else (batch,)
-    return PlasticEdgeState(
-        weights=np.tile(np.asarray(w0, dtype=np.float64), lead + (1,)),
-        trace=np.zeros(lead + (topology.n,)),
-    )
+    one such column per episode."""
+    w0 = np.asarray(w0, dtype=np.float64)
+    if batch is None:
+        return PlasticEdgeState(weights=w0.copy(), trace=np.zeros(topology.n))
+    return PlasticEdgeState(weights=np.repeat(w0[:, None], batch, axis=1),
+                            trace=np.zeros((topology.n, batch)))
 
 
 def hebbian_update(e_prev, out_pre_prev, out_post, learn_rate,
@@ -129,26 +133,31 @@ def hebbian_update(e_prev, out_pre_prev, out_post, learn_rate,
     Differentiable except exactly at the clip boundary. Returns the
     clipped weights.
     """
-    raw = retention * e_prev + learn_rate * (out_pre_prev * out_post)
-    return clip_weights(raw, clip_bound)
+    # in place: the terms are products, the sum commutes, so the values are
+    # those of retention * e_prev + learn_rate * (pre * post)
+    raw = out_pre_prev * out_post
+    raw *= columns(learn_rate, e_prev)
+    raw += retention * e_prev
+    return clip_weights(raw, clip_bound, out=raw)
 
 
 def stdp_update(e_prev, src, dst, spikes, trace, meta: PlasticityMeta):
     """Trace-based spike-timing update for one step over stdp edges.
 
     ``src``/``dst`` are the edges' endpoint neuron ids; ``spikes`` and the
-    trace carried from the previous step are per neuron (last axis, one
-    row per episode of a batch). The weight change reads the decayed trace
-    at both endpoints, the current spikes are added afterwards. Returns
-    (clipped weights, new trace).
+    trace carried from the previous step are per neuron (first axis, one
+    column per episode of a batch). The weight change reads the decayed
+    trace at both endpoints, the current spikes are added afterwards.
+    Returns (clipped weights, new trace).
     """
     decayed = meta.trace_decay * trace
-    raw = e_prev + (meta.potentiation * decayed[..., src] * spikes[..., dst]
-                    - meta.depression * decayed[..., dst] * spikes[..., src])
-    return clip_weights(raw, meta.clip_bound), decayed + spikes
+    raw = e_prev + (
+        meta.potentiation * decayed.take(src, 0) * spikes.take(dst, 0)
+        - meta.depression * decayed.take(dst, 0) * spikes.take(src, 0))
+    return clip_weights(raw, meta.clip_bound, out=raw), decayed + spikes
 
 
-def clip_weights(raw, bound: float):
+def clip_weights(raw, bound: float, out=None):
     """The weight clip to [-bound, bound] (np.clip's values, at a fraction
-    of its per-call cost)."""
-    return np.minimum(np.maximum(raw, -bound), bound)
+    of its per-call cost), written into ``out`` when given."""
+    return np.minimum(np.maximum(raw, -bound, out=out), bound, out=out)

@@ -140,8 +140,6 @@ class NetworkTopology:
         for arr in [*vars(self).values(), *vars(self.lif_params).values()]:
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
-        # engine.cached_row_index's per-row offset arrays, grown on demand
-        self.row_index_cache: dict[str, np.ndarray] = {}
 
     @property
     def n_inputs(self) -> int:

@@ -12,8 +12,9 @@ Everything is deterministic for a fixed (topology, dataset, config, seed):
 the per-epoch shuffle order derives from the seed and the epoch index, so
 resuming from a checkpoint continues the exact run.
 
-Divergence (non-finite or huge loss) aborts immediately, dumping an
-emergency checkpoint when a run directory is configured.
+Divergence (a non-finite or huge loss, or a non-finite gradient) aborts
+immediately, before the batch's update, dumping an emergency checkpoint
+when a run directory is configured.
 """
 
 from __future__ import annotations
@@ -279,10 +280,11 @@ def _lockstep(episodes: list, ids, block: int, run):
     longest first (ties in ``ids`` order), in blocks of ``block``, each
     zero-padded to its longest episode and passed to ``run(rows, xs, ys,
     mask, lengths)`` with ``rows`` its ids in row order, which returns one
-    result per row. ``mask`` is None when no episode of the block has one:
-    each row is then scored up to its length. A row's ``NumericsError`` is
-    re-raised as ``episode <id>: <message>`` with ``row = id``: the one
-    place a batch row becomes an episode."""
+    result per row. ``mask()`` pads the block's masks, so a ``run`` that
+    scores no loss pads none; it is None when no episode of the block has
+    one: each row is then scored up to its length. A row's
+    ``NumericsError`` is re-raised as ``episode <id>: <message>`` with
+    ``row = id``: the one place a batch row becomes an episode."""
     lengths = [episodes[i].length for i in ids]
     order = sorted(range(len(ids)), key=lengths.__getitem__, reverse=True)
     results = [None] * len(ids)
@@ -297,11 +299,14 @@ def _lockstep(episodes: list, ids, block: int, run):
         at = np.flatnonzero(live)
         xs = _padded(live.shape, at, [ep.x for ep in eps])
         ys = _padded(live.shape, at, [ep.y for ep in eps])
-        mask = None
-        if any(ep.mask is not None for ep in eps):
-            mask = _padded(live.shape, at, [
+
+        def mask():
+            if all(ep.mask is None for ep in eps):
+                return None
+            return _padded(live.shape, at, [
                 np.ones_like(ep.y) if ep.mask is None else ep.mask
                 for ep in eps])
+
         try:
             out = run(rows, xs, ys, mask, block_lengths)
         except NumericsError as exc:
@@ -327,7 +332,7 @@ def _padded(shape: tuple, at: np.ndarray, arrays: list) -> np.ndarray:
 def _batch_gradients(topology, params, episodes, ids, config):
     """Mean loss and gradient of the batch ``episodes[i]``, ``i`` in ``ids``."""
     def run(rows, xs, ys, mask, lengths):
-        return zip(*batch_gradients(topology, params, xs, ys, mask, lengths,
+        return zip(*batch_gradients(topology, params, xs, ys, mask(), lengths,
                                     config.loss_tag, config.k1, config.k2))
 
     total_loss = 0.0
@@ -410,11 +415,17 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
             try:
                 loss, grad = _batch_gradients(topology, params, dataset.episodes,
                                               ids, config)
-                blame = f"loss {loss}"
             except FloatingPointError as exc:
                 # parameters blew up far enough to break the forward pass
-                loss, blame = float("nan"), str(exc)
-            if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+                blame = str(exc)
+            else:
+                blame = None
+                if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+                    blame = f"loss {loss}"
+                elif not np.isfinite(grad).all():
+                    # clipping would scale it by 0 and write NaN into params
+                    blame = f"non-finite gradient (loss {loss})"
+            if blame is not None:
                 if run_dir:
                     save_checkpoint(os.path.join(run_dir, "diverged.ckpt"),
                                     params, optimizer, epoch, config, topology)
@@ -596,7 +607,7 @@ def _predict(params: ParameterSet, topology: NetworkTopology,
         outs, _ = rollout(fresh_state(topology, params, batch=len(lengths)),
                           xs, topology, params, lengths=lengths)
         losses = ([None] * len(lengths) if loss_tag is None else
-                  outputs_loss(loss_tag, outs, ys, mask, lengths).tolist())
+                  outputs_loss(loss_tag, outs, ys, mask(), lengths).tolist())
         if stages is None:
             return zip([outs[row, :n] for row, n in enumerate(lengths)], losses)
         return zip(_score_block(outs, ys, stages[rows], cut_tag), losses)
@@ -679,9 +690,10 @@ def _play_pong(params: ParameterSet, topology: NetworkTopology,
     """The network's closed-loop outcome (argmax action), without a
     baseline.
 
-    The rollouts run in lockstep, one row of a batch state each, and a
-    row is dropped once its environment is done. Each row is bitwise its
-    rollout run alone, so the result equals a rollout-by-rollout loop's.
+    The rollouts run in lockstep, one column of a batch state each, and a
+    column is dropped once its environment is done. Each column is bitwise
+    its rollout run alone, so the result equals a rollout-by-rollout
+    loop's.
     """
     check_pong_net(topology)
     if n_rollouts < 1:
@@ -691,9 +703,9 @@ def _play_pong(params: ParameterSet, topology: NetworkTopology,
     live = envs
     state = fresh_state(topology, params, batch=n_rollouts)
     while live:
-        res, state = step(state, [env.observation() for env in live],
-                          topology, params)
-        for env, action in zip(live, np.argmax(res.y, axis=-1).tolist()):
+        obs = np.array([env.observation() for env in live], dtype=np.float64)
+        res, state = step(state, obs.T, topology, params)
+        for env, action in zip(live, np.argmax(res.y, axis=0).tolist()):
             env.step(action_from_index(action))
         keep = [row for row, env in enumerate(live) if not env.done]
         if len(keep) < len(live):

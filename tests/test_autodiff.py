@@ -7,8 +7,9 @@ from statenet.autodiff import (Tape, backward, batch_gradients,
                                episode_gradients, episode_loss, fd_gradient,
                                outputs_loss, step_loss, step_loss_grad,
                                tbptt_gradients)
-from statenet.engine import fresh_state, rollout
+from statenet.engine import RolloutState, fresh_state, rollout
 from statenet.params import ParameterSet
+from statenet.plasticity import PlasticEdgeState
 from statenet.rng import Rng
 from statenet.topology import (EdgeSpec, LifParams, NetworkTopology,
                                NeuronSpec, RateParams, build_random)
@@ -369,6 +370,83 @@ def test_tbptt_conditioning_episode_both_configs_finite():
     assert rel.size == 0 or rel.max() < 1e-4
 
 
+def truncated_fd_gradient(topo, params, xs, ys, tag, k1, k2, eps=1e-5):
+    """The truncated gradient of one episode as sum_j dL_j, by central
+    differences (``fd_gradient``'s scheme). L_j is window j's fresh-step
+    loss over a rollout from the state recorded at the window's entry:
+    cell states, outputs, the trace and the plastic weights keep their
+    recorded values, except that the plastic weights are w0(theta) when
+    the window enters at step 0; static weights are w0(theta) always."""
+    T = len(xs)
+    states = [fresh_state(topo, params)]
+    rollout(states[0], xs, topo, params, states=states)
+    windows, flushed = [], 0
+    for flush in [*range(k1, T, k1), T]:
+        begin = flush - min(k2, flush)
+        fresh = np.ones((flush - begin, topo.n_outputs))
+        fresh[:flushed - begin] = 0.0       # steps an earlier window scored
+        windows.append((begin, flush, fresh))
+        flushed = flush
+
+    def loss(theta):
+        total = 0.0
+        for begin, stop, fresh in windows:
+            entry = states[begin]
+            weights = entry.plastic.weights.copy()
+            cols = topo.static_idx if begin else np.arange(topo.n_edges)
+            weights[cols] = theta.w0[cols]
+            entry = RolloutState(entry.s, entry.v_last, PlasticEdgeState(
+                weights, entry.plastic.trace), entry.t)
+            outs, _ = rollout(entry, xs[begin:stop], topo, theta)
+            total += outputs_loss(tag, outs, ys[begin:stop], fresh)
+        return total
+
+    base = params.flat
+    grad = np.zeros(len(base))
+    for i in range(len(base)):
+        bump = np.zeros(len(base))
+        bump[i] = eps
+        grad[i] = (loss(params.with_flat(base + bump))
+                   - loss(params.with_flat(base - bump))) / (2.0 * eps)
+    recorded = np.array([st.plastic.weights for st in states])
+    return grad, np.max(np.abs(recorded))
+
+
+@pytest.mark.parametrize("plastic", [False, True])
+@pytest.mark.parametrize("k1,k2", [(1, 1), (2, 3), (3, 7)])
+@pytest.mark.parametrize("lengths", [[10], [11, 9, 8]])
+def test_truncated_gradient_matches_per_window_finite_differences(
+        plastic, k1, k2, lengths):
+    # Tallec & Ollivier 2017 (arXiv:1705.08209): the truncated gradient is
+    # the sum of per-window gradients with detached entry states
+    topo = build_random(3, 0.8, seed=95, model="rate", n_inputs=2,
+                        n_outputs=1, direct_io=True,
+                        plastic_rule="hebbian" if plastic else "none")
+    params = jitter(ParameterSet.from_topology(topo), 96)
+    episodes = [random_sequence(97 + b, n, 2, 1)
+                for b, n in enumerate(lengths)]
+    xs = np.zeros((len(lengths), lengths[0], 2))
+    ys = np.zeros((len(lengths), lengths[0], 1))
+    for b, (x, y) in enumerate(episodes):
+        xs[b, :len(x)], ys[b, :len(y)] = x, y
+    if len(lengths) == 1:
+        _, g = tbptt_gradients(topo, params, xs[0], ys[0], None, "bce", k1, k2)
+        grads = [g]
+    else:
+        _, grads = batch_gradients(topo, params, xs, ys, None, lengths, "bce",
+                                   k1, k2)
+    assert bool(len(topo.plastic_idx)) == plastic
+    for g, (x, y) in zip(grads, episodes):
+        fd, reach = truncated_fd_gradient(topo, params, x, y, "bce", k1, k2)
+        assert reach < params.meta.clip_bound       # off the clip bound
+        small = np.abs(fd) < 1e-8
+        assert np.all(np.abs(g - fd)[small] < 1e-8)
+        rel = np.abs(g - fd)[~small] / np.abs(fd)[~small]
+        assert rel.size and rel.max() < 1e-4
+        full = episode_gradients(topo, params, x, y, None, "bce")[1]
+        assert np.max(np.abs(g - full)) > 1e-6     # truncation bites
+
+
 @pytest.mark.parametrize("k1,k2", [(1, 1), (2, 3), (8, 16), (None, None)])
 def test_tbptt_runs_one_forward_step_per_step(monkeypatch, k1, k2):
     # windows are slices of the one recorded trajectory: however they
@@ -468,8 +546,8 @@ def test_episode_row_independent_of_batch(net, k1, k2):
              for ep in episodes]
 
     def run(rows, xs, ys, mask, lengths):
-        return zip(*batch_gradients(topo, params, xs, ys, mask, lengths, tag,
-                                    k1, k2))
+        return zip(*batch_gradients(topo, params, xs, ys, mask(), lengths,
+                                    tag, k1, k2))
 
     rng = Rng(44)
     for size in (1, 3, 32):
@@ -572,6 +650,7 @@ def test_stacked_sweep_matches_window_by_window(net, k1, k2):
     episodes = random_episodes(45, 82, topo.n_inputs, topo.n_outputs, tag)
 
     def run(rows, xs, ys, mask, lengths):
+        mask = mask()
         _, got = batch_gradients(topo, params, xs, ys, mask, lengths, tag,
                                  k1, k2)
         want = window_by_window(topo, params, xs, ys, mask, lengths, tag,
@@ -616,7 +695,7 @@ def test_stacked_tapes_hold_at_most_64_rows(monkeypatch):
     monkeypatch.setattr(autodiff, "backward", counting_backward)
 
     def run(rows, xs, ys, mask, lengths):
-        batch_gradients(topo, params, xs, ys, mask, lengths, tag, 3, 7)
+        batch_gradients(topo, params, xs, ys, mask(), lengths, tag, 3, 7)
         return lengths
 
     for size in (12, 32, 100):

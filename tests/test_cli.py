@@ -136,6 +136,30 @@ def test_train_resume_continues_epochs(runner, tmp_path):
     assert result.exit_code == 0, result.output
 
 
+def test_train_non_finite_gradient_exits_4(runner, tmp_path, monkeypatch):
+    # a finite loss with one inf gradient entry, as in every batch
+    from statenet import training
+    real = training._batch_gradients
+
+    def bad(*args):
+        loss, grad = real(*args)
+        grad[3] = np.inf
+        return loss, grad
+
+    monkeypatch.setattr(training, "_batch_gradients", bad)
+    topo_path, data_path = _make_training_inputs(runner, tmp_path)
+    run_dir = str(tmp_path / "run")
+    result = runner.invoke(main, ["train", "--topology", topo_path,
+                                  "--dataset", data_path, "--out-dir", run_dir,
+                                  "--epochs", "1", "--batch", "3"])
+    assert result.exit_code == 4
+    line, = result.output.splitlines()
+    assert line.startswith("error: non-finite gradient (loss ")
+    assert line.endswith(") at epoch 1, batch 0")
+    assert os.path.exists(os.path.join(run_dir, "diverged.ckpt"))
+    assert not os.path.exists(os.path.join(run_dir, "final.ckpt"))
+
+
 def test_train_dimension_mismatch_exits_2(runner, tmp_path):
     topo_path = str(tmp_path / "net.json")
     data_path = str(tmp_path / "train.jsonl")

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from statenet.dynamics import NumericsError
-from statenet.engine import (ProbeWriter, cached_row_index, fresh_state,
-                             reference_rollout, rollout, row_index, step)
+from statenet.engine import (ProbeWriter, fresh_state, gather,
+                             reference_rollout, rollout, step)
 from statenet.params import ParameterSet
 from statenet.rng import Rng, derive_seed
 from statenet.topology import (EdgeSpec, LifParams, NetworkTopology,
@@ -249,9 +249,9 @@ def test_mixed_rate_and_stdp_net_matches_oracle_and_runs_rows_alone():
         alone, end = rollout(fresh_state(topo, params), xs[b, :n], topo, params)
         assert np.array_equal(ys[b, :n], alone) and not ys[b, n:].any()
         last = states[n - 1]
-        assert np.array_equal(last.plastic.weights[b], end.plastic.weights)
-        assert np.array_equal(last.plastic.trace[b], end.plastic.trace)
-        assert np.array_equal(last.v_last[b], end.v_last)
+        assert np.array_equal(last.plastic.weights[:, b], end.plastic.weights)
+        assert np.array_equal(last.plastic.trace[:, b], end.plastic.trace)
+        assert np.array_equal(last.v_last[:, b], end.v_last)
         if b % 4 == 0:
             slow = np.array(reference_rollout(fresh_state(topo, params),
                                               xs[b, :n], topo, params))
@@ -259,10 +259,10 @@ def test_mixed_rate_and_stdp_net_matches_oracle_and_runs_rows_alone():
             assert np.max(np.abs(alone[:, rate_out] - slow[:, rate_out])) \
                 <= 1e-12
     end = states[lengths[-1] - 1]
-    assert end.plastic.trace[:, topo.rate_ids].any()
+    assert end.plastic.trace[topo.rate_ids].any()
     assert ys[:, :, lif_out].any()
-    moved = end.plastic.weights[:, topo.stdp_pos]
-    assert np.any(moved != params.w0[topo.stdp_pos])
+    moved = end.plastic.weights[topo.stdp_pos]
+    assert np.any(moved.T != params.w0[topo.stdp_pos])
 
 
 def test_dimension_mismatch_raises():
@@ -293,9 +293,34 @@ def test_non_finite_lif_value_names_step_neuron_and_row():
     assert exc.value.row is None
     # a batch names the first row whose plastic weight holds the NaN
     state = fresh_state(topo, params, batch=3)
-    state.plastic.weights[0] = 0.5
+    state.plastic.weights[:, 0] = 0.5
     with pytest.raises(NumericsError, match=message) as exc:
-        step(state, np.zeros((3, 1)), topo, params)
+        step(state, np.zeros((1, 3)), topo, params)
+    assert exc.value.row == 1
+
+
+def test_two_rows_non_finite_at_one_step_name_the_first_row():
+    # rows 1 and 2 both overflow to -inf at step 2: row 1 at neurons 3 and
+    # 4, row 2 at neuron 2; the first row in row order is named, with its
+    # lowest neuron, although row 2's neuron is the lowest overall
+    neurons = [NeuronSpec(i, role, "lif", LifParams()) for i, role in
+               enumerate(("input", "input", "hidden", "hidden", "output"))]
+    topo = NetworkTopology(neurons, [
+        EdgeSpec(0, 3, -2.0), EdgeSpec(0, 4, -2.0), EdgeSpec(1, 2, -2.0),
+        EdgeSpec(2, 4, 0.5), EdgeSpec(3, 4, 0.5)])
+    params = ParameterSet.from_topology(topo)
+    xs = np.zeros((3, 2, 2))
+    xs[1, :, 0] = 1.7e308
+    xs[2, :, 1] = 1.7e308
+    message = r"^non-finite value at t=2, neuron 3$"
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericsError, match=message) as exc:
+        rollout(fresh_state(topo, params, batch=3), xs, topo, params)
+    assert exc.value.row == 1
+    # alone, row 2 fails at its own neuron
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericsError, match=r"neuron 2$") as exc:
+        rollout(fresh_state(topo, params, batch=2), xs[[0, 2]], topo, params)
     assert exc.value.row == 1
 
 
@@ -315,27 +340,32 @@ def test_static_weight_columns_stay_at_w0(rule, lengths):
             lengths=lengths)
     assert len(topo.static_idx) and len(topo.plastic_idx)
     for state in states:
-        static = state.plastic.weights[..., topo.static_idx]
+        # an episode's (edges,) weights or a batch's (edges, B)
+        static = state.plastic.weights[topo.static_idx].T
         assert np.array_equal(static, np.broadcast_to(
             params.w0[topo.static_idx], static.shape))
-    moved = states[-1].plastic.weights[..., topo.plastic_idx]
+    moved = states[-1].plastic.weights[topo.plastic_idx].T
     assert np.any(moved != params.w0[topo.plastic_idx])
 
 
-def test_cached_row_index_is_a_prefix_of_row_index():
-    # two topologies in turn, the cache growing with every row count, then
-    # every smaller count read back from the grown array
-    topos = [build_random(3, 0.8, seed=1, model="rate", n_inputs=2,
-                          n_outputs=1, plastic_rule="hebbian"),
-             build_random(5, 0.5, seed=2, model="lif", n_inputs=3,
-                          n_outputs=2, plastic_rule="stdp")]
-    for rows in [*range(1, 201), *range(200, 0, -7)]:
-        for topo in topos:
-            got = cached_row_index(topo, "edge_dst", topo.edge_dst, rows)
-            assert np.array_equal(got, row_index(topo.edge_dst, topo.n, rows))
-            assert not got.flags.writeable
-    for topo in topos:
-        assert len(topo.row_index_cache["edge_dst"]) == 200 * topo.n_edges
+def test_batch_gather_is_each_episode_alone_bitwise():
+    # one bincount over (edges, B) terms adds each neuron's terms of each
+    # episode in edge order: bitwise the episode's own gather, sign of zero
+    # included
+    topo = build_random(5, 0.6, seed=8, model="rate", n_inputs=2,
+                        n_outputs=2, plastic_rule="hebbian")
+    rng = np.random.default_rng(9)
+    for B in (1, 7, 64):
+        w = rng.normal(size=(topo.n_edges, B))
+        v = rng.normal(size=(topo.n, B))
+        v[:, 0] = -0.0                  # every term of episode 0 is +-0
+        batch = gather(topo, w, v)
+        assert batch.shape == (topo.n, B)
+        for b in range(B):
+            alone = np.zeros(topo.n)
+            np.add.at(alone, topo.edge_dst, w[:, b] * v[topo.edge_src, b])
+            assert batch[:, b].tobytes() == alone.tobytes()
+            assert gather(topo, w[:, b], v[:, b]).tobytes() == alone.tobytes()
 
 
 def test_probe_dump(tmp_path):

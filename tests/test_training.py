@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -265,6 +266,38 @@ def test_divergence_guard_aborts_with_checkpoint(tmp_path):
     with pytest.raises(DivergenceError):
         train(topo, ds, cfg, run_dir=run_dir)
     assert os.path.exists(os.path.join(run_dir, "diverged.ckpt"))
+
+
+def inf_gradient(monkeypatch):
+    """Make every batch's gradient hold one inf entry, its loss finite."""
+    from statenet import training
+    real = training._batch_gradients
+
+    def bad(*args):
+        loss, grad = real(*args)
+        grad[3] = np.inf
+        return loss, grad
+
+    monkeypatch.setattr(training, "_batch_gradients", bad)
+
+
+def test_non_finite_gradient_is_divergence(monkeypatch, tmp_path):
+    # global-norm clipping scales an inf gradient by bound / inf = 0, and
+    # inf * 0 is NaN: the update must never be applied
+    topo, params, config = pavlov_recipe()
+    ds = gen_pavlov(PavlovConfig(episodes=40, seed=1, split="train"))
+    inf_gradient(monkeypatch)
+    run_dir = str(tmp_path / "run")
+    before = params.flat.copy()
+    with pytest.raises(DivergenceError, match=(
+            r"^non-finite gradient \(loss [0-9.]+\) at epoch 1, batch 0$")):
+        train(topo, ds, dataclasses.replace(config, epochs=1), run_dir=run_dir,
+              params=params)
+    assert np.array_equal(params.flat, before)
+    assert not os.path.exists(os.path.join(run_dir, "final.ckpt"))
+    saved, _, _ = load_checkpoint(os.path.join(run_dir, "diverged.ckpt"), topo,
+                                  dataclasses.replace(config, epochs=1))
+    assert np.array_equal(saved.flat, before)
 
 
 def test_dimension_mismatch_rejected():

@@ -6,8 +6,11 @@ data sets in a temporary directory, with a checkpoint every epoch, and
 prints one line per run: the sha256 of its ``metrics.csv`` without the
 ``wall_time`` column, then of each checkpoint, and for a run with a
 held-out set the sha256 of the held-out breakdown rows that
-``eval_pavlov_acquisition`` gives for the trained parameters. A change
-that must keep the program's results bitwise leaves every line unchanged.
+``eval_pavlov_acquisition`` gives for the trained parameters; for a pong
+run, the sha256 of the JSON of ``eval_pong_closed_loop`` over 20 rollouts
+of the trained parameters (hit rate, mean length, approaches and random
+baseline). A change that must keep the program's results bitwise leaves
+every line unchanged.
 The ``pong-3-7`` run trains the pong recipe with k1=3, k2=7 in batches
 of 12: each step lies in three windows, and the sweeps stack windows
 across ragged row ends.
@@ -38,19 +41,20 @@ import workloads  # noqa: E402
 
 
 def _runs():
-    """(name, recipe, training set, held-out set)."""
+    """(name, recipe, training set, held-out set, pong environment)."""
     pavlov = (datasets.gen_pavlov(datasets.PavlovConfig(
                   episodes=96, seed=1, split="train")),
               datasets.gen_pavlov(datasets.PavlovConfig(
-                  episodes=160, seed=2, split="heldout")))
-    pong = datasets.gen_pong(datasets.PongDataConfig(
-        episodes=32, seed=3, env=PongConfig(max_steps=60)))
+                  episodes=160, seed=2, split="heldout")), None)
+    env = PongConfig(max_steps=60)
+    pong = (datasets.gen_pong(datasets.PongDataConfig(
+        episodes=32, seed=3, env=env)), None, env)
     topo, params, config = training.pong_recipe()
     short_windows = dataclasses.replace(config, k1=3, k2=7, batch_size=12)
     return [("pavlov", training.pavlov_recipe(), *pavlov),
-            ("pong", training.pong_recipe(), pong, None),
+            ("pong", training.pong_recipe(), *pong),
             ("lif-stdp", workloads.lif_stdp_recipe(), *pavlov),
-            ("pong-3-7", (topo, params, short_windows), pong, None)]
+            ("pong-3-7", (topo, params, short_windows), *pong)]
 
 
 def _sha256(data: bytes) -> str:
@@ -59,10 +63,11 @@ def _sha256(data: bytes) -> str:
 
 def digest_lines() -> list[str]:
     """One line per run: ``<name> metrics.csv=<sha> <ckpt>=<sha> ...``,
-    then ``acquisition=<sha>`` for a run with a held-out set."""
+    then ``acquisition=<sha>`` for a run with a held-out set and
+    ``closed-loop=<sha>`` for a pong run."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (topo, params, config), train_set, eval_set in _runs():
+        for name, (topo, params, config), train_set, eval_set, env in _runs():
             run_dir = os.path.join(tmp, name)
             config = dataclasses.replace(config, epochs=2, checkpoint_stride=1,
                                          eval_rollouts=8)
@@ -81,6 +86,11 @@ def digest_lines() -> list[str]:
                     trained, topo, eval_set, config.loss_tag)
                 fields.append("acquisition="
                               + _sha256(json.dumps(rows).encode()))
+            if env is not None:
+                outcome = training.eval_pong_closed_loop(
+                    trained, topo, env, 20, config.seed)
+                fields.append("closed-loop="
+                              + _sha256(json.dumps(outcome).encode()))
             lines.append(" ".join([name, *fields]))
     return lines
 
