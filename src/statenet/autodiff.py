@@ -20,19 +20,19 @@ one episode is the batch of one. Window j covers, for row b of T_b
 steps, the steps (start_bj, end_bj] with end_bj = min(j * k1, T_b) and
 start_bj = end_bj - min(k2, end_bj) (k1 = k2 = T for the full window); a
 row is swept only inside its own interval. ``batch_gradients`` runs a
-batch forward up to each flush point and queues that window. Windows are
-independent given the recorded states, each starting from a zero adjoint,
-so the queue is swept as the rows of one stacked tape in window-local
-time, up to ``engine.LOCKSTEP_ROWS`` rows; a window alone, of any size,
-is swept on a slice of the recorded states, with no copy. Only the states
-a queued or later window reads are kept. Each row's reductions run over
-C-contiguous copies of its values (numpy sums other layouts in another
-order) and its scatters (``np.add.at``, or ``np.bincount`` into zeros)
-run over flat offsets ``idx * rows + column``, which add each bin's terms
-in edge order, so a row's loss and gradient are bitwise those of its
-episode run alone, whatever it is stacked with. The sweep keeps the
-adjoints and gradient sums of the rows it sweeps at a step in one
-contiguous block, so its updates never run over strided columns.
+batch forward up to each flush point and queues that window as a tape
+over its slice of the recorded states. Windows are independent given
+those states, each starting from a zero adjoint, so the queued tapes are
+swept as the rows of one stacked tape in window-local time, up to
+``LOCKSTEP_ROWS`` rows; a tape alone, of any size, is swept as it is,
+with no copy. Each row's reductions run over C-contiguous copies of its
+values (numpy sums other layouts in another order) and its scatters
+(``np.add.at``, or ``np.bincount`` into zeros) run over flat offsets
+``idx * rows + column``, which add each bin's terms in edge order, so a
+row's loss and gradient are bitwise those of its episode run alone,
+whatever it is stacked with. The sweep keeps the adjoints and gradient
+sums of the rows it sweeps at a step in one contiguous block, so its
+updates never run over strided columns.
 
 Differentiation conventions (they define what "the gradient" means here):
 
@@ -56,13 +56,11 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import NumericsError, lif_membrane_pre, lif_surrogate_grad
-from .engine import (LOCKSTEP_ROWS, RolloutState, fresh_state, gather,
-                     rollout, scatter_index)
+from .engine import RolloutState, fresh_state, gather, rollout, scatter_index
 from .params import ParameterSet
 from .plasticity import PlasticEdgeState
 from .topology import NetworkTopology
@@ -145,9 +143,7 @@ class Tape:
     of each window output; ``spans`` (two non-increasing arrays, one entry
     per row) limits row b's sweep to the window steps (start[b], end[b]].
     ``episode_start`` flags the rows whose span starts at their episode's
-    step 0; by default, those with span start 0 on a tape that enters at
-    ``t == 0``. A stacked tape (several windows' rows in window-local time)
-    sets it, since its states hold no one step.
+    step 0, the rows whose sweep owes ``w0`` the plastic weights' adjoint.
     """
 
     topology: NetworkTopology
@@ -155,11 +151,7 @@ class Tape:
     states: list[RolloutState]
     gy: np.ndarray
     spans: tuple[np.ndarray, np.ndarray]
-    episode_start: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.episode_start is None:
-            self.episode_start = (self.spans[0] == 0) & (self.states[0].t == 0)
+    episode_start: np.ndarray
 
     def __len__(self) -> int:
         """The steps a backward sweep covers, summed over rows."""
@@ -387,6 +379,12 @@ def tbptt_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
     return losses[0], grads[0]
 
 
+# window rows a stacked sweep may hold. The states it keeps and copies grow
+# with its rows: a cap of 128 raised a pong-recipe epoch's peak RSS by about
+# 5 MB and made it no faster (README, "Lockstep batches")
+LOCKSTEP_ROWS = 64
+
+
 def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
                     mask, lengths, loss_tag: str, k1: int | None = None,
                     k2: int | None = None) -> tuple[list[float], np.ndarray]:
@@ -400,10 +398,11 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
     bitwise the result of ``tbptt_gradients`` on episode b alone; it sums
     the rows of each window's sweep in window order.
 
-    Each window is queued after its forward pass; the queue is swept as one
-    stacked tape (``_sweep``) when the next window would take it past
-    ``engine.LOCKSTEP_ROWS`` rows, and after the last flush. Only the states
-    that a queued or later window reads are kept.
+    Each window is queued after its forward pass as a ``Tape`` over its
+    slice of the recorded states; the queue is swept (``_sweep``) when the
+    next window would take it past ``LOCKSTEP_ROWS`` rows, and after the
+    last flush. Beyond the queued tapes' own, only the states that a later
+    window reads are kept.
     """
     xs, ys = _window(xs, ys)
     B, T = xs.shape[:2]
@@ -424,7 +423,7 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
     state = fresh_state(topology, params, batch=B)
     kept = [state]           # the states after steps kept_from, kept_from + 1, ...
     kept_from = 0
-    queue: list[_Window] = []
+    queue: list[Tape] = []
     flushed = 0
     for flush in [*range(k1, T, k1), T]:
         outs[:, flushed:flush], state = rollout(
@@ -438,21 +437,24 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
             win_mask = mask[:rows, t0:top].copy()
             # steps already flushed carry no fresh loss
             win_mask[:, :flushed - t0] = 0.0
-            queue.append(_Window(t0, begin - t0, stop - t0, step_loss_grad(
-                loss_tag, outs[:rows, t0:top], ys[:rows, t0:top], win_mask)))
+            queue.append(Tape(
+                topology, params, kept[t0 - kept_from:top - kept_from + 1],
+                step_loss_grad(loss_tag, outs[:rows, t0:top],
+                               ys[:rows, t0:top], win_mask),
+                (begin - t0, stop - t0), episode_start=(begin == 0)))
         flushed = flush
-        queued = sum(len(w.end) for w in queue)
+        queued = sum(len(tape.gy) for tape in queue)
         if queued + np.count_nonzero(lengths > flush) > LOCKSTEP_ROWS:
-            _sweep(topology, params, queue, kept, kept_from, grads)
+            _sweep(queue, grads)
             queue = []
-        # the queue reads no state from before its first window's entry,
-        # later windows none from before step flush + 1 - k2
-        drop = (queue[0].t0 if queue else flush + 1 - k2) - kept_from
+        # queued tapes hold their own states; later windows read none from
+        # before step flush + 1 - k2
+        drop = flush + 1 - k2 - kept_from
         if drop > 0:
             del kept[:drop]
             kept_from += drop
     if queue:
-        _sweep(topology, params, queue, kept, kept_from, grads)
+        _sweep(queue, grads)
     losses = outputs_loss(loss_tag, outs, ys, mask)
     bad = np.flatnonzero(~np.isfinite(losses))
     if len(bad):
@@ -461,63 +463,43 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
     return losses.tolist(), grads
 
 
-class _Window(NamedTuple):
-    """A forward-run window of a batch's first ``len(end)`` rows, waiting
-    for its sweep: it enters at step ``t0``; row b's span is the window
-    steps (start[b], end[b]]; ``gy`` is its loss gradient."""
-
-    t0: int
-    start: np.ndarray
-    end: np.ndarray
-    gy: np.ndarray
-
-
-def _sweep(topology: NetworkTopology, params: ParameterSet,
-           windows: list[_Window], kept: list, kept_from: int,
-           grads: np.ndarray) -> None:
-    """Sweep queued windows in one ``backward`` call and add each window's
-    gradient rows into ``grads`` in window order. ``kept[i]`` is the
-    recorded state after step ``kept_from + i``. A window alone is swept on
-    a slice of the kept states; several are stacked by ``_stacked_tape``."""
-    if len(windows) == 1:
-        (t0, start, end, gy), = windows
-        at = t0 - kept_from
-        grads[:len(end)] += backward(Tape(
-            topology, params, kept[at:at + gy.shape[1] + 1], gy, (start, end)))
+def _sweep(tapes: list[Tape], grads: np.ndarray) -> None:
+    """Sweep queued tapes in one ``backward`` call and add each tape's
+    gradient rows into the leading rows of ``grads`` in queue order. A tape
+    alone is swept as it is; several are stacked by ``_stacked_tape``."""
+    if len(tapes) == 1:
+        grads[:len(tapes[0].gy)] += backward(tapes[0])
         return
-    tape, rows = _stacked_tape(topology, params, windows, kept, kept_from)
-    g = backward(tape)
-    for w, at in zip(windows, rows):
-        grads[:len(w.end)] += g[at]
+    stacked, rows = _stacked_tape(tapes)
+    g = backward(stacked)
+    for tape, at in zip(tapes, rows):
+        grads[:len(tape.gy)] += g[at]
 
 
-def _stacked_tape(topology: NetworkTopology, params: ParameterSet,
-                  windows: list[_Window], kept: list, kept_from: int
-                  ) -> tuple[Tape, list[np.ndarray]]:
-    """One tape over the rows of several windows in window-local time (step
-    i of a window is step t0 + i), rows sorted by span end, then span
-    start, both descending; a span of at most k2 steps starts at
-    max(0, end - k2), so the two stay non-increasing together. Each state
-    copies from the kept states only what the sweep reads of the rows live
-    at its step: outputs, cell states and weights. Also returns each
-    window's rows of the tape, in its row order."""
-    start = np.concatenate([w.start for w in windows])
-    end = np.concatenate([w.end for w in windows])
+def _stacked_tape(tapes: list[Tape]) -> tuple[Tape, list[np.ndarray]]:
+    """One tape over the rows of several in their local time, rows sorted
+    by span end, then span start, both descending; a span of at most k2
+    steps starts at max(0, end - k2), so the two stay non-increasing
+    together. Each state copies from the tapes' states only what the sweep
+    reads of the rows live at its step: outputs, cell states and weights.
+    Also returns each tape's rows of the stacked one, in its row order."""
+    start = np.concatenate([tape.spans[0] for tape in tapes])
+    end = np.concatenate([tape.spans[1] for tape in tapes])
     order = np.lexsort((-start, -end))
-    sizes = [len(w.end) for w in windows]
+    sizes = [len(tape.gy) for tape in tapes]
     where = np.empty(len(order), dtype=np.intp)
     where[order] = np.arange(len(order))
     rows = np.split(where, np.cumsum(sizes)[:-1])
-    K = max(w.gy.shape[1] for w in windows)
+    K = max(tape.gy.shape[1] for tape in tapes)
     steps = np.arange(K + 1)
-    # the rows live at local step i: a prefix of the tape, and of each window
+    # the rows live at local step i: a prefix of the stack, and of each tape
     live = np.count_nonzero(end[:, None] >= steps, axis=0).tolist()
-    # the tape as runs (window, its first row, rows) of consecutive rows
-    window_of = np.repeat(np.arange(len(windows)), sizes)[order]
+    # the stack as runs (tape, its first row, rows) of consecutive rows
+    tape_of = np.repeat(np.arange(len(tapes)), sizes)[order]
     row_of = np.concatenate([np.arange(n) for n in sizes])[order]
-    first = np.flatnonzero((np.diff(window_of, prepend=-1) != 0)
+    first = np.flatnonzero((np.diff(tape_of, prepend=-1) != 0)
                            | (np.diff(row_of, prepend=-1) != 1))
-    runs = list(zip(window_of[first].tolist(), row_of[first].tolist(),
+    runs = list(zip(tape_of[first].tolist(), row_of[first].tolist(),
                     np.diff(first, append=len(order)).tolist()))
     states = []
     for i in steps:
@@ -527,18 +509,17 @@ def _stacked_tape(topology: NetworkTopology, params: ParameterSet,
                 break
             n = min(n, left)
             left -= n
-            st = kept[windows[w].t0 + i - kept_from]
+            st = tapes[w].states[i]
             parts.append((st.s[:, r:r + n], st.v_last[:, r:r + n],
                           st.plastic.weights[:, r:r + n]))
         s, v, weights = (np.concatenate(field, axis=1)
                          for field in zip(*parts))
         states.append(RolloutState(s, v, PlasticEdgeState(weights, None), int(i)))
-    gy = np.concatenate([np.pad(w.gy, ((0, 0), (0, K - w.gy.shape[1]), (0, 0)))
-                         for w in windows])
-    entry = np.concatenate([(w.start == 0) & (w.t0 == 0) for w in windows])
-    tape = Tape(topology, params, states, gy[order], (start[order], end[order]),
-                episode_start=entry[order])
-    return tape, rows
+    gy = np.concatenate([np.pad(t.gy, ((0, 0), (0, K - t.gy.shape[1]), (0, 0)))
+                         for t in tapes])
+    entry = np.concatenate([tape.episode_start for tape in tapes])
+    return Tape(tapes[0].topology, tapes[0].params, states, gy[order],
+                (start[order], end[order]), episode_start=entry[order]), rows
 
 
 def fd_gradient(topology: NetworkTopology, params: ParameterSet, xs, ys, mask,

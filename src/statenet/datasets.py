@@ -271,8 +271,10 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 def load_dataset(path: str) -> Dataset:
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        # only "\n" ends a line: str.splitlines() also splits on U+2028,
+        # U+2029 and U+0085, which JSON strings may hold unescaped
+        lines = fh.read().split("\n")
+    if lines == [""]:
         raise DatasetError("empty dataset file")
     with malformed(DatasetError, "line 1: malformed manifest"):
         manifest = json.loads(lines[0])

@@ -58,11 +58,6 @@ from .plasticity import (PlasticEdgeState, hebbian_update, reset_plastic_state,
                          stdp_update)
 from .topology import NetworkTopology
 
-# window rows a stacked sweep may hold. The states it keeps and copies grow
-# with its rows: a cap of 128 raised a pong-recipe epoch's peak RSS by about
-# 5 MB and made it no faster (README, "Lockstep batches")
-LOCKSTEP_ROWS = 64
-
 
 @dataclass
 class RolloutState:

@@ -81,7 +81,8 @@ class TrainConfig:
     checkpoint_stride: int = 0       # 0: only final checkpoint
     task: str | None = None          # one of TASKS | None (eval metric)
     eval_rollouts: int = 50
-    workers: int = 1                 # always 1; kept for config_hash
+    # always 1; it stays while perfbench/workloads.py passes workers=1
+    workers: int = 1
 
     def validate(self) -> None:
         for name, value in asdict(self).items():

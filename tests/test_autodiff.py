@@ -184,8 +184,10 @@ def test_sweep_folds_the_entry_adjoint_only_at_the_episode_start():
     w0_static = params.registry["w0"].start + topo.static_idx
 
     def sweep(first, starts):
+        starts = np.array(starts)
         return backward(Tape(topo, params, states[first:first + 5], gy,
-                             (np.array(starts), np.array([4, 4]))))
+                             (starts, np.array([4, 4])),
+                             episode_start=(starts == 0) & (first == 0)))
 
     late = sweep(2, [0, 0])
     assert np.all(late[:, w0_plastic] == 0.0) and np.any(late != 0.0)
@@ -633,7 +635,8 @@ def window_by_window(topo, params, xs, ys, mask, lengths, tag, k1, k2):
                                 fresh)
             grads[:rows] += backward(Tape(topo, params,
                                           states[t0:flush + 1], gy,
-                                          (begin - t0, stop - t0)))
+                                          (begin - t0, stop - t0),
+                                          episode_start=(begin == 0)))
         flushed = flush
     return grads
 
@@ -670,10 +673,10 @@ def test_stacked_sweep_matches_window_by_window(net, k1, k2):
 
 
 def test_stacked_tapes_hold_at_most_64_rows(monkeypatch):
-    # a sweep stacks windows up to engine.LOCKSTEP_ROWS rows; only a window
+    # a sweep stacks windows up to autodiff.LOCKSTEP_ROWS rows; only a window
     # alone may hold more; stacking changes no swept step
     from statenet import autodiff
-    from statenet.engine import LOCKSTEP_ROWS
+    from statenet.autodiff import LOCKSTEP_ROWS
     from statenet.training import _lockstep
     assert LOCKSTEP_ROWS == 64
     kwargs, tag = BATCH_NETS["rate-hebbian-bce"]
@@ -683,9 +686,9 @@ def test_stacked_tapes_hold_at_most_64_rows(monkeypatch):
     windows, tapes = [], []
     sweep, backward_ = autodiff._sweep, autodiff.backward
 
-    def counting_sweep(topology, params, queue, *args):
+    def counting_sweep(queue, grads):
         windows.append(len(queue))
-        return sweep(topology, params, queue, *args)
+        return sweep(queue, grads)
 
     def counting_backward(tape):
         tapes.append((len(tape.gy), len(tape)))
@@ -708,3 +711,55 @@ def test_stacked_tapes_hold_at_most_64_rows(monkeypatch):
     per_pass = sum(min(7, end) for ep in episodes
                    for end in [*range(3, ep.length, 3), ep.length])
     assert sum(swept for _, swept in tapes) == 3 * per_pass
+
+
+def test_a_lone_tape_sweeps_the_recorded_states(monkeypatch):
+    # a full-window batch queues one tape, swept as it is on the very states
+    # the rollout recorded; a stacked tape copies what its sweep reads into
+    # new states that carry no spike trace
+    from statenet import autodiff
+    from statenet.training import _lockstep
+    kwargs, tag = BATCH_NETS["lif-stdp-mse"]
+    topo = build_random(8, 0.5, seed=41, direct_io=True, **kwargs)
+    params = ParameterSet.from_topology(topo)
+    episodes = random_episodes(47, 12, topo.n_inputs, topo.n_outputs, tag)
+    recorded, swept, stacked = [], [], []
+    rollout_, backward_ = autodiff.rollout, autodiff.backward
+    stack = autodiff._stacked_tape
+
+    def recording_rollout(*args, states, **kwargs):
+        out = rollout_(*args, states=states, **kwargs)
+        recorded.append(list(states))
+        return out
+
+    def recording_backward(tape):
+        swept.append(tape)
+        return backward_(tape)
+
+    def recording_stack(tapes):
+        tape, rows = stack(tapes)
+        stacked.append(tape)
+        return tape, rows
+
+    monkeypatch.setattr(autodiff, "rollout", recording_rollout)
+    monkeypatch.setattr(autodiff, "backward", recording_backward)
+    monkeypatch.setattr(autodiff, "_stacked_tape", recording_stack)
+
+    def run(k1, k2):
+        def batch(rows, xs, ys, mask, lengths):
+            batch_gradients(topo, params, xs, ys, mask(), lengths, tag, k1, k2)
+            return lengths
+        for seen in (recorded, swept, stacked):
+            seen.clear()
+        _lockstep(episodes, range(12), 12, batch)
+
+    run(None, None)
+    (trajectory,), (tape,) = recorded, swept
+    assert not stacked and len(tape.states) == len(trajectory) > 2
+    assert all(a is b for a, b in zip(tape.states, trajectory))
+    run(3, 7)
+    (tape,), (stacked_tape,) = swept, stacked
+    assert tape is stacked_tape and len(recorded) > 1
+    ids = {id(st) for states in recorded for st in states}
+    assert all(id(st) not in ids and st.plastic.trace is None
+               for st in tape.states)

@@ -264,6 +264,27 @@ def test_manifest_count_mismatch(tmp_path):
         load_dataset(path)
 
 
+def test_line_separators_inside_json_strings_load(tmp_path):
+    # JSON strings may hold U+2028, U+2029 and U+0085 unescaped: only "\n"
+    # ends a record; a CRLF file, blank lines included, loads the same
+    ds = gen_pavlov(PavlovConfig(episodes=3, seed=1))
+    ds.episodes[1].meta["note"] = "a\u2028b\u2029c\x85d"
+    path = tmp_path / "eps.jsonl"
+    save_dataset(ds, str(path))
+    text = "\n".join(json.dumps(json.loads(ln), ensure_ascii=False) if ln
+                     else ln for ln in path.read_text("utf-8").split("\n"))
+    assert "\u2028" in text
+    path.write_text(text, "utf-8")
+    back = load_dataset(str(path))
+    assert [ep.meta for ep in back.episodes] == [ep.meta for ep in ds.episodes]
+    lines = text.split("\n")
+    path.write_bytes("\r\n".join([lines[0], "", *lines[1:]]).encode())
+    again = load_dataset(str(path))
+    assert again.manifest == back.manifest
+    for ea, eb in zip(back.episodes, again.episodes):
+        assert np.array_equal(ea.x, eb.x) and ea.meta == eb.meta
+
+
 def test_unknown_episode_keys_rejected(tmp_path):
     path = str(tmp_path / "eps.jsonl")
     manifest = {"format": "snn-episodes/1", "generator": "x", "seed": 0,
