@@ -62,7 +62,7 @@ import numpy as np
 from .dynamics import NumericsError, lif_membrane_pre, lif_surrogate_grad
 from .engine import RolloutState, fresh_state, gather, rollout, scatter_index
 from .params import ParameterSet
-from .plasticity import PlasticEdgeState
+from .plasticity import CLIP_BOUND, PlasticEdgeState
 from .topology import NetworkTopology
 
 
@@ -170,17 +170,15 @@ def _window(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _norm_mask(mask, shape: tuple, lengths=None) -> np.ndarray:
-    """``mask`` as an array of ``shape``; ``None`` scores every step, or
-    with ``lengths`` (a batch's) every step up to each row's length."""
-    if mask is None:
-        if lengths is None:
-            return np.ones(shape)
-        live = np.arange(shape[1]) < np.asarray(lengths)[:, None]
-        return np.broadcast_to(live[..., None], shape).astype(np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
+    """``mask`` as an array of ``shape``, ``None`` scoring every step; with
+    ``lengths`` (a batch's), zero past each row's length."""
+    mask = np.ones(shape) if mask is None else np.asarray(mask, np.float64)
     if mask.shape != shape:
         raise ValueError(f"mask shape {mask.shape} != {shape}")
-    return mask
+    if lengths is None:
+        return mask
+    live = np.arange(shape[1]) < np.asarray(lengths)[:, None]
+    return mask * live[..., None]
 
 
 def outputs_loss(loss_tag: str, outs: np.ndarray, ys, mask, lengths=None):
@@ -230,7 +228,7 @@ def backward(tape: Tape) -> np.ndarray:
     sig_prime = retention * (1.0 - retention)
     # straight-through clip: a recorded weight strictly inside the bound is
     # one the clip passed unchanged; static weights are never clipped
-    bound = np.full((E, 1), params.meta.clip_bound)
+    bound = np.full((E, 1), CLIP_BOUND)
     bound[static] = np.inf
     # ge carries back through each edge's rule: a hebbian weight decays by
     # the retention; an stdp increment is non-differentiable and a static

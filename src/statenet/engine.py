@@ -54,7 +54,8 @@ import numpy as np
 
 from .dynamics import NumericsError, columns, lif_step, rate_step
 from .params import ParameterSet
-from .plasticity import (PlasticEdgeState, hebbian_update, reset_plastic_state,
+from .plasticity import (CLIP_BOUND, DEPRESSION, POTENTIATION, TRACE_DECAY,
+                         PlasticEdgeState, hebbian_update, reset_plastic_state,
                          stdp_update)
 from .topology import NetworkTopology
 
@@ -195,19 +196,18 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
     # the rules replace the trace, never write into it: share it
     new_plastic = PlasticEdgeState(state.plastic.weights.copy(),
                                    state.plastic.trace)
-    meta = params.meta
     heb = topology.hebbian_pos
     if len(heb):
         new_plastic.weights[heb] = hebbian_update(
             state.plastic.weights.take(heb, 0),
             state.v_last.take(topology.edge_src[heb], 0),
             v.take(topology.edge_dst[heb], 0),
-            params.learn_rate, params.retention, meta.clip_bound)
+            params.learn_rate, params.retention)
     sd = topology.stdp_pos
     if len(sd):
         new_plastic.weights[sd], new_plastic.trace = stdp_update(
             state.plastic.weights.take(sd, 0), topology.edge_src[sd],
-            topology.edge_dst[sd], v, state.plastic.trace, meta)
+            topology.edge_dst[sd], v, state.plastic.trace)
 
     result = StepResult(y=v.take(topology.output_ids, 0), probe=v)
     next_state = RolloutState(s=s_new, v_last=v, plastic=new_plastic, t=t)
@@ -281,7 +281,6 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
 
     roles = {nr.id: nr.role for nr in topology.neurons}
     models = {nr.id: nr.model for nr in topology.neurons}
-    meta = params.meta
     retention = params.retention
     lr_by_edge = {int(k): float(params.learn_rate[i])
                   for i, k in enumerate(topology.hebbian_pos)}
@@ -337,19 +336,19 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
             if e.rule == "hebbian":
                 raw = retention * e_plastic[k] + lr_by_edge[k] * (
                     v_last[e.src] * v[e.dst])
-                e_new[k] = min(max(raw, -meta.clip_bound), meta.clip_bound)
+                e_new[k] = min(max(raw, -CLIP_BOUND), CLIP_BOUND)
             else:
                 any_stdp = True
-                tp = meta.trace_decay * tr_pre[e.src]
-                tq = meta.trace_decay * tr_post[e.dst]
-                delta = (meta.potentiation * tp * spikes[e.dst]
-                         - meta.depression * tq * spikes[e.src])
+                tp = TRACE_DECAY * tr_pre[e.src]
+                tq = TRACE_DECAY * tr_post[e.dst]
+                delta = (POTENTIATION * tp * spikes[e.dst]
+                         - DEPRESSION * tq * spikes[e.src])
                 raw = e_plastic[k] + delta
-                e_new[k] = min(max(raw, -meta.clip_bound), meta.clip_bound)
+                e_new[k] = min(max(raw, -CLIP_BOUND), CLIP_BOUND)
         if any_stdp:
             for i in range(n):
-                tr_pre[i] = meta.trace_decay * tr_pre[i] + spikes[i]
-                tr_post[i] = meta.trace_decay * tr_post[i] + spikes[i]
+                tr_pre[i] = TRACE_DECAY * tr_pre[i] + spikes[i]
+                tr_post[i] = TRACE_DECAY * tr_post[i] + spikes[i]
 
         e_plastic = e_new
         s = s_new

@@ -1,7 +1,7 @@
 """How every statenet file is read into typed values and written:
 ``decode`` turns a JSON object into a dataclass (topology records, cell
-params, checkpoint meta, ``--config`` files) whose fields are plain types,
-unions of them or nested dataclasses, never tuples; ``count`` reads a
+params, ``--config`` files) whose fields are plain types, unions of them
+or nested dataclasses, never tuples; ``count`` reads a
 non-negative integer (dataset manifest counts, checkpoint epoch and adam
 step count); ``numbers`` reads a list or table of finite numbers as a
 float array (episode ``x``/``y``/``mask``, checkpoint params and adam

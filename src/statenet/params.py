@@ -2,9 +2,9 @@
 
 Segments, in order:
 
-* ``w0``            — initial weight of every edge (plastic edges are reset
-                      to these at episode start, static edges read them on
-                      every step),
+* ``w0``            — initial weight of every edge: each edge's rollout
+                      weight starts at it at every episode start, and a
+                      static edge's stays there,
 * ``self_coeff``    — rate-neuron self-state coefficient, one per non-input
                       rate neuron,
 * ``bias``          — rate-neuron bias, aligned with ``self_coeff``,
@@ -14,17 +14,19 @@ Segments, in order:
                       unconstrained and squashed to (0, 1) with a sigmoid
                       on read.
 
-LIF cell constants and the stdp magnitudes / trace decay are not trained;
-they live in the topology and in ``PlasticityMeta`` respectively.
+LIF cell constants and the plasticity constants (clip bound, stdp
+magnitudes, trace decay) are not trained; they live in the topology and in
+``plasticity`` respectively.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .plasticity import PlasticityMeta, squash_retention
+from .plasticity import squash_retention
 from .topology import NetworkTopology
 
 
@@ -32,12 +34,14 @@ from .topology import NetworkTopology
 class ParameterSet:
     flat: np.ndarray
     registry: dict[str, slice]
-    meta: PlasticityMeta
 
     @classmethod
     def from_topology(cls, topology: NetworkTopology,
-                      meta: PlasticityMeta | None = None) -> "ParameterSet":
-        meta = meta or PlasticityMeta()
+                      learn_rate_init: float = 0.01,
+                      retention_init: float = 0.95) -> "ParameterSet":
+        """The topology's initial weights and cell parameters; every
+        hebbian learning rate starts at ``learn_rate_init`` and the
+        retention at ``retention_init``, in (0, 1)."""
         registry: dict[str, slice] = {}
         chunks: list[np.ndarray] = []
         offset = 0
@@ -55,10 +59,12 @@ class ParameterSet:
         add("bias", np.array([topology.neurons[i].params.bias for i in rate]))
         if len(topology.hebbian_pos):
             add("learn_rate", np.full(len(topology.hebbian_pos),
-                                      meta.learn_rate_init))
-            add("retention_raw", np.array([meta.retention_raw_init]))
+                                      learn_rate_init))
+            # the inverse of squash_retention
+            add("retention_raw", np.array(
+                [math.log(retention_init / (1.0 - retention_init))]))
         flat = np.concatenate(chunks) if chunks else np.zeros(0)
-        return cls(flat=flat, registry=registry, meta=meta)
+        return cls(flat=flat, registry=registry)
 
     @property
     def count(self) -> int:
@@ -97,11 +103,10 @@ class ParameterSet:
         return squash_retention(float(self.segment("retention_raw")[0]))
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet(flat=self.flat.copy(), registry=dict(self.registry),
-                            meta=self.meta)
+        return ParameterSet(self.flat.copy(), dict(self.registry))
 
     def with_flat(self, flat: np.ndarray) -> "ParameterSet":
         if len(flat) != len(self.flat):
             raise ValueError("flat vector length mismatch")
-        return ParameterSet(flat=np.asarray(flat, dtype=np.float64),
-                            registry=dict(self.registry), meta=self.meta)
+        return ParameterSet(np.asarray(flat, dtype=np.float64),
+                            dict(self.registry))

@@ -11,24 +11,26 @@ Two rules:
 
 * hebbian (differentiable fast weights):
       e_new = clip(retention * e_prev + learn_rate * out_pre_prev * out_post,
-                   -clip_bound, clip_bound)
+                   -CLIP_BOUND, CLIP_BOUND)
   The presynaptic factor is the source neuron's output from the *previous*
   step — the same value that produced the postsynaptic drive under the
   engine's one-step edge delay — so the rule reinforces actual causal
   contribution.
 
 * stdp (spiking, trace-based): per step the per-neuron eligibility trace
-  first decays by ``trace_decay``, the weight change is read from the
+  first decays by ``TRACE_DECAY``, the weight change is read from the
   decayed trace at the edge's source and at its target, and only then are
   the current spikes added:
-      delta = potentiation * trace_decayed[src] * spike[dst]
-            - depression  * trace_decayed[dst] * spike[src]
+      delta = POTENTIATION * trace_decayed[src] * spike[dst]
+            - DEPRESSION   * trace_decayed[dst] * spike[src]
   so an isolated source spike one step before a target spike changes the
-  weight by exactly potentiation * trace_decay, and the mirrored order by
-  -depression * trace_decay.
+  weight by exactly POTENTIATION * TRACE_DECAY, and the mirrored order by
+  -DEPRESSION * TRACE_DECAY.
 
 Plastic weights are reset to the trainable initial weights at every
-episode start; persistence across episodes is deliberately not the default.
+episode start. Training fits the hebbian learning rates and retention
+(``params``); the clip bound, the stdp magnitudes and the trace decay are
+fixed constants, as in Miconi et al. 2018 and Song, Miller & Abbott 2000.
 """
 
 from __future__ import annotations
@@ -42,47 +44,12 @@ from .dynamics import columns
 from .topology import NetworkTopology
 
 
-def _logit(p: float) -> float:
-    return math.log(p / (1.0 - p))
-
-
-@dataclass(frozen=True)
-class PlasticityMeta:
-    """Hyper- and meta-parameters of the plasticity rules.
-
-    ``learn_rate_init`` and ``retention_init`` seed the trainable hebbian
-    meta-parameters; the stdp magnitudes and the trace decay stay fixed.
-    ``retention`` is stored unconstrained by the optimizer and squashed to
-    (0, 1) with a sigmoid on every read.
-    """
-
-    clip_bound: float = 5.0
-    learn_rate_init: float = 0.01
-    retention_init: float = 0.95
-    potentiation: float = 0.05   # stdp magnitude, source-before-target
-    depression: float = 0.05     # stdp magnitude, target-before-source
-    trace_decay: float = 0.8
-
-    @property
-    def retention_raw_init(self) -> float:
-        return _logit(self.retention_init)
-
-    def validate(self) -> None:
-        """Refuse a value the rules cannot use: the stdp sign laws need
-        non-negative magnitudes, the trace bound 1 / (1 - trace_decay) a
-        decay in [0, 1)."""
-        if not self.clip_bound > 0:
-            raise ValueError(f"clip_bound must be > 0, got {self.clip_bound}")
-        if not 0 < self.retention_init < 1:
-            raise ValueError(f"retention_init must be in (0, 1), "
-                             f"got {self.retention_init}")
-        if not 0 <= self.trace_decay < 1:
-            raise ValueError(f"trace_decay must be in [0, 1), "
-                             f"got {self.trace_decay}")
-        for name in ("potentiation", "depression"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, "
-                                 f"got {getattr(self, name)}")
+# fixed hyperparameters of the rules; the stdp sign laws need non-negative
+# magnitudes, the trace bound 1 / (1 - TRACE_DECAY) a decay in [0, 1)
+CLIP_BOUND = 5.0
+POTENTIATION = 0.05   # stdp magnitude, source-before-target
+DEPRESSION = 0.05     # stdp magnitude, target-before-source
+TRACE_DECAY = 0.8
 
 
 def squash_retention(raw: float) -> float:
@@ -127,7 +94,7 @@ def reset_plastic_state(topology: NetworkTopology, w0: np.ndarray,
 
 
 def hebbian_update(e_prev, out_pre_prev, out_post, learn_rate,
-                   retention: float, clip_bound: float):
+                   retention: float):
     """Elementwise fast-weight update over hebbian edges.
 
     Differentiable except exactly at the clip boundary. Returns the
@@ -138,10 +105,10 @@ def hebbian_update(e_prev, out_pre_prev, out_post, learn_rate,
     raw = out_pre_prev * out_post
     raw *= columns(learn_rate, e_prev)
     raw += retention * e_prev
-    return clip_weights(raw, clip_bound, out=raw)
+    return clip_weights(raw, out=raw)
 
 
-def stdp_update(e_prev, src, dst, spikes, trace, meta: PlasticityMeta):
+def stdp_update(e_prev, src, dst, spikes, trace):
     """Trace-based spike-timing update for one step over stdp edges.
 
     ``src``/``dst`` are the edges' endpoint neuron ids; ``spikes`` and the
@@ -150,14 +117,15 @@ def stdp_update(e_prev, src, dst, spikes, trace, meta: PlasticityMeta):
     trace at both endpoints, the current spikes are added afterwards.
     Returns (clipped weights, new trace).
     """
-    decayed = meta.trace_decay * trace
+    decayed = TRACE_DECAY * trace
     raw = e_prev + (
-        meta.potentiation * decayed.take(src, 0) * spikes.take(dst, 0)
-        - meta.depression * decayed.take(dst, 0) * spikes.take(src, 0))
-    return clip_weights(raw, meta.clip_bound, out=raw), decayed + spikes
+        POTENTIATION * decayed.take(src, 0) * spikes.take(dst, 0)
+        - DEPRESSION * decayed.take(dst, 0) * spikes.take(src, 0))
+    return clip_weights(raw, out=raw), decayed + spikes
 
 
-def clip_weights(raw, bound: float, out=None):
-    """The weight clip to [-bound, bound] (np.clip's values, at a fraction
-    of its per-call cost), written into ``out`` when given."""
-    return np.minimum(np.maximum(raw, -bound, out=out), bound, out=out)
+def clip_weights(raw, out=None):
+    """The weight clip to [-CLIP_BOUND, CLIP_BOUND] (np.clip's values, at a
+    fraction of its per-call cost), written into ``out`` when given."""
+    return np.minimum(np.maximum(raw, -CLIP_BOUND, out=out), CLIP_BOUND,
+                      out=out)

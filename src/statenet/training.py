@@ -14,7 +14,8 @@ resuming from a checkpoint continues the exact run.
 
 Divergence (a non-finite or huge loss, or a non-finite gradient) aborts
 immediately, before the batch's update, dumping an emergency checkpoint
-when a run directory is configured.
+when a run directory is configured; a huge loss names the batch's
+largest-loss episode.
 """
 
 from __future__ import annotations
@@ -35,13 +36,16 @@ from .engine import fresh_state, rollout, step
 from .jsonio import (atomic_write, count, decode, malformed, numbers, read_json,
                      write_json)
 from .params import ParameterSet
-from .plasticity import PlasticityMeta
+from .plasticity import CLIP_BOUND, DEPRESSION, POTENTIATION, TRACE_DECAY
 from .pong import PongConfig, PongEnv, action_from_index
 from .rng import Rng, derive_seed
 from .topology import NetworkTopology
 
 CHECKPOINT_TAG = "snn-checkpoint/1"
 DIVERGENCE_LIMIT = 1e6
+# what an earlier checkpoint's "meta" must hold to load
+FIXED_META = {"clip_bound": CLIP_BOUND, "potentiation": POTENTIATION,
+              "depression": DEPRESSION, "trace_decay": TRACE_DECAY}
 # episodes per held-out lockstep block: the smallest block within 3 % of the
 # fastest held-out pass (README, "Lockstep batches")
 PREDICT_CHUNK = 128
@@ -220,7 +224,6 @@ def save_checkpoint(path: str, params: ParameterSet, optimizer, epoch: int,
         "epoch": epoch,
         "params": params.flat.tolist(),
         "registry": {k: [v.start, v.stop] for k, v in params.registry.items()},
-        "meta": asdict(params.meta),
         "optimizer": optimizer.state_dict(),
         "config_hash": config_hash(config),
         "topology_hash": topology.content_hash(),
@@ -238,9 +241,15 @@ def load_params(path: str, topology: NetworkTopology,
             raise CheckpointError("not a checkpoint file")
         if not force and doc.get("topology_hash") != topology.content_hash():
             raise CheckpointMismatch("checkpoint topology hash mismatch")
-        meta = decode(PlasticityMeta, doc["meta"])
-        meta.validate()
-        base = ParameterSet.from_topology(topology, meta)
+        # earlier versions wrote the plasticity constants as "meta", with
+        # the two init values that only seeded what "params" holds
+        meta = doc.get("meta", FIXED_META)
+        if (type(meta) is not dict
+                or any(meta.get(k) != v for k, v in FIXED_META.items())):
+            raise CheckpointError(f"checkpoint meta must be absent or hold "
+                                  f"the fixed plasticity constants "
+                                  f"{FIXED_META}, got {meta!r}")
+        base = ParameterSet.from_topology(topology)
         flat = numbers(doc, "params", 1)
         if len(flat) != base.count:
             raise CheckpointError(f"checkpoint params must be a list of "
@@ -331,18 +340,18 @@ def _padded(shape: tuple, at: np.ndarray, arrays: list) -> np.ndarray:
 
 
 def _batch_gradients(topology, params, episodes, ids, config):
-    """Mean loss and gradient of the batch ``episodes[i]``, ``i`` in ``ids``."""
+    """Losses (in ``ids`` order) and mean gradient of the batch
+    ``episodes[i]``, ``i`` in ``ids``."""
     def run(rows, xs, ys, mask, lengths):
         return zip(*batch_gradients(topology, params, xs, ys, mask(), lengths,
                                     config.loss_tag, config.k1, config.k2))
 
-    total_loss = 0.0
+    losses = []
     grad = np.zeros(params.count)
     for loss, g in _lockstep(episodes, ids, len(ids), run):
-        total_loss += loss              # in ids order: deterministic
-        grad += g
-    k = float(len(ids))
-    return total_loss / k, grad / k
+        losses.append(loss)
+        grad += g                       # in ids order: deterministic
+    return losses, grad / float(len(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +423,19 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
         for lo in range(0, len(order), config.batch_size):
             ids = order[lo:lo + config.batch_size]
             try:
-                loss, grad = _batch_gradients(topology, params, dataset.episodes,
-                                              ids, config)
+                losses, grad = _batch_gradients(topology, params,
+                                                dataset.episodes, ids, config)
             except FloatingPointError as exc:
                 # parameters blew up far enough to break the forward pass
                 blame = str(exc)
             else:
                 blame = None
-                if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+                loss = sum(losses) / len(ids)   # added in ids order
+                if not np.isfinite(loss):
                     blame = f"loss {loss}"
+                elif loss > DIVERGENCE_LIMIT:
+                    worst = int(np.argmax(losses))
+                    blame = f"episode {ids[worst]}: loss {losses[worst]}"
                 elif not np.isfinite(grad).all():
                     # clipping would scale it by 0 and write NaN into params
                     blame = f"non-finite gradient (loss {loss})"
@@ -471,8 +484,8 @@ def pavlov_recipe(topology_seed: int = 42):
     topology = build_random(16, 0.4, seed=topology_seed, model="rate",
                             n_inputs=2, n_outputs=1, plastic_rule="hebbian",
                             plastic_scope="readout", direct_io=True)
-    params = ParameterSet.from_topology(
-        topology, PlasticityMeta(learn_rate_init=0.3, retention_init=0.98))
+    params = ParameterSet.from_topology(topology, learn_rate_init=0.3,
+                                        retention_init=0.98)
     config = TrainConfig(loss_tag="bce", optimizer="adam", learning_rate=3e-3,
                          batch_size=32, epochs=80, seed=0, task="pavlov")
     return topology, params, config

@@ -16,7 +16,7 @@ import numpy as np
 from .autodiff import episode_gradients, fd_gradient
 from .engine import fresh_state, reference_rollout, rollout
 from .params import ParameterSet
-from .plasticity import PlasticityMeta, stdp_update
+from .plasticity import DEPRESSION, POTENTIATION, TRACE_DECAY, stdp_update
 from .rng import Rng, derive_seed
 from .topology import build_random
 
@@ -133,9 +133,8 @@ def run_oracle_diff(n_cases: int = 1000, seed: int = 7,
 
 def run_plasticity_signs(tol: float = 1e-12):
     """Isolated source-before-target spike pair potentiates by exactly
-    potentiation * trace_decay; the mirrored order depresses by exactly
-    depression * trace_decay."""
-    meta = PlasticityMeta()
+    POTENTIATION * TRACE_DECAY; the mirrored order depresses by exactly
+    DEPRESSION * TRACE_DECAY."""
     lines = []
     passed = True
 
@@ -143,12 +142,12 @@ def run_plasticity_signs(tol: float = 1e-12):
     src, dst = np.array([0]), np.array([1])
     for name, first, second, want in (
             ("source-before-target", [1.0, 0.0], [0.0, 1.0],
-             meta.potentiation * meta.trace_decay),
+             POTENTIATION * TRACE_DECAY),
             ("target-before-source", [0.0, 1.0], [1.0, 0.0],
-             -meta.depression * meta.trace_decay)):
+             -DEPRESSION * TRACE_DECAY)):
         trace, w = np.zeros(2), np.zeros(1)
         for spikes in (first, second):
-            w, trace = stdp_update(w, src, dst, np.array(spikes), trace, meta)
+            w, trace = stdp_update(w, src, dst, np.array(spikes), trace)
         delta = float(w[0])
         ok = abs(delta - want) <= tol and np.sign(delta) == np.sign(want)
         passed &= ok
@@ -157,8 +156,8 @@ def run_plasticity_signs(tol: float = 1e-12):
 
     # no activity: weights hold, the trace decays
     e2, tr2 = stdp_update(np.array([0.25]), src, dst, np.zeros(2),
-                          np.array([0.5, 0.5]), meta)
-    ok = float(e2[0]) == 0.25 and float(tr2[0]) == 0.5 * meta.trace_decay
+                          np.array([0.5, 0.5]))
+    ok = float(e2[0]) == 0.25 and float(tr2[0]) == 0.5 * TRACE_DECAY
     passed &= ok
     lines.append(f"{'PASS' if ok else 'FAIL'} no-spike hold and trace decay")
     return passed, lines

@@ -9,7 +9,7 @@ from statenet.autodiff import (Tape, backward, batch_gradients,
                                tbptt_gradients)
 from statenet.engine import RolloutState, fresh_state, rollout
 from statenet.params import ParameterSet
-from statenet.plasticity import PlasticEdgeState
+from statenet.plasticity import CLIP_BOUND, PlasticEdgeState
 from statenet.rng import Rng
 from statenet.topology import (EdgeSpec, LifParams, NetworkTopology,
                                NeuronSpec, RateParams, build_random)
@@ -246,25 +246,25 @@ def test_masked_gradients_match_finite_differences():
 
 def test_gradients_at_the_clip_bound_match_finite_differences():
     # the straight-through gate is read off the recorded weights: a weight
-    # held at +-clip_bound passes no gradient to its earlier value, while a
+    # held at +-CLIP_BOUND passes no gradient to its earlier value, while a
     # static weight beyond the bound is never clipped and passes it all
-    from statenet.plasticity import PlasticityMeta
     topo = build_random(4, 0.6, seed=50, model="rate", n_inputs=2, n_outputs=2,
                         plastic_rule="hebbian", direct_io=True)
-    meta = PlasticityMeta(clip_bound=0.1, learn_rate_init=0.3)
-    params = jitter(ParameterSet.from_topology(topo, meta), 51)
+    params = jitter(ParameterSet.from_topology(topo, learn_rate_init=10.0), 51)
+    beyond = params.registry["w0"].start + topo.static_idx[0]
+    params.flat[beyond] = CLIP_BOUND + 0.5
     xs, ys = random_sequence(52, 8, 2, 2, binary=False)
     states = []
     rollout(fresh_state(topo, params), xs, topo, params, states=states)
     weights = np.array([st.plastic.weights[topo.plastic_idx] for st in states])
-    assert np.mean(np.abs(weights) == meta.clip_bound) >= 1 / 3
-    assert np.any(np.abs(params.w0[topo.static_idx]) >= meta.clip_bound)
+    assert np.mean(np.abs(weights) == CLIP_BOUND) >= 1 / 3
     _, g = episode_gradients(topo, params, xs, ys, None, "mse")
     fd = fd_gradient(topo, params, xs, ys, None, "mse")
     small = np.abs(fd) < 1e-8
     assert np.all(np.abs(g - fd)[small] < 1e-8)
     rel = np.abs(g - fd)[~small] / np.abs(fd)[~small]
     assert rel.max() < 1e-4
+    assert abs(fd[beyond]) > 1e-6
 
 
 def test_spiking_gradient_sign_at_threshold_crossings():
@@ -440,7 +440,7 @@ def test_truncated_gradient_matches_per_window_finite_differences(
     assert bool(len(topo.plastic_idx)) == plastic
     for g, (x, y) in zip(grads, episodes):
         fd, reach = truncated_fd_gradient(topo, params, x, y, "bce", k1, k2)
-        assert reach < params.meta.clip_bound       # off the clip bound
+        assert reach < CLIP_BOUND                  # off the clip bound
         small = np.abs(fd) < 1e-8
         assert np.all(np.abs(g - fd)[small] < 1e-8)
         rel = np.abs(g - fd)[~small] / np.abs(fd)[~small]
@@ -589,10 +589,9 @@ def test_k1_without_k2_rejected():
             batch_gradients(topo, params, xs, ys, None, [5], "mse", k1, k2)
 
 
-def test_no_mask_scores_each_row_up_to_its_length():
-    # mask=None scores every step up to each row's length and none of its
-    # padding, so each row is bitwise its episode run alone; the pavlov
-    # recipe with lengths [3, 2] on 5-step arrays once scored padded steps
+def assert_rows_score_as_alone(mask):
+    """The pavlov recipe's batch with lengths [3, 2] on 5-step arrays scores
+    no padded step: each row is bitwise its episode run alone."""
     from statenet.training import pavlov_recipe
     topo, params, _ = pavlov_recipe()
     lengths = [3, 2]
@@ -600,7 +599,7 @@ def test_no_mask_scores_each_row_up_to_its_length():
     for b, n in enumerate(lengths):
         xs[b, :n], ys[b, :n] = random_sequence(50 + b, n, 2, 1)
     for k1, k2 in ((None, None), (1, 2)):
-        losses, grads = batch_gradients(topo, params, xs, ys, None, lengths,
+        losses, grads = batch_gradients(topo, params, xs, ys, mask, lengths,
                                         "bce", k1, k2)
         for b, n in enumerate(lengths):
             loss, grad = tbptt_gradients(topo, params, xs[b, :n], ys[b, :n],
@@ -609,7 +608,18 @@ def test_no_mask_scores_each_row_up_to_its_length():
             assert grads[b].tobytes() == grad.tobytes()
     outs, _ = rollout(fresh_state(topo, params, batch=2), xs, topo, params,
                       lengths=lengths)
-    assert outputs_loss("bce", outs, ys, None, lengths).tolist() == losses
+    assert outputs_loss("bce", outs, ys, mask, lengths).tolist() == losses
+
+
+def test_no_mask_scores_each_row_up_to_its_length():
+    # mask=None once scored the padded steps too
+    assert_rows_score_as_alone(None)
+
+
+def test_a_mask_scores_each_row_only_up_to_its_length():
+    # a mask of ones over the padding once scored it in the losses, though
+    # the gradient rows were already each episode's alone
+    assert_rows_score_as_alone(np.ones((2, 5, 1)))
 
 
 def window_by_window(topo, params, xs, ys, mask, lengths, tag, k1, k2):

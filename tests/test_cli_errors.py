@@ -188,8 +188,14 @@ def _short_params(doc):
     return {**doc, "params": doc["params"][:-1]}
 
 
+# the "meta" block of a checkpoint written before the plasticity constants
+# were fixed in code
+OLD_META = {"clip_bound": 5.0, "learn_rate_init": 0.01, "retention_init": 0.95,
+            "potentiation": 0.05, "depression": 0.05, "trace_decay": 0.8}
+
+
 def _meta(**values):
-    return lambda doc: {**doc, "meta": {**doc["meta"], **values}}
+    return lambda doc: {**doc, "meta": {**OLD_META, **values}}
 
 
 def _params(edit):
@@ -234,14 +240,10 @@ PROBES = {
         f, t, lambda d: d["neurons"][0].update(id="first"))],
     "resume-checkpoint-list": lambda f, t: resume_args(
         f, t, _checkpoint(f, t, lambda d: [d])),
-    "resume-checkpoint-no-meta": lambda f, t: resume_args(
-        f, t, _checkpoint(f, t, lambda d: _without(d, "meta"))),
     "resume-checkpoint-params-string": lambda f, t: resume_args(
         f, t, _checkpoint(f, t, lambda d: {**d, "params": "abc"})),
     "eval-checkpoint-list": lambda f, t: acquisition_args(
         f, t, _checkpoint(f, t, lambda d: [d])),
-    "eval-checkpoint-no-meta": lambda f, t: acquisition_args(
-        f, t, _checkpoint(f, t, lambda d: _without(d, "meta"))),
     "eval-checkpoint-params-string": lambda f, t: acquisition_args(
         f, t, _checkpoint(f, t, lambda d: {**d, "params": "abc"})),
     "resume-checkpoint-params-short": lambda f, t: resume_args(
@@ -315,8 +317,12 @@ PROBES = {
         f, t, lambda d: {**d, "frozen": ["nope"]}),
     "resume-checkpoint-frozen-string": lambda f, t: _resume_edited(
         f, t, lambda d: {**d, "frozen": "w0"}),
-    "resume-checkpoint-meta-retention-one": lambda f, t: _resume_edited(
-        f, t, _meta(retention_init=1.0)),
+    "eval-checkpoint-meta-clip-four": lambda f, t: _eval_edited(
+        f, t, _meta(clip_bound=4.0)),
+    "resume-checkpoint-meta-list": lambda f, t: _resume_edited(
+        f, t, lambda d: {**d, "meta": [OLD_META]}),
+    "eval-checkpoint-meta-no-trace-decay": lambda f, t: _eval_edited(
+        f, t, lambda d: {**d, "meta": _without(OLD_META, "trace_decay")}),
     "resume-checkpoint-meta-clip-negative": lambda f, t: _resume_edited(
         f, t, _meta(clip_bound=-1.0)),
     "resume-checkpoint-meta-trace-decay-huge": lambda f, t: _resume_edited(
@@ -365,6 +371,21 @@ PROBES = {
 def test_malformed_input_exits_2_with_one_error_line(files, tmp_path, probe):
     result = CliRunner().invoke(main, PROBES[probe](files, tmp_path))
     assert_one_error_line(result)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d, _meta(), _meta(learn_rate_init=-1.0, retention_init=1.0)],
+    ids=["no-meta", "old-meta", "old-meta-init-values-unread"])
+def test_checkpoint_without_meta_or_with_the_fixed_one_loads(
+        files, tmp_path, edit):
+    # a checkpoint keeps no "meta"; an earlier one's loads when it holds the
+    # fixed plasticity constants, whatever init values it recorded
+    assert "meta" not in read_json(files["ckpt"])
+    ckpt = _checkpoint(files, tmp_path, edit)
+    for args in (resume_args(files, tmp_path, ckpt),
+                 acquisition_args(files, tmp_path, ckpt)):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
 
 
 def test_eval_dataset_dims_checked_before_training(files, tmp_path):

@@ -8,6 +8,8 @@ from statenet.dynamics import NumericsError
 from statenet.engine import (ProbeWriter, fresh_state, gather,
                              reference_rollout, rollout, step)
 from statenet.params import ParameterSet
+from statenet.plasticity import (CLIP_BOUND, DEPRESSION, POTENTIATION,
+                                 TRACE_DECAY)
 from statenet.rng import Rng, derive_seed
 from statenet.topology import (EdgeSpec, LifParams, NetworkTopology,
                                NeuronSpec, RateParams, build_random)
@@ -145,6 +147,58 @@ def test_reference_interpreter_agreement_small_sweep():
             assert np.max(np.abs(fast - slow)) <= 1e-12
 
 
+def _rollout_at_the_clip_bound(topo, params, xs):
+    """The engine's outputs, checked against the oracle's, and every plastic
+    edge's recorded weight at each step."""
+    states = []
+    fast, _ = rollout(fresh_state(topo, params), xs, topo, params,
+                      states=states)
+    slow = np.array(reference_rollout(fresh_state(topo, params), xs, topo,
+                                      params)).reshape(fast.shape)
+    if topo.lif_ids.size:
+        assert np.array_equal(fast, slow)
+    else:
+        assert np.max(np.abs(fast - slow)) <= 1e-12
+    return fast, np.array([st.plastic.weights[topo.plastic_idx]
+                           for st in states])
+
+
+def test_hebbian_rollout_matches_oracle_at_the_clip_bound():
+    # hebbian edges into the outputs too: a clip the oracle got wrong shows
+    # in the outputs, where the saturated hidden cells would hide it
+    topo = build_random(6, 0.5, seed=63, model="rate", n_inputs=2,
+                        n_outputs=2, plastic_rule="hebbian",
+                        plastic_scope="readout", direct_io=True)
+    params = ParameterSet.from_topology(topo, learn_rate_init=5.0,
+                                        retention_init=0.98)
+    xs = np.random.default_rng(62).uniform(-1, 1, (30, 2))
+    _, weights = _rollout_at_the_clip_bound(topo, params, xs)
+    assert np.any(weights == CLIP_BOUND) and np.any(weights == -CLIP_BOUND)
+    assert np.all(np.abs(weights) <= CLIP_BOUND)
+
+
+def test_stdp_rollout_matches_oracle_at_the_clip_bound():
+    # input 1 makes the target fire once after input 0, which lifts the stdp
+    # edge 0 -> 2 from just under the bound onto it; long after, a lone
+    # input-0 spike fires the target only through a weight within 0.004 of
+    # CLIP_BOUND (from rest, the membrane reaches half the drive)
+    lif = LifParams(threshold=0.5 * (CLIP_BOUND - 0.004))
+    neurons = [NeuronSpec(0, "input", "lif", lif),
+               NeuronSpec(1, "input", "lif", lif),
+               NeuronSpec(2, "output", "lif", lif)]
+    topo = NetworkTopology(neurons, [
+        EdgeSpec(0, 2, CLIP_BOUND - 0.5 * POTENTIATION * TRACE_DECAY, True,
+                 "stdp"),
+        EdgeSpec(1, 2, 3.0)])
+    params = ParameterSet.from_topology(topo)
+    xs = np.zeros((30, 2))
+    xs[0] = 1.0
+    xs[25, 0] = 1.0
+    spikes, weights = _rollout_at_the_clip_bound(topo, params, xs)
+    assert np.flatnonzero(spikes[:, 0]).tolist() == [1, 26]
+    assert weights[1:25, 0].tolist() == [CLIP_BOUND] * 24
+
+
 def reciprocal_lif_pair():
     neurons = [NeuronSpec(0, "input", "lif", LifParams()),
                NeuronSpec(1, "output", "lif", LifParams()),
@@ -192,20 +246,19 @@ def weight_changes(topo, params, state, xs):
 def test_stdp_sign_laws_through_engine():
     topo = stdp_pair()
     params = ParameterSet.from_topology(topo)
-    meta = params.meta
 
     # source spikes at step 1, the target answers at step 2
     (y1, d1), (y2, d2) = weight_changes(topo, params, fresh_state(topo, params),
                                         [1.0, 0.0])
     assert (y1, y2) == (0.0, 1.0) and d1 == 0.0
-    assert abs(d2 - meta.potentiation * meta.trace_decay) <= 1e-12
+    assert abs(d2 - POTENTIATION * TRACE_DECAY) <= 1e-12
 
     # mirrored: a charged target fires at step 1, the source spikes at step 2
     state = fresh_state(topo, params)
     state.s[1] = 2.0
     (y1, d1), (y2, d2) = weight_changes(topo, params, state, [0.0, 1.0])
     assert (y1, y2) == (1.0, 0.0) and d1 == 0.0
-    assert abs(d2 + meta.depression * meta.trace_decay) <= 1e-12
+    assert abs(d2 + DEPRESSION * TRACE_DECAY) <= 1e-12
 
 
 def mixed_stdp_net():

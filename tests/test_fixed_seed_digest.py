@@ -46,13 +46,14 @@ def test_two_digests_in_one_process_agree(monkeypatch):
                                                  "pong-3-7"]
     for line in first:
         files = [field.split("=")[0] for field in line.split()[1:]]
-        # the runs with a held-out set also hash its breakdown rows, the
-        # pong runs their closed-loop outcome
+        # every run hashes its trained parameters; the runs with a held-out
+        # set also hash its breakdown rows, the pong runs their closed-loop
+        # outcome
         name = line.split()[0]
         extra = ["acquisition"] if name in ("pavlov", "lif-stdp") else \
             ["closed-loop"]
         assert files == ["metrics.csv", "epoch0001.ckpt", "epoch0002.ckpt",
-                         "final.ckpt", *extra]
+                         "final.ckpt", "params", *extra]
     # the full-window runs sweep lone tapes only; the truncated runs stack
     for name in ("pavlov", "lif-stdp"):
         assert stacks[name] == 0 and sweeps[name] > 0

@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 
 from statenet.engine import fresh_state, rollout
 from statenet.params import ParameterSet
-from statenet.plasticity import (PlasticityMeta, hebbian_update,
+from statenet.plasticity import (CLIP_BOUND, DEPRESSION, POTENTIATION,
+                                 TRACE_DECAY, hebbian_update,
                                  reset_plastic_state, squash_retention,
                                  stdp_update)
 from statenet.topology import build_random
@@ -13,13 +14,13 @@ from statenet.topology import build_random
 def test_hebbian_zero_learning_is_pure_decay():
     e = np.array([0.4, -1.0])
     out = hebbian_update(e, np.ones(2), np.ones(2), learn_rate=0.0,
-                              retention=0.9, clip_bound=5.0)
+                         retention=0.9)
     assert np.allclose(out, 0.9 * e, atol=1e-15)
 
 
 def test_hebbian_known_value():
     out = hebbian_update(np.array([0.2]), np.array([1.0]), np.array([1.0]),
-                            learn_rate=0.1, retention=1.0, clip_bound=5.0)
+                         learn_rate=0.1, retention=1.0)
     assert out[0] == pytest.approx(0.3, abs=1e-15)
 
 
@@ -28,8 +29,8 @@ def test_hebbian_known_value():
 def test_hebbian_respects_clip_bound(e_prev, pre, post, lr, ret):
     e = np.array(e_prev)
     out = hebbian_update(e, np.full(len(e), pre), np.full(len(e), post),
-                         learn_rate=lr, retention=ret, clip_bound=5.0)
-    assert (np.abs(out) <= 5.0).all()
+                         learn_rate=lr, retention=ret)
+    assert (np.abs(out) <= CLIP_BOUND).all()
 
 
 @given(st.integers(0, 2**32), st.integers(2, 10))
@@ -39,8 +40,8 @@ def test_hebbian_commutes_with_edge_permutation(seed, n):
     pre = rng.uniform(-1, 1, n)
     post = rng.uniform(-1, 1, n)
     perm = rng.permutation(n)
-    direct = hebbian_update(e, pre, post, 0.3, 0.9, 5.0)
-    permuted = hebbian_update(e[perm], pre[perm], post[perm], 0.3, 0.9, 5.0)
+    direct = hebbian_update(e, pre, post, 0.3, 0.9)
+    permuted = hebbian_update(e[perm], pre[perm], post[perm], 0.3, 0.9)
     assert np.array_equal(direct[perm], permuted)
 
 
@@ -48,51 +49,52 @@ def test_hebbian_commutes_with_edge_permutation(seed, n):
 SRC, DST = np.array([0]), np.array([1])
 
 
-def stdp_steps(e, spike_rows, meta):
+def stdp_steps(e, spike_rows):
     """Weights after feeding per-neuron spike rows through stdp_update from
     a zero trace."""
     trace = np.zeros(2)
     for spikes in spike_rows:
-        e, trace = stdp_update(e, SRC, DST, np.array(spikes), trace, meta)
+        e, trace = stdp_update(e, SRC, DST, np.array(spikes), trace)
     return e
 
 
 def test_stdp_source_before_target_potentiates():
-    meta = PlasticityMeta()
-    e = stdp_steps(np.zeros(1), [[1.0, 0.0]], meta)
+    e = stdp_steps(np.zeros(1), [[1.0, 0.0]])
     assert e[0] == 0.0
-    e2 = stdp_steps(np.zeros(1), [[1.0, 0.0], [0.0, 1.0]], meta)
-    assert e2[0] == pytest.approx(meta.potentiation * meta.trace_decay, abs=1e-12)
+    e2 = stdp_steps(np.zeros(1), [[1.0, 0.0], [0.0, 1.0]])
+    assert e2[0] == pytest.approx(POTENTIATION * TRACE_DECAY, abs=1e-12)
     assert e2[0] > 0
 
 
 def test_stdp_target_before_source_depresses():
-    meta = PlasticityMeta()
-    e2 = stdp_steps(np.zeros(1), [[0.0, 1.0], [1.0, 0.0]], meta)
-    assert e2[0] == pytest.approx(-meta.depression * meta.trace_decay, abs=1e-12)
+    e2 = stdp_steps(np.zeros(1), [[0.0, 1.0], [1.0, 0.0]])
+    assert e2[0] == pytest.approx(-DEPRESSION * TRACE_DECAY, abs=1e-12)
     assert e2[0] < 0
 
 
 def test_stdp_returns_pre_clip_values():
-    meta = PlasticityMeta(clip_bound=0.01)
-    e, _ = stdp_update(np.zeros(1), SRC, DST, np.array([0.0, 1.0]),
-                       np.array([1.0, 1.0]), meta)
-    assert e[0] == meta.clip_bound
+    # a weight just under the bound, potentiated past it, lands on it
+    below = CLIP_BOUND - 0.01
+    e, _ = stdp_update(np.array([below]), SRC, DST, np.array([0.0, 1.0]),
+                       np.array([1.0, 1.0]))
+    assert below + POTENTIATION * TRACE_DECAY > CLIP_BOUND
+    assert e[0] == CLIP_BOUND
+    e, _ = stdp_update(np.array([-below]), SRC, DST, np.array([1.0, 0.0]),
+                       np.array([1.0, 1.0]))
+    assert e[0] == -CLIP_BOUND
 
 
 def test_stdp_no_activity_holds_weights_and_decays_traces():
-    meta = PlasticityMeta()
     e = np.array([0.25])
     trace = np.array([0.8, 0.4])
     zero = np.zeros(2)
     for _ in range(10):
-        e2, trace = stdp_update(e, SRC, DST, zero, trace, meta)
+        e2, trace = stdp_update(e, SRC, DST, zero, trace)
         assert np.array_equal(e2, e)
-    assert trace[0] == pytest.approx(0.8 * meta.trace_decay ** 10, abs=1e-15)
+    assert trace[0] == pytest.approx(0.8 * TRACE_DECAY ** 10, abs=1e-15)
 
 
 def test_stdp_sign_properties_over_random_isolated_pairs():
-    meta = PlasticityMeta()
     rng = np.random.default_rng(11)
     for _ in range(50):
         n = int(rng.integers(1, 6))
@@ -105,8 +107,8 @@ def test_stdp_sign_properties_over_random_isolated_pairs():
         first, second = np.zeros(2 * n), np.zeros(2 * n)
         first[src[which] if first_pre else dst[which]] = 1.0
         second[dst[which] if first_pre else src[which]] = 1.0
-        e1, trace = stdp_update(e, src, dst, first, trace, meta)
-        e2, _ = stdp_update(e1, src, dst, second, trace, meta)
+        e1, trace = stdp_update(e, src, dst, first, trace)
+        e2, _ = stdp_update(e1, src, dst, second, trace)
         delta = e2[which] - e[which]
         if first_pre:
             assert delta > 0
@@ -115,13 +117,12 @@ def test_stdp_sign_properties_over_random_isolated_pairs():
 
 
 def test_trace_bound():
-    meta = PlasticityMeta()
     trace = np.zeros(2)
     e = np.zeros(1)
     ones = np.ones(2)
     for _ in range(500):
-        e, trace = stdp_update(e, SRC, DST, ones, trace, meta)
-        assert trace[0] <= 1.0 / (1.0 - meta.trace_decay) + 1e-9
+        e, trace = stdp_update(e, SRC, DST, ones, trace)
+        assert trace[0] <= 1.0 / (1.0 - TRACE_DECAY) + 1e-9
         assert trace[0] >= 0.0
 
 
@@ -151,7 +152,7 @@ def test_reset_after_rollout_equals_single_reset():
 
 
 def test_disabled_plasticity_matches_static_network_bitwise():
-    # same wiring, plasticity declared but neutralized by meta-parameters
+    # same wiring, plasticity declared but neutralized by its parameters
     plastic = build_random(5, 0.7, seed=6, model="rate", n_inputs=2, n_outputs=1,
                            plastic_rule="hebbian")
     static_edges = [type(e)(e.src, e.dst, e.w0, False, "none") for e in plastic.edges]

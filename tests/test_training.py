@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from statenet import datasets
-from statenet.autodiff import outputs_loss
+from statenet.autodiff import episode_loss, outputs_loss
 from statenet.datasets import (Dataset, Episode, PavlovConfig, PongDataConfig,
                                gen_pavlov, gen_pong, save_dataset)
 from statenet.engine import fresh_state, rollout, step
@@ -124,8 +124,34 @@ def test_checkpoint_holds_only_the_keys_its_reader_uses(tmp_path):
                     TrainConfig(), topo)
     with open(path) as fh:
         keys = sorted(json.load(fh))
-    assert keys == ["config_hash", "epoch", "format", "meta", "optimizer",
-                    "params", "registry", "topology_hash"]
+    assert keys == ["config_hash", "epoch", "format", "optimizer", "params",
+                    "registry", "topology_hash"]
+
+
+def test_an_older_checkpoint_with_the_fixed_meta_loads(tmp_path):
+    # earlier versions wrote the plasticity constants and the two hebbian
+    # init values as "meta"; the init values only seeded "params", which
+    # holds the trained ones, so they load whatever they read
+    topo, _ = small_setup()
+    cfg = TrainConfig()
+    params = ParameterSet.from_topology(topo)
+    params.flat += np.linspace(-0.1, 0.1, params.count)
+    path = str(tmp_path / "c.ckpt")
+    save_checkpoint(path, params, Adam(0.01), 1, cfg, topo)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["meta"] = {"clip_bound": 5.0, "learn_rate_init": 0.3,
+                   "retention_init": 0.98, "potentiation": 0.05,
+                   "depression": 0.05, "trace_decay": 0.8}
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    back, _, _ = load_checkpoint(path, topo, cfg)
+    assert back.flat.tobytes() == params.flat.tobytes()
+    doc["meta"]["trace_decay"] = 0.9
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(CheckpointError, match="clip_bound.*trace_decay"):
+        load_checkpoint(path, topo, cfg)
 
 
 def test_checkpoint_hash_mismatch_refused(tmp_path):
@@ -266,6 +292,29 @@ def test_divergence_guard_aborts_with_checkpoint(tmp_path):
     with pytest.raises(DivergenceError):
         train(topo, ds, cfg, run_dir=run_dir)
     assert os.path.exists(os.path.join(run_dir, "diverged.ckpt"))
+
+
+@pytest.mark.parametrize("huge", [0, 3, 5])
+def test_divergence_names_the_largest_loss_episode(tmp_path, huge):
+    # a finite loss over the guard names the batch's largest-loss episode
+    # by its dataset index, with that episode's own loss
+    topo, _ = small_setup()
+    rng = Rng(7)
+    episodes = []
+    for i in range(6):
+        x = np.array([[rng.uniform(0, 1), rng.uniform(0, 1)]
+                      for _ in range(2 + i % 3)])
+        y = np.full((len(x), 1), 1e4 if i == huge else 0.5)
+        episodes.append(Episode(x=x, y=y))
+    ds = Dataset(episodes, {"dims": {"inputs": 2, "outputs": 1}})
+    cfg = TrainConfig(loss_tag="mse", epochs=1, batch_size=6, seed=0)
+    params = ParameterSet.from_topology(topo)
+    own = episode_loss(topo, params, episodes[huge].x,
+                                episodes[huge].y, None, "mse")
+    with pytest.raises(DivergenceError) as info:
+        train(topo, ds, cfg, run_dir=str(tmp_path / "run"), params=params)
+    assert str(info.value) == f"episode {huge}: loss {own} at epoch 1, batch 0"
+    assert os.path.exists(tmp_path / "run" / "diverged.ckpt")
 
 
 def inf_gradient(monkeypatch):

@@ -4,7 +4,8 @@ Trains ``training.pavlov_recipe``, ``training.pong_recipe`` and the
 benchmark's ``workloads.lif_stdp_recipe`` for 2 epochs on small generated
 data sets in a temporary directory, with a checkpoint every epoch, and
 prints one line per run: the sha256 of its ``metrics.csv`` without the
-``wall_time`` column, then of each checkpoint, and for a run with a
+``wall_time`` column, then of each checkpoint, then of the trained
+parameter vector's bytes (``params``), and for a run with a
 held-out set the sha256 of the held-out breakdown rows that
 ``eval_pavlov_acquisition`` gives for the trained parameters; for a pong
 run, the sha256 of the JSON of ``eval_pong_closed_loop`` over 20 rollouts
@@ -62,9 +63,9 @@ def _sha256(data: bytes) -> str:
 
 
 def digest_lines() -> list[str]:
-    """One line per run: ``<name> metrics.csv=<sha> <ckpt>=<sha> ...``,
-    then ``acquisition=<sha>`` for a run with a held-out set and
-    ``closed-loop=<sha>`` for a pong run."""
+    """One line per run: ``<name> metrics.csv=<sha> <ckpt>=<sha> ...
+    params=<sha>``, then ``acquisition=<sha>`` for a run with a held-out
+    set and ``closed-loop=<sha>`` for a pong run."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, (topo, params, config), train_set, eval_set, env in _runs():
@@ -81,6 +82,7 @@ def digest_lines() -> list[str]:
                                if f.endswith(".ckpt")):
                 with open(os.path.join(run_dir, ckpt), "rb") as fh:
                     fields.append(f"{ckpt}={_sha256(fh.read())}")
+            fields.append("params=" + _sha256(trained.flat.tobytes()))
             if eval_set is not None:
                 _, rows = training.eval_pavlov_acquisition(
                     trained, topo, eval_set, config.loss_tag)
