@@ -222,9 +222,9 @@ def backward(tape: Tape) -> np.ndarray:
     static = topo.static_idx
     E, R, H = topo.n_edges, len(rate), len(heb)
     retention = params.retention
-    learn_rate = params.learn_rate[:, None]
-    self_coeff = params.self_coeff[:, None]
-    dt = topo.lif_params.dt[:, None]
+    learn_rate = params.learn_rate
+    self_coeff = params.self_coeff
+    dt = topo.lif_params.dt
     sig_prime = retention * (1.0 - retention)
     # straight-through clip: a recorded weight strictly inside the bound is
     # one the clip passed unchanged; static weights are never clipped

@@ -3,11 +3,12 @@
 Subcommands: ``gen`` (datasets), ``train``, ``eval``, ``verify`` (the
 invariant suites), ``topo`` (build / validate / inspect networks).
 
-Exit codes: 0 success, 2 usage error or malformed configuration,
-topology, dataset or checkpoint, 3 I/O error, 4 numeric divergence; one
-table (``EXIT_CODES``) decides them for every subcommand. Options may come
-from a JSON config file (``--config``); explicit flags win. ``train``
-echoes its fully resolved configuration into the run directory.
+Exit codes: 0 success, 1 a failed ``verify`` check, 2 usage error or
+malformed configuration, topology, dataset or checkpoint, 3 I/O error, 4
+numeric divergence; one table (``EXIT_CODES``) decides 2 to 4 for every
+subcommand. Options may come from a JSON config file (``--config``);
+explicit flags win. ``train`` echoes its fully resolved configuration into
+the run directory.
 """
 
 from __future__ import annotations

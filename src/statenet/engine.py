@@ -1,11 +1,12 @@
 """Step-by-step network execution with synchronous one-step edge delay.
 
-Every state array has the neuron (or edge) axis first and an optional
-trailing episode axis: ``step`` runs one episode on ``(n,)`` arrays, or a
-batch of episodes in lockstep on ``(n, B)`` arrays (one column per
-episode), so that every neuron and edge read is a ``take`` of whole rows
-and per-neuron parameters broadcast as ``(k, 1)`` columns. ``rollout``
-keeps its ``(B, T, ·)`` stimuli and outputs. Each column of a batch is
+Every state array has the neuron (or edge) axis first and one column per
+episode: ``step`` runs a batch of episodes in lockstep on ``(n, B)``
+arrays, one episode being the batch of one, so every neuron and edge read
+is a ``take`` of whole rows and per-neuron parameters broadcast as
+``(k, 1)`` columns. ``rollout`` keeps its ``(B, T, ·)`` stimuli and
+outputs; only one episode's keep their shapes: ``(T, n_in)`` stimuli run
+as ``xs[None]``, an ``(n_in,)`` one is a column. Each column of a batch is
 bitwise the result of running that episode alone: every operation is
 elementwise, and the gather sums each column's edges in edge order. A
 batch of ragged episodes is run with its columns sorted by length,
@@ -42,7 +43,7 @@ precomputation — kept as an independent correctness oracle for the
 vectorized path. Both walk edges in the same normalized order, so rate
 outputs agree to machine precision and spike trains agree exactly.
 
-Non-finite values fail fast with the offending neuron and timestamp.
+Non-finite values fail fast with the offending step, neuron and row.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NumericsError, columns, lif_step, rate_step
+from .dynamics import NumericsError, lif_step, rate_step
 from .params import ParameterSet
 from .plasticity import (CLIP_BOUND, DEPRESSION, POTENTIATION, TRACE_DECAY,
                          PlasticEdgeState, hebbian_update, reset_plastic_state,
@@ -78,14 +79,14 @@ class RolloutState:
 
 @dataclass
 class StepResult:
-    y: np.ndarray            # output-neuron values, topology id order
-    probe: np.ndarray        # full per-neuron output vector
+    y: np.ndarray            # output-neuron values, topology id order, (n_out, B)
+    probe: np.ndarray        # every neuron's output, (n, B)
 
 
 class ProbeWriter:
-    """Columnar per-step trace of one episode, a ``rollout`` states sink:
-    rows ``t,kind,id,a,b`` where neuron rows carry (state, output) and edge
-    rows carry (weight, '')."""
+    """Columnar per-step trace of one episode (a batch of one), a
+    ``rollout`` states sink: rows ``t,kind,id,a,b`` where neuron rows carry
+    (state, output) and edge rows carry (weight, '')."""
 
     def __init__(self, path: str, topology: NetworkTopology,
                  edge_stride: int = 0):
@@ -96,17 +97,17 @@ class ProbeWriter:
 
     def append(self, state: RolloutState) -> None:
         """Write the state after step ``state.t``; one episode's only."""
-        if state.s.ndim != 1:
+        if state.s.shape[1] != 1:
             raise ValueError("a probe records one episode, not a batch")
         t, topology = state.t, self.topology
         # tolist() gives Python floats, whose repr reads back bitwise
         rows = [f"{t},n,{i},{a!r},{b!r}\n" for i, (a, b) in
-                enumerate(zip(state.s.tolist(), state.v_last.tolist()))]
+                enumerate(zip(state.s[:, 0].tolist(), state.v_last[:, 0].tolist()))]
         if self.edge_stride and t % self.edge_stride == 0:
             idx = topology.plastic_idx
             rows += [f"{t},e,{src}->{dst},{w!r},\n" for src, dst, w in zip(
                 topology.edge_src[idx].tolist(), topology.edge_dst[idx].tolist(),
-                state.plastic.weights[idx].tolist())]
+                state.plastic.weights[idx, 0].tolist())]
         self.fh.write("".join(rows))
 
     def close(self) -> None:
@@ -120,17 +121,14 @@ class ProbeWriter:
 
 
 def fresh_state(topology: NetworkTopology, params: ParameterSet,
-                batch: int | None = None) -> RolloutState:
-    """Episode-start state: rate states zero, membranes at rest, no prior
-    outputs, edge weights at their trainable initial values; with
-    ``batch``, that state for each of ``batch`` episodes."""
-    shape = (topology.n,) if batch is None else (topology.n, batch)
-    s = np.zeros(shape)
-    if len(topology.lif_ids):
-        s[topology.lif_ids] = columns(topology.lif_params.rest, s)
-    return RolloutState(s=s, v_last=np.zeros(shape),
-                        plastic=reset_plastic_state(topology, params.w0, batch),
-                        t=0)
+                batch: int = 1) -> RolloutState:
+    """Episode-start state of each of ``batch`` episodes, one column each:
+    rate states zero, membranes at rest, no prior outputs, edge weights at
+    their trainable initial values."""
+    s = np.zeros((topology.n, batch))
+    s[topology.lif_ids] = topology.lif_params.rest
+    return RolloutState(s, np.zeros(s.shape),
+                        reset_plastic_state(topology, params.w0, batch))
 
 
 def scatter_index(idx: np.ndarray, cols: int) -> np.ndarray:
@@ -146,8 +144,6 @@ def gather(topology: NetworkTopology, w: np.ndarray,
     (bitwise ``np.add.at`` into zeros)."""
     contrib = v_last.take(topology.edge_src, 0)
     contrib *= w
-    if v_last.ndim == 1:
-        return np.bincount(topology.edge_dst, contrib, minlength=topology.n)
     n, cols = v_last.shape
     return np.bincount(scatter_index(topology.edge_dst, cols), contrib.ravel(),
                        minlength=n * cols).reshape(n, cols)
@@ -157,12 +153,15 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
          params: ParameterSet) -> tuple[StepResult, RolloutState]:
     """Advance the network one step. Returns (result, next state).
 
-    A batch state takes one stimulus column per episode, ``(n_in, B)``; a
+    The state takes one stimulus column per episode, ``(n_in, B)``; one
+    episode's ``(n_in,)`` stimulus is the one column of a batch of one. A
     non-finite value raises ``NumericsError`` naming the step, the neuron
     and the episode's column (``row``)."""
     t = state.t + 1
     x = np.asarray(x, dtype=np.float64)
-    want = (topology.n_inputs,) + state.v_last.shape[1:]
+    want = (topology.n_inputs, state.v_last.shape[1])
+    if x.ndim == 1:
+        x = x[:, None]
     if x.shape != want:
         raise ValueError(f"stimulus shape {x.shape} != {want} at t={t}")
     if not np.isfinite(x).all():
@@ -215,10 +214,8 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
 
 
 def _non_finite(message: str, ok: np.ndarray) -> NumericsError:
-    """The error for a failed finiteness check; a batch's names the first
-    episode (column) that failed it."""
-    if ok.ndim < 2:
-        return NumericsError(message)
+    """The error for a failed finiteness check, naming the first episode
+    (column) that failed it."""
     return NumericsError(message, row=int(np.argwhere(~ok.T)[0][0]))
 
 
@@ -230,32 +227,34 @@ def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
     through its ``append``: a list records the trajectory, a
     ``ProbeWriter`` writes one episode's.
 
-    One episode: ``xs`` is (T x n_in), the outputs (T x n_out). A batch:
     ``state0`` holds B episodes (columns), ``xs`` is (B x T x n_in), the
     outputs (B x T x n_out). ``lengths`` (B steps counts, non-increasing)
     ends row b after ``lengths[b]`` steps: its later outputs stay zero, and
     the states after step t (the final state too) hold only the leading
-    columns still running then.
+    columns still running then. One episode's (T x n_in) stimuli run as a
+    batch of one and give (T x n_out) outputs.
     """
     xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim == 2:
+        ys, state = rollout(state0, xs[None], topology, params, states)
+        return ys[0], state
+    if len(xs) < state0.s.shape[1]:
+        raise ValueError(f"stimulus shape {xs.shape} has fewer rows than "
+                         f"the state's {state0.s.shape[1]} episodes")
     ys = np.zeros(xs.shape[:-1] + (topology.n_outputs,))
-    by_step, out, rows = xs, ys, None
-    if xs.ndim == 3:
-        # (T, channels, B) views: each step's stimuli and outputs by column
-        by_step, out = xs.transpose(1, 2, 0), ys.transpose(1, 2, 0)
-        if lengths is None:
-            lengths = np.full(len(xs), len(by_step))
-        lengths = np.asarray(lengths)
-        if np.any(np.diff(lengths) > 0):
-            raise ValueError("batch rows must be sorted by length, longest first")
-        rows = np.count_nonzero(lengths[:, None] > np.arange(len(by_step)), axis=0)
+    # (T, channels, B) views: each step's stimuli and outputs by column
+    by_step, out = xs.transpose(1, 2, 0), ys.transpose(1, 2, 0)
+    if lengths is None:
+        lengths = np.full(len(xs), len(by_step))
+    lengths = np.asarray(lengths)
+    if np.any(np.diff(lengths) > 0):
+        raise ValueError("batch rows must be sorted by length, longest first")
+    rows = np.count_nonzero(lengths[:, None] > np.arange(len(by_step)), axis=0)
     state = state0
     for t in range(len(by_step)):
-        x, y = by_step[t], out[t]
-        if rows is not None:
-            x, y = x[:, :rows[t]], y[:, :rows[t]]
-            if rows[t] < state.s.shape[1]:
-                state = state.rows(slice(rows[t]))
+        x, y = by_step[t][:, :rows[t]], out[t][:, :rows[t]]
+        if rows[t] < state.s.shape[1]:
+            state = state.rows(slice(rows[t]))
         res, state = step(state, x, topology, params)
         y[...] = res.y
         if states is not None:
@@ -268,21 +267,22 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
     """Naive interpreter: explicit per-edge loops, scalar arithmetic.
 
     Deliberately independent of the vectorized path; used as an oracle.
+    Runs one episode, (T x n_in) stimuli, from column 0 of ``state0``.
     """
     n = topology.n
-    s = [float(x) for x in state0.s]
-    v_last = [float(x) for x in state0.v_last]
+    s = [float(x) for x in state0.s[:, 0]]
+    v_last = [float(x) for x in state0.v_last[:, 0]]
     # plastic edges start from the state's weights, static ones read w0
-    e_plastic = [float(x) for x in state0.plastic.weights]
+    e_plastic = [float(x) for x in state0.plastic.weights[:, 0]]
     # the oracle keeps a pre and a post trace; both start from the one trace
-    tr_pre = [float(x) for x in state0.plastic.trace]
+    tr_pre = [float(x) for x in state0.plastic.trace[:, 0]]
     tr_post = list(tr_pre)
     w0 = [float(x) for x in params.w0]
 
     roles = {nr.id: nr.role for nr in topology.neurons}
     models = {nr.id: nr.model for nr in topology.neurons}
     retention = params.retention
-    lr_by_edge = {int(k): float(params.learn_rate[i])
+    lr_by_edge = {int(k): float(params.learn_rate[i, 0])
                   for i, k in enumerate(topology.hebbian_pos)}
     # rate parameter lookup by neuron id
     rate_pos = {int(i): k for k, i in enumerate(topology.rate_ids)}
@@ -305,20 +305,19 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
             if roles[i] == "input":
                 continue
             if models[i] == "rate":
-                p = topology.neurons[i].params
-                sc = float(params.self_coeff[rate_pos[i]])
-                b = float(params.bias[rate_pos[i]])
+                sc = float(params.self_coeff[rate_pos[i], 0])
+                b = float(params.bias[rate_pos[i], 0])
                 sr = math.tanh(u[i] + sc * s[i] + b)
                 v[i] = sr
                 s_new[i] = sr
             else:
                 k = lif_pos[i]
-                dt = float(lif.dt[k])
-                rest = float(lif.rest[k])
+                dt = float(lif.dt[k, 0])
+                rest = float(lif.rest[k, 0])
                 pre = s[i] + dt * (-(s[i] - rest) + u[i])
-                if pre >= float(lif.threshold[k]):
+                if pre >= float(lif.threshold[k, 0]):
                     v[i] = 1.0
-                    s_new[i] = float(lif.reset[k])
+                    s_new[i] = float(lif.reset[k, 0])
                 else:
                     v[i] = 0.0
                     s_new[i] = pre

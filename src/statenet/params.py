@@ -14,8 +14,10 @@ Segments, in order:
                       unconstrained and squashed to (0, 1) with a sigmoid
                       on read.
 
-LIF cell constants and the plasticity constants (clip bound, stdp
-magnitudes, trace decay) are not trained; they live in the topology and in
+``self_coeff``, ``bias`` and ``learn_rate`` read as ``(k, 1)`` columns,
+which broadcast against a batch's ``(k, B)`` neuron or edge values. LIF
+cell constants and the plasticity constants (clip bound, stdp magnitudes,
+trace decay) are not trained; they live in the topology and in
 ``plasticity`` respectively.
 """
 
@@ -85,16 +87,16 @@ class ParameterSet:
 
     @property
     def self_coeff(self) -> np.ndarray:
-        return self.segment("self_coeff")
+        return self.segment("self_coeff")[:, None]
 
     @property
     def bias(self) -> np.ndarray:
-        return self.segment("bias")
+        return self.segment("bias")[:, None]
 
     @property
     def learn_rate(self) -> np.ndarray:
-        """Per-hebbian-edge learning rates (empty when no hebbian edges)."""
-        return self.segment("learn_rate") if self.has("learn_rate") else np.zeros(0)
+        """Per-hebbian-edge learning rates (none when no hebbian edges)."""
+        return self.flat[self.registry.get("learn_rate", slice(0))][:, None]
 
     @property
     def retention(self) -> float:

@@ -4,8 +4,8 @@ The one implementation of the rules and the weight clip: ``engine.step``
 applies each rule to its own edges of the rollout's per-edge weights,
 ``autodiff.backward`` reads the clip gate off the recorded weights (the
 clip maps every value at or beyond the bound to exactly it). Arrays have
-the edge (or neuron) axis first and an optional trailing episode axis,
-against which per-edge parameters broadcast as ``(k, 1)`` columns.
+the edge (or neuron) axis first and one column per episode, against which
+per-edge parameters broadcast as ``(k, 1)`` columns.
 
 Two rules:
 
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import columns
 from .topology import NetworkTopology
 
 
@@ -68,8 +67,8 @@ class PlasticEdgeState:
     one its rule updates (``topology.hebbian_pos`` / ``stdp_pos``).
     ``trace`` is per neuron: stdp reads it at an edge's source and at its
     target, both lif cells; a non-lif neuron's entry accumulates its
-    outputs but is never read. A batch adds a trailing episode axis to
-    each array: ``(n_edges, B)`` weights, an ``(n, B)`` trace.
+    outputs but is never read. Each array has one column per episode of
+    a batch: ``(n_edges, B)`` weights, an ``(n, B)`` trace.
     """
 
     weights: np.ndarray
@@ -82,13 +81,11 @@ class PlasticEdgeState:
 
 
 def reset_plastic_state(topology: NetworkTopology, w0: np.ndarray,
-                        batch: int | None = None) -> PlasticEdgeState:
-    """Episode-boundary state: every edge weight := its initial weight
-    (a copy of the per-edge vector ``w0``), trace zeroed; with ``batch``,
-    one such column per episode."""
+                        batch: int = 1) -> PlasticEdgeState:
+    """Episode-boundary state of each of ``batch`` episodes, one column
+    each: every edge weight := its initial weight (the per-edge vector
+    ``w0``), trace zeroed."""
     w0 = np.asarray(w0, dtype=np.float64)
-    if batch is None:
-        return PlasticEdgeState(weights=w0.copy(), trace=np.zeros(topology.n))
     return PlasticEdgeState(weights=np.repeat(w0[:, None], batch, axis=1),
                             trace=np.zeros((topology.n, batch)))
 
@@ -103,7 +100,7 @@ def hebbian_update(e_prev, out_pre_prev, out_post, learn_rate,
     # in place: the terms are products, the sum commutes, so the values are
     # those of retention * e_prev + learn_rate * (pre * post)
     raw = out_pre_prev * out_post
-    raw *= columns(learn_rate, e_prev)
+    raw *= learn_rate
     raw += retention * e_prev
     return clip_weights(raw, out=raw)
 

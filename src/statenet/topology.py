@@ -130,11 +130,11 @@ class NetworkTopology:
         self.static_idx = np.array(
             [i for i, e in enumerate(self.edges) if not e.plastic], dtype=np.intp)
 
-        # per-lif-neuron parameter vectors aligned with lif_ids, in the
-        # shape the dynamics kernels read
+        # per-lif-neuron parameters aligned with lif_ids, as the (k, 1)
+        # columns the dynamics kernels read
         lp = [self.neurons[i].params for i in self.lif_ids]
         self.lif_params = LifParams(**{
-            f.name: np.array([getattr(p, f.name) for p in lp], dtype=np.float64)
+            f.name: np.array([getattr(p, f.name) for p in lp], np.float64).reshape(-1, 1)
             for f in fields(LifParams)})
 
         for arr in [*vars(self).values(), *vars(self.lif_params).values()]:

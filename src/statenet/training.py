@@ -320,8 +320,6 @@ def _lockstep(episodes: list, ids, block: int, run):
         try:
             out = run(rows, xs, ys, mask, block_lengths)
         except NumericsError as exc:
-            if exc.row is None:
-                raise
             i = rows[exc.row]
             raise NumericsError(f"episode {i}: {exc}", row=i) from exc
         for k, res in zip(ks, out):

@@ -16,7 +16,8 @@ import numpy as np
 from .autodiff import episode_gradients, fd_gradient
 from .engine import fresh_state, reference_rollout, rollout
 from .params import ParameterSet
-from .plasticity import DEPRESSION, POTENTIATION, TRACE_DECAY, stdp_update
+from .plasticity import (CLIP_BOUND, DEPRESSION, POTENTIATION, TRACE_DECAY,
+                         stdp_update)
 from .rng import Rng, derive_seed
 from .topology import build_random
 
@@ -92,42 +93,58 @@ def run_gradcheck(n_nets: int = 50, seed: int = 2024,
 def run_oracle_diff(n_cases: int = 1000, seed: int = 7,
                     rate_tol: float = 1e-12):
     """Vectorized rollout vs naive per-edge interpreter: rate outputs agree
-    within ``rate_tol``, spike trains agree exactly."""
+    within ``rate_tol``, spike trains agree exactly. A third of the cases
+    drive plastic edges into the outputs onto the weight clip (hebbian
+    rate 5, stdp weights from 0.02 under it); the last line counts those
+    that reached it."""
     lines = []
     passed = True
     worst_rate = 0.0
+    at_clip = 0
     t0 = time.perf_counter()
     for i in range(n_cases):
         rng = Rng(derive_seed(seed, 0x0CA, i))
         spiking = i % 2 == 1
         rule = ("stdp" if spiking else "hebbian") if i % 3 else "none"
+        clip = rule != "none" and i % 4 >= 2
         topo = build_random(rng.randrange(1, 5), rng.uniform(0.2, 1.0),
                             seed=derive_seed(seed, 3, i),
                             model="lif" if spiking else "rate",
                             n_inputs=rng.randrange(1, 3),
                             n_outputs=rng.randrange(1, 3),
-                            plastic_rule=rule)
-        params = ParameterSet.from_topology(topo)
+                            plastic_rule=rule,
+                            plastic_scope="readout" if clip else "hidden",
+                            direct_io=clip)
+        params = ParameterSet.from_topology(
+            topo, learn_rate_init=5.0 if clip else 0.01)
         T = rng.randrange(3, 12)
         amp = 3.0 if spiking else 1.0
         xs = np.array([[rng.uniform(-amp, amp) for _ in range(topo.n_inputs)]
                        for _ in range(T)])
-        fast, _ = rollout(fresh_state(topo, params), xs, topo, params)
+        if clip and spiking:
+            w0 = params.w0      # a view of the flat vector
+            w0[topo.stdp_pos] = np.sign(w0[topo.stdp_pos]) * (CLIP_BOUND - 0.02)
+        states = []
+        fast, _ = rollout(fresh_state(topo, params), xs, topo, params,
+                          states=states)
         slow = np.array(reference_rollout(fresh_state(topo, params), xs,
                                           topo, params))
+        at_clip += any(np.any(np.abs(st.plastic.weights) == CLIP_BOUND)
+                       for st in states)
         if spiking:
             if not np.array_equal(fast, slow):
                 passed = False
                 lines.append(f"FAIL case {i}: spike trains differ")
         else:
-            diff = float(np.max(np.abs(fast - slow))) if fast.size else 0.0
+            diff = float(np.max(np.abs(fast - slow)))
             worst_rate = max(worst_rate, diff)
             if diff > rate_tol:
                 passed = False
                 lines.append(f"FAIL case {i}: rate outputs differ by {diff:.3e}")
     dt = time.perf_counter() - t0
     lines.append(f"{'PASS' if passed else 'FAIL'} oracle: {n_cases} cases, "
-                 f"worst rate diff {worst_rate:.3e}, spikes exact, {dt:.1f}s")
+                 f"{at_clip} at the weight clip, worst rate diff "
+                 f"{worst_rate:.3e}, spikes exact, {dt:.1f}s")
     return passed, lines
 
 

@@ -396,7 +396,7 @@ def truncated_fd_gradient(topo, params, xs, ys, tag, k1, k2, eps=1e-5):
             entry = states[begin]
             weights = entry.plastic.weights.copy()
             cols = topo.static_idx if begin else np.arange(topo.n_edges)
-            weights[cols] = theta.w0[cols]
+            weights[cols, 0] = theta.w0[cols]
             entry = RolloutState(entry.s, entry.v_last, PlasticEdgeState(
                 weights, entry.plastic.trace), entry.t)
             outs, _ = rollout(entry, xs[begin:stop], topo, theta)

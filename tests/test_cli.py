@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def test_gen_pong_is_reproducible(runner, tmp_path):
         result = runner.invoke(main, ["gen", "pong", "--episodes", "10",
                                       "--seed", "1", "--out", out])
         assert result.exit_code == 0, result.output
-        digests.append(hashlib.sha256(open(out, "rb").read()).hexdigest())
+        digests.append(hashlib.sha256(Path(out).read_bytes()).hexdigest())
     assert digests[0] == digests[1]
 
 
@@ -108,10 +109,10 @@ def test_train_writes_run_directory(runner, tmp_path):
                                   "--dataset", data_path, "--out-dir", run_dir,
                                   "--epochs", "2", "--batch", "3"])
     assert result.exit_code == 0, result.output
-    metrics = open(os.path.join(run_dir, "metrics.csv")).read().splitlines()
+    metrics = Path(run_dir, "metrics.csv").read_text().splitlines()
     assert metrics[0].startswith("epoch,")
     assert len(metrics) == 3
-    resolved = json.load(open(os.path.join(run_dir, "train.json")))
+    resolved = json.loads(Path(run_dir, "train.json").read_text())
     assert resolved["config"]["epochs"] == 2
     assert os.path.exists(os.path.join(run_dir, "final.ckpt"))
 
@@ -178,13 +179,13 @@ def test_train_dimension_mismatch_exits_2(runner, tmp_path):
 def test_train_config_file_with_flag_override(runner, tmp_path):
     topo_path, data_path = _make_training_inputs(runner, tmp_path)
     cfg_path = str(tmp_path / "cfg.json")
-    json.dump({"epochs": 9, "batch_size": 3}, open(cfg_path, "w"))
+    Path(cfg_path).write_text(json.dumps({"epochs": 9, "batch_size": 3}))
     run_dir = str(tmp_path / "run")
     result = runner.invoke(main, ["train", "--topology", topo_path,
                                   "--dataset", data_path, "--out-dir", run_dir,
                                   "--config", cfg_path, "--epochs", "1"])
     assert result.exit_code == 0, result.output
-    resolved = json.load(open(os.path.join(run_dir, "train.json")))
+    resolved = json.loads(Path(run_dir, "train.json").read_text())
     assert resolved["config"]["epochs"] == 1        # flag wins
     assert resolved["config"]["batch_size"] == 3    # file wins over default
 
@@ -192,7 +193,7 @@ def test_train_config_file_with_flag_override(runner, tmp_path):
 def test_train_unknown_config_key_exits_2(runner, tmp_path):
     topo_path, data_path = _make_training_inputs(runner, tmp_path)
     cfg_path = str(tmp_path / "cfg.json")
-    json.dump({"learning_rte": 1.0}, open(cfg_path, "w"))
+    Path(cfg_path).write_text(json.dumps({"learning_rte": 1.0}))
     result = runner.invoke(main, ["train", "--topology", topo_path,
                                   "--dataset", data_path,
                                   "--out-dir", str(tmp_path / "r"),
@@ -323,6 +324,15 @@ def test_verify_plasticity_signs_via_cli(runner):
     result = runner.invoke(main, ["verify", "plasticity-signs"])
     assert result.exit_code == 0, result.output
     assert "PASS" in result.output
+
+
+def test_verify_failed_check_exits_1(runner, monkeypatch):
+    # an oracle clipping at 4.999 disagrees with the engine at the clip
+    from statenet import engine
+    monkeypatch.setattr(engine, "CLIP_BOUND", 4.999)
+    result = runner.invoke(main, ["verify", "oracle"])
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines()[-1].startswith("FAIL oracle")
 
 
 def test_verify_unknown_suite_is_usage_error(runner):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,7 +247,7 @@ def test_truncated_file_names_line(tmp_path):
     ds = gen_pong(PongDataConfig(episodes=3, seed=1))
     path = str(tmp_path / "eps.jsonl")
     save_dataset(ds, path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     with open(path, "w") as fh:
         fh.write("\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]) + "\n")
     with pytest.raises(DatasetError, match="line 4"):
@@ -257,7 +258,7 @@ def test_manifest_count_mismatch(tmp_path):
     ds = gen_pavlov(PavlovConfig(episodes=3, seed=1))
     path = str(tmp_path / "eps.jsonl")
     save_dataset(ds, path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     with open(path, "w") as fh:
         fh.write("\n".join(lines[:-1]) + "\n")
     with pytest.raises(DatasetError, match="declares 3"):
@@ -315,7 +316,7 @@ def test_episode_error_names_its_line_once(tmp_path):
     assert str(exc.value) == ("line 2: malformed episode: ValueError: "
                               "x must be a list of equally long lists of numbers")
     # blank lines count: the bad episode sits on file line 4
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     manifest = dict(json.loads(lines[0]), episodes=2)
     with open(path, "w") as fh:
         fh.write("\n".join([json.dumps(manifest), "",

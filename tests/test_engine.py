@@ -1,5 +1,6 @@
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ def _rollout_at_the_clip_bound(topo, params, xs):
         assert np.array_equal(fast, slow)
     else:
         assert np.max(np.abs(fast - slow)) <= 1e-12
-    return fast, np.array([st.plastic.weights[topo.plastic_idx]
+    return fast, np.array([st.plastic.weights[topo.plastic_idx, 0]
                            for st in states])
 
 
@@ -197,6 +198,20 @@ def test_stdp_rollout_matches_oracle_at_the_clip_bound():
     spikes, weights = _rollout_at_the_clip_bound(topo, params, xs)
     assert np.flatnonzero(spikes[:, 0]).tolist() == [1, 26]
     assert weights[1:25, 0].tolist() == [CLIP_BOUND] * 24
+
+
+def test_oracle_suite_reaches_the_clip_and_catches_a_wrong_clip(monkeypatch):
+    # the shipped gate drives a share of its cases onto the weight clip; an
+    # oracle clipping at 4.999 (only it reads engine's binding) fails it
+    from statenet import engine
+    from statenet.verify import run_oracle_diff
+    passed, lines = run_oracle_diff(n_cases=40)
+    reached = int(lines[-1].split(", ")[1].split()[0])
+    assert passed and reached >= 5, lines[-1]
+    monkeypatch.setattr(engine, "CLIP_BOUND", 4.999)
+    passed, lines = run_oracle_diff(n_cases=40)
+    assert not passed
+    assert lines[0].startswith("FAIL case") and "rate outputs differ" in lines[0]
 
 
 def reciprocal_lif_pair():
@@ -302,9 +317,9 @@ def test_mixed_rate_and_stdp_net_matches_oracle_and_runs_rows_alone():
         alone, end = rollout(fresh_state(topo, params), xs[b, :n], topo, params)
         assert np.array_equal(ys[b, :n], alone) and not ys[b, n:].any()
         last = states[n - 1]
-        assert np.array_equal(last.plastic.weights[:, b], end.plastic.weights)
-        assert np.array_equal(last.plastic.trace[:, b], end.plastic.trace)
-        assert np.array_equal(last.v_last[:, b], end.v_last)
+        assert np.array_equal(last.plastic.weights[:, [b]], end.plastic.weights)
+        assert np.array_equal(last.plastic.trace[:, [b]], end.plastic.trace)
+        assert np.array_equal(last.v_last[:, [b]], end.v_last)
         if b % 4 == 0:
             slow = np.array(reference_rollout(fresh_state(topo, params),
                                               xs[b, :n], topo, params))
@@ -325,11 +340,60 @@ def test_dimension_mismatch_raises():
         step(fresh_state(topo, params), np.zeros(3), topo, params)
 
 
+@pytest.mark.parametrize("model,rule", [("rate", "hebbian"), ("lif", "stdp")])
+def test_one_episode_is_column_0_of_a_batch_of_one(model, rule):
+    # (T, n_in) stimuli run as xs[None]: the outputs are row 0 of that run,
+    # bitwise, and the recorded states are (n, 1) columns
+    topo = build_random(4, 0.7, seed=21, model=model, n_inputs=2,
+                        n_outputs=2, plastic_rule=rule, plastic_scope="readout",
+                        lif_params=LifParams(threshold=0.15))
+    params = ParameterSet.from_topology(topo)
+    xs = np.random.default_rng(22).uniform(0, 1, (9, 2))
+    alone, batch = [], []
+    ys, end = rollout(fresh_state(topo, params), xs, topo, params,
+                      states=alone)
+    yb, end_b = rollout(fresh_state(topo, params), xs[None], topo, params,
+                        states=batch)
+    assert ys.shape == (9, 2) and ys.tobytes() == yb[0].tobytes()
+    assert len(alone) == len(batch) == 9
+    for a, b in zip(alone + [end], batch + [end_b]):
+        assert a.s.shape == a.v_last.shape == a.plastic.trace.shape == (topo.n, 1)
+        assert a.plastic.weights.shape == (topo.n_edges, 1)
+        for x, y in ((a.s, b.s), (a.v_last, b.v_last),
+                     (a.plastic.weights, b.plastic.weights),
+                     (a.plastic.trace, b.plastic.trace)):
+            assert x.tobytes() == y.tobytes()
+    # an (n_in,) stimulus is the one column of the state
+    res, state = step(fresh_state(topo, params), xs[0], topo, params)
+    assert res.y.shape == (2, 1) and res.y[:, 0].tobytes() == ys[0].tobytes()
+    assert state.s.tobytes() == alone[0].s.tobytes()
+
+
+def test_one_episode_stimulus_against_a_batch_is_refused():
+    topo = chain_topology([1.0, 1.0])
+    params = ParameterSet.from_topology(topo)
+    state = fresh_state(topo, params, batch=3)
+    with pytest.raises(ValueError, match=r"stimulus shape \(1, 1\) != \(1, 3\)"):
+        step(state, np.zeros(1), topo, params)
+    with pytest.raises(ValueError, match=r"stimulus shape \(1, 4, 1\) has fewer"):
+        rollout(state, np.zeros((4, 1)), topo, params)
+    # so is a batch with fewer rows than the state's episodes
+    with pytest.raises(ValueError, match=r"stimulus shape \(2, 4, 1\) has fewer"):
+        rollout(state, np.zeros((2, 4, 1)), topo, params)
+
+
 def test_non_finite_stimulus_raises_with_timestamp():
     topo = chain_topology([1.0])
     params = ParameterSet.from_topology(topo)
-    with pytest.raises(NumericsError, match="t=1"):
+    with pytest.raises(NumericsError, match="t=1") as exc:
         step(fresh_state(topo, params), np.array([float("nan")]), topo, params)
+    assert exc.value.row == 0
+    # one episode's (T, n_in) rollout names row 0 too
+    xs = np.zeros((3, 1))
+    xs[1] = float("inf")
+    with pytest.raises(NumericsError, match="t=2") as exc:
+        rollout(fresh_state(topo, params), xs, topo, params)
+    assert exc.value.row == 0
 
 
 def test_non_finite_lif_value_names_step_neuron_and_row():
@@ -343,7 +407,7 @@ def test_non_finite_lif_value_names_step_neuron_and_row():
     message = r"^non-finite value at t=1, neuron 2$"
     with pytest.raises(NumericsError, match=message) as exc:
         step(fresh_state(topo, params), np.zeros(1), topo, params)
-    assert exc.value.row is None
+    assert exc.value.row == 0                  # one episode is row 0
     # a batch names the first row whose plastic weight holds the NaN
     state = fresh_state(topo, params, batch=3)
     state.plastic.weights[:, 0] = 0.5
@@ -385,15 +449,16 @@ def test_static_weight_columns_stay_at_w0(rule, lengths):
                         else "lif", n_inputs=2, n_outputs=1, plastic_rule=rule,
                         lif_params=LifParams(threshold=0.15))
     params = ParameterSet.from_topology(topo)
-    batch = None if lengths is None else len(lengths)
-    xs = np.random.default_rng(6).uniform(0, 1, (batch or 1, 6, 2))
+    batch = 1 if lengths is None else len(lengths)
+    xs = np.random.default_rng(6).uniform(0, 1, (batch, 6, 2))
     state0 = fresh_state(topo, params, batch)
     states = [state0]
-    rollout(state0, xs if batch else xs[0], topo, params, states=states,
+    # one episode runs its (T, n_in) stimuli as a batch of one
+    rollout(state0, xs if lengths else xs[0], topo, params, states=states,
             lengths=lengths)
     assert len(topo.static_idx) and len(topo.plastic_idx)
     for state in states:
-        # an episode's (edges,) weights or a batch's (edges, B)
+        # (edges, B) weights, one column per episode
         static = state.plastic.weights[topo.static_idx].T
         assert np.array_equal(static, np.broadcast_to(
             params.w0[topo.static_idx], static.shape))
@@ -418,7 +483,9 @@ def test_batch_gather_is_each_episode_alone_bitwise():
             alone = np.zeros(topo.n)
             np.add.at(alone, topo.edge_dst, w[:, b] * v[topo.edge_src, b])
             assert batch[:, b].tobytes() == alone.tobytes()
-            assert gather(topo, w[:, b], v[:, b]).tobytes() == alone.tobytes()
+            one = gather(topo, w[:, [b]], v[:, [b]])
+            assert one.shape == (topo.n, 1)
+            assert one.tobytes() == alone.tobytes()
 
 
 def test_probe_dump(tmp_path):
@@ -428,7 +495,7 @@ def test_probe_dump(tmp_path):
     with ProbeWriter(path, topo, edge_stride=1) as probe:
         rollout(fresh_state(topo, params), np.ones((3, 1)), topo, params,
                 states=probe)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "t,kind,id,a,b"
     assert sum(1 for ln in lines if ln.startswith("1,n,")) == topo.n
     assert len(lines) == 1 + 3 * topo.n  # no plastic edges in this net

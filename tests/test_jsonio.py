@@ -155,8 +155,8 @@ def test_atomic_write_replaces_or_keeps(tmp_path):
         with atomic_write(path) as fh:
             fh.write("ne")
             raise RuntimeError("killed")
-    assert open(path).read() == "old"
+    assert pathlib.Path(path).read_text() == "old"
     assert os.listdir(tmp_path) == ["f.txt"]
     with atomic_write(path) as fh:
         fh.write("new")
-    assert open(path).read() == "new"
+    assert pathlib.Path(path).read_text() == "new"

@@ -132,10 +132,16 @@ def test_reset_uses_initial_weights_and_is_idempotent():
     params = ParameterSet.from_topology(topo)
     s1 = reset_plastic_state(topo, params.w0)
     s2 = reset_plastic_state(topo, params.w0)
-    assert np.array_equal(s1.weights, params.w0)
+    # one episode is the batch of one: one column per array
+    assert s1.weights.shape == (topo.n_edges, 1)
+    assert np.array_equal(s1.weights[:, 0], params.w0)
     assert not np.shares_memory(s1.weights, params.w0)
     assert np.array_equal(s1.weights, s2.weights)
-    assert np.array_equal(s1.trace, np.zeros(topo.n))
+    assert np.array_equal(s1.trace, np.zeros((topo.n, 1)))
+    # a batch's columns are each that episode's
+    s3 = reset_plastic_state(topo, params.w0, batch=3)
+    assert np.array_equal(s3.weights, np.repeat(s1.weights, 3, axis=1))
+    assert np.array_equal(s3.trace, np.zeros((topo.n, 3)))
 
 
 def test_reset_after_rollout_equals_single_reset():
