@@ -236,13 +236,12 @@ def backward(tape: Tape) -> np.ndarray:
     carry = np.ones((E, 1))
     carry[heb] = retention
     out = topo.output_ids
-    src_h = topo.edge_src[heb]
-    dst_h = topo.edge_dst[heb]
     # gv_prev takes the hebbian source terms, then the gather transpose, in
     # one bincount over the rows of one buffer
-    at_src = np.concatenate([src_h, topo.edge_src])
+    at_src = np.concatenate([topo.hebbian_src, topo.edge_src])
     terms = np.empty(len(at_src) * B)
-    # the two scatters' flat offsets, per number of rows swept at a step
+    # the two scatters' flat offsets and, for lif cells, the re-gather's,
+    # per number of rows swept at a step
     offsets = {}
 
     # The rows swept at a step, [lo, hi), are the columns of one contiguous
@@ -272,8 +271,10 @@ def backward(tape: Tape) -> np.ndarray:
             ge, g_sc, g_b, g_lr, g_ret, gs, gv = (
                 block[i:j] for i, j in zip(part, part[1:]))
         if m not in offsets:
-            offsets[m] = scatter_index(dst_h, m), scatter_index(at_src, m)
-        at_dst_h, at_src_m = offsets[m]
+            offsets[m] = (scatter_index(topo.hebbian_dst, m),
+                          scatter_index(at_src, m),
+                          scatter_index(topo.edge_dst, m) if len(lif) else None)
+        at_dst_h, at_src_m, at_dst_m = offsets[m]
         prev = tape.states[t - 1]
         v_t = tape.states[t].v_last[:, a:b]
         v_prev = prev.v_last[:, a:b]
@@ -286,8 +287,8 @@ def backward(tape: Tape) -> np.ndarray:
         # contribution to gv must land before the neuron backward reads gv
         gh = ge.take(heb, 0)
         gh_lr = gh * learn_rate
-        pre = v_prev.take(src_h, 0)
-        post = v_t.take(dst_h, 0)
+        pre = v_prev.take(topo.hebbian_src, 0)
+        post = v_t.take(topo.hebbian_dst, 0)
         if H:
             g_lr += gh * (pre * post)
             g_ret[0] += _rowsum((gh * w_prev.take(heb, 0)).T) * sig_prime
@@ -304,7 +305,7 @@ def backward(tape: Tape) -> np.ndarray:
             gu[rate] = gz
             gs_prev[rate] = gz * self_coeff
         if len(lif):
-            u = gather(topo, w_prev, v_prev)
+            u = gather(topo, w_prev, v_prev, at_dst_m)
             membrane = lif_membrane_pre(u.take(lif, 0), s_prev.take(lif, 0),
                                         topo.lif_params)
             surr = lif_surrogate_grad(membrane, topo.lif_params)

@@ -29,9 +29,19 @@ Order of operations inside one step:
    endpoints (both lif cells, whose outputs are their spikes).
 
 Steps 3 and 4 call the ``dynamics`` and ``plasticity`` kernels that the
-backward sweep shares. ``rollout`` is the one loop over steps, and
-``states`` its one recording hook: it appends each new state to a list, the
-trajectory a backward sweep reads, or to a ``ProbeWriter``, a CSV sink.
+backward sweep shares; each rule reads its edges' endpoints off the
+topology (``hebbian_src`` / ``hebbian_dst``, ``stdp_src`` / ``stdp_dst``).
+``rollout`` is the one loop over steps, and ``states`` its one recording
+hook: it appends each new state to a list, the trajectory a backward sweep
+reads, or to a ``ProbeWriter``, a CSV sink.
+
+The gather's flat offsets (``scatter_index``) depend only on the edges and
+the batch width, so the loops that step a batch build them once per width
+and pass them to ``step``: ``rollout`` at its start and again each time
+its width drops, the closed loop (``training._play_pong``) likewise when
+it drops finished episodes, and the backward sweep once per width it
+sweeps. A ``step`` given none builds its own. No offsets outlive the call
+that built them.
 
 The one-step delay on every edge makes arbitrary cycles well defined
 without fixed-point iteration; the shortest input-to-output path of k
@@ -138,23 +148,31 @@ def scatter_index(idx: np.ndarray, cols: int) -> np.ndarray:
     return (idx[:, None] * cols + np.arange(cols)).ravel()
 
 
-def gather(topology: NetworkTopology, w: np.ndarray,
-           v_last: np.ndarray) -> np.ndarray:
+def gather(topology: NetworkTopology, w: np.ndarray, v_last: np.ndarray,
+           offsets: np.ndarray) -> np.ndarray:
     """Per-neuron drive from previous-step outputs, summed in edge order
-    (bitwise ``np.add.at`` into zeros)."""
+    (bitwise ``np.add.at`` into zeros). ``offsets`` are
+    ``scatter_index(topology.edge_dst, B)`` for the B columns of
+    ``v_last``."""
+    n, cols = v_last.shape
+    if len(offsets) != topology.n_edges * cols:
+        raise ValueError(f"gather offsets hold {len(offsets)} entries, not "
+                         f"{topology.n_edges} edges x {cols} columns")
     contrib = v_last.take(topology.edge_src, 0)
     contrib *= w
-    n, cols = v_last.shape
-    return np.bincount(scatter_index(topology.edge_dst, cols), contrib.ravel(),
+    return np.bincount(offsets, contrib.ravel(),
                        minlength=n * cols).reshape(n, cols)
 
 
 def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
-         params: ParameterSet) -> tuple[StepResult, RolloutState]:
+         params: ParameterSet, offsets: np.ndarray | None = None
+         ) -> tuple[StepResult, RolloutState]:
     """Advance the network one step. Returns (result, next state).
 
     The state takes one stimulus column per episode, ``(n_in, B)``; one
-    episode's ``(n_in,)`` stimulus is the one column of a batch of one. A
+    episode's ``(n_in,)`` stimulus is the one column of a batch of one.
+    ``offsets``, the gather's ``scatter_index(topology.edge_dst, B)``, are
+    built when not given; offsets of another width raise ``ValueError``. A
     non-finite value raises ``NumericsError`` naming the step, the neuron
     and the episode's column (``row``)."""
     t = state.t + 1
@@ -167,9 +185,11 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
     if not np.isfinite(x).all():
         raise _non_finite(f"non-finite stimulus at t={t}", np.isfinite(x))
 
+    if offsets is None:
+        offsets = scatter_index(topology.edge_dst, want[1])
     v = np.zeros(state.v_last.shape)
     v[topology.input_ids] = x
-    u = gather(topology, state.plastic.weights, state.v_last)
+    u = gather(topology, state.plastic.weights, state.v_last, offsets)
 
     s_new = state.s.copy()
     rate = topology.rate_ids
@@ -199,14 +219,14 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
     if len(heb):
         new_plastic.weights[heb] = hebbian_update(
             state.plastic.weights.take(heb, 0),
-            state.v_last.take(topology.edge_src[heb], 0),
-            v.take(topology.edge_dst[heb], 0),
+            state.v_last.take(topology.hebbian_src, 0),
+            v.take(topology.hebbian_dst, 0),
             params.learn_rate, params.retention)
     sd = topology.stdp_pos
     if len(sd):
         new_plastic.weights[sd], new_plastic.trace = stdp_update(
-            state.plastic.weights.take(sd, 0), topology.edge_src[sd],
-            topology.edge_dst[sd], v, state.plastic.trace)
+            state.plastic.weights.take(sd, 0), topology.stdp_src,
+            topology.stdp_dst, v, state.plastic.trace)
 
     result = StepResult(y=v.take(topology.output_ids, 0), probe=v)
     next_state = RolloutState(s=s_new, v_last=v, plastic=new_plastic, t=t)
@@ -250,12 +270,14 @@ def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
     if np.any(np.diff(lengths) > 0):
         raise ValueError("batch rows must be sorted by length, longest first")
     rows = np.count_nonzero(lengths[:, None] > np.arange(len(by_step)), axis=0)
-    state = state0
+    state, offsets = state0, None
     for t in range(len(by_step)):
         x, y = by_step[t][:, :rows[t]], out[t][:, :rows[t]]
         if rows[t] < state.s.shape[1]:
-            state = state.rows(slice(rows[t]))
-        res, state = step(state, x, topology, params)
+            state, offsets = state.rows(slice(rows[t])), None
+        if offsets is None:
+            offsets = scatter_index(topology.edge_dst, state.s.shape[1])
+        res, state = step(state, x, topology, params, offsets)
         y[...] = res.y
         if states is not None:
             states.append(state)
@@ -263,11 +285,15 @@ def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
 
 
 def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
-                      params: ParameterSet) -> list[list[float]]:
+                      params: ParameterSet,
+                      record: list | None = None) -> list[list[float]]:
     """Naive interpreter: explicit per-edge loops, scalar arithmetic.
 
     Deliberately independent of the vectorized path; used as an oracle.
-    Runs one episode, (T x n_in) stimuli, from column 0 of ``state0``.
+    Runs one episode, (T x n_in) stimuli, from column 0 of ``state0``, and
+    returns each step's outputs. ``record``, when given, receives after
+    every step a pair (plastic weights in ``topology.plastic_idx`` order,
+    lif membranes in ``topology.lif_ids`` order).
     """
     n = topology.n
     s = [float(x) for x in state0.s[:, 0]]
@@ -353,4 +379,7 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
         s = s_new
         v_last = v
         outputs.append([v[int(i)] for i in topology.output_ids])
+        if record is not None:
+            record.append(([e_plastic[int(k)] for k in topology.plastic_idx],
+                           [s[int(i)] for i in topology.lif_ids]))
     return outputs

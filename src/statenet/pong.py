@@ -67,15 +67,15 @@ class PongEnv:
         self.done = False
         self.steps = 0
 
-    def observation(self) -> np.ndarray:
+    def observation(self) -> tuple[float, float, float, float, float]:
+        """The five channels as plain floats: ``np.array`` of one or of a
+        list of them gives the float64 stimuli, with no array per step."""
         cfg = self.cfg
-        return np.array([
-            _unit(self.ball_x, cfg.width),
-            _unit(self.ball_y, cfg.height),
-            float(self.vel_x),
-            float(self.vel_y),
-            _unit(self.paddle, cfg.height),
-        ])
+        return (_unit(self.ball_x, cfg.width),
+                _unit(self.ball_y, cfg.height),
+                float(self.vel_x),
+                float(self.vel_y),
+                _unit(self.paddle, cfg.height))
 
     def expert_action(self) -> int:
         d = self.ball_y - self.paddle

@@ -8,9 +8,10 @@ during a rollout under the rule named by ``rule``.
 Topologies are immutable after construction; the derived index arrays
 (edge endpoints, role groups, per-model parameter vectors, and the edge
 ids of each rule's edges, ``hebbian_pos`` / ``stdp_pos``, which select a
-rule's columns of a rollout's per-edge weights) are what the execution
-engine consumes. Serialization uses a single JSON document with
-mandatory ``format: "snn-topology/1"``.
+rule's columns of a rollout's per-edge weights, with those edges'
+endpoints, ``hebbian_src`` / ``hebbian_dst`` and ``stdp_src`` /
+``stdp_dst``) are what the execution engine consumes. Serialization uses
+a single JSON document with mandatory ``format: "snn-topology/1"``.
 """
 
 from __future__ import annotations
@@ -125,6 +126,11 @@ class NetworkTopology:
         self.stdp_pos = np.array(
             [i for i, e in enumerate(self.edges) if e.plastic and e.rule == "stdp"],
             dtype=np.intp)
+        # each rule's edge endpoints, which its update reads every step
+        self.hebbian_src = self.edge_src[self.hebbian_pos]
+        self.hebbian_dst = self.edge_dst[self.hebbian_pos]
+        self.stdp_src = self.edge_src[self.stdp_pos]
+        self.stdp_dst = self.edge_dst[self.stdp_pos]
         self.plastic_idx = np.array(
             [i for i, e in enumerate(self.edges) if e.plastic], dtype=np.intp)
         self.static_idx = np.array(

@@ -93,13 +93,14 @@ def run_gradcheck(n_nets: int = 50, seed: int = 2024,
 def run_oracle_diff(n_cases: int = 1000, seed: int = 7,
                     rate_tol: float = 1e-12):
     """Vectorized rollout vs naive per-edge interpreter: rate outputs agree
-    within ``rate_tol``, spike trains agree exactly. A third of the cases
-    drive plastic edges into the outputs onto the weight clip (hebbian
-    rate 5, stdp weights from 0.02 under it); the last line counts those
-    that reached it."""
+    within ``rate_tol``, spike trains agree exactly, and the plastic
+    weights and lif membranes after every step agree within ``rate_tol``.
+    A third of the cases drive plastic edges into the outputs onto the
+    weight clip (hebbian rate 5, stdp weights from 0.02 under it); the
+    last line counts those that reached it."""
     lines = []
     passed = True
-    worst_rate = 0.0
+    worst_rate = worst_state = 0.0
     at_clip = 0
     t0 = time.perf_counter()
     for i in range(n_cases):
@@ -124,11 +125,11 @@ def run_oracle_diff(n_cases: int = 1000, seed: int = 7,
         if clip and spiking:
             w0 = params.w0      # a view of the flat vector
             w0[topo.stdp_pos] = np.sign(w0[topo.stdp_pos]) * (CLIP_BOUND - 0.02)
-        states = []
+        states, recorded = [], []
         fast, _ = rollout(fresh_state(topo, params), xs, topo, params,
                           states=states)
         slow = np.array(reference_rollout(fresh_state(topo, params), xs,
-                                          topo, params))
+                                          topo, params, record=recorded))
         at_clip += any(np.any(np.abs(st.plastic.weights) == CLIP_BOUND)
                        for st in states)
         if spiking:
@@ -141,11 +142,27 @@ def run_oracle_diff(n_cases: int = 1000, seed: int = 7,
             if diff > rate_tol:
                 passed = False
                 lines.append(f"FAIL case {i}: rate outputs differ by {diff:.3e}")
+        ref_weights, ref_membranes = zip(*recorded)
+        weights = [st.plastic.weights[topo.plastic_idx, 0] for st in states]
+        membranes = [st.s[topo.lif_ids, 0] for st in states]
+        diff = max(_max_abs_diff(ref_weights, weights),
+                   _max_abs_diff(ref_membranes, membranes))
+        worst_state = max(worst_state, diff)
+        if diff > rate_tol:
+            passed = False
+            lines.append(f"FAIL case {i}: plastic weights or membranes "
+                         f"differ by {diff:.3e}")
     dt = time.perf_counter() - t0
     lines.append(f"{'PASS' if passed else 'FAIL'} oracle: {n_cases} cases, "
                  f"{at_clip} at the weight clip, worst rate diff "
-                 f"{worst_rate:.3e}, spikes exact, {dt:.1f}s")
+                 f"{worst_rate:.3e}, worst weight/membrane diff "
+                 f"{worst_state:.3e}, spikes exact, {dt:.1f}s")
     return passed, lines
+
+
+def _max_abs_diff(a, b) -> float:
+    """Largest absolute difference of two equal-shape arrays, 0 when empty."""
+    return float(np.max(np.abs(np.subtract(a, b)), initial=0.0))
 
 
 def run_plasticity_signs(tol: float = 1e-12):

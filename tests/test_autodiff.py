@@ -7,7 +7,7 @@ from statenet.autodiff import (Tape, backward, batch_gradients,
                                episode_gradients, episode_loss, fd_gradient,
                                outputs_loss, step_loss, step_loss_grad,
                                tbptt_gradients)
-from statenet.engine import RolloutState, fresh_state, rollout
+from statenet.engine import RolloutState, fresh_state, rollout, scatter_index
 from statenet.params import ParameterSet
 from statenet.plasticity import CLIP_BOUND, PlasticEdgeState
 from statenet.rng import Rng
@@ -773,3 +773,30 @@ def test_a_lone_tape_sweeps_the_recorded_states(monkeypatch):
     ids = {id(st) for states in recorded for st in states}
     assert all(id(st) not in ids and st.plastic.trace is None
                for st in tape.states)
+
+
+def test_lif_sweep_builds_its_offsets_once_per_swept_width(monkeypatch):
+    # the sweep builds its two scatters' offsets and, on a lif net, the
+    # re-gather's once per number of rows it sweeps, never per iteration
+    from statenet import autodiff
+    kwargs, tag = BATCH_NETS["lif-stdp-mse"]
+    topo = build_random(8, 0.5, seed=41, direct_io=True, **kwargs)
+    params = ParameterSet.from_topology(topo)
+    lengths = [9, 9, 6, 6, 6, 2]
+    xs, ys = random_sequence(48, 9 * len(lengths), topo.n_inputs,
+                             topo.n_outputs)
+    xs = xs.reshape(len(lengths), 9, -1)
+    ys = ys.reshape(len(lengths), 9, -1)
+    want = batch_gradients(topo, params, xs, ys, None, lengths, tag)
+    built = []
+
+    def counting(idx, cols):
+        built.append((len(idx), cols))
+        return scatter_index(idx, cols)
+
+    monkeypatch.setattr(autodiff, "scatter_index", counting)
+    got = batch_gradients(topo, params, xs, ys, None, lengths, tag)
+    assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+    # rows 6, 5 and 2 are swept at steps 1-2, 3-6 and 7-9
+    assert sorted(cols for _, cols in built) == [2] * 3 + [5] * 3 + [6] * 3
+    assert (topo.n_edges, 6) in built

@@ -8,7 +8,7 @@ import pytest
 from statenet.datasets import (HELDOUT_TEST_LEN, DatasetError, Episode,
                                PavlovConfig, PongDataConfig, gen_pavlov,
                                gen_pong, load_dataset, save_dataset)
-from statenet.pong import PongConfig, PongEnv, action_onehot
+from statenet.pong import PongConfig, PongEnv, _unit, action_onehot
 from statenet.rng import Rng, derive_seed
 
 PAPER_X = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0]]
@@ -212,6 +212,23 @@ def test_pong_observation_normalized():
     for ep in ds.episodes:
         assert np.all(np.abs(ep.x) <= 1.0)
         assert np.all(ep.y.sum(axis=1) == 1.0)
+
+
+def test_pong_observation_is_the_unit_formula_as_plain_floats():
+    # five Python floats, bitwise _unit of the env's fields; np.array of
+    # them is the float64 row that the closed loop and gen_pong stack
+    cfg = PongConfig(width=9, height=11, paddle_len=5)
+    rng = Rng(23)
+    env = PongEnv(cfg, Rng(derive_seed(23, 1)))
+    while not env.done:
+        obs = env.observation()
+        want = (_unit(env.ball_x, cfg.width), _unit(env.ball_y, cfg.height),
+                float(env.vel_x), float(env.vel_y),
+                _unit(env.paddle, cfg.height))
+        assert type(obs) is tuple and all(type(c) is float for c in obs)
+        assert np.array(obs).tobytes() == np.array(want).tobytes()
+        assert np.array(obs).dtype == np.float64
+        env.step(rng.randrange(-1, 1))
 
 
 def test_pong_invalid_grid_rejected():

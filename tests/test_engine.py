@@ -7,7 +7,7 @@ import pytest
 
 from statenet.dynamics import NumericsError
 from statenet.engine import (ProbeWriter, fresh_state, gather,
-                             reference_rollout, rollout, step)
+                             reference_rollout, rollout, scatter_index, step)
 from statenet.params import ParameterSet
 from statenet.plasticity import (CLIP_BOUND, DEPRESSION, POTENTIATION,
                                  TRACE_DECAY)
@@ -214,6 +214,44 @@ def test_oracle_suite_reaches_the_clip_and_catches_a_wrong_clip(monkeypatch):
     assert lines[0].startswith("FAIL case") and "rate outputs differ" in lines[0]
 
 
+def test_oracle_suite_compares_weights_where_spikes_agree(monkeypatch):
+    # an oracle whose stdp potentiation is 0.2 % off (only it reads
+    # engine's binding) moves no spike; the recorded weights catch it
+    from statenet import engine
+    from statenet.verify import run_oracle_diff
+    monkeypatch.setattr(engine, "POTENTIATION", POTENTIATION * 1.002)
+    passed, lines = run_oracle_diff(n_cases=40)
+    assert not passed
+    assert "spikes exact" in lines[-1]
+    assert lines[0].startswith("FAIL case")
+    assert all("plastic weights or membranes differ" in line
+               for line in lines[:-1])
+
+
+def test_reference_rollout_records_weights_and_membranes():
+    # one (plastic weights, lif membranes) pair per step, the values the
+    # engine's recorded states hold; the outputs are unchanged
+    topo = mixed_stdp_net()
+    params = ParameterSet.from_topology(topo, learn_rate_init=0.5)
+    xs = np.random.default_rng(3).uniform(0, 3, (8, topo.n_inputs))
+    states, recorded = [], []
+    fast, _ = rollout(fresh_state(topo, params), xs, topo, params,
+                      states=states)
+    slow = reference_rollout(fresh_state(topo, params), xs, topo, params,
+                             record=recorded)
+    assert slow == reference_rollout(fresh_state(topo, params), xs, topo,
+                                     params)
+    assert len(recorded) == len(states) == 8
+    for (weights, membranes), st in zip(recorded, states):
+        assert len(weights) == topo.n_plastic
+        assert len(membranes) == len(topo.lif_ids)
+        assert np.allclose(weights, st.plastic.weights[topo.plastic_idx, 0],
+                           rtol=0, atol=1e-12)
+        assert np.allclose(membranes, st.s[topo.lif_ids, 0], rtol=0,
+                           atol=1e-12)
+    assert any(weights != recorded[0][0] for weights, _ in recorded)
+
+
 def reciprocal_lif_pair():
     neurons = [NeuronSpec(0, "input", "lif", LifParams()),
                NeuronSpec(1, "output", "lif", LifParams()),
@@ -369,6 +407,61 @@ def test_one_episode_is_column_0_of_a_batch_of_one(model, rule):
     assert state.s.tobytes() == alone[0].s.tobytes()
 
 
+@pytest.mark.parametrize("model,rule", [("rate", "hebbian"), ("lif", "stdp")])
+@pytest.mark.parametrize("batch", [1, 5])
+def test_step_with_prebuilt_offsets_is_bitwise_step(model, rule, batch):
+    topo = build_random(4, 0.7, seed=21, model=model, n_inputs=2,
+                        n_outputs=2, plastic_rule=rule,
+                        lif_params=LifParams(threshold=0.15))
+    params = ParameterSet.from_topology(topo)
+    xs = np.random.default_rng(24).uniform(0, 1, (6, 2, batch))
+    offsets = scatter_index(topo.edge_dst, batch)
+    a = b = fresh_state(topo, params, batch)
+    for x in xs:
+        res_a, a = step(a, x, topo, params)
+        res_b, b = step(b, x, topo, params, offsets=offsets)
+        assert res_a.y.tobytes() == res_b.y.tobytes()
+        for x_a, x_b in ((a.s, b.s), (a.v_last, b.v_last),
+                         (a.plastic.weights, b.plastic.weights),
+                         (a.plastic.trace, b.plastic.trace)):
+            assert x_a.tobytes() == x_b.tobytes()
+
+
+def test_offsets_of_another_width_are_refused():
+    topo = build_random(3, 0.8, seed=2, model="rate", n_inputs=1,
+                        n_outputs=1)
+    params = ParameterSet.from_topology(topo)
+    state = fresh_state(topo, params, 3)
+    for width in (2, 4):
+        with pytest.raises(ValueError, match="gather offsets"):
+            step(state, np.zeros((1, 3)), topo, params,
+                 offsets=scatter_index(topo.edge_dst, width))
+
+
+def test_ragged_rollout_builds_offsets_once_per_width(monkeypatch):
+    # the gather's offsets are built at the start and each time rows end,
+    # never per step
+    from statenet import engine
+    topo = build_random(4, 0.8, seed=5, model="lif", n_inputs=2,
+                        n_outputs=1, plastic_rule="stdp",
+                        lif_params=LifParams(threshold=0.15))
+    params = ParameterSet.from_topology(topo)
+    xs = np.random.default_rng(6).uniform(0, 1, (4, 6, 2))
+    want, _ = rollout(fresh_state(topo, params, 4), xs, topo, params,
+                      lengths=[6, 4, 4, 1])
+    widths = []
+
+    def counting(idx, cols):
+        widths.append(cols)
+        return scatter_index(idx, cols)
+
+    monkeypatch.setattr(engine, "scatter_index", counting)
+    got, _ = rollout(fresh_state(topo, params, 4), xs, topo, params,
+                     lengths=[6, 4, 4, 1])
+    assert widths == [4, 3, 1]
+    assert got.tobytes() == want.tobytes()
+
+
 def test_one_episode_stimulus_against_a_batch_is_refused():
     topo = chain_topology([1.0, 1.0])
     params = ParameterSet.from_topology(topo)
@@ -477,13 +570,14 @@ def test_batch_gather_is_each_episode_alone_bitwise():
         w = rng.normal(size=(topo.n_edges, B))
         v = rng.normal(size=(topo.n, B))
         v[:, 0] = -0.0                  # every term of episode 0 is +-0
-        batch = gather(topo, w, v)
+        batch = gather(topo, w, v, scatter_index(topo.edge_dst, B))
         assert batch.shape == (topo.n, B)
         for b in range(B):
             alone = np.zeros(topo.n)
             np.add.at(alone, topo.edge_dst, w[:, b] * v[topo.edge_src, b])
             assert batch[:, b].tobytes() == alone.tobytes()
-            one = gather(topo, w[:, [b]], v[:, [b]])
+            one = gather(topo, w[:, [b]], v[:, [b]],
+                         scatter_index(topo.edge_dst, 1))
             assert one.shape == (topo.n, 1)
             assert one.tobytes() == alone.tobytes()
 

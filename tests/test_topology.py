@@ -280,3 +280,16 @@ def test_derived_arrays_immutable():
     topo = build_random(3, 0.5, seed=4, model="rate", n_inputs=1, n_outputs=1)
     with pytest.raises(ValueError):
         topo.w0[0] = 99.0
+
+
+@pytest.mark.parametrize("model,rule", [("rate", "hebbian"), ("lif", "stdp")])
+def test_rule_endpoints_are_their_edges_endpoints(model, rule):
+    topo = build_random(5, 0.7, seed=6, model=model, n_inputs=2, n_outputs=1,
+                        plastic_rule=rule)
+    for name in ("hebbian", "stdp"):
+        pos = getattr(topo, f"{name}_pos")
+        src, dst = getattr(topo, f"{name}_src"), getattr(topo, f"{name}_dst")
+        assert src.tolist() == [topo.edges[k].src for k in pos]
+        assert dst.tolist() == [topo.edges[k].dst for k in pos]
+        assert not src.flags.writeable and not dst.flags.writeable
+    assert len(getattr(topo, f"{rule}_src")) > 0

@@ -11,7 +11,7 @@ from statenet import datasets
 from statenet.autodiff import episode_loss, outputs_loss
 from statenet.datasets import (Dataset, Episode, PavlovConfig, PongDataConfig,
                                gen_pavlov, gen_pong, save_dataset)
-from statenet.engine import fresh_state, rollout, step
+from statenet.engine import fresh_state, rollout, scatter_index, step
 from statenet.params import ParameterSet
 from statenet.pong import PongConfig, action_from_index
 from statenet.rng import Rng, derive_seed
@@ -544,6 +544,27 @@ def test_pong_lockstep_steps_once_per_step_of_the_longest_rollout(
     monkeypatch.setattr(training, "step", counting_step)
     eval_pong_closed_loop(params, topo, PongConfig(), n_rollouts=20, seed=4)
     assert len(calls) == max(lengths) < sum(lengths)
+
+
+def test_pong_lockstep_builds_offsets_once_per_live_width(monkeypatch,
+                                                         pong_nets):
+    # the gather's offsets are built when the loop starts and each time
+    # it drops finished rollouts, never by step itself
+    from statenet import engine, training
+    topo, params = pong_nets["trained"]
+    _, lengths = _pong_oracle(params, topo, PongConfig(), 20, 4)
+    live = [sum(n > t for n in lengths) for t in range(max(lengths))]
+    widths = []
+
+    def counting(idx, cols):
+        widths.append(cols)
+        return scatter_index(idx, cols)
+
+    monkeypatch.setattr(engine, "scatter_index", counting)
+    monkeypatch.setattr(training, "scatter_index", counting)
+    eval_pong_closed_loop(params, topo, PongConfig(), n_rollouts=20, seed=4)
+    assert widths == sorted(set(live), reverse=True)
+    assert len(widths) < len(live)
 
 
 def test_pong_training_plays_no_random_baseline(monkeypatch, tmp_path):
