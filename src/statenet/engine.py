@@ -31,9 +31,11 @@ Order of operations inside one step:
 Steps 3 and 4 call the ``dynamics`` and ``plasticity`` kernels that the
 backward sweep shares; each rule reads its edges' endpoints off the
 topology (``hebbian_src`` / ``hebbian_dst``, ``stdp_src`` / ``stdp_dst``).
-``rollout`` is the one loop over steps, and ``states`` its one recording
-hook: it appends each new state to a list, the trajectory a backward sweep
-reads, or to a ``ProbeWriter``, a CSV sink.
+``rollout`` is the one loop over steps of recorded stimuli, and ``states``
+its one recording hook: it appends each new state to a list, the
+trajectory a backward sweep reads, or to a ``ProbeWriter``, a CSV sink.
+The closed loop, whose stimuli come from the environment it acts in, is
+the one other: ``training._play_pong``.
 
 The gather's flat offsets (``scatter_index``) depend only on the edges and
 the batch width, so the loops that step a batch build them once per width

@@ -464,8 +464,9 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
             save_checkpoint(os.path.join(run_dir, f"epoch{epoch:04d}.ckpt"),
                             params, optimizer, epoch, config, topology)
     if run_dir:
+        # a resume past the last epoch runs none and keeps its own label
         save_checkpoint(os.path.join(run_dir, "final.ckpt"), params, optimizer,
-                        config.epochs, config, topology)
+                        max(config.epochs, start_epoch - 1), config, topology)
     return params, metrics
 
 
@@ -655,20 +656,12 @@ def _recorded_env(dataset: Dataset) -> PongConfig:
     return env
 
 
-def run_pong_policy(policy, env_config: PongConfig, n_rollouts: int,
-                    seed: int) -> dict:
-    """Closed-loop evaluation of an action policy ``(obs, reset) -> action``,
-    one rollout after another."""
-    envs = []
-    for r in range(n_rollouts):
-        env = PongEnv(env_config, Rng(derive_seed(seed, 0xE41, r)))
-        first = True
-        while not env.done:
-            action = policy(env.observation(), first)
-            first = False
-            env.step(action)
-        envs.append(env)
-    return _pong_outcome(envs)
+def _pong_envs(env_config: PongConfig, n_rollouts: int,
+               seed: int) -> list[PongEnv]:
+    """One environment per rollout, each drawing its start from its own
+    stream."""
+    return [PongEnv(env_config, Rng(derive_seed(seed, 0xE41, r)))
+            for r in range(n_rollouts)]
 
 
 def _pong_outcome(envs: list[PongEnv]) -> dict:
@@ -685,15 +678,17 @@ def eval_pong_closed_loop(params: ParameterSet, topology: NetworkTopology,
                           env_config: PongConfig, n_rollouts: int = 200,
                           seed: int = 0) -> dict:
     """Run the trained network in the live environment (argmax action) and
-    measure hit rate against a uniform-random baseline."""
+    measure hit rate against a uniform-random baseline.
+
+    The baseline plays the same starts one rollout after another, drawing
+    every action from one stream in that order; it reads no observation."""
     result = _play_pong(params, topology, env_config, n_rollouts, seed)
     baseline_rng = Rng(derive_seed(seed, 0xBA5E))
-
-    def random_policy(obs, reset):
-        return baseline_rng.randrange(-1, 1)
-
-    baseline = run_pong_policy(random_policy, env_config, n_rollouts, seed)
-    result["baseline_random"] = baseline["hit_rate"]
+    envs = _pong_envs(env_config, n_rollouts, seed)
+    for env in envs:
+        while not env.done:
+            env.step(baseline_rng.randrange(-1, 1))
+    result["baseline_random"] = _pong_outcome(envs)["hit_rate"]
     return result
 
 
@@ -710,9 +705,7 @@ def _play_pong(params: ParameterSet, topology: NetworkTopology,
     check_pong_net(topology)
     if n_rollouts < 1:
         raise ValueError("n_rollouts must be >= 1")
-    envs = [PongEnv(env_config, Rng(derive_seed(seed, 0xE41, r)))
-            for r in range(n_rollouts)]
-    live = envs
+    live = envs = _pong_envs(env_config, n_rollouts, seed)
     state, offsets = fresh_state(topology, params, batch=n_rollouts), None
     while live:
         if offsets is None:

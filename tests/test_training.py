@@ -13,7 +13,7 @@ from statenet.datasets import (Dataset, Episode, PavlovConfig, PongDataConfig,
                                gen_pavlov, gen_pong, save_dataset)
 from statenet.engine import fresh_state, rollout, scatter_index, step
 from statenet.params import ParameterSet
-from statenet.pong import PongConfig, action_from_index
+from statenet.pong import PongConfig, PongEnv, action_from_index
 from statenet.rng import Rng, derive_seed
 from statenet.topology import build_random, save_topology
 from statenet.topology import (EdgeSpec, LifParams, NetworkTopology,
@@ -22,7 +22,7 @@ from statenet.training import (PREDICT_CHUNK, Adam, CheckpointError,
                                DivergenceError, MetricsRow, Sgd, TrainConfig,
                                clip_global_norm, eval_pavlov_acquisition,
                                eval_pong_closed_loop, load_checkpoint,
-                               run_pong_policy, save_checkpoint, train,
+                               save_checkpoint, train,
                                _acquisition, _evaluate, _predict,
                                _score_block, _test_stages, pavlov_recipe,
                                pong_recipe)
@@ -212,6 +212,24 @@ def test_resume_in_place_keeps_one_metrics_row_per_epoch(tmp_path):
     train(topo, ds, cfg, eval_dataset=ds, run_dir=run_dir,
           resume=os.path.join(run_dir, "epoch0002.ckpt"))
     assert rows() == uninterrupted
+
+
+def test_resume_past_the_last_epoch_keeps_its_epoch_label(tmp_path):
+    # a forced resume past config.epochs runs no epoch, so final.ckpt is
+    # the resumed checkpoint under its own epoch, not config.epochs
+    topo, ds = small_setup(episodes=8)
+    run_dir = str(tmp_path / "run")
+    train(topo, ds, TrainConfig(epochs=5, batch_size=4, seed=3,
+                                checkpoint_stride=1), run_dir=run_dir)
+    fifth = os.path.join(run_dir, "epoch0005.ckpt")
+    train(topo, ds, TrainConfig(epochs=3, batch_size=4, seed=3),
+          run_dir=run_dir, resume=fifth, resume_force=True)
+    with open(os.path.join(run_dir, "final.ckpt")) as fh:
+        final = json.load(fh)
+    with open(fifth) as fh:
+        want = json.load(fh)
+    assert final["epoch"] == 5
+    assert final["params"] == want["params"]
 
 
 def _dump_partway(doc, fh, **kwargs):
@@ -426,19 +444,26 @@ def test_untrained_network_acquisition_smoke():
 def test_pong_expert_wired_directly_scores_perfectly():
     # bypass any network: drive the paddle with the scripted expert itself
     cfg = PongConfig()
-    res = run_pong_policy(
-        lambda obs, reset: int(np.sign(obs[1] - obs[4])) if obs[1] != obs[4] else 0,
-        cfg, n_rollouts=50, seed=3)
-    assert res["hit_rate"] == 1.0
-    assert res["mean_episode_length"] == cfg.max_steps
+    for r in range(50):
+        env = PongEnv(cfg, Rng(derive_seed(3, 0xE41, r)))
+        while not env.done:
+            obs = env.observation()
+            env.step(int(np.sign(obs[1] - obs[4])))
+        assert not env.missed and env.hits > 0
+        assert env.steps == cfg.max_steps
 
 
 def test_pong_random_baseline_near_paddle_coverage():
     cfg = PongConfig()
     rng = Rng(5)
-    res = run_pong_policy(lambda obs, reset: rng.randrange(-1, 1), cfg,
-                          n_rollouts=300, seed=7)
-    assert abs(res["hit_rate"] - cfg.paddle_len / cfg.height) < 0.15
+    hits = approaches = 0
+    for r in range(300):
+        env = PongEnv(cfg, Rng(derive_seed(7, 0xE41, r)))
+        while not env.done:
+            env.step(rng.randrange(-1, 1))
+        hits += env.hits
+        approaches += env.approaches
+    assert abs(hits / approaches - cfg.paddle_len / cfg.height) < 0.15
 
 
 def test_pong_zero_weight_network_runs():
@@ -470,24 +495,32 @@ def test_pong_needs_at_least_one_rollout(n_rollouts):
 
 def _pong_oracle(params, topo, env_config, n_rollouts, seed):
     """The rollout-by-rollout evaluation that the lockstep loop replaces: a
-    fresh one-episode state per rollout, stepped through ``step``, and the
-    same random baseline. Returns (result, episode lengths)."""
-    box, lengths = {}, []
-
-    def net_policy(obs, reset):
-        if reset:
-            box["state"] = fresh_state(topo, params)
-            lengths.append(0)
-        res, box["state"] = step(box["state"], obs, topo, params)
-        lengths[-1] += 1
-        return action_from_index(int(np.argmax(res.y)))
-
-    result = run_pong_policy(net_policy, env_config, n_rollouts, seed)
+    fresh one-episode state per rollout, stepped through ``step``, then the
+    random baseline on the same starts, one action stream in rollout
+    order. Returns (result, episode lengths)."""
     baseline_rng = Rng(derive_seed(seed, 0xBA5E))
-    baseline = run_pong_policy(lambda obs, reset: baseline_rng.randrange(-1, 1),
-                               env_config, n_rollouts, seed)
-    result["baseline_random"] = baseline["hit_rate"]
-    return result, lengths
+    net, baseline = [], []
+    for r in range(n_rollouts):
+        env = PongEnv(env_config, Rng(derive_seed(seed, 0xE41, r)))
+        state = fresh_state(topo, params)
+        while not env.done:
+            res, state = step(state, env.observation(), topo, params)
+            env.step(action_from_index(int(np.argmax(res.y))))
+        net.append(env)
+        env = PongEnv(env_config, Rng(derive_seed(seed, 0xE41, r)))
+        while not env.done:
+            env.step(baseline_rng.randrange(-1, 1))
+        baseline.append(env)
+
+    def hit_rate(envs):
+        return (sum(env.hits for env in envs)
+                / max(1, sum(env.approaches for env in envs)))
+
+    lengths = [env.steps for env in net]
+    return {"hit_rate": hit_rate(net),
+            "mean_episode_length": float(np.mean(lengths)),
+            "approaches": sum(env.approaches for env in net),
+            "baseline_random": hit_rate(baseline)}, lengths
 
 
 @pytest.fixture(scope="module")
@@ -569,7 +602,8 @@ def test_pong_lockstep_builds_offsets_once_per_live_width(monkeypatch,
 
 def test_pong_training_plays_no_random_baseline(monkeypatch, tmp_path):
     # only eval_pong_closed_loop, whose callers print it, plays the random
-    # baseline; a training run's task metric is the net's hit rate alone
+    # baseline; training never calls it, and a run's task metric is the
+    # net's hit rate alone
     from statenet import training
     data = gen_pong(PongDataConfig(episodes=8, seed=3,
                                    env=PongConfig(max_steps=40)))
@@ -580,7 +614,7 @@ def test_pong_training_plays_no_random_baseline(monkeypatch, tmp_path):
     def refused(*args, **kwargs):
         raise AssertionError("training played the random baseline")
 
-    monkeypatch.setattr(training, "run_pong_policy", refused)
+    monkeypatch.setattr(training, "eval_pong_closed_loop", refused)
     trained, history = train(topo, data, config, params=params.copy(),
                              run_dir=str(tmp_path))
     monkeypatch.undo()
