@@ -3,15 +3,15 @@
 The computation shape is fixed by the topology, so instead of a general
 expression graph the tape is simply the entry state followed by the states
 ``engine.rollout`` records after each step; a truncated window's tape is
-a slice of the one recorded trajectory. The backward sweep re-derives only
-the LIF drive and pre-threshold membrane from the stored states, with the
-engine's gather and the ``dynamics`` kernel, so they are bitwise the
-forward values. The recorded states carry every edge's weight, so the
-sweep reads each step's weights off the state before it, and the clip
-gate off the state after it. Each window's loss gradient and each
-rollout's loss take one call. The sweep keeps one adjoint per edge
-weight, a static edge being one whose rule is the identity, and adds the
-episode-start adjoint of the plastic weights into ``w0``.
+a slice of the one recorded trajectory. The sweep re-derives nothing: each
+recorded state carries every edge's weight and the lif cells'
+pre-threshold membrane of the step that made it, so the sweep reads each
+step's weights off the state before it, and the clip gate and the
+membrane it takes the spike surrogate at off the state after it. Each
+window's loss gradient and each rollout's loss take one call. The sweep
+keeps one adjoint per edge weight, a static edge being one whose rule is
+the identity, and adds the episode-start adjoint of the plastic weights
+into ``w0``.
 
 The tape and the sweep hold a batch of episodes run in lockstep on
 ``(n, B)`` arrays, neuron (or edge) axis first and one column per
@@ -59,8 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NumericsError, lif_membrane_pre, lif_surrogate_grad
-from .engine import RolloutState, fresh_state, gather, rollout, scatter_index
+from .dynamics import NumericsError, lif_surrogate_grad
+from .engine import RolloutState, fresh_state, rollout, scatter_index
 from .params import ParameterSet
 from .plasticity import CLIP_BOUND, PlasticEdgeState
 from .topology import NetworkTopology
@@ -230,18 +230,12 @@ def backward(tape: Tape) -> np.ndarray:
     # one the clip passed unchanged; static weights are never clipped
     bound = np.full((E, 1), CLIP_BOUND)
     bound[static] = np.inf
-    # ge carries back through each edge's rule: a hebbian weight decays by
-    # the retention; an stdp increment is non-differentiable and a static
-    # weight never changes, so theirs pass unchanged
-    carry = np.ones((E, 1))
-    carry[heb] = retention
     out = topo.output_ids
     # gv_prev takes the hebbian source terms, then the gather transpose, in
     # one bincount over the rows of one buffer
     at_src = np.concatenate([topo.hebbian_src, topo.edge_src])
     terms = np.empty(len(at_src) * B)
-    # the two scatters' flat offsets and, for lif cells, the re-gather's,
-    # per number of rows swept at a step
+    # the two scatters' flat offsets per number of rows swept at a step
     offsets = {}
 
     # The rows swept at a step, [lo, hi), are the columns of one contiguous
@@ -272,9 +266,8 @@ def backward(tape: Tape) -> np.ndarray:
                 block[i:j] for i, j in zip(part, part[1:]))
         if m not in offsets:
             offsets[m] = (scatter_index(topo.hebbian_dst, m),
-                          scatter_index(at_src, m),
-                          scatter_index(topo.edge_dst, m) if len(lif) else None)
-        at_dst_h, at_src_m, at_dst_m = offsets[m]
+                          scatter_index(at_src, m))
+        at_dst_h, at_src_m = offsets[m]
         prev = tape.states[t - 1]
         v_t = tape.states[t].v_last[:, a:b]
         v_prev = prev.v_last[:, a:b]
@@ -285,14 +278,21 @@ def backward(tape: Tape) -> np.ndarray:
 
         # plasticity backward first: it consumed this step's outputs, so its
         # contribution to gv must land before the neuron backward reads gv
-        gh = ge.take(heb, 0)
-        gh_lr = gh * learn_rate
-        pre = v_prev.take(topo.hebbian_src, 0)
-        post = v_t.take(topo.hebbian_dst, 0)
+        step_terms = terms[:len(at_src) * m].reshape(len(at_src), m)
         if H:
+            gh = ge.take(heb, 0)
+            gh_lr = gh * learn_rate
+            pre = v_prev.take(topo.hebbian_src, 0)
+            post = v_t.take(topo.hebbian_dst, 0)
             g_lr += gh * (pre * post)
             g_ret[0] += _rowsum((gh * w_prev.take(heb, 0)).T) * sig_prime
             np.add.at(gv.reshape(-1), at_dst_h, (gh_lr * pre).ravel())
+            np.multiply(gh_lr, post, out=step_terms[:H])
+            # ge carries back through each edge's rule: a hebbian weight
+            # decays by the retention; an stdp increment is
+            # non-differentiable and a static weight never changes, so
+            # theirs pass unchanged
+            ge[heb] = gh * retention
 
         # neuron backward
         gu = np.zeros((n, m))
@@ -305,10 +305,8 @@ def backward(tape: Tape) -> np.ndarray:
             gu[rate] = gz
             gs_prev[rate] = gz * self_coeff
         if len(lif):
-            u = gather(topo, w_prev, v_prev, at_dst_m)
-            membrane = lif_membrane_pre(u.take(lif, 0), s_prev.take(lif, 0),
-                                        topo.lif_params)
-            surr = lif_surrogate_grad(membrane, topo.lif_params)
+            surr = lif_surrogate_grad(tape.states[t].lif_pre[:, a:b],
+                                      topo.lif_params)
             spk = v_t.take(lif, 0)
             gp = gv.take(lif, 0) * surr + gs.take(lif, 0) * (1.0 - spk)
             gu[lif] = gp * dt
@@ -317,12 +315,9 @@ def backward(tape: Tape) -> np.ndarray:
         # gather backward: u[dst] = sum_e w_e * v_prev[src_e]
         gu_e = gu.take(topo.edge_dst, 0)
         gs[...] = gs_prev
-        step_terms = terms[:len(at_src) * m].reshape(len(at_src), m)
-        np.multiply(gh_lr, post, out=step_terms[:H])
         np.multiply(gu_e, w_prev, out=step_terms[H:])
         gv[...] = np.bincount(at_src_m, step_terms.ravel(),
                               minlength=n * m).reshape(n, m)
-        ge *= carry
         ge += gu_e * v_prev.take(topo.edge_src, 0)
     sums[:, lo:hi] = block[:kept]
     ge, g_sc, g_b, g_lr, g_ret = (sums[i:j]
@@ -480,8 +475,10 @@ def _stacked_tape(tapes: list[Tape]) -> tuple[Tape, list[np.ndarray]]:
     by span end, then span start, both descending; a span of at most k2
     steps starts at max(0, end - k2), so the two stay non-increasing
     together. Each state copies from the tapes' states only what the sweep
-    reads of the rows live at its step: outputs, cell states and weights.
-    Also returns each tape's rows of the stacked one, in its row order."""
+    reads of the rows live at its step: outputs, cell states, weights and,
+    after a step (local step 1 on) of a net with lif cells, the
+    pre-threshold membranes. Also returns each tape's rows of the stacked
+    one, in its row order."""
     start = np.concatenate([tape.spans[0] for tape in tapes])
     end = np.concatenate([tape.spans[1] for tape in tapes])
     order = np.lexsort((-start, -end))
@@ -500,6 +497,7 @@ def _stacked_tape(tapes: list[Tape]) -> tuple[Tape, list[np.ndarray]]:
                            | (np.diff(row_of, prepend=-1) != 1))
     runs = list(zip(tape_of[first].tolist(), row_of[first].tolist(),
                     np.diff(first, append=len(order)).tolist()))
+    spiking = len(tapes[0].topology.lif_ids) > 0
     states = []
     for i in steps:
         parts, left = [], live[i]
@@ -509,11 +507,14 @@ def _stacked_tape(tapes: list[Tape]) -> tuple[Tape, list[np.ndarray]]:
             n = min(n, left)
             left -= n
             st = tapes[w].states[i]
-            parts.append((st.s[:, r:r + n], st.v_last[:, r:r + n],
-                          st.plastic.weights[:, r:r + n]))
-        s, v, weights = (np.concatenate(field, axis=1)
-                         for field in zip(*parts))
-        states.append(RolloutState(s, v, PlasticEdgeState(weights, None), int(i)))
+            fields = [st.s, st.v_last, st.plastic.weights]
+            if i and spiking:
+                fields.append(st.lif_pre)
+            parts.append([field[:, r:r + n] for field in fields])
+        s, v, weights, *lif_pre = (np.concatenate(field, axis=1)
+                                   for field in zip(*parts))
+        states.append(RolloutState(s, v, PlasticEdgeState(weights, None), int(i),
+                                   *lif_pre))
     gy = np.concatenate([np.pad(t.gy, ((0, 0), (0, K - t.gy.shape[1]), (0, 0)))
                          for t in tapes])
     entry = np.concatenate([tape.episode_start for tape in tapes])

@@ -1,9 +1,10 @@
 """Per-neuron state update and output kernels, the one implementation of
 the cell equations: ``engine.step`` runs them over a step's rate and lif
-neurons, ``autodiff.backward`` reads its membrane and surrogate from them.
+neurons and records the lif pre-threshold membrane, at which
+``autodiff.backward`` takes the surrogate.
 
 Two cell types share the same contract (drive, previous state) -> (output,
-new state):
+new state); ``lif_step`` also returns its pre-threshold membrane:
 
 * rate:  s_new = tanh(drive + self_coeff * s_prev + bias), output = s_new.
 * lif:   explicit-Euler leaky membrane,
@@ -44,7 +45,9 @@ def rate_step(drive, s_prev, params: RateParams):
 
 
 def lif_step(drive, s_prev, params: LifParams):
-    """One leaky integrate-and-fire update. Returns (spike, new membrane).
+    """One leaky integrate-and-fire update. Returns (spike, new membrane,
+    pre-threshold membrane); the last is the ``lif_membrane_pre`` value the
+    spike was taken at, kept for the surrogate of the backward sweep.
 
     With zero drive the membrane decays geometrically toward ``rest`` with
     factor (1 - dt) per step. A spike forces the membrane to ``reset``
@@ -52,7 +55,7 @@ def lif_step(drive, s_prev, params: LifParams):
     """
     pre = lif_membrane_pre(drive, s_prev, params)
     spike = np.greater_equal(pre, params.threshold).astype(np.float64)
-    return spike, np.where(spike > 0.0, params.reset, pre)
+    return spike, np.where(spike > 0.0, params.reset, pre), pre
 
 
 def lif_membrane_pre(drive, s_prev, params: LifParams):

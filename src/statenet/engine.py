@@ -22,7 +22,9 @@ Order of operations inside one step:
 2. gather each non-input neuron's drive from *previous-step* outputs
    through *pre-update* edge weights, read straight off the state, which
    carries every edge's current weight (static ones stay at ``w0``),
-3. update every neuron (rate / lif) to get this step's outputs and states,
+3. update every neuron (rate / lif) to get this step's outputs and states;
+   the new state also keeps the lif cells' pre-threshold membrane, the
+   value the backward sweep takes the spike surrogate at,
 4. update plastic edge weights from the activity just produced: each rule
    reads and writes its own edge columns, and stdp reads this step's
    outputs as spikes and the one per-neuron trace at each edge's two
@@ -40,10 +42,9 @@ the one other: ``training._play_pong``.
 The gather's flat offsets (``scatter_index``) depend only on the edges and
 the batch width, so the loops that step a batch build them once per width
 and pass them to ``step``: ``rollout`` at its start and again each time
-its width drops, the closed loop (``training._play_pong``) likewise when
-it drops finished episodes, and the backward sweep once per width it
-sweeps. A ``step`` given none builds its own. No offsets outlive the call
-that built them.
+its width drops, and the closed loop (``training._play_pong``) likewise
+when it drops finished episodes. A ``step`` given none builds its own. No
+offsets outlive the call that built them.
 
 The one-step delay on every edge makes arbitrary cycles well defined
 without fixed-point iteration; the shortest input-to-output path of k
@@ -75,18 +76,24 @@ from .topology import NetworkTopology
 
 @dataclass
 class RolloutState:
-    """Everything that crosses a step boundary."""
+    """Everything that crosses a step boundary, and the one value of the
+    step that made it which the backward sweep reads and the next step
+    does not: the lif cells' pre-threshold membrane."""
 
     s: np.ndarray            # per-neuron internal state
     v_last: np.ndarray       # per-neuron outputs of the previous step
     plastic: PlasticEdgeState
     t: int = 0
+    # (n_lif, B) membrane before threshold and reset, in lif_ids order;
+    # None on an entry state and on a net without lif cells
+    lif_pre: np.ndarray | None = None
 
     def rows(self, rows: slice | np.ndarray) -> "RolloutState":
         """Some episodes of a batch state: a slice gives views, an integer
         index array copies of those episodes in its order."""
+        lif_pre = None if self.lif_pre is None else self.lif_pre[:, rows]
         return RolloutState(self.s[:, rows], self.v_last[:, rows],
-                            self.plastic.rows(rows), self.t)
+                            self.plastic.rows(rows), self.t, lif_pre)
 
 
 @dataclass
@@ -201,9 +208,10 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
         v[rate] = out
         s_new[rate] = s_rate
     lif = topology.lif_ids
+    lif_pre = None
     if len(lif):
-        out, s_lif = lif_step(u.take(lif, 0), state.s.take(lif, 0),
-                              topology.lif_params)
+        out, s_lif, lif_pre = lif_step(u.take(lif, 0), state.s.take(lif, 0),
+                                       topology.lif_params)
         v[lif] = out
         s_new[lif] = s_lif
 
@@ -231,7 +239,8 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
             topology.stdp_dst, v, state.plastic.trace)
 
     result = StepResult(y=v.take(topology.output_ids, 0), probe=v)
-    next_state = RolloutState(s=s_new, v_last=v, plastic=new_plastic, t=t)
+    next_state = RolloutState(s=s_new, v_last=v, plastic=new_plastic, t=t,
+                              lif_pre=lif_pre)
     return result, next_state
 
 
@@ -294,8 +303,9 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
     Deliberately independent of the vectorized path; used as an oracle.
     Runs one episode, (T x n_in) stimuli, from column 0 of ``state0``, and
     returns each step's outputs. ``record``, when given, receives after
-    every step a pair (plastic weights in ``topology.plastic_idx`` order,
-    lif membranes in ``topology.lif_ids`` order).
+    every step a triple (plastic weights in ``topology.plastic_idx`` order,
+    lif membranes in ``topology.lif_ids`` order, and the lif pre-threshold
+    membranes in the same order).
     """
     n = topology.n
     s = [float(x) for x in state0.s[:, 0]]
@@ -329,6 +339,7 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
             u[e.dst] += w * v_last[e.src]
 
         s_new = list(s)
+        pre_of = [0.0] * n
         for i in range(n):
             if roles[i] == "input":
                 continue
@@ -343,6 +354,7 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
                 dt = float(lif.dt[k, 0])
                 rest = float(lif.rest[k, 0])
                 pre = s[i] + dt * (-(s[i] - rest) + u[i])
+                pre_of[i] = pre
                 if pre >= float(lif.threshold[k, 0]):
                     v[i] = 1.0
                     s_new[i] = float(lif.reset[k, 0])
@@ -383,5 +395,6 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
         outputs.append([v[int(i)] for i in topology.output_ids])
         if record is not None:
             record.append(([e_plastic[int(k)] for k in topology.plastic_idx],
-                           [s[int(i)] for i in topology.lif_ids]))
+                           [s[int(i)] for i in topology.lif_ids],
+                           [pre_of[int(i)] for i in topology.lif_ids]))
     return outputs

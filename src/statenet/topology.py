@@ -345,6 +345,9 @@ def build_random(n_hidden: int, density: float, seed: int, model: str = "rate", 
         raise ValueError(f"unknown model {model!r}")
     if plastic_rule not in RULES:
         raise ValueError(f"unknown plastic rule {plastic_rule!r}")
+    if plastic_rule == "stdp" and model != "lif":
+        raise ValueError(f"plastic rule 'stdp' needs model 'lif', "
+                         f"not {model!r}")
     if plastic_scope not in ("hidden", "readout"):
         raise ValueError(f"unknown plastic scope {plastic_scope!r}")
     if n_inputs < 1 or n_outputs < 1 or n_hidden < 0:

@@ -89,7 +89,9 @@ def run_oracle_diff(n_cases: int = 1000, seed: int = 7,
                     rate_tol: float = 1e-12):
     """Vectorized rollout vs naive per-edge interpreter: rate outputs agree
     within ``rate_tol``, spike trains agree exactly, and the plastic
-    weights and lif membranes after every step agree within ``rate_tol``.
+    weights, lif membranes and lif pre-threshold membranes (the values
+    the backward sweep takes the spike surrogate at) of every step agree
+    within ``rate_tol``.
     A third of the cases drive plastic edges into the outputs onto the
     weight clip (hebbian rate 5, stdp weights from 0.02 under it); the
     last line counts those that reached it."""
@@ -137,21 +139,24 @@ def run_oracle_diff(n_cases: int = 1000, seed: int = 7,
             if diff > rate_tol:
                 passed = False
                 lines.append(f"FAIL case {i}: rate outputs differ by {diff:.3e}")
-        ref_weights, ref_membranes = zip(*recorded)
+        ref_weights, ref_membranes, ref_pre = zip(*recorded)
         weights = [st.plastic.weights[topo.plastic_idx, 0] for st in states]
         membranes = [st.s[topo.lif_ids, 0] for st in states]
+        pre = [np.zeros(0) if st.lif_pre is None else st.lif_pre[:, 0]
+               for st in states]
         diff = max(_max_abs_diff(ref_weights, weights),
-                   _max_abs_diff(ref_membranes, membranes))
+                   _max_abs_diff(ref_membranes, membranes),
+                   _max_abs_diff(ref_pre, pre))
         worst_state = max(worst_state, diff)
         if diff > rate_tol:
             passed = False
-            lines.append(f"FAIL case {i}: plastic weights or membranes "
-                         f"differ by {diff:.3e}")
+            lines.append(f"FAIL case {i}: plastic weights, membranes or "
+                         f"pre-threshold membranes differ by {diff:.3e}")
     dt = time.perf_counter() - t0
     lines.append(f"{'PASS' if passed else 'FAIL'} oracle: {n_cases} cases, "
                  f"{at_clip} at the weight clip, worst rate diff "
-                 f"{worst_rate:.3e}, worst weight/membrane diff "
-                 f"{worst_state:.3e}, spikes exact, {dt:.1f}s")
+                 f"{worst_rate:.3e}, worst weight/membrane/pre-threshold "
+                 f"membrane diff {worst_state:.3e}, spikes exact, {dt:.1f}s")
     return passed, lines
 
 

@@ -7,7 +7,9 @@ from statenet.autodiff import (Tape, backward, batch_gradients,
                                episode_gradients, episode_loss, fd_gradient,
                                outputs_loss, step_loss, step_loss_grad,
                                tbptt_gradients)
-from statenet.engine import RolloutState, fresh_state, rollout, scatter_index
+from statenet.dynamics import lif_membrane_pre
+from statenet.engine import (RolloutState, fresh_state, gather, rollout,
+                             scatter_index)
 from statenet.params import ParameterSet
 from statenet.plasticity import CLIP_BOUND, PlasticEdgeState
 from statenet.rng import Rng
@@ -776,9 +778,10 @@ def test_a_lone_tape_sweeps_the_recorded_states(monkeypatch):
 
 
 def test_lif_sweep_builds_its_offsets_once_per_swept_width(monkeypatch):
-    # the sweep builds its two scatters' offsets and, on a lif net, the
-    # re-gather's once per number of rows it sweeps, never per iteration
-    from statenet import autodiff
+    # the sweep builds its two scatters' offsets once per number of rows it
+    # sweeps, never per iteration; it reads each step's pre-threshold
+    # membrane off the tape and never gathers
+    from statenet import autodiff, engine
     kwargs, tag = BATCH_NETS["lif-stdp-mse"]
     topo = build_random(8, 0.5, seed=41, direct_io=True, **kwargs)
     params = ParameterSet.from_topology(topo)
@@ -788,15 +791,96 @@ def test_lif_sweep_builds_its_offsets_once_per_swept_width(monkeypatch):
     xs = xs.reshape(len(lengths), 9, -1)
     ys = ys.reshape(len(lengths), 9, -1)
     want = batch_gradients(topo, params, xs, ys, None, lengths, tag)
-    built = []
+    built, sweeping = [], [False]
+    gather_, backward_ = engine.gather, autodiff.backward
 
     def counting(idx, cols):
-        built.append((len(idx), cols))
+        built.append((idx, cols))
         return scatter_index(idx, cols)
 
+    def refusing_gather(*args):
+        if sweeping[0]:
+            raise AssertionError("the backward sweep gathers")
+        return gather_(*args)
+
+    def flagged_backward(tape):
+        sweeping[0] = True
+        try:
+            return backward_(tape)
+        finally:
+            sweeping[0] = False
+
     monkeypatch.setattr(autodiff, "scatter_index", counting)
+    monkeypatch.setattr(engine, "gather", refusing_gather)
+    monkeypatch.setattr(autodiff, "backward", flagged_backward)
     got = batch_gradients(topo, params, xs, ys, None, lengths, tag)
     assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
     # rows 6, 5 and 2 are swept at steps 1-2, 3-6 and 7-9
-    assert sorted(cols for _, cols in built) == [2] * 3 + [5] * 3 + [6] * 3
-    assert (topo.n_edges, 6) in built
+    assert sorted(cols for _, cols in built) == [2] * 2 + [5] * 2 + [6] * 2
+    # no offsets of the gather, whose bins are the edges' destinations
+    assert not any(np.array_equal(idx, topo.edge_dst) for idx, _ in built)
+    assert not hasattr(autodiff, "gather")
+
+
+def _assert_recorded_membranes(topo, states):
+    """Each state after a step holds, bitwise, the pre-threshold membrane of
+    the gather over the state before it, on its own columns."""
+    lif = topo.lif_ids
+    for prev, st in zip(states, states[1:]):
+        cols = st.s.shape[1]
+        u = gather(topo, prev.plastic.weights[:, :cols],
+                   prev.v_last[:, :cols], scatter_index(topo.edge_dst, cols))
+        want = lif_membrane_pre(u.take(lif, 0), prev.s[lif, :cols],
+                                topo.lif_params)
+        assert st.lif_pre.shape == (len(lif), cols)
+        assert st.lif_pre.tobytes() == want.tobytes()
+
+
+def test_recorded_lif_membrane_is_the_gathered_one(monkeypatch):
+    # on a ragged batch's trajectory and on the states of a stacked tape,
+    # the recorded membrane is what a re-gather from the state before
+    # would give; an entry state and a rate net record none
+    from statenet import autodiff
+    from statenet.training import _lockstep
+    kwargs, tag = BATCH_NETS["lif-stdp-mse"]
+    topo = build_random(8, 0.5, seed=41, direct_io=True, **kwargs)
+    params = jitter(ParameterSet.from_topology(topo), 42)
+    lengths = [9, 9, 6, 6, 6, 2]
+    xs, _ = random_sequence(49, 9 * len(lengths), topo.n_inputs,
+                            topo.n_outputs)
+    states = [fresh_state(topo, params, batch=len(lengths))]
+    rollout(states[0], xs.reshape(len(lengths), 9, -1), topo, params,
+            states=states, lengths=lengths)
+    assert states[0].lif_pre is None
+    assert [st.s.shape[1] for st in states[1:]] == [6, 6, 5, 5, 5, 5, 2, 2, 2]
+    _assert_recorded_membranes(topo, states)
+    assert states[4].rows(np.array([3, 0])).lif_pre.tobytes() == \
+        states[4].lif_pre[:, [3, 0]].tobytes()
+
+    stacked = []
+    stack = autodiff._stacked_tape
+
+    def recording_stack(tapes):
+        tape, rows = stack(tapes)
+        stacked.append(tape)
+        return tape, rows
+
+    monkeypatch.setattr(autodiff, "_stacked_tape", recording_stack)
+    episodes = random_episodes(47, 12, topo.n_inputs, topo.n_outputs, tag)
+
+    def batch(rows, xs, ys, mask, lengths):
+        batch_gradients(topo, params, xs, ys, mask(), lengths, tag, 3, 7)
+        return lengths
+
+    _lockstep(episodes, range(12), 12, batch)
+    assert stacked
+    for tape in stacked:
+        assert tape.states[0].lif_pre is None
+        _assert_recorded_membranes(topo, tape.states)
+
+    rate = build_random(4, 0.5, seed=41, model="rate", n_inputs=2, n_outputs=1)
+    rate_params = ParameterSet.from_topology(rate)
+    states = [fresh_state(rate, rate_params)]
+    rollout(states[0], np.ones((3, rate.n_inputs)), rate, rate_params,
+            states=states)
+    assert all(st.lif_pre is None for st in states)

@@ -364,7 +364,21 @@ PROBES = {
         f, t, f["ckpt"], data=_no_episodes(f, t)),
     "train-pong-env-malformed": lambda f, t: _train_pong_env(
         f, t, {"width": 4}),
+    "topo-random-rate-stdp": lambda f, t: [
+        "topo", "random", "--model", "rate", "--plastic", "stdp",
+        "--out", str(t / "net.json")],
 }
+
+
+def test_topo_random_refuses_stdp_on_rate_cells_in_one_short_line(tmp_path):
+    # refused before any wiring: one short line naming the model and the
+    # rule, not one item per stdp edge, and no file written
+    result = CliRunner().invoke(
+        main, PROBES["topo-random-rate-stdp"](None, tmp_path))
+    assert_one_error_line(result)
+    line = result.stderr.strip()
+    assert len(line) < 200 and "'rate'" in line and "'stdp'" in line, line
+    assert not (tmp_path / "net.json").exists()
 
 
 @pytest.mark.parametrize("probe", sorted(PROBES))

@@ -44,14 +44,14 @@ def test_rate_lipschitz_bound(u1, u2, s1, s2, self_coeff):
 
 def test_lif_fixed_point_at_rest():
     p = LifParams(rest=0.3, threshold=1.0, reset=0.0, dt=0.5)
-    spike, s = lif_step(0.0, 0.3, p)
+    spike, s, _ = lif_step(0.0, 0.3, p)
     assert spike == 0.0 and s == pytest.approx(0.3, abs=1e-15)
 
 
 def test_lif_closed_form_decay_step():
     # (1 - dt) * 0.8 with dt = 0.5 is exactly 0.4
     p = LifParams(rest=0.0, threshold=1.0, reset=0.0, dt=0.5)
-    spike, s = lif_step(0.0, 0.8, p)
+    spike, s, _ = lif_step(0.0, 0.8, p)
     assert spike == 0.0 and s == 0.4
 
 
@@ -59,17 +59,17 @@ def test_lif_zero_input_decay_exact_over_50_steps():
     p = LifParams(rest=0.0, threshold=1.0, reset=0.0, dt=0.5)
     s = 0.8
     for t in range(1, 51):
-        spike, s = lif_step(0.0, s, p)
+        spike, s, _ = lif_step(0.0, s, p)
         assert spike == 0.0
         assert s == (1.0 - p.dt) ** t * 0.8
 
 
 def test_lif_spike_and_reset():
     p = LifParams(threshold=1.0, reset=0.0, rest=0.0, dt=0.5)
-    spike, s = lif_step(10.0, 0.0, p)
+    spike, s, _ = lif_step(10.0, 0.0, p)
     assert spike == 1.0 and s == 0.0
     # reset wins regardless of drive magnitude
-    spike, s = lif_step(1e6, 0.9, p)
+    spike, s, _ = lif_step(1e6, 0.9, p)
     assert spike == 1.0 and s == p.reset
 
 
@@ -78,8 +78,10 @@ def test_lif_spike_outputs_are_binary():
     rng = np.random.default_rng(1)
     drive = rng.uniform(-5, 5, 500)
     s_prev = rng.uniform(-2, 2, 500)
-    spike, _ = lif_step(drive, s_prev, p)
+    spike, _, pre = lif_step(drive, s_prev, p)
     assert set(np.unique(spike)) <= {0.0, 1.0}
+    # the third value is the membrane the spike was taken at, bitwise
+    assert pre.tobytes() == lif_membrane_pre(drive, s_prev, p).tobytes()
 
 
 def test_surrogate_peak_at_threshold():

@@ -224,13 +224,15 @@ def test_oracle_suite_compares_weights_where_spikes_agree(monkeypatch):
     assert not passed
     assert "spikes exact" in lines[-1]
     assert lines[0].startswith("FAIL case")
-    assert all("plastic weights or membranes differ" in line
+    assert all("plastic weights, membranes or pre-threshold membranes "
+               "differ" in line
                for line in lines[:-1])
 
 
 def test_reference_rollout_records_weights_and_membranes():
-    # one (plastic weights, lif membranes) pair per step, the values the
-    # engine's recorded states hold; the outputs are unchanged
+    # one (plastic weights, lif membranes, lif pre-threshold membranes)
+    # triple per step, the values the engine's recorded states hold; the
+    # outputs are unchanged
     topo = mixed_stdp_net()
     params = ParameterSet.from_topology(topo, learn_rate_init=0.5)
     xs = np.random.default_rng(3).uniform(0, 3, (8, topo.n_inputs))
@@ -242,14 +244,17 @@ def test_reference_rollout_records_weights_and_membranes():
     assert slow == reference_rollout(fresh_state(topo, params), xs, topo,
                                      params)
     assert len(recorded) == len(states) == 8
-    for (weights, membranes), st in zip(recorded, states):
+    for (weights, membranes, pre), st in zip(recorded, states):
         assert len(weights) == topo.n_plastic
-        assert len(membranes) == len(topo.lif_ids)
+        assert len(membranes) == len(pre) == len(topo.lif_ids)
         assert np.allclose(weights, st.plastic.weights[topo.plastic_idx, 0],
                            rtol=0, atol=1e-12)
         assert np.allclose(membranes, st.s[topo.lif_ids, 0], rtol=0,
                            atol=1e-12)
-    assert any(weights != recorded[0][0] for weights, _ in recorded)
+        assert np.allclose(pre, st.lif_pre[:, 0], rtol=0, atol=1e-12)
+    assert any(weights != recorded[0][0] for weights, _, _ in recorded)
+    # a spike resets the membrane, so the two membranes part at some step
+    assert any(pre != membranes for _, membranes, pre in recorded)
 
 
 def reciprocal_lif_pair():

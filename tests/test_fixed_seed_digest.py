@@ -42,20 +42,21 @@ def test_two_digests_in_one_process_agree(monkeypatch):
     second = fixed_seed_digest.digest_lines()
     assert time.perf_counter() - began < 5.0
     assert first == second
-    assert [line.split()[0] for line in first] == ["pavlov", "pong", "lif-stdp",
-                                                 "pong-3-7"]
+    assert [line.split()[0] for line in first] == [
+        "pavlov", "pong", "lif-stdp", "pong-3-7", "lif-stdp-3-7"]
     for line in first:
         files = [field.split("=")[0] for field in line.split()[1:]]
         # every run hashes its trained parameters; the runs with a held-out
         # set also hash its breakdown rows, the pong runs their closed-loop
         # outcome
         name = line.split()[0]
-        extra = ["acquisition"] if name in ("pavlov", "lif-stdp") else \
-            ["closed-loop"]
+        extra = ["closed-loop"] if name.startswith("pong") else \
+            ["acquisition"]
         assert files == ["metrics.csv", "epoch0001.ckpt", "epoch0002.ckpt",
                          "final.ckpt", "params", *extra]
-    # the full-window runs sweep lone tapes only; the truncated runs stack
+    # the full-window runs sweep lone tapes only; the truncated runs stack,
+    # the spiking one too
     for name in ("pavlov", "lif-stdp"):
         assert stacks[name] == 0 and sweeps[name] > 0
-    for name in ("pong", "pong-3-7"):
+    for name in ("pong", "pong-3-7", "lif-stdp-3-7"):
         assert 0 < stacks[name] <= sweeps[name]

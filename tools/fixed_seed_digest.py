@@ -1,4 +1,4 @@
-"""Fixed-seed digest of three short training runs.
+"""Fixed-seed digest of five short training runs.
 
 Trains ``training.pavlov_recipe``, ``training.pong_recipe`` and the
 benchmark's ``workloads.lif_stdp_recipe`` for 2 epochs on small generated
@@ -14,7 +14,9 @@ baseline). A change that must keep the program's results bitwise leaves
 every line unchanged.
 The ``pong-3-7`` run trains the pong recipe with k1=3, k2=7 in batches
 of 12: each step lies in three windows, and the sweeps stack windows
-across ragged row ends.
+across ragged row ends. The ``lif-stdp-3-7`` run trains the lif recipe
+the same way on the pavlov sets, so a stacked sweep of spiking cells is
+covered too.
 
 Run from the root of a source checkout:
 
@@ -50,12 +52,17 @@ def _runs():
     env = PongConfig(max_steps=60)
     pong = (datasets.gen_pong(datasets.PongDataConfig(
         episodes=32, seed=3, env=env)), None, env)
-    topo, params, config = training.pong_recipe()
-    short_windows = dataclasses.replace(config, k1=3, k2=7, batch_size=12)
+
+    def short_windows(recipe):
+        topo, params, config = recipe()
+        return topo, params, dataclasses.replace(config, k1=3, k2=7,
+                                                 batch_size=12)
     return [("pavlov", training.pavlov_recipe(), *pavlov),
             ("pong", training.pong_recipe(), *pong),
             ("lif-stdp", workloads.lif_stdp_recipe(), *pavlov),
-            ("pong-3-7", (topo, params, short_windows), *pong)]
+            ("pong-3-7", short_windows(training.pong_recipe), *pong),
+            ("lif-stdp-3-7", short_windows(workloads.lif_stdp_recipe),
+             *pavlov)]
 
 
 def _sha256(data: bytes) -> str:
