@@ -2,16 +2,16 @@
 
 The computation shape is fixed by the topology, so instead of a general
 expression graph the tape is simply the entry state followed by the states
-``engine.rollout`` records after each step; a truncated window's tape is
-a slice of the one recorded trajectory. The sweep re-derives nothing: each
-recorded state carries every edge's weight and the lif cells'
+``engine.rollout`` records after each step; a truncated window's tape is a
+slice of the one recorded trajectory. The sweep re-derives nothing: each
+recorded state carries the outputs, every edge's weight and the lif cells'
 pre-threshold membrane of the step that made it, so the sweep reads each
-step's weights off the state before it, and the clip gate and the
-membrane it takes the spike surrogate at off the state after it. Each
-window's loss gradient and each rollout's loss take one call. The sweep
-keeps one adjoint per edge weight, a static edge being one whose rule is
-the identity, and adds the episode-start adjoint of the plastic weights
-into ``w0``.
+step's previous outputs and weights off the state before it, and the clip
+gate and the membrane it takes the spike surrogate at off the state after
+it. Each window's loss gradient and each rollout's loss take one call. The
+sweep keeps one adjoint per edge weight, a static edge being one whose
+rule is the identity, and adds the episode-start adjoint of the plastic
+weights into ``w0``.
 
 The tape and the sweep hold a batch of episodes run in lockstep on
 ``(n, B)`` arrays, neuron (or edge) axis first and one column per
@@ -271,7 +271,6 @@ def backward(tape: Tape) -> np.ndarray:
         prev = tape.states[t - 1]
         v_t = tape.states[t].v_last[:, a:b]
         v_prev = prev.v_last[:, a:b]
-        s_prev = prev.s[:, a:b]
         w_prev = prev.plastic.weights[:, a:b]
         gv[out] += tape.gy[a:b, t - 1].T
         ge *= np.abs(tape.states[t].plastic.weights[:, a:b]) < bound
@@ -300,7 +299,7 @@ def backward(tape: Tape) -> np.ndarray:
         if R:
             gz = ((gs.take(rate, 0) + gv.take(rate, 0))
                   * (1.0 - v_t.take(rate, 0) ** 2))
-            g_sc += gz * s_prev.take(rate, 0)
+            g_sc += gz * v_prev.take(rate, 0)
             g_b += gz
             gu[rate] = gz
             gs_prev[rate] = gz * self_coeff
@@ -475,10 +474,9 @@ def _stacked_tape(tapes: list[Tape]) -> tuple[Tape, list[np.ndarray]]:
     by span end, then span start, both descending; a span of at most k2
     steps starts at max(0, end - k2), so the two stay non-increasing
     together. Each state copies from the tapes' states only what the sweep
-    reads of the rows live at its step: outputs, cell states, weights and,
-    after a step (local step 1 on) of a net with lif cells, the
-    pre-threshold membranes. Also returns each tape's rows of the stacked
-    one, in its row order."""
+    reads of the rows live at its step: outputs, weights and pre-threshold
+    membranes; it holds no membranes and no trace. Also returns each
+    tape's rows of the stacked one, in its row order."""
     start = np.concatenate([tape.spans[0] for tape in tapes])
     end = np.concatenate([tape.spans[1] for tape in tapes])
     order = np.lexsort((-start, -end))
@@ -497,7 +495,6 @@ def _stacked_tape(tapes: list[Tape]) -> tuple[Tape, list[np.ndarray]]:
                            | (np.diff(row_of, prepend=-1) != 1))
     runs = list(zip(tape_of[first].tolist(), row_of[first].tolist(),
                     np.diff(first, append=len(order)).tolist()))
-    spiking = len(tapes[0].topology.lif_ids) > 0
     states = []
     for i in steps:
         parts, left = [], live[i]
@@ -507,14 +504,12 @@ def _stacked_tape(tapes: list[Tape]) -> tuple[Tape, list[np.ndarray]]:
             n = min(n, left)
             left -= n
             st = tapes[w].states[i]
-            fields = [st.s, st.v_last, st.plastic.weights]
-            if i and spiking:
-                fields.append(st.lif_pre)
-            parts.append([field[:, r:r + n] for field in fields])
-        s, v, weights, *lif_pre = (np.concatenate(field, axis=1)
-                                   for field in zip(*parts))
-        states.append(RolloutState(s, v, PlasticEdgeState(weights, None), int(i),
-                                   *lif_pre))
+            parts.append([field[:, r:r + n] for field in
+                          (st.v_last, st.plastic.weights, st.lif_pre)])
+        v, weights, lif_pre = (np.concatenate(field, axis=1)
+                               for field in zip(*parts))
+        states.append(RolloutState(v, None, lif_pre,
+                                   PlasticEdgeState(weights, None), int(i)))
     gy = np.concatenate([np.pad(t.gy, ((0, 0), (0, K - t.gy.shape[1]), (0, 0)))
                          for t in tapes])
     entry = np.concatenate([tape.episode_start for tape in tapes])

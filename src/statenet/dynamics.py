@@ -3,10 +3,11 @@ the cell equations: ``engine.step`` runs them over a step's rate and lif
 neurons and records the lif pre-threshold membrane, at which
 ``autodiff.backward`` takes the surrogate.
 
-Two cell types share the same contract (drive, previous state) -> (output,
-new state); ``lif_step`` also returns its pre-threshold membrane:
+A rate cell's state is its output: (drive, previous output) -> output. A
+lif cell keeps a membrane beside its spike output: (drive, previous
+membrane) -> (spike, new membrane, pre-threshold membrane):
 
-* rate:  s_new = tanh(drive + self_coeff * s_prev + bias), output = s_new.
+* rate:  v = tanh(drive + self_coeff * v_prev + bias).
 * lif:   explicit-Euler leaky membrane,
          pre = s_prev + dt * (-(s_prev - rest) + drive);
          spike = [pre >= threshold]; hard reset to ``reset`` on spike.
@@ -38,10 +39,10 @@ class NumericsError(FloatingPointError):
         self.row = row
 
 
-def rate_step(drive, s_prev, params: RateParams):
-    """One rate-neuron update. Returns (output, new state); they are equal."""
-    s_new = np.tanh(drive + params.self_coeff * s_prev + params.bias)
-    return s_new, s_new
+def rate_step(drive, v_prev, params: RateParams):
+    """One rate-neuron update from its previous output. Returns the
+    output, which is also the cell's state."""
+    return np.tanh(drive + params.self_coeff * v_prev + params.bias)
 
 
 def lif_step(drive, s_prev, params: LifParams):

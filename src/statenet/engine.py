@@ -2,19 +2,20 @@
 
 Every state array has the neuron (or edge) axis first and one column per
 episode: ``step`` runs a batch of episodes in lockstep on ``(n, B)``
-arrays, one episode being the batch of one, so every neuron and edge read
-is a ``take`` of whole rows and per-neuron parameters broadcast as
-``(k, 1)`` columns. ``rollout`` keeps its ``(B, T, ·)`` stimuli and
-outputs; only one episode's keep their shapes: ``(T, n_in)`` stimuli run
-as ``xs[None]``, an ``(n_in,)`` one is a column. Each column of a batch is
-bitwise the result of running that episode alone: every operation is
-elementwise, and the gather sums each column's edges in edge order. A
-batch of ragged episodes is run with its columns sorted by length,
-longest first; ``rollout``'s ``lengths`` stops each one at its own end,
-so the state after step t holds only the episodes still running, the
-leading columns of the batch. A closed loop, which learns that an
-episode has ended only by stepping it, drops the finished episodes by
-index with ``RolloutState.rows``.
+outputs, ``(n_lif, B)`` lif membranes (a rate cell's state is its output)
+and ``(n_edges, B)`` weights, one episode being the batch of one, so every
+neuron and edge read is a ``take`` of whole rows and per-neuron parameters
+broadcast as ``(k, 1)`` columns. ``rollout`` keeps its ``(B, T, ·)``
+stimuli and outputs; only one episode's keep their shapes: ``(T, n_in)``
+stimuli run as ``xs[None]``, an ``(n_in,)`` one is a column. Each column
+of a batch is bitwise the result of running that episode alone: every
+operation is elementwise, and the gather sums each column's edges in edge
+order. A batch of ragged episodes is run with its columns sorted by
+length, longest first; ``rollout``'s ``lengths`` stops each one at its own
+end, so the state after step t holds only the episodes still running, the
+leading columns of the batch. A closed loop, which learns that an episode
+has ended only by stepping it, drops the finished episodes by index with
+``RolloutState.rows``.
 
 Order of operations inside one step:
 
@@ -22,9 +23,10 @@ Order of operations inside one step:
 2. gather each non-input neuron's drive from *previous-step* outputs
    through *pre-update* edge weights, read straight off the state, which
    carries every edge's current weight (static ones stay at ``w0``),
-3. update every neuron (rate / lif) to get this step's outputs and states;
-   the new state also keeps the lif cells' pre-threshold membrane, the
-   value the backward sweep takes the spike surrogate at,
+3. update every neuron to get this step's outputs: a rate cell from its
+   previous output, a lif cell from its membrane, which it replaces; the
+   new state also keeps the lif cells' pre-threshold membrane, the value
+   the backward sweep takes the spike surrogate at,
 4. update plastic edge weights from the activity just produced: each rule
    reads and writes its own edge columns, and stdp reads this step's
    outputs as spikes and the one per-neuron trace at each edge's two
@@ -78,22 +80,22 @@ from .topology import NetworkTopology
 class RolloutState:
     """Everything that crosses a step boundary, and the one value of the
     step that made it which the backward sweep reads and the next step
-    does not: the lif cells' pre-threshold membrane."""
+    does not: the lif cells' pre-threshold membrane. The lif arrays are
+    ``(0, B)`` on a net without lif cells; an entry state's ``lif_pre``
+    is its membrane, a value no sweep reads."""
 
-    s: np.ndarray            # per-neuron internal state
-    v_last: np.ndarray       # per-neuron outputs of the previous step
+    v_last: np.ndarray       # (n, B) outputs of the step that made it
+    membrane: np.ndarray     # (n_lif, B), lif_ids order; None in a stacked tape
+    lif_pre: np.ndarray      # (n_lif, B) membranes before threshold and reset
     plastic: PlasticEdgeState
     t: int = 0
-    # (n_lif, B) membrane before threshold and reset, in lif_ids order;
-    # None on an entry state and on a net without lif cells
-    lif_pre: np.ndarray | None = None
 
     def rows(self, rows: slice | np.ndarray) -> "RolloutState":
         """Some episodes of a batch state: a slice gives views, an integer
         index array copies of those episodes in its order."""
-        lif_pre = None if self.lif_pre is None else self.lif_pre[:, rows]
-        return RolloutState(self.s[:, rows], self.v_last[:, rows],
-                            self.plastic.rows(rows), self.t, lif_pre)
+        return RolloutState(self.v_last[:, rows], self.membrane[:, rows],
+                            self.lif_pre[:, rows], self.plastic.rows(rows),
+                            self.t)
 
 
 @dataclass
@@ -105,7 +107,9 @@ class StepResult:
 class ProbeWriter:
     """Columnar per-step trace of one episode (a batch of one), a
     ``rollout`` states sink: rows ``t,kind,id,a,b`` where neuron rows carry
-    (state, output) and edge rows carry (weight, '')."""
+    (state, output) and edge rows carry (weight, ''). A neuron's state is
+    its output for a rate cell, its membrane for a lif cell and 0 for an
+    input."""
 
     def __init__(self, path: str, topology: NetworkTopology,
                  edge_stride: int = 0):
@@ -116,12 +120,15 @@ class ProbeWriter:
 
     def append(self, state: RolloutState) -> None:
         """Write the state after step ``state.t``; one episode's only."""
-        if state.s.shape[1] != 1:
+        if state.v_last.shape[1] != 1:
             raise ValueError("a probe records one episode, not a batch")
         t, topology = state.t, self.topology
+        cell = state.v_last[:, 0].copy()
+        cell[topology.input_ids] = 0.0
+        cell[topology.lif_ids] = state.membrane[:, 0]
         # tolist() gives Python floats, whose repr reads back bitwise
         rows = [f"{t},n,{i},{a!r},{b!r}\n" for i, (a, b) in
-                enumerate(zip(state.s[:, 0].tolist(), state.v_last[:, 0].tolist()))]
+                enumerate(zip(cell.tolist(), state.v_last[:, 0].tolist()))]
         if self.edge_stride and t % self.edge_stride == 0:
             idx = topology.plastic_idx
             rows += [f"{t},e,{src}->{dst},{w!r},\n" for src, dst, w in zip(
@@ -142,11 +149,10 @@ class ProbeWriter:
 def fresh_state(topology: NetworkTopology, params: ParameterSet,
                 batch: int = 1) -> RolloutState:
     """Episode-start state of each of ``batch`` episodes, one column each:
-    rate states zero, membranes at rest, no prior outputs, edge weights at
-    their trainable initial values."""
-    s = np.zeros((topology.n, batch))
-    s[topology.lif_ids] = topology.lif_params.rest
-    return RolloutState(s, np.zeros(s.shape),
+    no prior outputs, membranes at rest, edge weights at their trainable
+    initial values."""
+    membrane = np.repeat(topology.lif_params.rest, batch, axis=1)
+    return RolloutState(np.zeros((topology.n, batch)), membrane, membrane,
                         reset_plastic_state(topology, params.w0, batch))
 
 
@@ -200,24 +206,18 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
     v[topology.input_ids] = x
     u = gather(topology, state.plastic.weights, state.v_last, offsets)
 
-    s_new = state.s.copy()
     rate = topology.rate_ids
     if len(rate):
-        out, s_rate = rate_step(u.take(rate, 0), state.s.take(rate, 0),
-                                params)
-        v[rate] = out
-        s_new[rate] = s_rate
+        v[rate] = rate_step(u.take(rate, 0), state.v_last.take(rate, 0),
+                            params)
     lif = topology.lif_ids
-    lif_pre = None
+    membrane = lif_pre = state.membrane
     if len(lif):
-        out, s_lif, lif_pre = lif_step(u.take(lif, 0), state.s.take(lif, 0),
-                                       topology.lif_params)
-        v[lif] = out
-        s_new[lif] = s_lif
-
-    # rate outputs equal their new states and spikes are 0 or 1, so the
-    # new states are the values to check
-    finite = np.isfinite(s_new)
+        v[lif], membrane, lif_pre = lif_step(u.take(lif, 0), state.membrane,
+                                             topology.lif_params)
+    # a spike is 0 or 1 whatever its membrane: check the membrane instead
+    finite = np.isfinite(v)
+    finite[lif] = np.isfinite(membrane)
     if not finite.all():
         raise _non_finite(f"non-finite value at t={t}, neuron "
                           f"{np.argwhere(~finite.T)[0][-1]}", finite)
@@ -239,8 +239,8 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
             topology.stdp_dst, v, state.plastic.trace)
 
     result = StepResult(y=v.take(topology.output_ids, 0), probe=v)
-    next_state = RolloutState(s=s_new, v_last=v, plastic=new_plastic, t=t,
-                              lif_pre=lif_pre)
+    next_state = RolloutState(v_last=v, membrane=membrane, lif_pre=lif_pre,
+                              plastic=new_plastic, t=t)
     return result, next_state
 
 
@@ -269,9 +269,9 @@ def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
     if xs.ndim == 2:
         ys, state = rollout(state0, xs[None], topology, params, states)
         return ys[0], state
-    if len(xs) < state0.s.shape[1]:
+    if len(xs) < state0.v_last.shape[1]:
         raise ValueError(f"stimulus shape {xs.shape} has fewer rows than "
-                         f"the state's {state0.s.shape[1]} episodes")
+                         f"the state's {state0.v_last.shape[1]} episodes")
     ys = np.zeros(xs.shape[:-1] + (topology.n_outputs,))
     # (T, channels, B) views: each step's stimuli and outputs by column
     by_step, out = xs.transpose(1, 2, 0), ys.transpose(1, 2, 0)
@@ -284,10 +284,10 @@ def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
     state, offsets = state0, None
     for t in range(len(by_step)):
         x, y = by_step[t][:, :rows[t]], out[t][:, :rows[t]]
-        if rows[t] < state.s.shape[1]:
+        if rows[t] < state.v_last.shape[1]:
             state, offsets = state.rows(slice(rows[t])), None
         if offsets is None:
-            offsets = scatter_index(topology.edge_dst, state.s.shape[1])
+            offsets = scatter_index(topology.edge_dst, state.v_last.shape[1])
         res, state = step(state, x, topology, params, offsets)
         y[...] = res.y
         if states is not None:
@@ -308,8 +308,11 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
     membranes in the same order).
     """
     n = topology.n
-    s = [float(x) for x in state0.s[:, 0]]
     v_last = [float(x) for x in state0.v_last[:, 0]]
+    # a rate cell's state is its output, a lif cell's its membrane
+    s = list(v_last)
+    for k, i in enumerate(topology.lif_ids):
+        s[int(i)] = float(state0.membrane[k, 0])
     # plastic edges start from the state's weights, static ones read w0
     e_plastic = [float(x) for x in state0.plastic.weights[:, 0]]
     # the oracle keeps a pre and a post trace; both start from the one trace

@@ -141,9 +141,8 @@ def run_oracle_diff(n_cases: int = 1000, seed: int = 7,
                 lines.append(f"FAIL case {i}: rate outputs differ by {diff:.3e}")
         ref_weights, ref_membranes, ref_pre = zip(*recorded)
         weights = [st.plastic.weights[topo.plastic_idx, 0] for st in states]
-        membranes = [st.s[topo.lif_ids, 0] for st in states]
-        pre = [np.zeros(0) if st.lif_pre is None else st.lif_pre[:, 0]
-               for st in states]
+        membranes = [st.membrane[:, 0] for st in states]
+        pre = [st.lif_pre[:, 0] for st in states]
         diff = max(_max_abs_diff(ref_weights, weights),
                    _max_abs_diff(ref_membranes, membranes),
                    _max_abs_diff(ref_pre, pre))

@@ -165,12 +165,12 @@ def test_criterion_8_lif_decay_and_oscillation():
     topo = NetworkTopology(neurons, [EdgeSpec(0, 1, 0.0)])
     params = ParameterSet.from_topology(topo)
     state = fresh_state(topo, params)
-    state.s[1] = 0.8
+    state.membrane[0] = 0.8                  # neuron 1, the one lif cell
     dt = topo.lif_params.dt[0]
     for t in range(1, 51):
         from statenet.engine import step
         _, state = step(state, np.zeros(1), topo, params)
-        assert state.s[1] == (1.0 - dt) ** t * 0.8
+        assert state.membrane[0] == (1.0 - dt) ** t * 0.8
 
     # reciprocally connected pair under tonic drive: periodic spiking
     pair = NetworkTopology(

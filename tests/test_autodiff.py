@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from statenet.autodiff import (Tape, backward, batch_gradients,
                                tbptt_gradients)
 from statenet.dynamics import lif_membrane_pre
 from statenet.engine import (RolloutState, fresh_state, gather, rollout,
-                             scatter_index)
+                             scatter_index, step)
 from statenet.params import ParameterSet
 from statenet.plasticity import CLIP_BOUND, PlasticEdgeState
 from statenet.rng import Rng
@@ -378,7 +379,7 @@ def truncated_fd_gradient(topo, params, xs, ys, tag, k1, k2, eps=1e-5):
     """The truncated gradient of one episode as sum_j dL_j, by central
     differences (``fd_gradient``'s scheme). L_j is window j's fresh-step
     loss over a rollout from the state recorded at the window's entry:
-    cell states, outputs, the trace and the plastic weights keep their
+    outputs, membranes, the trace and the plastic weights keep their
     recorded values, except that the plastic weights are w0(theta) when
     the window enters at step 0; static weights are w0(theta) always."""
     T = len(xs)
@@ -399,8 +400,9 @@ def truncated_fd_gradient(topo, params, xs, ys, tag, k1, k2, eps=1e-5):
             weights = entry.plastic.weights.copy()
             cols = topo.static_idx if begin else np.arange(topo.n_edges)
             weights[cols, 0] = theta.w0[cols]
-            entry = RolloutState(entry.s, entry.v_last, PlasticEdgeState(
-                weights, entry.plastic.trace), entry.t)
+            entry = RolloutState(entry.v_last, entry.membrane, entry.lif_pre,
+                                 PlasticEdgeState(weights, entry.plastic.trace),
+                                 entry.t)
             outs, _ = rollout(entry, xs[begin:stop], topo, theta)
             total += outputs_loss(tag, outs, ys[begin:stop], fresh)
         return total
@@ -827,42 +829,40 @@ def _assert_recorded_membranes(topo, states):
     the gather over the state before it, on its own columns."""
     lif = topo.lif_ids
     for prev, st in zip(states, states[1:]):
-        cols = st.s.shape[1]
+        cols = st.v_last.shape[1]
         u = gather(topo, prev.plastic.weights[:, :cols],
                    prev.v_last[:, :cols], scatter_index(topo.edge_dst, cols))
-        want = lif_membrane_pre(u.take(lif, 0), prev.s[lif, :cols],
+        want = lif_membrane_pre(u.take(lif, 0), prev.membrane[:, :cols],
                                 topo.lif_params)
         assert st.lif_pre.shape == (len(lif), cols)
         assert st.lif_pre.tobytes() == want.tobytes()
 
 
-def test_recorded_lif_membrane_is_the_gathered_one(monkeypatch):
-    # on a ragged batch's trajectory and on the states of a stacked tape,
-    # the recorded membrane is what a re-gather from the state before
-    # would give; an entry state and a rate net record none
-    from statenet import autodiff
-    from statenet.training import _lockstep
-    kwargs, tag = BATCH_NETS["lif-stdp-mse"]
-    topo = build_random(8, 0.5, seed=41, direct_io=True, **kwargs)
-    params = jitter(ParameterSet.from_topology(topo), 42)
+def _ragged_states(topo, params):
+    """The entry state and the states after each step of a ragged batch
+    rollout whose widths run 6, 6, 5, 5, 5, 5, 2, 2, 2."""
     lengths = [9, 9, 6, 6, 6, 2]
     xs, _ = random_sequence(49, 9 * len(lengths), topo.n_inputs,
                             topo.n_outputs)
     states = [fresh_state(topo, params, batch=len(lengths))]
     rollout(states[0], xs.reshape(len(lengths), 9, -1), topo, params,
             states=states, lengths=lengths)
-    assert states[0].lif_pre is None
-    assert [st.s.shape[1] for st in states[1:]] == [6, 6, 5, 5, 5, 5, 2, 2, 2]
-    _assert_recorded_membranes(topo, states)
-    assert states[4].rows(np.array([3, 0])).lif_pre.tobytes() == \
-        states[4].lif_pre[:, [3, 0]].tobytes()
+    assert [st.v_last.shape[1] for st in states[1:]] == \
+        [6, 6, 5, 5, 5, 5, 2, 2, 2]
+    return states
 
+
+def _stacked_tapes(monkeypatch, topo, params, tag):
+    """(queued tapes, their stacked tape, each one's rows of it) of every
+    stacked sweep of a k1=3, k2=7 training batch of 12 episodes."""
+    from statenet import autodiff
+    from statenet.training import _lockstep
     stacked = []
     stack = autodiff._stacked_tape
 
     def recording_stack(tapes):
         tape, rows = stack(tapes)
-        stacked.append(tape)
+        stacked.append((tapes, tape, rows))
         return tape, rows
 
     monkeypatch.setattr(autodiff, "_stacked_tape", recording_stack)
@@ -874,13 +874,57 @@ def test_recorded_lif_membrane_is_the_gathered_one(monkeypatch):
 
     _lockstep(episodes, range(12), 12, batch)
     assert stacked
-    for tape in stacked:
-        assert tape.states[0].lif_pre is None
-        _assert_recorded_membranes(topo, tape.states)
+    return stacked
 
-    rate = build_random(4, 0.5, seed=41, model="rate", n_inputs=2, n_outputs=1)
-    rate_params = ParameterSet.from_topology(rate)
-    states = [fresh_state(rate, rate_params)]
-    rollout(states[0], np.ones((3, rate.n_inputs)), rate, rate_params,
-            states=states)
-    assert all(st.lif_pre is None for st in states)
+
+def test_recorded_lif_membrane_is_the_gathered_one(monkeypatch):
+    # on a ragged batch's trajectory and on the tapes a stacked tape is
+    # built from, the recorded membrane is what a re-gather from the state
+    # before would give, and the stacked tape holds each row's own
+    kwargs, tag = BATCH_NETS["lif-stdp-mse"]
+    topo = build_random(8, 0.5, seed=41, direct_io=True, **kwargs)
+    params = jitter(ParameterSet.from_topology(topo), 42)
+    states = _ragged_states(topo, params)
+    _assert_recorded_membranes(topo, states)
+    assert states[4].rows(np.array([3, 0])).lif_pre.tobytes() == \
+        states[4].lif_pre[:, [3, 0]].tobytes()
+
+    for tapes, tape, rows in _stacked_tapes(monkeypatch, topo, params, tag):
+        for one, at in zip(tapes, rows):
+            _assert_recorded_membranes(topo, one.states)
+            for st, mine in zip(tape.states, one.states):
+                live = at < st.lif_pre.shape[1]
+                assert st.lif_pre[:, at[live]].tobytes() == \
+                    mine.lif_pre[:, np.flatnonzero(live)].tobytes()
+
+
+@pytest.mark.parametrize("net", ["rate-hebbian-bce", "lif-stdp-mse"])
+def test_every_state_holds_its_lif_membranes_beside_the_outputs(monkeypatch,
+                                                                net):
+    # a rate cell's state is its output, so a state keeps beside the outputs
+    # only the lif cells' membranes and pre-threshold membranes, both
+    # (n_lif, width); a stacked tape's states hold no membranes
+    assert "s" not in {f.name for f in dataclasses.fields(RolloutState)}
+    kwargs, tag = BATCH_NETS[net]
+    topo = build_random(8, 0.5, seed=41, direct_io=True, **kwargs)
+    params = jitter(ParameterSet.from_topology(topo), 42)
+    n_lif = len(topo.lif_ids)
+    assert bool(n_lif) == (kwargs["model"] == "lif")
+
+    def assert_layout(st, width):
+        assert st.v_last.shape == (topo.n, width)
+        assert st.membrane.shape == st.lif_pre.shape == (n_lif, width)
+
+    entry = fresh_state(topo, params, batch=6)
+    assert entry.lif_pre.tobytes() == entry.membrane.tobytes()
+    _, after = step(entry, np.ones((topo.n_inputs, 6)), topo, params)
+    for st, width in ((entry, 6), (after, 6), (after.rows(slice(4)), 4),
+                      (after.rows(np.array([5, 0])), 2)):
+        assert_layout(st, width)
+    for st in _ragged_states(topo, params):
+        assert_layout(st, st.v_last.shape[1])
+
+    for _, tape, _ in _stacked_tapes(monkeypatch, topo, params, tag):
+        for st in tape.states:
+            assert st.membrane is None
+            assert st.lif_pre.shape == (n_lif, st.v_last.shape[1])

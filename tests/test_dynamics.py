@@ -10,25 +10,24 @@ from statenet.topology import LifParams, RateParams
 
 
 def test_rate_zero_point():
-    v, s = rate_step(0.0, 0.0, RateParams(self_coeff=0.5, bias=0.0))
-    assert v == 0.0 and s == 0.0
+    assert rate_step(0.0, 0.0, RateParams(self_coeff=0.5, bias=0.0)) == 0.0
 
 
 def test_rate_matches_scalar_math():
-    v, s = rate_step(0.0, 1.0, RateParams(self_coeff=1.0, bias=0.0))
+    v = rate_step(0.0, 1.0, RateParams(self_coeff=1.0, bias=0.0))
     assert v == pytest.approx(math.tanh(1.0), abs=1e-15)
     assert v == pytest.approx(0.761594, abs=1e-6)
 
 
-def test_rate_output_equals_state_and_is_bounded():
+def test_rate_output_is_bounded():
     rng = np.random.default_rng(0)
     for _ in range(200):
         p = RateParams(self_coeff=float(rng.uniform(-3, 3)),
                        bias=float(rng.uniform(-3, 3)))
-        v, s = rate_step(float(rng.uniform(-50, 50)), float(rng.uniform(-5, 5)), p)
+        v = rate_step(float(rng.uniform(-50, 50)), float(rng.uniform(-5, 5)), p)
         # strict openness holds in exact arithmetic; floats round to +-1.0
-        assert v == s and abs(v) <= 1.0
-    v, _ = rate_step(8.0, 0.0, RateParams())
+        assert abs(v) <= 1.0
+    v = rate_step(8.0, 0.0, RateParams())
     assert abs(v) < 1.0
 
 
@@ -36,8 +35,8 @@ def test_rate_output_equals_state_and_is_bounded():
        st.floats(-2, 2))
 def test_rate_lipschitz_bound(u1, u2, s1, s2, self_coeff):
     p = RateParams(self_coeff=self_coeff, bias=0.3)
-    va, _ = rate_step(u1, s1, p)
-    vb, _ = rate_step(u2, s2, p)
+    va = rate_step(u1, s1, p)
+    vb = rate_step(u2, s2, p)
     bound = (abs(u1 - u2) + abs(s1 - s2)) * max(1.0, abs(self_coeff))
     assert abs(va - vb) <= bound + 1e-12
 

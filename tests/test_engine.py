@@ -249,8 +249,7 @@ def test_reference_rollout_records_weights_and_membranes():
         assert len(membranes) == len(pre) == len(topo.lif_ids)
         assert np.allclose(weights, st.plastic.weights[topo.plastic_idx, 0],
                            rtol=0, atol=1e-12)
-        assert np.allclose(membranes, st.s[topo.lif_ids, 0], rtol=0,
-                           atol=1e-12)
+        assert np.allclose(membranes, st.membrane[:, 0], rtol=0, atol=1e-12)
         assert np.allclose(pre, st.lif_pre[:, 0], rtol=0, atol=1e-12)
     assert any(weights != recorded[0][0] for weights, _, _ in recorded)
     # a spike resets the membrane, so the two membranes part at some step
@@ -313,7 +312,7 @@ def test_stdp_sign_laws_through_engine():
 
     # mirrored: a charged target fires at step 1, the source spikes at step 2
     state = fresh_state(topo, params)
-    state.s[1] = 2.0
+    state.membrane[0] = 2.0                  # the target, the one lif cell
     (y1, d1), (y2, d2) = weight_changes(topo, params, state, [0.0, 1.0])
     assert (y1, y2) == (1.0, 0.0) and d1 == 0.0
     assert abs(d2 + DEPRESSION * TRACE_DECAY) <= 1e-12
@@ -386,7 +385,7 @@ def test_dimension_mismatch_raises():
 @pytest.mark.parametrize("model,rule", [("rate", "hebbian"), ("lif", "stdp")])
 def test_one_episode_is_column_0_of_a_batch_of_one(model, rule):
     # (T, n_in) stimuli run as xs[None]: the outputs are row 0 of that run,
-    # bitwise, and the recorded states are (n, 1) columns
+    # bitwise, and the recorded states are columns of one
     topo = build_random(4, 0.7, seed=21, model=model, n_inputs=2,
                         n_outputs=2, plastic_rule=rule, plastic_scope="readout",
                         lif_params=LifParams(threshold=0.15))
@@ -400,16 +399,19 @@ def test_one_episode_is_column_0_of_a_batch_of_one(model, rule):
     assert ys.shape == (9, 2) and ys.tobytes() == yb[0].tobytes()
     assert len(alone) == len(batch) == 9
     for a, b in zip(alone + [end], batch + [end_b]):
-        assert a.s.shape == a.v_last.shape == a.plastic.trace.shape == (topo.n, 1)
+        assert a.v_last.shape == a.plastic.trace.shape == (topo.n, 1)
+        assert a.membrane.shape == (len(topo.lif_ids), 1)
         assert a.plastic.weights.shape == (topo.n_edges, 1)
-        for x, y in ((a.s, b.s), (a.v_last, b.v_last),
+        for x, y in ((a.membrane, b.membrane), (a.lif_pre, b.lif_pre),
+                     (a.v_last, b.v_last),
                      (a.plastic.weights, b.plastic.weights),
                      (a.plastic.trace, b.plastic.trace)):
             assert x.tobytes() == y.tobytes()
     # an (n_in,) stimulus is the one column of the state
     res, state = step(fresh_state(topo, params), xs[0], topo, params)
     assert res.y.shape == (2, 1) and res.y[:, 0].tobytes() == ys[0].tobytes()
-    assert state.s.tobytes() == alone[0].s.tobytes()
+    assert state.v_last.tobytes() == alone[0].v_last.tobytes()
+    assert state.membrane.tobytes() == alone[0].membrane.tobytes()
 
 
 @pytest.mark.parametrize("model,rule", [("rate", "hebbian"), ("lif", "stdp")])
@@ -426,7 +428,8 @@ def test_step_with_prebuilt_offsets_is_bitwise_step(model, rule, batch):
         res_a, a = step(a, x, topo, params)
         res_b, b = step(b, x, topo, params, offsets=offsets)
         assert res_a.y.tobytes() == res_b.y.tobytes()
-        for x_a, x_b in ((a.s, b.s), (a.v_last, b.v_last),
+        for x_a, x_b in ((a.membrane, b.membrane), (a.lif_pre, b.lif_pre),
+                         (a.v_last, b.v_last),
                          (a.plastic.weights, b.plastic.weights),
                          (a.plastic.trace, b.plastic.trace)):
             assert x_a.tobytes() == x_b.tobytes()
@@ -601,13 +604,20 @@ def test_probe_dump(tmp_path):
 
 
 def test_probe_fields_read_back_bitwise(tmp_path):
-    topo = build_random(4, 0.8, seed=3, model="rate", n_inputs=1, n_outputs=1,
+    # a neuron's state column is its output for a rate cell, its membrane
+    # for a lif cell and 0 for an input
+    rate = build_random(4, 0.8, seed=3, model="rate", n_inputs=1, n_outputs=1,
                         plastic_rule="hebbian")
+    for topo in (rate, mixed_stdp_net()):
+        assert_probe_reads_back(tmp_path / "probe.csv", topo)
+
+
+def assert_probe_reads_back(path, topo):
     params = ParameterSet.from_topology(topo)
     rng = Rng(4)
-    xs = np.array([[rng.uniform(-1, 1)] for _ in range(5)])
-    path = str(tmp_path / "probe.csv")
-    with ProbeWriter(path, topo, edge_stride=1) as probe:
+    xs = np.array([[rng.uniform(-1, 1) for _ in range(topo.n_inputs)]
+                   for _ in range(5)])
+    with ProbeWriter(str(path), topo, edge_stride=1) as probe:
         rollout(fresh_state(topo, params), xs, topo, params, states=probe)
     states = []
     rollout(fresh_state(topo, params), xs, topo, params, states=states)
@@ -616,12 +626,18 @@ def test_probe_fields_read_back_bitwise(tmp_path):
     assert sorted({int(row["t"]) for row in rows}) == list(range(1, 6))
     plastic = {f"{topo.edge_src[k]}->{topo.edge_dst[k]}": k
                for k in topo.plastic_idx}
+    lif = {int(i): k for k, i in enumerate(topo.lif_ids)}
     for row in rows:
         state = states[int(row["t"]) - 1]
         assert state.t == int(row["t"])
         if row["kind"] == "n":
             i = int(row["id"])
-            assert float(row["a"]) == state.s[i]
+            if i in topo.input_ids:
+                assert row["a"] == "0.0"
+            elif i in lif:
+                assert float(row["a"]) == state.membrane[lif[i]]
+            else:
+                assert float(row["a"]) == state.v_last[i]
             assert float(row["b"]) == state.v_last[i]
         else:
             assert row["b"] == ""
