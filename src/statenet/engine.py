@@ -36,10 +36,10 @@ Steps 3 and 4 call the ``dynamics`` and ``plasticity`` kernels that the
 backward sweep shares; each rule reads its edges' endpoints off the
 topology (``hebbian_src`` / ``hebbian_dst``, ``stdp_src`` / ``stdp_dst``).
 ``rollout`` is the one loop over steps of recorded stimuli, and ``states``
-its one recording hook: it appends each new state to a list, the
-trajectory a backward sweep reads, or to a ``ProbeWriter``, a CSV sink.
-The closed loop, whose stimuli come from the environment it acts in, is
-the one other: ``training._play_pong``.
+its one recording hook: a list it appends each new state to, the
+trajectory that a backward sweep reads and that ``write_probe`` writes out
+as one episode's CSV. The closed loop, whose stimuli come from the
+environment it acts in, is the one other: ``training._play_pong``.
 
 The gather's flat offsets (``scatter_index``) depend only on the edges and
 the batch width, so the loops that step a batch build them once per width
@@ -69,10 +69,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import NumericsError, lif_step, rate_step
+from .jsonio import atomic_write
 from .params import ParameterSet
 from .plasticity import (CLIP_BOUND, DEPRESSION, POTENTIATION, TRACE_DECAY,
-                         PlasticEdgeState, hebbian_update, reset_plastic_state,
-                         stdp_update)
+                         PlasticEdgeState, hebbian_update, stdp_update)
 from .topology import NetworkTopology
 
 
@@ -93,9 +93,10 @@ class RolloutState:
     def rows(self, rows: slice | np.ndarray) -> "RolloutState":
         """Some episodes of a batch state: a slice gives views, an integer
         index array copies of those episodes in its order."""
+        plastic = PlasticEdgeState(self.plastic.weights[:, rows],
+                                   self.plastic.trace[:, rows])
         return RolloutState(self.v_last[:, rows], self.membrane[:, rows],
-                            self.lif_pre[:, rows], self.plastic.rows(rows),
-                            self.t)
+                            self.lif_pre[:, rows], plastic, self.t)
 
 
 @dataclass
@@ -104,56 +105,51 @@ class StepResult:
     probe: np.ndarray        # every neuron's output, (n, B)
 
 
-class ProbeWriter:
-    """Columnar per-step trace of one episode (a batch of one), a
-    ``rollout`` states sink: rows ``t,kind,id,a,b`` where neuron rows carry
-    (state, output) and edge rows carry (weight, ''). A neuron's state is
-    its output for a rate cell, its membrane for a lif cell and 0 for an
-    input."""
-
-    def __init__(self, path: str, topology: NetworkTopology,
-                 edge_stride: int = 0):
-        self.fh = open(path, "w", encoding="utf-8")
-        self.fh.write("t,kind,id,a,b\n")
-        self.topology = topology
-        self.edge_stride = edge_stride
-
-    def append(self, state: RolloutState) -> None:
-        """Write the state after step ``state.t``; one episode's only."""
-        if state.v_last.shape[1] != 1:
-            raise ValueError("a probe records one episode, not a batch")
-        t, topology = state.t, self.topology
-        cell = state.v_last[:, 0].copy()
-        cell[topology.input_ids] = 0.0
-        cell[topology.lif_ids] = state.membrane[:, 0]
-        # tolist() gives Python floats, whose repr reads back bitwise
-        rows = [f"{t},n,{i},{a!r},{b!r}\n" for i, (a, b) in
-                enumerate(zip(cell.tolist(), state.v_last[:, 0].tolist()))]
-        if self.edge_stride and t % self.edge_stride == 0:
-            idx = topology.plastic_idx
-            rows += [f"{t},e,{src}->{dst},{w!r},\n" for src, dst, w in zip(
-                topology.edge_src[idx].tolist(), topology.edge_dst[idx].tolist(),
-                state.plastic.weights[idx, 0].tolist())]
-        self.fh.write("".join(rows))
-
-    def close(self) -> None:
-        self.fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
 def fresh_state(topology: NetworkTopology, params: ParameterSet,
                 batch: int = 1) -> RolloutState:
     """Episode-start state of each of ``batch`` episodes, one column each:
-    no prior outputs, membranes at rest, edge weights at their trainable
-    initial values."""
+    no prior outputs, membranes at rest, every edge weight at its
+    trainable initial value ``params.w0``, the trace zeroed. Every episode
+    starts here, so plastic weights never carry over from the last one."""
     membrane = np.repeat(topology.lif_params.rest, batch, axis=1)
+    plastic = PlasticEdgeState(np.repeat(params.w0[:, None], batch, axis=1),
+                               np.zeros((topology.n, batch)))
     return RolloutState(np.zeros((topology.n, batch)), membrane, membrane,
-                        reset_plastic_state(topology, params.w0, batch))
+                        plastic)
+
+
+def write_probe(path: str, topology: NetworkTopology,
+                states: list[RolloutState], edge_stride: int = 0) -> None:
+    """Write the states that one episode's ``rollout(..., states=states)``
+    recorded as a columnar CSV: rows ``t,kind,id,a,b``, where neuron rows
+    carry (state, output) at every step and plastic edge rows carry
+    (weight, '') at every ``edge_stride``-th step (none when 0). A
+    neuron's state is its output for a rate cell, its membrane for a lif
+    cell and 0 for an input.
+
+    A batch state raises ``ValueError`` before ``path`` is touched, and the
+    file is replaced whole or not at all. A rollout that raises (say a
+    ``NumericsError``) leaves the states of its earlier steps in the list,
+    so the steps up to a divergence can still be written."""
+    if any(state.v_last.shape[1] != 1 for state in states):
+        raise ValueError("a probe records one episode, not a batch")
+    src = topology.edge_src[topology.plastic_idx].tolist()
+    dst = topology.edge_dst[topology.plastic_idx].tolist()
+    with atomic_write(path) as fh:
+        fh.write("t,kind,id,a,b\n")
+        for state in states:
+            t = state.t
+            cell = state.v_last[:, 0].copy()
+            cell[topology.input_ids] = 0.0
+            cell[topology.lif_ids] = state.membrane[:, 0]
+            # tolist() gives Python floats, whose repr reads back bitwise
+            rows = [f"{t},n,{i},{a!r},{b!r}\n" for i, (a, b) in
+                    enumerate(zip(cell.tolist(), state.v_last[:, 0].tolist()))]
+            if edge_stride and t % edge_stride == 0:
+                weights = state.plastic.weights[topology.plastic_idx, 0]
+                rows += [f"{t},e,{a}->{b},{w!r},\n"
+                         for a, b, w in zip(src, dst, weights.tolist())]
+            fh.write("".join(rows))
 
 
 def scatter_index(idx: np.ndarray, cols: int) -> np.ndarray:
@@ -251,12 +247,12 @@ def _non_finite(message: str, ok: np.ndarray) -> NumericsError:
 
 
 def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
-            params: ParameterSet, states: list | ProbeWriter | None = None,
+            params: ParameterSet, states: list | None = None,
             lengths=None) -> tuple[np.ndarray, RolloutState]:
     """Fold ``step`` over a stimulus sequence. Returns (outputs, final
-    state). ``states``, when given, receives the state after every step
-    through its ``append``: a list records the trajectory, a
-    ``ProbeWriter`` writes one episode's.
+    state). ``states``, when given, is a list that the state after every
+    step is appended to: the trajectory, as a backward sweep or
+    ``write_probe`` reads it.
 
     ``state0`` holds B episodes (columns), ``xs`` is (B x T x n_in), the
     outputs (B x T x n_out). ``lengths`` (B steps counts, non-increasing)
@@ -315,9 +311,7 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
         s[int(i)] = float(state0.membrane[k, 0])
     # plastic edges start from the state's weights, static ones read w0
     e_plastic = [float(x) for x in state0.plastic.weights[:, 0]]
-    # the oracle keeps a pre and a post trace; both start from the one trace
-    tr_pre = [float(x) for x in state0.plastic.trace[:, 0]]
-    tr_post = list(tr_pre)
+    trace = [float(x) for x in state0.plastic.trace[:, 0]]
     w0 = [float(x) for x in params.w0]
 
     roles = {nr.id: nr.role for nr in topology.neurons}
@@ -381,16 +375,15 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
                 e_new[k] = min(max(raw, -CLIP_BOUND), CLIP_BOUND)
             else:
                 any_stdp = True
-                tp = TRACE_DECAY * tr_pre[e.src]
-                tq = TRACE_DECAY * tr_post[e.dst]
+                tp = TRACE_DECAY * trace[e.src]
+                tq = TRACE_DECAY * trace[e.dst]
                 delta = (POTENTIATION * tp * spikes[e.dst]
                          - DEPRESSION * tq * spikes[e.src])
                 raw = e_plastic[k] + delta
                 e_new[k] = min(max(raw, -CLIP_BOUND), CLIP_BOUND)
         if any_stdp:
             for i in range(n):
-                tr_pre[i] = TRACE_DECAY * tr_pre[i] + spikes[i]
-                tr_post[i] = TRACE_DECAY * tr_post[i] + spikes[i]
+                trace[i] = TRACE_DECAY * trace[i] + spikes[i]
 
         e_plastic = e_new
         s = s_new

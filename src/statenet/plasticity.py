@@ -27,10 +27,11 @@ Two rules:
   weight by exactly POTENTIATION * TRACE_DECAY, and the mirrored order by
   -DEPRESSION * TRACE_DECAY.
 
-Plastic weights are reset to the trainable initial weights at every
-episode start. Training fits the hebbian learning rates and retention
-(``params``); the clip bound, the stdp magnitudes and the trace decay are
-fixed constants, as in Miconi et al. 2018 and Song, Miller & Abbott 2000.
+Plastic weights start every episode at the trainable initial weights:
+``engine.fresh_state`` builds each episode's state so. Training fits the
+hebbian learning rates and retention (``params``); the clip bound, the
+stdp magnitudes and the trace decay are fixed constants, as in Miconi et
+al. 2018 and Song, Miller & Abbott 2000.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .topology import NetworkTopology
 
 
 # fixed hyperparameters of the rules; the stdp sign laws need non-negative
@@ -73,21 +72,6 @@ class PlasticEdgeState:
 
     weights: np.ndarray
     trace: np.ndarray
-
-    def rows(self, rows: slice | np.ndarray) -> "PlasticEdgeState":
-        """Some episodes' columns, picked as ``RolloutState.rows`` picks
-        them."""
-        return PlasticEdgeState(self.weights[:, rows], self.trace[:, rows])
-
-
-def reset_plastic_state(topology: NetworkTopology, w0: np.ndarray,
-                        batch: int = 1) -> PlasticEdgeState:
-    """Episode-boundary state of each of ``batch`` episodes, one column
-    each: every edge weight := its initial weight (the per-edge vector
-    ``w0``), trace zeroed."""
-    w0 = np.asarray(w0, dtype=np.float64)
-    return PlasticEdgeState(weights=np.repeat(w0[:, None], batch, axis=1),
-                            trace=np.zeros((topology.n, batch)))
 
 
 def hebbian_update(e_prev, out_pre_prev, out_post, learn_rate,

@@ -10,7 +10,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from statenet.autodiff import episode_gradients, tbptt_gradients
 from statenet.datasets import PavlovConfig, PongDataConfig, gen_pavlov, gen_pong

@@ -1,19 +1,22 @@
 import csv
+import hashlib
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from statenet.datasets import PavlovConfig, gen_pavlov
 from statenet.dynamics import NumericsError
-from statenet.engine import (ProbeWriter, fresh_state, gather,
-                             reference_rollout, rollout, scatter_index, step)
+from statenet.engine import (fresh_state, gather, reference_rollout, rollout,
+                             scatter_index, step, write_probe)
 from statenet.params import ParameterSet
 from statenet.plasticity import (CLIP_BOUND, DEPRESSION, POTENTIATION,
                                  TRACE_DECAY)
 from statenet.rng import Rng, derive_seed
 from statenet.topology import (EdgeSpec, LifParams, NetworkTopology,
                                NeuronSpec, RateParams, build_random)
+from statenet.training import pavlov_recipe
 
 
 def chain_topology(weights, self_coeff=0.0, bias=0.0):
@@ -594,9 +597,10 @@ def test_probe_dump(tmp_path):
     topo = chain_topology([1.0])
     params = ParameterSet.from_topology(topo)
     path = str(tmp_path / "probe.csv")
-    with ProbeWriter(path, topo, edge_stride=1) as probe:
-        rollout(fresh_state(topo, params), np.ones((3, 1)), topo, params,
-                states=probe)
+    states = []
+    rollout(fresh_state(topo, params), np.ones((3, 1)), topo, params,
+            states=states)
+    write_probe(path, topo, states, edge_stride=1)
     lines = Path(path).read_text().splitlines()
     assert lines[0] == "t,kind,id,a,b"
     assert sum(1 for ln in lines if ln.startswith("1,n,")) == topo.n
@@ -617,10 +621,9 @@ def assert_probe_reads_back(path, topo):
     rng = Rng(4)
     xs = np.array([[rng.uniform(-1, 1) for _ in range(topo.n_inputs)]
                    for _ in range(5)])
-    with ProbeWriter(str(path), topo, edge_stride=1) as probe:
-        rollout(fresh_state(topo, params), xs, topo, params, states=probe)
     states = []
     rollout(fresh_state(topo, params), xs, topo, params, states=states)
+    write_probe(str(path), topo, states, edge_stride=1)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert sorted({int(row["t"]) for row in rows}) == list(range(1, 6))
@@ -649,6 +652,50 @@ def assert_probe_reads_back(path, topo):
 def test_probe_refuses_a_batch_state(tmp_path):
     topo = chain_topology([1.0])
     params = ParameterSet.from_topology(topo)
-    with ProbeWriter(str(tmp_path / "probe.csv"), topo) as probe:
-        with pytest.raises(ValueError, match="one episode"):
-            probe.append(fresh_state(topo, params, batch=2))
+    path = tmp_path / "probe.csv"
+    with pytest.raises(ValueError, match="one episode"):
+        write_probe(str(path), topo, [fresh_state(topo, params, batch=2)])
+    assert not path.exists()
+
+
+def test_refused_probe_leaves_the_old_file_alone(tmp_path):
+    topo = chain_topology([1.0])
+    params = ParameterSet.from_topology(topo)
+    path = tmp_path / "probe.csv"
+    states = []
+    rollout(fresh_state(topo, params), np.ones((3, 1)), topo, params,
+            states=states)
+    write_probe(str(path), topo, states)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="one episode"):
+        write_probe(str(path), topo,
+                    states + [fresh_state(topo, params, batch=2)])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["probe.csv"]
+
+
+# sha256 of the probe CSV of episode 3 of gen_pavlov(episodes=4, seed=1) at
+# edge_stride 2: a change to the probe's format or to the rollout changes it
+PROBE_SHA256 = {
+    "pavlov": "8f490385615072ddde9c242a32859c5dfe124c887827eb4ddc0a7d23c82e9d90",
+    "lif-stdp": "2e4b0908c0a4e10b3d362f1100946aced94e73bbfb2a9f470e437b16c3cd72c3",
+}
+
+
+def test_probe_bytes_are_pinned(tmp_path):
+    # the lif net is perfbench's lif_stdp_recipe, built here as it builds it
+    lif = build_random(16, 0.4, seed=42, model="lif", n_inputs=2, n_outputs=1,
+                       plastic_rule="stdp", plastic_scope="readout",
+                       direct_io=True, lif_params=LifParams(threshold=0.15))
+    nets = {"pavlov": pavlov_recipe()[:2],
+            "lif-stdp": (lif, ParameterSet.from_topology(lif))}
+    episode = gen_pavlov(PavlovConfig(episodes=4, seed=1)).episodes[3]
+    digests = {}
+    for name, (topo, params) in nets.items():
+        states = []
+        rollout(fresh_state(topo, params), episode.x, topo, params,
+                states=states)
+        path = tmp_path / f"{name}.csv"
+        write_probe(str(path), topo, states, edge_stride=2)
+        digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == PROBE_SHA256

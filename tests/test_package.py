@@ -1,12 +1,17 @@
-"""Package import: the one allocator setting every entry point gets."""
+"""Package import: the one allocator setting every entry point gets; and
+no module of the package, its tests or its tools imports a name it never
+uses."""
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import statenet
 
 SRC = os.path.dirname(os.path.dirname(statenet.__file__))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_import(prelude: str) -> subprocess.CompletedProcess:
@@ -40,3 +45,32 @@ def test_import_without_glibc_succeeds():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [statenet.__version__]
     assert proc.stderr == ""
+
+
+def unused_imports(path: Path) -> list[str]:
+    """``line: name`` of each name that ``path`` imports and never reads
+    as a plain name (``ast.Name``); ``__future__`` imports aside."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # ``import a.b`` binds ``a``
+            names = [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        unused += [f"{node.lineno}: {name}" for name in names
+                   if name not in used]
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = {}
+    for sub in ("src/statenet", "tests", "tools"):
+        modules = sorted((ROOT / sub).rglob("*.py"))
+        assert modules, sub
+        found |= {str(path.relative_to(ROOT)): unused_imports(path)
+                  for path in modules}
+    assert {path: names for path, names in found.items() if names} == {}

@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 from statenet.engine import fresh_state, rollout
 from statenet.params import ParameterSet
 from statenet.plasticity import (CLIP_BOUND, DEPRESSION, POTENTIATION,
-                                 TRACE_DECAY, hebbian_update,
-                                 reset_plastic_state, squash_retention,
+                                 TRACE_DECAY, hebbian_update, squash_retention,
                                  stdp_update)
 from statenet.topology import build_random
 
@@ -130,8 +129,8 @@ def test_reset_uses_initial_weights_and_is_idempotent():
     topo = build_random(4, 0.8, seed=2, model="rate", n_inputs=1, n_outputs=1,
                         plastic_rule="hebbian")
     params = ParameterSet.from_topology(topo)
-    s1 = reset_plastic_state(topo, params.w0)
-    s2 = reset_plastic_state(topo, params.w0)
+    s1 = fresh_state(topo, params).plastic
+    s2 = fresh_state(topo, params).plastic
     # one episode is the batch of one: one column per array
     assert s1.weights.shape == (topo.n_edges, 1)
     assert np.array_equal(s1.weights[:, 0], params.w0)
@@ -139,7 +138,7 @@ def test_reset_uses_initial_weights_and_is_idempotent():
     assert np.array_equal(s1.weights, s2.weights)
     assert np.array_equal(s1.trace, np.zeros((topo.n, 1)))
     # a batch's columns are each that episode's
-    s3 = reset_plastic_state(topo, params.w0, batch=3)
+    s3 = fresh_state(topo, params, batch=3).plastic
     assert np.array_equal(s3.weights, np.repeat(s1.weights, 3, axis=1))
     assert np.array_equal(s3.trace, np.zeros((topo.n, 3)))
 
@@ -152,9 +151,10 @@ def test_reset_after_rollout_equals_single_reset():
     xs = np.random.default_rng(0).uniform(-1, 1, (6, 1))
     _, state_after = rollout(state, xs, topo, params)
     assert not np.array_equal(state_after.plastic.weights,
-                              reset_plastic_state(topo, params.w0).weights)
-    again = reset_plastic_state(topo, params.w0)
-    assert np.array_equal(again.weights, reset_plastic_state(topo, params.w0).weights)
+                              fresh_state(topo, params).plastic.weights)
+    again = fresh_state(topo, params).plastic
+    assert np.array_equal(again.weights, state.plastic.weights)
+    assert np.array_equal(again.trace, state.plastic.trace)
 
 
 def test_disabled_plasticity_matches_static_network_bitwise():

@@ -1,7 +1,5 @@
-import json
 from collections import deque
 
-import numpy as np
 import pytest
 
 from statenet.topology import (EdgeSpec, LifParams, NetworkTopology, NeuronSpec,

@@ -19,7 +19,7 @@ from statenet.topology import build_random, save_topology
 from statenet.topology import (EdgeSpec, LifParams, NetworkTopology,
                                NeuronSpec, RateParams)
 from statenet.training import (PREDICT_CHUNK, Adam, CheckpointError,
-                               DivergenceError, MetricsRow, Sgd, TrainConfig,
+                               DivergenceError, Sgd, TrainConfig,
                                clip_global_norm, eval_pavlov_acquisition,
                                eval_pong_closed_loop, load_checkpoint,
                                save_checkpoint, train,
