@@ -1,12 +1,15 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from statenet.datasets import (HELDOUT_TEST_LEN, DatasetError, Episode,
-                               PavlovConfig, PongDataConfig, gen_pavlov,
+from statenet.cli import main
+from statenet.datasets import (GEN_BLOCK, HELDOUT_TEST_LEN, DatasetError,
+                               Episode, PavlovConfig, PongDataConfig, gen_pavlov,
                                gen_pong, load_dataset, save_dataset)
 from statenet.pong import PongConfig, PongEnv, _unit, action_onehot
 from statenet.rng import Rng, derive_seed
@@ -114,6 +117,12 @@ def test_invalid_configs_rejected():
         PavlovConfig(conditioning_threshold=0).validate()
 
 
+def episode_lines_sha256(path):
+    with open(path, "rb") as fh:
+        _, episode_lines = fh.read().split(b"\n", 1)
+    return hashlib.sha256(episode_lines).hexdigest()
+
+
 # sha256 of the episode lines (the file without its manifest line) of small
 # sets covering every branch of both generators; any change to what they
 # draw or emit changes one of these
@@ -158,10 +167,59 @@ def test_generated_episode_lines_are_pinned(tmp_path):
     for name, ds in sets.items():
         path = str(tmp_path / f"{name}.jsonl")
         save_dataset(ds, path)
-        with open(path, "rb") as fh:
-            _, episode_lines = fh.read().split(b"\n", 1)
-        digests[name] = hashlib.sha256(episode_lines).hexdigest()
+        digests[name] = episode_lines_sha256(path)
     assert digests == EPISODE_LINES_SHA256
+
+
+# larger sets, each spanning several generation blocks, and seeds that
+# derive_seed folds into 64 bits (negative, and 2**64 and above)
+LARGE_SETS = [
+    (PavlovConfig(2000, seed=1, split="train"),
+     "df36f4bcf8930903c802447b226085f4990aafb37dc31db0ec60f84c754684a7"),
+    (PavlovConfig(500, seed=2, split="heldout"),
+     "155e6e422b0819b4f61a1fc992b16be8fd142bcf4499e3c68e8655a2da2307d3"),
+    (PavlovConfig(1000, seed=11, noise_p=0.3, conditioning_threshold=1),
+     "b8839e9cb3cf15ce71493340c4bfcc0c993884e8b0ad218b4ec9c7568ca86a0f"),
+    (PavlovConfig(300, seed=-5, split="train"),
+     "c09b8ec3d5a00511f47bafae6a2cdb9e26999d3cd996a2615715969b27a44b52"),
+    (PavlovConfig(300, seed=2**64 + 3, split="heldout"),
+     "3683cd437c26eb9734e43e39e3a20a4e61b2305275fbee972e6f357c87feefb0"),
+]
+
+
+@pytest.mark.parametrize("config,digest", LARGE_SETS,
+                         ids=[f"{c.episodes}-{c.seed}" for c, _ in LARGE_SETS])
+def test_large_sets_are_pinned(tmp_path, config, digest):
+    assert config.episodes > GEN_BLOCK
+    path = str(tmp_path / "eps.jsonl")
+    save_dataset(gen_pavlov(config), path)
+    assert episode_lines_sha256(path) == digest
+
+
+def test_cli_writes_the_pinned_training_set(tmp_path):
+    # the criterion-5 training set, as `statenet gen pavlov` writes it
+    out = str(tmp_path / "train.jsonl")
+    result = CliRunner().invoke(main, ["gen", "pavlov", "--episodes", "2000",
+                                       "--seed", "1", "--split", "train",
+                                       "--out", out])
+    assert result.exit_code == 0, result.output
+    assert episode_lines_sha256(out) == LARGE_SETS[0][1]
+
+
+def test_generation_holds_bounded_temporaries():
+    # the transient (peak minus retained) of 4096 episodes is what one
+    # block of GEN_BLOCK episodes needs at a time: about 90 kB at 256,
+    # where one pass over all 4096 episodes needs about 1.5 MB
+    gen_pavlov(PavlovConfig(episodes=2, seed=0))
+    tracemalloc.start()
+    try:
+        ds = gen_pavlov(PavlovConfig(episodes=4096, seed=1, noise_p=0.3,
+                                     split="train"))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 4096
+    assert peak - retained < 200_000
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from statenet.rng import Rng, derive_seed
+from statenet.rng import Rng, RowRng, derive_seed
 
 
 def test_same_seed_same_stream():
@@ -31,6 +32,18 @@ def test_randint_bounds_and_coverage():
         rng.randint(0)
 
 
+def test_randint_refuses_n_above_two_to_the_64():
+    # 2**64 accepts every draw; above it no draw could be accepted
+    assert Rng(5).randint(2**64) == Rng(5).u64()
+    with pytest.raises(ValueError):
+        Rng(5).randint(2**64 + 1)
+    rows = np.arange(3)
+    want = [Rng(s).u64() for s in (7, 8, 9)]
+    assert RowRng(np.array([7, 8, 9])).randint(rows, 2**64).tolist() == want
+    with pytest.raises(ValueError):
+        RowRng(np.array([7, 8, 9])).randint(rows, 2**64 + 1)
+
+
 def test_randrange_inclusive():
     rng = Rng(4)
     draws = {rng.randrange(2, 4) for _ in range(200)}
@@ -52,3 +65,60 @@ def test_shuffle_is_permutation(items, seed):
     out = list(items)
     Rng(seed).shuffle(out)
     assert sorted(out) == sorted(items)
+
+
+# one op of a row's random program: (kind, argument); u64 takes 1..3 draws,
+# and randint(2**63 + 1) rejects about half of all draws
+ROW_OPS = st.one_of(
+    st.tuples(st.just("u64"), st.integers(1, 3)),
+    st.tuples(st.just("randint"), st.sampled_from([1, 2, 3, 7, 2**63 + 1])),
+    st.tuples(st.just("uniform"),
+              st.sampled_from([(0.0, 1.0), (0.0, 7.0), (-3.5, 2.25)])),
+    st.tuples(st.just("chance"), st.sampled_from([0.0, 0.02, 0.5, 1.0])),
+)
+
+
+def scalar_op(rng, kind, arg):
+    if kind == "u64":
+        return [rng.u64() for _ in range(arg)]
+    if kind == "randint":
+        return [rng.randint(arg)]
+    if kind == "uniform":
+        return [rng.uniform(*arg)]
+    return [rng.chance(arg)]
+
+
+@given(st.integers(-2**70, 2**70), st.integers(0, 2**66),
+       st.lists(st.lists(ROW_OPS, max_size=12), min_size=1, max_size=8))
+def test_row_streams_draw_what_rng_draws(seed, key, programs):
+    n = len(programs)
+    seeds = derive_seed(seed, key, np.arange(n, dtype=np.uint64))
+    assert seeds.tolist() == [derive_seed(seed, key, r) for r in range(n)]
+    scalar = [Rng(derive_seed(seed, key, r)) for r in range(n)]
+    want = [[v for kind, arg in prog for v in scalar_op(scalar[r], kind, arg)]
+            for r, prog in enumerate(programs)]
+    streams = RowRng(seeds)
+    got = [[] for _ in range(n)]
+    for j in range(max(len(prog) for prog in programs)):
+        # the rows whose j-th op is the same draw take it together; u64
+        # rows take it together whatever their counts
+        groups = {}
+        for r, prog in enumerate(programs):
+            if j < len(prog):
+                kind, arg = prog[j]
+                groups.setdefault((kind, None if kind == "u64" else arg),
+                                  []).append(r)
+        for (kind, arg), rows in groups.items():
+            rows = np.array(rows)
+            if kind == "u64":
+                counts = np.array([programs[r][j][1] for r in rows])
+                out = np.split(streams.u64(rows, counts), np.cumsum(counts)[:-1])
+            elif kind == "randint":
+                out = streams.randint(rows, arg)[:, None]
+            elif kind == "uniform":
+                out = streams.uniform(rows, *arg)[:, None]
+            else:
+                out = streams.chance(rows, arg)[:, None]
+            for r, vals in zip(rows, out):
+                got[r] += vals.tolist()
+    assert got == want
