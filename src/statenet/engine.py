@@ -42,11 +42,11 @@ as one episode's CSV. The closed loop, whose stimuli come from the
 environment it acts in, is the one other: ``training._play_pong``.
 
 The gather's flat offsets (``scatter_index``) depend only on the edges and
-the batch width, so the loops that step a batch build them once per width
-and pass them to ``step``: ``rollout`` at its start and again each time
-its width drops, and the closed loop (``training._play_pong``) likewise
-when it drops finished episodes. A ``step`` given none builds its own. No
-offsets outlive the call that built them.
+the batch width, so each state carries those of its own width
+(``RolloutState.offsets``). ``step`` builds them only for a state that has
+none (a ``fresh_state``, a ``RolloutState.rows`` result or a stacked-tape
+state) and hands them on to the state it returns, so a loop builds them
+once per width, and a rollout that resumes from a final state builds none.
 
 The one-step delay on every edge makes arbitrary cycles well defined
 without fixed-point iteration; the shortest input-to-output path of k
@@ -82,13 +82,16 @@ class RolloutState:
     step that made it which the backward sweep reads and the next step
     does not: the lif cells' pre-threshold membrane. The lif arrays are
     ``(0, B)`` on a net without lif cells; an entry state's ``lif_pre``
-    is its membrane, a value no sweep reads."""
+    is its membrane, a value no sweep reads. ``offsets`` are the gather's
+    ``scatter_index(topology.edge_dst, B)``, or None until a step builds
+    them; ``rows`` never carries them over."""
 
     v_last: np.ndarray       # (n, B) outputs of the step that made it
     membrane: np.ndarray     # (n_lif, B), lif_ids order; None in a stacked tape
     lif_pre: np.ndarray      # (n_lif, B) membranes before threshold and reset
     plastic: PlasticEdgeState
     t: int = 0
+    offsets: np.ndarray | None = None
 
     def rows(self, rows: slice | np.ndarray) -> "RolloutState":
         """Some episodes of a batch state: a slice gives views, an integer
@@ -176,16 +179,16 @@ def gather(topology: NetworkTopology, w: np.ndarray, v_last: np.ndarray,
 
 
 def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
-         params: ParameterSet, offsets: np.ndarray | None = None
-         ) -> tuple[StepResult, RolloutState]:
+         params: ParameterSet) -> tuple[StepResult, RolloutState]:
     """Advance the network one step. Returns (result, next state).
 
     The state takes one stimulus column per episode, ``(n_in, B)``; one
     episode's ``(n_in,)`` stimulus is the one column of a batch of one.
-    ``offsets``, the gather's ``scatter_index(topology.edge_dst, B)``, are
-    built when not given; offsets of another width raise ``ValueError``. A
-    non-finite value raises ``NumericsError`` naming the step, the neuron
-    and the episode's column (``row``)."""
+    The gather reads the state's offsets, built here when it has none, and
+    the next state shares them; offsets of another width raise
+    ``ValueError``. A non-finite value, a stimulus too, raises
+    ``NumericsError`` naming the step, the neuron and the episode's column
+    (``row``) before any weight is updated."""
     t = state.t + 1
     x = np.asarray(x, dtype=np.float64)
     want = (topology.n_inputs, state.v_last.shape[1])
@@ -193,9 +196,8 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
         x = x[:, None]
     if x.shape != want:
         raise ValueError(f"stimulus shape {x.shape} != {want} at t={t}")
-    if not np.isfinite(x).all():
-        raise _non_finite(f"non-finite stimulus at t={t}", np.isfinite(x))
 
+    offsets = state.offsets
     if offsets is None:
         offsets = scatter_index(topology.edge_dst, want[1])
     v = np.zeros(state.v_last.shape)
@@ -211,12 +213,14 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
     if len(lif):
         v[lif], membrane, lif_pre = lif_step(u.take(lif, 0), state.membrane,
                                              topology.lif_params)
-    # a spike is 0 or 1 whatever its membrane: check the membrane instead
+    # a spike is 0 or 1 whatever its membrane: check the membrane instead;
+    # the input rows hold the stimulus
     finite = np.isfinite(v)
     finite[lif] = np.isfinite(membrane)
     if not finite.all():
-        raise _non_finite(f"non-finite value at t={t}, neuron "
-                          f"{np.argwhere(~finite.T)[0][-1]}", finite)
+        first = np.argwhere(~finite.T)[0]
+        raise NumericsError(f"non-finite value at t={t}, neuron {first[1]}",
+                            row=int(first[0]))
 
     # the rules replace the trace, never write into it: share it
     new_plastic = PlasticEdgeState(state.plastic.weights.copy(),
@@ -236,14 +240,8 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
 
     result = StepResult(y=v.take(topology.output_ids, 0), probe=v)
     next_state = RolloutState(v_last=v, membrane=membrane, lif_pre=lif_pre,
-                              plastic=new_plastic, t=t)
+                              plastic=new_plastic, t=t, offsets=offsets)
     return result, next_state
-
-
-def _non_finite(message: str, ok: np.ndarray) -> NumericsError:
-    """The error for a failed finiteness check, naming the first episode
-    (column) that failed it."""
-    return NumericsError(message, row=int(np.argwhere(~ok.T)[0][0]))
 
 
 def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
@@ -263,7 +261,8 @@ def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim == 2:
-        ys, state = rollout(state0, xs[None], topology, params, states)
+        ys, state = rollout(state0, xs[None], topology, params, states,
+                            lengths)
         return ys[0], state
     if len(xs) < state0.v_last.shape[1]:
         raise ValueError(f"stimulus shape {xs.shape} has fewer rows than "
@@ -277,14 +276,12 @@ def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
     if np.any(np.diff(lengths) > 0):
         raise ValueError("batch rows must be sorted by length, longest first")
     rows = np.count_nonzero(lengths[:, None] > np.arange(len(by_step)), axis=0)
-    state, offsets = state0, None
+    state = state0
     for t in range(len(by_step)):
         x, y = by_step[t][:, :rows[t]], out[t][:, :rows[t]]
         if rows[t] < state.v_last.shape[1]:
-            state, offsets = state.rows(slice(rows[t])), None
-        if offsets is None:
-            offsets = scatter_index(topology.edge_dst, state.v_last.shape[1])
-        res, state = step(state, x, topology, params, offsets)
+            state = state.rows(slice(rows[t]))
+        res, state = step(state, x, topology, params)
         y[...] = res.y
         if states is not None:
             states.append(state)

@@ -86,7 +86,7 @@ def hebbian_update(e_prev, out_pre_prev, out_post, learn_rate,
     raw = out_pre_prev * out_post
     raw *= learn_rate
     raw += retention * e_prev
-    return clip_weights(raw, out=raw)
+    return clip_weights(raw)
 
 
 def stdp_update(e_prev, src, dst, spikes, trace):
@@ -102,11 +102,11 @@ def stdp_update(e_prev, src, dst, spikes, trace):
     raw = e_prev + (
         POTENTIATION * decayed.take(src, 0) * spikes.take(dst, 0)
         - DEPRESSION * decayed.take(dst, 0) * spikes.take(src, 0))
-    return clip_weights(raw, out=raw), decayed + spikes
+    return clip_weights(raw), decayed + spikes
 
 
-def clip_weights(raw, out=None):
-    """The weight clip to [-CLIP_BOUND, CLIP_BOUND] (np.clip's values, at a
-    fraction of its per-call cost), written into ``out`` when given."""
-    return np.minimum(np.maximum(raw, -CLIP_BOUND, out=out), CLIP_BOUND,
-                      out=out)
+def clip_weights(raw):
+    """Clip ``raw`` to [-CLIP_BOUND, CLIP_BOUND] in place and return it
+    (np.clip's values, at a fraction of its per-call cost)."""
+    return np.minimum(np.maximum(raw, -CLIP_BOUND, out=raw), CLIP_BOUND,
+                      out=raw)

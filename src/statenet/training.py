@@ -32,7 +32,7 @@ import numpy as np
 from .autodiff import LOSS_TAGS, batch_gradients, outputs_loss
 from .datasets import Dataset, DatasetError
 from .dynamics import NumericsError
-from .engine import fresh_state, rollout, scatter_index, step
+from .engine import fresh_state, rollout, step
 from .jsonio import (atomic_write, count, decode, malformed, numbers, read_json,
                      write_json)
 from .params import ParameterSet
@@ -698,24 +698,23 @@ def _play_pong(params: ParameterSet, topology: NetworkTopology,
     baseline.
 
     The rollouts run in lockstep, one column of a batch state each, and a
-    column is dropped once its environment is done; the gather's offsets
-    are built once per number of live columns. Each column is bitwise its
-    rollout run alone, so the result equals a rollout-by-rollout loop's.
+    column is dropped once its environment is done, so the state, which
+    carries the gather's offsets, gets new ones once per number of live
+    columns. Each column is bitwise its rollout run alone, so the result
+    equals a rollout-by-rollout loop's.
     """
     check_pong_net(topology)
     if n_rollouts < 1:
         raise ValueError("n_rollouts must be >= 1")
     live = envs = _pong_envs(env_config, n_rollouts, seed)
-    state, offsets = fresh_state(topology, params, batch=n_rollouts), None
+    state = fresh_state(topology, params, batch=n_rollouts)
     while live:
-        if offsets is None:
-            offsets = scatter_index(topology.edge_dst, len(live))
         obs = np.array([env.observation() for env in live], dtype=np.float64)
-        res, state = step(state, obs.T, topology, params, offsets)
+        res, state = step(state, obs.T, topology, params)
         for env, action in zip(live, np.argmax(res.y, axis=0).tolist()):
             env.step(action_from_index(action))
         keep = [row for row, env in enumerate(live) if not env.done]
         if len(keep) < len(live):
             state = state.rows(np.array(keep, dtype=np.intp))
-            live, offsets = [live[row] for row in keep], None
+            live = [live[row] for row in keep]
     return _pong_outcome(envs)

@@ -824,6 +824,32 @@ def test_lif_sweep_builds_its_offsets_once_per_swept_width(monkeypatch):
     assert not hasattr(autodiff, "gather")
 
 
+def test_truncated_batch_builds_its_gather_offsets_once_per_width(
+        monkeypatch):
+    # each window's forward pass resumes from the last window's final
+    # state, whose offsets it reuses: the gather's offsets are built when
+    # the width changes, never at a flush
+    from statenet import engine
+    kwargs, tag = BATCH_NETS["rate-hebbian-cce"]
+    topo = build_random(8, 0.5, seed=43, direct_io=True, **kwargs)
+    params = ParameterSet.from_topology(topo)
+    lengths = [40, 40, 33, 20, 20, 5]
+    xs, ys = random_sequence(49, 40 * len(lengths), topo.n_inputs,
+                             topo.n_outputs)
+    xs = xs.reshape(len(lengths), 40, -1)
+    ys = ys.reshape(len(lengths), 40, -1)
+    widths = []
+
+    def counting(idx, cols):
+        if idx is topo.edge_dst:
+            widths.append(cols)
+        return scatter_index(idx, cols)
+
+    monkeypatch.setattr(engine, "scatter_index", counting)
+    batch_gradients(topo, params, xs, ys, None, lengths, tag, k1=8, k2=16)
+    assert widths == [6, 5, 3, 2]
+
+
 def _assert_recorded_membranes(topo, states):
     """Each state after a step holds, bitwise, the pre-threshold membrane of
     the gather over the state before it, on its own columns."""

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import math
 from pathlib import Path
@@ -420,16 +421,18 @@ def test_one_episode_is_column_0_of_a_batch_of_one(model, rule):
 @pytest.mark.parametrize("model,rule", [("rate", "hebbian"), ("lif", "stdp")])
 @pytest.mark.parametrize("batch", [1, 5])
 def test_step_with_prebuilt_offsets_is_bitwise_step(model, rule, batch):
+    # a step that reuses its state's offsets is bitwise one that builds them
     topo = build_random(4, 0.7, seed=21, model=model, n_inputs=2,
                         n_outputs=2, plastic_rule=rule,
                         lif_params=LifParams(threshold=0.15))
     params = ParameterSet.from_topology(topo)
     xs = np.random.default_rng(24).uniform(0, 1, (6, 2, batch))
-    offsets = scatter_index(topo.edge_dst, batch)
     a = b = fresh_state(topo, params, batch)
     for x in xs:
         res_a, a = step(a, x, topo, params)
-        res_b, b = step(b, x, topo, params, offsets=offsets)
+        res_b, b = step(dataclasses.replace(b, offsets=None), x, topo, params)
+        assert a.offsets.tobytes() == \
+            scatter_index(topo.edge_dst, batch).tobytes()
         assert res_a.y.tobytes() == res_b.y.tobytes()
         for x_a, x_b in ((a.membrane, b.membrane), (a.lif_pre, b.lif_pre),
                          (a.v_last, b.v_last),
@@ -444,9 +447,10 @@ def test_offsets_of_another_width_are_refused():
     params = ParameterSet.from_topology(topo)
     state = fresh_state(topo, params, 3)
     for width in (2, 4):
+        wrong = dataclasses.replace(
+            state, offsets=scatter_index(topo.edge_dst, width))
         with pytest.raises(ValueError, match="gather offsets"):
-            step(state, np.zeros((1, 3)), topo, params,
-                 offsets=scatter_index(topo.edge_dst, width))
+            step(wrong, np.zeros((1, 3)), topo, params)
 
 
 def test_ragged_rollout_builds_offsets_once_per_width(monkeypatch):
@@ -473,6 +477,50 @@ def test_ragged_rollout_builds_offsets_once_per_width(monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
+def test_recorded_states_of_one_width_share_one_offsets_array():
+    topo, params, _ = pavlov_recipe()
+    xs = np.random.default_rng(8).uniform(0, 1, (4, 6, topo.n_inputs))
+    states = []
+    _, end = rollout(fresh_state(topo, params, 4), xs, topo, params,
+                     states=states, lengths=[6, 4, 4, 1])
+    by_width = {}
+    for state in states:
+        width = state.v_last.shape[1]
+        assert state.offsets is by_width.setdefault(width, state.offsets)
+    assert sorted(by_width) == [1, 3, 4]
+    for width, offsets in by_width.items():
+        assert offsets.tobytes() == \
+            scatter_index(topo.edge_dst, width).tobytes()
+    assert end.offsets is by_width[1]
+    # a slice of a state never carries its offsets over
+    assert end.rows(slice(1)).offsets is None
+
+
+@pytest.mark.parametrize("k", [6, 3])
+def test_one_episode_rollout_keeps_its_length(k):
+    # (T, n_in) stimuli and their batch of one give the same outputs,
+    # states and final state, a shorter length too
+    topo, params, _ = pavlov_recipe()
+    xs = np.random.default_rng(9).uniform(0, 1, (6, topo.n_inputs))
+    alone, batch = [], []
+    ys, end = rollout(fresh_state(topo, params), xs, topo, params,
+                      states=alone, lengths=[k])
+    yb, end_b = rollout(fresh_state(topo, params), xs[None], topo, params,
+                        states=batch, lengths=[k])
+    assert ys.shape == yb[0].shape and ys.tobytes() == yb[0].tobytes()
+    assert ys[:k].any() and not ys[k:].any()
+    assert len(alone) == len(batch) == 6
+    for a, b in zip(alone + [end], batch + [end_b]):
+        assert a.t == b.t
+        # the states after the episode's end hold no column
+        assert a.v_last.shape[1] == (a.t <= k)
+        for x, y in ((a.v_last, b.v_last), (a.membrane, b.membrane),
+                     (a.lif_pre, b.lif_pre),
+                     (a.plastic.weights, b.plastic.weights),
+                     (a.plastic.trace, b.plastic.trace)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def test_one_episode_stimulus_against_a_batch_is_refused():
     topo = chain_topology([1.0, 1.0])
     params = ParameterSet.from_topology(topo)
@@ -487,17 +535,31 @@ def test_one_episode_stimulus_against_a_batch_is_refused():
 
 
 def test_non_finite_stimulus_raises_with_timestamp():
+    # the stimulus is checked as its input neuron's output
     topo = chain_topology([1.0])
     params = ParameterSet.from_topology(topo)
-    with pytest.raises(NumericsError, match="t=1") as exc:
+    with pytest.raises(NumericsError, match=r"t=1, neuron 0$") as exc:
         step(fresh_state(topo, params), np.array([float("nan")]), topo, params)
     assert exc.value.row == 0
     # one episode's (T, n_in) rollout names row 0 too
     xs = np.zeros((3, 1))
     xs[1] = float("inf")
-    with pytest.raises(NumericsError, match="t=2") as exc:
+    with pytest.raises(NumericsError, match=r"t=2, neuron 0$") as exc:
         rollout(fresh_state(topo, params), xs, topo, params)
     assert exc.value.row == 0
+    # a batch names the first bad row's input neuron, not its channel
+    neurons = [NeuronSpec(i, role, "rate", RateParams())
+               for i, role in enumerate(("output", "input", "input"))]
+    topo = NetworkTopology(neurons, [EdgeSpec(1, 0, 0.5),
+                                     EdgeSpec(2, 0, 0.5)])
+    params = ParameterSet.from_topology(topo)
+    x = np.zeros((2, 3))
+    x[1, 1] = float("-inf")
+    x[0, 2] = float("nan")
+    with pytest.raises(NumericsError, match=r"^non-finite value at t=1, "
+                                            r"neuron 2$") as exc:
+        step(fresh_state(topo, params, 3), x, topo, params)
+    assert exc.value.row == 1
 
 
 def test_non_finite_lif_value_names_step_neuron_and_row():

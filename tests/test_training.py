@@ -582,7 +582,7 @@ def test_pong_lockstep_steps_once_per_step_of_the_longest_rollout(
 def test_pong_lockstep_builds_offsets_once_per_live_width(monkeypatch,
                                                          pong_nets):
     # the gather's offsets are built when the loop starts and each time
-    # it drops finished rollouts, never by step itself
+    # it drops finished rollouts, never per step
     from statenet import engine, training
     topo, params = pong_nets["trained"]
     _, lengths = _pong_oracle(params, topo, PongConfig(), 20, 4)
@@ -594,7 +594,6 @@ def test_pong_lockstep_builds_offsets_once_per_live_width(monkeypatch,
         return scatter_index(idx, cols)
 
     monkeypatch.setattr(engine, "scatter_index", counting)
-    monkeypatch.setattr(training, "scatter_index", counting)
     eval_pong_closed_loop(params, topo, PongConfig(), n_rollouts=20, seed=4)
     assert widths == sorted(set(live), reverse=True)
     assert len(widths) < len(live)
