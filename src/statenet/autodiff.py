@@ -9,9 +9,9 @@ pre-threshold membrane of the step that made it, so the sweep reads each
 step's previous outputs and weights off the state before it, and the clip
 gate and the membrane it takes the spike surrogate at off the state after
 it. Each window's loss gradient and each rollout's loss take one call. The
-sweep keeps one adjoint per edge weight, a static edge being one whose
-rule is the identity, and adds the episode-start adjoint of the plastic
-weights into ``w0``.
+sweep keeps one adjoint per edge weight in its ``w0`` row, a static edge
+being one whose rule is the identity, and zeroes the plastic ones in the
+rows whose window starts after their episode's step 0.
 
 The tape and the sweep hold a batch of episodes run in lockstep on
 ``(n, B)`` arrays, neuron (or edge) axis first and one column per
@@ -30,9 +30,9 @@ values (numpy sums other layouts in another order) and its scatters
 (``np.add.at``, or ``np.bincount`` into zeros) run over flat offsets
 ``idx * rows + column``, which add each bin's terms in edge order, so a
 row's loss and gradient are bitwise those of its episode run alone,
-whatever it is stacked with. The sweep keeps the adjoints and gradient
-sums of the rows it sweeps at a step in one contiguous block, so its
-updates never run over strided columns.
+whatever it is stacked with. The sweep keeps the rows it sweeps at a
+step in one contiguous block, gradient sums in the flat parameter layout
+then state and output adjoints, so no update runs over strided columns.
 
 Differentiation conventions (they define what "the gradient" means here):
 
@@ -60,7 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import NumericsError, lif_surrogate_grad
-from .engine import RolloutState, fresh_state, rollout, scatter_index
+from .engine import (RolloutState, check_lengths, fresh_state, rollout,
+                     scatter_index)
 from .params import ParameterSet
 from .plasticity import CLIP_BOUND, PlasticEdgeState
 from .topology import NetworkTopology
@@ -197,11 +198,11 @@ def outputs_loss(loss_tag: str, outs: np.ndarray, ys, mask, lengths=None):
 
 def backward(tape: Tape) -> np.ndarray:
     """Reverse sweep over a taped window: one gradient row per episode
-    w.r.t. the flat parameter vector. Each edge's weight adjoint carries
-    back through its rule (a static edge's is the identity, never clipped),
-    so a static edge's adjoint at the row's span start is its ``w0``
-    gradient; a plastic edge's is added into ``w0`` only in the rows that
-    ``tape.episode_start`` flags.
+    w.r.t. the flat parameter vector, its ``(params.count, B)`` sums
+    transposed. Each edge's weight adjoint, in its ``w0`` row, carries back
+    through its rule (a static edge's is the identity, never clipped), so at
+    the row's span start it is the edge's ``w0`` gradient; a plastic edge's
+    is zeroed in the rows that ``tape.episode_start`` does not flag.
     """
     topo = tape.topology
     params = tape.params
@@ -219,7 +220,6 @@ def backward(tape: Tape) -> np.ndarray:
     rate = topo.rate_ids
     lif = topo.lif_ids
     heb = topo.hebbian_pos
-    static = topo.static_idx
     E, R, H = topo.n_edges, len(rate), len(heb)
     retention = params.retention
     learn_rate = params.learn_rate
@@ -229,7 +229,7 @@ def backward(tape: Tape) -> np.ndarray:
     # straight-through clip: a recorded weight strictly inside the bound is
     # one the clip passed unchanged; static weights are never clipped
     bound = np.full((E, 1), CLIP_BOUND)
-    bound[static] = np.inf
+    bound[topo.static_idx] = np.inf
     out = topo.output_ids
     # gv_prev takes the hebbian source terms, then the gather transpose, in
     # one bincount over the rows of one buffer
@@ -239,15 +239,15 @@ def backward(tape: Tape) -> np.ndarray:
     offsets = {}
 
     # The rows swept at a step, [lo, hi), are the columns of one contiguous
-    # block: each one's weight adjoint (one per edge, static edges included)
-    # and gradient sums, then its state and output adjoints. A row joins it,
-    # zero, at its span's end and leaves it, its sums copied out, once its
-    # span's start is passed; rows only leave at the front and join at the
-    # back, so none of the updates below runs over strided columns.
-    part = np.cumsum([0, E, R, R, H, 1, n, n]).tolist()   # block rows
-    kept = part[5]
-    sums = np.zeros((kept, B))
-    block = np.zeros((part[-1], 0))
+    # block: each one's gradient sums in the parameter vector's layout (the
+    # w0 rows are the weight adjoint, one per edge, static edges included),
+    # then its state and output adjoints. A row joins it, zero, at its
+    # span's end and leaves it, its sums copied out, once its span's start
+    # is passed; rows only leave at the front and join at the back, so none
+    # of the updates below runs over strided columns.
+    P = params.count
+    sums = np.zeros((P, B))
+    block = np.zeros((P + 2 * n, 0))
     lo = hi = 0
 
     for t in range(K, 0, -1):
@@ -257,13 +257,16 @@ def backward(tape: Tape) -> np.ndarray:
         m = b - a
         if (a, b) != (lo, hi):
             left = min(a, hi)
-            sums[:, lo:left] = block[:kept, :left - lo]
-            joined = np.zeros((part[-1], m))
+            sums[:, lo:left] = block[:P, :left - lo]
+            joined = np.zeros((P + 2 * n, m))
             if hi > a:
                 joined[:, :hi - a] = block[:, a - lo:]
             block, lo, hi = joined, a, b
-            ge, g_sc, g_b, g_lr, g_ret, gs, gv = (
-                block[i:j] for i, j in zip(part, part[1:]))
+            # an absent segment is an empty view
+            ge, g_sc, g_b, g_lr, g_ret = (
+                block[params.registry.get(name, slice(0))] for name in
+                ("w0", "self_coeff", "bias", "learn_rate", "retention_raw"))
+            gs, gv = block[P:P + n], block[P + n:]
         if m not in offsets:
             offsets[m] = (scatter_index(topo.hebbian_dst, m),
                           scatter_index(at_src, m))
@@ -295,45 +298,33 @@ def backward(tape: Tape) -> np.ndarray:
 
         # neuron backward
         gu = np.zeros((n, m))
-        gs_prev = np.zeros((n, m))
         if R:
             gz = ((gs.take(rate, 0) + gv.take(rate, 0))
                   * (1.0 - v_t.take(rate, 0) ** 2))
             g_sc += gz * v_prev.take(rate, 0)
             g_b += gz
             gu[rate] = gz
-            gs_prev[rate] = gz * self_coeff
+            gs[rate] = gz * self_coeff
         if len(lif):
             surr = lif_surrogate_grad(tape.states[t].lif_pre[:, a:b],
                                       topo.lif_params)
             spk = v_t.take(lif, 0)
             gp = gv.take(lif, 0) * surr + gs.take(lif, 0) * (1.0 - spk)
             gu[lif] = gp * dt
-            gs_prev[lif] = gp * (1.0 - dt)
+            gs[lif] = gp * (1.0 - dt)
 
         # gather backward: u[dst] = sum_e w_e * v_prev[src_e]
         gu_e = gu.take(topo.edge_dst, 0)
-        gs[...] = gs_prev
         np.multiply(gu_e, w_prev, out=step_terms[H:])
         gv[...] = np.bincount(at_src_m, step_terms.ravel(),
                               minlength=n * m).reshape(n, m)
         ge += gu_e * v_prev.take(topo.edge_src, 0)
-    sums[:, lo:hi] = block[:kept]
-    ge, g_sc, g_b, g_lr, g_ret = (sums[i:j]
-                                  for i, j in zip(part, part[1:6]))
-
-    g = np.zeros((B, params.count))
-    reg = params.registry
-    g[:, reg["w0"].start + static] = ge[static].T
-    g[:, reg["self_coeff"]] = g_sc.T
-    g[:, reg["bias"]] = g_b.T
-    if len(heb):
-        g[:, reg["learn_rate"]] = g_lr.T
-        g[:, reg["retention_raw"].start] = g_ret[0]
-    rows = np.flatnonzero(tape.episode_start)
-    g[np.ix_(rows, reg["w0"].start + topo.plastic_idx)] += \
-        ge[np.ix_(topo.plastic_idx, rows)].T
-    return g
+    sums[:, lo:hi] = block[:P]
+    # a plastic edge's adjoint at its span's start is its w0 gradient only
+    # where the span starts the episode
+    sums[params.registry["w0"]][topo.plastic_idx[:, None],
+                                ~tape.episode_start] = 0.0
+    return sums.T
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +390,7 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
     """
     xs, ys = _window(xs, ys)
     B, T = xs.shape[:2]
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if lengths.shape != (B,):
-        raise ValueError(f"lengths shape {lengths.shape} != ({B},)")
-    if np.any((lengths < 0) | (lengths > T)):
-        raise ValueError(f"lengths must lie in [0, {T}], got {lengths.tolist()}")
+    lengths = check_lengths(lengths, B, T)
     mask = _norm_mask(mask, ys.shape, lengths)
     if (k1 is None) != (k2 is None):
         raise ValueError("set both k1 and k2 or neither")

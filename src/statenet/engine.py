@@ -12,10 +12,10 @@ of a batch is bitwise the result of running that episode alone: every
 operation is elementwise, and the gather sums each column's edges in edge
 order. A batch of ragged episodes is run with its columns sorted by
 length, longest first; ``rollout``'s ``lengths`` stops each one at its own
-end, so the state after step t holds only the episodes still running, the
-leading columns of the batch. A closed loop, which learns that an episode
-has ended only by stepping it, drops the finished episodes by index with
-``RolloutState.rows``.
+end, and the rollout at the last one's, so the state after step t holds
+only the episodes still running, the leading columns of the batch. A
+closed loop, which learns that an episode has ended only by stepping it,
+drops the finished episodes by index with ``RolloutState.rows``.
 
 Order of operations inside one step:
 
@@ -44,9 +44,9 @@ environment it acts in, is the one other: ``training._play_pong``.
 The gather's flat offsets (``scatter_index``) depend only on the edges and
 the batch width, so each state carries those of its own width
 (``RolloutState.offsets``). ``step`` builds them only for a state that has
-none (a ``fresh_state``, a ``RolloutState.rows`` result or a stacked-tape
-state) and hands them on to the state it returns, so a loop builds them
-once per width, and a rollout that resumes from a final state builds none.
+none (a ``fresh_state`` or a ``RolloutState.rows`` result) and hands them
+on to the state it returns, so a loop builds them once per width, and a
+rollout that resumes from a final state builds none.
 
 The one-step delay on every edge makes arbitrary cycles well defined
 without fixed-point iteration; the shortest input-to-output path of k
@@ -244,6 +244,20 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
     return result, next_state
 
 
+def check_lengths(lengths, rows: int, steps: int) -> np.ndarray:
+    """``lengths`` as an array, refused (``ValueError``) unless it holds one
+    step count per batch row, each in [0, steps], longest first."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.shape != (rows,):
+        raise ValueError(f"lengths shape {lengths.shape} != ({rows},)")
+    if np.any((lengths < 0) | (lengths > steps)):
+        raise ValueError(f"lengths must lie in [0, {steps}], "
+                         f"got {lengths.tolist()}")
+    if np.any(np.diff(lengths) > 0):
+        raise ValueError("batch rows must be sorted by length, longest first")
+    return lengths
+
+
 def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
             params: ParameterSet, states: list | None = None,
             lengths=None) -> tuple[np.ndarray, RolloutState]:
@@ -253,11 +267,12 @@ def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
     ``write_probe`` reads it.
 
     ``state0`` holds B episodes (columns), ``xs`` is (B x T x n_in), the
-    outputs (B x T x n_out). ``lengths`` (B steps counts, non-increasing)
-    ends row b after ``lengths[b]`` steps: its later outputs stay zero, and
-    the states after step t (the final state too) hold only the leading
-    columns still running then. One episode's (T x n_in) stimuli run as a
-    batch of one and give (T x n_out) outputs.
+    outputs (B x T x n_out). ``lengths`` (``check_lengths``; T each when
+    None) ends row b after ``lengths[b]`` steps: its later outputs stay
+    zero, and the states after step t hold only the leading columns still
+    running then. The rollout stops with its longest row, whose end state
+    it returns. One episode's (T x n_in) stimuli run as a batch of one and
+    give (T x n_out) outputs.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim == 2:
@@ -270,14 +285,11 @@ def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
     ys = np.zeros(xs.shape[:-1] + (topology.n_outputs,))
     # (T, channels, B) views: each step's stimuli and outputs by column
     by_step, out = xs.transpose(1, 2, 0), ys.transpose(1, 2, 0)
-    if lengths is None:
-        lengths = np.full(len(xs), len(by_step))
-    lengths = np.asarray(lengths)
-    if np.any(np.diff(lengths) > 0):
-        raise ValueError("batch rows must be sorted by length, longest first")
+    lengths = check_lengths(np.full(len(xs), xs.shape[1]) if lengths is None
+                            else lengths, *xs.shape[:2])
     rows = np.count_nonzero(lengths[:, None] > np.arange(len(by_step)), axis=0)
     state = state0
-    for t in range(len(by_step)):
+    for t in range(lengths.max(initial=0)):
         x, y = by_step[t][:, :rows[t]], out[t][:, :rows[t]]
         if rows[t] < state.v_last.shape[1]:
             state = state.rows(slice(rows[t]))

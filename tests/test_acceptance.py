@@ -25,6 +25,19 @@ from statenet.training import (TrainConfig, eval_pavlov_acquisition,
 from statenet.verify import (run_determinism, run_gradcheck, run_oracle_diff,
                              run_plasticity_signs)
 
+# the suites' last lines with their timing stripped, pinned: a change that
+# moves one on purpose updates its pin and says why
+GRADCHECK_LINE = "PASS gradcheck: 50 nets, worst error 1.376e-06"
+ORACLE_LINE = ("PASS oracle: 1000 cases, 292 at the weight clip, worst rate "
+               "diff 5.052e-14, worst weight/membrane/pre-threshold membrane "
+               "diff 2.611e-13, spikes exact")
+
+
+def untimed(line: str) -> str:
+    """A verify suite's last line without its trailing ``, <dt>s``."""
+    return line.rsplit(", ", 1)[0]
+
+
 PAPER_X = np.array([[1., 0.], [0., 1.], [1., 1.], [1., 1.], [0., 1.]])
 PAPER_Y = [1.0, 0.0, 1.0, 1.0, 1.0]
 
@@ -35,6 +48,7 @@ def test_criterion_1_gradient_correctness():
     dt = time.perf_counter() - t0
     assert passed, "\n".join(lines)
     assert dt < 60.0
+    assert untimed(lines[-1]) == GRADCHECK_LINE
     print(f"\nPASS criterion 1 (gradcheck): {lines[-1]}")
 
 
@@ -72,6 +86,7 @@ def test_criterion_3_engine_matches_reference_interpreter():
     dt = time.perf_counter() - t0
     assert passed, "\n".join(lines)
     assert dt < 60.0
+    assert untimed(lines[-1]) == ORACLE_LINE
     print(f"\nPASS criterion 3 (engine/oracle): {lines[-1]}")
 
 

@@ -172,30 +172,46 @@ def test_zero_length_window_zero_gradient():
     assert loss == 0.0 and np.array_equal(g, np.zeros_like(g))
 
 
-def test_sweep_folds_the_entry_adjoint_only_at_the_episode_start():
+@pytest.mark.parametrize("net", [
+    dict(seed=7, model="rate", plastic_rule="hebbian"),
+    # at threshold 0.15 the stdp edges move, and every edge carries
+    # gradient within the window
+    dict(seed=10, model="lif", plastic_rule="stdp",
+         lif_params=LifParams(threshold=0.15)),
+    # no plastic edge: nothing is zeroed
+    dict(seed=7, model="rate"),
+], ids=["rate-hebbian", "lif-stdp", "rate-static"])
+def test_sweep_folds_the_entry_adjoint_only_at_the_episode_start(net):
     # plastic weights start at w0 only at step 0: a window entered later
     # owes w0 nothing through them; static weights are w0 at every step
-    topo = build_random(4, 0.8, seed=7, model="rate", n_inputs=2, n_outputs=1,
-                        plastic_rule="hebbian")
+    topo = build_random(4, 0.8, n_inputs=2, n_outputs=1, **net)
     params = jitter(ParameterSet.from_topology(topo), 8)
     xs = np.stack([random_sequence(s, 6, 2, 1)[0] for s in (9, 10)])
     states = [fresh_state(topo, params, batch=2)]
     rollout(states[0], xs, topo, params, states=states)
+    # the plastic edges, if any, move
+    moved = states[-1].plastic.weights != states[0].plastic.weights
+    assert moved[topo.plastic_idx].any() == bool(len(topo.plastic_idx))
     gy = np.stack([random_sequence(s, 4, 1, 1, binary=False)[1]
                    for s in (11, 12)])
     w0_plastic = params.registry["w0"].start + topo.plastic_idx
     w0_static = params.registry["w0"].start + topo.static_idx
 
-    def sweep(first, starts):
+    def sweep(first, starts, flagged):
         starts = np.array(starts)
         return backward(Tape(topo, params, states[first:first + 5], gy,
                              (starts, np.array([4, 4])),
-                             episode_start=(starts == 0) & (first == 0)))
+                             episode_start=(starts == 0) & flagged))
 
-    late = sweep(2, [0, 0])
+    late = sweep(2, [0, 0], False)
     assert np.all(late[:, w0_plastic] == 0.0) and np.any(late != 0.0)
     assert len(w0_static) and np.all(late[:, w0_static] != 0.0)
-    early = sweep(0, [1, 0])
+    # the flag moves nothing but the plastic w0 entries
+    ungated = sweep(2, [0, 0], True)
+    assert np.all(ungated[:, w0_plastic] != 0.0)
+    rest = np.delete(np.arange(params.count), w0_plastic)
+    assert ungated[:, rest].tobytes() == late[:, rest].tobytes()
+    early = sweep(0, [1, 0], True)
     assert np.all(early[0, w0_plastic] == 0.0)
     assert np.all(early[1, w0_plastic] != 0.0)
 

@@ -499,26 +499,64 @@ def test_recorded_states_of_one_width_share_one_offsets_array():
 @pytest.mark.parametrize("k", [6, 3])
 def test_one_episode_rollout_keeps_its_length(k):
     # (T, n_in) stimuli and their batch of one give the same outputs,
-    # states and final state, a shorter length too
+    # states and final state; a shorter length stops the rollout at its
+    # end, bitwise the rollout of its first k stimuli
     topo, params, _ = pavlov_recipe()
     xs = np.random.default_rng(9).uniform(0, 1, (6, topo.n_inputs))
-    alone, batch = [], []
+    alone, batch, short = [], [], []
     ys, end = rollout(fresh_state(topo, params), xs, topo, params,
                       states=alone, lengths=[k])
     yb, end_b = rollout(fresh_state(topo, params), xs[None], topo, params,
                         states=batch, lengths=[k])
+    yk, end_k = rollout(fresh_state(topo, params), xs[:k], topo, params,
+                        states=short)
     assert ys.shape == yb[0].shape and ys.tobytes() == yb[0].tobytes()
     assert ys[:k].any() and not ys[k:].any()
-    assert len(alone) == len(batch) == 6
-    for a, b in zip(alone + [end], batch + [end_b]):
-        assert a.t == b.t
-        # the states after the episode's end hold no column
-        assert a.v_last.shape[1] == (a.t <= k)
-        for x, y in ((a.v_last, b.v_last), (a.membrane, b.membrane),
-                     (a.lif_pre, b.lif_pre),
-                     (a.plastic.weights, b.plastic.weights),
-                     (a.plastic.trace, b.plastic.trace)):
-            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert ys[:k].tobytes() == yk.tobytes()
+    assert len(alone) == len(batch) == len(short) == k
+    assert end.t == k and end.v_last.shape[1] == 1
+    for a, b, c in zip(alone + [end], batch + [end_b], short + [end_k]):
+        assert a.t == b.t == c.t
+        for x, y, z in ((a.v_last, b.v_last, c.v_last),
+                        (a.membrane, b.membrane, c.membrane),
+                        (a.lif_pre, b.lif_pre, c.lif_pre),
+                        (a.plastic.weights, b.plastic.weights,
+                         c.plastic.weights),
+                        (a.plastic.trace, b.plastic.trace, c.plastic.trace)):
+            assert x.shape == y.shape == z.shape
+            assert x.tobytes() == y.tobytes() == z.tobytes()
+
+
+@pytest.mark.parametrize("rows,lengths,message", [
+    (4, [6, 6], r"lengths shape \(2,\) != \(4,\)"),
+    (2, [9, 4], r"lengths must lie in \[0, 6\], got \[9, 4\]"),
+    (2, [3, -1], r"lengths must lie in \[0, 6\], got \[3, -1\]"),
+    (2, [3, 5], "batch rows must be sorted by length, longest first"),
+])
+def test_rollout_refuses_lengths_it_cannot_honour(rows, lengths, message):
+    topo, params, _ = pavlov_recipe()
+    xs = np.zeros((rows, 6, topo.n_inputs))
+    states = []
+    with pytest.raises(ValueError, match=message):
+        rollout(fresh_state(topo, params, rows), xs, topo, params,
+                states=states, lengths=lengths)
+    assert states == []
+
+
+def test_ragged_rollout_stops_with_its_longest_row():
+    # no step runs once every row has ended: the final state is the
+    # longest row's end state
+    topo, params, _ = pavlov_recipe()
+    xs = np.random.default_rng(10).uniform(0, 1, (3, 6, topo.n_inputs))
+    states = []
+    ys, end = rollout(fresh_state(topo, params, 3), xs, topo, params,
+                      states=states, lengths=[4, 2, 1])
+    assert len(states) == 4 and end is states[-1]
+    assert end.t == 4 and end.v_last.shape[1] == 1
+    want, alone = rollout(fresh_state(topo, params), xs[0, :4], topo, params)
+    assert ys[0, :4].tobytes() == want.tobytes() and not ys[:, 4:].any()
+    assert end.v_last.tobytes() == alone.v_last.tobytes()
+    assert end.plastic.weights.tobytes() == alone.plastic.weights.tobytes()
 
 
 def test_one_episode_stimulus_against_a_batch_is_refused():
