@@ -158,8 +158,7 @@ def topo_random(hidden, density, seed, model, inputs, outputs, plastic, out):
 def topo_validate(path):
     """Validate a topology file; exit 2 on fatal findings."""
     topology = load_topology(path)
-    report = topology.validate()
-    for w in report.warnings:
+    for w in topology.warnings:
         click.echo(f"warning: {w}")
     click.echo(f"ok: {topology.n} neurons, {topology.n_edges} edges, "
                f"{topology.n_plastic} plastic")

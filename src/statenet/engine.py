@@ -246,8 +246,11 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
 
 def check_lengths(lengths, rows: int, steps: int) -> np.ndarray:
     """``lengths`` as an array, refused (``ValueError``) unless it holds one
-    step count per batch row, each in [0, steps], longest first."""
-    lengths = np.asarray(lengths, dtype=np.intp)
+    integer step count per batch row, each in [0, steps], longest first."""
+    lengths = np.asarray(lengths)
+    if lengths.size and lengths.dtype.kind not in "iu":
+        raise ValueError(f"lengths must be integers, got {lengths.tolist()}")
+    lengths = lengths.astype(np.intp, copy=False)
     if lengths.shape != (rows,):
         raise ValueError(f"lengths shape {lengths.shape} != ({rows},)")
     if np.any((lengths < 0) | (lengths > steps)):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -74,28 +74,20 @@ class EdgeSpec:
     rule: str = "none"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
 class NetworkTopology:
     """Immutable graph plus the flat index arrays used by the engine.
 
     Edge order is normalized to (dst, src) at construction; the engine's
     gather and the reference interpreter both walk edges in this order,
-    which is what makes them bitwise comparable.
+    which is what makes them bitwise comparable. ``warnings`` keeps the
+    non-fatal findings of the one ``validate_parts`` pass.
     """
 
     def __init__(self, neurons: list[NeuronSpec], edges: list[EdgeSpec]):
-        report = validate_parts(neurons, edges)
-        if not report.ok:
-            raise TopologyError("; ".join(report.errors))
+        errors, warnings = validate_parts(neurons, edges)
+        if errors:
+            raise TopologyError("; ".join(errors))
+        self.warnings = tuple(warnings)
         self.neurons = tuple(sorted(neurons, key=lambda nr: nr.id))
         self.edges = tuple(sorted(edges, key=lambda e: (e.dst, e.src)))
         self._build_index()
@@ -159,17 +151,16 @@ class NetworkTopology:
     def n_plastic(self) -> int:
         return len(self.plastic_idx)
 
-    def validate(self) -> ValidationReport:
-        return validate_parts(list(self.neurons), list(self.edges))
-
     def content_hash(self) -> str:
         import hashlib
         return hashlib.sha256(
             json.dumps(to_document(self), sort_keys=True).encode()).hexdigest()[:16]
 
 
-def validate_parts(neurons: list[NeuronSpec], edges: list[EdgeSpec]) -> ValidationReport:
-    """Check structural invariants. Errors are fatal; warnings are not."""
+def validate_parts(neurons: list[NeuronSpec], edges: list[EdgeSpec]
+                   ) -> tuple[list[str], list[str]]:
+    """Check structural invariants. Returns (errors, warnings): errors are
+    fatal, warnings are not and come in neuron id order."""
     errors: list[str] = []
     warnings: list[str] = []
 
@@ -249,15 +240,16 @@ def validate_parts(neurons: list[NeuronSpec], edges: list[EdgeSpec]) -> Validati
                 if q not in reached:
                     reached.add(q)
                     queue.append(q)
-        for nr in neurons:
+        by_id = sorted(neurons, key=lambda nr: nr.id)
+        for nr in by_id:
             if nr.role == "output" and nr.id not in reached:
                 warnings.append(f"output neuron {nr.id} unreachable from any input")
         touched = {e.src for e in edges} | {e.dst for e in edges}
-        for nr in neurons:
+        for nr in by_id:
             if nr.id not in touched and nr.role != "input":
                 warnings.append(f"neuron {nr.id} is isolated (no edges)")
 
-    return ValidationReport(errors=errors, warnings=warnings)
+    return errors, warnings
 
 
 # ---------------------------------------------------------------------------

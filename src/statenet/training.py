@@ -514,14 +514,20 @@ def _evaluate(topology, params, config, eval_dataset, stages, env):
     eval_loss = float("nan")
     task_metric = float("nan")
     if eval_dataset is not None:
-        scores, losses = _predict(params, topology, eval_dataset,
-                                  config.loss_tag, stages, config.loss_tag)
+        def score(ids, outs, ys, mask, lengths):
+            losses = outputs_loss(config.loss_tag, outs, ys, mask(), lengths)
+            return zip(losses.tolist(), [None] * len(ids) if stages is None
+                       else _score_block(ids, outs, ys, stages,
+                                         eval_dataset.episodes, config.loss_tag))
+
+        results = _predict(params, topology, eval_dataset, score)
         total = 0.0
-        for loss in losses:           # episode order: deterministic reduction
+        for loss, _ in results:       # episode order: deterministic reduction
             total += loss
         eval_loss = total / len(eval_dataset)
         if stages is not None:
-            task_metric, _ = _acquisition(scores, eval_dataset)
+            task_metric = sum(row["correct"] for _, row in results) / len(
+                eval_dataset)
     if config.task == "pong":
         task_metric = _play_pong(params, topology, env, config.eval_rollouts,
                                  config.seed)["hit_rate"]
@@ -561,14 +567,16 @@ def _test_stages(dataset: Dataset) -> np.ndarray:
     return np.fromiter(stages, np.intp, len(stages)).reshape(-1, 2)
 
 
-def _score_block(outs: np.ndarray, ys: np.ndarray, stages: np.ndarray,
-                 loss_tag: str) -> list[tuple[bool, list, list]]:
-    """Each row's test-stage score ``(correct, predicted, target)`` in a
-    padded (rows x steps x n_out) block: the thresholded first output and
-    its target over the row's stage ``stages[row] = (lo, hi)``, correct when
-    the two agree at every step of it."""
+def _score_block(ids: list, outs: np.ndarray, ys: np.ndarray,
+                 stages: np.ndarray, episodes: list, loss_tag: str) -> list[dict]:
+    """The breakdown row of each row of a padded (rows x steps x n_out)
+    block, whose episodes are ``episodes[i]``, ``i`` in ``ids``: the
+    thresholded first output (``loss_tag``'s cut) and its target over the
+    episode's test stage ``stages[i] = (lo, hi)``, correct when the two
+    agree at every step of it."""
     got = output_threshold(outs[..., 0], loss_tag)
     want = ys[..., 0]
+    stages = stages[ids]
     steps = np.arange(outs.shape[1])
     in_stage = (steps >= stages[:, :1]) & (steps < stages[:, 1:])
     correct = ~np.any((got != want) & in_stage, axis=1)
@@ -576,59 +584,43 @@ def _score_block(outs: np.ndarray, ys: np.ndarray, stages: np.ndarray,
     # ends[b - 1] (0 for the first row) to ends[b]
     ends = np.cumsum(stages[:, 1] - stages[:, 0]).tolist()
     got, want = got[in_stage].tolist(), want[in_stage].tolist()
-    return [(ok, got[lo:hi], want[lo:hi])
-            for ok, lo, hi in zip(correct.tolist(), [0, *ends], ends)]
-
-
-def _acquisition(scores: list, dataset: Dataset):
-    """Test-stage exact-match accuracy of each episode's ``_score_block``
-    score, in episode order, plus a breakdown row per episode."""
-    rows = [{"episode": idx, "pairings": ep.meta.get("pairings"),
-             "correct": ok, "predicted": got, "target": want}
-            for idx, (ep, (ok, got, want)) in enumerate(zip(dataset.episodes,
-                                                            scores))]
-    return sum(ok for ok, _, _ in scores) / len(dataset), rows
+    return [{"episode": i, "pairings": episodes[i].meta.get("pairings"),
+             "correct": ok, "predicted": got[lo:hi], "target": want[lo:hi]}
+            for i, ok, lo, hi in zip(ids, correct.tolist(), [0, *ends], ends)]
 
 
 def eval_pavlov_acquisition(params: ParameterSet, topology: NetworkTopology,
                             dataset: Dataset, loss_tag: str = "bce"):
     """Fraction of episodes whose thresholded test-stage predictions match
-    the ground truth at every test step. Returns (accuracy, breakdown)."""
+    the ground truth at every test step. Returns (accuracy, breakdown): one
+    ``_score_block`` row per episode, in episode order."""
     check_dims(dataset, topology)
     stages = _test_stages(dataset)
-    scores, _ = _predict(params, topology, dataset, stages=stages,
-                         cut_tag=loss_tag)
-    return _acquisition(scores, dataset)
+    rows = _predict(params, topology, dataset,
+                    lambda ids, outs, ys, mask, lengths: _score_block(
+                        ids, outs, ys, stages, dataset.episodes, loss_tag))
+    return sum(row["correct"] for row in rows) / len(dataset), rows
 
 
 def _predict(params: ParameterSet, topology: NetworkTopology,
-             dataset: Dataset, loss_tag: str | None = None,
-             stages: np.ndarray | None = None, cut_tag: str = "bce"
-             ) -> tuple[list, list[float]]:
-    """Each episode's outputs, rolled out from a fresh episode-start state,
-    or with ``stages`` (the set's ``_test_stages``) its ``_score_block``
-    score, outputs thresholded as ``cut_tag`` predictions; and with
-    ``loss_tag`` each episode's masked loss (bitwise its ``outputs_loss``:
-    padded steps are masked out and add exactly 0.0). Both lists are in
-    episode order.
+             dataset: Dataset, score) -> list:
+    """What ``score(ids, outs, ys, mask, lengths)`` gives for each episode
+    of a held-out set, in episode order, each episode rolled out from a
+    fresh episode-start state.
 
     The set runs through ``_lockstep`` in blocks of PREDICT_CHUNK episodes,
     so each block pads little, and a non-finite value names its episode;
-    each block is scored in one pass. Each row is bitwise its episode run
-    alone. The caller checks the set's dims."""
-    def run(rows, xs, ys, mask, lengths):
+    ``score`` gets each block's episode ids in row order, its padded
+    outputs and targets, its ``mask()`` and its lengths, and returns one
+    result per row. Each row is bitwise its episode run alone. The caller
+    checks the set's dims."""
+    def run(ids, xs, ys, mask, lengths):
         outs, _ = rollout(fresh_state(topology, params, batch=len(lengths)),
                           xs, topology, params, lengths=lengths)
-        losses = ([None] * len(lengths) if loss_tag is None else
-                  outputs_loss(loss_tag, outs, ys, mask(), lengths).tolist())
-        if stages is None:
-            return zip([outs[row, :n] for row, n in enumerate(lengths)], losses)
-        return zip(_score_block(outs, ys, stages[rows], cut_tag), losses)
+        return score(ids, outs, ys, mask, lengths)
 
-    results = _lockstep(dataset.episodes, range(len(dataset)), PREDICT_CHUNK,
-                        run)
-    return ([first for first, _ in results],
-            [loss for _, loss in results] if loss_tag is not None else [])
+    return _lockstep(dataset.episodes, range(len(dataset)), PREDICT_CHUNK,
+                     run)
 
 
 def check_dims(dataset: Dataset, topology: NetworkTopology) -> None:

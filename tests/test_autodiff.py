@@ -600,6 +600,15 @@ def test_lengths_past_the_array_rejected():
                         None, [7], "mse")
 
 
+def test_lengths_that_are_not_integers_rejected():
+    # a float length would otherwise be cut down to the step before it
+    topo = build_random(2, 1.0, seed=1, model="rate", n_inputs=1, n_outputs=1)
+    params = ParameterSet.from_topology(topo)
+    with pytest.raises(ValueError, match=r"lengths must be integers, got \[4.5\]"):
+        batch_gradients(topo, params, np.zeros((1, 5, 1)), np.zeros((1, 5, 1)),
+                        None, [4.5], "mse")
+
+
 def test_k1_without_k2_rejected():
     topo = build_random(2, 1.0, seed=1, model="rate", n_inputs=1, n_outputs=1)
     params = ParameterSet.from_topology(topo)

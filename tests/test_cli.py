@@ -3,6 +3,7 @@ import glob
 import hashlib
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -17,9 +18,12 @@ import statenet
 from statenet.cli import main
 from statenet.datasets import PavlovConfig, gen_pavlov, load_dataset, save_dataset
 from statenet.pong import PongConfig
-from statenet.topology import build_random, load_topology, save_topology
+from statenet.topology import (EdgeSpec, NetworkTopology, NeuronSpec,
+                               RateParams, build_random, load_topology,
+                               save_topology)
 from statenet.training import (TrainConfig, eval_pong_closed_loop, load_params,
                                train)
+from statenet.verify import SUITES
 
 PAPER_X = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0]]
 PAPER_Y = [[1.0], [0.0], [1.0], [1.0], [1.0]]
@@ -80,6 +84,52 @@ def test_topo_random_validate_show(runner, tmp_path):
     assert result.exit_code == 0 and "ok:" in result.output
     result = runner.invoke(main, ["topo", "show", path])
     assert result.exit_code == 0 and "hash:" in result.output
+
+
+def test_topo_validate_prints_the_topology_warnings(runner, tmp_path):
+    # neuron 3 is an output no input reaches; hidden neuron 1 has no edges
+    neurons = [NeuronSpec(0, "input", "rate", RateParams()),
+               NeuronSpec(1, "hidden", "rate", RateParams()),
+               NeuronSpec(2, "output", "rate", RateParams()),
+               NeuronSpec(3, "output", "rate", RateParams())]
+    path = str(tmp_path / "net.json")
+    save_topology(NetworkTopology(neurons, [EdgeSpec(0, 2, 1.0),
+                                            EdgeSpec(3, 2, 0.5)]), path)
+    result = runner.invoke(main, ["topo", "validate", path])
+    assert result.exit_code == 0, result.output
+    assert result.output == ("warning: output neuron 3 unreachable from any "
+                             "input\n"
+                             "warning: neuron 1 is isolated (no edges)\n"
+                             "ok: 4 neurons, 2 edges, 0 plastic\n")
+
+
+def readme_cli_commands():
+    """The ``statenet`` command lines of README's ``## CLI`` code block,
+    each with its continuations joined, as argument lists."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("statenet ")]
+
+
+def test_readme_cli_block_parses(runner):
+    # every documented command line names real subcommands and flags
+    commands = readme_cli_commands()
+    assert [argv[0] for argv in commands].count("verify") == 1
+    for argv in commands:
+        if argv[0] == "verify":
+            suites = argv[1].split("|")
+            assert sorted(suites) == sorted(SUITES)
+            argvs = [["verify", suite] for suite in suites]
+        else:
+            argvs = [argv]
+        for args in argvs:
+            result = runner.invoke(main, args + ["--help"])
+            assert result.exit_code == 0, (args, result.output)
+    # a flag the parser does not know fails the same check
+    result = runner.invoke(main, commands[0] + ["--no-such-flag", "--help"])
+    assert result.exit_code == 2
 
 
 def test_topo_validate_rejects_bad_file(runner, tmp_path):

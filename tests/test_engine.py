@@ -532,6 +532,10 @@ def test_one_episode_rollout_keeps_its_length(k):
     (2, [9, 4], r"lengths must lie in \[0, 6\], got \[9, 4\]"),
     (2, [3, -1], r"lengths must lie in \[0, 6\], got \[3, -1\]"),
     (2, [3, 5], "batch rows must be sorted by length, longest first"),
+    (2, [3.7, 2.2], r"lengths must be integers, got \[3.7, 2.2\]"),
+    (2, np.array([True, False]),
+     r"lengths must be integers, got \[True, False\]"),
+    (2, ["3", "2"], r"lengths must be integers, got \['3', '2'\]"),
 ])
 def test_rollout_refuses_lengths_it_cannot_honour(rows, lengths, message):
     topo, params, _ = pavlov_recipe()

@@ -17,42 +17,41 @@ def two_neuron_net():
 
 def test_minimal_legal_graph_validates_clean():
     neurons, edges = two_neuron_net()
-    report = validate_parts(neurons, edges)
-    assert report.ok and not report.warnings
+    assert validate_parts(neurons, edges) == ([], [])
 
 
 def test_edge_into_input_is_error():
     neurons, edges = two_neuron_net()
     edges = edges + [EdgeSpec(1, 0, 0.1)]
-    report = validate_parts(neurons, edges)
-    assert any("into input" in e for e in report.errors)
+    errors, _ = validate_parts(neurons, edges)
+    assert any("into input" in e for e in errors)
 
 
 def test_duplicate_edge_is_error():
     neurons, edges = two_neuron_net()
-    report = validate_parts(neurons, edges + [EdgeSpec(0, 1, 0.7)])
-    assert any("duplicate" in e for e in report.errors)
+    errors, _ = validate_parts(neurons, edges + [EdgeSpec(0, 1, 0.7)])
+    assert any("duplicate" in e for e in errors)
 
 
 def test_stdp_on_rate_neurons_is_error():
     neurons, _ = two_neuron_net()
-    report = validate_parts(neurons, [EdgeSpec(0, 1, 0.5, plastic=True, rule="stdp")])
-    assert any("stdp" in e for e in report.errors)
+    errors, _ = validate_parts(neurons, [EdgeSpec(0, 1, 0.5, plastic=True, rule="stdp")])
+    assert any("stdp" in e for e in errors)
 
 
 def test_dense_id_violation_is_error():
     neurons = [NeuronSpec(0, "input", "rate", RateParams()),
                NeuronSpec(2, "output", "rate", RateParams())]
-    report = validate_parts(neurons, [])
-    assert any("dense" in e for e in report.errors)
+    errors, _ = validate_parts(neurons, [])
+    assert any("dense" in e for e in errors)
 
 
 def test_bad_lif_params_are_errors():
     neurons = [NeuronSpec(0, "input", "lif", LifParams()),
                NeuronSpec(1, "output", "lif",
                           LifParams(threshold=0.0, reset=0.5))]
-    report = validate_parts(neurons, [EdgeSpec(0, 1, 1.0)])
-    assert any("threshold" in e for e in report.errors)
+    errors, _ = validate_parts(neurons, [EdgeSpec(0, 1, 1.0)])
+    assert any("threshold" in e for e in errors)
 
 
 def bfs_reachable(n, edges, sources):
@@ -76,15 +75,15 @@ def test_unreachable_output_is_warning_matching_bfs_oracle():
                NeuronSpec(2, "output", "rate", RateParams()),
                NeuronSpec(3, "output", "rate", RateParams())]
     edges = [EdgeSpec(0, 1, 1.0), EdgeSpec(1, 2, 1.0), EdgeSpec(2, 3, 0.0)]
-    report = validate_parts(neurons, edges)
-    assert report.ok
+    errors, warnings = validate_parts(neurons, edges)
+    assert not errors
     reachable = bfs_reachable(4, edges, [0])
-    flagged = {int(w.split()[2]) for w in report.warnings if "unreachable" in w}
+    flagged = {int(w.split()[2]) for w in warnings if "unreachable" in w}
     assert flagged == {nr.id for nr in neurons
                        if nr.role == "output" and nr.id not in reachable}
     # removing the feeding edge makes both outputs unreachable
-    report2 = validate_parts(neurons, edges[1:])
-    flagged2 = {int(w.split()[2]) for w in report2.warnings if "unreachable" in w}
+    _, warnings2 = validate_parts(neurons, edges[1:])
+    flagged2 = {int(w.split()[2]) for w in warnings2 if "unreachable" in w}
     assert flagged2 == {2, 3}
 
 
@@ -92,8 +91,22 @@ def test_isolated_neuron_is_warning():
     neurons = [NeuronSpec(0, "input", "rate", RateParams()),
                NeuronSpec(1, "hidden", "rate", RateParams()),
                NeuronSpec(2, "output", "rate", RateParams())]
-    report = validate_parts(neurons, [EdgeSpec(0, 2, 1.0)])
-    assert any("isolated" in w for w in report.warnings)
+    _, warnings = validate_parts(neurons, [EdgeSpec(0, 2, 1.0)])
+    assert any("isolated" in w for w in warnings)
+
+
+def test_topology_keeps_its_warnings_in_neuron_id_order():
+    # outputs 4 and 5 feed output 3 but no input reaches them; hidden
+    # neurons 1 and 2 have no edges
+    roles = ["input", "hidden", "hidden", "output", "output", "output"]
+    neurons = [NeuronSpec(i, role, "rate", RateParams())
+               for i, role in enumerate(roles)]
+    edges = [EdgeSpec(0, 3, 1.0), EdgeSpec(4, 3, 1.0), EdgeSpec(5, 3, 1.0)]
+    want = ("output neuron 4 unreachable from any input",
+            "output neuron 5 unreachable from any input",
+            "neuron 1 is isolated (no edges)", "neuron 2 is isolated (no edges)")
+    assert NetworkTopology(neurons, edges).warnings == want
+    assert NetworkTopology(neurons[::-1], edges[::-1]).warnings == want
 
 
 def test_validate_is_pure():
@@ -190,15 +203,15 @@ def test_non_finite_values_are_errors():
     neurons = [NeuronSpec(0, "input", "rate", RateParams()),
                NeuronSpec(1, "output", "rate",
                           RateParams(self_coeff=float("inf")))]
-    report = validate_parts(neurons, [EdgeSpec(0, 1, float("nan"))])
-    assert "neuron 1: self_coeff must be finite" in report.errors
-    assert "edge (0->1): w0 must be finite" in report.errors
+    errors, _ = validate_parts(neurons, [EdgeSpec(0, 1, float("nan"))])
+    assert "neuron 1: self_coeff must be finite" in errors
+    assert "edge (0->1): w0 must be finite" in errors
     for bad in ({"rest": float("nan")}, {"threshold": float("inf")},
                 {"reset": -float("inf")}):
         lif = [NeuronSpec(0, "input", "lif", LifParams()),
                NeuronSpec(1, "output", "lif", LifParams(**bad))]
-        report = validate_parts(lif, [EdgeSpec(0, 1, 1.0)])
-        assert f"neuron 1: {next(iter(bad))} must be finite" in report.errors
+        errors, _ = validate_parts(lif, [EdgeSpec(0, 1, 1.0)])
+        assert f"neuron 1: {next(iter(bad))} must be finite" in errors
 
 
 def test_malformed_document_is_parse_error(tmp_path):
@@ -257,8 +270,7 @@ def test_density_out_of_range_rejected():
 def test_zero_hidden_connects_inputs_to_outputs():
     topo = build_random(0, 0.5, seed=2, model="rate", n_inputs=2, n_outputs=2)
     assert topo.n_edges == 4
-    report = topo.validate()
-    assert report.ok and not report.warnings
+    assert topo.warnings == ()
 
 
 def test_readout_scope_marks_edges_into_outputs():

@@ -23,7 +23,7 @@ from statenet.training import (PREDICT_CHUNK, Adam, CheckpointError,
                                clip_global_norm, eval_pavlov_acquisition,
                                eval_pong_closed_loop, load_checkpoint,
                                save_checkpoint, train,
-                               _acquisition, _evaluate, _predict,
+                               _evaluate, _predict,
                                _score_block, _test_stages, pavlov_recipe,
                                pong_recipe)
 
@@ -381,9 +381,10 @@ def test_dimension_mismatch_rejected():
 def _acquisition_from_predictions(preds, ds):
     """Acquisition of hand-made predictions, one episode per scored block."""
     stages = _test_stages(ds)
-    scores = [_score_block(pred[None], ep.y[None], stages[i:i + 1], "bce")[0]
-              for i, (pred, ep) in enumerate(zip(preds, ds.episodes))]
-    return _acquisition(scores, ds)
+    rows = [_score_block([i], pred[None], ep.y[None], stages, ds.episodes,
+                         "bce")[0]
+            for i, (pred, ep) in enumerate(zip(preds, ds.episodes))]
+    return sum(row["correct"] for row in rows) / len(ds), rows
 
 
 def test_acquisition_oracle_predictions_score_one():
@@ -628,6 +629,11 @@ def test_pong_training_plays_no_random_baseline(monkeypatch, tmp_path):
                        f"{want['hit_rate']!r}")
 
 
+def outputs_of(ids, outs, ys, mask, lengths):
+    """A ``_predict`` scorer: each row's outputs up to its length."""
+    return [outs[row, :n] for row, n in enumerate(lengths)]
+
+
 @pytest.mark.parametrize("loss_tag", ["mse", "bce", "cce"])
 def test_heldout_loss_is_the_per_episode_sum(loss_tag):
     # ragged episodes over more than one lockstep chunk; pavlov's carry masks
@@ -641,7 +647,7 @@ def test_heldout_loss_is_the_per_episode_sum(loss_tag):
     # no task, so no test stage is scored
     eval_loss, _ = _evaluate(topo, params, TrainConfig(loss_tag=loss_tag), ds,
                              None, None)
-    outputs, _ = _predict(params, topo, ds)
+    outputs = _predict(params, topo, ds, outputs_of)
     total = 0.0
     for outs, ep in zip(outputs, ds.episodes):
         total += outputs_loss(loss_tag, outs, ep.y, ep.mask)
@@ -668,7 +674,12 @@ def test_predict_rows_are_each_episode_run_alone(monkeypatch, chunk, model,
     rng = np.random.default_rng(1)
     params = params.with_flat(params.flat
                               + 0.3 * rng.standard_normal(params.count))
-    outputs, losses = _predict(params, topo, ds, loss_tag)
+
+    def score(ids, outs, ys, mask, lengths):
+        return zip(outputs_of(ids, outs, ys, mask, lengths),
+                   outputs_loss(loss_tag, outs, ys, mask(), lengths).tolist())
+
+    outputs, losses = zip(*_predict(params, topo, ds, score))
     accuracy, rows = eval_pavlov_acquisition(params, topo, ds, loss_tag)
     assert len(outputs) == len(losses) == len(rows) == len(ds)
     cut = 0.0 if loss_tag == "bce" else 0.5
@@ -692,7 +703,7 @@ def test_predict_accepts_an_empty_set():
     topo, ds = small_setup()
     empty = Dataset(episodes=[], manifest=ds.manifest)
     params = ParameterSet.from_topology(topo)
-    assert _predict(params, topo, empty, "bce") == ([], [])
+    assert _predict(params, topo, empty, outputs_of) == []
     with pytest.raises(ValueError, match="evaluation set has no episodes"):
         eval_pavlov_acquisition(params, topo, empty)
 
