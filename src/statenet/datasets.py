@@ -29,7 +29,14 @@ builds the block's stimuli, targets and masks as arrays: an episode draws
 and holds exactly what it would if generated alone.
 
 Pong episodes record the scripted expert playing: observations as inputs,
-the executed (possibly noise-perturbed) action one-hot as targets.
+the executed (possibly noise-perturbed) action one-hot as targets. The
+expert lives here: it moves the paddle toward the ball's current row,
+staying on a tie, and its one-cell speed matches the ball's vertical
+speed, so with no action noise it never misses on the default grid. The
+generator plays every game of a block of ``GEN_BLOCK`` episodes in
+lockstep, as integer arrays under the rules of ``pong.PongEnv`` (the
+closed loop's environment), each game drawing from its own splitmix64
+stream exactly what ``PongEnv`` with that stream would draw.
 
 Files are line-delimited JSON: a manifest line, then one episode per line,
 numbers at full round-trip precision.
@@ -43,8 +50,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .jsonio import atomic_write, count, malformed, numbers
-from .pong import PongConfig, PongEnv, action_onehot
-from .rng import Rng, RowRng, derive_seed
+from .pong import ACTIONS, PongConfig, _unit
+from .rng import RowRng, derive_seed
 
 FORMAT_TAG = "snn-episodes/1"
 
@@ -240,28 +247,95 @@ class PongDataConfig:
             raise ValueError("need at least one episode")
 
 
-def _pong_episode(rng: Rng, cfg: PongDataConfig) -> Episode:
-    env = PongEnv(cfg.env, rng)
-    xs, ys = [], []
-    while not env.done:
-        obs = env.observation()
-        action = env.expert_action()
-        if cfg.expert_noise_p > 0.0 and rng.chance(cfg.expert_noise_p):
-            action = rng.randrange(-1, 1)
-        xs.append(obs)
-        ys.append(action_onehot(action))
-        env.step(action)
-    meta = {"hits": env.hits, "missed": env.missed, "length": env.steps}
-    return Episode(x=np.array(xs), y=np.array(ys), mask=None, meta=meta)
+def _pong_block(seeds: np.ndarray, cfg: PongDataConfig) -> list[Episode]:
+    """The expert's games drawn from the streams ``seeds``, one each, played
+    in lockstep. A game draws, plays and records exactly what ``PongEnv``
+    with ``Rng(seed)`` would: its state is one entry of each integer array,
+    and a finished game's entries are dropped."""
+    env = cfg.env
+    half = env.paddle_len // 2
+    top = env.height - 1 - half
+    rng = RowRng(seeds)
+    n = len(seeds)
+    live = np.arange(n)
+    # PongEnv.reset
+    bx = np.full(n, env.width // 2)
+    by = 1 + rng.randint(live, env.height - 2).astype(np.int64)
+    vx = np.where(rng.chance(live, 0.5), -1, 1)
+    vy = np.where(rng.chance(live, 0.5), -1, 1)
+    pad = np.full(n, env.height // 2)
+    hits = np.zeros(n, dtype=np.int64)
+    missed = np.zeros(n, dtype=bool)
+    length = np.full(n, env.max_steps)
+    # per step: the live games, the five observed fields, the actions
+    games, obs, acts = [], ([], [], [], [], []), []
+    for t in range(1, env.max_steps + 1):
+        # the expert moves toward the ball's row, staying on a tie
+        act = np.clip(by - pad, -1, 1)
+        if cfg.expert_noise_p > 0.0:
+            fire = np.flatnonzero(rng.chance(live, cfg.expert_noise_p))
+            act[fire] = rng.randint(live[fire], 3).astype(np.int64) - 1
+        # every step makes new state arrays, so the recorded ones stay
+        games.append(live)
+        for o, a in zip(obs, (bx, by, vx, vy, pad)):
+            o.append(a)
+        acts.append(act)
+        # PongEnv.step
+        pad = np.minimum(np.maximum(pad + act, half), top)
+        ny = by + vy
+        vy = np.where((ny < 0) | (ny > env.height - 1), -vy, vy)
+        by = by + vy
+        vx = np.where(bx + vx > env.width - 1, -vx, vx)
+        bx = bx + vx
+        wall = bx == 0
+        d = by - pad
+        hit = wall & (-half <= d) & (d <= half)
+        hits[live[hit]] += 1
+        vx = np.where(hit, 1, vx)
+        miss = wall ^ hit
+        if miss.any():
+            missed[live[miss]] = True
+            length[live[miss]] = t
+            keep = ~miss
+            if not keep.any():
+                break
+            live, bx, by, vx, vy, pad = (a[keep] for a in
+                                         (live, bx, by, vx, vy, pad))
+
+    # the records are step-major: game g's step t goes to row starts[g] + t
+    # of the block's episode-major arrays; each record is freed once used
+    ends = np.cumsum(length)
+    starts = ends - length
+    rows = np.concatenate([starts[g] + t for t, g in enumerate(games)])
+    x = np.empty((ends[-1], 5))
+    # the channels of PongEnv.observation
+    for j, size in enumerate((env.width, env.height, None, None, env.height)):
+        v = np.concatenate(obs[j])
+        obs[j].clear()
+        x[rows, j] = v if size is None else _unit(v, size)
+    act = np.empty(ends[-1], dtype=np.int64)
+    act[rows] = np.concatenate(acts)
+    del games, acts, rows
+    act += 1                        # its index in ACTIONS = (-1, 0, 1)
+    onehot = np.eye(len(ACTIONS))
+    return [Episode(x=x[lo:hi].copy(), y=onehot[act[lo:hi]], mask=None,
+                    meta={"hits": h, "missed": m, "length": hi - lo})
+            for lo, hi, h, m in zip(starts.tolist(), ends.tolist(),
+                                    hits.tolist(), missed.tolist())]
 
 
 def gen_pong(config: PongDataConfig) -> Dataset:
-    """Record the scripted expert playing. Deterministic for a given seed."""
+    """Record the scripted expert playing. Deterministic for a given seed.
+
+    Episode ``i`` draws from the stream ``derive_seed(seed, 0xB0A, i)``;
+    a block of episodes plays its games together as arrays.
+    """
     config.validate()
-    episodes = [
-        _pong_episode(Rng(derive_seed(config.seed, 0xB0A, i)), config)
-        for i in range(config.episodes)
-    ]
+    episodes: list[Episode] = []
+    for lo in range(0, config.episodes, GEN_BLOCK):
+        ids = np.arange(lo, min(lo + GEN_BLOCK, config.episodes),
+                        dtype=np.uint64)
+        episodes += _pong_block(derive_seed(config.seed, 0xB0A, ids), config)
     manifest = {
         "format": FORMAT_TAG,
         "generator": "pong",

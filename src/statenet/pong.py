@@ -1,4 +1,4 @@
-"""Minimal Pong on an integer grid, with a scripted expert.
+"""Minimal Pong on an integer grid: the closed loop's environment.
 
 The ball moves diagonally one cell per step and reflects off the top,
 bottom and far walls. The paddle sits on the near wall (x = 0) and moves
@@ -7,17 +7,18 @@ paddle (a hit) or ends the episode (a miss).
 
 Observations are five channels normalized to [-1, 1]: ball x, ball y,
 velocity x, velocity y, paddle center y. Actions are {-1, 0, +1} encoded
-one-hot over three channels (down, stay, up). The expert moves the paddle
-toward the ball's current row, staying on a tie; the expert's one-cell
-speed matches the ball's vertical speed, so with no action noise it never
-misses on the default grid.
+one-hot over three channels (down, stay, up).
+
+``PongEnv`` plays one game; the closed-loop evaluation steps a network
+through a list of them. The scripted expert lives in the imitation-data
+generator (``datasets.gen_pong``), which plays whole blocks of games as
+arrays with the same rules and the same observation formula, ``_unit``;
+a test holds it to ``PongEnv`` game for game.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .rng import Rng
 
@@ -43,7 +44,8 @@ class PongConfig:
             raise ValueError("max_steps must be positive")
 
 
-def _unit(v: float, size: int) -> float:
+def _unit(v, size: int):
+    """A grid coordinate (an int or an integer array) scaled to [-1, 1]."""
     return 2.0 * v / (size - 1) - 1.0
 
 
@@ -77,10 +79,6 @@ class PongEnv:
                 float(self.vel_y),
                 _unit(self.paddle, cfg.height))
 
-    def expert_action(self) -> int:
-        d = self.ball_y - self.paddle
-        return 0 if d == 0 else (1 if d > 0 else -1)
-
     def step(self, action: int) -> None:
         if self.done:
             raise RuntimeError("episode already finished")
@@ -110,12 +108,6 @@ class PongEnv:
     @property
     def approaches(self) -> int:
         return self.hits + (1 if self.missed else 0)
-
-
-def action_onehot(action: int) -> np.ndarray:
-    out = np.zeros(3)
-    out[ACTIONS.index(action)] = 1.0
-    return out
 
 
 def action_from_index(index: int) -> int:

@@ -11,7 +11,7 @@ from statenet.cli import main
 from statenet.datasets import (GEN_BLOCK, HELDOUT_TEST_LEN, DatasetError,
                                Episode, PavlovConfig, PongDataConfig, gen_pavlov,
                                gen_pong, load_dataset, save_dataset)
-from statenet.pong import PongConfig, PongEnv, _unit, action_onehot
+from statenet.pong import PongConfig, PongEnv, _unit
 from statenet.rng import Rng, derive_seed
 
 PAPER_X = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0]]
@@ -172,7 +172,8 @@ def test_generated_episode_lines_are_pinned(tmp_path):
 
 
 # larger sets, each spanning several generation blocks, and seeds that
-# derive_seed folds into 64 bits (negative, and 2**64 and above)
+# derive_seed folds into 64 bits (negative, and 2**64 and above); the pong
+# sets cover no noise, noise on every step, another grid and one-step games
 LARGE_SETS = [
     (PavlovConfig(2000, seed=1, split="train"),
      "df36f4bcf8930903c802447b226085f4990aafb37dc31db0ec60f84c754684a7"),
@@ -184,15 +185,33 @@ LARGE_SETS = [
      "c09b8ec3d5a00511f47bafae6a2cdb9e26999d3cd996a2615715969b27a44b52"),
     (PavlovConfig(300, seed=2**64 + 3, split="heldout"),
      "3683cd437c26eb9734e43e39e3a20a4e61b2305275fbee972e6f357c87feefb0"),
+    (PongDataConfig(300, seed=11),
+     "e7bcf4a50219264e48b0a6aba3d5dc08b8e76b4379ad8c85594477c202fec149"),
+    (PongDataConfig(600, seed=2, expert_noise_p=0.0),
+     "bcac0b7527098e741b4d3c9ec51c59040d34e78188a726cc589dff8495dac376"),
+    (PongDataConfig(700, seed=3, expert_noise_p=0.5),
+     "e11b5fb8d70c3f21d07aa87a7e223f224e8da13a393eec32d4a1784cb4af5e20"),
+    (PongDataConfig(300, seed=-5, expert_noise_p=1.0),
+     "b3e9ba6956130d9208f0cbcc333b149999f73ff865980c72858ac78e9e19eb48"),
+    (PongDataConfig(300, seed=2**64 + 3,
+                    env=PongConfig(width=9, height=15, paddle_len=5,
+                                   max_steps=40)),
+     "f10336ce27351ea0132006d8d058680854026587b2812a24250e84bc4f293505"),
+    (PongDataConfig(300, seed=4, env=PongConfig(width=8, height=8,
+                                                paddle_len=7, max_steps=1)),
+     "64a539ce46e9fcc031d9f87db7327778c41be35458266698d51ff840fa69c1a9"),
 ]
 
 
-@pytest.mark.parametrize("config,digest", LARGE_SETS,
-                         ids=[f"{c.episodes}-{c.seed}" for c, _ in LARGE_SETS])
+@pytest.mark.parametrize(
+    "config,digest", LARGE_SETS,
+    ids=[("pong-" if isinstance(c, PongDataConfig) else "")
+         + f"{c.episodes}-{c.seed}" for c, _ in LARGE_SETS])
 def test_large_sets_are_pinned(tmp_path, config, digest):
     assert config.episodes > GEN_BLOCK
     path = str(tmp_path / "eps.jsonl")
-    save_dataset(gen_pavlov(config), path)
+    gen = gen_pong if isinstance(config, PongDataConfig) else gen_pavlov
+    save_dataset(gen(config), path)
     assert episode_lines_sha256(path) == digest
 
 
@@ -204,6 +223,17 @@ def test_cli_writes_the_pinned_training_set(tmp_path):
                                        "--out", out])
     assert result.exit_code == 0, result.output
     assert episode_lines_sha256(out) == LARGE_SETS[0][1]
+
+
+def test_cli_writes_the_pinned_pong_set(tmp_path):
+    # the criterion-6 training set, as `statenet gen pong` writes it
+    out = str(tmp_path / "pong.jsonl")
+    result = CliRunner().invoke(main, ["gen", "pong", "--episodes", "300",
+                                       "--seed", "11", "--out", out])
+    assert result.exit_code == 0, result.output
+    config, digest = LARGE_SETS[5]
+    assert config == PongDataConfig(300, seed=11)
+    assert episode_lines_sha256(out) == digest
 
 
 def test_generation_holds_bounded_temporaries():
@@ -226,12 +256,80 @@ def test_generation_holds_bounded_temporaries():
 # pong
 
 
+def test_pong_generation_holds_bounded_temporaries():
+    # the transient (peak minus retained) of 1024 episodes is what one
+    # block of GEN_BLOCK games needs at a time, about 0.65 MB at 256: the
+    # block's step records, its episode-major observations and actions
+    gen_pong(PongDataConfig(episodes=2, seed=0))
+    tracemalloc.start()
+    try:
+        ds = gen_pong(PongDataConfig(episodes=1024, seed=1,
+                                     expert_noise_p=0.3))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 1024
+    assert peak - retained < 1_000_000
+
+
+def reference_pong(config):
+    """The imitation set as PongEnv plays it, one game and one scalar
+    stream at a time, with each step's observation as the closed loop sees
+    it; the generator must record the same bits."""
+    episodes = []
+    for i in range(config.episodes):
+        rng = Rng(derive_seed(config.seed, 0xB0A, i))
+        env = PongEnv(config.env, rng)
+        obs, actions = [], []
+        while not env.done:
+            obs.append(np.array(env.observation()))
+            d = env.ball_y - env.paddle
+            action = (d > 0) - (d < 0)
+            p = config.expert_noise_p
+            if p > 0.0 and rng.chance(p):
+                action = rng.randrange(-1, 1)
+            actions.append(action)
+            env.step(action)
+        meta = {"hits": env.hits, "missed": env.missed, "length": env.steps}
+        episodes.append((obs, actions, meta))
+    return episodes
+
+
+@pytest.mark.parametrize("config", [
+    PongDataConfig(40, seed=0),
+    PongDataConfig(40, seed=1),
+    PongDataConfig(40, seed=-2),
+    PongDataConfig(40, seed=3, expert_noise_p=0.0),
+    PongDataConfig(40, seed=4, expert_noise_p=1.0),
+    PongDataConfig(40, seed=5, env=PongConfig(width=9, height=15,
+                                              paddle_len=5, max_steps=60)),
+    PongDataConfig(40, seed=6, env=PongConfig(max_steps=1)),
+    PongDataConfig(GEN_BLOCK + 30, seed=7),
+], ids=["seed-0", "seed-1", "seed-neg", "noise-free", "noise-always",
+        "grid-9x15", "one-step", "two-blocks"])
+def test_generator_plays_what_pong_env_plays(config):
+    ds = gen_pong(config)
+    assert len(ds) == config.episodes
+    for ep, (obs, actions, meta) in zip(ds.episodes, reference_pong(config)):
+        assert ep.x.shape == (len(obs), 5) and ep.x.dtype == np.float64
+        for row, want in zip(ep.x, obs):
+            assert row.tobytes() == want.tobytes()
+        onehot = np.zeros((len(actions), 3))
+        onehot[np.arange(len(actions)), np.array(actions) + 1] = 1.0
+        assert ep.y.dtype == np.float64 and ep.y.shape == onehot.shape
+        assert ep.y.tobytes() == onehot.tobytes()
+        assert ep.mask is None
+        assert json.dumps(ep.meta) == json.dumps(meta)
+
+
 def test_expert_tie_means_stay():
-    cfg = PongConfig()
-    env = PongEnv(cfg, Rng(1))
-    env.ball_y = env.paddle
-    assert env.expert_action() == 0
-    assert action_onehot(0).tolist() == [0.0, 1.0, 0.0]
+    ds = gen_pong(PongDataConfig(episodes=50, seed=1, expert_noise_p=0.0))
+    ties = 0
+    for ep in ds.episodes:
+        tie = ep.x[:, 1] == ep.x[:, 4]      # ball row == paddle row
+        ties += int(tie.sum())
+        assert np.all(ep.y[tie] == [0.0, 1.0, 0.0])
+    assert ties > 0
 
 
 def test_pong_generator_deterministic():
@@ -242,13 +340,11 @@ def test_pong_generator_deterministic():
 
 
 def test_noise_free_expert_never_misses():
-    cfg = PongConfig()
-    for i in range(1000):
-        env = PongEnv(cfg, Rng(derive_seed(31, i)))
-        while not env.done:
-            env.step(env.expert_action())
-        assert not env.missed
-        assert env.steps == cfg.max_steps
+    ds = gen_pong(PongDataConfig(episodes=1000, seed=31, expert_noise_p=0.0))
+    max_steps = PongConfig().max_steps
+    for ep in ds.episodes:
+        assert not ep.meta["missed"]
+        assert ep.meta["length"] == len(ep.x) == max_steps
 
 
 def test_ball_conservation_and_bounds():
