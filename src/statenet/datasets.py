@@ -177,8 +177,13 @@ def _pavlov_block(seeds: np.ndarray, cfg: PavlovConfig) -> list[Episode]:
     acquired = m >= k
     x = np.stack([np.where(in_init, food, in_train), ~in_init | ~food], axis=1)
     if cfg.noise_p > 0.0 and not cfg.paper_exact:
-        # 2 draws per step, in (step, channel) order
-        x ^= rng.chance(rows, cfg.noise_p, 2 * length).reshape(-1, 2)
+        # 2 draws per step, in (step, channel) order. Every row draws as
+        # many as the longest episode needs and keeps its own first ones:
+        # an episode draws nothing after its noise, and the block's streams
+        # are dropped here, so the surplus draws change nothing.
+        width = 2 * int(length.max())
+        flips = rng.chance(rows, cfg.noise_p, width).reshape(n, width)
+        x ^= flips[np.arange(width) < 2 * length[:, None]].reshape(-1, 2)
     x = x.astype(np.float64)
     y = np.where(in_init, food, in_train | acquired[ep])
     y = y.astype(np.float64)[:, None]
@@ -204,28 +209,35 @@ def _pavlov_block(seeds: np.ndarray, cfg: PavlovConfig) -> list[Episode]:
     return episodes
 
 
+def _generate(config, name: str, key: int, dims: dict, block) -> Dataset:
+    """The dataset of ``config.episodes`` episodes whose episode ``i``
+    draws from the stream ``derive_seed(config.seed, key, i)``; ``block``
+    makes the episodes of a block of streams together, as arrays."""
+    config.validate()
+    episodes: list[Episode] = []
+    for lo in range(0, config.episodes, GEN_BLOCK):
+        ids = np.arange(lo, min(lo + GEN_BLOCK, config.episodes),
+                        dtype=np.uint64)
+        episodes += block(derive_seed(config.seed, key, ids), config)
+    manifest = {
+        "format": FORMAT_TAG,
+        "generator": name,
+        "seed": config.seed,
+        "dims": dims,
+        "episodes": config.episodes,
+        "params": asdict(config),
+    }
+    return Dataset(episodes=episodes, manifest=manifest)
+
+
 def gen_pavlov(config: PavlovConfig) -> Dataset:
     """Generate conditioning episodes. Deterministic for a given seed.
 
     Episode ``i`` draws from the stream ``derive_seed(seed, 0x9A7, i)``;
     a block of episodes draws its streams together as arrays.
     """
-    config.validate()
-    episodes: list[Episode] = []
-    for lo in range(0, config.episodes, GEN_BLOCK):
-        ids = np.arange(lo, min(lo + GEN_BLOCK, config.episodes),
-                        dtype=np.uint64)
-        episodes += _pavlov_block(derive_seed(config.seed, 0x9A7, ids),
-                                  config)
-    manifest = {
-        "format": FORMAT_TAG,
-        "generator": "pavlov",
-        "seed": config.seed,
-        "dims": {"inputs": 2, "outputs": 1},
-        "episodes": config.episodes,
-        "params": asdict(config),
-    }
-    return Dataset(episodes=episodes, manifest=manifest)
+    return _generate(config, "pavlov", 0x9A7, {"inputs": 2, "outputs": 1},
+                     _pavlov_block)
 
 
 # ---------------------------------------------------------------------------
@@ -330,21 +342,8 @@ def gen_pong(config: PongDataConfig) -> Dataset:
     Episode ``i`` draws from the stream ``derive_seed(seed, 0xB0A, i)``;
     a block of episodes plays its games together as arrays.
     """
-    config.validate()
-    episodes: list[Episode] = []
-    for lo in range(0, config.episodes, GEN_BLOCK):
-        ids = np.arange(lo, min(lo + GEN_BLOCK, config.episodes),
-                        dtype=np.uint64)
-        episodes += _pong_block(derive_seed(config.seed, 0xB0A, ids), config)
-    manifest = {
-        "format": FORMAT_TAG,
-        "generator": "pong",
-        "seed": config.seed,
-        "dims": {"inputs": 5, "outputs": 3},
-        "episodes": config.episodes,
-        "params": asdict(config),
-    }
-    return Dataset(episodes=episodes, manifest=manifest)
+    return _generate(config, "pong", 0xB0A, {"inputs": 5, "outputs": 3},
+                     _pong_block)
 
 
 # ---------------------------------------------------------------------------

@@ -108,19 +108,17 @@ class RowRng:
     def __init__(self, seeds: np.ndarray):
         self.state = np.array(seeds, dtype=np.uint64)
 
-    def u64(self, rows: np.ndarray, count=1) -> np.ndarray:
-        counts = np.broadcast_to(np.asarray(count, dtype=np.int64), rows.shape)
-        start = np.repeat(self.state[rows], counts)
+    def u64(self, rows: np.ndarray, count: int = 1) -> np.ndarray:
+        start = self.state[rows]
+        self.state[rows] = start + (count * _GOLDEN & _MASK64)
         # draw k of a row (k = 1..count) mixes its state advanced k times
-        step = (np.arange(1, start.size + 1)
-                - np.repeat(np.cumsum(counts) - counts, counts))
-        self.state[rows] += counts.astype(np.uint64) * _GOLDEN
-        return _mix(start + step.astype(np.uint64) * _GOLDEN)
+        steps = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN
+        return _mix(start[:, None] + steps).ravel()
 
-    def uniform(self, rows: np.ndarray, lo: float = 0.0, hi: float = 1.0,
-                count=1) -> np.ndarray:
+    def uniform(self, rows: np.ndarray, lo: float = 0.0,
+                hi: float = 1.0) -> np.ndarray:
         """Uniform floats in [lo, hi)."""
-        return lo + (hi - lo) * _unit(self.u64(rows, count))
+        return lo + (hi - lo) * _unit(self.u64(rows))
 
     def randint(self, rows: np.ndarray, n: int) -> np.ndarray:
         """Uniform integers in [0, n); a rejected draw is redrawn for its
@@ -134,5 +132,6 @@ class RowRng:
         # n = 2**64 leaves every draw as it is and fits no uint64
         return x % n if n <= _MASK64 else x
 
-    def chance(self, rows: np.ndarray, p: float, count=1) -> np.ndarray:
-        return self.uniform(rows, count=count) < p
+    def chance(self, rows: np.ndarray, p: float, count: int = 1) -> np.ndarray:
+        # Rng.chance's uniform() < p: a draw in [0, 1) is its own uniform
+        return _unit(self.u64(rows, count)) < p

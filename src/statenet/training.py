@@ -39,7 +39,7 @@ from .params import ParameterSet
 from .plasticity import CLIP_BOUND, DEPRESSION, POTENTIATION, TRACE_DECAY
 from .pong import PongConfig, PongEnv, action_from_index
 from .rng import Rng, derive_seed
-from .topology import NetworkTopology
+from .topology import LifParams, NetworkTopology, build_random
 
 CHECKPOINT_TAG = "snn-checkpoint/1"
 DIVERGENCE_LIMIT = 1e6
@@ -470,7 +470,7 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
     return params, metrics
 
 
-def pavlov_recipe(topology_seed: int = 42):
+def pavlov_recipe():
     """Documented default recipe for the conditioning task.
 
     Returns (topology, initial params, train config). Rate neurons,
@@ -479,9 +479,8 @@ def pavlov_recipe(topology_seed: int = 42):
     response must react to the previous stimulus, which is one edge away),
     logit cross-entropy, Adam at 3e-3.
     """
-    from .topology import build_random
-    topology = build_random(16, 0.4, seed=topology_seed, model="rate",
-                            n_inputs=2, n_outputs=1, plastic_rule="hebbian",
+    topology = build_random(16, 0.4, seed=42, model="rate", n_inputs=2,
+                            n_outputs=1, plastic_rule="hebbian",
                             plastic_scope="readout", direct_io=True)
     params = ParameterSet.from_topology(topology, learn_rate_init=0.3,
                                         retention_init=0.98)
@@ -490,20 +489,37 @@ def pavlov_recipe(topology_seed: int = 42):
     return topology, params, config
 
 
-def pong_recipe(topology_seed: int = 42):
+def pong_recipe():
     """Documented default recipe for the paddle-imitation task.
 
     Softmax cross-entropy over the three action neurons, truncated
     backpropagation with an 8-step stride and 16-step depth.
     """
-    from .topology import build_random
-    topology = build_random(16, 0.4, seed=topology_seed, model="rate",
-                            n_inputs=5, n_outputs=3, plastic_rule="hebbian",
+    topology = build_random(16, 0.4, seed=42, model="rate", n_inputs=5,
+                            n_outputs=3, plastic_rule="hebbian",
                             plastic_scope="hidden", direct_io=True)
     params = ParameterSet.from_topology(topology)
     config = TrainConfig(loss_tag="cce", optimizer="adam", learning_rate=3e-3,
                          batch_size=32, epochs=12, k1=8, k2=16, seed=0,
                          task="pong")
+    return topology, params, config
+
+
+def lif_stdp_recipe():
+    """Documented default recipe for spiking cells: the conditioning graph
+    with LIF neurons and STDP on the hidden block and on edges into the
+    output, trained with mse and full-window backpropagation.
+
+    The threshold is 0.15: at the default 1.0 this graph never spikes, and
+    STDP would silently do nothing.
+    """
+    topology = build_random(16, 0.4, seed=42, model="lif", n_inputs=2,
+                            n_outputs=1, plastic_rule="stdp",
+                            plastic_scope="readout", direct_io=True,
+                            lif_params=LifParams(threshold=0.15))
+    params = ParameterSet.from_topology(topology)
+    config = TrainConfig(loss_tag="mse", optimizer="adam", learning_rate=3e-3,
+                         batch_size=32, epochs=80, seed=0, task="pavlov")
     return topology, params, config
 
 

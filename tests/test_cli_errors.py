@@ -20,9 +20,8 @@ from statenet.datasets import (PavlovConfig, PongDataConfig, gen_pavlov,
 from statenet.dynamics import NumericsError
 from statenet.engine import fresh_state, rollout
 from statenet.pong import PongConfig
-from statenet.topology import (LifParams, build_random, load_topology,
-                               save_topology)
-from statenet.training import TrainConfig, load_params, train
+from statenet.topology import build_random, load_topology, save_topology
+from statenet.training import TrainConfig, lif_stdp_recipe, load_params, train
 
 TRAIN_FLAGS = ["--epochs", "1", "--batch", "2"]
 NAN = float("nan")
@@ -460,15 +459,13 @@ def test_malformed_metrics_row_names_file_and_line(files, tmp_path):
 
 @pytest.fixture(scope="module")
 def overflowing(tmp_path_factory):
-    """A lif net whose input cells are stdp sources, its checkpoint, and
-    held-out pavlov episodes, the first of whose stimuli are scaled by
-    1e308: the spike trace of an input overflows, and ``inf * 0`` turns a
-    weight into nan. The episodes are 7, 7, 8 and 8 steps long, so the
+    """The spiking recipe's net, whose input cells are stdp sources, its
+    checkpoint, and held-out pavlov episodes, the first of whose stimuli
+    are scaled by 1e308: the spike trace of an input overflows, and
+    ``inf * 0`` turns a weight into nan. The episodes are 7, 7, 8 and 8 steps long, so the
     first one sits in the third lockstep row."""
     d = tmp_path_factory.mktemp("overflow")
-    net = build_random(16, 0.4, seed=42, model="lif", n_inputs=2, n_outputs=1,
-                       plastic_rule="stdp", plastic_scope="readout",
-                       direct_io=True, lif_params=LifParams(threshold=0.15))
+    net = lif_stdp_recipe()[0]
     data = gen_pavlov(PavlovConfig(episodes=4, seed=1, split="train"))
     held = gen_pavlov(PavlovConfig(episodes=4, seed=2, split="heldout"))
     held.episodes[0].x[...] *= 1e308

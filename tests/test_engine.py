@@ -17,7 +17,7 @@ from statenet.plasticity import (CLIP_BOUND, DEPRESSION, POTENTIATION,
 from statenet.rng import Rng, derive_seed
 from statenet.topology import (EdgeSpec, LifParams, NetworkTopology,
                                NeuronSpec, RateParams, build_random)
-from statenet.training import pavlov_recipe
+from statenet.training import lif_stdp_recipe, pavlov_recipe
 
 
 def chain_topology(weights, self_coeff=0.0, bias=0.0):
@@ -787,12 +787,7 @@ PROBE_SHA256 = {
 
 
 def test_probe_bytes_are_pinned(tmp_path):
-    # the lif net is perfbench's lif_stdp_recipe, built here as it builds it
-    lif = build_random(16, 0.4, seed=42, model="lif", n_inputs=2, n_outputs=1,
-                       plastic_rule="stdp", plastic_scope="readout",
-                       direct_io=True, lif_params=LifParams(threshold=0.15))
-    nets = {"pavlov": pavlov_recipe()[:2],
-            "lif-stdp": (lif, ParameterSet.from_topology(lif))}
+    nets = {"pavlov": pavlov_recipe()[:2], "lif-stdp": lif_stdp_recipe()[:2]}
     episode = gen_pavlov(PavlovConfig(episodes=4, seed=1)).episodes[3]
     digests = {}
     for name, (topo, params) in nets.items():

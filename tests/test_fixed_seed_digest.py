@@ -81,7 +81,7 @@ PINNED = [
 
 
 def test_two_digests_in_one_process_agree(monkeypatch):
-    # the tool puts src/ and perfbench/ on sys.path; undo that afterwards
+    # the tool puts src/ on sys.path; undo that afterwards
     tools = str(Path(__file__).parents[1] / "tools")
     monkeypatch.setattr(sys, "path", [tools, *sys.path])
     import fixed_seed_digest

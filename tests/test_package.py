@@ -1,6 +1,7 @@
-"""Package import: the one allocator setting every entry point gets; and
-no module of the package, its tests or its tools imports a name it never
-uses."""
+"""Package import: the one allocator setting every entry point gets; no
+module of the package, its tests or its tools imports a name it never
+uses; and none of them but the benchmark's own test imports the
+benchmark."""
 
 import ast
 import os
@@ -66,11 +67,40 @@ def unused_imports(path: Path) -> list[str]:
     return unused
 
 
-def test_no_module_imports_a_name_it_never_uses():
-    found = {}
+def package_modules() -> list[Path]:
+    """Every module of the package, its tests and its tools."""
+    modules = []
     for sub in ("src/statenet", "tests", "tools"):
-        modules = sorted((ROOT / sub).rglob("*.py"))
-        assert modules, sub
-        found |= {str(path.relative_to(ROOT)): unused_imports(path)
-                  for path in modules}
+        found = sorted((ROOT / sub).rglob("*.py"))
+        assert found, sub
+        modules += found
+    return modules
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = {str(path.relative_to(ROOT)): unused_imports(path)
+             for path in package_modules()}
+    assert {path: names for path, names in found.items() if names} == {}
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Top-level names of the modules that ``path`` imports absolutely."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_the_benchmark_test_imports_the_benchmark():
+    # the package owns its recipes and tools; the benchmark's modules are
+    # its own, imported only where its bindings are tested
+    bench = {path.stem for path in (ROOT / "perfbench").glob("*.py")}
+    assert bench
+    found = {str(path.relative_to(ROOT)): imported_modules(path) & bench
+             for path in package_modules()
+             if path != ROOT / "tests" / "test_perfbench.py"}
     assert {path: names for path, names in found.items() if names} == {}

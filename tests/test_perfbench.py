@@ -1,12 +1,16 @@
 """The benchmark's bindings to the package: every workload runs at tiny
-sizes and passes its checks, and the functions that ``perfbench/tracing.py``
-wraps still exist."""
+sizes and passes its checks, the functions that ``perfbench/tracing.py``
+wraps still exist, and the benchmark's spiking recipe is the package's."""
 
+import dataclasses
 import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+from statenet.topology import to_document
+from statenet.training import lif_stdp_recipe
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
@@ -50,3 +54,18 @@ def test_every_trace_target_resolves(monkeypatch):
         if owner is None or name not in vars(owner):
             missing.add((module, attr))
     assert missing <= KNOWN_MISSING
+
+
+def test_the_benchmark_builds_the_package_spiking_recipe(monkeypatch):
+    # the benchmark keeps its own copy of the recipe until it imports the
+    # package's; the two differ only in epochs and task, which the benchmark
+    # sets itself (workloads.setup sets task, run.py sets epochs)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    topo, params, config = lif_stdp_recipe()
+    bench_topo, bench_params, bench_config = workloads.lif_stdp_recipe()
+    assert to_document(bench_topo) == to_document(topo)
+    assert bench_params.flat.tobytes() == params.flat.tobytes()
+    assert bench_params.registry == params.registry
+    assert (dataclasses.replace(bench_config, epochs=0, task=None)
+            == dataclasses.replace(config, epochs=0, task=None))

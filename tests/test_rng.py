@@ -100,19 +100,15 @@ def test_row_streams_draw_what_rng_draws(seed, key, programs):
     streams = RowRng(seeds)
     got = [[] for _ in range(n)]
     for j in range(max(len(prog) for prog in programs)):
-        # the rows whose j-th op is the same draw take it together; u64
-        # rows take it together whatever their counts
+        # the rows whose j-th op is the same draw take it together
         groups = {}
         for r, prog in enumerate(programs):
             if j < len(prog):
-                kind, arg = prog[j]
-                groups.setdefault((kind, None if kind == "u64" else arg),
-                                  []).append(r)
+                groups.setdefault(prog[j], []).append(r)
         for (kind, arg), rows in groups.items():
             rows = np.array(rows)
             if kind == "u64":
-                counts = np.array([programs[r][j][1] for r in rows])
-                out = np.split(streams.u64(rows, counts), np.cumsum(counts)[:-1])
+                out = streams.u64(rows, arg).reshape(len(rows), arg)
             elif kind == "randint":
                 out = streams.randint(rows, arg)[:, None]
             elif kind == "uniform":

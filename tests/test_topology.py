@@ -6,7 +6,7 @@ from statenet.topology import (EdgeSpec, LifParams, NetworkTopology, NeuronSpec,
                                RateParams, TopologyError, build_random,
                                from_document, load_topology, save_topology,
                                to_document, validate_parts)
-from statenet.training import pavlov_recipe, pong_recipe
+from statenet.training import lif_stdp_recipe, pavlov_recipe, pong_recipe
 
 
 def two_neuron_net():
@@ -194,9 +194,10 @@ def test_round_trip_identity(tmp_path):
 
 def test_recipe_content_hashes_are_stable():
     # checkpoints carry these hashes: a change to the document form would
-    # refuse every existing checkpoint of the two recipes
+    # refuse every existing checkpoint of the three recipes
     assert pavlov_recipe()[0].content_hash() == "2c86032bef743509"
     assert pong_recipe()[0].content_hash() == "eb77b928382a8056"
+    assert lif_stdp_recipe()[0].content_hash() == "e33a4f25cb4e8fa8"
 
 
 def test_non_finite_values_are_errors():

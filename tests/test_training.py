@@ -24,8 +24,8 @@ from statenet.training import (PREDICT_CHUNK, Adam, CheckpointError,
                                eval_pong_closed_loop, load_checkpoint,
                                save_checkpoint, train,
                                _evaluate, _predict,
-                               _score_block, _test_stages, pavlov_recipe,
-                               pong_recipe)
+                               _score_block, _test_stages, lif_stdp_recipe,
+                               pavlov_recipe, pong_recipe)
 
 
 def small_setup(episodes=8, seed=1, plastic=True):
@@ -709,11 +709,13 @@ def test_predict_accepts_an_empty_set():
 
 
 def test_recipe_shapes():
-    topo, params, cfg = pavlov_recipe()
-    assert topo.n_inputs == 2 and topo.n_outputs == 1
-    assert len(topo.hidden_ids) == 16
-    assert params.count == len(params.flat)
-    cfg.validate()
+    for recipe, dims in [(pavlov_recipe, (2, 1)), (pong_recipe, (5, 3)),
+                         (lif_stdp_recipe, (2, 1))]:
+        topo, params, cfg = recipe()
+        assert (topo.n_inputs, topo.n_outputs) == dims
+        assert len(topo.hidden_ids) == 16
+        assert params.count == len(params.flat)
+        cfg.validate()
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -772,14 +774,11 @@ def test_benchmark_bindings(monkeypatch, k1, k2):
     assert sum(swept) == 2 * per_epoch
 
 
-def test_benchmark_reads_the_stdp_columns(monkeypatch):
+def test_benchmark_reads_the_stdp_columns():
     # perfbench/run.py's spiking probe reads the STDP weights of its
     # lif-stdp net as state.plastic.weights[topo.stdp_pos] and expects them
     # to move during a rollout
-    from pathlib import Path
-    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
-    import workloads
-    topo, params, _ = workloads.lif_stdp_recipe()
+    topo, params, _ = lif_stdp_recipe()
     stdp = [k for k, e in enumerate(topo.edges) if e.rule == "stdp"]
     assert topo.stdp_pos.tolist() == stdp and len(stdp) < topo.n_edges
     data = gen_pavlov(PavlovConfig(episodes=4, seed=1, split="train"))

@@ -1,8 +1,8 @@
 """Fixed-seed digest of five short training runs.
 
-Trains ``training.pavlov_recipe``, ``training.pong_recipe`` and the
-benchmark's ``workloads.lif_stdp_recipe`` for 2 epochs on small generated
-data sets in a temporary directory, with a checkpoint every epoch, and
+Trains ``training.pavlov_recipe``, ``training.pong_recipe`` and
+``training.lif_stdp_recipe`` for 2 epochs on small generated data sets in
+a temporary directory, with a checkpoint every epoch, and
 prints one line per run: the sha256 of its ``metrics.csv`` without the
 ``wall_time`` column, then of each checkpoint, then of the trained
 parameter vector's bytes (``params``), and for a run with a
@@ -16,7 +16,8 @@ The ``pong-3-7`` run trains the pong recipe with k1=3, k2=7 in batches
 of 12: each step lies in three windows, and the sweeps stack windows
 across ragged row ends. The ``lif-stdp-3-7`` run trains the lif recipe
 the same way on the pavlov sets, so a stacked sweep of spiking cells is
-covered too.
+covered too. The two lif runs train with no task, as the benchmark's
+lif-stdp workload does, so no task metric enters their ``metrics.csv``.
 
 Run from the root of a source checkout:
 
@@ -33,14 +34,11 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-for _path in (os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
+if os.path.join(ROOT, "src") not in sys.path:
+    sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from statenet import datasets, training  # noqa: E402
 from statenet.pong import PongConfig  # noqa: E402
-
-import workloads  # noqa: E402
 
 
 def _runs():
@@ -53,16 +51,18 @@ def _runs():
     pong = (datasets.gen_pong(datasets.PongDataConfig(
         episodes=32, seed=3, env=env)), None, env)
 
-    def short_windows(recipe):
-        topo, params, config = recipe()
+    def lif():
+        topo, params, config = training.lif_stdp_recipe()
+        return topo, params, dataclasses.replace(config, task=None)
+
+    def short_windows(topo, params, config):
         return topo, params, dataclasses.replace(config, k1=3, k2=7,
                                                  batch_size=12)
     return [("pavlov", training.pavlov_recipe(), *pavlov),
             ("pong", training.pong_recipe(), *pong),
-            ("lif-stdp", workloads.lif_stdp_recipe(), *pavlov),
-            ("pong-3-7", short_windows(training.pong_recipe), *pong),
-            ("lif-stdp-3-7", short_windows(workloads.lif_stdp_recipe),
-             *pavlov)]
+            ("lif-stdp", lif(), *pavlov),
+            ("pong-3-7", short_windows(*training.pong_recipe()), *pong),
+            ("lif-stdp-3-7", short_windows(*lif()), *pavlov)]
 
 
 def _sha256(data: bytes) -> str:
