@@ -237,7 +237,7 @@ def _dump_partway(doc, fh, **kwargs):
     raise OSError("disk full")
 
 
-def _episode_record_fails(ep):
+def _tables_fail(arrays):
     raise OSError("disk full")
 
 
@@ -257,7 +257,7 @@ def _writers(topo, ds):
                      (json, "dump", _dump_partway)),
         "dataset": (lambda path, k: save_dataset(
             Dataset(ds.episodes[k:], ds.manifest), path),
-            (datasets, "_episode_record", _episode_record_fails)),
+            (datasets, "_tables", _tables_fail)),
     }
 
 
