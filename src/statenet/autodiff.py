@@ -160,16 +160,6 @@ class Tape:
         return int(np.sum(end - start))
 
 
-def _window(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """Stimuli and targets as arrays, refused unless their steps match."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if ys.shape[:-1] != xs.shape[:-1]:
-        raise ValueError(f"window lengths differ: stimuli {xs.shape[:-1]}, "
-                         f"targets {ys.shape[:-1]}")
-    return xs, ys
-
-
 def _norm_mask(mask, shape: tuple, lengths=None) -> np.ndarray:
     """``mask`` as an array of ``shape``, ``None`` scoring every step; with
     ``lengths`` (a batch's), zero past each row's length."""
@@ -356,10 +346,10 @@ def tbptt_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
     backpropagation regardless of ``k1``. The batch of one of
     ``batch_gradients``.
     """
-    xs, ys = _window(xs, ys)
-    mask = _norm_mask(mask, (len(xs), topology.n_outputs))
-    losses, grads = batch_gradients(topology, params, xs[None], ys[None],
-                                    mask[None], [len(xs)], loss_tag, k1, k2)
+    losses, grads = batch_gradients(
+        topology, params, np.asarray(xs)[None], np.asarray(ys)[None],
+        None if mask is None else np.asarray(mask)[None], [len(xs)],
+        loss_tag, k1, k2)
     return losses[0], grads[0]
 
 
@@ -388,7 +378,11 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
     last flush. Beyond the queued tapes' own, only the states that a later
     window reads are kept.
     """
-    xs, ys = _window(xs, ys)
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if ys.shape[:-1] != xs.shape[:-1]:
+        raise ValueError(f"window lengths differ: stimuli {xs.shape[:-1]}, "
+                         f"targets {ys.shape[:-1]}")
     B, T = xs.shape[:2]
     lengths = check_lengths(lengths, B, T)
     mask = _norm_mask(mask, ys.shape, lengths)
@@ -462,8 +456,8 @@ def _stacked_tape(tapes: list[Tape]) -> tuple[Tape, list[np.ndarray]]:
     steps starts at max(0, end - k2), so the two stay non-increasing
     together. Each state copies from the tapes' states only what the sweep
     reads of the rows live at its step: outputs, weights and pre-threshold
-    membranes; it holds no membranes and no trace. Also returns each
-    tape's rows of the stacked one, in its row order."""
+    membranes, no trace. Also returns each tape's rows of the stacked one,
+    in its row order."""
     start = np.concatenate([tape.spans[0] for tape in tapes])
     end = np.concatenate([tape.spans[1] for tape in tapes])
     order = np.lexsort((-start, -end))
@@ -495,7 +489,7 @@ def _stacked_tape(tapes: list[Tape]) -> tuple[Tape, list[np.ndarray]]:
                           (st.v_last, st.plastic.weights, st.lif_pre)])
         v, weights, lif_pre = (np.concatenate(field, axis=1)
                                for field in zip(*parts))
-        states.append(RolloutState(v, None, lif_pre,
+        states.append(RolloutState(v, lif_pre,
                                    PlasticEdgeState(weights, None), int(i)))
     gy = np.concatenate([np.pad(t.gy, ((0, 0), (0, K - t.gy.shape[1]), (0, 0)))
                          for t in tapes])

@@ -4,11 +4,11 @@ neurons and records the lif pre-threshold membrane, at which
 ``autodiff.backward`` takes the surrogate.
 
 A rate cell's state is its output: (drive, previous output) -> output. A
-lif cell keeps a membrane beside its spike output: (drive, previous
-membrane) -> (spike, new membrane, pre-threshold membrane):
+lif cell's is its spike output and pre-threshold membrane: (drive, previous
+spike, previous pre-threshold membrane) -> (spike, pre-threshold membrane):
 
 * rate:  v = tanh(drive + self_coeff * v_prev + bias).
-* lif:   explicit-Euler leaky membrane,
+* lif:   explicit-Euler leaky membrane from s_prev = ``lif_membrane``,
          pre = s_prev + dt * (-(s_prev - rest) + drive);
          spike = [pre >= threshold]; hard reset to ``reset`` on spike.
 
@@ -45,18 +45,23 @@ def rate_step(drive, v_prev, params: RateParams):
     return np.tanh(drive + params.self_coeff * v_prev + params.bias)
 
 
-def lif_step(drive, s_prev, params: LifParams):
-    """One leaky integrate-and-fire update. Returns (spike, new membrane,
-    pre-threshold membrane); the last is the ``lif_membrane_pre`` value the
-    spike was taken at, kept for the surrogate of the backward sweep.
+def lif_step(drive, spike_prev, pre_prev, params: LifParams):
+    """One leaky integrate-and-fire update from the previous step's spike
+    and pre-threshold membrane. Returns (spike, pre-threshold membrane),
+    the ``lif_membrane_pre`` value the spike was taken at.
 
     With zero drive the membrane decays geometrically toward ``rest`` with
     factor (1 - dt) per step. A spike forces the membrane to ``reset``
     regardless of drive magnitude.
     """
-    pre = lif_membrane_pre(drive, s_prev, params)
-    spike = np.greater_equal(pre, params.threshold).astype(np.float64)
-    return spike, np.where(spike > 0.0, params.reset, pre), pre
+    pre = lif_membrane_pre(drive, lif_membrane(spike_prev, pre_prev, params),
+                           params)
+    return np.greater_equal(pre, params.threshold).astype(np.float64), pre
+
+
+def lif_membrane(spike, pre, params: LifParams):
+    """The membrane after a step: ``reset`` on a spike, else ``pre``."""
+    return np.where(spike > 0.0, params.reset, pre)
 
 
 def lif_membrane_pre(drive, s_prev, params: LifParams):

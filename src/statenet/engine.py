@@ -2,7 +2,7 @@
 
 Every state array has the neuron (or edge) axis first and one column per
 episode: ``step`` runs a batch of episodes in lockstep on ``(n, B)``
-outputs, ``(n_lif, B)`` lif membranes (a rate cell's state is its output)
+outputs, ``(n_lif, B)`` lif pre-threshold membranes (``RolloutState``)
 and ``(n_edges, B)`` weights, one episode being the batch of one, so every
 neuron and edge read is a ``take`` of whole rows and per-neuron parameters
 broadcast as ``(k, 1)`` columns. ``rollout`` keeps its ``(B, T, ·)``
@@ -24,9 +24,8 @@ Order of operations inside one step:
    through *pre-update* edge weights, read straight off the state, which
    carries every edge's current weight (static ones stay at ``w0``),
 3. update every neuron to get this step's outputs: a rate cell from its
-   previous output, a lif cell from its membrane, which it replaces; the
-   new state also keeps the lif cells' pre-threshold membrane, the value
-   the backward sweep takes the spike surrogate at,
+   previous output, a lif cell from its spike and pre-threshold membrane,
+   which it replaces; the backward sweep takes the surrogate at the latter,
 4. update plastic edge weights from the activity just produced: each rule
    reads and writes its own edge columns, and stdp reads this step's
    outputs as spikes and the one per-neuron trace at each edge's two
@@ -68,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NumericsError, lif_step, rate_step
+from .dynamics import NumericsError, lif_membrane, lif_step, rate_step
 from .jsonio import atomic_write
 from .params import ParameterSet
 from .plasticity import (CLIP_BOUND, DEPRESSION, POTENTIATION, TRACE_DECAY,
@@ -78,16 +77,14 @@ from .topology import NetworkTopology
 
 @dataclass
 class RolloutState:
-    """Everything that crosses a step boundary, and the one value of the
-    step that made it which the backward sweep reads and the next step
-    does not: the lif cells' pre-threshold membrane. The lif arrays are
-    ``(0, B)`` on a net without lif cells; an entry state's ``lif_pre``
-    is its membrane, a value no sweep reads. ``offsets`` are the gather's
+    """Everything that crosses a step boundary. A lif cell's membrane is
+    ``lif_membrane`` of its spike in ``v_last`` and its ``lif_pre``, which
+    the backward sweep also takes the spike surrogate at; ``lif_pre`` is
+    ``(0, B)`` on a net without lif cells. ``offsets`` are the gather's
     ``scatter_index(topology.edge_dst, B)``, or None until a step builds
     them; ``rows`` never carries them over."""
 
     v_last: np.ndarray       # (n, B) outputs of the step that made it
-    membrane: np.ndarray     # (n_lif, B), lif_ids order; None in a stacked tape
     lif_pre: np.ndarray      # (n_lif, B) membranes before threshold and reset
     plastic: PlasticEdgeState
     t: int = 0
@@ -98,8 +95,8 @@ class RolloutState:
         index array copies of those episodes in its order."""
         plastic = PlasticEdgeState(self.plastic.weights[:, rows],
                                    self.plastic.trace[:, rows])
-        return RolloutState(self.v_last[:, rows], self.membrane[:, rows],
-                            self.lif_pre[:, rows], plastic, self.t)
+        return RolloutState(self.v_last[:, rows], self.lif_pre[:, rows],
+                            plastic, self.t)
 
 
 @dataclass
@@ -114,11 +111,10 @@ def fresh_state(topology: NetworkTopology, params: ParameterSet,
     no prior outputs, membranes at rest, every edge weight at its
     trainable initial value ``params.w0``, the trace zeroed. Every episode
     starts here, so plastic weights never carry over from the last one."""
-    membrane = np.repeat(topology.lif_params.rest, batch, axis=1)
+    rest = np.repeat(topology.lif_params.rest, batch, axis=1)
     plastic = PlasticEdgeState(np.repeat(params.w0[:, None], batch, axis=1),
                                np.zeros((topology.n, batch)))
-    return RolloutState(np.zeros((topology.n, batch)), membrane, membrane,
-                        plastic)
+    return RolloutState(np.zeros((topology.n, batch)), rest, plastic)
 
 
 def write_probe(path: str, topology: NetworkTopology,
@@ -144,7 +140,9 @@ def write_probe(path: str, topology: NetworkTopology,
             t = state.t
             cell = state.v_last[:, 0].copy()
             cell[topology.input_ids] = 0.0
-            cell[topology.lif_ids] = state.membrane[:, 0]
+            cell[topology.lif_ids] = lif_membrane(
+                state.v_last[topology.lif_ids], state.lif_pre,
+                topology.lif_params)[:, 0]
             # tolist() gives Python floats, whose repr reads back bitwise
             rows = [f"{t},n,{i},{a!r},{b!r}\n" for i, (a, b) in
                     enumerate(zip(cell.tolist(), state.v_last[:, 0].tolist()))]
@@ -209,14 +207,14 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
         v[rate] = rate_step(u.take(rate, 0), state.v_last.take(rate, 0),
                             params)
     lif = topology.lif_ids
-    membrane = lif_pre = state.membrane
+    lif_pre = state.lif_pre
     if len(lif):
-        v[lif], membrane, lif_pre = lif_step(u.take(lif, 0), state.membrane,
-                                             topology.lif_params)
-    # a spike is 0 or 1 whatever its membrane: check the membrane instead;
-    # the input rows hold the stimulus
+        v[lif], lif_pre = lif_step(u.take(lif, 0), state.v_last.take(lif, 0),
+                                   state.lif_pre, topology.lif_params)
+    # a spike is 0 or 1 whatever its membrane: check the pre-threshold
+    # membrane instead; the input rows hold the stimulus
     finite = np.isfinite(v)
-    finite[lif] = np.isfinite(membrane)
+    finite[lif] = np.isfinite(lif_pre)
     if not finite.all():
         first = np.argwhere(~finite.T)[0]
         raise NumericsError(f"non-finite value at t={t}, neuron {first[1]}",
@@ -239,8 +237,8 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
             topology.stdp_dst, v, state.plastic.trace)
 
     result = StepResult(y=v.take(topology.output_ids, 0), probe=v)
-    next_state = RolloutState(v_last=v, membrane=membrane, lif_pre=lif_pre,
-                              plastic=new_plastic, t=t, offsets=offsets)
+    next_state = RolloutState(v_last=v, lif_pre=lif_pre, plastic=new_plastic,
+                              t=t, offsets=offsets)
     return result, next_state
 
 
@@ -317,10 +315,13 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
     """
     n = topology.n
     v_last = [float(x) for x in state0.v_last[:, 0]]
-    # a rate cell's state is its output, a lif cell's its membrane
+    # a rate cell's state is its output, a lif cell's its membrane: reset
+    # where it spiked, its pre-threshold membrane elsewhere
+    lif = topology.lif_params
     s = list(v_last)
     for k, i in enumerate(topology.lif_ids):
-        s[int(i)] = float(state0.membrane[k, 0])
+        spiked = v_last[int(i)] > 0.0
+        s[int(i)] = float(lif.reset[k, 0] if spiked else state0.lif_pre[k, 0])
     # plastic edges start from the state's weights, static ones read w0
     e_plastic = [float(x) for x in state0.plastic.weights[:, 0]]
     trace = [float(x) for x in state0.plastic.trace[:, 0]]
@@ -334,7 +335,6 @@ def reference_rollout(state0: RolloutState, xs, topology: NetworkTopology,
     # rate parameter lookup by neuron id
     rate_pos = {int(i): k for k, i in enumerate(topology.rate_ids)}
     lif_pos = {int(i): k for k, i in enumerate(topology.lif_ids)}
-    lif = topology.lif_params
 
     outputs: list[list[float]] = []
     for row in xs:

@@ -93,40 +93,30 @@ class NetworkTopology:
         self._build_index()
 
     def _build_index(self) -> None:
-        n = len(self.neurons)
-        self.n = n
-        self.input_ids = np.array(
-            [nr.id for nr in self.neurons if nr.role == "input"], dtype=np.intp)
-        self.output_ids = np.array(
-            [nr.id for nr in self.neurons if nr.role == "output"], dtype=np.intp)
-        self.hidden_ids = np.array(
-            [nr.id for nr in self.neurons if nr.role == "hidden"], dtype=np.intp)
-        self.rate_ids = np.array(
-            [nr.id for nr in self.neurons if nr.model == "rate" and nr.role != "input"],
-            dtype=np.intp)
-        self.lif_ids = np.array(
-            [nr.id for nr in self.neurons if nr.model == "lif" and nr.role != "input"],
-            dtype=np.intp)
+        self.n = len(self.neurons)
+        role = np.array([nr.role for nr in self.neurons], dtype=str)
+        # an input is clamped to its stimulus, whatever its model
+        cell = np.array(["" if nr.role == "input" else nr.model
+                         for nr in self.neurons], dtype=str)
+        self.input_ids, self.hidden_ids, self.output_ids = (
+            np.flatnonzero(role == r) for r in ROLES)
+        self.rate_ids, self.lif_ids = (
+            np.flatnonzero(cell == m) for m in MODELS)
 
         self.n_edges = len(self.edges)
         self.edge_src = np.array([e.src for e in self.edges], dtype=np.intp)
         self.edge_dst = np.array([e.dst for e in self.edges], dtype=np.intp)
         self.w0 = np.array([e.w0 for e in self.edges], dtype=np.float64)
-        self.hebbian_pos = np.array(
-            [i for i, e in enumerate(self.edges) if e.plastic and e.rule == "hebbian"],
-            dtype=np.intp)
-        self.stdp_pos = np.array(
-            [i for i, e in enumerate(self.edges) if e.plastic and e.rule == "stdp"],
-            dtype=np.intp)
+        # an edge has a rule if and only if it is plastic (validate_parts)
+        rule = np.array([e.rule for e in self.edges], dtype=str)
+        self.static_idx, self.hebbian_pos, self.stdp_pos = (
+            np.flatnonzero(rule == r) for r in RULES)
+        self.plastic_idx = np.flatnonzero(rule != "none")
         # each rule's edge endpoints, which its update reads every step
         self.hebbian_src = self.edge_src[self.hebbian_pos]
         self.hebbian_dst = self.edge_dst[self.hebbian_pos]
         self.stdp_src = self.edge_src[self.stdp_pos]
         self.stdp_dst = self.edge_dst[self.stdp_pos]
-        self.plastic_idx = np.array(
-            [i for i, e in enumerate(self.edges) if e.plastic], dtype=np.intp)
-        self.static_idx = np.array(
-            [i for i, e in enumerate(self.edges) if not e.plastic], dtype=np.intp)
 
         # per-lif-neuron parameters aligned with lif_ids, as the (k, 1)
         # columns the dynamics kernels read

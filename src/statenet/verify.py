@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from .autodiff import episode_gradients, fd_gradient
+from .dynamics import lif_membrane
 from .engine import fresh_state, reference_rollout, rollout
 from .params import ParameterSet
 from .plasticity import (CLIP_BOUND, DEPRESSION, POTENTIATION, TRACE_DECAY,
@@ -89,8 +90,8 @@ def run_oracle_diff(n_cases: int = 1000, seed: int = 7,
                     rate_tol: float = 1e-12):
     """Vectorized rollout vs naive per-edge interpreter: rate outputs agree
     within ``rate_tol``, spike trains agree exactly, and the plastic
-    weights, lif membranes and lif pre-threshold membranes (the values
-    the backward sweep takes the spike surrogate at) of every step agree
+    weights, lif membranes (the engine's by ``lif_membrane``) and lif
+    pre-threshold membranes (the surrogate's argument) of every step agree
     within ``rate_tol``.
     A third of the cases drive plastic edges into the outputs onto the
     weight clip (hebbian rate 5, stdp weights from 0.02 under it); the
@@ -141,7 +142,8 @@ def run_oracle_diff(n_cases: int = 1000, seed: int = 7,
                 lines.append(f"FAIL case {i}: rate outputs differ by {diff:.3e}")
         ref_weights, ref_membranes, ref_pre = zip(*recorded)
         weights = [st.plastic.weights[topo.plastic_idx, 0] for st in states]
-        membranes = [st.membrane[:, 0] for st in states]
+        membranes = [lif_membrane(st.v_last[topo.lif_ids], st.lif_pre,
+                                  topo.lif_params)[:, 0] for st in states]
         pre = [st.lif_pre[:, 0] for st in states]
         diff = max(_max_abs_diff(ref_weights, weights),
                    _max_abs_diff(ref_membranes, membranes),

@@ -8,7 +8,8 @@ from statenet.autodiff import (Tape, backward, batch_gradients,
                                episode_gradients, episode_loss, fd_gradient,
                                outputs_loss, step_loss, step_loss_grad,
                                tbptt_gradients)
-from statenet.dynamics import lif_membrane_pre
+from statenet.dynamics import (lif_membrane, lif_membrane_pre,
+                               lif_surrogate_grad)
 from statenet.engine import (RolloutState, fresh_state, gather, rollout,
                              scatter_index, step)
 from statenet.params import ParameterSet
@@ -332,6 +333,77 @@ def test_spiking_surrogate_gradient_points_downhill():
     assert total >= 10 and down / total > 0.5
 
 
+# Value tests of the sweep's three spiking conventions (module docstring):
+# hand-built nets whose w0 gradient has a closed form; ``surr`` is the
+# fast-sigmoid surrogate (SuperSpike, Zenke & Ganguli 2018; Neftci, Mostafa
+# & Zenke 2019).
+VALUE_LIF = LifParams(threshold=1.0, reset=0.0, rest=0.0, dt=0.5,
+                      sharpness=4.0)
+
+
+def _lif_pair_w0_gradient(w, xs, ys, mask):
+    """The ``w0`` gradient of a lif input driving a lif output through one
+    static edge of weight ``w`` under mse, and the output's spikes."""
+    topo = NetworkTopology([NeuronSpec(0, "input", "lif", VALUE_LIF),
+                            NeuronSpec(1, "output", "lif", VALUE_LIF)],
+                           [EdgeSpec(0, 1, w)])
+    params = ParameterSet.from_topology(topo)
+    _, g = episode_gradients(topo, params, xs, ys, mask, "mse")
+    spikes, _ = rollout(fresh_state(topo, params), xs, topo, params)
+    return g[params.registry["w0"].start], spikes[:, 0]
+
+
+def test_spike_gradient_is_the_surrogate_at_the_membrane():
+    # step 1 gathers nothing; step 2's membrane is dt * w * x1 from rest, so
+    # its spike's surrogate gradient is (spike2 - y) surr(dt w x1) dt x1
+    p, w, x1 = VALUE_LIF, 1.7, 1.0
+    g, spikes = _lif_pair_w0_gradient(w, np.array([[x1], [0.0]]),
+                                      np.ones((2, 1)),
+                                      np.array([[0.0], [1.0]]))
+    want = (spikes[1] - 1.0) * lif_surrogate_grad(p.dt * w * x1, p) * p.dt * x1
+    assert spikes.tolist() == [0.0, 0.0]
+    assert g == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_reset_passes_no_gradient():
+    # step 2 spikes (pre = dt * w * x1 = 1.5) and resets to 0, so step 3's
+    # membrane is dt * w * x2 and the reset, detached, adds nothing through
+    # step 2's membrane
+    p, w, x1, x2 = VALUE_LIF, 1.0, 3.0, 1.5
+    g, spikes = _lif_pair_w0_gradient(w, np.array([[x1], [x2], [0.0]]),
+                                      np.ones((3, 1)),
+                                      np.array([[0.0], [0.0], [1.0]]))
+    want = (spikes[2] - 1.0) * lif_surrogate_grad(p.dt * w * x2, p) * p.dt * x2
+    assert spikes.tolist() == [0.0, 1.0, 0.0]
+    assert g == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_stdp_weight_held_at_the_clip_passes_no_gradient():
+    # the output never spikes, so the stdp edge into it never moves off its
+    # w0 = CLIP_BOUND: the clip gate closes at every step and its w0
+    # gradient is exactly zero, while the hidden cell's static edge still
+    # learns through the surrogate
+    quiet = LifParams(threshold=100.0, sharpness=0.5)
+    topo = NetworkTopology(
+        [NeuronSpec(0, "input", "lif", VALUE_LIF),
+         NeuronSpec(1, "hidden", "lif", LifParams(threshold=0.5)),
+         NeuronSpec(2, "output", "lif", quiet)],
+        [EdgeSpec(0, 1, 2.0), EdgeSpec(1, 2, CLIP_BOUND, True, "stdp")])
+    params = ParameterSet.from_topology(topo)
+    xs, ys = np.ones((5, 1)), np.ones((5, 1))
+    states = []
+    outs, _ = rollout(fresh_state(topo, params), xs, topo, params,
+                      states=states)
+    assert not outs.any()
+    assert any(st.v_last[1, 0] for st in states)        # the hidden spikes
+    assert all(st.plastic.weights[topo.stdp_pos, 0] == CLIP_BOUND
+               for st in states)
+    _, g = episode_gradients(topo, params, xs, ys, None, "mse")
+    w0 = g[params.registry["w0"]]
+    assert w0[topo.stdp_pos[0]] == 0.0
+    assert w0[topo.static_idx[0]] != 0.0
+
+
 def test_gradient_linearity_over_mask_split():
     topo = build_random(3, 0.8, seed=18, model="rate", n_inputs=1, n_outputs=1,
                         plastic_rule="hebbian")
@@ -395,7 +467,8 @@ def truncated_fd_gradient(topo, params, xs, ys, tag, k1, k2, eps=1e-5):
     """The truncated gradient of one episode as sum_j dL_j, by central
     differences (``fd_gradient``'s scheme). L_j is window j's fresh-step
     loss over a rollout from the state recorded at the window's entry:
-    outputs, membranes, the trace and the plastic weights keep their
+    outputs, pre-threshold membranes (with the spikes, the membranes),
+    the trace and the plastic weights keep their
     recorded values, except that the plastic weights are w0(theta) when
     the window enters at step 0; static weights are w0(theta) always."""
     T = len(xs)
@@ -416,7 +489,7 @@ def truncated_fd_gradient(topo, params, xs, ys, tag, k1, k2, eps=1e-5):
             weights = entry.plastic.weights.copy()
             cols = topo.static_idx if begin else np.arange(topo.n_edges)
             weights[cols, 0] = theta.w0[cols]
-            entry = RolloutState(entry.v_last, entry.membrane, entry.lif_pre,
+            entry = RolloutState(entry.v_last, entry.lif_pre,
                                  PlasticEdgeState(weights, entry.plastic.trace),
                                  entry.t)
             outs, _ = rollout(entry, xs[begin:stop], topo, theta)
@@ -883,8 +956,9 @@ def _assert_recorded_membranes(topo, states):
         cols = st.v_last.shape[1]
         u = gather(topo, prev.plastic.weights[:, :cols],
                    prev.v_last[:, :cols], scatter_index(topo.edge_dst, cols))
-        want = lif_membrane_pre(u.take(lif, 0), prev.membrane[:, :cols],
-                                topo.lif_params)
+        membrane = lif_membrane(prev.v_last.take(lif, 0)[:, :cols],
+                                prev.lif_pre[:, :cols], topo.lif_params)
+        want = lif_membrane_pre(u.take(lif, 0), membrane, topo.lif_params)
         assert st.lif_pre.shape == (len(lif), cols)
         assert st.lif_pre.tobytes() == want.tobytes()
 
@@ -952,10 +1026,12 @@ def test_recorded_lif_membrane_is_the_gathered_one(monkeypatch):
 @pytest.mark.parametrize("net", ["rate-hebbian-bce", "lif-stdp-mse"])
 def test_every_state_holds_its_lif_membranes_beside_the_outputs(monkeypatch,
                                                                 net):
-    # a rate cell's state is its output, so a state keeps beside the outputs
-    # only the lif cells' membranes and pre-threshold membranes, both
-    # (n_lif, width); a stacked tape's states hold no membranes
-    assert "s" not in {f.name for f in dataclasses.fields(RolloutState)}
+    # a rate cell's state is its output and a lif cell's membrane is
+    # lif_membrane of its spike and pre-threshold membrane, so a state keeps
+    # beside the outputs only the lif cells' (n_lif, width) pre-threshold
+    # membranes; a stacked tape's states hold no trace
+    assert [f.name for f in dataclasses.fields(RolloutState)] == \
+        ["v_last", "lif_pre", "plastic", "t", "offsets"]
     kwargs, tag = BATCH_NETS[net]
     topo = build_random(8, 0.5, seed=41, direct_io=True, **kwargs)
     params = jitter(ParameterSet.from_topology(topo), 42)
@@ -964,10 +1040,13 @@ def test_every_state_holds_its_lif_membranes_beside_the_outputs(monkeypatch,
 
     def assert_layout(st, width):
         assert st.v_last.shape == (topo.n, width)
-        assert st.membrane.shape == st.lif_pre.shape == (n_lif, width)
+        assert st.lif_pre.shape == (n_lif, width)
 
+    # an entry state's membranes are at rest
     entry = fresh_state(topo, params, batch=6)
-    assert entry.lif_pre.tobytes() == entry.membrane.tobytes()
+    rest = np.repeat(topo.lif_params.rest, 6, axis=1)
+    assert lif_membrane(entry.v_last.take(topo.lif_ids, 0), entry.lif_pre,
+                        topo.lif_params).tobytes() == rest.tobytes()
     _, after = step(entry, np.ones((topo.n_inputs, 6)), topo, params)
     for st, width in ((entry, 6), (after, 6), (after.rows(slice(4)), 4),
                       (after.rows(np.array([5, 0])), 2)):
@@ -977,5 +1056,5 @@ def test_every_state_holds_its_lif_membranes_beside_the_outputs(monkeypatch,
 
     for _, tape, _ in _stacked_tapes(monkeypatch, topo, params, tag):
         for st in tape.states:
-            assert st.membrane is None
+            assert st.plastic.trace is None
             assert st.lif_pre.shape == (n_lif, st.v_last.shape[1])

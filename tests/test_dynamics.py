@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from statenet.dynamics import (lif_membrane_pre, lif_step, lif_surrogate_grad,
-                               rate_step)
+from statenet.dynamics import (lif_membrane, lif_membrane_pre, lif_step,
+                               lif_surrogate_grad, rate_step)
 from statenet.topology import LifParams, RateParams
 
 
@@ -43,33 +43,38 @@ def test_rate_lipschitz_bound(u1, u2, s1, s2, self_coeff):
 
 def test_lif_fixed_point_at_rest():
     p = LifParams(rest=0.3, threshold=1.0, reset=0.0, dt=0.5)
-    spike, s, _ = lif_step(0.0, 0.3, p)
-    assert spike == 0.0 and s == pytest.approx(0.3, abs=1e-15)
+    spike, pre = lif_step(0.0, 0.0, 0.3, p)
+    assert spike == 0.0 and pre == pytest.approx(0.3, abs=1e-15)
+    assert lif_membrane(spike, pre, p) == pre
 
 
 def test_lif_closed_form_decay_step():
     # (1 - dt) * 0.8 with dt = 0.5 is exactly 0.4
     p = LifParams(rest=0.0, threshold=1.0, reset=0.0, dt=0.5)
-    spike, s, _ = lif_step(0.0, 0.8, p)
-    assert spike == 0.0 and s == 0.4
+    spike, pre = lif_step(0.0, 0.0, 0.8, p)
+    assert spike == 0.0 and pre == 0.4
 
 
 def test_lif_zero_input_decay_exact_over_50_steps():
     p = LifParams(rest=0.0, threshold=1.0, reset=0.0, dt=0.5)
-    s = 0.8
+    spike, pre = 0.0, 0.8
     for t in range(1, 51):
-        spike, s, _ = lif_step(0.0, s, p)
+        spike, pre = lif_step(0.0, spike, pre, p)
         assert spike == 0.0
-        assert s == (1.0 - p.dt) ** t * 0.8
+        assert pre == (1.0 - p.dt) ** t * 0.8
 
 
 def test_lif_spike_and_reset():
     p = LifParams(threshold=1.0, reset=0.0, rest=0.0, dt=0.5)
-    spike, s, _ = lif_step(10.0, 0.0, p)
-    assert spike == 1.0 and s == 0.0
+    spike, pre = lif_step(10.0, 0.0, 0.0, p)
+    assert spike == 1.0 and lif_membrane(spike, pre, p) == 0.0
     # reset wins regardless of drive magnitude
-    spike, s, _ = lif_step(1e6, 0.9, p)
-    assert spike == 1.0 and s == p.reset
+    spike, pre = lif_step(1e6, 0.0, 0.9, p)
+    assert spike == 1.0 and lif_membrane(spike, pre, p) == p.reset
+    # and the next step starts from it, whatever the last pre-threshold
+    # membrane: with no drive it decays from reset
+    spike, pre = lif_step(0.0, spike, pre, p)
+    assert spike == 0.0 and pre == p.reset + p.dt * (p.rest - p.reset)
 
 
 def test_lif_spike_outputs_are_binary():
@@ -77,10 +82,15 @@ def test_lif_spike_outputs_are_binary():
     rng = np.random.default_rng(1)
     drive = rng.uniform(-5, 5, 500)
     s_prev = rng.uniform(-2, 2, 500)
-    spike, _, pre = lif_step(drive, s_prev, p)
+    spike, pre = lif_step(drive, 0.0, s_prev, p)
     assert set(np.unique(spike)) <= {0.0, 1.0}
-    # the third value is the membrane the spike was taken at, bitwise
+    # the second value is the membrane the spike was taken at, bitwise
     assert pre.tobytes() == lif_membrane_pre(drive, s_prev, p).tobytes()
+    # after a spike the membrane the step starts from is the reset
+    spike_prev = rng.integers(0, 2, 500).astype(np.float64)
+    _, pre = lif_step(drive, spike_prev, s_prev, p)
+    s_from = np.where(spike_prev > 0.0, p.reset, s_prev)
+    assert pre.tobytes() == lif_membrane_pre(drive, s_from, p).tobytes()
 
 
 def test_surrogate_peak_at_threshold():
@@ -108,7 +118,7 @@ def test_surrogate_strictly_positive():
 
 def test_steps_are_pure():
     p = LifParams()
-    a = lif_step(0.7, 0.2, p)
-    b = lif_step(0.7, 0.2, p)
+    a = lif_step(0.7, 0.0, 0.2, p)
+    b = lif_step(0.7, 0.0, 0.2, p)
     assert a == b
     assert lif_membrane_pre(0.7, 0.2, p) == lif_membrane_pre(0.7, 0.2, p)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from statenet.datasets import PavlovConfig, gen_pavlov
-from statenet.dynamics import NumericsError
+from statenet.dynamics import NumericsError, lif_membrane
 from statenet.engine import (fresh_state, gather, reference_rollout, rollout,
                              scatter_index, step, write_probe)
 from statenet.params import ParameterSet
@@ -253,7 +253,9 @@ def test_reference_rollout_records_weights_and_membranes():
         assert len(membranes) == len(pre) == len(topo.lif_ids)
         assert np.allclose(weights, st.plastic.weights[topo.plastic_idx, 0],
                            rtol=0, atol=1e-12)
-        assert np.allclose(membranes, st.membrane[:, 0], rtol=0, atol=1e-12)
+        assert np.allclose(membranes, lif_membrane(
+            st.v_last[topo.lif_ids], st.lif_pre, topo.lif_params)[:, 0],
+            rtol=0, atol=1e-12)
         assert np.allclose(pre, st.lif_pre[:, 0], rtol=0, atol=1e-12)
     assert any(weights != recorded[0][0] for weights, _, _ in recorded)
     # a spike resets the membrane, so the two membranes part at some step
@@ -316,7 +318,7 @@ def test_stdp_sign_laws_through_engine():
 
     # mirrored: a charged target fires at step 1, the source spikes at step 2
     state = fresh_state(topo, params)
-    state.membrane[0] = 2.0                  # the target, the one lif cell
+    state.lif_pre[0] = 2.0       # the target, the one lif cell, unspiked
     (y1, d1), (y2, d2) = weight_changes(topo, params, state, [0.0, 1.0])
     assert (y1, y2) == (1.0, 0.0) and d1 == 0.0
     assert abs(d2 + DEPRESSION * TRACE_DECAY) <= 1e-12
@@ -404,9 +406,9 @@ def test_one_episode_is_column_0_of_a_batch_of_one(model, rule):
     assert len(alone) == len(batch) == 9
     for a, b in zip(alone + [end], batch + [end_b]):
         assert a.v_last.shape == a.plastic.trace.shape == (topo.n, 1)
-        assert a.membrane.shape == (len(topo.lif_ids), 1)
+        assert a.lif_pre.shape == (len(topo.lif_ids), 1)
         assert a.plastic.weights.shape == (topo.n_edges, 1)
-        for x, y in ((a.membrane, b.membrane), (a.lif_pre, b.lif_pre),
+        for x, y in ((a.lif_pre, b.lif_pre),
                      (a.v_last, b.v_last),
                      (a.plastic.weights, b.plastic.weights),
                      (a.plastic.trace, b.plastic.trace)):
@@ -415,7 +417,7 @@ def test_one_episode_is_column_0_of_a_batch_of_one(model, rule):
     res, state = step(fresh_state(topo, params), xs[0], topo, params)
     assert res.y.shape == (2, 1) and res.y[:, 0].tobytes() == ys[0].tobytes()
     assert state.v_last.tobytes() == alone[0].v_last.tobytes()
-    assert state.membrane.tobytes() == alone[0].membrane.tobytes()
+    assert state.lif_pre.tobytes() == alone[0].lif_pre.tobytes()
 
 
 @pytest.mark.parametrize("model,rule", [("rate", "hebbian"), ("lif", "stdp")])
@@ -434,7 +436,7 @@ def test_step_with_prebuilt_offsets_is_bitwise_step(model, rule, batch):
         assert a.offsets.tobytes() == \
             scatter_index(topo.edge_dst, batch).tobytes()
         assert res_a.y.tobytes() == res_b.y.tobytes()
-        for x_a, x_b in ((a.membrane, b.membrane), (a.lif_pre, b.lif_pre),
+        for x_a, x_b in ((a.lif_pre, b.lif_pre),
                          (a.v_last, b.v_last),
                          (a.plastic.weights, b.plastic.weights),
                          (a.plastic.trace, b.plastic.trace)):
@@ -518,13 +520,42 @@ def test_one_episode_rollout_keeps_its_length(k):
     for a, b, c in zip(alone + [end], batch + [end_b], short + [end_k]):
         assert a.t == b.t == c.t
         for x, y, z in ((a.v_last, b.v_last, c.v_last),
-                        (a.membrane, b.membrane, c.membrane),
                         (a.lif_pre, b.lif_pre, c.lif_pre),
                         (a.plastic.weights, b.plastic.weights,
                          c.plastic.weights),
                         (a.plastic.trace, b.plastic.trace, c.plastic.trace)):
             assert x.shape == y.shape == z.shape
             assert x.tobytes() == y.tobytes() == z.tobytes()
+
+
+def test_lif_rollout_split_and_resumed_is_the_whole_one():
+    # a state carries a lif cell's spike and pre-threshold membrane, from
+    # which the next step takes its membrane: resumed from the state after
+    # any step k, a rollout is bitwise the uncut one, at a cut just after a
+    # spike too; the oracle resumes from that state to the same spikes
+    topo, params, _ = lif_stdp_recipe()
+    episodes = gen_pavlov(PavlovConfig(episodes=16, seed=1)).episodes
+    xs = 3.0 * np.stack([ep.x[:5] for ep in episodes])
+    whole = []
+    ys, end = rollout(fresh_state(topo, params, 16), xs, topo, params,
+                      states=whole)
+    spiked_at_cut = 0
+    for k in range(1, 5):
+        head, cut = rollout(fresh_state(topo, params, 16), xs[:, :k], topo,
+                            params)
+        spiked_at_cut += bool(cut.v_last[topo.lif_ids].any())
+        tail = []
+        rest, resumed = rollout(cut, xs[:, k:], topo, params, states=tail)
+        assert np.concatenate([head, rest], axis=1).tobytes() == ys.tobytes()
+        for a, b in zip([cut] + tail, whole[k - 1:]):
+            assert a.t == b.t
+            for x, y in ((a.v_last, b.v_last), (a.lif_pre, b.lif_pre),
+                         (a.plastic.weights, b.plastic.weights)):
+                assert x.tobytes() == y.tobytes()
+        assert resumed.lif_pre.tobytes() == end.lif_pre.tobytes()
+        oracle = reference_rollout(cut, xs[0, k:], topo, params)
+        assert np.array_equal(oracle, ys[0, k:])
+    assert spiked_at_cut == 3
 
 
 @pytest.mark.parametrize("rows,lengths,message", [
@@ -622,6 +653,19 @@ def test_non_finite_lif_value_names_step_neuron_and_row():
     with pytest.raises(NumericsError, match=message) as exc:
         step(state, np.zeros((1, 3)), topo, params)
     assert exc.value.row == 1
+    # an infinite drive spikes the cell and would reset it to a finite
+    # membrane: the step checks the pre-threshold membrane it came from
+    neurons = [NeuronSpec(i, role, "lif", LifParams())
+               for i, role in enumerate(("input", "input", "output"))]
+    topo = NetworkTopology(neurons, [EdgeSpec(0, 2, 1e308),
+                                     EdgeSpec(1, 2, 1e308)])
+    params = ParameterSet.from_topology(topo)
+    _, state = step(fresh_state(topo, params), np.ones(2), topo, params)
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericsError, match=r"^non-finite value at t=2, "
+                                               r"neuron 2$") as exc:
+        step(state, np.ones(2), topo, params)
+    assert exc.value.row == 0
 
 
 def test_two_rows_non_finite_at_one_step_name_the_first_row():
@@ -742,7 +786,9 @@ def assert_probe_reads_back(path, topo):
             if i in topo.input_ids:
                 assert row["a"] == "0.0"
             elif i in lif:
-                assert float(row["a"]) == state.membrane[lif[i]]
+                membrane = lif_membrane(state.v_last[topo.lif_ids],
+                                        state.lif_pre, topo.lif_params)
+                assert float(row["a"]) == membrane[lif[i]]
             else:
                 assert float(row["a"]) == state.v_last[i]
             assert float(row["b"]) == state.v_last[i]
