@@ -42,7 +42,8 @@ Files are line-delimited JSON: a manifest line, then one episode per line,
 numbers at full round-trip precision. Each episode line is the text
 ``json.dumps`` writes for its record; the writer builds it in blocks of
 ``SAVE_STEPS`` steps of consecutive episodes, encoding each distinct value
-of a block once.
+of a block once. The reader takes one line at a time and keeps one copy of
+each JSON key per file.
 """
 
 from __future__ import annotations
@@ -424,46 +425,92 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
+    """The dataset in ``path``, read one line at a time: memory holds one
+    line beside the episodes read so far. A line ends at ``"\\n"``,
+    ``"\\r\\n"`` or a lone ``"\\r"``; U+2028, U+2029 and U+0085, which JSON
+    strings may hold unescaped, do not end one. Blank lines are skipped but
+    counted in the line numbers that errors name. Errors come in this
+    order: a byte that is not UTF-8 (with its offset in the file), an empty
+    file, the manifest line, a wrong episode count, then the first
+    malformed episode. The episodes of one file share one copy of each
+    JSON key (their ``meta`` keys)."""
     with open(path, encoding="utf-8") as fh:
-        # only "\n" ends a line: str.splitlines() also splits on U+2028,
-        # U+2029 and U+0085, which JSON strings may hold unescaped
-        lines = fh.read().split("\n")
-    if lines == [""]:
+        try:
+            return _read_dataset(fh)
+        except Exception:
+            # raises the decode error a whole-file read meets, if any
+            fh.seek(0)
+            fh.read()
+            raise
+
+
+def _read_dataset(fh) -> Dataset:
+    first = fh.readline()
+    if not first:
         raise DatasetError("empty dataset file")
     with malformed(DatasetError, "line 1: malformed manifest"):
-        manifest = json.loads(lines[0])
+        manifest = json.loads(first.removesuffix("\n"))
         if manifest.get("format") != FORMAT_TAG:
             raise DatasetError(f"line 1: missing or unsupported format tag "
                                f"(expected {FORMAT_TAG!r})")
         declared, n_in, n_out = (count(manifest, "episodes"),
                                  count(manifest["dims"], "inputs"),
                                  count(manifest["dims"], "outputs"))
-    body = [(n, ln) for n, ln in enumerate(lines[1:], start=2) if ln.strip()]
-    if declared != len(body):
+    loads, episodes, error = _loads_sharing_keys(), [], None
+    for lineno, line in enumerate(fh, start=2):
+        if line.strip():
+            try:
+                episodes.append(_read_episode(
+                    loads, line.removesuffix("\n"), lineno, n_in, n_out))
+            except Exception as exc:
+                error = exc
+                break
+    # the episodes read, the one that failed, and the lines after it
+    found = (len(episodes) + (error is not None)
+             + sum(1 for line in fh if line.strip()))
+    if declared != found:
         raise DatasetError(f"manifest declares {declared} episodes, "
-                           f"file has {len(body)}")
-    episodes = []
-    for lineno, ln in body:
-        try:
-            rec = json.loads(ln)
-            unknown = set(rec) - {"x", "y", "mask", "meta"}
-            x, y = numbers(rec, "x", 2), numbers(rec, "y", 2)
-            mask = numbers(rec, "mask", 2) if "mask" in rec else None
-            meta = rec.get("meta", {})
-        except Exception:
-            # ``malformed`` names the line on the error path only (a
-            # context per line costs more than the check itself)
-            with malformed(DatasetError,
-                           f"line {lineno}: malformed episode"):
-                raise
-        if unknown:
-            raise DatasetError(f"line {lineno}: unknown keys {sorted(unknown)}")
-        if type(meta) is not dict:
-            raise DatasetError(f"line {lineno}: meta must be a JSON object")
-        if x.shape[1] != n_in or y.shape[1] != n_out:
-            raise DatasetError(f"line {lineno}: episode dims inconsistent "
-                               f"with manifest {n_in}x{n_out}")
-        if len(x) != len(y) or (mask is not None and mask.shape != y.shape):
-            raise DatasetError(f"line {lineno}: sequence lengths disagree")
-        episodes.append(Episode(x=x, y=y, mask=mask, meta=meta))
+                           f"file has {found}")
+    if error is not None:
+        raise error
     return Dataset(episodes=episodes, manifest=manifest)
+
+
+def _read_episode(loads, text: str, lineno: int, n_in: int, n_out: int
+                  ) -> Episode:
+    try:
+        rec = loads(text)
+        unknown = set(rec) - {"x", "y", "mask", "meta"}
+        x, y = numbers(rec, "x", 2), numbers(rec, "y", 2)
+        mask = numbers(rec, "mask", 2) if "mask" in rec else None
+        meta = rec.get("meta", {})
+    except Exception:
+        # ``malformed`` names the line on the error path only (a context
+        # per line costs more than the check itself)
+        with malformed(DatasetError, f"line {lineno}: malformed episode"):
+            raise
+    if unknown:
+        raise DatasetError(f"line {lineno}: unknown keys {sorted(unknown)}")
+    if type(meta) is not dict:
+        raise DatasetError(f"line {lineno}: meta must be a JSON object")
+    if x.shape[1] != n_in or y.shape[1] != n_out:
+        raise DatasetError(f"line {lineno}: episode dims inconsistent "
+                           f"with manifest {n_in}x{n_out}")
+    if len(x) != len(y) or (mask is not None and mask.shape != y.shape):
+        raise DatasetError(f"line {lineno}: sequence lengths disagree")
+    return Episode(x=x, y=y, mask=mask, meta=meta)
+
+
+def _loads_sharing_keys():
+    """``json.loads`` for the lines of one file that keeps one copy of each
+    object key: a key is the first equal string the file held."""
+    share = {}.setdefault  # the file's key table: key -> its first copy
+    decoder = json.JSONDecoder(object_pairs_hook=lambda pairs: {
+        share(key, key): value for key, value in pairs})
+
+    def loads(text: str):
+        if text.startswith("\ufeff"):  # as json.loads reports it
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return decoder.decode(text)
+    return loads

@@ -6,10 +6,11 @@ non-negative integer (dataset manifest counts, checkpoint epoch and adam
 step count); ``numbers`` reads a list or table of finite numbers as a
 float array (episode ``x``/``y``/``mask``, checkpoint params and adam
 moments); ``malformed`` turns a parse failure inside a reader into that
-reader's error class, named with where it happened; ``atomic_write``
-writes ``<path>.tmp`` and renames it over ``path``, so a killed process
-leaves the previous file, never a truncated one (no fsync: not power-loss
-safe).
+reader's error class, named with where it happened; ``digest`` names a
+document by its content (checkpoint config and topology hashes);
+``atomic_write`` writes ``<path>.tmp`` and renames it over ``path``, so a
+killed process leaves the previous file, never a truncated one (no fsync:
+not power-loss safe).
 """
 
 from __future__ import annotations
@@ -26,6 +27,16 @@ import typing
 from itertools import chain
 
 import numpy as np
+
+# hashlib loads OpenSSL's libcrypto, about 3 MB resident: take the
+# interpreter's own SHA-256 (as CPython's random.py does for SHA-512)
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 _NO = object()  # a value that does not fit its field's type
 
@@ -133,6 +144,12 @@ def _convert(value, hint):
         if out is not _NO:
             return out
     return _NO
+
+
+def digest(doc) -> str:
+    """The first 16 hex digits of SHA-256 over ``json.dumps(doc,
+    sort_keys=True)``: equal documents have equal digests."""
+    return _sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def read_json(path: str, error=ValueError):

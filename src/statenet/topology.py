@@ -16,14 +16,13 @@ a single JSON document with mandatory ``format: "snn-topology/1"``.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .jsonio import decode, malformed, read_json, write_json
+from .jsonio import decode, digest, malformed, read_json, write_json
 from .rng import Rng
 
 FORMAT_TAG = "snn-topology/1"
@@ -142,9 +141,7 @@ class NetworkTopology:
         return len(self.plastic_idx)
 
     def content_hash(self) -> str:
-        import hashlib
-        return hashlib.sha256(
-            json.dumps(to_document(self), sort_keys=True).encode()).hexdigest()[:16]
+        return digest(to_document(self))
 
 
 def validate_parts(neurons: list[NeuronSpec], edges: list[EdgeSpec]

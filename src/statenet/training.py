@@ -20,8 +20,6 @@ largest-loss episode.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import os
 import time
@@ -33,8 +31,8 @@ from .autodiff import LOSS_TAGS, batch_gradients, outputs_loss
 from .datasets import Dataset, DatasetError
 from .dynamics import NumericsError
 from .engine import fresh_state, rollout, step
-from .jsonio import (atomic_write, count, decode, malformed, numbers, read_json,
-                     write_json)
+from .jsonio import (atomic_write, count, decode, digest, malformed, numbers,
+                     read_json, write_json)
 from .params import ParameterSet
 from .plasticity import CLIP_BOUND, DEPRESSION, POTENTIATION, TRACE_DECAY
 from .pong import PongConfig, PongEnv, action_from_index
@@ -213,8 +211,7 @@ def clip_global_norm(grad: np.ndarray, bound: float) -> np.ndarray:
 
 
 def config_hash(config: TrainConfig) -> str:
-    return hashlib.sha256(
-        json.dumps(asdict(config), sort_keys=True).encode()).hexdigest()[:16]
+    return digest(asdict(config))
 
 
 def save_checkpoint(path: str, params: ParameterSet, optimizer, epoch: int,

@@ -543,6 +543,41 @@ def test_writer_holds_bounded_temporaries(tmp_path):
         assert peak - retained < bound
 
 
+def test_loader_holds_bounded_temporaries(tmp_path):
+    # a load reads one line at a time: its transient (peak minus retained)
+    # is one line and its parse, about 0.09 MB for these pong episodes and
+    # 0.02 MB for conditioning ones (about 4.2 and 2.0 MB read whole)
+    sets = [gen_pong(PongDataConfig(episodes=1024, seed=1,
+                                    expert_noise_p=0.3)),
+            gen_pavlov(PavlovConfig(episodes=4096, seed=1, noise_p=0.3,
+                                    split="train"))]
+    path = str(tmp_path / "eps.jsonl")
+    for ds in sets:
+        save_dataset(Dataset(ds.episodes[:2], dict(ds.manifest, episodes=2)),
+                     path)
+        load_dataset(path)
+        save_dataset(ds, path)
+        tracemalloc.start()
+        try:
+            back = load_dataset(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(back) == len(ds)
+        assert peak - retained < 250_000
+
+
+def test_loaded_episodes_share_their_meta_keys(tmp_path):
+    # one copy of each JSON key per file, not one per episode line
+    path = str(tmp_path / "eps.jsonl")
+    save_dataset(gen_pavlov(PavlovConfig(episodes=3, seed=1)), path)
+    a, _, b = load_dataset(path).episodes
+    assert list(a.meta) == list(b.meta) and "stages" in a.meta
+    for ka, kb in zip([*a.meta, *a.meta["stages"]],
+                      [*b.meta, *b.meta["stages"]]):
+        assert ka is kb
+
+
 def test_round_trip_identity(tmp_path):
     ds = gen_pavlov(PavlovConfig(episodes=20, seed=13))
     path = str(tmp_path / "eps.jsonl")
@@ -562,10 +597,15 @@ def test_truncated_file_names_line(tmp_path):
     path = str(tmp_path / "eps.jsonl")
     save_dataset(ds, path)
     lines = Path(path).read_text().splitlines()
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]) + "\n")
-    with pytest.raises(DatasetError, match="line 4"):
-        load_dataset(path)
+    text = "\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]])
+    # the position is within the line, with or without a final newline
+    for end in ("\n", ""):
+        Path(path).write_text(text + end)
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == (
+            "line 4: malformed episode: JSONDecodeError: Expecting ',' "
+            "delimiter: line 1 column 3258 (char 3257)")
 
 
 def test_manifest_count_mismatch(tmp_path):
@@ -577,6 +617,46 @@ def test_manifest_count_mismatch(tmp_path):
         fh.write("\n".join(lines[:-1]) + "\n")
     with pytest.raises(DatasetError, match="declares 3"):
         load_dataset(path)
+
+
+def test_undecodable_byte_is_reported_first_with_its_file_offset(tmp_path):
+    # past the first 8 KB that a line-by-line read decodes, behind a
+    # malformed manifest: the error is the one a whole-file read meets
+    path = tmp_path / "eps.jsonl"
+    save_dataset(gen_pong(PongDataConfig(episodes=4, seed=1)), str(path))
+    data = path.read_bytes()
+    at = len(data) - 100
+    assert at > 8192
+    path.write_bytes(data[1:at] + b"\xff" + data[at:])
+    with pytest.raises(UnicodeDecodeError) as exc:
+        load_dataset(str(path))
+    assert str(exc.value) == (f"'utf-8' codec can't decode byte 0xff in "
+                              f"position {at - 1}: invalid start byte")
+
+
+def test_count_mismatch_is_reported_before_episode_errors(tmp_path):
+    ds = gen_pavlov(PavlovConfig(episodes=4, seed=1))
+    path = tmp_path / "eps.jsonl"
+    save_dataset(ds, str(path))
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps(dict(json.loads(lines[0]), episodes=3))
+    lines[1] = lines[1][:10]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(str(path))
+    assert str(exc.value) == "manifest declares 3 episodes, file has 4"
+
+
+def test_byte_order_mark_on_an_episode_line_is_named(tmp_path):
+    path = write_one_episode(tmp_path, {"x": [[1.0]], "y": [[0.0]]}, 1)
+    lines = Path(path).read_text("utf-8").split("\n")
+    lines[1] = "\ufeff" + lines[1]
+    Path(path).write_text("\n".join(lines), "utf-8")
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(path)
+    assert str(exc.value) == (
+        "line 2: malformed episode: JSONDecodeError: Unexpected UTF-8 BOM "
+        "(decode using utf-8-sig): line 1 column 1 (char 0)")
 
 
 def test_line_separators_inside_json_strings_load(tmp_path):

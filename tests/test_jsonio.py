@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import json
 import os
 import pathlib
 from dataclasses import dataclass, field
@@ -7,7 +9,8 @@ import numpy as np
 import pytest
 
 import statenet
-from statenet.jsonio import atomic_write, count, decode, malformed, numbers
+from statenet.jsonio import (atomic_write, count, decode, digest, malformed,
+                             numbers)
 
 
 @dataclass(frozen=True)
@@ -160,3 +163,19 @@ def test_atomic_write_replaces_or_keeps(tmp_path):
     with atomic_write(path) as fh:
         fh.write("new")
     assert pathlib.Path(path).read_text() == "new"
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], None, {"b": [1, 2.5], "a": {"z": None, "y": "\u00e9\u2028"}},
+    {"w0": 0.1 + 0.2, "big": 10**30, "flag": True}])
+def test_digest_is_sha256_of_the_sorted_document(doc):
+    text = json.dumps(doc, sort_keys=True)
+    assert digest(doc) == hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_only_jsonio_hashes():
+    # checkpoints pin the topology and config hashes: one home for the rule
+    package = pathlib.Path(statenet.__file__).parent
+    users = [path.name for path in sorted(package.glob("*.py"))
+             if "sha256" in path.read_text(encoding="utf-8")]
+    assert users == ["jsonio.py"]

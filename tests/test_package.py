@@ -48,6 +48,26 @@ def test_import_without_glibc_succeeds():
     assert proc.stderr == ""
 
 
+def test_the_cli_does_not_load_openssl():
+    # hashlib loads OpenSSL's libcrypto, about 3 MB of every process's
+    # peak RSS; the content hashes take the interpreter's own SHA-256
+    proc = run_import(
+        "import os, sys, tempfile\n"
+        "import statenet.cli\n"
+        "from statenet.params import ParameterSet\n"
+        "from statenet.training import (Adam, TrainConfig, pavlov_recipe,\n"
+        "                               save_checkpoint)\n"
+        "topo = pavlov_recipe()[0]\n"
+        "assert topo.content_hash() == '2c86032bef743509'\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    save_checkpoint(os.path.join(tmp, 'c.ckpt'),\n"
+        "                    ParameterSet.from_topology(topo), Adam(0.01), 1,\n"
+        "                    TrainConfig(), topo)\n"
+        "print(sorted(name for name in sys.modules if 'hashlib' in name))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", statenet.__version__]
+
+
 def unused_imports(path: Path) -> list[str]:
     """``line: name`` of each name that ``path`` imports and never reads
     as a plain name (``ast.Name``); ``__future__`` imports aside."""
