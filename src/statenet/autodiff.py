@@ -234,16 +234,15 @@ def backward(tape: Tape) -> np.ndarray:
     # then its state and output adjoints. A row joins it, zero, at its
     # span's end and leaves it, its sums copied out, once its span's start
     # is passed; rows only leave at the front and join at the back, so none
-    # of the updates below runs over strided columns.
+    # of the updates below runs over strided columns. A step that sweeps no
+    # row runs on zero-width arrays.
     P = params.count
     sums = np.zeros((P, B))
     block = np.zeros((P + 2 * n, 0))
-    lo = hi = 0
+    lo = hi = -1    # no block yet: the first step builds it and its views
 
     for t in range(K, 0, -1):
         a, b = first[t], last[t]
-        if a == b:
-            continue
         m = b - a
         if (a, b) != (lo, hi):
             left = min(a, hi)

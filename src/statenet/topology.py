@@ -196,8 +196,6 @@ def validate_parts(neurons: list[NeuronSpec], edges: list[EdgeSpec]
         if roles[e.dst] == "input":
             errors.append(f"edge ({e.src}->{e.dst}): edge into input neuron "
                           "(inputs are clamped to external stimuli)")
-        if e.src == e.dst and roles[e.src] == "input":
-            errors.append(f"edge ({e.src}->{e.dst}): self-loop on input neuron")
         if (e.src, e.dst) in seen:
             errors.append(f"edge ({e.src}->{e.dst}): duplicate edge")
         seen.add((e.src, e.dst))
@@ -279,10 +277,11 @@ def _records(doc: dict, kind: str, decode_record) -> list:
 
 
 def _neuron(rec) -> NeuronSpec:
-    # params decode by model below: rate, else lif (validation names a bad model)
+    # params decode by model below; validation names an unknown model
     spec = decode(NeuronSpec, rec, params=LifParams())
-    cls = RateParams if spec.model == "rate" else LifParams
-    return replace(spec, params=decode(cls, rec.get("params", {})))
+    cls = {"rate": RateParams, "lif": LifParams}.get(spec.model)
+    return spec if cls is None else replace(
+        spec, params=decode(cls, rec.get("params", {})))
 
 
 def save_topology(topology: NetworkTopology, path: str) -> None:

@@ -12,10 +12,10 @@ Everything is deterministic for a fixed (topology, dataset, config, seed):
 the per-epoch shuffle order derives from the seed and the epoch index, so
 resuming from a checkpoint continues the exact run.
 
-Divergence (a non-finite or huge loss, or a non-finite gradient) aborts
-immediately, before the batch's update, dumping an emergency checkpoint
-when a run directory is configured; a huge loss names the batch's
-largest-loss episode.
+Divergence (a batch loss whose magnitude exceeds ``DIVERGENCE_LIMIT`` or
+is not finite, or a non-finite gradient) aborts immediately, before the
+batch's update, dumping an emergency checkpoint when a run directory is
+configured; such a loss names the batch's episode with the largest |loss|.
 """
 
 from __future__ import annotations
@@ -426,10 +426,8 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
             else:
                 blame = None
                 loss = sum(losses) / len(ids)   # added in ids order
-                if not np.isfinite(loss):
-                    blame = f"loss {loss}"
-                elif loss > DIVERGENCE_LIMIT:
-                    worst = int(np.argmax(losses))
+                if not abs(loss) <= DIVERGENCE_LIMIT:
+                    worst = int(np.argmax(np.abs(losses)))
                     blame = f"episode {ids[worst]}: loss {losses[worst]}"
                 elif not np.isfinite(grad).all():
                     # clipping would scale it by 0 and write NaN into params

@@ -78,6 +78,12 @@ def test_cce_rejects_split_mask():
         step_loss("cce", np.zeros(2), np.ones(2), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("fn", [step_loss, step_loss_grad])
+def test_unknown_loss_tag_rejected(fn):
+    with pytest.raises(ValueError, match="^unknown loss tag 'mae'$"):
+        fn("mae", np.zeros(2), np.ones(2), np.ones(2))
+
+
 def test_masked_terms_drop_out():
     v = np.array([0.2, 0.9])
     y = np.array([1.0, 1.0])
@@ -680,6 +686,56 @@ def test_lengths_that_are_not_integers_rejected():
     with pytest.raises(ValueError, match=r"lengths must be integers, got \[4.5\]"):
         batch_gradients(topo, params, np.zeros((1, 5, 1)), np.zeros((1, 5, 1)),
                         None, [4.5], "mse")
+
+
+def test_mask_of_another_shape_rejected():
+    topo = build_random(2, 1.0, seed=1, model="rate", n_inputs=1, n_outputs=1)
+    params = ParameterSet.from_topology(topo)
+    xs = np.zeros((2, 5, 1))
+    with pytest.raises(ValueError,
+                       match=r"^mask shape \(2, 4, 1\) != \(2, 5, 1\)$"):
+        batch_gradients(topo, params, xs, xs, np.ones((2, 4, 1)), [5, 3],
+                        "mse")
+
+
+def test_sweep_refuses_rows_out_of_span_order():
+    topo = build_random(2, 1.0, seed=1, model="rate", n_inputs=1, n_outputs=1)
+    params = ParameterSet.from_topology(topo)
+    states = [fresh_state(topo, params, batch=2)]
+    rollout(states[0], np.zeros((2, 3, 1)), topo, params, states=states)
+    tape = Tape(topo, params, states, np.zeros((2, 3, 1)),
+                (np.array([0, 0]), np.array([2, 3])),
+                episode_start=np.array([True, True]))
+    with pytest.raises(ValueError, match="^tape rows must be sorted by "
+                                         "length, longest first$"):
+        backward(tape)
+
+
+@pytest.mark.parametrize("net", ["rate-hebbian-bce", "lif-stdp-mse"])
+def test_a_step_that_sweeps_no_row_changes_no_row(net):
+    # spans (5, 8], (4, 6] and (0, 2] leave step 3 with no row to sweep,
+    # and a row's own tape of 8 steps leaves the steps after its span's
+    # end: each row's gradient is still bitwise its own tape's
+    kwargs, _ = BATCH_NETS[net]
+    topo = build_random(4, 0.8, seed=7, **kwargs)
+    params = jitter(ParameterSet.from_topology(topo), 8)
+    xs = np.stack([random_sequence(s, 8, topo.n_inputs, 1)[0]
+                   for s in (1, 2, 3)])
+    gy = np.stack([random_sequence(s, 8, 1, topo.n_outputs, binary=False)[1]
+                   for s in (4, 5, 6)])
+    start, end = np.array([5, 4, 0]), np.array([8, 6, 2])
+
+    def sweep(rows):
+        states = [fresh_state(topo, params, batch=len(rows))]
+        rollout(states[0], xs[rows], topo, params, states=states)
+        return backward(Tape(topo, params, states, gy[rows],
+                             (start[rows], end[rows]),
+                             episode_start=start[rows] == 0))
+
+    stacked = sweep([0, 1, 2])
+    assert np.any(stacked[:2] != 0.0, axis=1).all()
+    for b in range(3):
+        assert stacked[b].tobytes() == sweep([b])[0].tobytes()
 
 
 def test_k1_without_k2_rejected():

@@ -155,6 +155,18 @@ def _empty_test_stage(rec):
     rec["meta"]["stages"]["test"] = [0, 0]
 
 
+def _x_extra_column(rec):
+    rec["x"] = [row + [0.0] for row in rec["x"]]
+
+
+def _topology_validate(files, tmp_path, edit):
+    return ["topo", "validate", _topology(files, tmp_path, edit)]
+
+
+def _gen(tmp_path, kind, *flags):
+    return ["gen", kind, *flags, "--out", str(tmp_path / "d.jsonl")]
+
+
 def _train_pong_env(files, tmp_path, env):
     """train --task pong on the pong set with manifest ``params.env`` set."""
     records = read_lines(files["pong"])
@@ -366,6 +378,99 @@ PROBES = {
     "topo-random-rate-stdp": lambda f, t: [
         "topo", "random", "--model", "rate", "--plastic", "stdp",
         "--out", str(t / "net.json")],
+    "dataset-empty-file": lambda f, t: train_args(
+        f, t, data=write_lines(t / "empty.jsonl", [])),
+    "dataset-episode-dims": lambda f, t: train_args(
+        f, t, data=_dataset_edit(f, t, 1, _x_extra_column)),
+    "dataset-lengths-disagree": lambda f, t: train_args(
+        f, t, data=_dataset_edit(f, t, 1, lambda rec: rec["y"].pop())),
+    "gen-pavlov-episodes-zero": lambda f, t: _gen(t, "pavlov", "--episodes", "0"),
+    "gen-pavlov-config-split-unknown": lambda f, t: _gen(
+        t, "pavlov", "--config", write_json(t / "cfg.json", {"split": "x"})),
+    "gen-pong-max-steps-zero": lambda f, t: _gen(t, "pong", "--max-steps", "0"),
+    "gen-pong-episodes-zero": lambda f, t: _gen(t, "pong", "--episodes", "0"),
+    "gen-pong-expert-noise-high": lambda f, t: _gen(
+        t, "pong", "--expert-noise", "1.5"),
+    "topology-role-unknown": lambda f, t: _topology_validate(
+        f, t, lambda d: d["neurons"][2].update(role="inner")),
+    "topology-model-unknown": lambda f, t: _topology_validate(
+        f, t, lambda d: d["neurons"][1].update(model="rte",
+                                               params={"bias": 0.1})),
+    "topology-rule-unknown": lambda f, t: _topology_validate(
+        f, t, lambda d: d["edges"][2].update(rule="oja")),
+    "topology-activation-relu": lambda f, t: _topology_validate(
+        f, t, lambda d: d["neurons"][2]["params"].update(activation="relu")),
+    "topology-lif-dt-zero": lambda f, t: _topology_validate(
+        f, t, lambda d: d["neurons"][2].update(model="lif",
+                                               params={"dt": 0.0})),
+    "topology-lif-sharpness-zero": lambda f, t: _topology_validate(
+        f, t, lambda d: d["neurons"][2].update(model="lif",
+                                               params={"sharpness": 0.0})),
+    "topology-endpoint-out-of-range": lambda f, t: _topology_validate(
+        f, t, lambda d: d["edges"][0].update(dst=99)),
+    "topology-self-loop-on-input": lambda f, t: _topology_validate(
+        f, t, lambda d: d["edges"].append({"src": 0, "dst": 0, "w0": 0.1})),
+    "topology-plastic-edge-no-rule": lambda f, t: _topology_validate(
+        f, t, lambda d: d["edges"][2].update(rule="none")),
+    "topology-static-edge-rule": lambda f, t: _topology_validate(
+        f, t, lambda d: d["edges"][0].update(rule="hebbian")),
+    "topology-document-list": lambda f, t: ["topo", "validate", write_json(
+        t / "bad.json", [read_json(f["net"])])],
+    "topology-neurons-object": lambda f, t: _topology_validate(
+        f, t, lambda d: d.update(neurons={"0": d["neurons"][0]})),
+    "topo-random-hidden-negative": lambda f, t: [
+        "topo", "random", "--hidden", "-1", "--out", str(t / "net.json")],
+    "train-lr-nan": lambda f, t: train_args(f, t) + ["--lr", "nan"],
+    "train-lr-negative": lambda f, t: train_args(f, t) + ["--lr", "-1"],
+    "train-k1-above-k2": lambda f, t: train_args(f, t) + [
+        "--k1", "5", "--k2", "3"],
+    "train-config-loss-tag-unknown": lambda f, t: _train_config(
+        f, t, loss_tag="foo"),
+    "train-config-grad-clip-zero": lambda f, t: _train_config(
+        f, t, grad_clip=0.0),
+    "resume-force-optimizer-mismatch": lambda f, t: resume_args(
+        f, t, f["ckpt"]) + ["--force", "--optimizer", "sgd"],
+}
+
+# the exact stderr line of each probe whose message no other test holds
+MESSAGES = {
+    "dataset-empty-file": "error: empty dataset file",
+    "dataset-episode-dims":
+        "error: line 2: episode dims inconsistent with manifest 2x1",
+    "dataset-lengths-disagree": "error: line 2: sequence lengths disagree",
+    "gen-pavlov-episodes-zero": "error: need at least one episode",
+    "gen-pavlov-config-split-unknown": "error: unknown split 'x'",
+    "gen-pong-max-steps-zero": "error: max_steps must be positive",
+    "gen-pong-episodes-zero": "error: need at least one episode",
+    "gen-pong-expert-noise-high": "error: expert_noise_p must be in [0, 1]",
+    "topology-role-unknown": "error: neuron 2: unknown role 'inner'",
+    "topology-model-unknown": "error: neuron 1: unknown model 'rte'",
+    "topology-rule-unknown": "error: edge (3->2): unknown rule 'oja'",
+    "topology-activation-relu":
+        "error: neuron 2: unsupported activation 'relu'",
+    "topology-lif-dt-zero": "error: neuron 2: lif dt must be in (0, 1]",
+    "topology-lif-sharpness-zero":
+        "error: neuron 2: lif sharpness must be positive",
+    "topology-endpoint-out-of-range":
+        "error: edge (0->99): endpoint out of range",
+    "topology-self-loop-on-input": "error: edge (0->0): edge into input "
+        "neuron (inputs are clamped to external stimuli)",
+    "topology-plastic-edge-no-rule":
+        "error: edge (3->2): plastic edge needs a rule",
+    "topology-static-edge-rule":
+        "error: edge (0->2): rule 'hebbian' on static edge",
+    "topology-document-list": "error: topology document must be an object",
+    "topology-neurons-object": "error: neurons must be a list of records",
+    "topo-random-hidden-negative":
+        "error: need n_inputs >= 1, n_outputs >= 1, n_hidden >= 0",
+    "train-lr-nan": "error: learning_rate must be finite, got nan",
+    "train-lr-negative":
+        "error: learning_rate and epochs must be >= 0, batch_size >= 1",
+    "train-k1-above-k2": "error: need 1 <= k1 <= k2, got (5, 3)",
+    "train-config-loss-tag-unknown": "error: unknown loss tag 'foo'",
+    "train-config-grad-clip-zero": "error: grad_clip must be positive",
+    "resume-force-optimizer-mismatch":
+        "error: checkpoint optimizer kind mismatch",
 }
 
 
@@ -384,6 +489,12 @@ def test_topo_random_refuses_stdp_on_rate_cells_in_one_short_line(tmp_path):
 def test_malformed_input_exits_2_with_one_error_line(files, tmp_path, probe):
     result = CliRunner().invoke(main, PROBES[probe](files, tmp_path))
     assert_one_error_line(result)
+
+
+@pytest.mark.parametrize("probe", sorted(MESSAGES))
+def test_malformed_input_names_its_fault(files, tmp_path, probe):
+    result = CliRunner().invoke(main, PROBES[probe](files, tmp_path))
+    assert result.stderr == MESSAGES[probe] + "\n"
 
 
 @pytest.mark.parametrize("edit", [
@@ -510,6 +621,26 @@ def test_numeric_divergence_in_held_out_loss_exits_4(overflowing, tmp_path):
         "--loss", "mse", "--eval-dataset", overflowing["held"]])
     assert_one_error_line(result, codes=(4,))
     assert_names_an_episode_that_diverges_alone(result, overflowing)
+
+
+@pytest.mark.parametrize("loss,target,episode,message", [
+    ("mse", 1e300, 0, "episode 0: non-finite loss in an episode of length 7 "
+                      "at epoch 1, batch 0"),
+    # a huge negative loss once trained on unchecked
+    ("bce", -1e300, 1, "episode 1: loss -7.472047243813897e+299 at epoch 1, "
+                       "batch 1"),
+], ids=["mse-overflow", "bce-huge-negative"])
+def test_huge_targets_exit_4_naming_the_episode(files, tmp_path, loss, target,
+                                                 episode, message):
+    def huge(rec):
+        rec["y"] = [[target] * len(row) for row in rec["y"]]
+
+    data = _dataset_edit(files, tmp_path, 1 + episode, huge)
+    result = CliRunner().invoke(main, train_args(files, tmp_path, data=data)
+                                + ["--loss", loss])
+    assert result.exit_code == 4
+    assert result.stderr == f"error: {message}\n"
+    assert (tmp_path / "out" / "diverged.ckpt").exists()
 
 
 def test_missing_file_exits_3(files, tmp_path):

@@ -33,6 +33,15 @@ def chain_topology(weights, self_coeff=0.0, bias=0.0):
     return NetworkTopology(neurons, edges)
 
 
+def test_parameter_set_refuses_an_absent_segment_and_a_wrong_length():
+    params = ParameterSet.from_topology(chain_topology([1.0]))
+    with pytest.raises(KeyError, match="parameter set has no segment "
+                                       "'learn_rate'"):
+        params.segment("learn_rate")
+    with pytest.raises(ValueError, match="^flat vector length mismatch$"):
+        params.with_flat(params.flat[:-1])
+
+
 def test_zero_weights_give_bias_outputs():
     topo = build_random(3, 1.0, seed=1, model="rate", n_inputs=2, n_outputs=2)
     params = ParameterSet.from_topology(topo)

@@ -54,6 +54,16 @@ def test_bad_lif_params_are_errors():
     assert any("threshold" in e for e in errors)
 
 
+def test_params_of_the_other_model_are_errors():
+    # a document decodes each neuron's params by its model, so only a
+    # library caller can hand one the other model's params
+    neurons = [NeuronSpec(0, "input", "rate", LifParams()),
+               NeuronSpec(1, "output", "lif", RateParams())]
+    errors, _ = validate_parts(neurons, [EdgeSpec(0, 1, 1.0)])
+    assert errors == ["neuron 0: rate neuron needs rate params",
+                      "neuron 1: lif neuron needs lif params"]
+
+
 def bfs_reachable(n, edges, sources):
     adj = {}
     for e in edges:
@@ -266,6 +276,16 @@ def test_density_out_of_range_rejected():
         build_random(3, 0.0, seed=1, model="rate", n_inputs=1, n_outputs=1)
     with pytest.raises(ValueError):
         build_random(3, 1.5, seed=1, model="rate", n_inputs=1, n_outputs=1)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"model": "rte"}, "unknown model 'rte'"),
+    ({"plastic_rule": "oja"}, "unknown plastic rule 'oja'"),
+    ({"plastic_scope": "all"}, "unknown plastic scope 'all'"),
+])
+def test_build_random_refuses_unknown_names(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_random(3, 0.5, seed=1, n_inputs=1, n_outputs=1, **kwargs)
 
 
 def test_zero_hidden_connects_inputs_to_outputs():

@@ -214,6 +214,25 @@ def test_resume_in_place_keeps_one_metrics_row_per_epoch(tmp_path):
     assert rows() == uninterrupted
 
 
+def test_sgd_run_resumed_in_place_is_the_uninterrupted_run(tmp_path):
+    # sgd keeps no state, so its checkpoint restores only the parameters
+    topo, ds = small_setup(episodes=8)
+    cfg = TrainConfig(optimizer="sgd", learning_rate=0.05, epochs=3,
+                      batch_size=4, seed=3, checkpoint_stride=1)
+    run_dir = tmp_path / "run"
+
+    def written():
+        with open(run_dir / "metrics.csv") as fh:
+            rows = [r[:-1] for r in csv.reader(fh)]  # drop wall_time
+        return rows, (run_dir / "final.ckpt").read_bytes()
+
+    train(topo, ds, cfg, eval_dataset=ds, run_dir=str(run_dir))
+    uninterrupted = written()
+    train(topo, ds, cfg, eval_dataset=ds, run_dir=str(run_dir),
+          resume=str(run_dir / "epoch0001.ckpt"))
+    assert written() == uninterrupted
+
+
 def test_resume_past_the_last_epoch_keeps_its_epoch_label(tmp_path):
     # a forced resume past config.epochs runs no epoch, so final.ckpt is
     # the resumed checkpoint under its own epoch, not config.epochs
@@ -452,6 +471,8 @@ def test_pong_expert_wired_directly_scores_perfectly():
             env.step(int(np.sign(obs[1] - obs[4])))
         assert not env.missed and env.hits > 0
         assert env.steps == cfg.max_steps
+        with pytest.raises(RuntimeError, match="^episode already finished$"):
+            env.step(0)
 
 
 def test_pong_random_baseline_near_paddle_coverage():
