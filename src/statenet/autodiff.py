@@ -428,7 +428,8 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
             kept_from += drop
     if queue:
         _sweep(queue, grads)
-    losses = outputs_loss(loss_tag, outs, ys, mask)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        losses = outputs_loss(loss_tag, outs, ys, mask)
     bad = np.flatnonzero(~np.isfinite(losses))
     if len(bad):
         raise NumericsError(f"non-finite loss in an episode of length "

@@ -10,7 +10,9 @@ batch layout. The mean is clipped by global norm, then applied with plain
 SGD or Adam.
 Everything is deterministic for a fixed (topology, dataset, config, seed):
 the per-epoch shuffle order derives from the seed and the epoch index, so
-resuming from a checkpoint continues the exact run.
+resuming from a checkpoint continues the exact run. Each file of a run
+directory is replaced whole (``jsonio.atomic_write``; ``metrics.csv`` after
+every row), so a run killed at any write resumes from its newest checkpoint.
 
 Divergence (a batch loss whose magnitude exceeds ``DIVERGENCE_LIMIT`` or
 is not finite, or a non-finite gradient) aborts immediately, before the
@@ -34,16 +36,15 @@ from .engine import fresh_state, rollout, step
 from .jsonio import (atomic_write, count, decode, digest, malformed, numbers,
                      read_json, write_json)
 from .params import ParameterSet
-from .plasticity import CLIP_BOUND, DEPRESSION, POTENTIATION, TRACE_DECAY
 from .pong import PongConfig, PongEnv, action_from_index
 from .rng import Rng, derive_seed
 from .topology import LifParams, NetworkTopology, build_random
 
 CHECKPOINT_TAG = "snn-checkpoint/1"
+# the keys save_checkpoint writes, the only ones load_params reads
+CHECKPOINT_KEYS = {"format", "epoch", "params", "registry", "optimizer",
+                   "config_hash", "topology_hash"}
 DIVERGENCE_LIMIT = 1e6
-# what an earlier checkpoint's "meta" must hold to load
-FIXED_META = {"clip_bound": CLIP_BOUND, "potentiation": POTENTIATION,
-              "depression": DEPRESSION, "trace_decay": TRACE_DECAY}
 # episodes per held-out lockstep block: the smallest block within 3 % of the
 # fastest held-out pass (README, "Lockstep batches")
 PREDICT_CHUNK = 128
@@ -230,32 +231,23 @@ def save_checkpoint(path: str, params: ParameterSet, optimizer, epoch: int,
 
 def load_params(path: str, topology: NetworkTopology,
                 force: bool = False) -> tuple[ParameterSet, dict]:
-    """Returns (params, checkpoint document); refuses a checkpoint of
-    another topology unless ``force``."""
+    """Returns (params, checkpoint document); refuses a checkpoint with an
+    unknown key, or of another topology unless ``force``."""
     with malformed(CheckpointError, "malformed checkpoint"):
         doc = read_json(path, CheckpointError)
         if doc.get("format") != CHECKPOINT_TAG:
             raise CheckpointError("not a checkpoint file")
+        if not doc.keys() <= CHECKPOINT_KEYS:
+            raise CheckpointError(f"checkpoint has unknown keys "
+                                  f"{sorted(doc.keys() - CHECKPOINT_KEYS)}")
         if not force and doc.get("topology_hash") != topology.content_hash():
             raise CheckpointMismatch("checkpoint topology hash mismatch")
-        # earlier versions wrote the plasticity constants as "meta", with
-        # the two init values that only seeded what "params" holds
-        meta = doc.get("meta", FIXED_META)
-        if (type(meta) is not dict
-                or any(meta.get(k) != v for k, v in FIXED_META.items())):
-            raise CheckpointError(f"checkpoint meta must be absent or hold "
-                                  f"the fixed plasticity constants "
-                                  f"{FIXED_META}, got {meta!r}")
         base = ParameterSet.from_topology(topology)
         flat = numbers(doc, "params", 1)
         if len(flat) != base.count:
             raise CheckpointError(f"checkpoint params must be a list of "
                                   f"{base.count} finite numbers")
         params = base.with_flat(flat)
-        # earlier versions wrote "frozen": []; every segment trains
-        if doc.get("frozen", []) != []:
-            raise CheckpointError(f"checkpoint frozen must be [] (every "
-                                  f"segment trains), got {doc['frozen']!r}")
         if doc["registry"] != {k: [v.start, v.stop]
                                for k, v in params.registry.items()}:
             raise CheckpointError("checkpoint parameter registry mismatch")
@@ -349,6 +341,14 @@ def _batch_gradients(topology, params, episodes, ids, config):
     return losses, grad / float(len(ids))
 
 
+def _left_sum(values) -> float:
+    """``values`` added left to right (3.12's builtin ``sum`` compensates)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -425,7 +425,7 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
                 blame = str(exc)
             else:
                 blame = None
-                loss = sum(losses) / len(ids)   # added in ids order
+                loss = _left_sum(losses) / len(ids)   # in ids order
                 if not abs(loss) <= DIVERGENCE_LIMIT:
                     worst = int(np.argmax(np.abs(losses)))
                     blame = f"episode {ids[worst]}: loss {losses[worst]}"
@@ -452,8 +452,9 @@ def train(topology: NetworkTopology, dataset: Dataset, config: TrainConfig,
                              wall_time=time.perf_counter() - t_start)
             metrics.append(row)
             if metrics_path:
-                with open(metrics_path, "a", encoding="utf-8") as fh:
-                    fh.write(format_metrics_row(row) + "\n")
+                rows.append(format_metrics_row(row))
+                with atomic_write(metrics_path) as fh:
+                    fh.write("\n".join(rows) + "\n")
         if (config.checkpoint_stride and run_dir
                 and epoch % config.checkpoint_stride == 0):
             save_checkpoint(os.path.join(run_dir, f"epoch{epoch:04d}.ckpt"),
@@ -532,10 +533,7 @@ def _evaluate(topology, params, config, eval_dataset, stages, env):
                                          eval_dataset.episodes, config.loss_tag))
 
         results = _predict(params, topology, eval_dataset, score)
-        total = 0.0
-        for loss, _ in results:       # episode order: deterministic reduction
-            total += loss
-        eval_loss = total / len(eval_dataset)
+        eval_loss = _left_sum(loss for loss, _ in results) / len(eval_dataset)
         if stages is not None:
             task_metric = sum(row["correct"] for _, row in results) / len(
                 eval_dataset)

@@ -191,22 +191,14 @@ def _eval_pong(files, rollouts):
             "--topology", files["pong_net"], "--rollouts", str(rollouts)]
 
 
-def _without(doc, key):
-    return {k: v for k, v in doc.items() if k != key}
-
-
 def _short_params(doc):
     return {**doc, "params": doc["params"][:-1]}
 
 
-# the "meta" block of a checkpoint written before the plasticity constants
-# were fixed in code
-OLD_META = {"clip_bound": 5.0, "learn_rate_init": 0.01, "retention_init": 0.95,
-            "potentiation": 0.05, "depression": 0.05, "trace_decay": 0.8}
-
-
 def _meta(**values):
-    return lambda doc: {**doc, "meta": {**OLD_META, **values}}
+    """A checkpoint with an earlier version's "meta" block of plasticity
+    constants: refused as an unknown key, whatever it holds."""
+    return lambda doc: {**doc, "meta": values}
 
 
 def _params(edit):
@@ -331,9 +323,9 @@ PROBES = {
     "eval-checkpoint-meta-clip-four": lambda f, t: _eval_edited(
         f, t, _meta(clip_bound=4.0)),
     "resume-checkpoint-meta-list": lambda f, t: _resume_edited(
-        f, t, lambda d: {**d, "meta": [OLD_META]}),
+        f, t, lambda d: {**d, "meta": []}),
     "eval-checkpoint-meta-no-trace-decay": lambda f, t: _eval_edited(
-        f, t, lambda d: {**d, "meta": _without(OLD_META, "trace_decay")}),
+        f, t, _meta()),
     "resume-checkpoint-meta-clip-negative": lambda f, t: _resume_edited(
         f, t, _meta(clip_bound=-1.0)),
     "resume-checkpoint-meta-trace-decay-huge": lambda f, t: _resume_edited(
@@ -430,6 +422,8 @@ PROBES = {
         f, t, grad_clip=0.0),
     "resume-force-optimizer-mismatch": lambda f, t: resume_args(
         f, t, f["ckpt"]) + ["--force", "--optimizer", "sgd"],
+    "resume-checkpoint-rng": lambda f, t: _resume_edited(
+        f, t, lambda d: {**d, "rng": {"seed": 3, "epoch": 3}}),
 }
 
 # the exact stderr line of each probe whose message no other test holds
@@ -471,6 +465,13 @@ MESSAGES = {
     "train-config-grad-clip-zero": "error: grad_clip must be positive",
     "resume-force-optimizer-mismatch":
         "error: checkpoint optimizer kind mismatch",
+    "resume-checkpoint-meta-list":
+        "error: checkpoint has unknown keys ['meta']",
+    "resume-checkpoint-frozen-segment":
+        "error: checkpoint has unknown keys ['frozen']",
+    "eval-checkpoint-meta-clip-four":
+        "error: checkpoint has unknown keys ['meta']",
+    "resume-checkpoint-rng": "error: checkpoint has unknown keys ['rng']",
 }
 
 
@@ -497,19 +498,33 @@ def test_malformed_input_names_its_fault(files, tmp_path, probe):
     assert result.stderr == MESSAGES[probe] + "\n"
 
 
-@pytest.mark.parametrize("edit", [
-    lambda d: d, _meta(), _meta(learn_rate_init=-1.0, retention_init=1.0)],
-    ids=["no-meta", "old-meta", "old-meta-init-values-unread"])
-def test_checkpoint_without_meta_or_with_the_fixed_one_loads(
-        files, tmp_path, edit):
-    # a checkpoint keeps no "meta"; an earlier one's loads when it holds the
-    # fixed plasticity constants, whatever init values it recorded
-    assert "meta" not in read_json(files["ckpt"])
-    ckpt = _checkpoint(files, tmp_path, edit)
-    for args in (resume_args(files, tmp_path, ckpt),
-                 acquisition_args(files, tmp_path, ckpt)):
+def test_a_written_checkpoint_resumes_and_evaluates(files, tmp_path):
+    for args in (resume_args(files, tmp_path, files["ckpt"]),
+                 acquisition_args(files, tmp_path, files["ckpt"])):
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("damage,line", [
+    (lambda text: text[:len(text) // 2],
+     r"error: malformed JSON in .*bad\.ckpt: Expecting ',' delimiter: "
+     r"line 1 column \d+ \(char \d+\)"),
+    (lambda text: text[:10] + b"\xff" + text[11:],
+     r"error: malformed checkpoint: UnicodeDecodeError: 'utf-8' codec can't "
+     r"decode byte 0xff in position 10: invalid start byte"),
+], ids=["truncated", "byte-flipped"])
+def test_a_damaged_checkpoint_on_resume_exits_2(files, tmp_path, damage,
+                                               line):
+    # a copy, unlike atomic_write, can leave a checkpoint cut short or
+    # with a damaged byte
+    with open(files["ckpt"], "rb") as fh:
+        text = fh.read()
+    with open(tmp_path / "bad.ckpt", "wb") as fh:
+        fh.write(damage(text))
+    result = CliRunner().invoke(main, resume_args(
+        files, tmp_path, str(tmp_path / "bad.ckpt")))
+    assert_one_error_line(result)
+    assert re.fullmatch(line, result.stderr.strip()), result.stderr
 
 
 def test_eval_dataset_dims_checked_before_training(files, tmp_path):

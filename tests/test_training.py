@@ -1,8 +1,13 @@
+import builtins
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
+import re
+import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -128,30 +133,27 @@ def test_checkpoint_holds_only_the_keys_its_reader_uses(tmp_path):
                     "registry", "topology_hash"]
 
 
-def test_an_older_checkpoint_with_the_fixed_meta_loads(tmp_path):
-    # earlier versions wrote the plasticity constants and the two hebbian
-    # init values as "meta"; the init values only seeded "params", which
-    # holds the trained ones, so they load whatever they read
+@pytest.mark.parametrize("force", [False, True])
+def test_a_checkpoint_with_an_unknown_key_is_refused(tmp_path, force):
+    # earlier versions also wrote "meta" (the plasticity constants),
+    # "frozen" and "rng"; no reader uses them, so any of them is refused,
+    # whatever it holds, as every other statenet reader refuses a key
     topo, _ = small_setup()
     cfg = TrainConfig()
-    params = ParameterSet.from_topology(topo)
-    params.flat += np.linspace(-0.1, 0.1, params.count)
     path = str(tmp_path / "c.ckpt")
-    save_checkpoint(path, params, Adam(0.01), 1, cfg, topo)
+    save_checkpoint(path, ParameterSet.from_topology(topo), Adam(0.01), 1, cfg,
+                    topo)
     with open(path) as fh:
         doc = json.load(fh)
-    doc["meta"] = {"clip_bound": 5.0, "learn_rate_init": 0.3,
-                   "retention_init": 0.98, "potentiation": 0.05,
-                   "depression": 0.05, "trace_decay": 0.8}
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    back, _, _ = load_checkpoint(path, topo, cfg)
-    assert back.flat.tobytes() == params.flat.tobytes()
-    doc["meta"]["trace_decay"] = 0.9
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    with pytest.raises(CheckpointError, match="clip_bound.*trace_decay"):
-        load_checkpoint(path, topo, cfg)
+    for extra, named in [
+            ({"meta": {"clip_bound": 5.0, "trace_decay": 0.8}}, "['meta']"),
+            ({"frozen": []}, "['frozen']"),
+            ({"rng": {"seed": 3}, "frozen": []}, "['frozen', 'rng']")]:
+        with open(path, "w") as fh:
+            json.dump({**doc, **extra}, fh)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path, topo, cfg, force=force)
+        assert str(info.value) == f"checkpoint has unknown keys {named}"
 
 
 def test_checkpoint_hash_mismatch_refused(tmp_path):
@@ -172,25 +174,15 @@ def test_checkpoint_hash_mismatch_refused(tmp_path):
     assert np.array_equal(p.flat, params.flat)
 
 
-# keys that earlier versions wrote and no reader used
-EARLIER_KEYS = {"frozen": [], "rng": {"seed": 3, "epoch": 3}}
-
-
-@pytest.mark.parametrize("extra", [{}, EARLIER_KEYS],
-                         ids=["as-written", "earlier-version"])
-def test_resume_reproduces_uninterrupted_run(tmp_path, extra):
+def test_resume_reproduces_uninterrupted_run(tmp_path):
     topo, ds = small_setup(episodes=12)
     full_cfg = TrainConfig(epochs=6, batch_size=4, seed=3, eval_stride=1,
                            checkpoint_stride=3)
     run_a = str(tmp_path / "full")
     params_full, metrics_full = train(topo, ds, full_cfg, run_dir=run_a)
-    with open(os.path.join(run_a, "epoch0003.ckpt")) as fh:
-        doc = {**json.load(fh), **extra}
-    ckpt = str(tmp_path / "epoch0003.ckpt")
-    with open(ckpt, "w") as fh:
-        json.dump(doc, fh)
     # continue from the saved epoch-3 state under the full config
-    params_tail, metrics_tail = train(topo, ds, full_cfg, resume=ckpt)
+    params_tail, metrics_tail = train(
+        topo, ds, full_cfg, resume=os.path.join(run_a, "epoch0003.ckpt"))
     assert [m.epoch for m in metrics_tail] == [4, 5, 6]
     for m, tail in zip(metrics_full[3:], metrics_tail):
         assert tail.train_loss == m.train_loss
@@ -249,6 +241,109 @@ def test_resume_past_the_last_epoch_keeps_its_epoch_label(tmp_path):
         want = json.load(fh)
     assert final["epoch"] == 5
     assert final["params"] == want["params"]
+
+
+class _CutFile:
+    """A file being written that holds its text until it closes; then the
+    file gets the first ``keep(len(text))`` characters of it and the
+    process ends at once, as a crash or a short write would leave it."""
+
+    def __init__(self, fh, keep):
+        self.fh, self.keep, self.parts = fh, keep, []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        text = "".join(self.parts)
+        self.fh.write(text[:self.keep(len(text))])
+        self.fh.close()
+        os._exit(0)
+
+
+# the four moments a write can be cut at: no byte, the first byte, half of
+# its bytes, or all of them with the file closed
+CUTS = {"before": None, "first-byte": lambda n: 1,
+        "half": lambda n: n // 2, "closed": lambda n: n}
+
+
+def _cut_run(run, run_dir, k, cut):
+    """Run ``run()`` in a forked child whose ``k``-th file write (from 0)
+    under ``run_dir`` is cut as ``CUTS[cut]`` says. Returns the child's
+    exit code: 0 if the cut ended it, 2 if it finished first, 1 if it
+    raised."""
+    with warnings.catch_warnings():
+        # from Python 3.12 fork warns in a process with other threads (a
+        # BLAS pool, say); the child runs one thread and ends in os._exit
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    code = 1
+    try:
+        writes = itertools.count()
+        real_open = builtins.open
+
+        def cut_open(file, mode="r", *args, **kwargs):
+            if not ({"w", "a"} & set(mode)
+                    and str(file).startswith(run_dir + os.sep)
+                    and next(writes) == k):
+                return real_open(file, mode, *args, **kwargs)
+            if CUTS[cut] is None:
+                os._exit(0)
+            fh = real_open(file, mode, *args, **kwargs)
+            return _CutFile(fh, CUTS[cut])
+
+        builtins.open = cut_open
+        run()
+        code = 2
+    finally:
+        os._exit(code)
+
+
+def test_a_run_cut_at_any_write_resumes_bitwise(tmp_path):
+    # a run cut at any write to its directory, resumed from its newest
+    # checkpoint, ends with the uninterrupted run's metrics.csv (but
+    # wall_time) and final parameters; 10 epochs give a two-digit epoch
+    topo, ds = small_setup(episodes=4)
+    cfg = TrainConfig(epochs=10, batch_size=4, seed=3, checkpoint_stride=1)
+
+    def run(run_dir, resume=None):
+        train(topo, ds, cfg, run_dir=run_dir, resume=resume,
+              run_record={"dataset": "d.jsonl"})
+
+    def written(run_dir):
+        with open(os.path.join(run_dir, "metrics.csv")) as fh:
+            rows = [r[:-1] for r in csv.reader(fh)]  # drop wall_time
+        with open(os.path.join(run_dir, "final.ckpt")) as fh:
+            return rows, json.load(fh)["params"]
+
+    run(str(tmp_path / "whole"))
+    uninterrupted = written(str(tmp_path / "whole"))
+    cut_dir = str(tmp_path / "cut")
+    failed = []
+    # train.json, the header, a row and a checkpoint per epoch, final.ckpt
+    writes = 2 + 2 * cfg.epochs + 1
+    for k in range(writes + 1):
+        for cut in CUTS:
+            shutil.rmtree(cut_dir, ignore_errors=True)
+            code = _cut_run(lambda: run(cut_dir), cut_dir, k, cut)
+            assert code == (2 if k == writes else 0), (k, cut, code)
+            if k == writes:
+                break
+            names = set(os.listdir(cut_dir))
+            epochs = sorted(n for n in names if re.fullmatch(
+                r"epoch\d{4}\.ckpt", n))
+            newest = ("final.ckpt" if "final.ckpt" in names
+                      else epochs[-1] if epochs else None)
+            run(cut_dir, newest and os.path.join(cut_dir, newest))
+            if written(cut_dir) != uninterrupted:
+                failed.append((k, cut))
+    assert failed == []
 
 
 def _dump_partway(doc, fh, **kwargs):
@@ -384,6 +479,33 @@ def test_non_finite_gradient_is_divergence(monkeypatch, tmp_path):
     saved, _, _ = load_checkpoint(os.path.join(run_dir, "diverged.ckpt"), topo,
                                   dataclasses.replace(config, epochs=1))
     assert np.array_equal(saved.flat, before)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_loss_is_divergence_without_a_numpy_warning():
+    # (v - y) ** 2 overflows for a target of 1e300; the loss is then
+    # infinite, and the non-finite-loss check, not numpy, reports it
+    topo, ds = small_setup(episodes=4)
+    ds.episodes[1].y[...] = 1e300
+    with pytest.raises(DivergenceError, match=(
+            r"^episode 1: non-finite loss in an episode of length \d+ "
+            r"at epoch 1, batch \d$")):
+        train(topo, ds, TrainConfig(loss_tag="mse", epochs=1, batch_size=2))
+
+
+def test_batch_loss_adds_left_to_right(monkeypatch):
+    # from Python 3.12 the builtin sum adds floats with compensation, as
+    # math.fsum does: 1e16 + 1.0 - 1e16 would be 1.0, not 0.0 as before
+    from statenet import training
+    topo, ds = small_setup(episodes=3)
+
+    def batch(topology, params, episodes, ids, config):
+        return [1e16, 1.0, -1e16], np.zeros(params.count)
+
+    monkeypatch.setattr(training, "_batch_gradients", batch)
+    monkeypatch.setattr(training, "sum", math.fsum, raising=False)
+    _, metrics = train(topo, ds, TrainConfig(epochs=1, batch_size=3))
+    assert metrics[0].train_loss == 0.0
 
 
 def test_dimension_mismatch_rejected():
