@@ -176,13 +176,19 @@ def outputs_loss(loss_tag: str, outs: np.ndarray, ys, mask, lengths=None):
     """Masked loss of a rollout's outputs against their targets, one
     ``step_loss`` call whose step losses are added in step order; a batch's
     ((B x T x n_out) arrays, zero mask past a row's end, or no mask and each
-    row's ``lengths``) one loss per row."""
+    row's ``lengths``) one loss per row. A non-finite loss is a
+    ``NumericsError``, which numpy may precede with a warning."""
     ys = np.asarray(ys, dtype=np.float64)
     per_step = step_loss(loss_tag, outs, ys,
                          _norm_mask(mask, outs.shape, lengths))
     loss = np.zeros(outs.shape[:-2])
     for t in range(outs.shape[-2]):
         loss = loss + per_step[..., t]
+    if not np.isfinite(loss).all():
+        r = int(np.argmax(~np.isfinite(loss)))
+        n = outs.shape[-2] if lengths is None else lengths[r]
+        raise NumericsError(f"non-finite loss in an episode of length {n}",
+                            row=r)
     return _scalar(loss)
 
 
@@ -375,7 +381,7 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
     slice of the recorded states; the queue is swept (``_sweep``) when the
     next window would take it past ``LOCKSTEP_ROWS`` rows, and after the
     last flush. Beyond the queued tapes' own, only the states that a later
-    window reads are kept.
+    window reads are kept; numpy may warn before a ``NumericsError``.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -428,13 +434,7 @@ def batch_gradients(topology: NetworkTopology, params: ParameterSet, xs, ys,
             kept_from += drop
     if queue:
         _sweep(queue, grads)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked next
-        losses = outputs_loss(loss_tag, outs, ys, mask)
-    bad = np.flatnonzero(~np.isfinite(losses))
-    if len(bad):
-        raise NumericsError(f"non-finite loss in an episode of length "
-                            f"{lengths[bad[0]]}", row=int(bad[0]))
-    return losses.tolist(), grads
+    return outputs_loss(loss_tag, outs, ys, mask, lengths).tolist(), grads
 
 
 def _sweep(tapes: list[Tape], grads: np.ndarray) -> None:

@@ -16,20 +16,18 @@ from __future__ import annotations
 import sys
 
 import click
-import numpy as np
 
 from . import __version__
 from .autodiff import LOSS_TAGS
 from .datasets import FORMAT_TAG as DATASET_FORMAT_TAG
 from .datasets import (PavlovConfig, PongDataConfig, gen_pavlov, gen_pong,
                        load_dataset, save_dataset)
-from .dynamics import NumericsError
 from .jsonio import decode, read_json
 from .pong import PongConfig
 from .topology import FORMAT_TAG, build_random, load_topology, save_topology
-from .training import (TASKS, CheckpointMismatch, DivergenceError,
-                       TrainConfig, eval_pavlov_acquisition,
-                       eval_pong_closed_loop, load_params, train)
+from .training import (TASKS, CheckpointMismatch, TrainConfig,
+                       eval_pavlov_acquisition, eval_pong_closed_loop,
+                       load_params, train)
 from .verify import SUITES
 
 
@@ -38,8 +36,7 @@ from .verify import SUITES
 # bug and keeps its traceback.
 EXIT_CODES = {
     OSError: (3, ""),
-    DivergenceError: (4, ""),
-    NumericsError: (4, ""),
+    FloatingPointError: (4, ""),
     CheckpointMismatch: (2, " (use --force)"),
     ValueError: (2, ""),
 }
@@ -47,13 +44,11 @@ EXIT_CODES = {
 
 class _ExitCodeGroup(click.Group):
     """The top command group: applies ``EXIT_CODES`` once, around whichever
-    subcommand runs. numpy's overflow warnings are silenced: the engine's
-    finiteness checks raise ``NumericsError``, which ends in one line."""
+    subcommand runs; every numeric failure is a ``FloatingPointError``."""
 
     def invoke(self, ctx):
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return super().invoke(ctx)
+            return super().invoke(ctx)
         except tuple(EXIT_CODES) as exc:
             code, hint = next(EXIT_CODES[kind] for kind in type(exc).__mro__
                               if kind in EXIT_CODES)

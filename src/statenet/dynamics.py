@@ -31,8 +31,8 @@ from .topology import LifParams, RateParams
 
 
 class NumericsError(FloatingPointError):
-    """Non-finite value produced or consumed by a neuron update. ``row`` is
-    the episode's row of the batch the update ran over."""
+    """Non-finite value of a neuron update or a loss (exit 4 from the CLI).
+    ``row`` is the episode's row of the batch it ran over."""
 
     def __init__(self, message: str, row: int):
         super().__init__(message)

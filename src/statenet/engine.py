@@ -186,7 +186,7 @@ def step(state: RolloutState, x: np.ndarray, topology: NetworkTopology,
     the next state shares them; offsets of another width raise
     ``ValueError``. A non-finite value, a stimulus too, raises
     ``NumericsError`` naming the step, the neuron and the episode's column
-    (``row``) before any weight is updated."""
+    (``row``) before any weight is updated; numpy may warn first."""
     t = state.t + 1
     x = np.asarray(x, dtype=np.float64)
     want = (topology.n_inputs, state.v_last.shape[1])
@@ -273,7 +273,7 @@ def rollout(state0: RolloutState, xs: np.ndarray, topology: NetworkTopology,
     zero, and the states after step t hold only the leading columns still
     running then. The rollout stops with its longest row, whose end state
     it returns. One episode's (T x n_in) stimuli run as a batch of one and
-    give (T x n_out) outputs.
+    give (T x n_out) outputs. Numeric failure is ``step``'s.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim == 2:

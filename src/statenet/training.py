@@ -1,7 +1,7 @@
 """Optimization loop, checkpointing, and task evaluations.
 
 Training batches and held-out sets run through one lockstep driver
-(``_lockstep``), which also names the episode of a non-finite value.
+(``_lockstep``), which also names the episode of a non-finite value or loss.
 Batch gradients are the mean over the batch's episodes, run in one
 process as one lockstep batch (``autodiff.batch_gradients``). Each
 episode's gradient row is bitwise independent of its batch partners, and
@@ -18,6 +18,7 @@ Divergence (a batch loss whose magnitude exceeds ``DIVERGENCE_LIMIT`` or
 is not finite, or a non-finite gradient) aborts immediately, before the
 batch's update, dumping an emergency checkpoint when a run directory is
 configured; such a loss names the batch's episode with the largest |loss|.
+numpy does not warn in a training batch, a held-out or a closed-loop pass.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ DIVERGENCE_LIMIT = 1e6
 PREDICT_CHUNK = 128
 
 
-class DivergenceError(RuntimeError):
-    """Training loss went non-finite or exploded."""
+class DivergenceError(FloatingPointError):
+    """Training loss went non-finite or exploded (exit 4 from the CLI)."""
 
 
 class CheckpointError(ValueError):
@@ -326,6 +327,7 @@ def _padded(shape: tuple, at: np.ndarray, arrays: list) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _batch_gradients(topology, params, episodes, ids, config):
     """Losses (in ``ids`` order) and mean gradient of the batch
     ``episodes[i]``, ``i`` in ``ids``."""
@@ -611,6 +613,7 @@ def eval_pavlov_acquisition(params: ParameterSet, topology: NetworkTopology,
     return sum(row["correct"] for row in rows) / len(dataset), rows
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _predict(params: ParameterSet, topology: NetworkTopology,
              dataset: Dataset, score) -> list:
     """What ``score(ids, outs, ys, mask, lengths)`` gives for each episode
@@ -693,6 +696,7 @@ def eval_pong_closed_loop(params: ParameterSet, topology: NetworkTopology,
     return result
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _play_pong(params: ParameterSet, topology: NetworkTopology,
                env_config: PongConfig, n_rollouts: int, seed: int) -> dict:
     """The network's closed-loop outcome (argmax action), without a

@@ -19,9 +19,13 @@ from statenet.datasets import (PavlovConfig, PongDataConfig, gen_pavlov,
                                gen_pong, load_dataset, save_dataset)
 from statenet.dynamics import NumericsError
 from statenet.engine import fresh_state, rollout
+from statenet.params import ParameterSet
 from statenet.pong import PongConfig
-from statenet.topology import build_random, load_topology, save_topology
-from statenet.training import TrainConfig, lif_stdp_recipe, load_params, train
+from statenet.topology import (LifParams, build_random, load_topology,
+                               save_topology)
+from statenet.training import (Sgd, TrainConfig, eval_pavlov_acquisition,
+                               eval_pong_closed_loop, lif_stdp_recipe,
+                               load_params, save_checkpoint, train)
 
 TRAIN_FLAGS = ["--epochs", "1", "--batch", "2"]
 NAN = float("nan")
@@ -619,7 +623,7 @@ def assert_names_an_episode_that_diverges_alone(result, files):
         rollout(fresh_state(net, params), ep.x, net, params)
 
 
-# the CLI silences numpy's overflow warnings: its one error line says it
+# no numpy warning comes before the one error line
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numeric_divergence_in_evaluation_exits_4(overflowing):
     result = CliRunner().invoke(main, acquisition_args(
@@ -638,24 +642,77 @@ def test_numeric_divergence_in_held_out_loss_exits_4(overflowing, tmp_path):
     assert_names_an_episode_that_diverges_alone(result, overflowing)
 
 
-@pytest.mark.parametrize("loss,target,episode,message", [
-    ("mse", 1e300, 0, "episode 0: non-finite loss in an episode of length 7 "
-                      "at epoch 1, batch 0"),
+@pytest.mark.filterwarnings("error")
+def test_the_library_raises_the_clis_line(overflowing, tmp_path):
+    # library evaluations and held-out passes raised numpy's RuntimeWarning
+    # where the CLI printed this line
+    net = load_topology(overflowing["net"])
+    params, _ = load_params(overflowing["ckpt"], net)
+    held = load_dataset(overflowing["held"])
+    acquisition = CliRunner().invoke(main, acquisition_args(
+        overflowing, None, overflowing["ckpt"], data=overflowing["held"]))
+    held_out = CliRunner().invoke(main, train_args(overflowing, tmp_path) + [
+        "--loss", "mse", "--eval-dataset", overflowing["held"]])
+    with pytest.raises(NumericsError) as evaluation:
+        eval_pavlov_acquisition(params, net, held)
+    with pytest.raises(NumericsError) as training:
+        train(net, load_dataset(overflowing["data"]),
+              TrainConfig(loss_tag="mse", epochs=1, batch_size=2),
+              eval_dataset=held)
+    line = "episode 0: non-finite value at t=4, neuron 18"
+    for result, info in ((acquisition, evaluation), (held_out, training)):
+        assert str(info.value) == line
+        assert result.exit_code == 4
+        assert result.stderr == f"error: {line}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_closed_loop_overflow_is_one_line_in_library_and_cli(tmp_path):
+    # the closed loop never enters the lockstep driver; the membrane sum
+    # overflowed with numpy's RuntimeWarning before the step's check
+    net = build_random(4, 0.5, seed=1, model="lif", n_inputs=5, n_outputs=3,
+                       lif_params=LifParams(rest=1.5e308, threshold=1.7e308,
+                                            reset=0.0))
+    params = ParameterSet.from_topology(net)
+    flat = params.flat.copy()
+    flat[params.registry["w0"]] = 3e307
+    params = params.with_flat(flat)
+    with pytest.raises(NumericsError) as info:
+        eval_pong_closed_loop(params, net, PongConfig(), n_rollouts=3, seed=0)
+    assert str(info.value) == "non-finite value at t=14, neuron 5"
+    paths = {"pong_net": str(tmp_path / "net.json"),
+             "pong_ckpt": str(tmp_path / "net.ckpt")}
+    save_topology(net, paths["pong_net"])
+    save_checkpoint(paths["pong_ckpt"], params, Sgd(0.1), 0, TrainConfig(),
+                    net)
+    result = CliRunner().invoke(main, _eval_pong(paths, 3))
+    assert result.exit_code == 4
+    assert result.stderr == f"error: {info.value}\n"
+
+
+@pytest.mark.parametrize("loss,target,held,episode,message", [
+    ("mse", 1e300, False, 0, "episode 0: non-finite loss in an episode of "
+                             "length 7 at epoch 1, batch 0"),
     # a huge negative loss once trained on unchecked
-    ("bce", -1e300, 1, "episode 1: loss -7.472047243813897e+299 at epoch 1, "
-                       "batch 1"),
-], ids=["mse-overflow", "bce-huge-negative"])
+    ("bce", -1e300, False, 1, "episode 1: loss -7.472047243813897e+299 at "
+                              "epoch 1, batch 1"),
+    # a non-finite held-out loss was written to metrics.csv as nan
+    ("mse", 1e300, True, 1, "episode 1: non-finite loss in an episode of "
+                            "length 8"),
+], ids=["mse-overflow", "bce-huge-negative", "held-out-mse-overflow"])
 def test_huge_targets_exit_4_naming_the_episode(files, tmp_path, loss, target,
-                                                 episode, message):
+                                                 held, episode, message):
     def huge(rec):
         rec["y"] = [[target] * len(row) for row in rec["y"]]
 
     data = _dataset_edit(files, tmp_path, 1 + episode, huge)
-    result = CliRunner().invoke(main, train_args(files, tmp_path, data=data)
-                                + ["--loss", loss])
+    args = (train_args(files, tmp_path, data=None if held else data)
+            + ["--loss", loss] + (["--eval-dataset", data] if held else []))
+    result = CliRunner().invoke(main, args)
     assert result.exit_code == 4
     assert result.stderr == f"error: {message}\n"
-    assert (tmp_path / "out" / "diverged.ckpt").exists()
+    # only a training batch leaves an emergency checkpoint
+    assert (tmp_path / "out" / "diverged.ckpt").exists() != held
 
 
 def test_missing_file_exits_3(files, tmp_path):

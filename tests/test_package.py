@@ -1,7 +1,7 @@
 """Package import: the one allocator setting every entry point gets; no
 module of the package, its tests or its tools imports a name it never
-uses; and none of them but the benchmark's own test imports the
-benchmark."""
+uses; none of them but the benchmark's own test imports the benchmark;
+and numpy is quieted only on the three lockstep passes."""
 
 import ast
 import os
@@ -124,3 +124,29 @@ def test_only_the_benchmark_test_imports_the_benchmark():
              for path in package_modules()
              if path != ROOT / "tests" / "test_perfbench.py"}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def errstate_places(path: Path) -> list[str]:
+    """Where ``path`` names numpy's ``errstate``: the function it decorates,
+    else its line."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    decorates = {id(sub): node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for dec in node.decorator_list for sub in ast.walk(dec)}
+    return [decorates.get(id(node), f"line {node.lineno}")
+            for node in ast.walk(tree)
+            if getattr(node, "attr", getattr(node, "id", None)) == "errstate"]
+
+
+def test_numpy_is_quieted_only_on_the_three_passes():
+    # a training batch, a held-out pass and a closed-loop pass check every
+    # value they keep; numpy is quiet there and nowhere else, so library
+    # and CLI fail alike, and the CLI imports no numpy to wrap itself in
+    found = sorted((path.name, place)
+                   for path in (ROOT / "src" / "statenet").rglob("*.py")
+                   for place in errstate_places(path))
+    assert found == [("training.py", "_batch_gradients"),
+                     ("training.py", "_play_pong"),
+                     ("training.py", "_predict")]
+    assert "numpy" not in imported_modules(
+        ROOT / "src" / "statenet" / "cli.py")

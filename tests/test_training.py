@@ -16,6 +16,7 @@ from statenet import datasets
 from statenet.autodiff import episode_loss, outputs_loss
 from statenet.datasets import (Dataset, Episode, PavlovConfig, PongDataConfig,
                                gen_pavlov, gen_pong, save_dataset)
+from statenet.dynamics import NumericsError
 from statenet.engine import fresh_state, rollout, scatter_index, step
 from statenet.params import ParameterSet
 from statenet.pong import PongConfig, PongEnv, action_from_index
@@ -491,6 +492,19 @@ def test_an_overflowing_loss_is_divergence_without_a_numpy_warning():
             r"^episode 1: non-finite loss in an episode of length \d+ "
             r"at epoch 1, batch \d$")):
         train(topo, ds, TrainConfig(loss_tag="mse", epochs=1, batch_size=2))
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_held_out_loss_names_its_episode():
+    # the held-out loss overflowed with numpy's warning; without one it was
+    # recorded as nan and the run went on
+    topo, ds = small_setup(episodes=4)
+    _, held = small_setup(episodes=4)
+    held.episodes[1].y[...] = 1e300
+    with pytest.raises(NumericsError, match=(
+            r"^episode 1: non-finite loss in an episode of length 8$")):
+        train(topo, ds, TrainConfig(loss_tag="mse", epochs=1, batch_size=2),
+              eval_dataset=held)
 
 
 def test_batch_loss_adds_left_to_right(monkeypatch):

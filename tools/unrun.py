@@ -35,7 +35,7 @@ ALLOWED = [
      "the hashlib fallback: runs only on a Python without _sha2 or _sha256"),
     ("jsonio.py", 39, "from hashlib import sha256 as _sha256",
      "the hashlib fallback: runs only on a Python without _sha2 or _sha256"),
-    ("cli.py", 281, "main()",
+    ("cli.py", 276, "main()",
      "__main__: only the subprocess in tests/test_cli.py runs it"),
     ("verify.py", 80, "passed = False",
      "a FAIL reporter: only a broken gradient reaches it"),
